@@ -7,7 +7,7 @@ cohomology, the Hodge splitting by Eulerian idempotents, the
 cocycle/deformation correspondence, and descent data for module categories.
 """
 
-from .linalg import RatMatrix, Subspace, DualMatrix, cohomology, ComplexViolation
+from .linalg import RatMatrix, Subspace, cohomology, ComplexViolation
 from .fincat import FiniteCategory, Morphism, Simplex, MeetPoset, \
     poset_category, slice_category
 from .algebra import FinAlgebra, AlgebraHom, FinModule, FinBimodule, \

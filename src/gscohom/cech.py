@@ -21,8 +21,9 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
-from .linalg import RatMatrix
+from .linalg import RatMatrix, subcomplex_cohomology, submatrix
 from .fincat import Simplex
+from .shuffles import perm_sign
 
 
 # -- tuple operations
@@ -62,18 +63,9 @@ def tuple_theta(poset, tau, i):
     return tuple(head) + tau[i:]
 
 
-def perm_sign(perm):
-    inv = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                inv += 1
-    return Fraction(-1) if inv % 2 else Fraction(1)
-
-
 def signed_permutations(n):
     """(tuple, sign) for all of S_n acting on positions 0..n-1."""
-    return [(p, perm_sign(p)) for p in permutations(range(n))]
+    return [(p, Fraction(perm_sign(p))) for p in permutations(range(n))]
 
 
 class CechComplex:
@@ -124,7 +116,7 @@ class CechComplex:
         if len(set(tau)) < len(tau):
             return Fraction(0), None
         idx = sorted(range(len(tau)), key=lambda i: self.order[tau[i]])
-        sign = perm_sign(tuple(idx))
+        sign = Fraction(perm_sign(idx))
         return sign, tuple(tau[i] for i in idx)
 
     def value(self, vec, p, tau):
@@ -177,23 +169,7 @@ class CechComplex:
         return RatMatrix(out_dim, in_dim, entries)
 
     def cohomology(self, p):
-        from .linalg import cohomology as coh
-        d_in = self.differential(p - 1) if p >= 1 else \
-            RatMatrix.zeros(self.dim(p), 0)
-        return coh(d_in, self.differential(p))
-
-    def alternating_embedding(self, p, full_complex):
-        """The inclusion of alternating cochains into the full complex."""
-        assert self.alternating and not full_complex.alternating
-        entries = {}
-        for tau, d, off_full in full_complex.layout(p)[0]:
-            sign, canon = self.canonical(tau)
-            if canon is None:
-                continue
-            d_in, off_in = self.block(p)[canon]
-            for t in range(d):
-                entries[(off_full + t, off_in + t)] = sign
-        return RatMatrix(full_complex.dim(p), self.dim(p), entries)
+        return subcomplex_cohomology(self.differential, p)
 
 
 def iota_matrix(cech, simp, p):
@@ -268,7 +244,7 @@ def compare_simp_cech(f_presheaf, poset, p_max):
     degrees 0..p_max, plus exact verification of pi iota = 1 (on reduced
     cochains) and of the homotopy identity on a full alternating basis.
     """
-    from .simplicial import PairComplex, ModPresheaf, submatrix
+    from .simplicial import PairComplex, ModPresheaf
     simp = PairComplex(ModPresheaf.constant(poset.category), f_presheaf)
     cech = CechComplex(f_presheaf, poset, alternating=True)
     report = {"simp_betti": [], "cech_betti": [], "pi_iota_identity": True,

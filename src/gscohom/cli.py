@@ -2,7 +2,9 @@
 
 Every command loads a single self-contained JSON project file, dispatches
 to the library, and prints one deterministic JSON report on stdout.  Exit
-codes: 0 success, 1 verification failure, 2 schema/usage error.  Progress
+codes: 0 success, 1 verification failure, 2 schema/usage error (a bad
+project, a negative --degree, a --kind the complex does not have, or a
+malformed GSD_IDEMPOTENT_BOUND), always reported as JSON.  Progress
 notes go to stderr unless --quiet is given.  GSD_IDEMPOTENT_BOUND bounds
 the symmetric-group degree used by Hodge computations (default 6).
 """
@@ -46,7 +48,24 @@ def _progress(args, msg):
 
 
 def _idempotent_bound():
-    return int(os.environ.get("GSD_IDEMPOTENT_BOUND", "6"))
+    raw = os.environ.get("GSD_IDEMPOTENT_BOUND", "6")
+    try:
+        return int(raw)
+    except ValueError:
+        raise SchemaError("GSD_IDEMPOTENT_BOUND=%s: expected an integer"
+                          % raw) from None
+
+
+def _check_usage(args):
+    """Reject a negative degree, and a --kind the chosen complex lacks."""
+    if getattr(args, "degree", 0) < 0:
+        raise SchemaError("--degree %d: expected a degree >= 0" % args.degree)
+    if args.command == "cohomology" and args.kind is not None:
+        kinds = {"hoch": ("full", "normalized"), "simp": ("full", "reduced"),
+                 "cech": ("full", "alternating"), "gs": KINDS}[args.complex]
+        if args.kind not in kinds:
+            raise SchemaError("--kind %s: expected one of %s for --complex %s"
+                              % (args.kind, ", ".join(kinds), args.complex))
 
 
 def _simplex_label(key):
@@ -130,8 +149,6 @@ def cmd_cohomology(project, args):
         raise SchemaError("/presheaf: the total complex needs a strict "
                           "presheaf (no twists)")
     kind = args.kind or "full"
-    if kind not in KINDS:
-        raise SchemaError("--kind %s: expected one of %s" % (kind, KINDS))
     gs = GSComplex(presheaf)
     _progress(args, "assembling total complex through degree %d"
               % (args.degree + 1))
@@ -315,8 +332,10 @@ def build_parser():
                    required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--kind", default=None,
-                   help="subcomplex selection (gs: %s; hoch: normalized; "
-                        "simp: reduced; cech: full)" % (", ".join(KINDS)))
+                   help="subcomplex selection, default the full complex "
+                        "(alternating for cech): hoch: full, normalized; "
+                        "simp: full, reduced; cech: full, alternating; "
+                        "gs: %s" % ", ".join(KINDS))
     p.add_argument("--object", default=None,
                    help="object whose algebra to use (hoch only)")
     p = sub.add_parser("hodge", help="Hodge components of the total complex")
@@ -356,25 +375,26 @@ COMMANDS = {
 }
 
 
+def _usage_error(message):
+    print(json.dumps({"error": message, "meta": _meta()}, indent=2,
+                     sort_keys=True))
+    return 2
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_usage(args)
         project = load_project(args.project)
     except SchemaError as exc:
-        print(json.dumps({"error": str(exc), "meta": _meta()}, indent=2,
-                         sort_keys=True))
-        return 2
+        return _usage_error(str(exc))
     except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": "cannot read project: %s" % exc,
-                          "meta": _meta()}, indent=2, sort_keys=True))
-        return 2
+        return _usage_error("cannot read project: %s" % exc)
     try:
         return COMMANDS[args.command](project, args)
     except SchemaError as exc:
-        print(json.dumps({"error": str(exc), "meta": _meta()}, indent=2,
-                         sort_keys=True))
-        return 2
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

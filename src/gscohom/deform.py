@@ -27,11 +27,6 @@ class NotACocycle(Exception):
         super().__init__("; ".join(failures[:4]))
 
 
-def _zero_m1(presheaf):
-    return {o: RatMatrix.zeros(a.dim, a.dim ** 2)
-            for o, a in presheaf.algebras.items()}
-
-
 class CandidateTriple:
     """(m1, f1, c1) with missing blocks treated as zero.
 

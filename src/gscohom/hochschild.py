@@ -7,9 +7,10 @@ coordinate of a cochain is column-major, i.e. word index first.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
-from .linalg import RatMatrix, cohomology, unit_vector
+from .linalg import RatMatrix, subcomplex_cohomology, unit_vector
 from .algebra import FinBimodule
 
 
@@ -207,38 +208,11 @@ def hh_algebra(algebra, bimodule, n, normalized=False):
     agree (asserted in the test suite).
     """
     m = bimodule.dim
-    d_in = hoch_differential(algebra, bimodule, n - 1) if n >= 1 \
-        else RatMatrix.zeros(m, 0)
-    d_out = hoch_differential(algebra, bimodule, n)
-    if normalized:
-        keep_n = normalized_coordinates(algebra, m, n)
-        keep_in = normalized_coordinates(algebra, m, n - 1) if n >= 1 else []
-        keep_out = normalized_coordinates(algebra, m, n + 1)
-        d_in = _submatrix(d_in, keep_n, keep_in) if n >= 1 \
-            else RatMatrix.zeros(len(keep_n), 0)
-        d_out = _submatrix(d_out, keep_out, keep_n)
-    betti, reps = cohomology(d_in, d_out)
-    dim_a = algebra.dim
-    rep_cochains = []
-    for v in reps:
-        if normalized:
-            full = [Fraction(0)] * (m * dim_a ** n)
-            for pos, c in zip(keep_n, v):
-                full[pos] = c
-            v = tuple(full)
-        rep_cochains.append(HCochain(algebra, bimodule, n,
-                                     unflatten(v, m, dim_a ** n)))
-    return betti, rep_cochains
-
-
-def _submatrix(mat, row_idx, col_idx):
-    rpos = {r: i for i, r in enumerate(row_idx)}
-    cpos = {c: j for j, c in enumerate(col_idx)}
-    entries = {}
-    for (i, j), v in mat.items():
-        if i in rpos and j in cpos:
-            entries[(rpos[i], cpos[j])] = v
-    return RatMatrix(len(row_idx), len(col_idx), entries)
+    keep = partial(normalized_coordinates, algebra, m) if normalized else None
+    betti, reps = subcomplex_cohomology(
+        partial(hoch_differential, algebra, bimodule), n, keep)
+    return betti, [HCochain(algebra, bimodule, n,
+                            unflatten(v, m, algebra.dim ** n)) for v in reps]
 
 
 def regular_bimodule(algebra):

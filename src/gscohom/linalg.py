@@ -1,9 +1,13 @@
-"""Exact linear algebra over Q and over the dual numbers Q[eps].
+"""Exact linear algebra over Q.
 
 All matrices carry Fraction entries and every result is exact: kernels,
 ranks, solutions and cohomology representatives are computed by
 fraction-free (Bareiss) elimination on integer-scaled rows, so no
 rounding ever happens.  Matrices are immutable after construction.
+
+`subcomplex_cohomology` is the one place where the cohomology of a cochain
+complex, or of a subcomplex of it, is computed; the Hochschild, simplicial,
+Cech and total complexes all call it.
 """
 
 from fractions import Fraction
@@ -14,48 +18,32 @@ class ComplexViolation(Exception):
     """Raised when two maps that should compose to zero do not."""
 
 
+class NotASubcomplex(Exception):
+    """Raised when a differential leaks out of a proposed subcomplex."""
+
+
 def _frac(x):
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
 
 
-# density above which a matrix is stored as dense row tuples rather than
-# as a coordinate dict
-DENSITY_THRESHOLD = Fraction(1, 4)
-
-
 class RatMatrix:
-    """Immutable rows x cols matrix of Fractions.
+    """Immutable rows x cols matrix of Fractions, held sparsely as a dict
+    {(i, j): nonzero entry}."""
 
-    Entries are held sparsely (dict keyed by (i, j)) or densely (tuple of
-    row tuples) depending on the fill-in; both forms behave identically.
-    """
-
-    __slots__ = ("rows", "cols", "_d", "_rows")
+    __slots__ = ("rows", "cols", "_d")
 
     def __init__(self, rows, cols, entries):
+        """`entries` is a dict {(i, j): value} or a list of rows."""
         assert rows >= 0 and cols >= 0
         self.rows = rows
         self.cols = cols
         if isinstance(entries, dict):
-            d = {k: _frac(v) for k, v in entries.items() if v != 0}
+            self._d = {k: _frac(v) for k, v in entries.items() if v != 0}
         else:
-            d = {}
-            for i, row in enumerate(entries):
-                for j, v in enumerate(row):
-                    if v != 0:
-                        d[(i, j)] = _frac(v)
-        size = rows * cols
-        if size and Fraction(len(d), size) >= DENSITY_THRESHOLD:
-            mat = [[Fraction(0)] * cols for _ in range(rows)]
-            for (i, j), v in d.items():
-                mat[i][j] = v
-            self._rows = tuple(tuple(r) for r in mat)
-            self._d = None
-        else:
-            self._d = d
-            self._rows = None
+            self._d = {(i, j): _frac(v) for i, row in enumerate(entries)
+                       for j, v in enumerate(row) if v != 0}
 
     # -- constructors
 
@@ -87,30 +75,16 @@ class RatMatrix:
                     d[(i, j)] = _frac(v)
         return RatMatrix(r, c, d)
 
-    @staticmethod
-    def diagonal(values):
-        n = len(values)
-        return RatMatrix(n, n, {(i, i): values[i] for i in range(n)})
-
     # -- access
 
     def __getitem__(self, ij):
         i, j = ij
         assert 0 <= i < self.rows and 0 <= j < self.cols
-        if self._d is not None:
-            return self._d.get((i, j), Fraction(0))
-        return self._rows[i][j]
+        return self._d.get((i, j), Fraction(0))
 
     def items(self):
         """Iterate nonzero entries as ((i, j), value), in row-major order."""
-        if self._d is not None:
-            return iter(sorted(self._d.items()))
-        out = []
-        for i, row in enumerate(self._rows):
-            for j, v in enumerate(row):
-                if v != 0:
-                    out.append(((i, j), v))
-        return iter(out)
+        return iter(sorted(self._d.items()))
 
     def to_rows(self):
         mat = [[Fraction(0)] * self.cols for _ in range(self.rows)]
@@ -121,20 +95,17 @@ class RatMatrix:
     def column(self, j):
         return tuple(self[i, j] for i in range(self.rows))
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def nnz(self):
-        return sum(1 for _ in self.items())
+        return len(self._d)
 
     def is_zero(self):
-        return next(self.items(), None) is None
+        return not self._d
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and \
-            dict(self.items()) == dict(other.items())
+            self._d == other._d
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(self.items())))
@@ -316,10 +287,6 @@ class RatMatrix:
             basis.append(tuple(v))
         return Subspace(self.cols, basis)
 
-    def image(self):
-        """Basis of the column space (the pivot columns of M)."""
-        return Subspace(self.rows, [self.column(c) for c in self.pivot_columns()])
-
     def solve(self, b):
         """Some x with M x = b, or None if the system is inconsistent."""
         assert len(b) == self.rows
@@ -417,87 +384,84 @@ def cohomology(d_in, d_out):
     return betti, reps
 
 
-class DualMatrix:
-    """Pair (m0, m1) standing for m0 + m1*eps with eps^2 = 0.
+def submatrix(mat, row_idx, col_idx):
+    """The rows row_idx and columns col_idx of mat, in the given orders."""
+    rpos = {r: i for i, r in enumerate(row_idx)}
+    cpos = {c: j for j, c in enumerate(col_idx)}
+    entries = {}
+    for (i, j), v in mat.items():
+        if i in rpos and j in cpos:
+            entries[(rpos[i], cpos[j])] = v
+    return RatMatrix(len(row_idx), len(col_idx), entries)
 
-    Rank questions reduce to Q-linear algebra on the block matrix
-    [[m0, 0], [m1, m0]].
+
+def is_closed(d, src, tgt):
+    """True iff d maps the span of the coordinates src into the span of
+    the coordinates tgt: no nonzero d[i, j] has j in src and i outside
+    tgt."""
+    src, tgt = set(src), set(tgt)
+    return all(i in tgt for i, j in d._d if j in src)
+
+
+def subcomplex_cohomology(differential, n, keep=None, check=None):
+    """H^n of a cochain complex, or of a subcomplex: (betti, representatives).
+
+    differential(m) is the matrix of d: C^m -> C^{m+1}.  With keep=None the
+    whole complex is taken.  Otherwise keep(m) spans the subcomplex in
+    degree m, either as a list of kept coordinates or as a RatMatrix whose
+    columns are a basis, and the subcomplex must be closed under d^{n-1}
+    and d^n.  Each of the two is checked once, and a leak raises
+    NotASubcomplex:
+      * coordinates: by is_closed, or by check(m) when the caller names
+        its own check (which must raise NotASubcomplex itself); d^m is then
+        the submatrix on the kept coordinates;
+      * a basis B: by solving B(m+1) X = d^m B(m); the solution X is the
+        restricted d^m.
+    The representatives are returned in the coordinates of C^n.
     """
+    keeps = {} if keep is None else \
+        {m: keep(m) for m in (n - 1, n, n + 1) if m >= 0}
 
-    __slots__ = ("m0", "m1")
+    def restricted(m, d):
+        src, tgt = keeps.get(m), keeps.get(m + 1)
+        if src is None:
+            return d
+        if isinstance(src, RatMatrix):
+            x = tgt.solve_many(d @ src)
+            if x is None:
+                raise NotASubcomplex("d^%d leaves the subcomplex" % m)
+            return x
+        if check is not None:
+            check(m)
+        elif not is_closed(d, src, tgt):
+            raise NotASubcomplex("d^%d leaves the subcomplex" % m)
+        return submatrix(d, tgt, src)
 
-    def __init__(self, m0, m1=None):
-        if m1 is None:
-            m1 = RatMatrix.zeros(m0.rows, m0.cols)
-        assert (m0.rows, m0.cols) == (m1.rows, m1.cols)
-        self.m0 = m0
-        self.m1 = m1
-
-    @property
-    def rows(self):
-        return self.m0.rows
-
-    @property
-    def cols(self):
-        return self.m0.cols
-
-    @staticmethod
-    def identity(n):
-        return DualMatrix(RatMatrix.identity(n))
-
-    def __add__(self, other):
-        return DualMatrix(self.m0 + other.m0, self.m1 + other.m1)
-
-    def __sub__(self, other):
-        return DualMatrix(self.m0 - other.m0, self.m1 - other.m1)
-
-    def __neg__(self):
-        return DualMatrix(-self.m0, -self.m1)
-
-    def __matmul__(self, other):
-        return DualMatrix(self.m0 @ other.m0,
-                          self.m0 @ other.m1 + self.m1 @ other.m0)
-
-    def __eq__(self, other):
-        return self.m0 == other.m0 and self.m1 == other.m1
-
-    def __hash__(self):
-        return hash((self.m0, self.m1))
-
-    def apply(self, vec):
-        v0, v1 = vec
-        return (self.m0.apply(v0),
-                tuple(a + b for a, b in zip(self.m0.apply(v1), self.m1.apply(v0))))
-
-    def block(self):
-        z = RatMatrix.zeros(self.rows, self.cols)
-        return RatMatrix.block([[self.m0, z], [self.m1, self.m0]])
-
-    def is_invertible(self):
-        return self.block().is_invertible()
-
-    def inverse(self):
-        if not self.m0.is_invertible():
-            return None
-        i0 = self.m0.inverse()
-        return DualMatrix(i0, -(i0 @ self.m1 @ i0))
-
-    def __repr__(self):
-        return "DualMatrix(%d x %d)" % (self.rows, self.cols)
+    d_n = differential(n)
+    d_out = restricted(n, d_n)
+    d_in = restricted(n - 1, differential(n - 1)) if n >= 1 else \
+        RatMatrix.zeros(d_out.cols, 0)
+    betti, reps = cohomology(d_in, d_out)
+    keep_n = keeps.get(n)
+    if isinstance(keep_n, RatMatrix):
+        reps = [keep_n.apply(v) for v in reps]
+    elif keep_n is not None:
+        embedded = []
+        for v in reps:
+            full = [Fraction(0)] * d_n.cols
+            for pos, c in zip(keep_n, v):
+                full[pos] = c
+            embedded.append(tuple(full))
+        reps = embedded
+    return betti, reps
 
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
 def vec_scale(a, v):
     a = _frac(a)
     return tuple(a * x for x in v)
-
-def vec_is_zero(v):
-    return all(x == 0 for x in v)
 
 def unit_vector(n, i):
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))

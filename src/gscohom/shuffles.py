@@ -17,10 +17,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import RatMatrix
+from .hochschild import words, word_index
 
 
 class VerificationFailed(Exception):
-    """The construction of the idempotent family failed its exact checks."""
+    """An exact verification failed: the idempotent family's checks, or the
+    agreement of quasi-isomorphic subcomplexes of the total complex."""
 
 
 def identity_perm(n):
@@ -197,18 +199,10 @@ def perm_action_matrix(perm, m_dim, a_dim):
     inv = [0] * q
     for i, v in enumerate(perm):
         inv[v] = i
-
-    def word_index(w):
-        idx = 0
-        for c in w:
-            idx = idx * a_dim + c
-        return idx
-
-    from itertools import product
-    for w in product(range(a_dim), repeat=q):
+    for w in words(a_dim, q):
         wp = tuple(w[inv[t]] for t in range(q))
-        src = word_index(wp)
-        dst = word_index(w)
+        src = word_index(wp, a_dim)
+        dst = word_index(w, a_dim)
         for k in range(m_dim):
             entries[(dst * m_dim + k, src * m_dim + k)] = Fraction(1)
     return RatMatrix(size, size, entries)

@@ -18,7 +18,8 @@ deterministic.
 
 from fractions import Fraction
 
-from .linalg import RatMatrix, cohomology
+# submatrix is re-exported for callers that import it from here
+from .linalg import RatMatrix, subcomplex_cohomology, submatrix  # noqa: F401
 from .fincat import slice_category
 
 
@@ -68,13 +69,6 @@ class ModPresheaf:
         dims = {o: self.dims[o] ** q for o in self.category.objects}
         maps = {name: mat.kron_power(q) for name, mat in self.maps.items()}
         return ModPresheaf(self.category, dims, maps, check=False)
-
-    def map_along(self, simplex):
-        """f^sigma: F(c sigma) -> F(d sigma)."""
-        mat = RatMatrix.identity(self.dims[simplex.domain])
-        for name in simplex.arrows:
-            mat = mat @ self.maps[name]
-        return mat
 
 
 class PairComplex:
@@ -167,27 +161,11 @@ class PairComplex:
         return keep
 
     def cohomology(self, p, reduced=False):
-        d_in = self.differential(p - 1) if p >= 1 else \
-            RatMatrix.zeros(self.dim(p), 0)
-        d_out = self.differential(p)
-        if reduced:
-            keep_p = self.reduced_coordinates(p)
-            keep_in = self.reduced_coordinates(p - 1) if p >= 1 else []
-            keep_out = self.reduced_coordinates(p + 1)
-            d_in = submatrix(d_in, keep_p, keep_in) if p >= 1 else \
-                RatMatrix.zeros(len(keep_p), 0)
-            d_out = submatrix(d_out, keep_out, keep_p)
-        return cohomology(d_in, d_out)
-
-
-def submatrix(mat, row_idx, col_idx):
-    rpos = {r: i for i, r in enumerate(row_idx)}
-    cpos = {c: j for j, c in enumerate(col_idx)}
-    entries = {}
-    for (i, j), v in mat.items():
-        if i in rpos and j in cpos:
-            entries[(rpos[i], cpos[j])] = v
-    return RatMatrix(len(row_idx), len(col_idx), entries)
+        """(betti, representatives) of H^p; with reduced=True on the
+        subcomplex of cochains vanishing on degenerate simplices, with the
+        representatives still in the coordinates of C^p."""
+        keep = self.reduced_coordinates if reduced else None
+        return subcomplex_cohomology(self.differential, p, keep)
 
 
 def presheaf_cohomology(f_presheaf, p, reduced=False):

@@ -5,6 +5,7 @@ import pytest
 from gscohom.linalg import RatMatrix
 from gscohom.gs import (GSComplex, NotCommutative,
                         factor_through_restrictions, cochain_from_parts, KINDS)
+from gscohom.shuffles import VerificationFailed
 from gscohom import presets
 
 
@@ -303,3 +304,15 @@ def test_factor_through_surjective_unique(complexes):
     for key, lift in out["lifts"].items():
         assert lift["matrix"] == RatMatrix.identity(1)
         assert lift["unique"]
+
+
+def test_quasi_isomorphism_witness_raises(monkeypatch):
+    gs = GSComplex(presets.v_poset_commutative())
+    # a subcomplex that disagrees with the others must fail the witness
+    monkeypatch.setattr(gs, "cohomology",
+                        lambda n, kind: (0 if kind == "full" else 1, []))
+    with pytest.raises(VerificationFailed):
+        gs.cohomology_kinds(1, ("full", "normalized"))
+    # the truncations are not quasi-isomorphic and are not compared
+    assert gs.cohomology_kinds(1, ("full", "truncated")) == \
+        {"full": 0, "truncated": 1}

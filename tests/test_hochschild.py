@@ -1,7 +1,10 @@
 from fractions import Fraction as F
+from functools import partial
 from itertools import product
 
-from gscohom.linalg import RatMatrix
+import pytest
+
+from gscohom.linalg import RatMatrix, NotASubcomplex, subcomplex_cohomology
 from gscohom.hochschild import (HCochain, d_hoch, hoch_differential,
                                 is_normalized, op_cochain, hh_algebra,
                                 regular_bimodule, is_algebra_deformation,
@@ -161,3 +164,15 @@ def test_algebra_deformation_equivalence(rng):
     # a non-matching gauge fails both ways
     ax2, co2 = algebra_deformation_equivalence(dn, m1, m1, g1)
     assert ax2 == co2
+
+
+def test_bogus_keep_set_is_not_a_subcomplex():
+    # all of C^0 but none of C^1: d^0 (the commutator) leaks out, whether
+    # it is the outgoing (H^0) or the incoming (H^1) differential
+    ut = presets.upper_triangular()
+    bim = regular_bimodule(ut)
+    diff = partial(hoch_differential, ut, bim)
+    keep = lambda m: list(range(diff(0).cols)) if m == 0 else []
+    for n in (0, 1):
+        with pytest.raises(NotASubcomplex):
+            subcomplex_cohomology(diff, n, keep)

@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from gscohom.linalg import (RatMatrix, Subspace, DualMatrix, cohomology,
-                            ComplexViolation)
+from gscohom.linalg import (RatMatrix, Subspace, cohomology,
+                            ComplexViolation, NotASubcomplex,
+                            subcomplex_cohomology)
 from conftest import random_matrix
 
 
@@ -117,7 +118,7 @@ def test_subspace_contains():
 
 
 def test_sparse_dense_agree(rng):
-    # identical behaviour under both storage layouts
+    # a densely filled matrix and one built from its entry dict agree
     dense = random_matrix(rng, 6, 6, density=0.9)
     sparse = RatMatrix(6, 6, dict(dense.items()))
     assert dense == sparse
@@ -125,15 +126,24 @@ def test_sparse_dense_agree(rng):
     assert (dense @ dense) == (sparse @ sparse)
 
 
-def test_dual_matrix_block_and_inverse():
-    m0 = RatMatrix.identity(2)
-    m1 = RatMatrix.from_rows([[0, 1], [0, 0]])
-    d = DualMatrix(m0, m1)
-    assert d.is_invertible()
-    inv = d.inverse()
-    prod = d @ inv
-    assert prod.m0 == RatMatrix.identity(2) and prod.m1.is_zero()
-    # nilpotent main part is singular even with nonzero eps part
-    assert not DualMatrix(RatMatrix.zeros(2, 2), m0).is_invertible()
-    block = d.block()
-    assert block.rank() == 4
+def test_subcomplex_cohomology_paths():
+    # C^0 = Q --d0--> C^1 = Q^2 --0--> C^2 = 0
+    d0 = RatMatrix.from_cols([(F(1), F(0))])
+    diffs = {0: d0, 1: RatMatrix.zeros(0, 2)}
+    # whole complex: H^1 is spanned by the second coordinate
+    assert subcomplex_cohomology(diffs.get, 1) == (1, [(F(0), F(1))])
+    # coordinates: the subcomplex 0 -> span(e_2); representatives come
+    # back in the coordinates of C^1
+    coords = {0: [], 1: [1], 2: []}.get
+    assert subcomplex_cohomology(diffs.get, 1, coords) == (1, [(F(0), F(1))])
+    # a basis: span((1, 1)) in degree 1 is closed, but its partner in
+    # degree 0 maps outside it
+    basis = {0: RatMatrix.zeros(1, 0), 1: RatMatrix.from_cols([(F(1), F(1))]),
+             2: RatMatrix.zeros(0, 0)}.get
+    assert subcomplex_cohomology(diffs.get, 1, basis) == (1, [(F(1), F(1))])
+    leaky = {0: RatMatrix.identity(1), 1: RatMatrix.from_cols([(F(0), F(1))]),
+             2: RatMatrix.zeros(0, 0)}.get
+    with pytest.raises(NotASubcomplex):
+        subcomplex_cohomology(diffs.get, 1, leaky)
+    with pytest.raises(NotASubcomplex):
+        subcomplex_cohomology(diffs.get, 0, {0: [0], 1: [1]}.get)

@@ -247,3 +247,40 @@ def test_cli_cech_full_kind():
                            project_path("v_poset.json"),
                            "--complex", "cech", "--degree", "0"])
     assert json.loads(out2)["betti"] == payload["betti"]
+
+
+@pytest.mark.parametrize("args, env", [
+    (["cohomology", "--complex", "hoch", "--degree", "-1"], {}),
+    (["cohomology", "--complex", "simp", "--degree", "-1"], {}),
+    (["cohomology", "--complex", "cech", "--degree", "-1"], {}),
+    (["cohomology", "--complex", "gs", "--degree", "-1"], {}),
+    (["hodge", "--degree", "-1"], {}),
+    (["compare-cech", "--degree", "-1"], {}),
+    (["hodge", "--degree", "2"], {"GSD_IDEMPOTENT_BOUND": "abc"}),
+    (["factor", "--cocycle", "rep_cocycle"], {"GSD_IDEMPOTENT_BOUND": "abc"}),
+])
+def test_cli_bad_input_exit_2(monkeypatch, args, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out = run_cli(args[:1] + ["--project", project_path("v_poset.json")]
+                        + args[1:])
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("complex_, kind, ok", [
+    ("hoch", "full", True), ("hoch", "normalized", True),
+    ("hoch", "reduced", False), ("hoch", "alternating", False),
+    ("simp", "full", True), ("simp", "reduced", True),
+    ("simp", "normalized", False), ("simp", "truncated", False),
+    ("cech", "full", True), ("cech", "alternating", True),
+    ("cech", "reduced", False),
+    ("gs", "truncated", True), ("gs", "reduced", False),
+    ("gs", "alternating", False),
+])
+def test_cli_kind_is_checked_per_complex(complex_, kind, ok):
+    code, out = run_cli(["cohomology", "--project",
+                         project_path("v_poset.json"), "--complex", complex_,
+                         "--degree", "1", "--kind", kind])
+    assert code == (0 if ok else 2)
+    assert ("error" in json.loads(out)) != ok

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gscohom.linalg import RatMatrix
+from gscohom.linalg import RatMatrix, NotASubcomplex, subcomplex_cohomology
 from gscohom.simplicial import (ModPresheaf, PairComplex, presheaf_cohomology,
                                 PresheafComplex)
 from gscohom import presets
@@ -109,3 +109,25 @@ def test_presheaf_complex_slice_dimensions():
     assert pc.levels[0].dims["U0"] == \
         p.algebras["U0"].dim + p.algebras["U01"].dim
     assert pc.levels[0].dims["U01"] == p.algebras["U01"].dim
+
+
+def test_bogus_keep_set_is_not_a_subcomplex():
+    p = presets.v_poset_commutative()
+    cx = PairComplex(ModPresheaf.constant(p.category), underlying(p))
+    keep = lambda m: list(range(cx.dim(0))) if m == 0 else []
+    for n in (0, 1):
+        with pytest.raises(NotASubcomplex):
+            subcomplex_cohomology(cx.differential, n, keep)
+
+
+def test_reduced_representatives_live_in_the_full_complex(fixtures):
+    for p in fixtures.values():
+        cx = PairComplex(ModPresheaf.constant(p.category), underlying(p))
+        for deg in (0, 1, 2):
+            betti, reps = cx.cohomology(deg, reduced=True)
+            assert len(reps) == betti
+            kept = set(cx.reduced_coordinates(deg))
+            for v in reps:
+                assert len(v) == cx.dim(deg)
+                assert all(x == 0 for i, x in enumerate(v) if i not in kept)
+                assert not any(cx.differential(deg).apply(v))
