@@ -2,10 +2,12 @@
 
 Every command loads a single self-contained JSON project file, dispatches
 to the library, and prints one deterministic JSON report on stdout.  Exit
-codes: 0 success, 1 verification failure, 2 schema/usage error (a bad
-project, a negative --degree, a --kind the complex does not have, or a
-malformed GSD_IDEMPOTENT_BOUND), always reported as JSON.  Progress
-notes go to stderr unless --quiet is given.  GSD_IDEMPOTENT_BOUND bounds
+codes: 0 success, 1 verification failure (including an exact check of the
+library that fails, reported with the name of its exception), 2
+schema/usage error (a bad project, a negative --degree, a --kind the
+complex does not have, a malformed GSD_IDEMPOTENT_BOUND, or a Hodge
+command on an algebra that is not commutative), always reported as JSON.
+Progress notes go to stderr unless --quiet is given.  GSD_IDEMPOTENT_BOUND bounds
 the symmetric-group degree used by Hodge computations (default 6).
 """
 
@@ -17,7 +19,8 @@ import sys
 from .simplicial import PairComplex, ModPresheaf
 from .cech import CechComplex, compare_simp_cech
 from .hochschild import hh_algebra, regular_bimodule
-from .gs import GSComplex, KINDS, factor_through_restrictions
+from .linalg import ComplexViolation, NotASubcomplex, VerificationFailed
+from .gs import GSComplex, KINDS, NotCommutative, factor_through_restrictions
 from .deform import (deform, NotACocycle, CandidateTriple, EquivalencePair,
                      equivalence)
 from .descent import (DescentMachine, canonical_free_datum, check_descent,
@@ -393,8 +396,11 @@ def main(argv=None):
         return _usage_error("cannot read project: %s" % exc)
     try:
         return COMMANDS[args.command](project, args)
-    except SchemaError as exc:
+    except (SchemaError, NotCommutative) as exc:
         return _usage_error(str(exc))
+    except (VerificationFailed, ComplexViolation, NotASubcomplex) as exc:
+        return _emit({"error": str(exc),
+                      "failed_check": type(exc).__name__}, 1)
 
 
 if __name__ == "__main__":

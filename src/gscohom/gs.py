@@ -25,13 +25,13 @@ from functools import partial
 # linalg_cohomology, under which bench/tracer.py's tests look for
 # linalg.cohomology in this module
 from .linalg import (RatMatrix, NotASubcomplex, is_closed,  # noqa: F401
-                     subcomplex_cohomology, cohomology as linalg_cohomology)
+                     subcomplex_cohomology, cohomology as linalg_cohomology,
+                     VerificationFailed)
 from .algebra import AlgebraHom, FinBimodule
 from .simplicial import ModPresheaf, PairComplex
 from .hochschild import (hoch_differential, words, word_index, op_sign,
                          flatten, normalized_coordinates)
-from .shuffles import (eulerian_idempotent, element_action_matrix,
-                       VerificationFailed)
+from .shuffles import eulerian_idempotent, element_action_matrix
 
 
 class NotCommutative(Exception):
@@ -96,6 +96,7 @@ class GSComplex:
         self._hoch = {}
         self._bimods = {}
         self._d = {}
+        self._projectors = {}
         self._layouts = {}
 
     # -- layout
@@ -336,7 +337,13 @@ class GSComplex:
 
     def hodge_projector(self, n, r):
         """The action of the degree-matching Eulerian idempotents on C^n:
-        e_q(r) on each (p, q) component (identity for q = 0, r = 0)."""
+        e_q(r) on each (p, q) component (identity for q = 0, r = 0); built
+        once per (n, r)."""
+        if (n, r) not in self._projectors:
+            self._projectors[(n, r)] = self._build_hodge_projector(n, r)
+        return self._projectors[(n, r)]
+
+    def _build_hodge_projector(self, n, r):
         entries = {}
         for p, q, off, blocks in self.layout(n)[0]:
             if q == 0:

@@ -1,9 +1,20 @@
 """Exact linear algebra over Q.
 
-All matrices carry Fraction entries and every result is exact: kernels,
-ranks, solutions and cohomology representatives are computed by
-fraction-free (Bareiss) elimination on integer-scaled rows, so no
-rounding ever happens.  Matrices are immutable after construction.
+All matrices carry Fraction entries and every result is exact, so no
+rounding ever happens.  Matrices are immutable after construction and are
+held sparsely, as a dict of their nonzero entries.
+
+Ranks, pivot columns, kernels, solutions and inverses all come from one
+sparse integer elimination.  Each row is scaled to a primitive integer row
+{col: int}; rows are reduced one at a time against an echelon basis keyed
+by leading column, and a combination touches only the nonzeros of the two
+rows it combines and is divided by its content again.  Back-substitution
+gives the reduced row echelon form (RREF), divided into Fractions only at
+the end.  Columns are eliminated in order, so the pivot columns are the
+canonical ones and the RREF, the kernel bases read off it and the
+cohomology representatives do not depend on row order.  A matrix keeps its
+echelon form and its RREF once computed, so every query on the same matrix
+eliminates it at most once.
 
 `subcomplex_cohomology` is the one place where the cohomology of a cochain
 complex, or of a subcomplex of it, is computed; the Hochschild, simplicial,
@@ -11,7 +22,10 @@ Cech and total complexes all call it.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ComplexViolation(Exception):
@@ -20,6 +34,14 @@ class ComplexViolation(Exception):
 
 class NotASubcomplex(Exception):
     """Raised when a differential leaks out of a proposed subcomplex."""
+
+
+class DependentBasis(ValueError):
+    """Raised when the vectors given as a basis are linearly dependent."""
+
+
+class VerificationFailed(Exception):
+    """Raised when an exact identity the library checks does not hold."""
 
 
 def _frac(x):
@@ -32,13 +54,14 @@ class RatMatrix:
     """Immutable rows x cols matrix of Fractions, held sparsely as a dict
     {(i, j): nonzero entry}."""
 
-    __slots__ = ("rows", "cols", "_d")
+    __slots__ = ("rows", "cols", "_d", "_ech", "_red")
 
     def __init__(self, rows, cols, entries):
         """`entries` is a dict {(i, j): value} or a list of rows."""
         assert rows >= 0 and cols >= 0
         self.rows = rows
         self.cols = cols
+        self._ech = self._red = None     # elimination caches, see _echelon
         if isinstance(entries, dict):
             self._d = {k: _frac(v) for k, v in entries.items() if v != 0}
         else:
@@ -87,13 +110,14 @@ class RatMatrix:
         return iter(sorted(self._d.items()))
 
     def to_rows(self):
-        mat = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.items():
+        mat = [[_ZERO] * self.cols for _ in range(self.rows)]
+        for (i, j), v in self._d.items():
             mat[i][j] = v
         return mat
 
     def column(self, j):
-        return tuple(self[i, j] for i in range(self.rows))
+        assert 0 <= j < self.cols
+        return tuple(self._d.get((i, j), _ZERO) for i in range(self.rows))
 
     def nnz(self):
         return len(self._d)
@@ -117,44 +141,44 @@ class RatMatrix:
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        d = dict(self.items())
-        for k, v in other.items():
-            d[k] = d.get(k, Fraction(0)) + v
+        d = dict(self._d)
+        for k, v in other._d.items():
+            d[k] = d.get(k, _ZERO) + v
         return RatMatrix(self.rows, self.cols, d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RatMatrix(self.rows, self.cols, {k: -v for k, v in self.items()})
+        return RatMatrix(self.rows, self.cols, {k: -v for k, v in self._d.items()})
 
     def scale(self, a):
         a = _frac(a)
-        return RatMatrix(self.rows, self.cols, {k: a * v for k, v in self.items()})
+        return RatMatrix(self.rows, self.cols, {k: a * v for k, v in self._d.items()})
 
     def __matmul__(self, other):
         assert self.cols == other.rows, (self.cols, other.rows)
         rows_of_b = {}
-        for (k, j), v in other.items():
+        for (k, j), v in other._d.items():
             rows_of_b.setdefault(k, []).append((j, v))
         d = {}
-        for (i, k), a in self.items():
+        for (i, k), a in self._d.items():
             for j, b in rows_of_b.get(k, ()):
                 key = (i, j)
-                d[key] = d.get(key, Fraction(0)) + a * b
+                d[key] = d.get(key, _ZERO) + a * b
         return RatMatrix(self.rows, other.cols, d)
 
     def apply(self, vec):
         """Matrix times column vector (tuple of Fractions)."""
         assert len(vec) == self.cols
-        out = [Fraction(0)] * self.rows
-        for (i, j), v in self.items():
+        out = [_ZERO] * self.rows
+        for (i, j), v in self._d.items():
             if vec[j]:
                 out[i] += v * vec[j]
         return tuple(out)
 
     def transpose(self):
-        return RatMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.items()})
+        return RatMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self._d.items()})
 
     @staticmethod
     def hstack(mats):
@@ -163,7 +187,7 @@ class RatMatrix:
         off = 0
         for m in mats:
             assert m.rows == rows
-            for (i, j), v in m.items():
+            for (i, j), v in m._d.items():
                 d[(i, j + off)] = v
             off += m.cols
         return RatMatrix(rows, off, d)
@@ -175,7 +199,7 @@ class RatMatrix:
         off = 0
         for m in mats:
             assert m.cols == cols
-            for (i, j), v in m.items():
+            for (i, j), v in m._d.items():
                 d[(i + off, j)] = v
             off += m.rows
         return RatMatrix(off, cols, d)
@@ -198,8 +222,8 @@ class RatMatrix:
 
     def kron(self, other):
         d = {}
-        for (i, j), a in self.items():
-            for (k, l), b in other.items():
+        for (i, j), a in self._d.items():
+            for (k, l), b in other._d.items():
                 d[(i * other.rows + k, j * other.cols + l)] = a * b
         return RatMatrix(self.rows * other.rows, self.cols * other.cols, d)
 
@@ -211,126 +235,149 @@ class RatMatrix:
 
     # -- elimination
 
-    def _echelon(self):
-        """Fraction-free (Bareiss) forward elimination.
+    def _integer_rows(self):
+        """The nonzero rows as primitive integer rows {col: int}: each row
+        times the lcm of its denominators, divided by the gcd of its
+        entries, so that it spans the same line as the row it comes from."""
+        by_row = {}
+        for (i, j), v in self._d.items():
+            by_row.setdefault(i, {})[j] = v
+        out = []
+        for row in by_row.values():
+            den = lcm(*(v.denominator for v in row.values()))
+            out.append(_primitive({j: v.numerator * (den // v.denominator)
+                                   for j, v in row.items()}))
+        return out
 
-        Returns (pivot list [(row, col)], integer echelon rows).  Rows are
-        scaled to integers first; Bareiss keeps all intermediate values
-        integral, which controls coefficient blowup.
-        """
-        mat = []
-        for row in self.to_rows():
-            den = 1
-            for v in row:
-                den = den * v.denominator // gcd(den, v.denominator)
-            mat.append([int(v * den) for v in row])
-        pivots = []
-        prev = 1
-        r = 0
-        for c in range(self.cols):
-            best = -1
-            for i in range(r, self.rows):
-                if mat[i][c] != 0 and (best < 0 or abs(mat[i][c]) < abs(mat[best][c])):
-                    best = i
-            if best < 0:
-                continue
-            mat[r], mat[best] = mat[best], mat[r]
-            piv = mat[r][c]
-            for i in range(r + 1, self.rows):
-                fi = mat[i][c]
-                rowi, rowr = mat[i], mat[r]
-                if fi == 0:
-                    # rows outside the pivot column still rescale by piv/prev
-                    for j in range(c, self.cols):
-                        if rowi[j]:
-                            rowi[j] = piv * rowi[j] // prev
-                else:
-                    for j in range(c, self.cols):
-                        rowi[j] = (piv * rowi[j] - fi * rowr[j]) // prev
-            pivots.append((r, c))
-            prev = piv
-            r += 1
-            if r == self.rows:
-                break
-        return pivots, mat
+    def _echelon(self):
+        """{leading column: primitive integer row}, an echelon basis of the
+        row space; computed on the first call and kept (the matrix is
+        immutable).  Its keys are the pivot columns."""
+        if self._ech is None:
+            self._ech = _row_echelon(self._integer_rows())
+        return self._ech
 
     def _rref(self):
-        """Reduced row echelon form over Q: (pivot cols, rows of Fractions)."""
-        pivots, mat = self._echelon()
-        rows = [[Fraction(x) for x in row] for row in mat]
-        for r, c in reversed(pivots):
-            piv = rows[r][c]
-            rows[r] = [v / piv for v in rows[r]]
-            for i in range(r):
-                f = rows[i][c]
-                if f:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        return [c for _, c in pivots], rows
+        """The reduced row echelon form over Q as {pivot column: row as
+        {col: Fraction}}, pivots ascending; computed on the first call and
+        kept."""
+        if self._red is None:
+            self._red = _reduced_rows(self._echelon())
+        return self._red
 
     def rank(self):
-        return len(self._echelon()[0])
+        return len(self._echelon())
 
     def pivot_columns(self):
-        return [c for _, c in self._echelon()[0]]
+        return sorted(self._echelon())
 
     def kernel(self):
-        """Basis of {v : M v = 0} as a Subspace of dimension cols - rank."""
-        piv_cols, rows = self._rref()
-        piv_set = set(piv_cols)
-        free = [j for j in range(self.cols) if j not in piv_set]
-        basis = []
-        for j in free:
-            v = [Fraction(0)] * self.cols
-            v[j] = Fraction(1)
-            for r, c in enumerate(piv_cols):
-                v[c] = -rows[r][j]
-            basis.append(tuple(v))
-        return Subspace(self.cols, basis)
+        """Basis of {v : M v = 0} as a Subspace of dimension cols - rank:
+        one vector per free column j, with 1 at j and minus column j of the
+        RREF at the pivot columns."""
+        pivots = set(self.pivot_columns())
+        vecs = {j: [_ZERO] * self.cols for j in range(self.cols)
+                if j not in pivots}
+        for j, v in vecs.items():
+            v[j] = _ONE
+        for c, row in self._rref().items():
+            for j, x in row.items():
+                if j != c:
+                    vecs[j][c] = -x
+        return Subspace._from_rref(self.cols, [tuple(v) for v in vecs.values()])
 
     def solve(self, b):
         """Some x with M x = b, or None if the system is inconsistent."""
         assert len(b) == self.rows
-        aug = RatMatrix.hstack([self, RatMatrix.from_cols([b], ambient=self.rows)])
-        piv_cols, rows = aug._rref()
-        if self.cols in piv_cols:
-            return None
-        x = [Fraction(0)] * self.cols
-        for r, c in enumerate(piv_cols):
-            x[c] = rows[r][self.cols]
-        return tuple(x)
+        x = self.solve_many(RatMatrix.from_cols([b], ambient=self.rows))
+        return None if x is None else x.column(0)
 
     def solve_many(self, rhs):
-        """X with M X = rhs (columnwise), or None; one elimination pass."""
+        """X with M X = rhs (columnwise), or None; one elimination of
+        [M | rhs], whose RREF holds X in its pivot rows."""
         assert rhs.rows == self.rows
-        aug = RatMatrix.hstack([self, rhs])
-        piv_cols, rows = aug._rref()
-        if any(c >= self.cols for c in piv_cols):
+        n = self.cols
+        rref = RatMatrix.hstack([self, rhs])._rref()
+        if any(c >= n for c in rref):
             return None
-        d = {}
-        for r, c in enumerate(piv_cols):
-            for j in range(rhs.cols):
-                v = rows[r][self.cols + j]
-                if v:
-                    d[(c, j)] = v
-        return RatMatrix(self.cols, rhs.cols, d)
+        return RatMatrix(n, rhs.cols, {(c, j - n): v for c, row in rref.items()
+                                       for j, v in row.items() if j >= n})
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 
     def inverse(self):
+        """M^-1, or None: M X = 1 is consistent iff M is invertible."""
         assert self.rows == self.cols
-        n = self.rows
-        aug = RatMatrix.hstack([self, RatMatrix.identity(n)])
-        piv_cols, rows = aug._rref()
-        if piv_cols[:n] != list(range(n)):
-            return None
-        d = {}
-        for i in range(n):
-            for j in range(n):
-                v = rows[i][n + j]
-                if v:
-                    d[(i, j)] = v
-        return RatMatrix(n, n, d)
+        return self.solve_many(RatMatrix.identity(self.rows))
+
+
+def _primitive(row):
+    """An integer row {col: int} divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {k: x // g for k, x in row.items()}
+
+
+def _combine(v, b, c):
+    """The primitive part of p*v - f*b, where f/p = v[c]/b[c] in lowest
+    terms, so that the result is zero at column c.  Only the columns of v
+    and b are touched."""
+    p, f = b[c], v[c]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    out = {k: p * x for k, x in v.items()} if p != 1 else dict(v)
+    for k, y in b.items():
+        x = out.get(k, 0) - f * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return _primitive(out)
+
+
+def _row_echelon(rows):
+    """An echelon basis {leading column: primitive integer row} of the span
+    of the integer rows.
+
+    Each row is reduced against the basis built so far: while its leading
+    column c is the leading column of a basis row b, it is replaced by the
+    primitive combination of itself and b that vanishes at c.  It either
+    becomes zero or joins the basis under a new leading column.  The set of
+    leading columns of any echelon basis of a row space is the set of its
+    RREF pivot columns, so the keys do not depend on the order of the rows;
+    the rows are taken shortest first, which keeps the basis sparse.
+    """
+    basis = {}
+    for v in sorted(rows, key=len):
+        while v:
+            c = min(v)
+            b = basis.get(c)
+            if b is None:
+                basis[c] = v
+                break
+            v = _combine(v, b, c)
+    return basis
+
+
+def _reduced_rows(basis):
+    """RREF from an echelon basis: {pivot column: {col: Fraction}}, pivots
+    ascending, with 1 at the row's pivot and 0 at every other pivot.
+
+    Rows are reduced from the last pivot back: a row with leading column c
+    has nonzeros at pivot columns k > c only, and subtracting the already
+    reduced row of k clears k without touching another pivot column.  The
+    rows stay integral until the final division by the leading entry.
+    """
+    reduced = {}
+    for c in sorted(basis, reverse=True):
+        v = basis[c]
+        for k in [k for k in v if k in reduced]:
+            v = _combine(v, reduced[k], k)
+        reduced[c] = v
+    return {c: {k: Fraction(x, v[c]) for k, x in v.items()}
+            for c, v in sorted(reduced.items())}
 
 
 class Subspace:
@@ -339,13 +386,30 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim, basis):
+        """Raises DependentBasis unless the vectors are independent."""
         self.ambient_dim = ambient_dim
         self.basis = tuple(tuple(_frac(x) for x in v) for v in basis)
         for v in self.basis:
             assert len(v) == ambient_dim
-        if self.basis:
-            assert RatMatrix.from_cols(self.basis).rank() == len(self.basis), \
-                "basis vectors are dependent"
+        if self.basis and \
+                RatMatrix.from_cols(self.basis).rank() != len(self.basis):
+            raise DependentBasis("basis vectors are dependent")
+
+    @classmethod
+    def _from_rref(cls, ambient_dim, basis):
+        """The Subspace spanned by a kernel basis read off an RREF, without
+        the rank check of __init__.
+
+        Such a basis is independent by construction: there is one vector
+        per free column, and vector j has 1 at free column j and 0 at every
+        other free column (its other nonzeros sit at pivot columns).
+        Restricted to the free coordinates the vectors are the rows of an
+        identity matrix, so no nontrivial combination of them vanishes.
+        """
+        space = object.__new__(cls)
+        space.ambient_dim = ambient_dim
+        space.basis = tuple(basis)
+        return space
 
     @property
     def dim(self):
@@ -374,13 +438,23 @@ def cohomology(d_in, d_out):
     if not (d_out @ d_in).is_zero():
         raise ComplexViolation("composite of differentials is not zero")
     kernel = d_out.kernel()
-    image_cols = [d_in.column(c) for c in d_in.pivot_columns()]
-    combined = RatMatrix.from_cols(image_cols + list(kernel.basis),
-                                   ambient=d_in.rows)
-    reps = [combined.column(c) for c in combined.pivot_columns()
-            if c >= len(image_cols)]
-    betti = kernel.dim - len(image_cols)
-    assert betti == len(reps)
+    # columns: the pivot columns of d_in (a basis of its image), then the
+    # kernel basis; the pivot columns among the latter complete the image
+    image = {c: k for k, c in enumerate(d_in.pivot_columns())}
+    entries = {(i, image[j]): v for (i, j), v in d_in._d.items()
+               if j in image}
+    r = len(image)
+    for k, vec in enumerate(kernel.basis):
+        for i, x in enumerate(vec):
+            if x:
+                entries[(i, r + k)] = x
+    combined = RatMatrix(d_in.rows, r + kernel.dim, entries)
+    reps = [kernel.basis[c - r] for c in combined.pivot_columns() if c >= r]
+    betti = kernel.dim - r
+    if betti != len(reps):
+        raise VerificationFailed(
+            "dim ker - rank im = %d, but %d representatives complete the "
+            "image" % (betti, len(reps)))
     return betti, reps
 
 
@@ -389,7 +463,7 @@ def submatrix(mat, row_idx, col_idx):
     rpos = {r: i for i, r in enumerate(row_idx)}
     cpos = {c: j for j, c in enumerate(col_idx)}
     entries = {}
-    for (i, j), v in mat.items():
+    for (i, j), v in mat._d.items():
         if i in rpos and j in cpos:
             entries[(rpos[i], cpos[j])] = v
     return RatMatrix(len(row_idx), len(col_idx), entries)

@@ -16,13 +16,8 @@ itself.
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import RatMatrix
+from .linalg import RatMatrix, VerificationFailed
 from .hochschild import words, word_index
-
-
-class VerificationFailed(Exception):
-    """An exact verification failed: the idempotent family's checks, or the
-    agreement of quasi-isomorphic subcomplexes of the total complex."""
 
 
 def identity_perm(n):

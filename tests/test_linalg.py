@@ -1,11 +1,22 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gscohom import linalg
 from gscohom.linalg import (RatMatrix, Subspace, cohomology,
-                            ComplexViolation, NotASubcomplex,
+                            ComplexViolation, NotASubcomplex, DependentBasis,
                             subcomplex_cohomology)
 from conftest import random_matrix
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+# derandomised and small, so the suite stays deterministic and quick
+ORACLE = settings(derandomize=True, max_examples=60, deadline=None,
+                  database=None)
 
 
 def test_kernel_examples():
@@ -147,3 +158,117 @@ def test_subcomplex_cohomology_paths():
         subcomplex_cohomology(diffs.get, 1, leaky)
     with pytest.raises(NotASubcomplex):
         subcomplex_cohomology(diffs.get, 0, {0: [0], 1: [1]}.get)
+
+
+def test_dependent_basis_raises_under_python_O():
+    script = ("from gscohom.linalg import Subspace\n"
+              "print(__debug__)\n"
+              "Subspace(2, [(1, 2), (2, 4)])\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert done.stdout.strip() == "False"          # asserts are stripped
+    assert done.returncode != 0
+    assert "DependentBasis" in done.stderr
+    with pytest.raises(DependentBasis):
+        Subspace(2, [(1, 2), (2, 4)])
+
+
+# -- property tests against sympy, an independent exact oracle
+
+_entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None, max_dim=7):
+    """Sparse rectangular matrices with non-integer entries, zero rows and
+    columns, 0 x n and n x 0 shapes; some are products through a narrow
+    middle, so that kernels and dependent rows are common."""
+    if rows is None:
+        rows = draw(st.integers(0, max_dim))
+    if cols is None:
+        cols = draw(st.integers(0, max_dim))
+
+    def sparse(r, c):
+        if not r or not c:
+            return RatMatrix.zeros(r, c)
+        cells = draw(st.dictionaries(
+            st.tuples(st.integers(0, r - 1), st.integers(0, c - 1)),
+            _entries, max_size=r * c))
+        return RatMatrix(r, c, cells)
+    if draw(st.booleans()):
+        middle = draw(st.integers(0, 3))
+        return sparse(rows, middle) @ sparse(middle, cols)
+    return sparse(rows, cols)
+
+
+def _sympy(mat):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(mat.rows, mat.cols, lambda i, j: sympy.Rational(
+        mat[i, j].numerator, mat[i, j].denominator))
+
+
+def _fractions(vec):
+    return tuple(F(int(x.p), int(x.q)) for x in vec)
+
+
+@ORACLE
+@given(sparse_matrices())
+def test_elimination_matches_sympy(mat):
+    oracle = _sympy(mat)
+    assert mat.rank() == oracle.rank()
+    assert tuple(mat.pivot_columns()) == oracle.rref()[1]
+    assert mat.kernel().basis == tuple(_fractions(v)
+                                       for v in oracle.nullspace())
+
+
+@ORACLE
+@given(st.data())
+def test_solve_many_round_trip(data):
+    mat = data.draw(sparse_matrices())
+    k = data.draw(st.integers(0, 3))
+    x0 = data.draw(sparse_matrices(rows=mat.cols, cols=k))
+    rhs = mat @ x0
+    x = mat.solve_many(rhs)
+    assert x is not None and mat @ x == rhs
+    # a right-hand side drawn freely is solvable iff it adds no rank
+    free = data.draw(sparse_matrices(rows=mat.rows, cols=k))
+    consistent = _sympy(mat).rank() == \
+        _sympy(RatMatrix.hstack([mat, free])).rank()
+    x = mat.solve_many(free)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert mat @ x == free
+
+
+@ORACLE
+@given(st.integers(0, 6).flatmap(lambda n: sparse_matrices(rows=n, cols=n)))
+def test_inverse_round_trip(mat):
+    inv = mat.inverse()
+    n = mat.rows
+    assert (inv is not None) == (_sympy(mat).rank() == n) == \
+        mat.is_invertible()
+    if inv is not None:
+        assert mat @ inv == RatMatrix.identity(n) == inv @ mat
+
+
+@ORACLE
+@given(sparse_matrices())
+def test_a_matrix_is_eliminated_once(mat):
+    calls = {"echelon": 0, "rref": 0}
+
+    def counting(name, fn):
+        def wrapped(arg):
+            calls[name] += 1
+            return fn(arg)
+        return wrapped
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_row_echelon",
+                   counting("echelon", linalg._row_echelon))
+        mp.setattr(linalg, "_reduced_rows",
+                   counting("rref", linalg._reduced_rows))
+        first = (mat.rank(), mat.pivot_columns(), mat.kernel().basis)
+        again = (mat.rank(), mat.pivot_columns(), mat.kernel().basis,
+                 mat.is_invertible())
+    assert first == again[:3]
+    assert calls == {"echelon": 1, "rref": 1}

@@ -284,3 +284,62 @@ def test_cli_kind_is_checked_per_complex(complex_, kind, ok):
                          "--degree", "1", "--kind", kind])
     assert code == (0 if ok else 2)
     assert ("error" in json.loads(out)) != ok
+
+
+def _upper_triangular_project(tmp_path):
+    """A one-object project holding the (non-commutative) 2x2
+    upper-triangular algebra."""
+    from gscohom.fincat import poset_category
+    from gscohom.linalg import RatMatrix
+    from gscohom.presheaf import strict_presheaf
+    presheaf = strict_presheaf(poset_category(["pt"], []),
+                               {"pt": presets.upper_triangular()},
+                               {"pt->pt": RatMatrix.identity(3)})
+    path = tmp_path / "ut2.json"
+    path.write_text(json.dumps(project_json(
+        {"objects": ["pt"], "relations": []},
+        {"ut2": presets.upper_triangular()}, presheaf, {"pt": "ut2"})))
+    return str(path)
+
+
+def test_cli_hodge_noncommutative_exit_2(tmp_path):
+    cmd = [sys.executable, "-m", "gscohom.cli", "--quiet", "hodge",
+           "--project", _upper_triangular_project(tmp_path), "--degree", "1"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(HERE, "..", "src")
+    done = subprocess.run(cmd, capture_output=True, env=env)
+    assert done.returncode == 2
+    assert "not commutative" in json.loads(done.stdout)["error"]
+    assert b"Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("exc_name", ["VerificationFailed",
+                                      "ComplexViolation", "NotASubcomplex"])
+def test_cli_failed_check_is_a_json_report(monkeypatch, exc_name):
+    from gscohom import cli, linalg
+
+    def failing(project, args):
+        raise getattr(linalg, exc_name)("an exact identity does not hold")
+    monkeypatch.setitem(cli.COMMANDS, "check", failing)
+    code, out = run_cli(["check", "--project", project_path("v_poset.json")])
+    payload = json.loads(out)
+    assert code == 1 and payload["failed_check"] == exc_name
+    assert payload["error"] == "an exact identity does not hold"
+
+
+def test_cli_hodge_builds_each_projector_once(monkeypatch):
+    from gscohom.gs import GSComplex
+    built = []
+    build = GSComplex._build_hodge_projector
+
+    def counting(self, n, r):
+        built.append((n, r))
+        return build(self, n, r)
+    monkeypatch.setattr(GSComplex, "_build_hodge_projector", counting)
+    code, _ = run_cli(["hodge", "--project", project_path("v_poset.json"),
+                       "--degree", "2"])
+    assert code == 0
+    # the stability check at degree 2 needs P_r(2), P_r(3); the cohomology
+    # of the r-summand needs P_r(1), P_r(2), P_r(3); r = 0, 1, 2
+    assert sorted(built) == sorted({(m, r) for m in (1, 2, 3)
+                                    for r in range(3)})
