@@ -5,12 +5,25 @@ construction: associativity of the structure tensor, two-sidedness of the
 unit, multiplicativity of homomorphisms, module axioms.  Algebras over the
 dual numbers arise through `dual_extension`, which doubles the basis with
 an eps-part (eps^2 = 0) so that all downstream linear algebra stays over Q.
+A structure that fails its axioms raises InvalidStructure.
+
+Tensor coordinates.  The raw space M (x)_Q B of a tensor product has the
+basis m_i (x) e_b at coordinate i*dim(B) + b, the index convention of
+`RatMatrix.kron`: X.kron(Y) acts as X on the M factor and as Y on the B
+factor.  A bilinear map out of M (x) B is therefore one matrix on the raw
+space, and on a tensor quotient t = M (x)_A B it is that matrix times
+t.section.  Linear conditions on an unknown matrix X are solved on vec X,
+flattened row-major (`linalg.vec_operator`, `linalg.reshape`).
 """
 
 from fractions import Fraction
 
-from .linalg import (RatMatrix, vec_add, vec_scale, unit_vector,
-                     zero_vector)
+from .linalg import (RatMatrix, VerificationFailed, reshape, unit_vector,
+                     vec_operator, zero_vector)
+
+
+class InvalidStructure(ValueError):
+    """An algebra, module or bimodule fails its axioms or its shapes."""
 
 
 class FinAlgebra:
@@ -25,16 +38,18 @@ class FinAlgebra:
                                 for j in range(dim)) for i in range(dim))
         self.unit = tuple(Fraction(c) for c in unit)
         self.name = name
-        assert len(self.unit) == dim
+        if len(self.unit) != dim:
+            raise InvalidStructure("unit has %d coordinates, not %d"
+                                   % (len(self.unit), dim))
         if check:
             self._validate()
 
     def _validate(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                assert len(self.mult[i][j]) == self.dim
+        if any(len(v) != self.dim for row in self.mult for v in row):
+            raise InvalidStructure("a product has the wrong length")
         fails = self.axiom_failures()
-        assert not fails, "algebra axioms fail: %s" % (fails[:3],)
+        if fails:
+            raise InvalidStructure("algebra axioms fail: %s" % (fails[:3],))
 
     def axiom_failures(self):
         """Unit and associativity defects, as a list of readable tuples."""
@@ -55,15 +70,18 @@ class FinAlgebra:
         return fails
 
     def mul(self, x, y):
-        out = zero_vector(self.dim)
+        out = list(zero_vector(self.dim))
         for i, xi in enumerate(x):
             if not xi:
                 continue
             for j, yj in enumerate(y):
                 if not yj:
                     continue
-                out = vec_add(out, vec_scale(xi * yj, self.mult[i][j]))
-        return out
+                c = xi * yj
+                for k, m in enumerate(self.mult[i][j]):
+                    if m:
+                        out[k] += c * m
+        return tuple(out)
 
     def basis(self):
         return [unit_vector(self.dim, i) for i in range(self.dim)]
@@ -81,11 +99,8 @@ class FinAlgebra:
     def mult_matrix(self):
         """Multiplication as a matrix A (x) A -> A (basis e_i (x) e_j,
         index i*dim + j)."""
-        cols = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                cols.append(self.mult[i][j])
-        return RatMatrix.from_cols(cols, ambient=self.dim)
+        return RatMatrix.from_cols([v for row in self.mult for v in row],
+                                   ambient=self.dim)
 
     def is_commutative(self):
         return all(self.mult[i][j] == self.mult[j][i]
@@ -173,22 +188,19 @@ class AlgebraHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-        assert matrix.rows == target.dim and matrix.cols == source.dim
-        if check:
-            assert self.is_multiplicative() and self.is_unital()
+        if (matrix.rows, matrix.cols) != (target.dim, source.dim):
+            raise InvalidStructure("matrix shape does not fit the algebras")
+        if check and not (self.is_multiplicative() and self.is_unital()):
+            raise InvalidStructure("not a unital algebra morphism")
 
     def is_unital(self):
         return self.matrix.apply(self.source.unit) == self.target.unit
 
     def is_multiplicative(self):
-        for i in range(self.source.dim):
-            ei = self.matrix.column(i)
-            for j in range(self.source.dim):
-                ej = self.matrix.column(j)
-                if self.matrix.apply(self.source.mult[i][j]) != \
-                        self.target.mul(ei, ej):
-                    return False
-        return True
+        """f(xy) = f(x) f(y), as f m_A = m_B (f (x) f) on A (x) A."""
+        f = self.matrix
+        return f @ self.source.mult_matrix() == \
+            self.target.mult_matrix() @ f.kron(f)
 
     def __call__(self, x):
         return self.matrix.apply(x)
@@ -220,41 +232,47 @@ class FinModule:
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
-        assert len(self.action) == algebra.dim
-        for r in self.action:
-            assert r.rows == dim and r.cols == dim
+        if len(self.action) != algebra.dim or any(
+                (r.rows, r.cols) != (dim, dim) for r in self.action):
+            raise InvalidStructure("need %d action matrices of shape %d x %d"
+                                   % (algebra.dim, dim, dim))
         if check:
             self._validate()
 
     def _validate(self):
+        """(m*a)*b = m*(ab) and m*1 = m, as identities of matrices on
+        M (x) A (x) A and M."""
         a = self.algebra
-        unit_op = RatMatrix.zeros(self.dim, self.dim)
-        for j, c in enumerate(a.unit):
-            if c:
-                unit_op = unit_op + self.action[j].scale(c)
-        assert unit_op == RatMatrix.identity(self.dim), "action is not unital"
-        for i in range(a.dim):
-            for j in range(a.dim):
-                lhs = self.action[j] @ self.action[i]   # m*e_i then *e_j
-                rhs = RatMatrix.zeros(self.dim, self.dim)
-                for k, c in enumerate(a.mult[i][j]):
-                    if c:
-                        rhs = rhs + self.action[k].scale(c)
-                assert lhs == rhs, "action is not associative"
+        act = self.action_matrix()
+        one = RatMatrix.identity(self.dim)
+        if act @ one.kron(RatMatrix.from_cols([a.unit])) != one:
+            raise InvalidStructure("action is not unital")
+        if act @ act.kron(RatMatrix.identity(a.dim)) != \
+                act @ one.kron(a.mult_matrix()):
+            raise InvalidStructure("action is not associative")
 
-    def act(self, m, x):
-        """m * x for x an algebra element."""
-        out = zero_vector(self.dim)
-        for j, c in enumerate(x):
-            if c:
-                out = vec_add(out, vec_scale(c, self.action[j].apply(m)))
-        return out
+    def action_matrix(self):
+        """The action as a matrix M (x) A -> M (basis m_i (x) e_j, index
+        i*dim(A) + j), the module analogue of FinAlgebra.mult_matrix."""
+        n = self.algebra.dim
+        return RatMatrix(self.dim, self.dim * n,
+                         {(r, i * n + j): v
+                          for j, act in enumerate(self.action)
+                          for (r, i), v in act.items()})
 
     @staticmethod
     def free(algebra):
         """The algebra as a right module over itself."""
         return FinModule(algebra, algebra.dim,
                          [algebra.right_mult_matrix(e) for e in algebra.basis()],
+                         check=False)
+
+    @staticmethod
+    def along(f):
+        """The target of f: A -> B as a right A-module through f."""
+        b = f.target
+        return FinModule(f.source, b.dim,
+                         [b.right_mult_matrix(f(e)) for e in f.source.basis()],
                          check=False)
 
     @staticmethod
@@ -266,17 +284,10 @@ class FinModule:
         """The submodule spanned by `basis_vectors` (must be action-stable),
         with the inclusion matrix."""
         incl = RatMatrix.from_cols(list(basis_vectors), ambient=self.dim)
-        sub_dim = incl.cols
-        action = []
-        for r in self.action:
-            cols = []
-            for j in range(sub_dim):
-                img = r.apply(incl.column(j))
-                coords = incl.solve(img)
-                assert coords is not None, "span is not action-stable"
-                cols.append(coords)
-            action.append(RatMatrix.from_cols(cols, ambient=sub_dim))
-        return FinModule(self.algebra, sub_dim, action, check=False), incl
+        action = [incl.solve_many(r @ incl) for r in self.action]
+        if any(x is None for x in action):
+            raise InvalidStructure("span is not action-stable")
+        return FinModule(self.algebra, incl.cols, action, check=False), incl
 
     def __repr__(self):
         return "FinModule(dim %d over %s)" % (self.dim, self.algebra.name)
@@ -303,23 +314,8 @@ class FinBimodule:
         FinModule(self.right_algebra, self.dim, self.right)
         # left action: check as a right module over the opposite algebra
         FinModule(self.left_algebra.opposite(), self.dim, self.left)
-        for l in self.left:
-            for r in self.right:
-                assert l @ r == r @ l, "left and right actions do not commute"
-
-    def left_act(self, x, m):
-        out = zero_vector(self.dim)
-        for i, c in enumerate(x):
-            if c:
-                out = vec_add(out, vec_scale(c, self.left[i].apply(m)))
-        return out
-
-    def right_act(self, m, x):
-        out = zero_vector(self.dim)
-        for j, c in enumerate(x):
-            if c:
-                out = vec_add(out, vec_scale(c, self.right[j].apply(m)))
-        return out
+        if any(l @ r != r @ l for l in self.left for r in self.right):
+            raise InvalidStructure("left and right actions do not commute")
 
     @staticmethod
     def along(f):
@@ -359,11 +355,12 @@ class QuotientModule:
         return self.module.dim
 
 
-def _quotient_by_columns(raw_dim, rel_matrix):
+def quotient_by_columns(raw_dim, rel_matrix):
     """Split Q^raw_dim by the column span of rel_matrix.
 
     Returns (project, section): project maps a raw vector to coordinates in
-    a chosen complement basis, section embeds them back.
+    a chosen complement basis, section embeds them back.  Both depend only
+    on the span, not on the columns that present it.
     """
     pivots_rel = rel_matrix.pivot_columns()
     rel_basis = [rel_matrix.column(c) for c in pivots_rel]
@@ -390,77 +387,37 @@ def tensor_over(module, f):
     """M (x)_A B for a right A-module M along f: A -> B.
 
     The quotient of M (x)_Q B by the span of  m*a (x) b  -  m (x) f(a)b,
-    carrying the induced right B-action.  Returns a QuotientModule; the raw
-    coordinate of m_i (x) e_b is i*dim(B) + b.
+    carrying the induced right B-action.  Returns a QuotientModule.  The
+    relations are the columns of  R^M_a (x) 1_B - 1_M (x) L_B(f(e_a)),
+    side by side over the basis elements e_a of A.
     """
-    a, b = f.source, f.target
-    raw = module.dim * b.dim
-    rel_cols = []
-    for i in range(module.dim):
-        for ai in range(a.dim):
-            ma = module.action[ai].column(i)          # m_i * e_ai
-            fa = f(unit_vector(a.dim, ai))
-            for bi in range(b.dim):
-                col = [Fraction(0)] * raw
-                for mi, c in enumerate(ma):
-                    if c:
-                        col[mi * b.dim + bi] += c
-                fb = b.mul(fa, unit_vector(b.dim, bi))
-                for bj, c in enumerate(fb):
-                    if c:
-                        col[i * b.dim + bj] -= c
-                if any(col):
-                    rel_cols.append(tuple(col))
-    rel = RatMatrix.from_cols(rel_cols, ambient=raw)
-    project, section = _quotient_by_columns(raw, rel)
-    q_dim = project.rows
+    b = f.target
+    one_m, one_b = RatMatrix.identity(module.dim), RatMatrix.identity(b.dim)
+    rel = RatMatrix.hstack(
+        [r.kron(one_b) - one_m.kron(b.left_mult_matrix(f(e)))
+         for r, e in zip(module.action, f.source.basis())])
+    project, section = quotient_by_columns(module.dim * b.dim, rel)
     action = []
-    for bj in range(b.dim):
-        big = RatMatrix.identity(module.dim).kron(
-            b.right_mult_matrix(unit_vector(b.dim, bj)))
+    for e in b.basis():
+        big = one_m.kron(b.right_mult_matrix(e))
+        if not (project @ big @ rel).is_zero():
+            raise VerificationFailed(
+                "induced action does not preserve relations")
         action.append(project @ big @ section)
-        assert (project @ big @ rel).is_zero(), \
-            "induced action does not preserve relations"
-    q_module = FinModule(b, q_dim, action, check=False)
+    q_module = FinModule(b, project.rows, action, check=False)
     return QuotientModule(q_module, project, section, rel)
 
 
-def pure_tensor_raw(m_vec, b_vec, b_dim):
-    """Raw coordinates of m (x) b in the convention of tensor_over."""
-    out = [Fraction(0)] * (len(m_vec) * b_dim)
-    for i, c in enumerate(m_vec):
-        if c:
-            for j, d in enumerate(b_vec):
-                if d:
-                    out[i * b_dim + j] += c * d
-    return tuple(out)
-
-
 def module_hom_space(m, n):
-    """Basis of Hom_A(M, N) (right module maps), as a list of matrices."""
+    """Basis of Hom_A(M, N) (right module maps), as a list of matrices: the
+    kernel of  vec X -> vec(X R^M_a - R^N_a X)  over all basis elements."""
     assert m.algebra.dim == n.algebra.dim
-    rows = []
-    # unknowns: H[i][j], i < n.dim, j < m.dim; constraint H R^M_a = R^N_a H
-    nm, nn = m.dim, n.dim
-    for a in range(m.algebra.dim):
-        rm, rn = m.action[a], n.action[a]
-        for i in range(nn):
-            for j in range(nm):
-                row = [Fraction(0)] * (nn * nm)
-                for k in range(nm):
-                    row[i * nm + k] += rm[k, j]
-                for k in range(nn):
-                    row[k * nm + j] -= rn[i, k]
-                rows.append(row)
-    if not rows:
-        sol = [unit_vector(nn * nm, t) for t in range(nn * nm)]
-    else:
-        sol = RatMatrix.from_rows(rows).kernel().basis
-    mats = []
-    for v in sol:
-        mats.append(RatMatrix(nn, nm, {(i, j): v[i * nm + j]
-                                       for i in range(nn) for j in range(nm)}))
-    return mats
+    one_m, one_n = RatMatrix.identity(m.dim), RatMatrix.identity(n.dim)
+    system = RatMatrix.vstack(
+        [vec_operator(one_n, rm) - vec_operator(rn, one_m)
+         for rm, rn in zip(m.action, n.action)])
+    return [reshape(RatMatrix.from_cols([v]), n.dim, m.dim)
+            for v in system.kernel().basis]
 
 
 def check_flat_epimorphism(f):
@@ -472,69 +429,27 @@ def check_flat_epimorphism(f):
     for finite-dimensional modules projective and flat agree.
     """
     a, b = f.source, f.target
-    # B as a right A-module through f
-    b_right = FinModule(a, b.dim,
-                        [b.right_mult_matrix(f(e)) for e in a.basis()],
-                        check=False)
-    t = tensor_over(b_right, f)     # B (x)_A B
-    mult_cols = []
-    for j in range(t.dim):
-        raw = t.section.column(j)
-        acc = zero_vector(b.dim)
-        for idx, c in enumerate(raw):
-            if c:
-                acc = vec_add(acc, vec_scale(
-                    c, b.mul(unit_vector(b.dim, idx // b.dim),
-                             unit_vector(b.dim, idx % b.dim))))
-        mult_cols.append(acc)
-    mult_map = RatMatrix.from_cols(mult_cols, ambient=b.dim)
+    t = tensor_over(FinModule.along(f), f)     # B (x)_A B
+    mult_map = b.mult_matrix() @ t.section
     is_epi = (t.dim == b.dim) and mult_map.is_invertible()
 
-    # splitting s: B -> A^n of pi: A^n -> B, pi(x_1..x_n) = sum f(x_i) b_i,
-    # both as left A-module maps (a . b = f(a) b on B)
-    n = b.dim
-    unknowns = n * a.dim * b.dim    # s[i][k][j]: coefficient of e_k in slot i for b_j
-    rows = []
-    # A-linearity: s(f(e_t) * e_j) = e_t . s(e_j) slotwise
-    for t_i in range(a.dim):
-        ft = f(unit_vector(a.dim, t_i))
-        lmat = b.left_mult_matrix(ft)
-        for j in range(b.dim):
-            lhs_vec = lmat.column(j)      # f(e_t) * e_j in B
-            for slot in range(n):
-                for k in range(a.dim):
-                    row = [Fraction(0)] * unknowns
-                    for bj, c in enumerate(lhs_vec):
-                        if c:
-                            row[slot * a.dim * b.dim + k * b.dim + bj] += c
-                    prod = a.mult[t_i]
-                    for k2 in range(a.dim):
-                        coeff = prod[k2][k]   # e_t * e_k2 coefficient at e_k
-                        if coeff:
-                            row[slot * a.dim * b.dim + k2 * b.dim + j] -= coeff
-                    rows.append(row)
-    # pi s = id: sum_slot f(s(e_j)_slot) * b_slot = e_j
-    pi_rows = {}
-    for j in range(b.dim):
-        for out in range(b.dim):
-            row = [Fraction(0)] * unknowns
-            for slot in range(n):
-                for k in range(a.dim):
-                    fk = f(unit_vector(a.dim, k))
-                    prod = b.mul(fk, unit_vector(b.dim, slot))
-                    if prod[out]:
-                        row[slot * a.dim * b.dim + k * b.dim + j] += prod[out]
-            pi_rows[(j, out)] = row
-    rhs = []
-    all_rows = []
-    for row in rows:
-        all_rows.append(row)
-        rhs.append(Fraction(0))
-    for (j, out), row in sorted(pi_rows.items()):
-        all_rows.append(row)
-        rhs.append(Fraction(1) if j == out else Fraction(0))
-    system = RatMatrix.from_rows(all_rows)
-    is_flat = system.solve(tuple(rhs)) is not None
+    # the splitting S: B -> A^n, n = dim B, of pi: A^n -> B,
+    # pi(x_1..x_n) = sum f(x_i) e_i; row i*dim(A) + k of S is the
+    # coefficient of e_k in slot i.  A acts on B by a.b = f(a) b and on A^n
+    # slotwise, so A-linearity is S L_B(f(e_t)) = (1_n (x) L_A(e_t)) S;
+    # splitting is pi S = 1_B.
+    one_b = RatMatrix.identity(b.dim)
+    one_s = RatMatrix.identity(b.dim * a.dim)
+    pi = RatMatrix.hstack([b.right_mult_matrix(e) @ f.matrix
+                           for e in b.basis()])
+    system = RatMatrix.vstack(
+        [vec_operator(one_s, b.left_mult_matrix(f(e))) -
+         vec_operator(RatMatrix.identity(b.dim).kron(a.left_mult_matrix(e)),
+                      one_b)
+         for e in a.basis()] + [vec_operator(pi, one_b)])
+    rhs = RatMatrix.vstack([RatMatrix.zeros(system.rows - b.dim ** 2, 1),
+                            reshape(one_b, b.dim ** 2, 1)])
+    is_flat = system.solve_many(rhs) is not None
 
     return {
         "epimorphism": is_epi,

@@ -12,13 +12,17 @@ where Mod(c)^{u,v}: m (x) a (x) b -> m (x) c^{u,v} v*(a) b.  It is a descent
 datum when every phi_u is bijective.  All tensor products are the exact
 finite-dimensional quotients from `algebra.tensor_over`, so every identity
 here is checked as an equality of matrices over Q.
+
+Coordinates.  m_i (x) e_b sits at raw coordinate i*dim(B) + b of M (x)_Q B,
+as in `RatMatrix.kron`, and an iterated product M (x) A(V) (x) A(W) nests
+the same way.  A map out of a tensor quotient t is built as one matrix on
+the raw space times t.section.  Linear conditions on unknown matrices are
+solved on their row-major flattenings through `linalg.vec_operator`.
 """
 
-from fractions import Fraction
-
-from .linalg import RatMatrix, unit_vector, zero_vector
+from .linalg import RatMatrix, vec_operator
 from .algebra import (AlgebraHom, FinModule, tensor_over, module_hom_space,
-                      pure_tensor_raw, check_flat_epimorphism)
+                      check_flat_epimorphism, quotient_by_columns)
 from .fincat import slice_category
 
 
@@ -61,45 +65,25 @@ class DescentMachine:
 
     def right_mult_matrix(self, q_module, element):
         """Right action of an algebra element on a quotient module."""
-        out = RatMatrix.zeros(q_module.dim, q_module.dim)
-        for j, c in enumerate(element):
-            if c:
-                out = out + q_module.module.action[j].scale(c)
-        return out
+        return q_module.module.action_matrix() @ RatMatrix.identity(
+            q_module.dim).kron(RatMatrix.from_cols([element]))
 
     def can_matrix(self, module, u, v, twist=False):
         """can^{u,v}: M (x)_u A(V) (x)_v A(W) -> M (x)_{uv} A(W), sending
         m (x) a (x) b to m (x) v*(a) b; with twist=True the element c^{u,v}
         is multiplied in front (the module-prestack twist)."""
-        cat = self.category
         t_u = self.tensor(module, u)
         t_uv2 = self.tensor(t_u.module, v)
-        uv = cat.compose(u, v)
-        t_uv = self.tensor(module, uv)
-        a_v = self.hom(u).target
+        t_uv = self.tensor(module, self.category.compose(u, v))
         a_w = self.hom(v).target
-        rest_v = self.presheaf.restrictions[v]
+        one_w = RatMatrix.identity(a_w.dim)
         c_elem = self.presheaf.twist(u, v) if twist else a_w.unit
-        cols = []
-        for col in range(t_uv2.dim):
-            raw_outer = t_uv2.section.column(col)     # coords in t_u (x) A(W)
-            acc = [Fraction(0)] * (module.dim * a_w.dim)
-            for idx, coeff in enumerate(raw_outer):
-                if not coeff:
-                    continue
-                q_idx, b_idx = divmod(idx, a_w.dim)
-                raw_inner = t_u.section.column(q_idx)  # coords in M (x) A(V)
-                for idx2, coeff2 in enumerate(raw_inner):
-                    if not coeff2:
-                        continue
-                    m_idx, a_idx = divmod(idx2, a_v.dim)
-                    val = a_w.mul(c_elem, a_w.mul(
-                        rest_v.column(a_idx), unit_vector(a_w.dim, b_idx)))
-                    for b2, cv in enumerate(val):
-                        if cv:
-                            acc[m_idx * a_w.dim + b2] += coeff * coeff2 * cv
-            cols.append(t_uv.project.apply(tuple(acc)))
-        mat = RatMatrix.from_cols(cols, ambient=t_uv.dim)
+        # a (x) b -> c v*(a) b on A(V) (x) A(W), then M (x) A(V) (x) A(W)
+        inner = a_w.left_mult_matrix(c_elem) @ a_w.mult_matrix() @ \
+            self.hom(v).matrix.kron(one_w)
+        raw = RatMatrix.identity(module.dim).kron(inner) @ \
+            t_u.section.kron(one_w)
+        mat = t_uv.project @ raw @ t_uv2.section
         return mat, t_uv2, t_uv
 
     def mod_c_matrix(self, module, u, v):
@@ -186,19 +170,10 @@ def canonical_free_datum(machine, trivialization=None):
         rest = presheaf.restrictions[name]
         x_u = trivialization.get(name, a_v.unit)
         t = machine.tensor(modules[m.target], name)
-        cols = []
-        for col in range(t.dim):
-            raw = t.section.column(col)
-            acc = zero_vector(a_v.dim)
-            for idx, coeff in enumerate(raw):
-                if not coeff:
-                    continue
-                a_idx, b_idx = divmod(idx, a_v.dim)
-                val = a_v.mul(x_u, a_v.mul(rest.column(a_idx),
-                                           unit_vector(a_v.dim, b_idx)))
-                acc = tuple(x + coeff * y for x, y in zip(acc, val))
-            cols.append(acc)
-        maps[name] = RatMatrix.from_cols(cols, ambient=a_v.dim)
+        # a (x) b -> x_u u*(a) b on A(U) (x) A(V)
+        raw = a_v.left_mult_matrix(x_u) @ a_v.mult_matrix() @ \
+            rest.kron(RatMatrix.identity(a_v.dim))
+        maps[name] = raw @ t.section
     return PreDescentDatum(machine, modules, maps)
 
 
@@ -256,20 +231,15 @@ def pointwise_kernel(datum_a, datum_b, components):
         incl_tensor = machine.tensor_map(inclusions[m.target], t_ker, t_full,
                                          name)
         image = datum_a.maps[name] @ incl_tensor
-        cols = []
-        for j in range(image.cols):
-            x = inclusions[m.source].solve(image.column(j))
-            assert x is not None, \
-                "phi does not restrict to the kernel at %s" % name
-            cols.append(x)
-        maps[name] = RatMatrix.from_cols(cols, ambient=kernels[m.source].dim)
+        maps[name] = inclusions[m.source].solve_many(image)
+        assert maps[name] is not None, \
+            "phi does not restrict to the kernel at %s" % name
     return PreDescentDatum(machine, kernels, maps)
 
 
 def pointwise_cokernel(datum_a, datum_b, components):
     """The cokernel of a morphism of descent data, computed pointwise
     (tensoring is right exact, so no exactness condition arises)."""
-    from .algebra import _quotient_by_columns
     machine = datum_a.machine
     cat = machine.category
     assert not check_datum_morphism(datum_a, datum_b, components)
@@ -277,10 +247,8 @@ def pointwise_cokernel(datum_a, datum_b, components):
     projections = {}
     for obj in cat.objects:
         mb = datum_b.modules[obj]
-        image_cols = [components[obj].column(c)
-                      for c in components[obj].pivot_columns()]
-        rel = RatMatrix.from_cols(image_cols, ambient=mb.dim)
-        project, section = _quotient_by_columns(mb.dim, rel)
+        rel = components[obj]
+        project, section = quotient_by_columns(mb.dim, rel)
         action = []
         for r in mb.action:
             action.append(project @ r @ section)
@@ -297,12 +265,9 @@ def pointwise_cokernel(datum_a, datum_b, components):
                                          name)
         # phi^C (proj (x) 1) = proj phi'_u; proj (x) 1 is onto, so solve
         target = projections[m.source] @ datum_b.maps[name]
-        cols = []
-        for j in range(t_cok.dim):
-            pre = proj_tensor.solve(unit_vector(t_cok.dim, j))
-            assert pre is not None, "tensored projection is not onto"
-            cols.append(target.apply(pre))
-        phi = RatMatrix.from_cols(cols, ambient=cokernels[m.source].dim)
+        pre = proj_tensor.solve_many(RatMatrix.identity(t_cok.dim))
+        assert pre is not None, "tensored projection is not onto"
+        phi = target @ pre
         assert phi @ proj_tensor == target, \
             "cokernel comparison map is not well defined at %s" % name
         maps[name] = phi
@@ -351,67 +316,38 @@ class QPresheafObject:
 
     def hom_dim_to(self, other):
         """dim of natural transformations self -> other in the presheaf
-        category over the slice (one linear system)."""
+        category over the slice: one unknown matrix X_w per slice object,
+        subject to X_w R^self_a = R^other_a X_w (module maps) and
+        X_src T^self = T^other X_tgt along every slice arrow (naturality)."""
         assert self.anchor == other.anchor
         sl = self.slice
-        unknown_offsets = {}
-        total = 0
+        grid = []
+
+        def condition(*terms):
+            row = {}
+            for w, mat in terms:
+                row[w] = row[w] + mat if w in row else mat
+            grid.append([row.get(w) for w in sl.objects])
+
         for w in sl.objects:
-            unknown_offsets[w] = total
-            total += other.tensors[w].dim * self.tensors[w].dim
-        rows = []
-        def add_linear_constraint(coeffs):
-            row = [Fraction(0)] * total
-            for pos, v in coeffs:
-                row[pos] += v
-            rows.append(row)
-        # module-map condition per slice object
-        for w in sl.objects:
-            a_w = self.machine.hom(w).target
             src_t, tgt_t = self.tensors[w], other.tensors[w]
-            n_in, n_out = src_t.dim, tgt_t.dim
-            base = unknown_offsets[w]
-            for j_alg in range(a_w.dim):
-                r_in = src_t.module.action[j_alg]
-                r_out = tgt_t.module.action[j_alg]
-                for i in range(n_out):
-                    for j in range(n_in):
-                        coeffs = []
-                        for k in range(n_in):
-                            if r_in[k, j]:
-                                coeffs.append((base + i * n_in + k, r_in[k, j]))
-                        for k in range(n_out):
-                            if r_out[i, k]:
-                                coeffs.append((base + k * n_in + j,
-                                               -r_out[i, k]))
-                        add_linear_constraint(coeffs)
-        # naturality along every slice arrow
+            one_in = RatMatrix.identity(src_t.dim)
+            one_out = RatMatrix.identity(tgt_t.dim)
+            for r_in, r_out in zip(src_t.module.action, tgt_t.module.action):
+                condition((w, vec_operator(one_out, r_in) -
+                           vec_operator(r_out, one_in)))
         for arrow in sorted(sl.morphisms):
             sm = sl.morphisms[arrow]
             w_tgt, w_src = sm.target, sm.source
-            t_self = self.transitions[arrow]       # self(tgt) -> self(src)
-            t_other = other.transitions[arrow]
-            n_in_t = self.tensors[w_tgt].dim
-            n_out_t = other.tensors[w_tgt].dim
-            n_in_s = self.tensors[w_src].dim
-            n_out_s = other.tensors[w_src].dim
-            base_t = unknown_offsets[w_tgt]
-            base_s = unknown_offsets[w_src]
-            for i in range(n_out_s):
-                for j in range(n_in_t):
-                    coeffs = []
-                    for k in range(n_in_s):
-                        if t_self[k, j]:
-                            coeffs.append((base_s + i * n_in_s + k,
-                                           t_self[k, j]))
-                    for k in range(n_out_t):
-                        if t_other[i, k]:
-                            coeffs.append((base_t + k * n_in_t + j,
-                                           -t_other[i, k]))
-                    add_linear_constraint(coeffs)
-        if not rows:
-            return total
-        return RatMatrix.from_rows(rows).kernel().dim
+            condition(
+                (w_src, vec_operator(
+                    RatMatrix.identity(other.tensors[w_src].dim),
+                    self.transitions[arrow])),
+                (w_tgt, -vec_operator(
+                    other.transitions[arrow],
+                    RatMatrix.identity(self.tensors[w_tgt].dim))))
+        system = RatMatrix.block(grid)
+        return system.cols - system.rank()
 
 
 def q_functor(machine, anchor, module):
@@ -490,24 +426,9 @@ def verify_pseudonatural(machine, samples):
         ident = cat.identity(obj)
         for module in samples.get(obj, ()):
             t_id = machine.tensor(module, ident)
-            a = presheaf.algebras[obj]
-            cols = [t_id.project.apply(
-                pure_tensor_raw(unit_vector(module.dim, i),
-                                presheaf.z_element(obj), a.dim))
-                for i in range(module.dim)]
-            insertion = RatMatrix.from_cols(cols, ambient=t_id.dim)
-            eval_cols = []
-            for j in range(t_id.dim):
-                raw = t_id.section.column(j)
-                acc = zero_vector(module.dim)
-                for idx, c in enumerate(raw):
-                    if c:
-                        m_idx, a_idx = divmod(idx, a.dim)
-                        val = module.act(unit_vector(module.dim, m_idx),
-                                         unit_vector(a.dim, a_idx))
-                        acc = tuple(x + c * y for x, y in zip(acc, val))
-                eval_cols.append(acc)
-            evaluation = RatMatrix.from_cols(eval_cols, ambient=module.dim)
+            z = RatMatrix.from_cols([presheaf.z_element(obj)])
+            insertion = t_id.project @ RatMatrix.identity(module.dim).kron(z)
+            evaluation = module.action_matrix() @ t_id.section
             if module.dim and (
                     evaluation @ insertion != RatMatrix.identity(module.dim)
                     or insertion @ evaluation !=
@@ -537,31 +458,15 @@ def check_semiseparated(presheaf, poset):
                           if poset.le(v_obj, u) and poset.le(w_obj, u)]
             for u_obj in containing:
                 meet = poset.meet(v_obj, w_obj)
-                a_u = presheaf.algebras[u_obj]
-                a_v = presheaf.algebras[v_obj]
-                a_w = presheaf.algebras[w_obj]
                 a_m = presheaf.algebras[meet]
                 # A(V) as a right A(U)-module via restriction
                 hom_v = machine.hom(poset.morphism(v_obj, u_obj))
                 hom_w = machine.hom(poset.morphism(w_obj, u_obj))
-                right_v = FinModule(a_u, a_v.dim,
-                                    [a_v.right_mult_matrix(hom_v(e))
-                                     for e in a_u.basis()], check=False)
-                t = tensor_over(right_v, hom_w)
+                t = tensor_over(FinModule.along(hom_v), hom_w)
                 rest_vm = presheaf.restrictions[poset.morphism(meet, v_obj)]
                 rest_wm = presheaf.restrictions[poset.morphism(meet, w_obj)]
-                cols = []
-                for j in range(t.dim):
-                    raw = t.section.column(j)
-                    acc = zero_vector(a_m.dim)
-                    for idx, coeff in enumerate(raw):
-                        if not coeff:
-                            continue
-                        vi, wi = divmod(idx, a_w.dim)
-                        val = a_m.mul(rest_vm.column(vi), rest_wm.column(wi))
-                        acc = tuple(x + coeff * y for x, y in zip(acc, val))
-                    cols.append(acc)
-                prod_map = RatMatrix.from_cols(cols, ambient=a_m.dim)
+                prod_map = a_m.mult_matrix() @ rest_vm.kron(rest_wm) @ \
+                    t.section
                 report["meet_iso"][(u_obj, v_obj, w_obj)] = {
                     "dim_match": t.dim == a_m.dim,
                     "product_map_iso": t.dim == a_m.dim and

@@ -205,6 +205,10 @@ def poset_category(objects, le_pairs):
     return FiniteCategory(objects, morphisms, comp, identities)
 
 
+class NoMeet(ValueError):
+    """A pair of objects of a poset has no greatest lower bound."""
+
+
 class MeetPoset:
     """A finite poset with binary meets, as a category plus a meet table."""
 
@@ -219,7 +223,8 @@ class MeetPoset:
                          if (c, a) in self._le and (c, b) in self._le]
                 glb = [c for c in lower
                        if all((d, c) in self._le for d in lower)]
-                assert len(glb) == 1, "no meet for (%s, %s)" % (a, b)
+                if len(glb) != 1:
+                    raise NoMeet("no meet for (%s, %s)" % (a, b))
                 self._meets[(a, b)] = glb[0]
 
     def le(self, a, b):

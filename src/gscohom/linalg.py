@@ -530,12 +530,23 @@ def subcomplex_cohomology(differential, n, keep=None, check=None):
     return betti, reps
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+def vec_operator(left, right):
+    """The matrix of X -> left X right acting on vec X, left (x) right^T.
 
-def vec_scale(a, v):
-    a = _frac(a)
-    return tuple(a * x for x in v)
+    vec flattens a matrix row-major: entry (i, j) of an n x m matrix sits at
+    coordinate i*m + j, the index convention of `RatMatrix.kron`.  So
+    vec(left X right) = (left (x) right^T) vec X, and in particular
+    vec(X a) = (1 (x) a^T) vec X and vec(b X) = (b (x) 1) vec X.
+    """
+    return left.kron(right.transpose())
+
+
+def reshape(mat, rows, cols):
+    """The rows x cols matrix with the same row-major entry sequence as mat:
+    reshape(X, n*m, 1) is vec X, and reshape(v, n, m) undoes it."""
+    assert rows * cols == mat.rows * mat.cols
+    return RatMatrix(rows, cols, {divmod(i * mat.cols + j, cols): v
+                                  for (i, j), v in mat._d.items()})
 
 def unit_vector(n, i):
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))

@@ -13,8 +13,9 @@ import json
 from fractions import Fraction
 
 from .linalg import RatMatrix
-from .fincat import FiniteCategory, Morphism, poset_category, MeetPoset
-from .algebra import FinAlgebra, FinModule
+from .fincat import (FiniteCategory, Morphism, poset_category, MeetPoset,
+                     NoMeet)
+from .algebra import FinAlgebra, FinModule, InvalidStructure
 from .presheaf import TwistedPresheaf
 
 SCHEMA = "gscohom-project/1"
@@ -120,7 +121,7 @@ def _load_algebra(name, block):
     unit = parse_vector(block["unit"], path)
     try:
         alg = FinAlgebra(dim, mult, unit, name=name)
-    except AssertionError as exc:
+    except InvalidStructure as exc:
         raise SchemaError("%s: %s" % (path, exc))
     return alg.rebased_with_unit()
 
@@ -141,7 +142,7 @@ def load_project(path_or_dict):
         try:
             poset = MeetPoset(raw["category"]["objects"],
                               [tuple(p) for p in raw["category"]["relations"]])
-        except AssertionError:
+        except NoMeet:
             poset = None
     # share one category instance between the poset and presheaf views
     category = poset.category if poset is not None \
@@ -218,7 +219,7 @@ def load_project(path_or_dict):
             action.append(acc)
         try:
             modules[name] = (obj, FinModule(alg, dim, action))
-        except AssertionError as exc:
+        except InvalidStructure as exc:
             raise SchemaError("%s: not a module: %s" % (path, exc))
     data = {}
     for name, block in raw.get("data", {}).items():

@@ -1,10 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gscohom.linalg import RatMatrix
 from gscohom.algebra import (FinAlgebra, AlgebraHom, FinModule, FinBimodule,
-                             tensor_over, module_hom_space,
+                             InvalidStructure, tensor_over, module_hom_space,
                              check_flat_epimorphism)
 from gscohom import presets
 
@@ -16,7 +17,7 @@ def test_validation_rejects_broken_structures():
         [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
         [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
     ]
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidStructure):
         FinAlgebra(3, mult, [1, 0, 0])
 
 
@@ -160,3 +161,113 @@ def test_dual_extension_is_an_algebra():
     # eps * eps = 0: basis vector 2 is eps*1
     eps = tuple(F(1) if i == 2 else F(0) for i in range(4))
     assert all(v == 0 for v in doubled.mul(eps, eps))
+
+
+# -- property tests of the Kronecker formulation
+
+# derandomised and small, like the oracle tests of test_linalg
+ORACLE = settings(derandomize=True, max_examples=60, deadline=None,
+                  database=None)
+
+
+def _preset_maps():
+    """Algebra maps among Q[x]/(x^2), Q x Q, UT2 and Q: the restrictions to
+    Q that the preset presheaves use, the unit maps out of Q, identities and
+    the composites A -> Q -> A."""
+    q = presets.rationals()
+    maps = []
+    for a, points in ((presets.dual_numbers(), [[1, 0]]),
+                      (presets.two_points(), [[1, 0], [1, 1]]),
+                      (presets.upper_triangular(), [[1, 0, 0]])):
+        unit = AlgebraHom(q, a, RatMatrix.from_cols([a.unit]))
+        maps += [AlgebraHom.identity(a), unit]
+        for row in points:
+            point = AlgebraHom(a, q, RatMatrix.from_rows([row]))
+            maps += [point, unit.compose(point)]
+    return maps
+
+
+MAPS = _preset_maps()
+SOURCES = list({id(f.source): f.source for f in MAPS}.values())
+_entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def modules_over(draw, algebra, max_summands=3):
+    """A direct sum of the free module and of targets of maps out of
+    `algebra`, in a random basis (a unitriangular L U change)."""
+    summands = [FinModule.free(algebra)] + \
+        [FinModule.along(f) for f in MAPS if f.source is algebra]
+    picked = draw(st.lists(st.sampled_from(summands), max_size=max_summands))
+    if not picked:
+        return FinModule.zero(algebra)
+    n = sum(p.dim for p in picked)
+    lower = RatMatrix(n, n, {(i, j): draw(_entries) for i in range(n)
+                             for j in range(i)}) + RatMatrix.identity(n)
+    upper = RatMatrix(n, n, {(j, i): draw(_entries) for i in range(n)
+                             for j in range(i)}) + RatMatrix.identity(n)
+    change = lower @ upper
+    inverse = change.inverse()
+    action = [inverse @ RatMatrix.block(
+        [[q.action[k] if i == j else None for j, q in enumerate(picked)]
+         for i in range(len(picked))]) @ change for k in range(algebra.dim)]
+    return FinModule(algebra, n, action)        # validated
+
+
+def _pure(x, y):
+    """Raw coordinates of x (x) y."""
+    return RatMatrix.from_cols([x]).kron(RatMatrix.from_cols([y]))
+
+
+@ORACLE
+@given(st.data())
+def test_tensor_over_is_the_balanced_quotient(data):
+    f = data.draw(st.sampled_from(MAPS))
+    m = data.draw(modules_over(f.source))
+    b = f.target
+    t = tensor_over(m, f)
+    assert t.project @ t.section == RatMatrix.identity(t.dim)
+    assert (t.project @ t.relations).is_zero()
+    assert t.dim == m.dim * b.dim - t.relations.rank()
+    # independently: the quotient by all  m*a (x) c - m (x) f(a)c  over
+    # basis vectors, each one built from its two pure tensors
+    diffs = [_pure(m.action[k].apply(mi), c) - _pure(mi, b.mul(f(e), c))
+             for mi in map(RatMatrix.identity(m.dim).column, range(m.dim))
+             for k, e in enumerate(f.source.basis()) for c in b.basis()]
+    balanced = RatMatrix.hstack([RatMatrix.zeros(m.dim * b.dim, 0)] + diffs)
+    assert (t.project @ balanced).is_zero()
+    assert t.dim == m.dim * b.dim - balanced.rank()
+    FinModule(b, t.dim, t.module.action)        # the induced action
+
+
+@ORACLE
+@given(st.data())
+def test_module_hom_space_against_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    a = data.draw(st.sampled_from(SOURCES))
+    m = data.draw(modules_over(a, max_summands=2))
+    n = data.draw(modules_over(a, max_summands=2))
+    basis = module_hom_space(m, n)
+    for h in basis:
+        assert (h.rows, h.cols) == (n.dim, m.dim)
+        assert all(h @ rm == rn @ h for rm, rn in zip(m.action, n.action))
+    # the system H R^M_a = R^N_a H written out entry by entry, with the
+    # unknown H[p, q] in column p*dim(M) + q
+    unknowns = n.dim * m.dim
+    rows = []
+    for rm, rn in zip(m.action, n.action):
+        for i in range(n.dim):
+            for j in range(m.dim):
+                row = [F(0)] * unknowns
+                for k in range(m.dim):
+                    row[i * m.dim + k] += rm[k, j]
+                for k in range(n.dim):
+                    row[k * m.dim + j] -= rn[i, k]
+                rows.append(row)
+    oracle = sympy.Matrix(len(rows), unknowns, lambda r, c: sympy.Rational(
+        rows[r][c].numerator, rows[r][c].denominator))
+    assert len(basis) == len(oracle.nullspace())
+    flat = sympy.Matrix(len(basis), unknowns, lambda r, c: sympy.Rational(
+        basis[r][divmod(c, m.dim)].numerator,
+        basis[r][divmod(c, m.dim)].denominator))
+    assert flat.rank() == len(basis)

@@ -1,6 +1,6 @@
 import pytest
 
-from gscohom.fincat import poset_category, MeetPoset, slice_category
+from gscohom.fincat import poset_category, MeetPoset, NoMeet, slice_category
 from gscohom import presets
 
 
@@ -74,7 +74,7 @@ def test_meet_poset():
     assert mp.meet("A", "A") == "A"
     assert mp.meet("A", "T") == "A"
     assert mp.meet_all(("T", "A", "B")) == "AB"
-    with pytest.raises(AssertionError):
+    with pytest.raises(NoMeet):
         # two maximal elements with no common lower bound
         MeetPoset(["a", "b"], [])
 

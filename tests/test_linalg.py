@@ -272,3 +272,23 @@ def test_a_matrix_is_eliminated_once(mat):
                  mat.is_invertible())
     assert first == again[:3]
     assert calls == {"echelon": 1, "rref": 1}
+
+
+@ORACLE
+@given(st.data())
+def test_vec_helpers_match_direct_products(data):
+    x = data.draw(sparse_matrices())
+    left = data.draw(sparse_matrices(cols=x.rows))
+    right = data.draw(sparse_matrices(rows=x.cols))
+    vec_x = linalg.reshape(x, x.rows * x.cols, 1)
+    # row-major: entry (i, j) at coordinate i*cols + j
+    assert vec_x.column(0) == tuple(x[i, j] for i in range(x.rows)
+                                    for j in range(x.cols))
+    assert linalg.reshape(vec_x, x.rows, x.cols) == x
+
+    def vec(mat):
+        return linalg.reshape(mat, mat.rows * mat.cols, 1)
+    assert linalg.vec_operator(left, right) @ vec_x == vec(left @ x @ right)
+    one_r, one_c = RatMatrix.identity(x.rows), RatMatrix.identity(x.cols)
+    assert linalg.vec_operator(one_r, right) @ vec_x == vec(x @ right)
+    assert linalg.vec_operator(left, one_c) @ vec_x == vec(left @ x)

@@ -343,3 +343,56 @@ def test_cli_hodge_builds_each_projector_once(monkeypatch):
     # of the r-summand needs P_r(1), P_r(2), P_r(3); r = 0, 1, 2
     assert sorted(built) == sorted({(m, r) for m in (1, 2, 3)
                                     for r in range(3)})
+
+
+# -- input validation survives python -O
+
+def _cli_plain_and_optimized(args):
+    """The same CLI run without and with python -O."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(HERE, "..", "src")
+    return [subprocess.run([sys.executable, *flags, "-m", "gscohom.cli",
+                            "--quiet", *args], capture_output=True, env=env)
+            for flags in ([], ["-O"])]
+
+
+def _write_project(tmp_path, category, algebras, assignment):
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps({
+        "schema": SCHEMA, "category": category,
+        "algebras": {name: algebra_json(a) for name, a in algebras.items()},
+        "presheaf": {"algebras": assignment, "restrictions": {}}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("args", [
+    ["check"], ["cohomology", "--complex", "hoch", "--degree", "1"]])
+def test_non_associative_algebra_is_a_schema_error_under_python_O(
+        tmp_path, args):
+    from gscohom.algebra import FinAlgebra
+    # (e1 e1) e1 = e2 e1 = 0 but e1 (e1 e1) = e1 e2 = e0: not associative
+    broken = FinAlgebra(3, [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+    ], [1, 0, 0], check=False)
+    path = _write_project(tmp_path, {"objects": ["pt"], "relations": []},
+                          {"bad": broken}, {"pt": "bad"})
+    plain, optimized = _cli_plain_and_optimized(args + ["--project", path])
+    assert plain.returncode == 2
+    assert "algebra axioms fail" in json.loads(plain.stdout)["error"]
+    assert optimized.returncode == plain.returncode
+    assert optimized.stdout == plain.stdout
+    assert b"Traceback" not in optimized.stderr
+
+
+def test_poset_without_meets_loads_under_python_O(tmp_path):
+    # A and B have no common lower bound, so the project has no meet-poset
+    # view, but it is a valid project on the category of the poset
+    path = _write_project(tmp_path, {"objects": ["A", "B"], "relations": []},
+                          {"q": presets.rationals()}, {"A": "q", "B": "q"})
+    plain, optimized = _cli_plain_and_optimized(["check", "--project", path])
+    assert plain.returncode == 0 and json.loads(plain.stdout)["valid"]
+    assert optimized.returncode == plain.returncode
+    assert optimized.stdout == plain.stdout
+    assert b"Traceback" not in optimized.stderr
