@@ -135,9 +135,8 @@ class CechComplex:
     def differential(self, p):
         """d(psi)^tau = sum_i (-1)^i psi^{face_i tau} restricted to F(meet tau)."""
         out_blocks, out_dim = self.layout(p + 1)
-        in_dim = self.dim(p)
-        cols = {j: [Fraction(0)] * out_dim for j in range(in_dim)}
         in_blocks = self.block(p)
+        entries = {}
 
         def add_face_value(tau, off_out, i, sign):
             face = tuple_face(tau, i)
@@ -154,19 +153,15 @@ class CechComplex:
                 d, off_in = in_blocks[face]
                 total = sign
             for (r, c), v in rest.items():
-                cols[off_in + c][off_out + r] += total * v
+                key = (off_out + r, off_in + c)
+                entries[key] = entries.get(key, Fraction(0)) + total * v
 
         for tau, d_out, off_out in out_blocks:
             sign = Fraction(1)
             for i in range(p + 2):
                 add_face_value(tau, off_out, i, sign)
                 sign = -sign
-        entries = {}
-        for j, col in cols.items():
-            for i, v in enumerate(col):
-                if v:
-                    entries[(i, j)] = v
-        return RatMatrix(out_dim, in_dim, entries)
+        return RatMatrix(out_dim, self.dim(p), entries)
 
     def cohomology(self, p):
         return subcomplex_cohomology(self.differential, p)

@@ -79,9 +79,6 @@ class FiniteCategory:
         m = self.morphisms[name]
         return self.identities.get(m.source) == name
 
-    def hom_from(self, obj):
-        return sorted(m.name for m in self.morphisms.values() if m.source == obj)
-
     def source(self, name):
         return self.morphisms[name].source
 
@@ -176,6 +173,11 @@ class Simplex:
         return "Simplex(%s)" % (self.label(),)
 
 
+class NotAntisymmetric(ValueError):
+    """The relations of a poset make two distinct objects each <= the
+    other."""
+
+
 def poset_category(objects, le_pairs):
     """The category of a poset: one morphism V -> U for each relation V <= U.
 
@@ -193,8 +195,10 @@ def poset_category(objects, le_pairs):
                 if b == c and (a, d) not in le:
                     le.add((a, d))
                     changed = True
-    for (a, b) in le:
-        assert (b, a) not in le or a == b, "relation is not antisymmetric"
+    for (a, b) in sorted(le):
+        if a != b and (b, a) in le:
+            raise NotAntisymmetric("relation is not antisymmetric: %s <= %s "
+                                   "and %s <= %s" % (a, b, b, a))
     morphisms = [Morphism("%s->%s" % (v, u), v, u) for (v, u) in sorted(le)]
     comp = {}
     for g in morphisms:

@@ -29,9 +29,10 @@ from .linalg import (RatMatrix, NotASubcomplex, is_closed,  # noqa: F401
                      VerificationFailed)
 from .algebra import AlgebraHom, FinBimodule
 from .simplicial import ModPresheaf, PairComplex
-from .hochschild import (hoch_differential, words, word_index, op_sign,
-                         flatten, normalized_coordinates)
-from .shuffles import eulerian_idempotent, element_action_matrix
+from .hochschild import (hoch_differential, op_sign, flatten, unflatten,
+                         normalized_coordinates)
+from .shuffles import (eulerian_idempotent, element_action_matrix,
+                       perm_action_matrix)
 
 
 class NotCommutative(Exception):
@@ -145,72 +146,47 @@ class GSComplex:
     def hoch_block(self, p, q):
         """d_Hoch: C^{p,q} -> C^{p,q+1} (column differential), block
         diagonal over the p-simplices."""
-        if (p, q) in self._hoch:
-            return self._hoch[(p, q)]
-        blocks_in, dim_in = self.pair(q).layout(p)
-        blocks_out, dim_out = self.pair(q + 1).layout(p)
-        entries = {}
-        for (sigma, rows, cols, off_in), (sigma2, rows2, cols2, off_out) in \
-                zip(blocks_in, blocks_out):
-            assert sigma.key() == sigma2.key()
-            alg = self.presheaf.algebras[sigma.codomain]
-            local = hoch_differential(alg, self.bimodule_along(sigma), q)
-            for (i, j), v in local.items():
-                entries[(off_out + i, off_in + j)] = v
-        mat = RatMatrix(dim_out, dim_in, entries)
-        self._hoch[(p, q)] = mat
-        return mat
+        if (p, q) not in self._hoch:
+            self._hoch[(p, q)] = RatMatrix.block_diag([
+                hoch_differential(self.presheaf.algebras[sigma.codomain],
+                                  self.bimodule_along(sigma), q)
+                for sigma in self.category.nerve(p)])
+        return self._hoch[(p, q)]
 
     def differential(self, n):
-        """The total differential C^n -> C^{n+1}."""
-        if n in self._d:
-            return self._d[n]
-        comps_in, dim_in = self.layout(n)
-        comps_out, dim_out = self.layout(n + 1)
-        out_off = {p: off for p, q, off, _ in comps_out}
-        sign = Fraction(1) if (n + 1) % 2 == 0 else Fraction(-1)
-        entries = {}
-        for p, q, off_in, _ in comps_in:
-            simp = self.simp_block(p, q)
-            for (i, j), v in simp.items():
-                key = (out_off[p + 1] + i, off_in + j)
-                entries[key] = entries.get(key, Fraction(0)) + sign * v
-            hoch = self.hoch_block(p, q)
-            for (i, j), v in hoch.items():
-                key = (out_off[p] + i, off_in + j)
-                entries[key] = entries.get(key, Fraction(0)) + v
-        mat = RatMatrix(dim_out, dim_in, entries)
-        self._d[n] = mat
-        return mat
+        """The total differential C^n -> C^{n+1}: d_Hoch from (p, q) to
+        (p, q+1) on the block diagonal, (-1)^{n+1} d_simp from (p, q) to
+        (p+1, q) below it."""
+        if n not in self._d:
+            sign = (-1) ** (n + 1)
+            grid = [[None] * (n + 1) for _ in range(n + 2)]
+            for p in range(n + 1):
+                grid[p][p] = self.hoch_block(p, n - p)
+                grid[p + 1][p] = self.simp_block(p, n - p).scale(sign)
+            self._d[n] = RatMatrix.block(grid)
+        return self._d[n]
 
     # -- cochain packing
 
     def flatten_cochain(self, theta):
-        n = theta.degree
-        vec = [Fraction(0)] * self.dim(n)
-        for p, q, off, blocks in self.layout(n)[0]:
+        """The flat coordinates of theta (missing blocks are zero)."""
+        vec = []
+        for p, q, _, simplices in self.layout(theta.degree)[0]:
             comp = theta.component(p, q)
-            for sigma, rows, cols, boff in blocks:
+            for sigma, rows, cols, _ in simplices:
                 mat = comp.get(sigma.key())
-                if mat is None:
-                    continue
-                for (i, j), v in mat.items():
-                    vec[off + boff + j * rows + i] = v
+                vec.extend(flatten(mat if mat is not None
+                                   else RatMatrix.zeros(rows, cols)))
         return tuple(vec)
 
     def unflatten_cochain(self, n, vec):
         comps = {}
-        for p, q, off, blocks in self.layout(n)[0]:
-            blk = {}
-            for sigma, rows, cols, boff in blocks:
-                entries = {}
-                for j in range(cols):
-                    for i in range(rows):
-                        v = vec[off + boff + j * rows + i]
-                        if v:
-                            entries[(i, j)] = v
-                blk[sigma.key()] = RatMatrix(rows, cols, entries)
-            comps[(p, q)] = blk
+        for p, q, off, simplices in self.layout(n)[0]:
+            blk = comps[(p, q)] = {}
+            for sigma, rows, cols, boff in simplices:
+                start = off + boff
+                blk[sigma.key()] = unflatten(vec[start:start + rows * cols],
+                                             rows, cols)
         return GSCochain(n, comps)
 
     def d(self, theta):
@@ -273,19 +249,14 @@ class GSComplex:
     def op_matrix(self, n):
         """The blockwise opposite map C^n(A) -> C^n(A^op): reverse the
         tensor arguments and multiply by the degree sign."""
-        entries = {}
-        for p, q, off, blocks in self.layout(n)[0]:
-            sign = op_sign(q)
-            for sigma, rows, cols, boff in blocks:
+        blocks = []
+        for p, q, _, simplices in self.layout(n)[0]:
+            reversal = tuple(reversed(range(q)))
+            for sigma, rows, cols, _ in simplices:
                 d_c = self.presheaf.algebras[sigma.codomain].dim
-                for w in words(d_c, q):
-                    src = word_index(w, d_c)
-                    dst = word_index(tuple(reversed(w)), d_c)
-                    for k in range(rows):
-                        entries[(off + boff + dst * rows + k,
-                                 off + boff + src * rows + k)] = sign
-        size = self.dim(n)
-        return RatMatrix(size, size, entries)
+                blocks.append(perm_action_matrix(reversal, rows, d_c)
+                              .scale(op_sign(q)))
+        return RatMatrix.block_diag(blocks)
 
     def op_cochain(self, theta):
         """Transport a cochain to the opposite presheaf (an involution).
@@ -344,24 +315,19 @@ class GSComplex:
         return self._projectors[(n, r)]
 
     def _build_hodge_projector(self, n, r):
-        entries = {}
-        for p, q, off, blocks in self.layout(n)[0]:
-            if q == 0:
-                if r == 0:
-                    for sigma, rows, cols, boff in blocks:
-                        for t in range(rows * cols):
-                            entries[(off + boff + t, off + boff + t)] = Fraction(1)
-                continue
-            if r < 1 or r > q:
-                continue
-            elt = eulerian_idempotent(q, r)
-            for sigma, rows, cols, boff in blocks:
-                d_c = self.presheaf.algebras[sigma.codomain].dim
-                local = element_action_matrix(elt, rows, d_c)
-                for (i, j), v in local.items():
-                    entries[(off + boff + i, off + boff + j)] = v
-        size = self.dim(n)
-        return RatMatrix(size, size, entries)
+        blocks = []
+        for p, q, _, simplices in self.layout(n)[0]:
+            elt = eulerian_idempotent(q, r) if 1 <= r <= q else None
+            for sigma, rows, cols, _ in simplices:
+                size = rows * cols
+                if elt is not None:
+                    d_c = self.presheaf.algebras[sigma.codomain].dim
+                    blocks.append(element_action_matrix(elt, rows, d_c))
+                elif q == r == 0:
+                    blocks.append(RatMatrix.identity(size))
+                else:
+                    blocks.append(RatMatrix.zeros(size, size))
+        return RatMatrix.block_diag(blocks)
 
     def hodge_split(self, theta):
         """theta = sum_r theta_r with theta_r in the image of the r-th

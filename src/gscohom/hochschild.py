@@ -3,7 +3,14 @@
 A degree-n cochain is a linear map A^{(x) n} -> M stored as an
 (dim M) x (dim A)^n matrix.  Tensor words are indexed lexicographically:
 the word (i_1, ..., i_n) has index sum i_t * dim^{n-t}.  The flattened
-coordinate of a cochain is column-major, i.e. word index first.
+coordinate of a cochain is column-major, i.e. word index first: entry
+(r, w) of the cochain matrix X sits at w * (dim M) + r.  For this vec,
+
+    vec(L X R) = (R^T (x) L) vec X,
+
+so maps on flat cochains are Kronecker products (`hoch_differential`); the
+GS complex (`gs`) and the place-permutation actions (`shuffles`) use the
+same flattening.  (`linalg.vec_operator` is the row-major counterpart.)
 """
 
 from fractions import Fraction
@@ -72,43 +79,24 @@ def hoch_differential(algebra, bimodule, n):
     d(phi)(x_0, ..., x_n) = x_0 phi(x_1, ..., x_n)
                             + sum_{i=1}^{n} (-1)^i phi(..., x_{i-1} x_i, ...)
                             + (-1)^{n+1} phi(x_0, ..., x_{n-1}) x_n.
+
+    On column-major vec, vec(L X R) = (R^T (x) L) vec X, and each term is a
+    Kronecker product (d = dim A, m = dim M, mu the d x d^2 multiplication
+    matrix, L_a and R_a the actions of the basis element a on M):
+
+        x_0 phi(...)                vstack_a(1_{d^n} (x) L_a)
+        phi(.., x_{i-1} x_i, ..)    1_{d^{i-1}} (x) (-1)^i mu^T (x) 1_{d^{n-i} m}
+        phi(...) x_n                1_{d^n} (x) (-1)^{n+1} vstack_a(R_a)
     """
-    d = algebra.dim
-    m = bimodule.dim
-    src = m * d ** n
-    tgt = m * d ** (n + 1)
-    entries = {}
-
-    def put(out_word, out_row, in_word, in_row, val):
-        if val:
-            key = (word_index(out_word, d) * m + out_row,
-                   word_index(in_word, d) * m + in_row)
-            entries[key] = entries.get(key, Fraction(0)) + val
-
-    sign_last = Fraction(-1) if n % 2 == 0 else Fraction(1)
-    for w in words(d, n):
-        for k in range(m):
-            # x_0 . phi(w)
-            for a in range(d):
-                col = bimodule.left[a].column(k)
-                for r, v in enumerate(col):
-                    put((a,) + w, r, w, k, v)
-            # merged interior arguments
-            sign = Fraction(-1)
-            for i in range(1, n + 1):
-                for p in range(d):
-                    for q in range(d):
-                        coeff = algebra.mult[p][q][w[i - 1]]
-                        if coeff:
-                            out_w = w[:i - 1] + (p, q) + w[i:]
-                            put(out_w, k, w, k, sign * coeff)
-                sign = -sign
-            # phi(w) . x_n
-            for a in range(d):
-                col = bimodule.right[a].column(k)
-                for r, v in enumerate(col):
-                    put(w + (a,), r, w, k, sign_last * v)
-    return RatMatrix(tgt, src, entries)
+    d, m = algebra.dim, bimodule.dim
+    one = RatMatrix.identity
+    out = RatMatrix.vstack([one(d ** n).kron(left) for left in bimodule.left])
+    mu_t = algebra.mult_matrix().transpose()
+    for i in range(1, n + 1):
+        interior = one(d ** (i - 1)).kron(mu_t.scale((-1) ** i))
+        out = out + interior.kron(one(d ** (n - i) * m))
+    right = RatMatrix.vstack(bimodule.right).scale((-1) ** (n + 1))
+    return out + one(d ** n).kron(right)
 
 
 def d_hoch(phi):

@@ -220,6 +220,20 @@ class RatMatrix:
             row_mats.append(RatMatrix.hstack(fixed))
         return RatMatrix.vstack(row_mats)
 
+    @staticmethod
+    def block_diag(mats):
+        """The blocks, rectangular ones too, placed in order down the
+        diagonal: block k occupies the rows after the rows of blocks < k
+        and the columns after their columns."""
+        d = {}
+        rows = cols = 0
+        for m in mats:
+            for (i, j), v in m._d.items():
+                d[(rows + i, cols + j)] = v
+            rows += m.rows
+            cols += m.cols
+        return RatMatrix(rows, cols, d)
+
     def kron(self, other):
         d = {}
         for (i, j), a in self._d.items():

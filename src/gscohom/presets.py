@@ -109,17 +109,6 @@ def diamond_mixed():
     return strict_presheaf(cat, algebras, _restrictions(cat, algebras, off))
 
 
-def diamond_constant():
-    """The constant presheaf Q on the diamond poset."""
-    poset = diamond_poset()
-    cat = poset.category
-    q = rationals()
-    algebras = {o: q for o in cat.objects}
-    return strict_presheaf(cat, algebras,
-                           _restrictions(cat, algebras,
-                                         lambda m: RatMatrix.identity(1)))
-
-
 def twisted_diamond(scale=2):
     """A twisted presheaf on the diamond whose twist is the multiplicative
     coboundary of x with x_{A->T} = scale; returns (presheaf, x)."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .linalg import RatMatrix
 from .fincat import (FiniteCategory, Morphism, poset_category, MeetPoset,
-                     NoMeet)
+                     NoMeet, NotAntisymmetric)
 from .algebra import FinAlgebra, FinModule, InvalidStructure
 from .presheaf import TwistedPresheaf
 
@@ -45,6 +45,9 @@ def rat_str(x):
 def parse_matrix(rows, path="?"):
     if not isinstance(rows, list) or not rows:
         raise SchemaError("%s: matrix must be a nonempty list of rows" % path)
+    if any(not isinstance(row, list) or len(row) != len(rows[0])
+           for row in rows):
+        raise SchemaError("%s: rows must be lists of equal length" % path)
     parsed = [[parse_rat(v, path) for v in row] for row in rows]
     return RatMatrix.from_rows(parsed)
 
@@ -144,6 +147,8 @@ def load_project(path_or_dict):
                               [tuple(p) for p in raw["category"]["relations"]])
         except NoMeet:
             poset = None
+        except NotAntisymmetric as exc:
+            raise SchemaError("/category/relations: %s" % exc)
     # share one category instance between the poset and presheaf views
     category = poset.category if poset is not None \
         else _load_category(raw["category"])
@@ -204,11 +209,21 @@ def load_project(path_or_dict):
             raise SchemaError("%s/object: unknown %r" % (path, obj))
         alg = alg_of[obj]
         dim = block["dim"]
+        if type(dim) is not int or dim < 0:
+            raise SchemaError("%s/dim: expected a non-negative integer, got %r"
+                              % (path, dim))
         mats = block["action"]
         if len(mats) != alg.dim:
             raise SchemaError("%s/action: need one matrix per basis element"
                               % path)
-        raw_action = [parse_matrix(m, path + "/action") for m in mats]
+        raw_action = []
+        for k, m in enumerate(mats):
+            mat_path = "%s/action/%d" % (path, k)
+            mat = parse_matrix(m, mat_path)
+            if (mat.rows, mat.cols) != (dim, dim):
+                raise SchemaError("%s: expected a %d x %d matrix, got %d x %d"
+                                  % (mat_path, dim, dim, mat.rows, mat.cols))
+            raw_action.append(mat)
         action = []
         for j in range(alg.dim):
             col = chg[obj].column(j)

@@ -11,7 +11,8 @@ from fractions import Fraction as F
 import pytest
 
 from gscohom.linalg import RatMatrix
-from gscohom.algebra import FinModule, AlgebraHom, check_flat_epimorphism
+from gscohom.algebra import (FinModule, FinBimodule, AlgebraHom,
+                             check_flat_epimorphism)
 from gscohom.simplicial import ModPresheaf, PairComplex, PresheafComplex
 from gscohom.cech import compare_simp_cech
 from gscohom.hochschild import (hoch_differential, hh_algebra,
@@ -72,61 +73,50 @@ def test_criterion_1_differentials_square_to_zero(fixture_complexes):
     report(1, "differentials square to zero", t0, 60)
 
 
-def _naive_hochschild_matrix(algebra, n):
+def _naive_hochschild_matrix(algebra, bimodule, n):
     """An independent construction of the degree-n differential: evaluate
-    the sum-of-terms formula on every basis word by direct multiplication
-    (no sparse scatter, no shared code path with `hoch_differential`)."""
-    d = algebra.dim
-    cols = {}
+    the sum-of-terms formula on every pair of basis words by direct
+    multiplication, with the actions of a basis element read off
+    `bimodule.left` and `bimodule.right` (no Kronecker products, no shared
+    code path with `hoch_differential`)."""
+    d, m = algebra.dim, bimodule.dim
+
+    def basis(size, c):
+        return tuple(F(1) if t == c else F(0) for t in range(size))
+
+    def act(mats, x, v):
+        # the algebra element x acting on the module vector v
+        out = [F(0)] * m
+        for a, c in enumerate(x):
+            if c:
+                for r, y in enumerate(mats[a].apply(v)):
+                    out[r] += c * y
+        return out
+
+    entries = {}
     for w in words(d, n):
-        for k in range(d):
-            out = {}
-            for w_out in words(d, n + 1):
-                vecs = [tuple(F(1) if t == c else F(0) for t in range(d))
-                        for c in w_out]
-                total = (F(0),) * d
-                # x_0 . phi(x_1 .. x_n)
-                inner = vecs[1:]
+        for k in range(m):
+            def phi(args):
+                # the cochain sending the word w to e_k and every other
+                # basis word to zero, extended multilinearly
                 coeff = F(1)
-                match = all(v == tuple(F(1) if t == c else F(0)
-                                       for t in range(d))
-                            for v, c in zip(inner, w))
-                if match:
-                    val = algebra.mul(vecs[0],
-                                      tuple(F(1) if t == k else F(0)
-                                            for t in range(d)))
-                    total = tuple(x + y for x, y in zip(total, val))
-                sign = F(-1)
+                for x, c in zip(args, w):
+                    coeff *= x[c]
+                return [coeff * y for y in basis(m, k)]
+            for w_out in words(d, n + 1):
+                xs = [basis(d, c) for c in w_out]
+                total = act(bimodule.left, xs[0], phi(xs[1:]))
                 for i in range(1, n + 1):
-                    merged = algebra.mul(vecs[i - 1], vecs[i])
-                    rest = list(vecs[:i - 1]) + [merged] + list(vecs[i + 1:])
-                    coeff2 = F(1)
-                    for v, c in zip(rest, w):
-                        coeff2 *= v[c]
-                        if not coeff2:
-                            break
-                    if coeff2:
-                        val = tuple(coeff2 * x for x in
-                                    tuple(F(1) if t == k else F(0)
-                                          for t in range(d)))
-                        val = tuple(sign * x for x in val)
-                        total = tuple(x + y for x, y in zip(total, val))
-                    sign = -sign
-                if all(v == tuple(F(1) if t == c else F(0) for t in range(d))
-                       for v, c in zip(vecs[:-1], w)):
-                    val = algebra.mul(tuple(F(1) if t == k else F(0)
-                                            for t in range(d)), vecs[-1])
-                    val = tuple(sign * x for x in val)
-                    total = tuple(x + y for x, y in zip(total, val))
+                    merged = xs[:i - 1] + [algebra.mul(xs[i - 1], xs[i])] + \
+                        xs[i + 1:]
+                    total = [t + (-1) ** i * y
+                             for t, y in zip(total, phi(merged))]
+                last = act(bimodule.right, xs[-1], phi(xs[:-1]))
+                total = [t + (-1) ** (n + 1) * y for t, y in zip(total, last)]
                 for r, v in enumerate(total):
                     if v:
-                        out[(word_index(w_out, d), r)] = v
-            cols[(word_index(w, d), k)] = out
-    entries = {}
-    m = d
-    for (wi, k), col in cols.items():
-        for (wo, r), v in col.items():
-            entries[(wo * m + r, wi * m + k)] = v
+                        entries[(word_index(w_out, d) * m + r,
+                                 word_index(w, d) * m + k)] = v
     return RatMatrix(m * d ** (n + 1), m * d ** n, entries)
 
 
@@ -142,9 +132,34 @@ def test_criterion_2_hochschild_oracle():
     assert normalized == expected
     # independent evaluation-based construction agrees matrix-for-matrix
     for n in range(0, 4):
-        assert _naive_hochschild_matrix(dn, n) == \
+        assert _naive_hochschild_matrix(dn, bim, n) == \
             hoch_differential(dn, bim, n), n
     report(2, "Hochschild oracle (2,1,1,1,1)", t0, 10)
+
+
+def _oracle_bimodules():
+    """The regular bimodule of the upper-triangular algebra, and A(V) as an
+    A(U)-bimodule along every restriction u: V -> U of two fixtures (an
+    identity gives a regular bimodule, so identities are left out)."""
+    yield pytest.param(regular_bimodule(presets.upper_triangular()),
+                       id="UT2-regular")
+    for name in ("v_poset_triangular", "diamond_mixed"):
+        p = getattr(presets, name)()
+        for u, m in sorted(p.category.morphisms.items()):
+            if p.category.is_identity(u):
+                continue
+            hom = AlgebraHom(p.algebras[m.target], p.algebras[m.source],
+                             p.restrictions[u])
+            yield pytest.param(FinBimodule.along(hom), id="%s-%s" % (name, u))
+
+
+@pytest.mark.parametrize("bimodule", list(_oracle_bimodules()))
+def test_hochschild_oracle_along_restrictions(bimodule):
+    # noncommutative algebras and bimodules whose left and right actions
+    # differ, so a swapped or misplaced action cannot cancel out
+    for n in range(0, 4):
+        assert _naive_hochschild_matrix(bimodule.left_algebra, bimodule, n) \
+            == hoch_differential(bimodule.left_algebra, bimodule, n), n
 
 
 def _random_triple(rng, presheaf, span=1):

@@ -292,3 +292,24 @@ def test_vec_helpers_match_direct_products(data):
     one_r, one_c = RatMatrix.identity(x.rows), RatMatrix.identity(x.cols)
     assert linalg.vec_operator(one_r, right) @ vec_x == vec(x @ right)
     assert linalg.vec_operator(left, one_c) @ vec_x == vec(left @ x)
+
+
+def test_block_diag_with_empty_blocks():
+    a = RatMatrix.from_rows([[1, 2, 0], [0, 0, F(1, 3)]])
+    no_rows = RatMatrix.zeros(0, 2)
+    no_cols = RatMatrix.zeros(1, 0)
+    b = RatMatrix.from_rows([[5, 0], [0, -1]])
+    # a 0 x 2 block takes two columns and no row, a 1 x 0 block one row and
+    # no column
+    assert RatMatrix.block_diag([a, no_rows, no_cols, b]) == RatMatrix(
+        5, 7, {(0, 0): 1, (0, 1): 2, (1, 2): F(1, 3), (3, 5): 5, (4, 6): -1})
+    assert RatMatrix.block_diag([no_rows, no_cols]) == RatMatrix.zeros(1, 2)
+    assert RatMatrix.block_diag([]) == RatMatrix.zeros(0, 0)
+
+
+@ORACLE
+@given(st.lists(sparse_matrices(max_dim=4), min_size=1, max_size=4))
+def test_block_diag_matches_block(mats):
+    grid = [[m if i == j else RatMatrix.zeros(m.rows, n.cols)
+             for j, n in enumerate(mats)] for i, m in enumerate(mats)]
+    assert RatMatrix.block_diag(mats) == RatMatrix.block(grid)

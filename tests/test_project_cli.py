@@ -396,3 +396,53 @@ def test_poset_without_meets_loads_under_python_O(tmp_path):
     assert optimized.returncode == plain.returncode
     assert optimized.stdout == plain.stdout
     assert b"Traceback" not in optimized.stderr
+
+
+def _same_schema_error_with_and_without_O(args, path_prefix):
+    plain, optimized = _cli_plain_and_optimized(args)
+    assert plain.returncode == 2
+    assert json.loads(plain.stdout)["error"].startswith(path_prefix)
+    assert optimized.returncode == plain.returncode
+    assert optimized.stdout == plain.stdout
+    assert b"Traceback" not in plain.stderr + optimized.stderr
+
+
+def test_cyclic_relations_are_a_schema_error_under_python_O(tmp_path):
+    # A <= B and B <= A: not a poset
+    path = _write_project(tmp_path, {"objects": ["A", "B"],
+                                     "relations": [["A", "B"], ["B", "A"]]},
+                          {"q": presets.rationals()}, {"A": "q", "B": "q"})
+    _same_schema_error_with_and_without_O(["check", "--project", path],
+                                          "/category/relations: ")
+
+
+def _set_dim(value):
+    def edit(module):
+        module["dim"] = value
+    return edit
+
+
+def _widen_first_action(module):
+    module["action"][0] = [row + ["0"] for row in module["action"][0]]
+
+
+def _make_first_action_ragged(module):
+    module["action"][0][0].append("0")
+
+
+@pytest.mark.parametrize("edit, path_prefix", [
+    (_set_dim(1), "/modules/free_U0/action/0: "),
+    (_set_dim(-1), "/modules/free_U0/dim: "),
+    (_set_dim("2"), "/modules/free_U0/dim: "),
+    (_widen_first_action, "/modules/free_U0/action/0: "),
+    (_make_first_action_ragged, "/modules/free_U0/action/0: "),
+], ids=["dim-1", "dim-negative", "dim-string", "action-2x3", "action-ragged"])
+def test_module_shapes_are_a_schema_error_under_python_O(
+        tmp_path, edit, path_prefix):
+    with open(project_path("v_poset.json")) as fh:
+        raw = json.load(fh)
+    edit(raw["modules"]["free_U0"])
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(raw))
+    _same_schema_error_with_and_without_O(["check", "--project", str(path)],
+                                          path_prefix)
