@@ -18,8 +18,8 @@ flattened row-major (`linalg.vec_operator`, `linalg.reshape`).
 
 from fractions import Fraction
 
-from .linalg import (RatMatrix, VerificationFailed, reshape, unit_vector,
-                     vec_operator, zero_vector)
+from .linalg import (RatMatrix, VerificationFailed, reshape, submatrix,
+                     unit_vector, vec_operator, zero_vector)
 
 
 class InvalidStructure(ValueError):
@@ -280,10 +280,9 @@ class FinModule:
         return FinModule(algebra, 0, [RatMatrix.zeros(0, 0)] * algebra.dim,
                          check=False)
 
-    def restrict_to_submodule(self, basis_vectors):
-        """The submodule spanned by `basis_vectors` (must be action-stable),
-        with the inclusion matrix."""
-        incl = RatMatrix.from_cols(list(basis_vectors), ambient=self.dim)
+    def restrict_to_submodule(self, incl):
+        """The submodule spanned by the independent columns of the inclusion
+        matrix `incl` (the span must be action-stable), with `incl`."""
         action = [incl.solve_many(r @ incl) for r in self.action]
         if any(x is None for x in action):
             raise InvalidStructure("span is not action-stable")
@@ -362,24 +361,16 @@ def quotient_by_columns(raw_dim, rel_matrix):
     a chosen complement basis, section embeds them back.  Both depend only
     on the span, not on the columns that present it.
     """
-    pivots_rel = rel_matrix.pivot_columns()
-    rel_basis = [rel_matrix.column(c) for c in pivots_rel]
-    combined = RatMatrix.hstack([
-        RatMatrix.from_cols(rel_basis, ambient=raw_dim),
-        RatMatrix.identity(raw_dim)])
-    comp_idx = [c - len(rel_basis) for c in combined.pivot_columns()
-                if c >= len(rel_basis)]
-    section_cols = [unit_vector(raw_dim, i) for i in comp_idx]
-    full = RatMatrix.from_cols(rel_basis + section_cols)
-    inv = full.inverse()
+    rows = range(raw_dim)
+    rel = submatrix(rel_matrix, rows, rel_matrix.pivot_columns())
+    one = RatMatrix.identity(raw_dim)
+    r = rel.cols
+    combined = RatMatrix.hstack([rel, one])
+    section = submatrix(one, rows, [c - r for c in combined.pivot_columns()
+                                    if c >= r])
+    inv = RatMatrix.hstack([rel, section]).inverse()
     assert inv is not None
-    q_dim = len(comp_idx)
-    entries = {}
-    for (i, j), v in inv.items():
-        if i >= len(rel_basis):
-            entries[(i - len(rel_basis), j)] = v
-    project = RatMatrix(q_dim, raw_dim, entries)
-    section = RatMatrix.from_cols(section_cols, ambient=raw_dim)
+    project = submatrix(inv, range(r, raw_dim), rows)
     return project, section
 
 

@@ -213,8 +213,8 @@ def pointwise_kernel(datum_a, datum_b, components):
     kernels = {}
     inclusions = {}
     for obj in cat.objects:
-        kbasis = components[obj].kernel().basis
-        sub, incl = datum_a.modules[obj].restrict_to_submodule(kbasis)
+        sub, incl = datum_a.modules[obj].restrict_to_submodule(
+            components[obj].kernel().matrix())
         kernels[obj] = sub
         inclusions[obj] = incl
     maps = {}

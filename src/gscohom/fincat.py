@@ -178,6 +178,11 @@ class NotAntisymmetric(ValueError):
     other."""
 
 
+class UnknownObject(ValueError):
+    """A relation of a poset names an object that is not one of its
+    objects."""
+
+
 def poset_category(objects, le_pairs):
     """The category of a poset: one morphism V -> U for each relation V <= U.
 
@@ -185,6 +190,10 @@ def poset_category(objects, le_pairs):
     are closed off automatically.  Morphism V -> U is named "V->U".
     """
     objects = sorted(objects)
+    unknown = [o for pair in le_pairs for o in pair if o not in objects]
+    if unknown:
+        raise UnknownObject("relations name an unknown object %r"
+                            % (unknown[0],))
     le = {(o, o) for o in objects}
     le |= {(v, u) for v, u in le_pairs}
     changed = True

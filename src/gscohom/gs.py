@@ -25,9 +25,9 @@ from functools import partial
 # linalg_cohomology, under which bench/tracer.py's tests look for
 # linalg.cohomology in this module
 from .linalg import (RatMatrix, NotASubcomplex, is_closed,  # noqa: F401
-                     subcomplex_cohomology, cohomology as linalg_cohomology,
-                     VerificationFailed)
-from .algebra import AlgebraHom, FinBimodule
+                     submatrix, subcomplex_cohomology,
+                     cohomology as linalg_cohomology, VerificationFailed)
+from .algebra import AlgebraHom, FinBimodule, InvalidStructure
 from .simplicial import ModPresheaf, PairComplex
 from .hochschild import (hoch_differential, op_sign, flatten, unflatten,
                          normalized_coordinates)
@@ -89,7 +89,8 @@ class GSCochain:
 
 class GSComplex:
     def __init__(self, presheaf):
-        assert presheaf.is_strict(), "the GS complex needs a strict presheaf"
+        if not presheaf.is_strict():
+            raise InvalidStructure("the GS complex needs a strict presheaf")
         self.presheaf = presheaf
         self.category = presheaf.category
         self.module_presheaf = ModPresheaf.of_algebras(presheaf)
@@ -341,7 +342,8 @@ class GSComplex:
             pvec = self.hodge_projector(n, r).apply(vec)
             parts[r] = self.unflatten_cochain(n, pvec)
             total = [a + b for a, b in zip(total, pvec)]
-        assert tuple(total) == tuple(vec), "Hodge components do not sum back"
+        if tuple(total) != vec:
+            raise VerificationFailed("Hodge components do not sum back")
         return parts
 
     def check_hodge_stability(self, n, r):
@@ -359,8 +361,7 @@ class GSComplex:
 
         def basis(m):
             proj = self.hodge_projector(m, r)
-            cols = [proj.column(c) for c in proj.pivot_columns()]
-            return RatMatrix.from_cols(cols, ambient=self.dim(m))
+            return submatrix(proj, range(proj.rows), proj.pivot_columns())
         return subcomplex_cohomology(self.differential, n, basis)[0]
 
 
@@ -385,26 +386,19 @@ def factor_through_restrictions(gs, p, r, component):
         action = element_action_matrix(eulerian_idempotent(r, r),
                                        a_d.dim, a_c.dim)
         flat = flatten(theta)
-        assert action.apply(flat) == flat, \
-            "component at %s is not fixed by the top idempotent" % sigma.label()
+        if action.apply(flat) != flat:
+            raise VerificationFailed("component at %s is not fixed by the top "
+                                     "idempotent" % sigma.label())
         f_sigma = gs.presheaf.restriction_along(sigma)
         big = f_sigma.kron_power(r)          # A(c)^{(x) r} -> A(d)^{(x) r}
         big_t = big.transpose()
-        theta_t = theta.transpose()
-        cols = []
-        ok = True
-        for k in range(a_d.dim):
-            x = big_t.solve(theta_t.column(k))
-            if x is None:
-                ok = False
-                break
-            cols.append(x)
-        if not ok:
+        lift_t = big_t.solve_many(theta.transpose())
+        if lift_t is None:
             out["failures"].append(sigma.label())
             continue
-        lift = RatMatrix.from_cols(cols, ambient=a_d.dim ** r).transpose()
         unique = big_t.kernel().dim == 0
-        out["lifts"][sigma.key()] = {"matrix": lift, "unique": unique}
+        out["lifts"][sigma.key()] = {"matrix": lift_t.transpose(),
+                                     "unique": unique}
     return out
 
 

@@ -16,6 +16,12 @@ cohomology representatives do not depend on row order.  A matrix keeps its
 echelon form and its RREF once computed, so every query on the same matrix
 eliminates it at most once.
 
+A set of vectors is held as the columns of one sparse RatMatrix: a kernel
+basis is read off the RREF straight into such a matrix, a Subspace holds
+one, and `cohomology` picks its representatives among the columns of the
+kernel matrix.  Vectors become dense tuples only where they are returned:
+the chosen representatives, and `Subspace.basis` when it is read.
+
 `subcomplex_cohomology` is the one place where the cohomology of a cochain
 complex, or of a subcomplex of it, is computed; the Hochschild, simplicial,
 Cech and total complexes all call it.
@@ -286,19 +292,19 @@ class RatMatrix:
         return sorted(self._echelon())
 
     def kernel(self):
-        """Basis of {v : M v = 0} as a Subspace of dimension cols - rank:
-        one vector per free column j, with 1 at j and minus column j of the
-        RREF at the pivot columns."""
+        """Basis of {v : M v = 0} as a Subspace of dimension cols - rank,
+        read straight off the RREF into one cols x (cols - rank) matrix:
+        column k, for the k-th free column j, has 1 at row j and minus
+        column j of the RREF at the pivot rows."""
         pivots = set(self.pivot_columns())
-        vecs = {j: [_ZERO] * self.cols for j in range(self.cols)
-                if j not in pivots}
-        for j, v in vecs.items():
-            v[j] = _ONE
+        free = {j: k for k, j in enumerate(
+            j for j in range(self.cols) if j not in pivots)}
+        entries = {(j, k): _ONE for j, k in free.items()}
         for c, row in self._rref().items():
             for j, x in row.items():
                 if j != c:
-                    vecs[j][c] = -x
-        return Subspace._from_rref(self.cols, [tuple(v) for v in vecs.values()])
+                    entries[(c, free[j])] = -x
+        return Subspace._from_rref(RatMatrix(self.cols, len(free), entries))
 
     def solve(self, b):
         """Some x with M x = b, or None if the system is inconsistent."""
@@ -395,47 +401,54 @@ def _reduced_rows(basis):
 
 
 class Subspace:
-    """A linear subspace of Q^ambient_dim given by an independent basis."""
+    """A linear subspace of Q^ambient_dim, held as the sparse matrix whose
+    independent columns are its basis."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("_m",)
 
     def __init__(self, ambient_dim, basis):
         """Raises DependentBasis unless the vectors are independent."""
-        self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(_frac(x) for x in v) for v in basis)
-        for v in self.basis:
+        basis = list(basis)
+        for v in basis:
             assert len(v) == ambient_dim
-        if self.basis and \
-                RatMatrix.from_cols(self.basis).rank() != len(self.basis):
+        self._m = RatMatrix.from_cols(basis, ambient=ambient_dim)
+        if self._m.rank() != self._m.cols:
             raise DependentBasis("basis vectors are dependent")
 
     @classmethod
-    def _from_rref(cls, ambient_dim, basis):
-        """The Subspace spanned by a kernel basis read off an RREF, without
-        the rank check of __init__.
+    def _from_rref(cls, matrix):
+        """The Subspace spanned by the columns of a kernel basis read off an
+        RREF, without the rank check of __init__.
 
-        Such a basis is independent by construction: there is one vector
-        per free column, and vector j has 1 at free column j and 0 at every
-        other free column (its other nonzeros sit at pivot columns).
-        Restricted to the free coordinates the vectors are the rows of an
-        identity matrix, so no nontrivial combination of them vanishes.
+        Such a basis is independent by construction: there is one column
+        per free column of the RREF, and column k has 1 at the k-th free
+        column and 0 at every other free column (its other nonzeros sit at
+        pivot columns).  Restricted to the free coordinates the columns are
+        those of an identity matrix, so no nontrivial combination of them
+        vanishes.
         """
         space = object.__new__(cls)
-        space.ambient_dim = ambient_dim
-        space.basis = tuple(basis)
+        space._m = matrix
         return space
 
     @property
+    def ambient_dim(self):
+        return self._m.rows
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return self._m.cols
+
+    @property
+    def basis(self):
+        """The basis vectors as dense tuples of Fractions."""
+        return tuple(self._m.column(k) for k in range(self.dim))
 
     def matrix(self):
-        return RatMatrix.from_cols(self.basis, ambient=self.ambient_dim)
+        return self._m
 
     def contains(self, v):
-        if not self.basis:
-            return all(x == 0 for x in v)
-        return self.matrix().solve(tuple(v)) is not None
+        return self._m.solve(tuple(v)) is not None
 
     def __repr__(self):
         return "Subspace(dim %d of %d)" % (self.dim, self.ambient_dim)
@@ -451,20 +464,14 @@ def cohomology(d_in, d_out):
     assert d_in.rows == d_out.cols
     if not (d_out @ d_in).is_zero():
         raise ComplexViolation("composite of differentials is not zero")
-    kernel = d_out.kernel()
+    kernel = d_out.kernel().matrix()
     # columns: the pivot columns of d_in (a basis of its image), then the
     # kernel basis; the pivot columns among the latter complete the image
-    image = {c: k for k, c in enumerate(d_in.pivot_columns())}
-    entries = {(i, image[j]): v for (i, j), v in d_in._d.items()
-               if j in image}
-    r = len(image)
-    for k, vec in enumerate(kernel.basis):
-        for i, x in enumerate(vec):
-            if x:
-                entries[(i, r + k)] = x
-    combined = RatMatrix(d_in.rows, r + kernel.dim, entries)
-    reps = [kernel.basis[c - r] for c in combined.pivot_columns() if c >= r]
-    betti = kernel.dim - r
+    image = submatrix(d_in, range(d_in.rows), d_in.pivot_columns())
+    r = image.cols
+    combined = RatMatrix.hstack([image, kernel])
+    reps = [kernel.column(c - r) for c in combined.pivot_columns() if c >= r]
+    betti = kernel.cols - r
     if betti != len(reps):
         raise VerificationFailed(
             "dim ker - rank im = %d, but %d representatives complete the "

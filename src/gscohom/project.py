@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .linalg import RatMatrix
 from .fincat import (FiniteCategory, Morphism, poset_category, MeetPoset,
-                     NoMeet, NotAntisymmetric)
+                     NoMeet, NotAntisymmetric, UnknownObject)
 from .algebra import FinAlgebra, FinModule, InvalidStructure
 from .presheaf import TwistedPresheaf
 
@@ -62,6 +62,13 @@ def vector_json(vec):
 
 def parse_vector(vals, path="?"):
     return tuple(parse_rat(v, path) for v in vals)
+
+
+def _required(block, key, path):
+    """block[key], or a SchemaError at path/key when it is absent."""
+    if key not in block:
+        raise SchemaError("%s/%s: missing" % (path, key))
+    return block[key]
 
 
 def _twist_key(key):
@@ -147,7 +154,7 @@ def load_project(path_or_dict):
                               [tuple(p) for p in raw["category"]["relations"]])
         except NoMeet:
             poset = None
-        except NotAntisymmetric as exc:
+        except (NotAntisymmetric, UnknownObject) as exc:
             raise SchemaError("/category/relations: %s" % exc)
     # share one category instance between the poset and presheaf views
     category = poset.category if poset is not None \
@@ -204,15 +211,15 @@ def load_project(path_or_dict):
     modules = {}
     for name, block in raw.get("modules", {}).items():
         path = "/modules/%s" % name
-        obj = block["object"]
+        obj = _required(block, "object", path)
         if obj not in category.objects:
             raise SchemaError("%s/object: unknown %r" % (path, obj))
         alg = alg_of[obj]
-        dim = block["dim"]
+        dim = _required(block, "dim", path)
         if type(dim) is not int or dim < 0:
             raise SchemaError("%s/dim: expected a non-negative integer, got %r"
                               % (path, dim))
-        mats = block["action"]
+        mats = _required(block, "action", path)
         if len(mats) != alg.dim:
             raise SchemaError("%s/action: need one matrix per basis element"
                               % path)

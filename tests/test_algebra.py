@@ -120,6 +120,16 @@ def test_module_hom_space_dims():
     assert len(module_hom_space(triv, triv)) == 1
 
 
+def test_restrict_to_submodule_rejects_an_unstable_span():
+    dn = presets.dual_numbers()
+    free = FinModule.free(dn)
+    # the ideal (x) is a submodule; the line of the unit is not: 1 x = x
+    sub, incl = free.restrict_to_submodule(RatMatrix.from_cols([(0, 1)]))
+    assert sub.dim == 1 and incl == RatMatrix.from_cols([(0, 1)])
+    with pytest.raises(InvalidStructure):
+        free.restrict_to_submodule(RatMatrix.from_cols([dn.unit]))
+
+
 def test_flat_epimorphism_classification():
     dn = presets.dual_numbers()
     q = presets.rationals()

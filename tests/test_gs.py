@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -268,8 +271,48 @@ def test_factor_through_rejects_wrong_component(complexes):
     gs = complexes["one_object_dual_numbers"]
     sigma = gs.category.nerve(0)[0]
     symmetric = RatMatrix.from_rows([[0, 1, 1, 0], [0, 0, 0, 0]])
-    with pytest.raises(AssertionError):
+    with pytest.raises(VerificationFailed):
         factor_through_restrictions(gs, 0, 2, {sigma.key(): symmetric})
+
+
+_GS_CHECKS_SCRIPT = '''
+from gscohom import presets
+from gscohom.algebra import InvalidStructure
+from gscohom.linalg import RatMatrix, VerificationFailed
+from gscohom.gs import GSComplex, factor_through_restrictions
+
+
+def outcome(run):
+    try:
+        run()
+    except (InvalidStructure, VerificationFailed) as exc:
+        return type(exc).__name__
+    return "passed"
+
+
+print(outcome(lambda: GSComplex(presets.twisted_diamond()[0])))
+gs = GSComplex(presets.one_object_dual_numbers())
+sigma = gs.category.nerve(0)[0]
+symmetric = RatMatrix.from_rows([[0, 1, 1, 0], [0, 0, 0, 0]])
+print(outcome(lambda: factor_through_restrictions(
+    gs, 0, 2, {sigma.key(): symmetric})))
+theta = gs.unflatten_cochain(1, (1,) * gs.dim(1))
+gs.hodge_projector = lambda n, r: RatMatrix.zeros(gs.dim(n), gs.dim(n))
+print(outcome(lambda: gs.hodge_split(theta)))
+'''
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_gs_checks_raise_under_python_O(flags):
+    # a twisted presheaf, a component the top idempotent moves, and Hodge
+    # projectors that do not sum to the identity
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+    done = subprocess.run([sys.executable, *flags, "-c", _GS_CHECKS_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["InvalidStructure", "VerificationFailed",
+                                   "VerificationFailed"]
 
 
 def test_factor_through_failure_named(complexes):

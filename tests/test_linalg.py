@@ -313,3 +313,73 @@ def test_block_diag_matches_block(mats):
     grid = [[m if i == j else RatMatrix.zeros(m.rows, n.cols)
              for j, n in enumerate(mats)] for i, m in enumerate(mats)]
     assert RatMatrix.block_diag(mats) == RatMatrix.block(grid)
+
+
+@ORACLE
+@given(sparse_matrices())
+def test_kernel_matrix_columns_are_the_basis(mat):
+    ker = mat.kernel()
+    basis_matrix = ker.matrix()
+    assert (basis_matrix.rows, basis_matrix.cols) == (mat.cols, ker.dim)
+    assert tuple(basis_matrix.column(k) for k in range(ker.dim)) == ker.basis
+    assert RatMatrix.from_cols(ker.basis, ambient=mat.cols) == basis_matrix
+    assert (mat @ basis_matrix).is_zero()
+
+
+def _dense_cohomology(d_in, d_out):
+    """Reference: the earlier dense algorithm, which built one tuple of
+    length cols per kernel vector and walked every coordinate of each."""
+    pivots = set(d_out.pivot_columns())
+    vecs = {j: [F(0)] * d_out.cols for j in range(d_out.cols)
+            if j not in pivots}
+    for j, v in vecs.items():
+        v[j] = F(1)
+    for c, row in d_out._rref().items():
+        for j, x in row.items():
+            if j != c:
+                vecs[j][c] = -x
+    kernel = [tuple(v) for v in vecs.values()]
+    image = {c: k for k, c in enumerate(d_in.pivot_columns())}
+    entries = {(i, image[j]): v for (i, j), v in d_in.items() if j in image}
+    r = len(image)
+    for k, vec in enumerate(kernel):
+        for i, x in enumerate(vec):
+            if x:
+                entries[(i, r + k)] = x
+    combined = RatMatrix(d_in.rows, r + len(kernel), entries)
+    reps = [kernel[c - r] for c in combined.pivot_columns() if c >= r]
+    return len(kernel) - r, reps
+
+
+@st.composite
+def composable_pairs(draw, max_dim=7):
+    """(d_in, d_out) with d_out d_in = 0 by construction: d_in maps into the
+    first s coordinates and d_out reads only coordinates >= t >= s, both
+    conjugated by a random unitriangular change of basis u."""
+    def filled(r, c):
+        cells = draw(st.lists(_entries, min_size=r * c, max_size=r * c))
+        return RatMatrix(r, c, {divmod(k, c): x for k, x in enumerate(cells)})
+    n = draw(st.integers(0, max_dim))
+    t = draw(st.integers(0, n))
+    s = draw(st.integers(0, t))
+    upper = filled(n, n)
+    nil = RatMatrix(n, n, {(i, j): v for (i, j), v in upper.items() if i < j})
+    u = RatMatrix.identity(n) + nil
+    u_inv, term = RatMatrix.identity(n), RatMatrix.identity(n)
+    for _ in range(n):                     # (1 + N)^-1 = sum (-N)^k, N^n = 0
+        term = -(term @ nil)
+        u_inv = u_inv + term
+    assert u @ u_inv == RatMatrix.identity(n)
+    into = RatMatrix(n, s, {(i, i): 1 for i in range(s)})
+    out_of = RatMatrix(n - t, n, {(i, t + i): 1 for i in range(n - t)})
+    d_in = u @ into @ filled(s, draw(st.integers(0, 4)))
+    d_out = filled(draw(st.integers(0, 4)), n - t) @ out_of @ u_inv
+    return d_in, d_out
+
+
+@ORACLE
+@given(composable_pairs())
+def test_cohomology_matches_dense_reference(pair):
+    d_in, d_out = pair
+    assert (d_out @ d_in).is_zero()
+    assert cohomology(d_in, d_out) == _dense_cohomology(d_in, d_out)

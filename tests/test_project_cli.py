@@ -446,3 +446,26 @@ def test_module_shapes_are_a_schema_error_under_python_O(
     path.write_text(json.dumps(raw))
     _same_schema_error_with_and_without_O(["check", "--project", str(path)],
                                           path_prefix)
+
+
+@pytest.mark.parametrize("key", ["dim", "object", "action"])
+def test_missing_module_key_is_a_schema_error_under_python_O(tmp_path, key):
+    with open(project_path("v_poset.json")) as fh:
+        raw = json.load(fh)
+    del raw["modules"]["free_U0"][key]
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(raw))
+    _same_schema_error_with_and_without_O(
+        ["check", "--project", str(path)],
+        "/modules/free_U0/%s: missing" % key)
+
+
+def test_relation_with_unknown_object_is_a_schema_error_under_python_O(
+        tmp_path):
+    with open(project_path("v_poset.json")) as fh:
+        raw = json.load(fh)
+    raw["category"]["relations"].append(["U0", "nowhere"])
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(raw))
+    _same_schema_error_with_and_without_O(["check", "--project", str(path)],
+                                          "/category/relations: ")
