@@ -7,8 +7,8 @@ here is an exact matrix identity, checked on full bases.
 """
 
 from gscohom import presets
-from gscohom.linalg import RatMatrix
-from gscohom.simplicial import ModPresheaf, PairComplex, submatrix
+from gscohom.linalg import RatMatrix, submatrix
+from gscohom.simplicial import ModPresheaf, PairComplex
 from gscohom.cech import (CechComplex, iota_matrix, pi_matrix,
                           homotopy_matrix, compare_simp_cech, tuple_bar)
 

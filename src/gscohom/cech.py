@@ -18,12 +18,13 @@ partial meets; pi iota = 1 on reduced cochains and 1 - iota pi = h d + d h.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 from .linalg import RatMatrix, subcomplex_cohomology, submatrix
 from .fincat import Simplex
 from .shuffles import perm_sign
+from .simplicial import ModPresheaf, PairComplex
 
 
 # -- tuple operations
@@ -68,6 +69,16 @@ def signed_permutations(n):
     return [(p, Fraction(perm_sign(p))) for p in permutations(range(n))]
 
 
+# the most tuples the full (non-alternating) Cech complex enumerates in one
+# degree; it has (number of objects)^(p+1) of them in degree p
+TUPLE_BOUND = 10 ** 5
+
+
+class TooManyTuples(ValueError):
+    """Raised when the full Cech complex would enumerate more than
+    TUPLE_BOUND tuples in one degree."""
+
+
 class CechComplex:
     """Cech cochains of a ModPresheaf on a MeetPoset.
 
@@ -75,21 +86,22 @@ class CechComplex:
     alternating=False uses all tuples of objects.
     """
 
-    def __init__(self, f_presheaf, poset, alternating=True, tuple_bound=10 ** 5):
+    def __init__(self, f_presheaf, poset, alternating=True):
         self.f = f_presheaf
         self.poset = poset
         self.alternating = alternating
-        self.tuple_bound = tuple_bound
         self._layout_cache = {}
         self.order = {o: i for i, o in enumerate(poset.objects)}
 
     def tuples(self, p):
         objs = self.poset.objects
         if self.alternating:
-            from itertools import combinations
             return [tuple(c) for c in combinations(objs, p + 1)]
-        assert len(objs) ** (p + 1) <= self.tuple_bound, \
-            "tuple enumeration exceeds the configured bound"
+        count = len(objs) ** (p + 1)
+        if count > TUPLE_BOUND:
+            raise TooManyTuples(
+                "the full Cech complex has %d tuples in degree %d, more than "
+                "%d" % (count, p, TUPLE_BOUND))
         return [tuple(t) for t in product(objs, repeat=p + 1)]
 
     def layout(self, p):
@@ -133,35 +145,25 @@ class CechComplex:
         return tuple(vec[off + t] for t in range(d))
 
     def differential(self, p):
-        """d(psi)^tau = sum_i (-1)^i psi^{face_i tau} restricted to F(meet tau)."""
-        out_blocks, out_dim = self.layout(p + 1)
+        """d(psi)^tau = sum_i (-1)^i psi^{face_i tau} restricted to F(meet
+        tau): one signed restriction block per face, none for a face with a
+        repeated coordinate when alternating."""
         in_blocks = self.block(p)
-        entries = {}
-
-        def add_face_value(tau, off_out, i, sign):
-            face = tuple_face(tau, i)
-            big = self.poset.meet_all(face)
+        placed = []
+        for tau, _, off_out in self.layout(p + 1)[0]:
             small = self.poset.meet_all(tau)
-            rest = self.f.maps[self.poset.morphism(small, big)]
-            if self.alternating:
-                s2, canon = self.canonical(face)
-                if canon is None:
-                    return
-                d, off_in = in_blocks[canon]
-                total = sign * s2
-            else:
-                d, off_in = in_blocks[face]
-                total = sign
-            for (r, c), v in rest.items():
-                key = (off_out + r, off_in + c)
-                entries[key] = entries.get(key, Fraction(0)) + total * v
-
-        for tau, d_out, off_out in out_blocks:
-            sign = Fraction(1)
             for i in range(p + 2):
-                add_face_value(tau, off_out, i, sign)
-                sign = -sign
-        return RatMatrix(out_dim, self.dim(p), entries)
+                face = tuple_face(tau, i)
+                sign = (-1) ** i
+                if self.alternating:
+                    face_sign, face = self.canonical(face)
+                    if face is None:
+                        continue
+                    sign *= face_sign
+                rest = self.f.maps[self.poset.morphism(
+                    small, self.poset.meet_all(face))]
+                placed.append((off_out, in_blocks[face][1], rest.scale(sign)))
+        return RatMatrix.from_blocks(self.dim(p + 1), self.dim(p), placed)
 
     def cohomology(self, p):
         return subcomplex_cohomology(self.differential, p)
@@ -174,64 +176,53 @@ def iota_matrix(cech, simp, p):
     sign(s) phi^{bar(tau s)}.  On reduced cochains this is a chain map.
     """
     assert cech.alternating
-    poset = cech.poset
     simp_blocks = simp.block_index(p)
-    out_blocks, out_dim = cech.layout(p)
-    entries = {}
-    for tau, d, off_out in out_blocks:
-        for perm, sign in signed_permutations(p + 1):
-            permuted = tuple(tau[i] for i in perm)
-            sigma = tuple_bar(poset, permuted)
-            rows, colsdim, off_in = simp_blocks[sigma.key()]
-            assert rows == d and colsdim == 1
-            for t in range(d):
-                key = (off_out + t, off_in + t)
-                entries[key] = entries.get(key, Fraction(0)) + sign
-    return RatMatrix(out_dim, simp.dim(p), entries)
+    perms = signed_permutations(p + 1)
+    placed = []
+    for tau, d, off_out in cech.layout(p)[0]:
+        for perm, sign in perms:
+            sigma = tuple_bar(cech.poset, tuple(tau[i] for i in perm))
+            rows, cols, off_in = simp_blocks[sigma.key()]
+            assert rows == d and cols == 1
+            placed.append((off_out, off_in, RatMatrix.identity(d).scale(sign)))
+    return RatMatrix.from_blocks(cech.dim(p), simp.dim(p), placed)
 
 
 def pi_matrix(cech, simp, p):
     """pi: alternating Cech p-cochains -> (reduced) simplicial p-cochains,
     by evaluating on the underlying object tuple of a simplex."""
     assert cech.alternating
-    out_dim = simp.dim(p)
-    entries = {}
+    in_blocks = cech.block(p)
+    placed = []
     for sigma, rows, cols, off_out in simp.layout(p)[0]:
         assert cols == 1
-        tau = sigma.objects()
-        sign, canon = cech.canonical(tau)
-        if canon is None:
-            continue
-        d, off_in = cech.block(p)[canon]
-        for t in range(rows):
-            entries[(off_out + t, off_in + t)] = sign
-    return RatMatrix(out_dim, cech.dim(p), entries)
+        sign, canon = cech.canonical(sigma.objects())
+        if canon is not None:
+            placed.append((off_out, in_blocks[canon][1],
+                           RatMatrix.identity(rows).scale(sign)))
+    return RatMatrix.from_blocks(simp.dim(p), cech.dim(p), placed)
 
 
 def homotopy_matrix(cech, p):
     """h^p: alternating Cech p-cochains -> (p-1)-cochains, satisfying
     1 - iota pi = h d + d h."""
     assert cech.alternating and p >= 1
-    poset = cech.poset
-    out_blocks, out_dim = cech.layout(p - 1)
     in_blocks = cech.block(p)
-    entries = {}
-    for tau, d, off_out in out_blocks:
+    perms = signed_permutations(p)
+    placed = []
+    for tau, d, off_out in cech.layout(p - 1)[0]:
         for i in range(p):
             coeff_i = Fraction((-1) ** i, factorial(p - i))
-            for perm, sign in signed_permutations(p):
-                permuted = tuple(tau[t] for t in perm)
-                theta = tuple_theta(poset, permuted, i)
-                s2, canon = cech.canonical(theta)
+            for perm, sign in perms:
+                theta = tuple_theta(cech.poset, tuple(tau[t] for t in perm), i)
+                theta_sign, canon = cech.canonical(theta)
                 if canon is None:
                     continue
                 d_in, off_in = in_blocks[canon]
                 assert d_in == d
-                total = coeff_i * sign * s2
-                for t in range(d):
-                    key = (off_out + t, off_in + t)
-                    entries[key] = entries.get(key, Fraction(0)) + total
-    return RatMatrix(out_dim, cech.dim(p), entries)
+                placed.append((off_out, off_in, RatMatrix.identity(d).scale(
+                    coeff_i * sign * theta_sign)))
+    return RatMatrix.from_blocks(cech.dim(p - 1), cech.dim(p), placed)
 
 
 def compare_simp_cech(f_presheaf, poset, p_max):
@@ -239,7 +230,6 @@ def compare_simp_cech(f_presheaf, poset, p_max):
     degrees 0..p_max, plus exact verification of pi iota = 1 (on reduced
     cochains) and of the homotopy identity on a full alternating basis.
     """
-    from .simplicial import PairComplex, ModPresheaf
     simp = PairComplex(ModPresheaf.constant(poset.category), f_presheaf)
     cech = CechComplex(f_presheaf, poset, alternating=True)
     report = {"simp_betti": [], "cech_betti": [], "pi_iota_identity": True,

@@ -17,7 +17,7 @@ import os
 import sys
 
 from .simplicial import PairComplex, ModPresheaf
-from .cech import CechComplex, compare_simp_cech
+from .cech import CechComplex, TooManyTuples, compare_simp_cech
 from .hochschild import hh_algebra, regular_bimodule
 from .linalg import ComplexViolation, NotASubcomplex, VerificationFailed
 from .gs import GSComplex, KINDS, NotCommutative, factor_through_restrictions
@@ -396,7 +396,7 @@ def main(argv=None):
         return _usage_error("cannot read project: %s" % exc)
     try:
         return COMMANDS[args.command](project, args)
-    except (SchemaError, NotCommutative) as exc:
+    except (SchemaError, NotCommutative, TooManyTuples) as exc:
         return _usage_error(str(exc))
     except (VerificationFailed, ComplexViolation, NotASubcomplex) as exc:
         return _emit({"error": str(exc),

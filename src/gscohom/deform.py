@@ -13,9 +13,10 @@ conditions, and insists the two verdicts agree.  Equivalences (1 + g1 eps,
 1 + tau1 eps) are handled the same way against the morphism axioms.
 """
 
-from .linalg import RatMatrix, zero_vector
+from .linalg import RatMatrix, VerificationFailed, zero_vector
 from .presheaf import TwistedPresheaf, check_twisted_morphism
 from .gs import GSComplex, cochain_from_parts
+from .shuffles import perm_action_matrix
 
 
 class NotACocycle(Exception):
@@ -25,6 +26,12 @@ class NotACocycle(Exception):
     def __init__(self, failures):
         self.failures = failures
         super().__init__("; ".join(failures[:4]))
+
+
+def _verify(holds, what):
+    """Raise VerificationFailed(what) unless the checked identity holds."""
+    if not holds:
+        raise VerificationFailed(what)
 
 
 class CandidateTriple:
@@ -168,13 +175,14 @@ class TwistedDeformation:
 
     def reduction_mod_eps(self):
         """Project the deformation back to the original presheaf (top
-        blocks); returns the strict presheaf and asserts exact equality."""
+        blocks); returns the strict presheaf and checks exact equality
+        (VerificationFailed otherwise)."""
         cat = self.base.category
         for obj, a in self.base.algebras.items():
             doubled = self.twisted.algebras[obj]
-            for i in range(a.dim):
-                for j in range(a.dim):
-                    assert doubled.mult[i][j][:a.dim] == a.mult[i][j]
+            _verify(all(doubled.mult[i][j][:a.dim] == a.mult[i][j]
+                        for i in range(a.dim) for j in range(a.dim)),
+                    "the product mod eps differs at %s" % obj)
         restrictions = {}
         for name, mat in self.base.restrictions.items():
             big = self.twisted.restrictions[name]
@@ -182,7 +190,7 @@ class TwistedDeformation:
             top = RatMatrix(rows, cols,
                             {(i, j): big[i, j] for i in range(rows)
                              for j in range(cols)})
-            assert top == mat
+            _verify(top == mat, "the restriction mod eps differs at %s" % name)
             restrictions[name] = top
         return TwistedPresheaf(cat, self.base.algebras, restrictions)
 
@@ -202,16 +210,17 @@ def deform(presheaf, m1=None, f1=None, c1=None, gs=None):
 
     Runs the exact twisted-presheaf axiom checker on the built candidate
     and, independently, the cochain conditions; the two verdicts always
-    agree (asserted).  Returns the TwistedDeformation, or raises
-    NotACocycle naming the failed identities.
+    agree (VerificationFailed otherwise).  Returns the TwistedDeformation,
+    or raises NotACocycle naming the failed identities.
     """
     assert presheaf.is_strict()
     triple = m1 if isinstance(m1, CandidateTriple) else \
         CandidateTriple(presheaf, m1, f1, c1)
     axiom_ok, cochain_ok, candidate, cochain_fails = \
         bidirectional_verdicts(presheaf, triple, gs=gs)
-    assert axiom_ok == cochain_ok, \
-        "axiom checker and cochain conditions disagree: %s" % cochain_fails[:3]
+    _verify(axiom_ok == cochain_ok,
+            "axiom checker and cochain conditions disagree: %s"
+            % cochain_fails[:3])
     if not cochain_ok:
         raise NotACocycle(cochain_fails)
     return TwistedDeformation(presheaf, triple, candidate)
@@ -261,7 +270,8 @@ def equivalence(def_a, def_b, pair, gs=None):
 
     The morphism axioms are evaluated exactly over Q[eps], and independently
     the cochain equation d(g1, -tau1) = triple_a - triple_b with (g1, -tau1)
-    normalized reduced; both verdicts are returned and asserted equal.
+    normalized reduced; both verdicts are returned and checked equal
+    (VerificationFailed otherwise).
     """
     base = def_a.base
     assert def_b.base is base
@@ -291,8 +301,9 @@ def equivalence(def_a, def_b, pair, gs=None):
     for name in cat.morphisms:
         if cat.is_identity(name) and any(pair.tau1_at(name)):
             cochain_verdict = False
-    assert axiom_verdict == cochain_verdict, \
-        "morphism axioms and cochain equation disagree: %s" % axiom_fails[:3]
+    _verify(axiom_verdict == cochain_verdict,
+            "morphism axioms and cochain equation disagree: %s"
+            % axiom_fails[:3])
     return {
         "isomorphism": axiom_verdict,
         "axiom_failures": axiom_fails,
@@ -302,28 +313,29 @@ def equivalence(def_a, def_b, pair, gs=None):
 
 def opposite_deformation(defn, gs=None):
     """The deformation of the opposite presheaf by (m1 swapped, f1, -c1);
-    structurally equal to the opposite of the given deformation."""
+    structurally equal to the opposite of the given deformation (checked;
+    VerificationFailed otherwise).  m1 is swapped by the place permutation
+    of its two arguments."""
     base_op = defn.base.opposite()
     cat = defn.base.category
-    m1_op = {}
-    for obj in cat.objects:
-        a = defn.base.algebras[obj]
-        mat = defn.triple.m1_at(obj)
-        entries = {}
-        for (i, j), v in mat.items():
-            p, q = divmod(j, a.dim)
-            entries[(i, q * a.dim + p)] = v
-        m1_op[obj] = RatMatrix(a.dim, a.dim ** 2, entries)
+    m1_op = {obj: defn.triple.m1_at(obj) @ perm_action_matrix(
+                 (1, 0), 1, defn.base.algebras[obj].dim)
+             for obj in cat.objects}
     f1_op = dict(defn.triple.f1)
     c1_op = {k: tuple(-x for x in v) for k, v in defn.triple.c1.items()}
     result = deform(base_op, m1_op, f1_op, c1_op, gs=gs)
     expected = defn.twisted.opposite()
     for obj in cat.objects:
-        assert result.twisted.algebras[obj].mult == expected.algebras[obj].mult
+        _verify(result.twisted.algebras[obj].mult ==
+                expected.algebras[obj].mult,
+                "opposite deformation: products differ at %s" % obj)
     for name in cat.morphisms:
-        assert result.twisted.restrictions[name] == expected.restrictions[name]
+        _verify(result.twisted.restrictions[name] ==
+                expected.restrictions[name],
+                "opposite deformation: restrictions differ at %s" % name)
     for pair in result.twisted.composable_pairs():
-        assert result.twisted.twist(*pair) == expected.twist(*pair)
+        _verify(result.twisted.twist(*pair) == expected.twist(*pair),
+                "opposite deformation: twists differ at %s" % (pair,))
     return result
 
 
@@ -336,21 +348,23 @@ def central_underlying(defn, gs=None):
         if not base.algebras[obj].is_commutative():
             from .gs import NotCommutative
             raise NotCommutative("algebra at %s is not commutative" % obj)
-    assert defn.twisted.has_central_twists()
+    _verify(defn.twisted.has_central_twists(), "the twists are not central")
     triple = CandidateTriple(base, defn.triple.m1, defn.triple.f1, {})
     underlying = deform(base, triple, gs=gs)
     expected = defn.twisted.underlying_presheaf()
     for obj in base.category.objects:
-        assert underlying.twisted.algebras[obj].mult == \
-            expected.algebras[obj].mult
+        _verify(underlying.twisted.algebras[obj].mult ==
+                expected.algebras[obj].mult,
+                "underlying presheaf: products differ at %s" % obj)
     for name in base.category.morphisms:
-        assert underlying.twisted.restrictions[name] == \
-            expected.restrictions[name]
+        _verify(underlying.twisted.restrictions[name] ==
+                expected.restrictions[name],
+                "underlying presheaf: restrictions differ at %s" % name)
     # the truncated-cocycle conditions for (m1, f1)
     gs = gs or GSComplex(base)
     theta = triple.as_cochain(gs)
     d_theta = gs.d(theta)
     for (p, q) in ((0, 3), (1, 2), (2, 1)):
         for mat in d_theta.component(p, q).values():
-            assert mat.is_zero(), "truncated cocycle condition fails"
+            _verify(mat.is_zero(), "truncated cocycle condition fails")
     return underlying

@@ -20,7 +20,7 @@ the raw space times t.section.  Linear conditions on unknown matrices are
 solved on their row-major flattenings through `linalg.vec_operator`.
 """
 
-from .linalg import RatMatrix, vec_operator
+from .linalg import RatMatrix, VerificationFailed, vec_operator
 from .algebra import (AlgebraHom, FinModule, tensor_over, module_hom_space,
                       check_flat_epimorphism, quotient_by_columns)
 from .fincat import slice_category
@@ -303,16 +303,22 @@ class QPresheafObject:
         self._check_functorial()
 
     def _check_functorial(self):
+        """The transitions form a presheaf on the slice (VerificationFailed
+        otherwise)."""
         sl = self.slice
         for obj in sl.objects:
-            ident = self.transitions[sl.identity(obj)]
-            assert ident == RatMatrix.identity(self.tensors[obj].dim)
+            if self.transitions[sl.identity(obj)] != \
+                    RatMatrix.identity(self.tensors[obj].dim):
+                raise VerificationFailed(
+                    "the transition of the identity at %s is not 1" % obj)
         for g in sl.morphisms:
             for f in sl.morphisms:
-                if sl.target(f) == sl.source(g):
-                    comp = sl.compose(g, f)
-                    assert self.transitions[f] @ self.transitions[g] == \
-                        self.transitions[comp], (g, f)
+                if sl.target(f) == sl.source(g) and \
+                        self.transitions[f] @ self.transitions[g] != \
+                        self.transitions[sl.compose(g, f)]:
+                    raise VerificationFailed(
+                        "the transitions are not functorial on (%s, %s)"
+                        % (g, f))
 
     def hom_dim_to(self, other):
         """dim of natural transformations self -> other in the presheaf

@@ -22,12 +22,20 @@ one, and `cohomology` picks its representatives among the columns of the
 kernel matrix.  Vectors become dense tuples only where they are returned:
 the chosen representatives, and `Subspace.basis` when it is read.
 
+`RatMatrix.from_blocks` is the one routine that places blocks: it sums
+(row offset, column offset, block) triples into one matrix, adding entries
+where blocks overlap.  `hstack`, `vstack`, `block`, `block_diag` and `+`
+call it, and so do the cochain maps of the simplicial, slice and Cech
+complexes, which are built per simplex or per tuple from restriction and
+identity blocks.
+
 `subcomplex_cohomology` is the one place where the cohomology of a cochain
 complex, or of a subcomplex of it, is computed; the Hochschild, simplicial,
 Cech and total complexes all call it.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
@@ -147,10 +155,8 @@ class RatMatrix:
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        d = dict(self._d)
-        for k, v in other._d.items():
-            d[k] = d.get(k, _ZERO) + v
-        return RatMatrix(self.rows, self.cols, d)
+        return RatMatrix.from_blocks(self.rows, self.cols,
+                                     [(0, 0, self), (0, 0, other)])
 
     def __sub__(self, other):
         return self + (-other)
@@ -187,58 +193,62 @@ class RatMatrix:
         return RatMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self._d.items()})
 
     @staticmethod
-    def hstack(mats):
-        rows = mats[0].rows
+    def from_blocks(rows, cols, placed):
+        """The rows x cols sum of the placed blocks: a triple (r, c, block)
+        puts block[i, j] at (r + i, c + j).  Where blocks overlap their
+        entries add, and entries that cancel are dropped.  Every block must
+        lie inside the matrix."""
         d = {}
-        off = 0
-        for m in mats:
-            assert m.rows == rows
+        for r, c, m in placed:
+            if r < 0 or c < 0 or r + m.rows > rows or c + m.cols > cols:
+                raise ValueError("a %d x %d block at (%d, %d) does not fit "
+                                 "a %d x %d matrix"
+                                 % (m.rows, m.cols, r, c, rows, cols))
             for (i, j), v in m._d.items():
-                d[(i, j + off)] = v
-            off += m.cols
-        return RatMatrix(rows, off, d)
+                key = (r + i, c + j)
+                d[key] = d[key] + v if key in d else v
+        return RatMatrix(rows, cols, d)
+
+    @staticmethod
+    def hstack(mats):
+        assert all(m.rows == mats[0].rows for m in mats)
+        offs = list(accumulate([m.cols for m in mats], initial=0))
+        return RatMatrix.from_blocks(mats[0].rows, offs[-1],
+                                     [(0, c, m) for c, m in zip(offs, mats)])
 
     @staticmethod
     def vstack(mats):
-        cols = mats[0].cols
-        d = {}
-        off = 0
-        for m in mats:
-            assert m.cols == cols
-            for (i, j), v in m._d.items():
-                d[(i + off, j)] = v
-            off += m.rows
-        return RatMatrix(off, cols, d)
+        assert all(m.cols == mats[0].cols for m in mats)
+        offs = list(accumulate([m.rows for m in mats], initial=0))
+        return RatMatrix.from_blocks(offs[-1], mats[0].cols,
+                                     [(r, 0, m) for r, m in zip(offs, mats)])
 
     @staticmethod
     def block(grid):
-        """Assemble from a 2d grid of blocks (None = zero block of fitting size)."""
-        row_mats = []
-        for row in grid:
-            present = [m for m in row if m is not None]
-            rows = present[0].rows
-            fixed = []
+        """Assemble from a 2d grid of blocks (None = zero block of fitting
+        size)."""
+        heights = [next(m.rows for m in row if m is not None) for row in grid]
+        widths = [next(row[j].cols for row in grid if row[j] is not None)
+                  for j in range(len(grid[0]))]
+        row_offs = list(accumulate(heights, initial=0))
+        col_offs = list(accumulate(widths, initial=0))
+        placed = []
+        for i, row in enumerate(grid):
             for j, m in enumerate(row):
-                if m is None:
-                    cols = next(g[j].cols for g in grid if g[j] is not None)
-                    m = RatMatrix.zeros(rows, cols)
-                fixed.append(m)
-            row_mats.append(RatMatrix.hstack(fixed))
-        return RatMatrix.vstack(row_mats)
+                if m is not None:
+                    assert (m.rows, m.cols) == (heights[i], widths[j])
+                    placed.append((row_offs[i], col_offs[j], m))
+        return RatMatrix.from_blocks(row_offs[-1], col_offs[-1], placed)
 
     @staticmethod
     def block_diag(mats):
         """The blocks, rectangular ones too, placed in order down the
         diagonal: block k occupies the rows after the rows of blocks < k
         and the columns after their columns."""
-        d = {}
-        rows = cols = 0
-        for m in mats:
-            for (i, j), v in m._d.items():
-                d[(rows + i, cols + j)] = v
-            rows += m.rows
-            cols += m.cols
-        return RatMatrix(rows, cols, d)
+        rows = list(accumulate([m.rows for m in mats], initial=0))
+        cols = list(accumulate([m.cols for m in mats], initial=0))
+        return RatMatrix.from_blocks(rows[-1], cols[-1],
+                                     list(zip(rows, cols, mats)))
 
     def kron(self, other):
         d = {}

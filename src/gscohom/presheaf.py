@@ -15,6 +15,7 @@ its witnessing morphisms.  Strict presheaves are the case c = 1, z = 1.
 """
 
 from .linalg import RatMatrix
+from .algebra import InvalidStructure
 
 
 class TwistedPresheaf:
@@ -194,10 +195,12 @@ class TwistedPresheaf:
 
 
 def strict_presheaf(category, algebras, restrictions):
-    """A presheaf of algebras (trivial twists); functoriality is verified."""
+    """A presheaf of algebras (trivial twists); functoriality is verified
+    (InvalidStructure otherwise)."""
     p = TwistedPresheaf(category, algebras, restrictions)
     fails = p.check()
-    assert not fails, "not a presheaf: %s" % (fails[:4],)
+    if fails:
+        raise InvalidStructure("not a presheaf: %s" % (fails[:4],))
     return p
 
 

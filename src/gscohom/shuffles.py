@@ -205,9 +205,7 @@ def perm_action_matrix(perm, m_dim, a_dim):
 
 def element_action_matrix(elt, m_dim, a_dim):
     """The action matrix of a group-algebra element on flat cochains."""
-    q = elt.n
-    size = m_dim * a_dim ** q
-    out = RatMatrix.zeros(size, size)
-    for perm, c in sorted(elt.terms.items()):
-        out = out + perm_action_matrix(perm, m_dim, a_dim).scale(c)
-    return out
+    size = m_dim * a_dim ** elt.n
+    return RatMatrix.from_blocks(size, size, [
+        (0, 0, perm_action_matrix(perm, m_dim, a_dim).scale(c))
+        for perm, c in sorted(elt.terms.items())])

@@ -16,11 +16,11 @@ inner); simplices are ordered as produced by the nerve, which is
 deterministic.
 """
 
-from fractions import Fraction
+from functools import cache
 
-# submatrix is re-exported for callers that import it from here
-from .linalg import RatMatrix, subcomplex_cohomology, submatrix  # noqa: F401
-from .fincat import slice_category
+from .linalg import RatMatrix, VerificationFailed, subcomplex_cohomology
+from .algebra import InvalidStructure
+from .fincat import Simplex, slice_category
 
 
 class ModPresheaf:
@@ -35,21 +35,27 @@ class ModPresheaf:
             self._validate()
 
     def _validate(self):
+        """Shapes, identities and functoriality; InvalidStructure names the
+        first that fails."""
         cat = self.category
         for name, m in cat.morphisms.items():
             mat = self.maps[name]
-            assert mat.rows == self.dims[m.source], name
-            assert mat.cols == self.dims[m.target], name
+            if (mat.rows, mat.cols) != (self.dims[m.source],
+                                        self.dims[m.target]):
+                raise InvalidStructure("restriction %s has the wrong shape"
+                                       % name)
         for obj in cat.objects:
-            ident = self.maps[cat.identity(obj)]
-            assert ident == RatMatrix.identity(self.dims[obj]), \
-                "identity restriction is not the identity at %s" % obj
+            if self.maps[cat.identity(obj)] != \
+                    RatMatrix.identity(self.dims[obj]):
+                raise InvalidStructure(
+                    "identity restriction is not the identity at %s" % obj)
         for g in cat.morphisms:
             for f in cat.morphisms:
-                if cat.target(f) == cat.source(g):
-                    composite = cat.compose(g, f)
-                    assert self.maps[f] @ self.maps[g] == self.maps[composite], \
-                        "functoriality fails on (%s, %s)" % (g, f)
+                if cat.target(f) == cat.source(g) and \
+                        self.maps[f] @ self.maps[g] != \
+                        self.maps[cat.compose(g, f)]:
+                    raise InvalidStructure(
+                        "functoriality fails on (%s, %s)" % (g, f))
 
     @staticmethod
     def constant(category, dim=1):
@@ -104,50 +110,32 @@ class PairComplex:
         return {sigma.key(): (rows, cols, off) for sigma, rows, cols, off in blocks}
 
     def differential(self, p):
-        """Matrix of d_simp: C^p -> C^{p+1}."""
+        """Matrix of d_simp: C^p -> C^{p+1}, placed face by face.
+
+        With vec(L X R) = (R^T (x) L) vec X on column-major cochains, the
+        face d_0 of sigma = (u_1, ..., u_{p+1}) post-composes with F(u_1),
+        the block 1_cols (x) F(u_1); the face d_{p+1} pre-composes with
+        G(u_{p+1}), the block (-1)^{p+1} G(u_{p+1})^T (x) 1_rows; and an
+        interior face d_i is (-1)^i times the identity.  Each distinct
+        block is built once per call.
+        """
         if p in self._diff_cache:
             return self._diff_cache[p]
-        out_blocks, out_dim = self.layout(p + 1)
+        one = RatMatrix.identity
+        last_sign = (-1) ** (p + 1)
+        post = cache(lambda u, cols: one(cols).kron(self.f.maps[u]))
+        pre = cache(lambda u, rows: self.g.maps[u].transpose().kron(
+            one(rows)).scale(last_sign))
+        interior = cache(lambda size, sign: one(size).scale(sign))
         index_in = self.block_index(p)
-        entries = {}
-
-        def add_post(off_out, off_in, post, rows_in, cols):
-            # phi -> post @ phi: out(i, j) += post[i, r] in(r, j)
-            for (i, r), v in post.items():
-                for j in range(cols):
-                    entries[(off_out + j * post.rows + i,
-                             off_in + j * rows_in + r)] = \
-                        entries.get((off_out + j * post.rows + i,
-                                     off_in + j * rows_in + r), Fraction(0)) + v
-
-        def add_pre(off_out, off_in, pre, rows, sign):
-            # phi -> phi @ pre: out(i, j) += pre[r, j] in(i, r)
-            for (r, j), v in pre.items():
-                for i in range(rows):
-                    key = (off_out + j * rows + i, off_in + r * rows + i)
-                    entries[key] = entries.get(key, Fraction(0)) + sign * v
-
-        def add_identity(off_out, off_in, size, sign):
-            for t in range(size):
-                key = (off_out + t, off_in + t)
-                entries[key] = entries.get(key, Fraction(0)) + sign
-
-        for sigma, rows, cols, off_out in out_blocks:
-            for i in range(0, p + 2):
-                face = sigma.face(i)
-                rows_in, cols_in, off_in = index_in[face.key()]
-                sign = Fraction(-1) if i % 2 else Fraction(1)
-                if i == 0:
-                    post = self.f.maps[sigma.arrows[0]]
-                    if sign < 0:
-                        post = -post
-                    add_post(off_out, off_in, post, rows_in, cols)
-                elif i == p + 1:
-                    pre = self.g.maps[sigma.arrows[-1]]
-                    add_pre(off_out, off_in, pre, rows, sign)
-                else:
-                    add_identity(off_out, off_in, rows * cols, sign)
-        mat = RatMatrix(out_dim, self.dim(p), entries)
+        placed = []
+        for sigma, rows, cols, off_out in self.layout(p + 1)[0]:
+            faces = [post(sigma.arrows[0], cols)] + \
+                [interior(rows * cols, (-1) ** i) for i in range(1, p + 1)] + \
+                [pre(sigma.arrows[-1], rows)]
+            placed.extend((off_out, index_in[sigma.face(i).key()][2], block)
+                          for i, block in enumerate(faces))
+        mat = RatMatrix.from_blocks(self.dim(p + 1), self.dim(p), placed)
         self._diff_cache[p] = mat
         return mat
 
@@ -196,18 +184,15 @@ class PresheafComplex:
                     for n in range(n_max)}
         self.eps = {u: self._build_eps(u) for u in cat.objects}
 
-    def _slice_source(self, u, obj_name):
-        """The object V of the base category under a slice object V -> U."""
-        return self.presheaf.category.source(obj_name)
-
     def _layout(self, n, u):
         if (n, u) in self._layouts:
             return self._layouts[(n, u)]
+        cat = self.presheaf.category
         blocks = []
         offset = 0
         for sigma in self.slices[u].nerve(n):
-            v = self._slice_source(u, sigma.domain)
-            d = self.presheaf.algebras[v].dim
+            # a slice object V -> U carries A(V)
+            d = self.presheaf.algebras[cat.source(sigma.domain)].dim
             blocks.append((sigma, d, offset))
             offset += d
         self._layouts[(n, u)] = (blocks, offset)
@@ -220,18 +205,15 @@ class PresheafComplex:
         for name, m in cat.morphisms.items():
             # rho^{n,u}: A^n(U) -> A^n(V) copies the block of u.sigma
             u_obj, v_obj = m.target, m.source
-            blocks_v, dim_v = self._layout(n, v_obj)
-            index_u = {}
-            for sigma, d, off in self._layout(n, u_obj)[0]:
-                index_u[sigma.key()] = (d, off)
-            entries = {}
-            for sigma, d, off_v in blocks_v:
+            index_u = {sigma.key(): (d, off)
+                       for sigma, d, off in self._layout(n, u_obj)[0]}
+            placed = []
+            for sigma, d, off_v in self._layout(n, v_obj)[0]:
                 pushed = self._push_simplex(name, v_obj, u_obj, sigma)
                 d_u, off_u = index_u[pushed.key()]
                 assert d_u == d
-                for t in range(d):
-                    entries[(off_v + t, off_u + t)] = Fraction(1)
-            maps[name] = RatMatrix(dim_v, self._layout(n, u_obj)[1], entries)
+                placed.append((off_v, off_u, RatMatrix.identity(d)))
+            maps[name] = RatMatrix.from_blocks(dims[v_obj], dims[u_obj], placed)
         return ModPresheaf(cat, dims, maps)
 
     def _push_simplex(self, u_name, v_obj, u_obj, sigma):
@@ -245,37 +227,29 @@ class PresheafComplex:
             target_obj = slice_v.target(arr)
             new_target = cat.compose(u_name, target_obj)
             arrows.append("%s|%s" % (under, new_target))
-        from .fincat import Simplex
         return Simplex(slice_u, tuple(arrows), new_domain)
 
     def _build_phi(self, n, u):
-        """phi^{n,U}: A^n(U) -> A^{n+1}(U)."""
+        """phi^{n,U}: A^n(U) -> A^{n+1}(U): on the block of sigma, the 0th
+        face restricted along the first slice arrow, minus the first face,
+        plus the second, and so on."""
         sl = self.slices[u]
-        blocks_out, dim_out = self._layout(n + 1, u)
         index_in = {sigma.key(): (d, off)
                     for sigma, d, off in self._layout(n, u)[0]}
-        entries = {}
+        blocks_out, dim_out = self._layout(n + 1, u)
+        placed = []
         for sigma, d_out, off_out in blocks_out:
-            # restriction of the 0th face along the first slice arrow
-            first = sigma.arrows[0]
-            under = sl.underlying_arrow[first]
-            face0 = sigma.face(0)
-            d_in, off_in = index_in[face0.key()]
+            d_in, off_in = index_in[sigma.face(0).key()]
+            under = sl.underlying_arrow[sigma.arrows[0]]
             rest = self.presheaf.restrictions[under]
             assert rest.rows == d_out and rest.cols == d_in
-            for (i, j), v in rest.items():
-                key = (off_out + i, off_in + j)
-                entries[key] = entries.get(key, Fraction(0)) + v
-            sign = Fraction(-1)
+            placed.append((off_out, off_in, rest))
             for i in range(1, n + 2):
-                face = sigma.face(i)
-                d_in, off_in = index_in[face.key()]
+                d_in, off_in = index_in[sigma.face(i).key()]
                 assert d_in == d_out
-                for t in range(d_out):
-                    key = (off_out + t, off_in + t)
-                    entries[key] = entries.get(key, Fraction(0)) + sign
-                sign = -sign
-        return RatMatrix(dim_out, self._layout(n, u)[1], entries)
+                placed.append((off_out, off_in,
+                               RatMatrix.identity(d_out).scale((-1) ** i)))
+        return RatMatrix.from_blocks(dim_out, self._layout(n, u)[1], placed)
 
     def _build_eps(self, u):
         """The embedding A(U) -> A^0(U), blockwise the restriction along the
@@ -288,31 +262,40 @@ class PresheafComplex:
     # -- verification helpers
 
     def check_complex(self):
-        """phi o phi = 0 at every object and level; phi natural in U."""
+        """phi o phi = 0 at every object and level; phi natural in U
+        (VerificationFailed otherwise)."""
         cat = self.presheaf.category
         for n in range(self.n_max - 1):
             for u in cat.objects:
-                assert (self.phi[n + 1][u] @ self.phi[n][u]).is_zero(), \
-                    "phi^2 != 0 at level %d, object %s" % (n, u)
+                if not (self.phi[n + 1][u] @ self.phi[n][u]).is_zero():
+                    raise VerificationFailed(
+                        "phi^2 != 0 at level %d, object %s" % (n, u))
         for n in range(self.n_max):
             for name, m in cat.morphisms.items():
                 lhs = self.levels[n + 1].maps[name] @ self.phi[n][m.target]
                 rhs = self.phi[n][m.source] @ self.levels[n].maps[name]
-                assert lhs == rhs, "phi is not natural along %s" % name
+                if lhs != rhs:
+                    raise VerificationFailed(
+                        "phi is not natural along %s" % name)
         return True
 
     def check_kernel_is_algebra(self):
         """ker(phi^0) coincides with the image of the (injective) embedding
-        A -> A^0, objectwise."""
+        A -> A^0, objectwise (VerificationFailed otherwise)."""
         out = {}
         for u in self.presheaf.category.objects:
             eps = self.eps[u]
             a_dim = self.presheaf.algebras[u].dim
-            assert eps.rank() == a_dim, "embedding is not injective at %s" % u
+            if eps.rank() != a_dim:
+                raise VerificationFailed(
+                    "embedding is not injective at %s" % u)
             ker = self.phi[0][u].kernel()
-            assert ker.dim == a_dim, \
-                "kernel of phi^0 has dim %d != dim A(%s) = %d" % (ker.dim, u, a_dim)
-            for j in range(a_dim):
-                assert ker.contains(eps.column(j))
+            if ker.dim != a_dim:
+                raise VerificationFailed(
+                    "kernel of phi^0 has dim %d != dim A(%s) = %d"
+                    % (ker.dim, u, a_dim))
+            if not all(ker.contains(eps.column(j)) for j in range(a_dim)):
+                raise VerificationFailed(
+                    "the image of A(%s) is not in the kernel of phi^0" % u)
             out[u] = ker.dim
         return out

@@ -1,8 +1,8 @@
 from fractions import Fraction as F
 from itertools import product
 
-from gscohom.linalg import RatMatrix
-from gscohom.simplicial import ModPresheaf, PairComplex, submatrix
+from gscohom.linalg import RatMatrix, submatrix
+from gscohom.simplicial import ModPresheaf, PairComplex
 from gscohom.cech import (CechComplex, iota_matrix, pi_matrix, homotopy_matrix,
                           compare_simp_cech, tuple_bar, tuple_theta,
                           tuple_face, tuple_delta)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -129,7 +132,7 @@ def test_class_separation_by_exact_solve(setup, rng):
     # distinct classes: the gauge equation d(xi) = phi_a - phi_b has no
     # solution at all in the normalized reduced degree-1 space, decided by
     # one exact linear solve (not merely by failing sampled gauges)
-    from gscohom.simplicial import submatrix
+    from gscohom.linalg import submatrix
     p, gs = setup
     betti, reps = gs.cohomology(2, "normalized_reduced")
     keep1 = gs.kept_coordinates("normalized_reduced", 1)
@@ -235,3 +238,67 @@ def test_noncommutative_deformation_round_trip():
     for rep in reps:
         defn = deform(p, deformation_from_cochain(p, rep), gs=gs)
         assert defn.twisted.is_valid()
+
+
+_HEADLINE_CHECKS_SCRIPT = r'''
+import importlib
+from gscohom import presets
+from gscohom.algebra import FinModule, InvalidStructure
+from gscohom.descent import DescentMachine, QPresheafObject
+from gscohom.linalg import RatMatrix, VerificationFailed
+from gscohom.presheaf import strict_presheaf
+from gscohom.simplicial import ModPresheaf, PresheafComplex
+deform_module = importlib.import_module("gscohom.deform")
+
+
+def outcome(run):
+    try:
+        run()
+    except (InvalidStructure, VerificationFailed) as exc:
+        return type(exc).__name__
+    return "passed"
+
+
+base = presets.v_poset_commutative()
+cat = base.category
+# a module presheaf whose identity restriction at U0 is 2
+maps = {name: RatMatrix.identity(1) for name in cat.morphisms}
+maps[cat.identity("U0")] = RatMatrix.from_rows([[2]])
+print(outcome(lambda: ModPresheaf(cat, {o: 1 for o in cat.objects}, maps)))
+# a restriction that is not unital
+zeroed = dict(base.restrictions)
+zeroed["U01->U0"] = RatMatrix.zeros(zeroed["U01->U0"].rows,
+                                   zeroed["U01->U0"].cols)
+print(outcome(lambda: strict_presheaf(cat, base.algebras, zeroed)))
+# the axiom checker and the cochain conditions made to disagree
+deform_module.bidirectional_verdicts = \
+    lambda presheaf, triple, gs=None: (True, False, None, ["forced"])
+print(outcome(lambda: deform_module.deform(base)))
+# a slice complex with the all-ones matrix as phi^1 at U0: phi^1 phi^0 != 0
+slices = PresheafComplex(base, 2)
+phi1 = slices.phi[1]["U0"]
+slices.phi[1]["U0"] = RatMatrix.from_rows([[1] * phi1.cols] * phi1.rows)
+print(outcome(slices.check_complex))
+# a comparison-functor presheaf whose identity transition is zero
+q = QPresheafObject(DescentMachine(base), "U0",
+                    FinModule.free(presets.dual_numbers()))
+ident = q.slice.identity(q.slice.objects[0])
+q.transitions[ident] = q.transitions[ident].scale(0)
+print(outcome(q._check_functorial))
+'''
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_headline_checks_raise_under_python_O(flags):
+    # functoriality of module presheaves and of strict_presheaf, the
+    # axiom-vs-cocycle agreement of deform, the slice complex and the
+    # comparison functor's presheaf: typed errors that -O does not strip
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+    done = subprocess.run([sys.executable, *flags, "-c",
+                           _HEADLINE_CHECKS_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["InvalidStructure", "InvalidStructure",
+                                   "VerificationFailed", "VerificationFailed",
+                                   "VerificationFailed"]

@@ -307,12 +307,55 @@ def test_block_diag_with_empty_blocks():
     assert RatMatrix.block_diag([]) == RatMatrix.zeros(0, 0)
 
 
+def test_from_blocks_sums_overlaps():
+    a = RatMatrix.from_rows([[1, 2], [3, F(1, 2)]])
+    assert RatMatrix.from_blocks(3, 4, [(0, 0, a), (1, 1, a), (1, 2, a)]) \
+        == RatMatrix.from_rows([[1, 2, 0, 0], [3, F(3, 2), 3, 2],
+                                [0, 3, F(7, 2), F(1, 2)]])
+
+
+def test_from_blocks_drops_cancelled_entries():
+    a = RatMatrix.from_rows([[1, 2], [0, -1]])
+    b = RatMatrix.from_rows([[-1, 0], [0, 1]])
+    out = RatMatrix.from_blocks(2, 3, [(0, 1, a), (0, 1, b)])
+    assert out == RatMatrix(2, 3, {(0, 2): 2}) and out.nnz() == 1
+    assert RatMatrix.from_blocks(2, 2, [(0, 0, a), (0, 0, -a)]).is_zero()
+
+
+def test_from_blocks_empty_shapes_and_fit():
+    one = RatMatrix.identity(1)
+    assert RatMatrix.from_blocks(0, 0, []) == RatMatrix.zeros(0, 0)
+    assert RatMatrix.from_blocks(2, 3, []) == RatMatrix.zeros(2, 3)
+    # 0-row and 0-column blocks fit even on the far edge, and place nothing
+    assert RatMatrix.from_blocks(2, 3, [(2, 1, RatMatrix.zeros(0, 2)),
+                                        (1, 3, RatMatrix.zeros(1, 0)),
+                                        (1, 2, one)]) == \
+        RatMatrix(2, 3, {(1, 2): 1})
+    assert RatMatrix.from_blocks(0, 3, [(0, 0, RatMatrix.zeros(0, 3))]) == \
+        RatMatrix.zeros(0, 3)
+    for r, c in ((2, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            RatMatrix.from_blocks(2, 3, [(r, c, one)])
+
+
 @ORACLE
 @given(st.lists(sparse_matrices(max_dim=4), min_size=1, max_size=4))
 def test_block_diag_matches_block(mats):
     grid = [[m if i == j else RatMatrix.zeros(m.rows, n.cols)
              for j, n in enumerate(mats)] for i, m in enumerate(mats)]
     assert RatMatrix.block_diag(mats) == RatMatrix.block(grid)
+    # hstack and vstack against dense rows, on the blocks cut to a common
+    # height or width
+    h, w = min(m.rows for m in mats), min(m.cols for m in mats)
+    low = [linalg.submatrix(m, range(h), range(m.cols)) for m in mats]
+    thin = [linalg.submatrix(m, range(m.rows), range(w)) for m in mats]
+    wide = RatMatrix.hstack(low)
+    assert (wide.rows, wide.cols) == (h, sum(m.cols for m in mats))
+    assert wide.to_rows() == [[x for m in low for x in m.to_rows()[i]]
+                              for i in range(h)]
+    tall = RatMatrix.vstack(thin)
+    assert (tall.rows, tall.cols) == (sum(m.rows for m in mats), w)
+    assert tall.to_rows() == [row for m in thin for row in m.to_rows()]
 
 
 @ORACLE

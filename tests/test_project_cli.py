@@ -469,3 +469,13 @@ def test_relation_with_unknown_object_is_a_schema_error_under_python_O(
     path.write_text(json.dumps(raw))
     _same_schema_error_with_and_without_O(["check", "--project", str(path)],
                                           "/category/relations: ")
+
+
+def test_cech_tuple_bound_is_a_usage_error_under_python_O():
+    # H^7 of the full Cech complex of the 4-object diamond needs the 4^9
+    # tuples of degree 8, more than cech.TUPLE_BOUND; without the typed
+    # error -O dropped the bound and the run went on for many seconds
+    _same_schema_error_with_and_without_O(
+        ["cohomology", "--complex", "cech", "--kind", "full", "--degree", "7",
+         "--project", project_path("diamond.json")],
+        "the full Cech complex has 262144 tuples in degree 8")

@@ -2,10 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from gscohom.algebra import InvalidStructure
+from gscohom.hochschild import flatten, unflatten
 from gscohom.linalg import RatMatrix, NotASubcomplex, subcomplex_cohomology
 from gscohom.simplicial import (ModPresheaf, PairComplex, presheaf_cohomology,
                                 PresheafComplex)
 from gscohom import presets
+from conftest import random_matrix
 
 
 def underlying(p):
@@ -29,8 +32,34 @@ def test_functoriality_is_validated():
     ModPresheaf(cat, dims, maps)  # still functorial (poset, no relations)
     bad = {name: RatMatrix.identity(1) for name in cat.morphisms}
     bad[cat.identity("U0")] = RatMatrix.from_rows([[2]])
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidStructure):
         ModPresheaf(cat, dims, bad)
+
+
+@pytest.mark.parametrize("name", ["v_poset_triangular", "diamond_mixed"])
+def test_pair_differential_matches_face_formula(name, rng):
+    # on random cochains, by matrix products: d(phi)^sigma =
+    #   F(u_1) phi^{d_0 sigma} + sum_{i=1}^{p} (-1)^i phi^{d_i sigma}
+    #   + (-1)^{p+1} phi^{d_{p+1} sigma} G(u_{p+1})
+    f = underlying(getattr(presets, name)())
+    for q in range(3):
+        g = f.tensor_power(q)
+        cx = PairComplex(g, f)
+        for p in range(4):
+            phi = {sigma.key(): random_matrix(rng, rows, cols)
+                   for sigma, rows, cols, _ in cx.layout(p)[0]}
+            vec = [x for sigma, _, _, _ in cx.layout(p)[0]
+                   for x in flatten(phi[sigma.key()])]
+            out = cx.differential(p).apply(tuple(vec))
+            for sigma, rows, cols, off in cx.layout(p + 1)[0]:
+                faces = [phi[sigma.face(i).key()] for i in range(p + 2)]
+                expected = f.maps[sigma.arrows[0]] @ faces[0]
+                for i in range(1, p + 1):
+                    expected = expected + faces[i].scale((-1) ** i)
+                expected = expected + (faces[p + 1] @ g.maps[
+                    sigma.arrows[-1]]).scale((-1) ** (p + 1))
+                assert unflatten(out[off:off + rows * cols], rows, cols) \
+                    == expected, (q, p, sigma.key())
 
 
 def test_degree_zero_differential_pattern():
