@@ -91,6 +91,7 @@ class CechComplex:
         self.poset = poset
         self.alternating = alternating
         self._layout_cache = {}
+        self._d = {}
         self.order = {o: i for i, o in enumerate(poset.objects)}
 
     def tuples(self, p):
@@ -147,7 +148,9 @@ class CechComplex:
     def differential(self, p):
         """d(psi)^tau = sum_i (-1)^i psi^{face_i tau} restricted to F(meet
         tau): one signed restriction block per face, none for a face with a
-        repeated coordinate when alternating."""
+        repeated coordinate when alternating.  Cached per degree."""
+        if p in self._d:
+            return self._d[p]
         in_blocks = self.block(p)
         placed = []
         for tau, _, off_out in self.layout(p + 1)[0]:
@@ -163,7 +166,9 @@ class CechComplex:
                 rest = self.f.maps[self.poset.morphism(
                     small, self.poset.meet_all(face))]
                 placed.append((off_out, in_blocks[face][1], rest.scale(sign)))
-        return RatMatrix.from_blocks(self.dim(p + 1), self.dim(p), placed)
+        self._d[p] = RatMatrix.from_blocks(self.dim(p + 1), self.dim(p),
+                                           placed)
+        return self._d[p]
 
     def cohomology(self, p):
         return subcomplex_cohomology(self.differential, p)
@@ -234,6 +239,7 @@ def compare_simp_cech(f_presheaf, poset, p_max):
     cech = CechComplex(f_presheaf, poset, alternating=True)
     report = {"simp_betti": [], "cech_betti": [], "pi_iota_identity": True,
               "homotopy_identity": True}
+    homotopy = {p: homotopy_matrix(cech, p) for p in range(1, p_max + 2)}
     for p in range(p_max + 1):
         report["simp_betti"].append(simp.cohomology(p, reduced=True)[0])
         report["cech_betti"].append(cech.cohomology(p)[0])
@@ -244,9 +250,9 @@ def compare_simp_cech(f_presheaf, poset, p_max):
         if pi_iota != RatMatrix.identity(len(keep)):
             report["pi_iota_identity"] = False
         lhs = RatMatrix.identity(cech.dim(p)) - iota @ pi
-        rhs = cech.differential(p - 1) @ homotopy_matrix(cech, p) if p >= 1 \
+        rhs = cech.differential(p - 1) @ homotopy[p] if p >= 1 \
             else RatMatrix.zeros(cech.dim(0), cech.dim(0))
-        rhs = rhs + homotopy_matrix(cech, p + 1) @ cech.differential(p)
+        rhs = rhs + homotopy[p + 1] @ cech.differential(p)
         if lhs != rhs:
             report["homotopy_identity"] = False
     return report

@@ -21,8 +21,9 @@ solved on their row-major flattenings through `linalg.vec_operator`.
 """
 
 from .linalg import RatMatrix, VerificationFailed, vec_operator
-from .algebra import (AlgebraHom, FinModule, tensor_over, module_hom_space,
-                      check_flat_epimorphism, quotient_by_columns)
+from .algebra import (AlgebraHom, FinModule, InvalidStructure, tensor_over,
+                      module_hom_space, check_flat_epimorphism,
+                      quotient_by_columns)
 from .fincat import slice_category
 
 
@@ -36,12 +37,16 @@ class CentralityRequired(Exception):
 
 
 class DescentMachine:
-    """Shared tensor-coordinate bookkeeping for one twisted presheaf."""
+    """Shared tensor-coordinate bookkeeping for one twisted presheaf.
+
+    Tensor quotients are memoised per machine (see `tensor`); the memo
+    lives and dies with the machine."""
 
     def __init__(self, presheaf):
         self.presheaf = presheaf
         self.category = presheaf.category
         self._homs = {}
+        self._tensors = {}
 
     def hom(self, name):
         if name not in self._homs:
@@ -53,8 +58,17 @@ class DescentMachine:
         return self._homs[name]
 
     def tensor(self, module, name):
-        """module (x)_u A(V) as a QuotientModule."""
-        return tensor_over(module, self.hom(name))
+        """module (x)_u A(V) as a QuotientModule.
+
+        Memoised on (name, module.dim, module.action), which is all that
+        `tensor_over` reads: f^u is fixed by the name in one machine.  An
+        equal module built elsewhere gets the same (never mutated)
+        QuotientModule, and so do the chains that tensor its `.module`
+        again."""
+        key = (name, module.dim, module.action)
+        if key not in self._tensors:
+            self._tensors[key] = tensor_over(module, self.hom(name))
+        return self._tensors[key]
 
     def tensor_map(self, x, src_q, tgt_q, name):
         """The induced map (src (x)_v A(W)) -> (tgt (x)_v A(W)) of a module
@@ -139,7 +153,10 @@ def check_descent(datum):
         v_phi_u = machine.tensor_map(datum.maps[u], t_uv2, t_v_of_mid, v)
         lhs = datum.maps[v] @ v_phi_u
         mod_c, t_uv2_chk, t_uv = machine.mod_c_matrix(module_top, u, v)
-        assert t_uv2_chk.dim == t_uv2.dim
+        if t_uv2_chk.dim != t_uv2.dim:
+            raise VerificationFailed(
+                "the two presentations of M (x) A(V) (x) A(W) along (%s, %s) "
+                "differ in dimension" % (u, v))
         rhs = datum.maps[uv] @ mod_c
         if lhs != rhs:
             failures.append(("compatibility", u, v))
@@ -202,6 +219,14 @@ def check_datum_morphism(datum_a, datum_b, components):
     return failures
 
 
+def _require_datum_morphism(datum_a, datum_b, components):
+    """InvalidStructure unless `components` is a morphism of the data."""
+    failures = check_datum_morphism(datum_a, datum_b, components)
+    if failures:
+        raise InvalidStructure("not a morphism of descent data: %s"
+                               % (failures[:3],))
+
+
 def pointwise_kernel(datum_a, datum_b, components):
     """The kernel of a morphism of descent data, computed pointwise.
 
@@ -209,7 +234,7 @@ def pointwise_kernel(datum_a, datum_b, components):
     kernel (the kernel would then fail to glue)."""
     machine = datum_a.machine
     cat = machine.category
-    assert not check_datum_morphism(datum_a, datum_b, components)
+    _require_datum_morphism(datum_a, datum_b, components)
     kernels = {}
     inclusions = {}
     for obj in cat.objects:
@@ -232,8 +257,9 @@ def pointwise_kernel(datum_a, datum_b, components):
                                          name)
         image = datum_a.maps[name] @ incl_tensor
         maps[name] = inclusions[m.source].solve_many(image)
-        assert maps[name] is not None, \
-            "phi does not restrict to the kernel at %s" % name
+        if maps[name] is None:
+            raise VerificationFailed(
+                "phi does not restrict to the kernel at %s" % name)
     return PreDescentDatum(machine, kernels, maps)
 
 
@@ -242,7 +268,7 @@ def pointwise_cokernel(datum_a, datum_b, components):
     (tensoring is right exact, so no exactness condition arises)."""
     machine = datum_a.machine
     cat = machine.category
-    assert not check_datum_morphism(datum_a, datum_b, components)
+    _require_datum_morphism(datum_a, datum_b, components)
     cokernels = {}
     projections = {}
     for obj in cat.objects:
@@ -252,7 +278,9 @@ def pointwise_cokernel(datum_a, datum_b, components):
         action = []
         for r in mb.action:
             action.append(project @ r @ section)
-            assert (project @ r @ rel).is_zero()
+            if not (project @ r @ rel).is_zero():
+                raise VerificationFailed(
+                    "the image at %s is not action-stable" % obj)
         cokernels[obj] = FinModule(mb.algebra, project.rows, action,
                                    check=False)
         projections[obj] = project
@@ -266,10 +294,13 @@ def pointwise_cokernel(datum_a, datum_b, components):
         # phi^C (proj (x) 1) = proj phi'_u; proj (x) 1 is onto, so solve
         target = projections[m.source] @ datum_b.maps[name]
         pre = proj_tensor.solve_many(RatMatrix.identity(t_cok.dim))
-        assert pre is not None, "tensored projection is not onto"
+        if pre is None:
+            raise VerificationFailed(
+                "the tensored projection is not onto at %s" % name)
         phi = target @ pre
-        assert phi @ proj_tensor == target, \
-            "cokernel comparison map is not well defined at %s" % name
+        if phi @ proj_tensor != target:
+            raise VerificationFailed(
+                "cokernel comparison map is not well defined at %s" % name)
         maps[name] = phi
     return PreDescentDatum(machine, cokernels, maps)
 
@@ -325,7 +356,10 @@ class QPresheafObject:
         category over the slice: one unknown matrix X_w per slice object,
         subject to X_w R^self_a = R^other_a X_w (module maps) and
         X_src T^self = T^other X_tgt along every slice arrow (naturality)."""
-        assert self.anchor == other.anchor
+        if self.anchor != other.anchor:
+            raise InvalidStructure("the presheaves live over different "
+                                   "anchors %s and %s"
+                                   % (self.anchor, other.anchor))
         sl = self.slice
         grid = []
 
@@ -406,7 +440,9 @@ def verify_pseudonatural(machine, samples):
                     # left side
                     can_uv_w, _, _ = machine.can_matrix(module, uv, w)
                     inv_l = can_uv_w.inverse()
-                    assert inv_l is not None
+                    if inv_l is None:
+                        raise VerificationFailed(
+                            "can^{%s,%s} is not invertible" % (uv, w))
                     t_uvw = machine.tensor(module, uvw)
                     rmult = machine.right_mult_matrix(t_uvw, w_of_c)
                     lhs = inv_l @ rmult

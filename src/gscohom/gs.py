@@ -96,6 +96,7 @@ class GSComplex:
         self.module_presheaf = ModPresheaf.of_algebras(presheaf)
         self._pairs = {}
         self._hoch = {}
+        self._local_hochs = {}
         self._bimods = {}
         self._d = {}
         self._projectors = {}
@@ -149,10 +150,20 @@ class GSComplex:
         diagonal over the p-simplices."""
         if (p, q) not in self._hoch:
             self._hoch[(p, q)] = RatMatrix.block_diag([
-                hoch_differential(self.presheaf.algebras[sigma.codomain],
-                                  self.bimodule_along(sigma), q)
-                for sigma in self.category.nerve(p)])
+                self._local_hoch(sigma, q) for sigma in self.category.nerve(p)])
         return self._hoch[(p, q)]
+
+    def _local_hoch(self, sigma, q):
+        """hoch_differential of A(c sigma) with values in A(d sigma),
+        memoised per complex on the algebra's object, the bimodule's actions
+        and q: a composite's bimodule often equals a 1-simplex's, so most
+        sharing is across p."""
+        bimod = self.bimodule_along(sigma)
+        key = (sigma.codomain, bimod.dim, bimod.left, bimod.right, q)
+        if key not in self._local_hochs:
+            self._local_hochs[key] = hoch_differential(
+                self.presheaf.algebras[sigma.codomain], bimod, q)
+        return self._local_hochs[key]
 
     def differential(self, n):
         """The total differential C^n -> C^{n+1}: d_Hoch from (p, q) to

@@ -68,7 +68,7 @@ class RatMatrix:
     """Immutable rows x cols matrix of Fractions, held sparsely as a dict
     {(i, j): nonzero entry}."""
 
-    __slots__ = ("rows", "cols", "_d", "_ech", "_red")
+    __slots__ = ("rows", "cols", "_d", "_ech", "_red", "_hash")
 
     def __init__(self, rows, cols, entries):
         """`entries` is a dict {(i, j): value} or a list of rows."""
@@ -76,6 +76,7 @@ class RatMatrix:
         self.rows = rows
         self.cols = cols
         self._ech = self._red = None     # elimination caches, see _echelon
+        self._hash = None                # see __hash__
         if isinstance(entries, dict):
             self._d = {k: _frac(v) for k, v in entries.items() if v != 0}
         else:
@@ -146,7 +147,11 @@ class RatMatrix:
             self._d == other._d
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.items())))
+        """Computed once: a matrix is never changed after construction.
+        Equal matrices have equal shapes and entry dicts, so equal hashes."""
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, tuple(self.items())))
+        return self._hash
 
     def __repr__(self):
         return "RatMatrix(%d x %d, %d nonzero)" % (self.rows, self.cols, self.nnz())

@@ -26,9 +26,11 @@ class TwistedPresheaf:
         self.twists = dict(twists or {})          # (u, v) names -> element of A(W)
         self.z = dict(z or {})                    # object -> element of A(U)
         for obj in category.objects:
-            assert obj in self.algebras, "missing algebra at %s" % obj
+            if obj not in self.algebras:
+                raise InvalidStructure("missing algebra at %s" % obj)
         for name in category.morphisms:
-            assert name in self.restrictions, "missing restriction at %s" % name
+            if name not in self.restrictions:
+                raise InvalidStructure("missing restriction at %s" % name)
 
     # -- basic access
 
@@ -84,14 +86,17 @@ class TwistedPresheaf:
             c = self.twist(u, v)
             if c != self.algebras[w_obj].unit:
                 inv = self.algebras[w_obj].two_sided_inverse(c)
-                assert inv is not None, "twist %s is not invertible" % ((u, v),)
+                if inv is None:
+                    raise InvalidStructure("twist %s is not invertible"
+                                           % ((u, v),))
                 twists[(u, v)] = inv
         z = {}
         for o in self.category.objects:
             zu = self.z_element(o)
             if zu != self.algebras[o].unit:
                 inv = self.algebras[o].two_sided_inverse(zu)
-                assert inv is not None
+                if inv is None:
+                    raise InvalidStructure("z at %s is not invertible" % o)
                 z[o] = inv
         return TwistedPresheaf(self.category, algebras, self.restrictions,
                                twists, z)
@@ -106,7 +111,8 @@ class TwistedPresheaf:
 
     def underlying_presheaf(self):
         """Forget central twists; only meaningful when has_central_twists()."""
-        assert self.has_central_twists()
+        if not self.has_central_twists():
+            raise InvalidStructure("the twists are not central")
         return TwistedPresheaf(self.category, self.algebras, self.restrictions)
 
     # -- verification

@@ -6,7 +6,7 @@ from gscohom.simplicial import ModPresheaf, PairComplex
 from gscohom.cech import (CechComplex, iota_matrix, pi_matrix, homotopy_matrix,
                           compare_simp_cech, tuple_bar, tuple_theta,
                           tuple_face, tuple_delta)
-from gscohom import presets
+from gscohom import cech as cech_module, presets
 
 
 def v_setup():
@@ -207,3 +207,33 @@ def test_tuple_lemma_signed_permutation_identity():
                     rhs = b if rhs is None else tuple(x + y for x, y in zip(rhs, b))
                 factor = F(-1) ** (j - i - 1)
                 assert lhs == tuple(factor * x for x in rhs), (tau, i, j)
+
+
+def test_compare_builds_each_map_once(monkeypatch):
+    # compare_simp_cech up to degree 3 needs d^0..d^3 and h^1..h^4: each is
+    # built once, and every later request for a differential is the cache
+    built = []
+    real_homotopy = cech_module.homotopy_matrix
+
+    def homotopy(cech, p):
+        built.append(p)
+        return real_homotopy(cech, p)
+
+    handed = []
+    real_differential = CechComplex.differential
+
+    def differential(self, p):
+        handed.append((p, real_differential(self, p)))
+        return handed[-1][1]
+
+    monkeypatch.setattr(cech_module, "homotopy_matrix", homotopy)
+    monkeypatch.setattr(CechComplex, "differential", differential)
+    poset, f = diamond_setup()
+    report = compare_simp_cech(f, poset, 3)
+    assert report["homotopy_identity"] and report["pi_iota_identity"]
+    assert sorted(built) == [1, 2, 3, 4]
+    assert len(handed) > 4
+    assert len({id(m) for _, m in handed}) == len({p for p, _ in handed}) == 4
+    cech = CechComplex(f, poset)
+    assert cech.differential(2) is cech.differential(2)
+    assert cech.differential(2) == real_differential(CechComplex(f, poset), 2)

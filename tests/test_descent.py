@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +16,7 @@ from gscohom.descent import (DescentMachine, PreDescentDatum, check_descent,
                              q_functor, q_functor_hom_check,
                              verify_pseudonatural, check_semiseparated,
                              ExactnessFailure, CentralityRequired)
-from gscohom import presets
+from gscohom import algebra, descent, presets
 
 
 def two_point_cover():
@@ -281,3 +284,153 @@ def test_semiseparated_diagnostics():
     p2 = presets.v_poset_commutative()
     rep2 = check_semiseparated(p2, poset)
     assert not rep2["flat_epi"]["U01->U0"]["flat"]
+
+
+# -- the per-machine memo of tensor quotients
+
+def _count_tensor_over(monkeypatch):
+    calls = []
+    real = descent.tensor_over
+
+    def counted(module, f):
+        calls.append((module, f))
+        return real(module, f)
+
+    monkeypatch.setattr(descent, "tensor_over", counted)
+    return calls
+
+
+def _same_quotient(a, b):
+    return (a.project, a.section, a.relations, a.module.dim,
+            a.module.action) == (b.project, b.section, b.relations,
+                                 b.module.dim, b.module.action)
+
+
+def test_tensor_memo_shares_equal_modules(monkeypatch):
+    calls = _count_tensor_over(monkeypatch)
+    p = presets.v_poset_commutative()
+    machine = DescentMachine(p)
+    dn = p.algebras["U0"]
+    first = machine.tensor(FinModule.free(dn), "U01->U0")
+    again = machine.tensor(FinModule.free(dn), "U01->U0")
+    assert len(calls) == 1 and again is first
+    fresh = algebra.tensor_over(FinModule.free(dn), machine.hom("U01->U0"))
+    assert _same_quotient(first, fresh)
+    # the same dimension with another action gets its own quotient
+    trivial = FinModule(dn, 2, [RatMatrix.identity(2), RatMatrix.zeros(2, 2)])
+    other = machine.tensor(trivial, "U01->U0")
+    assert len(calls) == 2 and other is not first
+    assert _same_quotient(other, algebra.tensor_over(
+        trivial, machine.hom("U01->U0")))
+    # another arrow is another key
+    machine.tensor(FinModule.free(dn), p.category.identity("U0"))
+    assert len(calls) == 3
+
+
+def test_tensor_memo_lives_on_its_machine(monkeypatch):
+    calls = _count_tensor_over(monkeypatch)
+    p = presets.v_poset_commutative()
+    module = FinModule.free(p.algebras["U0"])
+    first = DescentMachine(p).tensor(module, "U01->U0")
+    second = DescentMachine(p).tensor(module, "U01->U0")
+    assert len(calls) == 2 and second is not first
+    assert _same_quotient(first, second)
+
+
+def test_tensor_memo_keeps_check_descent_verdicts(monkeypatch, fixtures):
+    # each distinct (arrow, module) pair of a machine is tensored once,
+    # and the verdicts are the ones of the unmemoised construction
+    calls = _count_tensor_over(monkeypatch)
+    for name, p in fixtures.items():
+        del calls[:]
+        machine = DescentMachine(p)
+        datum = canonical_free_datum(machine)
+        assert check_descent(datum)["classification"] == "descent", name
+        keys = {(arrow, module.dim, module.action)
+                for module, f in calls
+                for arrow in p.category.morphisms
+                if machine.hom(arrow) is f}
+        assert len(keys) == len(calls), name
+
+
+_DESCENT_CHECKS_SCRIPT = '''
+from fractions import Fraction as F
+
+from gscohom import presets
+from gscohom.algebra import FinModule, InvalidStructure
+from gscohom.linalg import RatMatrix, VerificationFailed
+from gscohom.presheaf import TwistedPresheaf
+from gscohom.descent import (DescentMachine, canonical_free_datum,
+                             check_descent, pointwise_kernel,
+                             pointwise_cokernel, q_functor,
+                             verify_pseudonatural)
+
+
+def outcome(run):
+    try:
+        run()
+    except (InvalidStructure, VerificationFailed) as exc:
+        return type(exc).__name__
+    return "passed"
+
+
+p = presets.v_poset_commutative()
+cat = p.category
+dn = p.algebras["U0"]
+x = (F(0), F(1))                     # nilpotent, so not invertible
+ident0 = cat.identity("U0")
+# input preconditions
+print(outcome(lambda: TwistedPresheaf(cat, {}, p.restrictions)))
+print(outcome(lambda: TwistedPresheaf(cat, p.algebras, {})))
+print(outcome(lambda: TwistedPresheaf(
+    cat, p.algebras, p.restrictions, {(ident0, ident0): x}).opposite()))
+print(outcome(lambda: TwistedPresheaf(
+    cat, p.algebras, p.restrictions, z={"U0": x}).opposite()))
+t = presets.v_poset_triangular()
+print(outcome(lambda: TwistedPresheaf(
+    t.category, t.algebras, t.restrictions,
+    {(ident0, ident0): (F(1), F(0), F(1))}).underlying_presheaf()))
+machine = DescentMachine(p)
+free = canonical_free_datum(machine)
+scalar = {o: RatMatrix.identity(free.modules[o].dim).scale(o == "U0")
+          for o in cat.objects}
+print(outcome(lambda: pointwise_kernel(free, free, scalar)))
+print(outcome(lambda: pointwise_cokernel(free, free, scalar)))
+print(outcome(lambda: q_functor(machine, "U0", FinModule.free(dn)).hom_dim_to(
+    q_functor(machine, "U1", FinModule.free(p.algebras["U1"])))))
+# result checks, each made to fail by a broken piece of the machine
+broken = DescentMachine(p)
+real_mod_c = broken.mod_c_matrix
+
+
+def mod_c_with_a_zero_quotient(module, u, v):
+    mat, t2, t = real_mod_c(module, u, v)
+    return mat, broken.tensor(FinModule.zero(t2.module.algebra), v), t
+
+
+broken.mod_c_matrix = mod_c_with_a_zero_quotient
+print(outcome(lambda: check_descent(canonical_free_datum(broken))))
+zeroed = DescentMachine(p)
+zeroed.tensor_map = lambda x, src, tgt, name: RatMatrix.zeros(tgt.dim, src.dim)
+zero = {o: RatMatrix.zeros(free.modules[o].dim, free.modules[o].dim)
+        for o in cat.objects}
+zeroed_free = canonical_free_datum(zeroed)
+print(outcome(lambda: pointwise_cokernel(zeroed_free, zeroed_free, zero)))
+singular = DescentMachine(p)
+singular.can_matrix = lambda m, u, v, twist=False: (
+    RatMatrix.zeros(1, 1), None, None)
+print(outcome(lambda: verify_pseudonatural(
+    singular, {"U0": [FinModule.free(dn)]})))
+'''
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_descent_and_presheaf_checks_raise_under_python_O(flags):
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+    done = subprocess.run([sys.executable, *flags, "-c",
+                           _DESCENT_CHECKS_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["InvalidStructure"] * 8 + \
+        ["VerificationFailed"] * 3

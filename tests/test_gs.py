@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from gscohom import gs as gs_module
+from gscohom.algebra import AlgebraHom, FinBimodule
 from gscohom.linalg import RatMatrix
 from gscohom.gs import (GSComplex, NotCommutative,
                         factor_through_restrictions, cochain_from_parts, KINDS)
@@ -359,3 +361,41 @@ def test_quasi_isomorphism_witness_raises(monkeypatch):
     # the truncations are not quasi-isomorphic and are not compared
     assert gs.cohomology_kinds(1, ("full", "truncated")) == \
         {"full": 0, "truncated": 1}
+
+
+@pytest.mark.parametrize("name", ["v_poset_triangular", "diamond_mixed"])
+def test_hoch_block_memo_matches_direct_differentials(monkeypatch, name):
+    # one hoch_differential per distinct (object, bimodule actions, q) of a
+    # complex, and each block the block_diag of the direct construction
+    presheaf = getattr(presets, name)()
+    calls = []
+    real = gs_module.hoch_differential
+
+    def counted(algebra, bimodule, q):
+        calls.append((algebra, bimodule, q))
+        return real(algebra, bimodule, q)
+
+    monkeypatch.setattr(gs_module, "hoch_differential", counted)
+    gs = GSComplex(presheaf)
+    keys = {}
+    for n in range(5):
+        for p in range(n + 1):
+            q = n - p
+            direct = []
+            keys[(p, q)] = set()
+            for sigma in gs.category.nerve(p):
+                bimod = FinBimodule.along(AlgebraHom(
+                    presheaf.algebras[sigma.codomain],
+                    presheaf.algebras[sigma.domain],
+                    presheaf.restriction_along(sigma)))
+                direct.append(real(presheaf.algebras[sigma.codomain],
+                                   bimod, q))
+                keys[(p, q)].add((sigma.codomain, bimod.left, bimod.right, q))
+            assert gs.hoch_block(p, q) == RatMatrix.block_diag(direct), \
+                (p, q)
+    distinct = set().union(*keys.values())
+    assert len(calls) == len(distinct) < sum(
+        len(gs.category.nerve(p)) for p, q in keys)
+    # a new complex starts without the memo
+    GSComplex(presheaf).hoch_block(1, 1)
+    assert len(calls) == len(distinct) + len(keys[(1, 1)])

@@ -426,3 +426,21 @@ def test_cohomology_matches_dense_reference(pair):
     d_in, d_out = pair
     assert (d_out @ d_in).is_zero()
     assert cohomology(d_in, d_out) == _dense_cohomology(d_in, d_out)
+
+
+def test_hash_is_cached_and_agrees_with_eq(monkeypatch):
+    # equal matrices built from rows, from a dict and from ints hash equal,
+    # unequal shapes do not compare equal, and the hash is computed once
+    rows = RatMatrix.from_rows([[1, F(1, 2)], [0, 3]])
+    entries = RatMatrix(2, 2, {(1, 1): 3, (0, 0): F(2, 2), (0, 1): F(1, 2),
+                               (1, 0): 0})
+    assert rows == entries and hash(rows) == hash(entries)
+    assert {rows: "a"}[entries] == "a"
+    assert RatMatrix.zeros(2, 3) != RatMatrix.zeros(3, 2)
+    sorted_reads = []
+    real_items = RatMatrix.items
+    monkeypatch.setattr(RatMatrix, "items",
+                        lambda self: sorted_reads.append(1) or real_items(self))
+    fresh = rows @ RatMatrix.identity(2)
+    assert hash(fresh) == hash(fresh) == hash(rows)
+    assert len(sorted_reads) == 1
