@@ -1,7 +1,8 @@
 """The Hodge splitting of the total complex by Eulerian idempotents.
 
-The idempotents e_n(r) are built by Lagrange interpolation in the total
-signed-shuffle operator and verified by exact group-algebra arithmetic.
+The idempotents e_n(r) are built from their closed form in the descent
+number and certified by exact group-algebra arithmetic to be the Lagrange
+interpolants in the total signed-shuffle operator.
 For presheaves of commutative algebras both differentials preserve each
 component, the Betti numbers add up, and top components lift through the
 restriction maps.

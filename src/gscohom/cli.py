@@ -7,8 +7,10 @@ library that fails, reported with the name of its exception), 2
 schema/usage error (a bad project, a negative --degree, a --kind the
 complex does not have, a malformed GSD_IDEMPOTENT_BOUND, or a Hodge
 command on an algebra that is not commutative), always reported as JSON.
-Progress notes go to stderr unless --quiet is given.  GSD_IDEMPOTENT_BOUND bounds
-the symmetric-group degree used by Hodge computations (default 6).
+A reader that closes stdout early (`| head`) ends the command without a
+traceback and with exit code 141, as SIGPIPE would.  Progress notes go to
+stderr unless --quiet is given.  GSD_IDEMPOTENT_BOUND bounds the
+symmetric-group degree used by Hodge computations (default 6).
 """
 
 import argparse
@@ -385,6 +387,20 @@ def _usage_error(message):
 
 
 def main(argv=None):
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`gscohom ... | head`): nobody is
+        # left to read a report.  Point stdout at the null device so that
+        # the interpreter's final flush does not fail again, and exit as a
+        # process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13
+    return code
+
+
+def _run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

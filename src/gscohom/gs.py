@@ -100,6 +100,7 @@ class GSComplex:
         self._bimods = {}
         self._d = {}
         self._projectors = {}
+        self._actions = {}
         self._layouts = {}
 
     # -- layout
@@ -329,17 +330,27 @@ class GSComplex:
     def _build_hodge_projector(self, n, r):
         blocks = []
         for p, q, _, simplices in self.layout(n)[0]:
-            elt = eulerian_idempotent(q, r) if 1 <= r <= q else None
             for sigma, rows, cols, _ in simplices:
                 size = rows * cols
-                if elt is not None:
+                if 1 <= r <= q:
                     d_c = self.presheaf.algebras[sigma.codomain].dim
-                    blocks.append(element_action_matrix(elt, rows, d_c))
+                    blocks.append(self.idempotent_action(q, r, rows, d_c))
                 elif q == r == 0:
                     blocks.append(RatMatrix.identity(size))
                 else:
                     blocks.append(RatMatrix.zeros(size, size))
         return RatMatrix.block_diag(blocks)
+
+    def idempotent_action(self, q, r, m_dim, a_dim):
+        """The action of e_q(r) on Hom(A^{(x) q}, M) for dim M = m_dim and
+        dim A = a_dim, built once per complex: it depends on nothing else,
+        and the projectors of neighbouring degrees and the lifts of
+        `factor_through_restrictions` ask for the same ones."""
+        key = (q, r, m_dim, a_dim)
+        if key not in self._actions:
+            self._actions[key] = element_action_matrix(
+                eulerian_idempotent(q, r), m_dim, a_dim)
+        return self._actions[key]
 
     def hodge_split(self, theta):
         """theta = sum_r theta_r with theta_r in the image of the r-th
@@ -394,8 +405,7 @@ def factor_through_restrictions(gs, p, r, component):
             continue
         a_d = gs.presheaf.algebras[sigma.domain]
         a_c = gs.presheaf.algebras[sigma.codomain]
-        action = element_action_matrix(eulerian_idempotent(r, r),
-                                       a_d.dim, a_c.dim)
+        action = gs.idempotent_action(r, r, a_d.dim, a_c.dim)
         flat = flatten(theta)
         if action.apply(flat) != flat:
             raise VerificationFailed("component at %s is not fixed by the top "

@@ -1,23 +1,37 @@
 """The rational symmetric-group algebra and its Eulerian idempotents.
 
-The idempotents e_n(r), 1 <= r <= n, are built by Lagrange interpolation in
-the total signed-shuffle operator s_n (the sum over i of all signed
-(i, n-i)-riffle shuffles), whose spectrum is {2^r - 2 : r = 1..n}:
+The idempotents e_n(r), 1 <= r <= n, are the Lagrange interpolants in the
+total signed-shuffle operator s_n (the sum over i of all signed
+(i, n-i)-riffle shuffles), whose spectrum is {lambda_r = 2^r - 2}:
 
     e_n(r) = prod_{j != r} (s_n - lambda_j) / (lambda_r - lambda_j).
 
-Every constructed family is verified before being returned: each e_n(r) is
-idempotent, distinct ones multiply to zero, and they sum to the identity of
-QS_n.  Permutations act on Hochschild cochains on the right by place
-permutation of the tensor arguments; the shuffle signs live in the operator
-itself.
+They are built from their closed form (Loday, Cyclic Homology, 4.5;
+Gerstenhaber-Schack, JPAA 1987): the coefficient of e_n(r) on sigma is
+
+    sgn(sigma) [t^r] C(t - d(sigma) + n - 1, n),
+
+where d(sigma) counts the descents of sigma, so n! e_n(r) has integer
+coefficients.  Every family is certified before it is returned: the
+certificate (`certify_eulerian_family`) checks sum_r e_n(r) = 1 and
+s_n e_n(r) = lambda_r e_n(r), which proves the family equal to the Lagrange
+interpolants and hence idempotent and pairwise orthogonal.  It costs n
+products with s_n (2^n - n terms for n >= 2), where the all-pairs check
+cost n(n+1)/2 products of n!-term elements.
+
+Coefficients are exact: an int where integral, else a Fraction (the two
+compare and hash equal).  Permutations act on Hochschild cochains on the
+right by place permutation of the tensor arguments; the shuffle signs live
+in the operator itself.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial, lcm
+from operator import add
 
 from .linalg import RatMatrix, VerificationFailed
-from .hochschild import words, word_index
 
 
 def identity_perm(n):
@@ -26,7 +40,7 @@ def identity_perm(n):
 
 def compose_perms(s, t):
     """(s o t)(i) = s(t(i))."""
-    return tuple(s[t[i]] for i in range(len(t)))
+    return tuple(map(s.__getitem__, t))
 
 
 def perm_sign(perm):
@@ -38,18 +52,33 @@ def perm_sign(perm):
     return -1 if inv % 2 else 1
 
 
+def descents(perm):
+    """The number of i with perm(i) > perm(i+1)."""
+    return sum(a > b for a, b in zip(perm, perm[1:]))
+
+
+def _exact(c):
+    """c as an int when integral, else as a Fraction."""
+    if type(c) is not int:
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
 class GroupAlgebraElement:
-    """An element of QS_n as a mapping permutation -> coefficient."""
+    """An element of QS_n as a mapping permutation -> coefficient (an int
+    where integral, else a Fraction)."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = {p: Fraction(c) for p, c in (terms or {}).items() if c != 0}
+        self.terms = {p: _exact(c) for p, c in (terms or {}).items() if c != 0}
 
     @staticmethod
     def one(n):
-        return GroupAlgebraElement(n, {identity_perm(n): Fraction(1)})
+        return GroupAlgebraElement(n, {identity_perm(n): 1})
 
     @staticmethod
     def zero(n):
@@ -58,17 +87,17 @@ class GroupAlgebraElement:
     def __add__(self, other):
         out = dict(self.terms)
         for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
+            out[p] = out.get(p, 0) + c
         return GroupAlgebraElement(self.n, out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) - c
+            out[p] = out.get(p, 0) - c
         return GroupAlgebraElement(self.n, out)
 
     def scale(self, a):
-        a = Fraction(a)
+        a = _exact(a)
         return GroupAlgebraElement(self.n, {p: a * c for p, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -76,7 +105,7 @@ class GroupAlgebraElement:
         for p, c in self.terms.items():
             for q, d in other.terms.items():
                 r = compose_perms(p, q)
-                out[r] = out.get(r, Fraction(0)) + c * d
+                out[r] = out.get(r, 0) + c * d
         return GroupAlgebraElement(self.n, out)
 
     def __eq__(self, other):
@@ -106,62 +135,83 @@ def total_shuffle_operator(n):
     terms = {}
     for i in range(1, n):
         for perm in riffle_shuffles(n, i):
-            terms[perm] = terms.get(perm, Fraction(0)) + perm_sign(perm)
+            terms[perm] = terms.get(perm, 0) + perm_sign(perm)
     return GroupAlgebraElement(n, terms)
+
+
+def certify_eulerian_family(family):
+    """Raise VerificationFailed unless `family` = (e_1, ..., e_n) is the
+    family of Eulerian idempotents of QS_n, the Lagrange interpolants
+    L_r(s_n) of the total shuffle operator.
+
+    Certificate: sum_r e_r = 1 and s_n e_r = lambda_r e_r for every r,
+    where lambda_r = 2^r - 2.  Proof that it is as strong as checking
+    e_r = L_r(s_n) and e_r e_t = delta_rt e_t for all pairs: let
+    L_r(x) = prod_{j != r} (x - lambda_j) / (lambda_r - lambda_j), so that
+    L_r(lambda_j) = delta_rj, the lambda_j being distinct.  From
+    s_n e_j = lambda_j e_j, p(s_n) e_j = p(lambda_j) e_j for every
+    polynomial p.  Hence
+
+        L_r(s_n) = L_r(s_n) sum_j e_j = sum_j L_r(lambda_j) e_j = e_r,
+
+    so the family is exactly the Lagrange family, and
+
+        e_r e_t = L_r(s_n) e_t = L_r(lambda_t) e_t = delta_rt e_t.
+
+    Conversely the Lagrange family passes: (s_n - lambda_r) L_r(s_n) is a
+    multiple of prod_j (s_n - lambda_j) = 0.  Both identities are checked
+    on the multiples n! e_r, whose coefficients are integers for the true
+    family, so the products with s_n run in integer arithmetic.
+    """
+    n = len(family)
+    if n < 1 or any(e.n != n for e in family):
+        raise VerificationFailed("%d elements are not a family in QS_%d"
+                                 % (n, n))
+    scaled = [e.scale(factorial(n)) for e in family]
+    total = GroupAlgebraElement.zero(n)
+    for e in scaled:
+        total = total + e
+    if total != GroupAlgebraElement.one(n).scale(factorial(n)):
+        raise VerificationFailed("idempotents do not sum to 1 in QS_%d" % n)
+    s = total_shuffle_operator(n)
+    for r, e in enumerate(scaled, start=1):
+        if s * e != e.scale(2 ** r - 2):
+            raise VerificationFailed(
+                "s_%d e_%d(%d) != %d e_%d(%d)" % (n, n, r, 2 ** r - 2, n, r))
 
 
 _idempotent_cache = {}
 
 
 def eulerian_idempotents(n):
-    """The family (e_n(1), ..., e_n(n)), verified exactly.
-
-    Raises VerificationFailed if idempotency, pairwise orthogonality, or
-    completeness fails (a construction-bug guard; the checks are exact
-    group-algebra arithmetic)."""
-    assert n >= 1
+    """The family (e_n(1), ..., e_n(n)) from its closed form, certified
+    exactly by `certify_eulerian_family` (VerificationFailed otherwise) and
+    kept per n.  Raises ValueError for n < 1."""
+    if n < 1:
+        raise ValueError("Eulerian idempotents of QS_%d: expected n >= 1" % n)
     if n in _idempotent_cache:
         return _idempotent_cache[n]
-    lambdas = [Fraction(2 ** r - 2) for r in range(1, n + 1)]
-    s = total_shuffle_operator(n)
-    powers = [GroupAlgebraElement.one(n)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * s)
-    idempotents = []
-    for r in range(1, n + 1):
-        # coefficients of prod_{j != r} (x - lambda_j)
-        coeffs = [Fraction(1)]
+    # n! C(t - d + n - 1, n) = prod_{j < n} (t - d + j), as coefficient
+    # lists in t, one per descent number d
+    polys = []
+    for d in range(n):
+        coeffs = [1]
         for j in range(n):
-            if j == r - 1:
-                continue
-            new = [Fraction(0)] * (len(coeffs) + 1)
+            shifted = [0] + coeffs
             for k, c in enumerate(coeffs):
-                new[k + 1] += c
-                new[k] -= c * lambdas[j]
-            coeffs = new
-        denom = Fraction(1)
-        for j in range(n):
-            if j != r - 1:
-                denom *= lambdas[r - 1] - lambdas[j]
-        elt = GroupAlgebraElement.zero(n)
-        for k, c in enumerate(coeffs):
-            elt = elt + powers[k].scale(c / denom)
-        idempotents.append(elt)
-    total = GroupAlgebraElement.zero(n)
-    for e in idempotents:
-        total = total + e
-    if total != GroupAlgebraElement.one(n):
-        raise VerificationFailed("idempotents do not sum to 1 in QS_%d" % n)
-    for a in range(n):
-        for b in range(a, n):
-            prod = idempotents[a] * idempotents[b]
-            expected = idempotents[a] if a == b else GroupAlgebraElement.zero(n)
-            if prod != expected:
-                raise VerificationFailed(
-                    "orthogonality/idempotency fails for (e_%d(%d), e_%d(%d))"
-                    % (n, a + 1, n, b + 1))
-    _idempotent_cache[n] = tuple(idempotents)
-    return _idempotent_cache[n]
+                shifted[k] += (j - d) * c
+            coeffs = shifted
+        polys.append(coeffs)
+    terms = [{} for _ in range(n)]
+    order = factorial(n)
+    for perm in permutations(range(n)):
+        sign, coeffs = perm_sign(perm), polys[descents(perm)]
+        for r in range(1, n + 1):
+            terms[r - 1][perm] = Fraction(sign * coeffs[r], order)
+    family = tuple(GroupAlgebraElement(n, t) for t in terms)
+    certify_eulerian_family(family)
+    _idempotent_cache[n] = family
+    return family
 
 
 def eulerian_idempotent(n, r):
@@ -177,35 +227,59 @@ def eulerian_idempotent(n, r):
 ACTION_CONVENTION = "inverse-place-permutation/signs-in-operator"
 
 
-def perm_action_matrix(perm, m_dim, a_dim):
-    """The right place-permutation action of `perm` on cochain matrices
-    Hom(A^{(x) q}, M), on the column-major flat coordinates:
+def element_action_matrix(elt, m_dim, a_dim):
+    """The right place-permutation action of elt = sum_sigma c_sigma sigma
+    in QS_q on cochain matrices Hom(A^{(x) q}, M), on the column-major flat
+    coordinates:
 
-        (phi . perm)(a_1, ..., a_q) = phi(a_{perm^{-1}(1)}, ..., a_{perm^{-1}(q)}).
+        (phi . sigma)(a_1, ..., a_q) = phi(a_{sigma^{-1}(1)}, ..., a_{sigma^{-1}(q)}),
 
-    This is the action dual to the signed shuffle product on tensors (the
-    signs stay inside the shuffle operator); with the direct rather than the
-    inverse indexing, the Hochschild differential fails to preserve the
-    components from tensor degree three on.
+    extended linearly.  This is the action dual to the signed shuffle
+    product on tensors (the signs stay inside the shuffle operator); with
+    the direct rather than the inverse indexing, the Hochschild
+    differential fails to preserve the components from tensor degree three
+    on.
+
+    Built in one pass over (word, permutation): the word w reads its value
+    at the word (w_{sigma^{-1}(1)}, ..., w_{sigma^{-1}(q)}), whose index is
+    sum_i w_i a_dim^(q-1-sigma(i)).  For each sigma these source indices of
+    all words, in word order, are built digit by digit; the (word, source)
+    hits are counted per coefficient value, so the counting runs in
+    `Counter`, and summed as integers over the common denominator of the
+    coefficients.  The action is the identity on M.
     """
-    q = len(perm)
-    size = m_dim * a_dim ** q
+    q = elt.n
+    n_words = a_dim ** q
+    den = lcm(*(c.denominator for c in elt.terms.values()))
+    by_coeff = {}
+    for perm, c in elt.terms.items():
+        by_coeff.setdefault(c, []).append(perm)
+    rows = range(0, n_words * n_words, n_words)     # dst * n_words, in order
+    totals = Counter()                  # dst * n_words + src -> den * entry
+    for c, perms in by_coeff.items():
+        hits = Counter()
+        for perm in perms:
+            srcs = [0]
+            for t in perm:
+                weight = a_dim ** (q - 1 - t)
+                srcs = [s + x * weight for s in srcs for x in range(a_dim)]
+            hits.update(map(add, rows, srcs))
+        num = c.numerator * (den // c.denominator)
+        for key, k in hits.items():
+            totals[key] += num * k
     entries = {}
-    inv = [0] * q
-    for i, v in enumerate(perm):
-        inv[v] = i
-    for w in words(a_dim, q):
-        wp = tuple(w[inv[t]] for t in range(q))
-        src = word_index(wp, a_dim)
-        dst = word_index(w, a_dim)
-        for k in range(m_dim):
-            entries[(dst * m_dim + k, src * m_dim + k)] = Fraction(1)
+    for key, v in totals.items():
+        if v:
+            dst, src = divmod(key, n_words)
+            value = Fraction(v, den)
+            for i in range(m_dim):
+                entries[(dst * m_dim + i, src * m_dim + i)] = value
+    size = m_dim * n_words
     return RatMatrix(size, size, entries)
 
 
-def element_action_matrix(elt, m_dim, a_dim):
-    """The action matrix of a group-algebra element on flat cochains."""
-    size = m_dim * a_dim ** elt.n
-    return RatMatrix.from_blocks(size, size, [
-        (0, 0, perm_action_matrix(perm, m_dim, a_dim).scale(c))
-        for perm, c in sorted(elt.terms.items())])
+def perm_action_matrix(perm, m_dim, a_dim):
+    """The action matrix of the single permutation `perm` (see
+    `element_action_matrix`)."""
+    return element_action_matrix(GroupAlgebraElement(len(perm), {perm: 1}),
+                                 m_dim, a_dim)

@@ -10,7 +10,7 @@ from gscohom.algebra import AlgebraHom, FinBimodule
 from gscohom.linalg import RatMatrix
 from gscohom.gs import (GSComplex, NotCommutative,
                         factor_through_restrictions, cochain_from_parts, KINDS)
-from gscohom.shuffles import VerificationFailed
+from gscohom.shuffles import VerificationFailed, eulerian_idempotent
 from gscohom import presets
 
 
@@ -399,3 +399,34 @@ def test_hoch_block_memo_matches_direct_differentials(monkeypatch, name):
     # a new complex starts without the memo
     GSComplex(presheaf).hoch_block(1, 1)
     assert len(calls) == len(distinct) + len(keys[(1, 1)])
+
+
+def test_idempotent_actions_are_built_once_per_complex(monkeypatch):
+    # the projectors of neighbouring degrees and the lifts of
+    # factor_through_restrictions share each (q, r, m_dim, a_dim) action
+    calls = []
+    real = gs_module.element_action_matrix
+
+    def counted(elt, m_dim, a_dim):
+        calls.append((elt.n, m_dim, a_dim))
+        return real(elt, m_dim, a_dim)
+
+    monkeypatch.setattr(gs_module, "element_action_matrix", counted)
+    gs = GSComplex(presets.v_poset_commutative())
+    for n in (2, 3):
+        for r in range(n + 1):
+            gs.hodge_projector(n, r)
+    built = len(calls)
+    assert built == len(gs._actions)
+    assert built < sum(len(gs.category.nerve(p)) * (n - p)
+                       for n in (2, 3) for p in range(n + 1))
+    ident = {sigma.key(): gs.presheaf.restriction_along(sigma)
+             for sigma in gs.category.nerve(1) if not sigma.is_degenerate()}
+    out = factor_through_restrictions(gs, 1, 1, ident)
+    assert not out["failures"]
+    assert len(calls) == len(gs._actions)
+    for (q, r, m_dim, a_dim), action in gs._actions.items():
+        assert action == real(eulerian_idempotent(q, r), m_dim, a_dim)
+    # a new complex starts without the memo
+    GSComplex(presets.v_poset_commutative()).hodge_projector(1, 1)
+    assert len(calls) > len(gs._actions)

@@ -313,6 +313,23 @@ def test_cli_hodge_noncommutative_exit_2(tmp_path):
     assert b"Traceback" not in done.stderr
 
 
+def test_cli_closed_stdout_ends_without_traceback():
+    # the reader of the pipe is gone before the report is written, as with
+    # `gscohom hodge ... | head -c 50` when head exits first
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    cmd = [sys.executable, "-m", "gscohom.cli", "hodge",
+           "--project", project_path("v_poset.json"), "--degree", "2"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    try:
+        done = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE,
+                              env=env)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
+
+
 @pytest.mark.parametrize("exc_name", ["VerificationFailed",
                                       "ComplexViolation", "NotASubcomplex"])
 def test_cli_failed_check_is_a_json_report(monkeypatch, exc_name):
