@@ -52,49 +52,39 @@ class FinAlgebra:
             raise InvalidStructure("algebra axioms fail: %s" % (fails[:3],))
 
     def axiom_failures(self):
-        """Unit and associativity defects, as a list of readable tuples."""
-        fails = []
-        for i in range(self.dim):
-            ei = unit_vector(self.dim, i)
-            if self.mul(self.unit, ei) != ei:
-                fails.append(("unit_left", i))
-            if self.mul(ei, self.unit) != ei:
-                fails.append(("unit_right", i))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.mul(self.mult[i][j], unit_vector(self.dim, k))
-                    rhs = self.mul(unit_vector(self.dim, i), self.mult[j][k])
-                    if lhs != rhs:
-                        fails.append(("associativity", i, j, k))
+        """Unit and associativity defects, as a list of readable tuples.
+
+        The axioms are the matrix identities mu(u (x) 1) = 1 = mu(1 (x) u)
+        and mu(mu (x) 1) = mu(1 (x) mu); the witnesses are the columns where
+        they fail, e_i for the unit and e_i (x) e_j (x) e_k at column
+        (i*dim + j)*dim + k for associativity.
+        """
+        d = self.dim
+        mu, one = self.mult_matrix(), RatMatrix.identity(d)
+        u = RatMatrix.from_cols([self.unit])
+        unit_defects = (("unit_left", _defect_columns(mu @ u.kron(one), one)),
+                        ("unit_right", _defect_columns(mu @ one.kron(u), one)))
+        fails = [(name, i) for i in range(d) for name, cols in unit_defects
+                 if i in cols]
+        for c in sorted(_defect_columns(mu @ mu.kron(one),
+                                        mu @ one.kron(mu))):
+            i, jk = divmod(c, d * d)
+            fails.append(("associativity", i) + divmod(jk, d))
         return fails
 
     def mul(self, x, y):
-        out = list(zero_vector(self.dim))
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, m in enumerate(self.mult[i][j]):
-                    if m:
-                        out[k] += c * m
-        return tuple(out)
+        return self.left_mult_matrix(x).apply(y)
 
     def basis(self):
         return [unit_vector(self.dim, i) for i in range(self.dim)]
 
     def left_mult_matrix(self, x):
-        """Matrix of y -> x*y."""
-        cols = [self.mul(x, e) for e in self.basis()]
-        return RatMatrix.from_cols(cols, ambient=self.dim)
+        """L_x, the matrix of y -> x*y, which is mu (x (x) 1)."""
+        return _multiplication_by(x, self.mult)
 
     def right_mult_matrix(self, x):
-        """Matrix of y -> y*x."""
-        cols = [self.mul(e, x) for e in self.basis()]
-        return RatMatrix.from_cols(cols, ambient=self.dim)
+        """R_x, the matrix of y -> y*x, which is mu (1 (x) x)."""
+        return _multiplication_by(x, tuple(zip(*self.mult)))
 
     def mult_matrix(self):
         """Multiplication as a matrix A (x) A -> A (basis e_i (x) e_j,
@@ -107,7 +97,13 @@ class FinAlgebra:
                    for i in range(self.dim) for j in range(self.dim))
 
     def is_central(self, x):
-        return all(self.mul(x, e) == self.mul(e, x) for e in self.basis())
+        """x a = a x for every a, as L_x = R_x."""
+        return self.left_mult_matrix(x) == self.right_mult_matrix(x)
+
+    def conjugates(self, x, f, y, g):
+        """x f(a) = g(a) y for every a in the common source of the matrices
+        f and g, as the matrix identity L_x F = R_y G."""
+        return self.left_mult_matrix(x) @ f == self.right_mult_matrix(y) @ g
 
     def two_sided_inverse(self, x):
         """The inverse of x, or None.  Solves x*y = 1 and checks y*x = 1."""
@@ -136,11 +132,11 @@ class FinAlgebra:
                 for i in range(self.dim)]
         change = RatMatrix.from_cols(cols)
         inv = change.inverse()
-        basis_new = [change.column(i) for i in range(self.dim)]
-        mult = [[inv.apply(self.mul(basis_new[i], basis_new[j]))
-                 for j in range(self.dim)] for i in range(self.dim)]
-        unit = inv.apply(self.unit)
-        return FinAlgebra(self.dim, mult, unit, name=self.name), change
+        mu = inv @ self.mult_matrix() @ change.kron(change)
+        mult = [[mu.column(i * self.dim + j) for j in range(self.dim)]
+                for i in range(self.dim)]
+        return FinAlgebra(self.dim, mult, inv.apply(self.unit),
+                          name=self.name), change
 
     def opposite(self):
         """Same space, swapped multiplication."""
@@ -337,6 +333,24 @@ class FinBimodule:
         return FinBimodule(self.right_algebra.opposite(),
                            self.left_algebra.opposite(),
                            self.dim, self.right, self.left, check=False)
+
+
+def _multiplication_by(x, table):
+    """The matrix of y -> sum_{i,j} x_i y_j table[i][j], read off the
+    structure constants: column j is sum_i x_i table[i][j]."""
+    entries = {}
+    for i, xi in enumerate(x):
+        if xi:
+            for j, product in enumerate(table[i]):
+                for k, c in enumerate(product):
+                    if c:
+                        entries[(k, j)] = entries.get((k, j), 0) + xi * c
+    return RatMatrix(len(table), len(table), entries)
+
+
+def _defect_columns(lhs, rhs):
+    """The indices of the columns where two matrices differ."""
+    return {j for (_, j), _ in (lhs - rhs).items()}
 
 
 class QuotientModule:

@@ -9,8 +9,10 @@ complex does not have, a malformed GSD_IDEMPOTENT_BOUND, or a Hodge
 command on an algebra that is not commutative), always reported as JSON.
 A reader that closes stdout early (`| head`) ends the command without a
 traceback and with exit code 141, as SIGPIPE would.  Progress notes go to
-stderr unless --quiet is given.  GSD_IDEMPOTENT_BOUND bounds the
-symmetric-group degree used by Hodge computations (default 6).
+stderr unless --quiet is given.  GSD_IDEMPOTENT_BOUND (default 6) is the
+largest `hodge --degree` and the largest Hodge component `factor` lifts; a
+larger value is a usage error.  Degree n builds the Eulerian idempotents of
+QS_{n+1}, so the default allows those of QS_7.
 """
 
 import argparse

@@ -14,6 +14,7 @@ conditions, and insists the two verdicts agree.  Equivalences (1 + g1 eps,
 """
 
 from .linalg import RatMatrix, VerificationFailed, zero_vector
+from .algebra import InvalidStructure
 from .presheaf import TwistedPresheaf, check_twisted_morphism
 from .gs import GSComplex, cochain_from_parts
 from .shuffles import perm_action_matrix
@@ -113,7 +114,9 @@ def cochain_failures(presheaf, triple, gs=None):
     for obj in cat.objects:
         a = presheaf.algebras[obj]
         u = a.unit_index()
-        assert u is not None
+        if u is None:
+            raise InvalidStructure("the unit of the algebra at %s is not a "
+                                   "basis vector" % obj)
         mat = triple.m1_at(obj)
         for i in range(a.dim):
             if any(mat.column(u * a.dim + i)) or any(mat.column(i * a.dim + u)):
@@ -156,8 +159,7 @@ def build_twisted_candidate(presheaf, triple):
         restrictions[name] = eps_block(presheaf.restrictions[name],
                                        triple.f1_at(name))
     twists = {}
-    for (u, v) in TwistedPresheaf(cat, presheaf.algebras,
-                                  presheaf.restrictions).composable_pairs():
+    for (u, v) in cat.composable_pairs():
         w_obj = cat.source(v)
         c1 = triple.c1_at((v, u))
         if any(c1):
@@ -213,7 +215,8 @@ def deform(presheaf, m1=None, f1=None, c1=None, gs=None):
     agree (VerificationFailed otherwise).  Returns the TwistedDeformation,
     or raises NotACocycle naming the failed identities.
     """
-    assert presheaf.is_strict()
+    if not presheaf.is_strict():
+        raise InvalidStructure("only a strict presheaf can be deformed")
     triple = m1 if isinstance(m1, CandidateTriple) else \
         CandidateTriple(presheaf, m1, f1, c1)
     axiom_ok, cochain_ok, candidate, cochain_fails = \
@@ -274,7 +277,8 @@ def equivalence(def_a, def_b, pair, gs=None):
     (VerificationFailed otherwise).
     """
     base = def_a.base
-    assert def_b.base is base
+    if def_b.base is not base:
+        raise InvalidStructure("the deformations have different bases")
     cat = base.category
     g_blocks = {}
     for obj in cat.objects:
@@ -333,7 +337,7 @@ def opposite_deformation(defn, gs=None):
         _verify(result.twisted.restrictions[name] ==
                 expected.restrictions[name],
                 "opposite deformation: restrictions differ at %s" % name)
-    for pair in result.twisted.composable_pairs():
+    for pair in cat.composable_pairs():
         _verify(result.twisted.twist(*pair) == expected.twist(*pair),
                 "opposite deformation: twists differ at %s" % (pair,))
     return result

@@ -25,6 +25,7 @@ from .algebra import (AlgebraHom, FinModule, InvalidStructure, tensor_over,
                       module_hom_space, check_flat_epimorphism,
                       quotient_by_columns)
 from .fincat import slice_category
+from .simplicial import require_functorial
 
 
 class ExactnessFailure(Exception):
@@ -140,9 +141,7 @@ def check_descent(datum):
             if phi @ t_u.module.action[j] != tgt.action[j] @ phi:
                 failures.append(("not_module_map", name))
                 break
-    pairs = [(u, v) for u in sorted(cat.morphisms) for v in sorted(cat.morphisms)
-             if cat.target(v) == cat.source(u)]
-    for (u, v) in pairs:
+    for (u, v) in cat.composable_pairs():
         m_u = cat.morphisms[u]
         uv = cat.compose(u, v)
         module_top = datum.modules[m_u.target]
@@ -336,20 +335,11 @@ class QPresheafObject:
     def _check_functorial(self):
         """The transitions form a presheaf on the slice (VerificationFailed
         otherwise)."""
-        sl = self.slice
-        for obj in sl.objects:
-            if self.transitions[sl.identity(obj)] != \
-                    RatMatrix.identity(self.tensors[obj].dim):
-                raise VerificationFailed(
-                    "the transition of the identity at %s is not 1" % obj)
-        for g in sl.morphisms:
-            for f in sl.morphisms:
-                if sl.target(f) == sl.source(g) and \
-                        self.transitions[f] @ self.transitions[g] != \
-                        self.transitions[sl.compose(g, f)]:
-                    raise VerificationFailed(
-                        "the transitions are not functorial on (%s, %s)"
-                        % (g, f))
+        require_functorial(
+            self.slice, self.transitions,
+            {w: t.dim for w, t in self.tensors.items()}, VerificationFailed,
+            "the transition of the identity at %s is not 1",
+            "the transitions are not functorial on (%s, %s)")
 
     def hom_dim_to(self, other):
         """dim of natural transformations self -> other in the presheaf

@@ -8,6 +8,12 @@ deterministic.
 from dataclasses import dataclass
 
 
+class InvalidCategory(ValueError):
+    """An explicit category breaks a unit or associativity law, its
+    composition table lacks or misplaces a composite, or its morphisms and
+    identities do not fit its objects."""
+
+
 @dataclass(frozen=True, order=True)
 class Morphism:
     name: str
@@ -22,7 +28,8 @@ class FiniteCategory:
     """A finite category with an explicit composition table.
 
     `compose(g, f)` is g after f (for f: A -> B, g: B -> C).  Associativity
-    and the unit laws are verified exhaustively at construction.
+    and the unit laws are verified exhaustively at construction
+    (InvalidCategory otherwise).
     """
 
     def __init__(self, objects, morphisms, composition, identities):
@@ -34,35 +41,42 @@ class FiniteCategory:
         self._validate()
 
     def _validate(self):
+        """Endpoints, identities, composites, the unit laws and
+        associativity; InvalidCategory names the first that fails."""
         objs = set(self.objects)
-        for m in self.morphisms.values():
-            assert m.source in objs and m.target in objs, m
-        for obj, i in self.identities.items():
-            m = self.morphisms[i]
-            assert m.source == obj and m.target == obj
-        for g in self.morphisms.values():
-            for f in self.morphisms.values():
-                if f.target == g.source:
-                    h = self.morphisms[self._comp[(g.name, f.name)]]
-                    assert h.source == f.source and h.target == g.target
-        # unit laws
-        for f in self.morphisms.values():
-            assert self._comp[(self.identities[f.target], f.name)] == f.name
-            assert self._comp[(f.name, self.identities[f.source])] == f.name
-        # associativity
-        for f in self.morphisms.values():
-            for g in self.morphisms.values():
-                if g.source != f.target:
-                    continue
-                for h in self.morphisms.values():
-                    if h.source != g.target:
-                        continue
-                    assert self._comp[(h.name, self._comp[(g.name, f.name)])] == \
-                        self._comp[(self._comp[(h.name, g.name)], f.name)]
+        ends = {name: (m.source, m.target)
+                for name, m in self.morphisms.items()}
+        if any(not {s, t} <= objs for s, t in ends.values()) or \
+                set(self.identities) != objs or \
+                any(ends.get(i) != (o, o) for o, i in self.identities.items()):
+            raise InvalidCategory("the morphisms and identities do not fit "
+                                  "the objects")
+        pairs = self.composable_pairs()
+        for g, f in pairs:
+            if ends.get(self._comp.get((g, f))) != (ends[f][0], ends[g][1]):
+                raise InvalidCategory("the composite %s o %s is missing or "
+                                      "has the wrong ends" % (g, f))
+        for f, (s, t) in sorted(ends.items()):
+            if self.compose(self.identities[t], f) != f or \
+                    self.compose(f, self.identities[s]) != f:
+                raise InvalidCategory("the unit law fails at %s" % f)
+        for g, f in pairs:
+            for h in sorted(ends):
+                if ends[h][0] == ends[g][1] and \
+                        self.compose(h, self.compose(g, f)) != \
+                        self.compose(self.compose(h, g), f):
+                    raise InvalidCategory("composition is not associative "
+                                          "on (%s, %s, %s)" % (h, g, f))
 
     def compose(self, g, f):
         """The composite g o f, by morphism name."""
         return self._comp[(g, f)]
+
+    def composable_pairs(self):
+        """All (u, v) with v: W -> V, u: V -> U, in lexicographic order."""
+        names = sorted(self.morphisms)
+        return [(u, v) for u in names for v in names
+                if self.target(v) == self.source(u)]
 
     def same_shape(self, other):
         """Structural equality: same objects, morphisms and composition."""

@@ -373,8 +373,8 @@ class GSComplex:
         P_r(n+1) d P_r(n) = d P_r(n)."""
         p_n = self.hodge_projector(n, r)
         p_n1 = self.hodge_projector(n + 1, r)
-        d = self.differential(n)
-        return (p_n1 @ (d @ p_n)) == (d @ p_n)
+        d_p = self.differential(n) @ p_n
+        return p_n1 @ d_p == d_p
 
     def hodge_cohomology(self, n, r):
         """Betti number of the r-Hodge summand at degree n (commutative

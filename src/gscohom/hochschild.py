@@ -18,7 +18,7 @@ from functools import partial
 from itertools import product
 
 from .linalg import RatMatrix, subcomplex_cohomology, unit_vector
-from .algebra import FinBimodule
+from .algebra import AlgebraHom, FinBimodule
 
 
 def words(dim, n):
@@ -244,18 +244,8 @@ def algebra_deformation_equivalence(algebra, m1, m1_prime, g1_matrix):
     z = RatMatrix.zeros(d, d)
     g_block = RatMatrix.block([[RatMatrix.identity(d), z],
                                [g1_matrix, RatMatrix.identity(d)]])
-    mult_ok = True
-    for i in range(2 * d):
-        for j in range(2 * d):
-            lhs = g_block.apply(bar.mult[i][j])
-            rhs = bar_p.mul(g_block.column(i), g_block.column(j))
-            if lhs != rhs:
-                mult_ok = False
-                break
-        if not mult_ok:
-            break
-    unital_ok = g_block.apply(bar.unit) == bar_p.unit
-    axiom_verdict = mult_ok and unital_ok
+    g_hom = AlgebraHom(bar, bar_p, g_block, check=False)
+    axiom_verdict = g_hom.is_multiplicative() and g_hom.is_unital()
 
     bim = FinBimodule.regular(algebra)
     g1 = HCochain(algebra, bim, 1, g1_matrix)

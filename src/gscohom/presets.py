@@ -122,7 +122,7 @@ def twisted_diamond(scale=2):
         else:
             x[name] = unit
     twists = {}
-    for (u, v) in base.composable_pairs():
+    for (u, v) in cat.composable_pairs():
         w_obj = cat.source(v)
         uv = cat.compose(u, v)
         aw = base.algebras[w_obj]

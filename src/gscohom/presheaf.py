@@ -15,7 +15,7 @@ its witnessing morphisms.  Strict presheaves are the case c = 1, z = 1.
 """
 
 from .linalg import RatMatrix
-from .algebra import InvalidStructure
+from .algebra import AlgebraHom, InvalidStructure
 
 
 class TwistedPresheaf:
@@ -49,23 +49,16 @@ class TwistedPresheaf:
     def z_element(self, obj):
         return self.z.get(obj, self.algebras[obj].unit)
 
-    def composable_pairs(self):
-        """All (u, v) with v: W -> V, u: V -> U, in lexicographic order."""
+    def _twist_elements(self):
+        """(algebra, element) for every twist c^{u,v}, in pair order, then
+        for every z^U."""
         cat = self.category
-        out = []
-        for u in sorted(cat.morphisms):
-            for v in sorted(cat.morphisms):
-                if cat.target(v) == cat.source(u):
-                    out.append((u, v))
-        return out
+        return [(self.algebras[cat.source(v)], self.twist(u, v))
+                for u, v in cat.composable_pairs()] + \
+            [(self.algebras[o], self.z_element(o)) for o in cat.objects]
 
     def is_strict(self):
-        for (u, v) in self.composable_pairs():
-            w_obj = self.category.source(v)
-            if self.twist(u, v) != self.algebras[w_obj].unit:
-                return False
-        return all(self.z_element(o) == self.algebras[o].unit
-                   for o in self.category.objects)
+        return all(x == a.unit for a, x in self._twist_elements())
 
     def restriction_along(self, simplex):
         """f^sigma: A(c sigma) -> A(d sigma) for a nerve simplex of a strict
@@ -81,7 +74,7 @@ class TwistedPresheaf:
         """Opposite twisted presheaf: algebras opposed, twists inverted."""
         algebras = {o: a.opposite() for o, a in self.algebras.items()}
         twists = {}
-        for (u, v) in self.composable_pairs():
+        for (u, v) in self.category.composable_pairs():
             w_obj = self.category.source(v)
             c = self.twist(u, v)
             if c != self.algebras[w_obj].unit:
@@ -102,12 +95,7 @@ class TwistedPresheaf:
                                twists, z)
 
     def has_central_twists(self):
-        for (u, v) in self.composable_pairs():
-            w_obj = self.category.source(v)
-            if not self.algebras[w_obj].is_central(self.twist(u, v)):
-                return False
-        return all(self.algebras[o].is_central(self.z_element(o))
-                   for o in self.category.objects)
+        return all(a.is_central(x) for a, x in self._twist_elements())
 
     def underlying_presheaf(self):
         """Forget central twists; only meaningful when has_central_twists()."""
@@ -119,9 +107,21 @@ class TwistedPresheaf:
 
     def check(self):
         """Verify every axiom exactly; returns the (possibly empty) failure
-        list, each entry (identity-name, witness...)."""
+        list, each entry (identity-name, witness...).
+
+        The algebra axioms are `FinAlgebra.axiom_failures`, each restriction
+        is judged by `AlgebraHom`, and the z- and twist-conjugations are
+        matrix identities L_x F = R_y G (`FinAlgebra.conjugates`).  The
+        identities need restrictions of the right shapes, so if one is
+        ill-shaped the list holds only the restriction_shape entries.
+        """
         cat = self.category
-        fails = []
+        fails = [("restriction_shape", name)
+                 for name, m in sorted(cat.morphisms.items())
+                 if (self.restrictions[name].rows, self.restrictions[name].cols)
+                 != (self.algebras[m.source].dim, self.algebras[m.target].dim)]
+        if fails:
+            return fails
         for obj in cat.objects:
             a = self.algebras[obj]
             for f in a.axiom_failures():
@@ -129,65 +129,41 @@ class TwistedPresheaf:
             zu = self.z_element(obj)
             if a.two_sided_inverse(zu) is None:
                 fails.append(("z_invertible", obj))
-            fid = cat.identity(obj)
-            f1 = self.restrictions[fid]
-            for e in a.basis():
-                if a.mul(zu, e) != a.mul(f1.apply(e), zu):
-                    fails.append(("z_conjugation", obj))
-                    break
-        for name in sorted(cat.morphisms):
-            m = cat.morphisms[name]
-            src_alg = self.algebras[m.target]    # f^u: A(U) -> A(V), U = target
-            tgt_alg = self.algebras[m.source]
-            f = self.restrictions[name]
-            if f.rows != tgt_alg.dim or f.cols != src_alg.dim:
-                fails.append(("restriction_shape", name))
-                continue
-            if f.apply(src_alg.unit) != tgt_alg.unit:
+            if not a.conjugates(zu, RatMatrix.identity(a.dim), zu,
+                                self.restrictions[cat.identity(obj)]):
+                fails.append(("z_conjugation", obj))
+        for name, m in sorted(cat.morphisms.items()):
+            # f^u: A(U) -> A(V), U the target of u
+            hom = AlgebraHom(self.algebras[m.target], self.algebras[m.source],
+                             self.restrictions[name], check=False)
+            if not hom.is_unital():
                 fails.append(("restriction_unital", name))
-            ok = True
-            for i in range(src_alg.dim):
-                for j in range(src_alg.dim):
-                    lhs = f.apply(src_alg.mult[i][j])
-                    rhs = tgt_alg.mul(f.column(i), f.column(j))
-                    if lhs != rhs:
-                        ok = False
-            if not ok:
+            if not hom.is_multiplicative():
                 fails.append(("restriction_multiplicative", name))
-        pairs = self.composable_pairs()
+        pairs = cat.composable_pairs()
         for (u, v) in pairs:
-            w_obj = cat.source(v)
-            u_obj = cat.target(u)
-            aw = self.algebras[w_obj]
+            aw = self.algebras[cat.source(v)]
             c = self.twist(u, v)
             if aw.two_sided_inverse(c) is None:
                 fails.append(("twist_invertible", u, v))
                 continue
-            fu = self.restrictions[u]
-            fv = self.restrictions[v]
             fuv = self.restrictions[cat.compose(u, v)]
-            for e in self.algebras[u_obj].basis():
-                lhs = aw.mul(c, fv.apply(fu.apply(e)))
-                rhs = aw.mul(fuv.apply(e), c)
-                if lhs != rhs:
-                    fails.append(("twist_conjugation", u, v))
-                    break
+            if not aw.conjugates(c, self.restrictions[v] @ self.restrictions[u],
+                                 c, fuv):
+                fails.append(("twist_conjugation", u, v))
         for (u, v) in pairs:
             for w in sorted(cat.morphisms):
                 if cat.target(w) != cat.source(v):
                     continue
-                t_obj = cat.source(w)
-                at = self.algebras[t_obj]
+                at = self.algebras[cat.source(w)]
                 lhs = at.mul(self.twist(u, cat.compose(v, w)), self.twist(v, w))
                 rhs = at.mul(self.twist(cat.compose(u, v), w),
                              self.restrictions[w].apply(self.twist(u, v)))
                 if lhs != rhs:
                     fails.append(("twist_cocycle", u, v, w))
-        for name in sorted(cat.morphisms):
-            m = cat.morphisms[name]
+        for name, m in sorted(cat.morphisms.items()):
             av = self.algebras[m.source]
-            id_v = cat.identity(m.source)
-            id_u = cat.identity(m.target)
+            id_v, id_u = cat.identity(m.source), cat.identity(m.target)
             if av.mul(self.twist(name, id_v), self.z_element(m.source)) != av.unit:
                 fails.append(("twist_unit_right", name))
             if av.mul(self.twist(id_u, name),
@@ -221,34 +197,24 @@ def check_twisted_morphism(src, tgt, g, tau):
     cat = src.category
     fails = []
     for obj in cat.objects:
-        a, ap = src.algebras[obj], tgt.algebras[obj]
-        gm = g[obj]
-        for i in range(a.dim):
-            for j in range(a.dim):
-                if gm.apply(a.mult[i][j]) != ap.mul(gm.column(i), gm.column(j)):
-                    fails.append(("g_multiplicative", obj))
-                    break
-            else:
-                continue
-            break
-        if gm.apply(a.unit) != ap.unit:
+        g_obj = AlgebraHom(src.algebras[obj], tgt.algebras[obj], g[obj],
+                           check=False)
+        if not g_obj.is_multiplicative():
+            fails.append(("g_multiplicative", obj))
+        if not g_obj.is_unital():
             fails.append(("g_unital", obj))
     for name in sorted(cat.morphisms):
         m = cat.morphisms[name]
         ap_v = tgt.algebras[m.source]
-        if ap_v.two_sided_inverse(tau[name]) is None:
+        t = tau[name]
+        if ap_v.two_sided_inverse(t) is None:
             fails.append(("tau_invertible", name))
             continue
-        fu = src.restrictions[name]
-        fu_p = tgt.restrictions[name]
-        gv, gu = g[m.source], g[m.target]
-        for e in src.algebras[m.target].basis():
-            lhs = ap_v.mul(gv.apply(fu.apply(e)), tau[name])
-            rhs = ap_v.mul(tau[name], fu_p.apply(gu.apply(e)))
-            if lhs != rhs:
-                fails.append(("restriction_intertwiner", name))
-                break
-    for (u, v) in src.composable_pairs():
+        # g^V(f^u(a)) tau = tau f'^u(g^U(a)), as L_tau F' G^U = R_tau G^V F
+        if not ap_v.conjugates(t, tgt.restrictions[name] @ g[m.target],
+                               t, g[m.source] @ src.restrictions[name]):
+            fails.append(("restriction_intertwiner", name))
+    for (u, v) in cat.composable_pairs():
         w_obj = cat.source(v)
         ap_w = tgt.algebras[w_obj]
         uv = cat.compose(u, v)

@@ -13,8 +13,9 @@ import json
 from fractions import Fraction
 
 from .linalg import RatMatrix
-from .fincat import (FiniteCategory, Morphism, poset_category, MeetPoset,
-                     NoMeet, NotAntisymmetric, UnknownObject)
+from .fincat import (FiniteCategory, InvalidCategory, Morphism,
+                     poset_category, MeetPoset, NoMeet, NotAntisymmetric,
+                     UnknownObject)
 from .algebra import FinAlgebra, FinModule, InvalidStructure
 from .presheaf import TwistedPresheaf
 
@@ -104,13 +105,17 @@ def _load_category(block):
         return poset_category(block["objects"],
                               [tuple(p) for p in block["relations"]])
     morphisms = [Morphism(m["name"], m["source"], m["target"])
-                 for m in block["morphisms"]]
+                 for m in _required(block, "morphisms", "/category")]
     comp = {}
-    for key, val in block["composition"].items():
+    for key, val in _required(block, "composition", "/category").items():
         g, f = key.split(";")
         comp[(g, f)] = val
-    return FiniteCategory(block["objects"], morphisms, comp,
-                          block["identities"])
+    try:
+        return FiniteCategory(_required(block, "objects", "/category"),
+                              morphisms, comp,
+                              _required(block, "identities", "/category"))
+    except InvalidCategory as exc:
+        raise SchemaError("/category: %s" % exc)
 
 
 def _load_algebra(name, block):
@@ -150,7 +155,8 @@ def load_project(path_or_dict):
     poset = None
     if "relations" in raw["category"]:
         try:
-            poset = MeetPoset(raw["category"]["objects"],
+            poset = MeetPoset(_required(raw["category"], "objects",
+                                        "/category"),
                               [tuple(p) for p in raw["category"]["relations"]])
         except NoMeet:
             poset = None

@@ -23,6 +23,22 @@ from .algebra import InvalidStructure
 from .fincat import Simplex, slice_category
 
 
+def require_functorial(category, maps, dims, error, identity_fails,
+                       composite_fails):
+    """Check that maps[u]: F(U) -> F(V), one per u: V -> U with F(U) of
+    dimension dims[U], form a presheaf: F(1_U) = 1 and F(f) F(g) = F(g f).
+    The first law that fails raises `error` with the message
+    `identity_fails % U` or `composite_fails % (g, f)`."""
+    for obj in category.objects:
+        if maps[category.identity(obj)] != RatMatrix.identity(dims[obj]):
+            raise error(identity_fails % obj)
+    for g in category.morphisms:
+        for f in category.morphisms:
+            if category.target(f) == category.source(g) and \
+                    maps[f] @ maps[g] != maps[category.compose(g, f)]:
+                raise error(composite_fails % (g, f))
+
+
 class ModPresheaf:
     """A presheaf of finite-dimensional vector spaces: dims per object and a
     matrix f^u: F(U) -> F(V) per morphism u: V -> U."""
@@ -44,18 +60,9 @@ class ModPresheaf:
                                         self.dims[m.target]):
                 raise InvalidStructure("restriction %s has the wrong shape"
                                        % name)
-        for obj in cat.objects:
-            if self.maps[cat.identity(obj)] != \
-                    RatMatrix.identity(self.dims[obj]):
-                raise InvalidStructure(
-                    "identity restriction is not the identity at %s" % obj)
-        for g in cat.morphisms:
-            for f in cat.morphisms:
-                if cat.target(f) == cat.source(g) and \
-                        self.maps[f] @ self.maps[g] != \
-                        self.maps[cat.compose(g, f)]:
-                    raise InvalidStructure(
-                        "functoriality fails on (%s, %s)" % (g, f))
+        require_functorial(cat, self.maps, self.dims, InvalidStructure,
+                           "identity restriction is not the identity at %s",
+                           "functoriality fails on (%s, %s)")
 
     @staticmethod
     def constant(category, dim=1):

@@ -243,8 +243,9 @@ def test_noncommutative_deformation_round_trip():
 _HEADLINE_CHECKS_SCRIPT = r'''
 import importlib
 from gscohom import presets
-from gscohom.algebra import FinModule, InvalidStructure
+from gscohom.algebra import FinAlgebra, FinModule, InvalidStructure
 from gscohom.descent import DescentMachine, QPresheafObject
+from gscohom.fincat import poset_category
 from gscohom.linalg import RatMatrix, VerificationFailed
 from gscohom.presheaf import strict_presheaf
 from gscohom.simplicial import ModPresheaf, PresheafComplex
@@ -270,6 +271,20 @@ zeroed = dict(base.restrictions)
 zeroed["U01->U0"] = RatMatrix.zeros(zeroed["U01->U0"].rows,
                                    zeroed["U01->U0"].cols)
 print(outcome(lambda: strict_presheaf(cat, base.algebras, zeroed)))
+# deform on a presheaf with a nontrivial twist
+twisted, _ = presets.twisted_diamond()
+print(outcome(lambda: deform_module.deform(twisted)))
+# an equivalence between deformations of two equal but distinct bases
+other = presets.v_poset_commutative()
+print(outcome(lambda: deform_module.equivalence(
+    deform_module.deform(base), deform_module.deform(other),
+    deform_module.EquivalencePair(base))))
+# cochain conditions on Q x Q with the unit (1, 1), not a basis vector
+qq = FinAlgebra(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1])
+pt = poset_category(["pt"], [])
+on_qq = strict_presheaf(pt, {"pt": qq}, {"pt->pt": RatMatrix.identity(2)})
+print(outcome(lambda: deform_module.cochain_failures(
+    on_qq, deform_module.CandidateTriple(on_qq))))
 # the axiom checker and the cochain conditions made to disagree
 deform_module.bidirectional_verdicts = \
     lambda presheaf, triple, gs=None: (True, False, None, ["forced"])
@@ -291,6 +306,7 @@ print(outcome(q._check_functorial))
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
 def test_headline_checks_raise_under_python_O(flags):
     # functoriality of module presheaves and of strict_presheaf, the
+    # preconditions of deform, equivalence and cochain_failures, the
     # axiom-vs-cocycle agreement of deform, the slice complex and the
     # comparison functor's presheaf: typed errors that -O does not strip
     env = dict(os.environ, PYTHONPATH=os.path.join(
@@ -300,5 +316,6 @@ def test_headline_checks_raise_under_python_O(flags):
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["InvalidStructure", "InvalidStructure",
-                                   "VerificationFailed", "VerificationFailed",
-                                   "VerificationFailed"]
+                                   "InvalidStructure", "InvalidStructure",
+                                   "InvalidStructure", "VerificationFailed",
+                                   "VerificationFailed", "VerificationFailed"]

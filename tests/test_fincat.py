@@ -1,6 +1,7 @@
 import pytest
 
-from gscohom.fincat import poset_category, MeetPoset, NoMeet, slice_category
+from gscohom.fincat import (FiniteCategory, InvalidCategory, Morphism,
+                            MeetPoset, NoMeet, poset_category, slice_category)
 from gscohom import presets
 
 
@@ -92,3 +93,35 @@ def test_slice_category():
     # composite of a simplex recovers an arrow into the anchor
     for s in sl.nerve(1):
         assert sl.target(s.composite()) == s.codomain
+
+
+def _monoid(products):
+    """One object whose endomorphisms 1, a, b compose by `products`, with
+    1 declared the identity."""
+    table = {("1", x): x for x in "1ab"}
+    table.update({(x, "1"): x for x in "1ab"})
+    table.update(products)
+    return FiniteCategory(["pt"], [Morphism(x, "pt", "pt") for x in "1ab"],
+                          table, {"pt": "1"})
+
+
+def test_explicit_categories_are_validated():
+    # Z/3 = {1, a, b = a^2} is a category on one object
+    cyclic = {("a", "a"): "b", ("a", "b"): "1", ("b", "a"): "1",
+              ("b", "b"): "a"}
+    assert _monoid(cyclic).composable_pairs()[:2] == [("1", "1"), ("1", "a")]
+    # (a a) b = b b = a but a (a b) = a a = b
+    skewed = {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "b",
+              ("b", "b"): "a"}
+    with pytest.raises(InvalidCategory, match="not associative"):
+        _monoid(skewed)
+    with pytest.raises(InvalidCategory, match="b o a is missing"):
+        _monoid({k: v for k, v in cyclic.items() if k != ("b", "a")})
+    with pytest.raises(InvalidCategory, match="a o a is missing or has the "
+                                              "wrong ends"):
+        _monoid(cyclic | {("a", "a"): "nowhere"})
+    with pytest.raises(InvalidCategory, match="unit law fails at a"):
+        _monoid(cyclic | {("1", "a"): "b"})
+    with pytest.raises(InvalidCategory, match="do not fit the objects"):
+        FiniteCategory(["pt"], [Morphism("1", "pt", "elsewhere")],
+                       {("1", "1"): "1"}, {"pt": "1"})

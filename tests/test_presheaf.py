@@ -30,6 +30,16 @@ def test_functoriality_violation_detected():
     assert ("restriction_multiplicative", "U01->U0") in fails
 
 
+def test_ill_shaped_restrictions_are_reported_alone():
+    p = presets.v_poset_commutative()
+    restr = dict(p.restrictions)
+    restr["U01->U0"] = RatMatrix.zeros(1, 3)
+    restr["U0->U0"] = RatMatrix.identity(3)
+    broken = TwistedPresheaf(p.category, p.algebras, restr)
+    assert broken.check() == [("restriction_shape", "U0->U0"),
+                              ("restriction_shape", "U01->U0")]
+
+
 def test_twisted_coboundary_fixture_valid():
     twisted, x = presets.twisted_diamond()
     assert twisted.is_valid()
@@ -81,7 +91,7 @@ def test_opposite_twisted_involution():
     op = twisted.opposite()
     assert op.is_valid()
     double = op.opposite()
-    for pair in twisted.composable_pairs():
+    for pair in twisted.category.composable_pairs():
         assert double.twist(*pair) == twisted.twist(*pair)
     for obj in twisted.category.objects:
         assert double.algebras[obj].mult == twisted.algebras[obj].mult

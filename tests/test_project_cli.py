@@ -403,6 +403,47 @@ def test_non_associative_algebra_is_a_schema_error_under_python_O(
     assert b"Traceback" not in optimized.stderr
 
 
+# one object with two endomorphisms "1" and "e"; g o f = g is associative,
+# but the declared identity e is not a unit (e o 1 = e, not 1)
+def _left_zero_category(drop=None):
+    table = {"1;1": "1", "1;e": "1", "e;1": "e", "e;e": "e"}
+    category = {
+        "objects": ["pt"],
+        "morphisms": [{"name": name, "source": "pt", "target": "pt"}
+                      for name in ("1", "e")],
+        "composition": {key: val for key, val in table.items()
+                        if key != drop},
+        "identities": {"pt": "e"}}
+    category.pop(drop, None)
+    return category
+
+
+@pytest.mark.parametrize("category, message", [
+    (_left_zero_category(), "/category: the unit law fails at 1"),
+    (_left_zero_category(drop="e;1"),
+     "/category: the composite e o 1 is missing or has the wrong ends"),
+    (_left_zero_category(drop="identities"), "/category/identities: missing"),
+    ({"relations": []}, "/category/objects: missing"),
+], ids=["identity-not-a-unit", "missing-composite", "missing-identities",
+        "poset-without-objects"])
+def test_invalid_explicit_category_is_a_schema_error_under_python_O(
+        tmp_path, category, message):
+    with open(project_path("one_object.json")) as fh:
+        raw = json.load(fh)
+    raw["category"] = category
+    one = [["1", "0"], ["0", "1"]]
+    raw["presheaf"]["restrictions"] = {"1": one, "e": one}
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(raw))
+    plain, optimized = _cli_plain_and_optimized(["check", "--project",
+                                                 str(path)])
+    assert plain.returncode == 2
+    assert json.loads(plain.stdout)["error"] == message
+    assert optimized.returncode == plain.returncode
+    assert optimized.stdout == plain.stdout
+    assert b"Traceback" not in plain.stderr + optimized.stderr
+
+
 def test_poset_without_meets_loads_under_python_O(tmp_path):
     # A and B have no common lower bound, so the project has no meet-poset
     # view, but it is a valid project on the category of the poset
