@@ -1,6 +1,7 @@
 """Finite-dimensional unital associative algebras by structure constants.
 
-Elements are coordinate tuples of Fractions.  Everything is validated at
+Elements are coordinate tuples of exact numbers (`linalg.exact`: an int
+where integral, else a Fraction).  Everything is validated at
 construction: associativity of the structure tensor, two-sidedness of the
 unit, multiplicativity of homomorphisms, module axioms.  Algebras over the
 dual numbers arise through `dual_extension`, which doubles the basis with
@@ -16,10 +17,8 @@ t.section.  Linear conditions on an unknown matrix X are solved on vec X,
 flattened row-major (`linalg.vec_operator`, `linalg.reshape`).
 """
 
-from fractions import Fraction
-
-from .linalg import (RatMatrix, VerificationFailed, reshape, submatrix,
-                     unit_vector, vec_operator, zero_vector)
+from .linalg import (RatMatrix, VerificationFailed, exact, reshape,
+                     submatrix, unit_vector, vec_operator, zero_vector)
 
 
 class InvalidStructure(ValueError):
@@ -34,10 +33,11 @@ class FinAlgebra:
 
     def __init__(self, dim, mult, unit, name="A", check=True):
         self.dim = dim
-        self.mult = tuple(tuple(tuple(Fraction(c) for c in mult[i][j])
+        self.mult = tuple(tuple(tuple(exact(c) for c in mult[i][j])
                                 for j in range(dim)) for i in range(dim))
-        self.unit = tuple(Fraction(c) for c in unit)
+        self.unit = tuple(exact(c) for c in unit)
         self.name = name
+        self._mu = None                  # see mult_matrix
         if len(self.unit) != dim:
             raise InvalidStructure("unit has %d coordinates, not %d"
                                    % (len(self.unit), dim))
@@ -88,9 +88,12 @@ class FinAlgebra:
 
     def mult_matrix(self):
         """Multiplication as a matrix A (x) A -> A (basis e_i (x) e_j,
-        index i*dim + j)."""
-        return RatMatrix.from_cols([v for row in self.mult for v in row],
-                                   ambient=self.dim)
+        index i*dim + j).  Built on the first call and kept: an algebra is
+        never changed after construction."""
+        if self._mu is None:
+            self._mu = RatMatrix.from_cols(
+                [v for row in self.mult for v in row], ambient=self.dim)
+        return self._mu
 
     def is_commutative(self):
         return all(self.mult[i][j] == self.mult[j][i]

@@ -66,7 +66,7 @@ def tuple_theta(poset, tau, i):
 
 def signed_permutations(n):
     """(tuple, sign) for all of S_n acting on positions 0..n-1."""
-    return [(p, Fraction(perm_sign(p))) for p in permutations(range(n))]
+    return [(p, perm_sign(p)) for p in permutations(range(n))]
 
 
 # the most tuples the full (non-alternating) Cech complex enumerates in one
@@ -127,9 +127,9 @@ class CechComplex:
         """(sign, increasing tuple) for the alternating extension, or
         (0, None) when tau has a repeated coordinate."""
         if len(set(tau)) < len(tau):
-            return Fraction(0), None
+            return 0, None
         idx = sorted(range(len(tau)), key=lambda i: self.order[tau[i]])
-        sign = Fraction(perm_sign(idx))
+        sign = perm_sign(idx)
         return sign, tuple(tau[i] for i in idx)
 
     def value(self, vec, p, tau):
@@ -139,7 +139,7 @@ class CechComplex:
             sign, canon = self.canonical(tau)
             if canon is None:
                 d = self.f.dims[self.poset.meet_all(tau)]
-                return (Fraction(0),) * d
+                return (0,) * d
             d, off = blocks[canon]
             return tuple(sign * vec[off + t] for t in range(d))
         d, off = blocks[tau]

@@ -417,16 +417,19 @@ def verify_pseudonatural(machine, samples):
         for v in sorted(cat.morphisms):
             if cat.target(v) != cat.source(u):
                 continue
-            top = cat.target(u)
-            for w in sorted(cat.morphisms):
-                if cat.target(w) != cat.source(v):
-                    continue
-                uv = cat.compose(u, v)
+            modules = samples.get(cat.target(u), ())
+            ws = [w for w in sorted(cat.morphisms)
+                  if cat.target(w) == cat.source(v)]
+            # Mod(c)^{u,v} does not depend on w: one per module and pair
+            mod_cs = [machine.mod_c_matrix(module, u, v)
+                      for module in modules] if ws else []
+            uv = cat.compose(u, v)
+            c_elem = presheaf.twist(u, v)
+            for w in ws:
                 vw = cat.compose(v, w)
                 uvw = cat.compose(uv, w)
-                c_elem = presheaf.twist(u, v)
                 w_of_c = presheaf.restrictions[w].apply(c_elem)
-                for module in samples.get(top, ()):
+                for module, (mod_c, t2, t_uv_q) in zip(modules, mod_cs):
                     # left side
                     can_uv_w, _, _ = machine.can_matrix(module, uv, w)
                     inv_l = can_uv_w.inverse()
@@ -442,7 +445,6 @@ def verify_pseudonatural(machine, samples):
                     t_u = machine.tensor(module, u)
                     can_v_w, _, _ = machine.can_matrix(t_u.module, v, w)
                     inv_2 = can_v_w.inverse()
-                    mod_c, t2, t_uv_q = machine.mod_c_matrix(module, u, v)
                     t_uv_w_src = machine.tensor(t2.module, w)
                     t_uv_w_tgt = machine.tensor(t_uv_q.module, w)
                     modc_tensor = machine.tensor_map(mod_c, t_uv_w_src,

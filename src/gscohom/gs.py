@@ -18,7 +18,6 @@ Eulerian idempotents, and the lift of top Hodge components through the
 restriction maps.
 """
 
-from fractions import Fraction
 from functools import partial
 
 # re-exported: NotASubcomplex, which used to live here, and
@@ -210,7 +209,9 @@ class GSComplex:
     # -- subcomplexes
 
     def kept_coordinates(self, kind, n):
-        assert kind in KINDS, kind
+        if kind not in KINDS:
+            raise ValueError("unknown subcomplex kind %r; expected one of %s"
+                             % (kind, ", ".join(KINDS)))
         normalized = "normalized" in kind
         reduced = "reduced" in kind
         truncated = "truncated" in kind
@@ -359,7 +360,7 @@ class GSComplex:
         n = theta.degree
         vec = self.flatten_cochain(theta)
         parts = {}
-        total = [Fraction(0)] * self.dim(n)
+        total = [0] * self.dim(n)
         for r in range(n + 1):
             pvec = self.hodge_projector(n, r).apply(vec)
             parts[r] = self.unflatten_cochain(n, pvec)

@@ -13,12 +13,11 @@ GS complex (`gs`) and the place-permutation actions (`shuffles`) use the
 same flattening.  (`linalg.vec_operator` is the row-major counterpart.)
 """
 
-from fractions import Fraction
 from functools import partial
 from itertools import product
 
 from .linalg import RatMatrix, subcomplex_cohomology, unit_vector
-from .algebra import AlgebraHom, FinBimodule
+from .algebra import AlgebraHom, FinBimodule, InvalidStructure
 
 
 def words(dim, n):
@@ -48,9 +47,9 @@ class HCochain:
     def evaluate(self, vectors):
         """Evaluate on a tuple of algebra elements (multilinear extension)."""
         d = self.algebra.dim
-        out = [Fraction(0)] * self.bimodule.dim
+        out = [0] * self.bimodule.dim
         for w in words(d, self.n):
-            coeff = Fraction(1)
+            coeff = 1
             for pos, i in enumerate(w):
                 coeff *= vectors[pos][i]
                 if not coeff:
@@ -112,7 +111,7 @@ def d_hoch(phi):
 
 def flatten(matrix):
     """Column-major flattening of a cochain matrix."""
-    out = [Fraction(0)] * (matrix.rows * matrix.cols)
+    out = [0] * (matrix.rows * matrix.cols)
     for (i, j), v in matrix.items():
         out[j * matrix.rows + i] = v
     return tuple(out)
@@ -150,10 +149,13 @@ def normalized_coordinates(algebra, m_dim, n):
     """Flat coordinates of C^n(A, M) spanning the normalized subcomplex.
 
     Requires the unit of A to be a basis vector so that normalization is a
-    coordinate condition.
+    coordinate condition (InvalidStructure otherwise).
     """
     u = algebra.unit_index()
-    assert u is not None, "rebase the algebra so its unit is a basis vector"
+    if u is None:
+        raise InvalidStructure("the unit of %s is not a basis vector; rebase "
+                               "the algebra (rebased_with_unit) first"
+                               % algebra.name)
     d = algebra.dim
     keep = []
     for w in words(d, n):
@@ -167,7 +169,7 @@ def normalized_coordinates(algebra, m_dim, n):
 def op_sign(n):
     """(-1)^{lambda(n)} with lambda(n) = (n-1)(n+2)/2."""
     lam = (n - 1) * (n + 2) // 2
-    return Fraction(-1) if lam % 2 else Fraction(1)
+    return -1 if lam % 2 else 1
 
 
 def op_cochain(phi):

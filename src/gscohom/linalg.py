@@ -1,17 +1,21 @@
 """Exact linear algebra over Q.
 
-All matrices carry Fraction entries and every result is exact, so no
-rounding ever happens.  Matrices are immutable after construction and are
-held sparsely, as a dict of their nonzero entries.
+Every entry is an exact rational held in one exact type per value: an int
+when the value is integral, else a Fraction (`exact`).  Structure
+constants, restriction maps, signs and identity or permutation blocks are
+almost all integers, and int arithmetic skips the dispatch, gcd and
+allocation of a Fraction.  Every result is exact, so no rounding ever
+happens.  Matrices are immutable after construction and are held
+sparsely, as a dict of their nonzero entries.
 
 Ranks, pivot columns, kernels, solutions and inverses all come from one
 sparse integer elimination.  Each row is scaled to a primitive integer row
 {col: int}; rows are reduced one at a time against an echelon basis keyed
 by leading column, and a combination touches only the nonzeros of the two
 rows it combines and is divided by its content again.  Back-substitution
-gives the reduced row echelon form (RREF), divided into Fractions only at
-the end.  Columns are eliminated in order, so the pivot columns are the
-canonical ones and the RREF, the kernel bases read off it and the
+gives the reduced row echelon form (RREF), divided by the leading entries
+only at the end.  Columns are eliminated in order, so the pivot columns are
+the canonical ones and the RREF, the kernel bases read off it and the
 cohomology representatives do not depend on row order.  A matrix keeps its
 echelon form and its RREF once computed, so every query on the same matrix
 eliminates it at most once.
@@ -38,9 +42,6 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class ComplexViolation(Exception):
     """Raised when two maps that should compose to zero do not."""
@@ -58,40 +59,89 @@ class VerificationFailed(Exception):
     """Raised when an exact identity the library checks does not hold."""
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
+def exact(x):
+    """x as an int when it is integral, else as a Fraction in lowest terms.
+
+    Every entry a RatMatrix stores has passed through here or was computed
+    from such entries and normalised the same way (`_tidy`).  An int and
+    the Fraction of the same value are equal and hash equally, so equality
+    and hashing of matrices and of the memo keys built from them do not
+    depend on the type an entry was given in."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _tidy(d):
+    """Normalise, in place, a dict of entries computed as sums or products
+    of exact values: a Fraction that became integral becomes an int and a
+    sum that cancelled is dropped.  Returns d."""
+    zeros = []
+    for k, v in d.items():
+        if type(v) is not int:
+            if v.denominator != 1:
+                continue
+            v = d[k] = v.numerator
+        if not v:
+            zeros.append(k)
+    for k in zeros:
+        del d[k]
+    return d
+
+
+def _integral(m):
+    """True iff every entry of the matrix m is an int."""
+    return all(type(v) is int for v in m._d.values())
 
 
 class RatMatrix:
-    """Immutable rows x cols matrix of Fractions, held sparsely as a dict
-    {(i, j): nonzero entry}."""
+    """Immutable rows x cols matrix over Q, held sparsely as a dict
+    {(i, j): nonzero entry}.  Each entry is stored in its one exact type
+    (`exact`): an int when integral, else a Fraction."""
 
     __slots__ = ("rows", "cols", "_d", "_ech", "_red", "_hash")
 
     def __init__(self, rows, cols, entries):
-        """`entries` is a dict {(i, j): value} or a list of rows."""
+        """`entries` is a dict {(i, j): value} or a list of rows; values may
+        be ints, Fractions or anything Fraction accepts."""
         assert rows >= 0 and cols >= 0
         self.rows = rows
         self.cols = cols
         self._ech = self._red = None     # elimination caches, see _echelon
         self._hash = None                # see __hash__
-        if isinstance(entries, dict):
-            self._d = {k: _frac(v) for k, v in entries.items() if v != 0}
-        else:
-            self._d = {(i, j): _frac(v) for i, row in enumerate(entries)
-                       for j, v in enumerate(row) if v != 0}
+        if not isinstance(entries, dict):
+            entries = {(i, j): v for i, row in enumerate(entries)
+                       for j, v in enumerate(row)}
+        d = {}
+        for k, v in entries.items():
+            v = exact(v)
+            if v:
+                d[k] = v
+        self._d = d
+
+    @classmethod
+    def _trusted(cls, rows, cols, d):
+        """The matrix whose entry dict is d itself, with no pass over it:
+        every value of d must be nonzero and already exact (`exact(v) is
+        v`), and nothing may change d afterwards."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._d = d
+        m._ech = m._red = m._hash = None
+        return m
 
     # -- constructors
 
     @staticmethod
     def zeros(rows, cols):
-        return RatMatrix(rows, cols, {})
+        return RatMatrix._trusted(rows, cols, {})
 
     @staticmethod
     def identity(n):
-        return RatMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return RatMatrix._trusted(n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
     def from_rows(rows_list):
@@ -109,30 +159,31 @@ class RatMatrix:
         for j, col in enumerate(cols_list):
             assert len(col) == r
             for i, v in enumerate(col):
-                if v != 0:
-                    d[(i, j)] = _frac(v)
-        return RatMatrix(r, c, d)
+                v = exact(v)
+                if v:
+                    d[(i, j)] = v
+        return RatMatrix._trusted(r, c, d)
 
     # -- access
 
     def __getitem__(self, ij):
         i, j = ij
         assert 0 <= i < self.rows and 0 <= j < self.cols
-        return self._d.get((i, j), Fraction(0))
+        return self._d.get((i, j), 0)
 
     def items(self):
         """Iterate nonzero entries as ((i, j), value), in row-major order."""
         return iter(sorted(self._d.items()))
 
     def to_rows(self):
-        mat = [[_ZERO] * self.cols for _ in range(self.rows)]
+        mat = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self._d.items():
             mat[i][j] = v
         return mat
 
     def column(self, j):
         assert 0 <= j < self.cols
-        return tuple(self._d.get((i, j), _ZERO) for i in range(self.rows))
+        return tuple(self._d.get((i, j), 0) for i in range(self.rows))
 
     def nnz(self):
         return len(self._d)
@@ -167,11 +218,17 @@ class RatMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return RatMatrix(self.rows, self.cols, {k: -v for k, v in self._d.items()})
+        return RatMatrix._trusted(self.rows, self.cols,
+                                  {k: -v for k, v in self._d.items()})
 
     def scale(self, a):
-        a = _frac(a)
-        return RatMatrix(self.rows, self.cols, {k: a * v for k, v in self._d.items()})
+        a = exact(a)
+        if a == 1:
+            return self
+        if a == -1:
+            return -self
+        return RatMatrix._trusted(self.rows, self.cols, _tidy(
+            {k: a * v for k, v in self._d.items()}))
 
     def __matmul__(self, other):
         assert self.cols == other.rows, (self.cols, other.rows)
@@ -182,37 +239,55 @@ class RatMatrix:
         for (i, k), a in self._d.items():
             for j, b in rows_of_b.get(k, ()):
                 key = (i, j)
-                d[key] = d.get(key, _ZERO) + a * b
-        return RatMatrix(self.rows, other.cols, d)
+                d[key] = d.get(key, 0) + a * b
+        return RatMatrix._trusted(self.rows, other.cols, _tidy(d))
 
     def apply(self, vec):
-        """Matrix times column vector (tuple of Fractions)."""
+        """Matrix times column vector (a tuple of exact numbers)."""
         assert len(vec) == self.cols
-        out = [_ZERO] * self.rows
+        out = [0] * self.rows
         for (i, j), v in self._d.items():
             if vec[j]:
                 out[i] += v * vec[j]
         return tuple(out)
 
     def transpose(self):
-        return RatMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self._d.items()})
+        return RatMatrix._trusted(self.cols, self.rows,
+                                  {(j, i): v for (i, j), v in self._d.items()})
 
     @staticmethod
     def from_blocks(rows, cols, placed):
         """The rows x cols sum of the placed blocks: a triple (r, c, block)
         puts block[i, j] at (r + i, c + j).  Where blocks overlap their
         entries add, and entries that cancel are dropped.  Every block must
-        lie inside the matrix."""
+        lie inside the matrix.
+
+        A block that overlaps no earlier one is copied as it is, its entries
+        being exact already; only the entries that were summed are
+        normalised."""
         d = {}
         for r, c, m in placed:
             if r < 0 or c < 0 or r + m.rows > rows or c + m.cols > cols:
                 raise ValueError("a %d x %d block at (%d, %d) does not fit "
                                  "a %d x %d matrix"
                                  % (m.rows, m.cols, r, c, rows, cols))
-            for (i, j), v in m._d.items():
-                key = (r + i, c + j)
-                d[key] = d[key] + v if key in d else v
-        return RatMatrix(rows, cols, d)
+            blk = {(r + i, c + j): v for (i, j), v in m._d.items()} \
+                if r or c else m._d
+            if d.keys().isdisjoint(blk.keys()):
+                d.update(blk)
+                continue
+            for key, v in blk.items():
+                if key not in d:
+                    d[key] = v
+                    continue
+                v = d[key] + v
+                if type(v) is not int:
+                    v = exact(v)
+                if v:
+                    d[key] = v
+                else:
+                    del d[key]
+        return RatMatrix._trusted(rows, cols, d)
 
     @staticmethod
     def hstack(mats):
@@ -256,11 +331,20 @@ class RatMatrix:
                                      list(zip(rows, cols, mats)))
 
     def kron(self, other):
+        """The Kronecker product: self[i, j] * other[k, l] at
+        (i * other.rows + k, j * other.cols + l).  Products of nonzero
+        entries are nonzero, and of ints are ints, so only a product with a
+        Fraction factor needs normalising."""
+        rows, cols = other.rows, other.cols
+        entries = list(other._d.items())
         d = {}
         for (i, j), a in self._d.items():
-            for (k, l), b in other._d.items():
-                d[(i * other.rows + k, j * other.cols + l)] = a * b
-        return RatMatrix(self.rows * other.rows, self.cols * other.cols, d)
+            ri, cj = i * rows, j * cols
+            for (k, l), b in entries:
+                d[(ri + k, cj + l)] = a * b
+        if not (_integral(self) and _integral(other)):
+            _tidy(d)
+        return RatMatrix._trusted(self.rows * rows, self.cols * cols, d)
 
     def kron_power(self, q):
         out = RatMatrix.identity(1)
@@ -276,12 +360,19 @@ class RatMatrix:
         entries, so that it spans the same line as the row it comes from."""
         by_row = {}
         for (i, j), v in self._d.items():
-            by_row.setdefault(i, {})[j] = v
+            row = by_row.get(i)
+            if row is None:
+                by_row[i] = {j: v}
+            else:
+                row[j] = v
+        integral = _integral(self)
         out = []
         for row in by_row.values():
-            den = lcm(*(v.denominator for v in row.values()))
-            out.append(_primitive({j: v.numerator * (den // v.denominator)
-                                   for j, v in row.items()}))
+            if not integral:
+                den = lcm(*(v.denominator for v in row.values()))
+                row = {j: v.numerator * (den // v.denominator)
+                       for j, v in row.items()}
+            out.append(_primitive(row))
         return out
 
     def _echelon(self):
@@ -294,7 +385,7 @@ class RatMatrix:
 
     def _rref(self):
         """The reduced row echelon form over Q as {pivot column: row as
-        {col: Fraction}}, pivots ascending; computed on the first call and
+        {col: exact entry}}, pivots ascending; computed on the first call and
         kept."""
         if self._red is None:
             self._red = _reduced_rows(self._echelon())
@@ -314,12 +405,13 @@ class RatMatrix:
         pivots = set(self.pivot_columns())
         free = {j: k for k, j in enumerate(
             j for j in range(self.cols) if j not in pivots)}
-        entries = {(j, k): _ONE for j, k in free.items()}
+        entries = {(j, k): 1 for j, k in free.items()}
         for c, row in self._rref().items():
             for j, x in row.items():
                 if j != c:
                     entries[(c, free[j])] = -x
-        return Subspace._from_rref(RatMatrix(self.cols, len(free), entries))
+        return Subspace._from_rref(
+            RatMatrix._trusted(self.cols, len(free), entries))
 
     def solve(self, b):
         """Some x with M x = b, or None if the system is inconsistent."""
@@ -335,8 +427,9 @@ class RatMatrix:
         rref = RatMatrix.hstack([self, rhs])._rref()
         if any(c >= n for c in rref):
             return None
-        return RatMatrix(n, rhs.cols, {(c, j - n): v for c, row in rref.items()
-                                       for j, v in row.items() if j >= n})
+        return RatMatrix._trusted(n, rhs.cols, {
+            (c, j - n): v for c, row in rref.items()
+            for j, v in row.items() if j >= n})
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -397,13 +490,14 @@ def _row_echelon(rows):
 
 
 def _reduced_rows(basis):
-    """RREF from an echelon basis: {pivot column: {col: Fraction}}, pivots
-    ascending, with 1 at the row's pivot and 0 at every other pivot.
+    """RREF from an echelon basis: {pivot column: {col: exact entry}},
+    pivots ascending, with 1 at the row's pivot and 0 at every other pivot.
 
     Rows are reduced from the last pivot back: a row with leading column c
     has nonzeros at pivot columns k > c only, and subtracting the already
     reduced row of k clears k without touching another pivot column.  The
-    rows stay integral until the final division by the leading entry.
+    rows stay integral until the final division by the leading entry, which
+    gives an int wherever the leading entry divides.
     """
     reduced = {}
     for c in sorted(basis, reverse=True):
@@ -411,8 +505,13 @@ def _reduced_rows(basis):
         for k in [k for k in v if k in reduced]:
             v = _combine(v, reduced[k], k)
         reduced[c] = v
-    return {c: {k: Fraction(x, v[c]) for k, x in v.items()}
-            for c, v in sorted(reduced.items())}
+    out = {}
+    for c, v in sorted(reduced.items()):
+        lead = v[c]
+        out[c] = v if lead == 1 else {
+            k: x // lead if x % lead == 0 else Fraction(x, lead)
+            for k, x in v.items()}
+    return out
 
 
 class Subspace:
@@ -456,7 +555,7 @@ class Subspace:
 
     @property
     def basis(self):
-        """The basis vectors as dense tuples of Fractions."""
+        """The basis vectors as dense tuples of exact numbers."""
         return tuple(self._m.column(k) for k in range(self.dim))
 
     def matrix(self):
@@ -502,7 +601,7 @@ def submatrix(mat, row_idx, col_idx):
     for (i, j), v in mat._d.items():
         if i in rpos and j in cpos:
             entries[(rpos[i], cpos[j])] = v
-    return RatMatrix(len(row_idx), len(col_idx), entries)
+    return RatMatrix._trusted(len(row_idx), len(col_idx), entries)
 
 
 def is_closed(d, src, tgt):
@@ -558,7 +657,7 @@ def subcomplex_cohomology(differential, n, keep=None, check=None):
     elif keep_n is not None:
         embedded = []
         for v in reps:
-            full = [Fraction(0)] * d_n.cols
+            full = [0] * d_n.cols
             for pos, c in zip(keep_n, v):
                 full[pos] = c
             embedded.append(tuple(full))
@@ -581,11 +680,11 @@ def reshape(mat, rows, cols):
     """The rows x cols matrix with the same row-major entry sequence as mat:
     reshape(X, n*m, 1) is vec X, and reshape(v, n, m) undoes it."""
     assert rows * cols == mat.rows * mat.cols
-    return RatMatrix(rows, cols, {divmod(i * mat.cols + j, cols): v
-                                  for (i, j), v in mat._d.items()})
+    return RatMatrix._trusted(rows, cols, {divmod(i * mat.cols + j, cols): v
+                                           for (i, j), v in mat._d.items()})
 
 def unit_vector(n, i):
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+    return tuple(1 if j == i else 0 for j in range(n))
 
 def zero_vector(n):
-    return (Fraction(0),) * n
+    return (0,) * n

@@ -19,10 +19,10 @@ interpolants and hence idempotent and pairwise orthogonal.  It costs n
 products with s_n (2^n - n terms for n >= 2), where the all-pairs check
 cost n(n+1)/2 products of n!-term elements.
 
-Coefficients are exact: an int where integral, else a Fraction (the two
-compare and hash equal).  Permutations act on Hochschild cochains on the
-right by place permutation of the tensor arguments; the shuffle signs live
-in the operator itself.
+Coefficients are exact: an int where integral, else a Fraction
+(`linalg.exact`; the two compare and hash equal).  Permutations act on
+Hochschild cochains on the right by place permutation of the tensor
+arguments; the shuffle signs live in the operator itself.
 """
 
 from collections import Counter
@@ -31,7 +31,7 @@ from itertools import combinations, permutations
 from math import factorial, lcm
 from operator import add
 
-from .linalg import RatMatrix, VerificationFailed
+from .linalg import RatMatrix, VerificationFailed, exact
 
 
 def identity_perm(n):
@@ -57,15 +57,6 @@ def descents(perm):
     return sum(a > b for a, b in zip(perm, perm[1:]))
 
 
-def _exact(c):
-    """c as an int when integral, else as a Fraction."""
-    if type(c) is not int:
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if c.denominator == 1:
-            return c.numerator
-    return c
-
-
 class GroupAlgebraElement:
     """An element of QS_n as a mapping permutation -> coefficient (an int
     where integral, else a Fraction)."""
@@ -74,7 +65,7 @@ class GroupAlgebraElement:
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = {p: _exact(c) for p, c in (terms or {}).items() if c != 0}
+        self.terms = {p: exact(c) for p, c in (terms or {}).items() if c != 0}
 
     @staticmethod
     def one(n):
@@ -97,7 +88,7 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.n, out)
 
     def scale(self, a):
-        a = _exact(a)
+        a = exact(a)
         return GroupAlgebraElement(self.n, {p: a * c for p, c in self.terms.items()})
 
     def __mul__(self, other):

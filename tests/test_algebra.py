@@ -21,6 +21,16 @@ def test_validation_rejects_broken_structures():
         FinAlgebra(3, mult, [1, 0, 0])
 
 
+def test_mult_matrix_is_built_once_per_algebra():
+    ut = presets.upper_triangular()
+    mu = ut.mult_matrix()
+    assert ut.mult_matrix() is mu
+    # column i*dim + j holds e_i e_j
+    assert all(mu.column(i * 3 + j) == ut.mult[i][j]
+               for i in range(3) for j in range(3))
+    assert ut.opposite().mult_matrix() is not mu
+
+
 def test_opposite_involution_and_commutative():
     dn = presets.dual_numbers()
     assert dn.opposite().mult == dn.mult          # commutative: equal tensors

@@ -264,6 +264,55 @@ def test_pseudonaturality_on_deformation_with_twist():
     assert rep2["checked"] > 0 and not rep2["failures"]
 
 
+def _twisted_diamond_samples():
+    twisted, _ = presets.twisted_diamond()
+    return twisted, {o: [FinModule.free(twisted.algebras[o])]
+                     for o in twisted.category.objects}
+
+
+def test_pseudonaturality_builds_mod_c_once_per_pair(monkeypatch):
+    # Mod(c)^{u,v} does not depend on w: one build per (u, v, module) that
+    # has some w, while every (u, v, w, module) is still checked
+    twisted, samples = _twisted_diamond_samples()
+    cat = twisted.category
+    calls = []
+    build = DescentMachine.mod_c_matrix
+
+    def counted(machine, module, u, v):
+        calls.append((u, v))
+        return build(machine, module, u, v)
+    monkeypatch.setattr(DescentMachine, "mod_c_matrix", counted)
+    rep = verify_pseudonatural(DescentMachine(twisted), samples)
+    pairs = [(u, v) for u in cat.morphisms for v in cat.morphisms
+             if cat.target(v) == cat.source(u)]
+    ws = {(u, v): sum(cat.target(w) == cat.source(v) for w in cat.morphisms)
+          for u, v in pairs}
+    per_pair = {(u, v): len(samples[cat.target(u)]) for u, v in pairs}
+    assert sorted(calls) == sorted(
+        p for p in pairs if ws[p] for _ in range(per_pair[p]))
+    assert rep["checked"] == sum(ws[p] * per_pair[p] for p in pairs)
+    assert len(calls) < rep["checked"] and not rep["failures"]
+
+
+def test_pseudonaturality_catches_a_tampered_twist(monkeypatch):
+    # doubling Mod(c)^{u,v} for one pair breaks the coherence at every w
+    # after it, and only there
+    twisted, samples = _twisted_diamond_samples()
+    cat = twisted.category
+    pair = ("A->T", "AB->A")
+    assert cat.target(pair[1]) == cat.source(pair[0])
+    build = DescentMachine.mod_c_matrix
+
+    def tampered(machine, module, u, v):
+        mat, src, tgt = build(machine, module, u, v)
+        return (mat.scale(2) if (u, v) == pair else mat), src, tgt
+    monkeypatch.setattr(DescentMachine, "mod_c_matrix", tampered)
+    rep = verify_pseudonatural(DescentMachine(twisted), samples)
+    expected = [pair + (w,) for w in sorted(cat.morphisms)
+                if cat.target(w) == cat.source(pair[1])]
+    assert expected and rep["failures"] == expected
+
+
 def test_zero_module_pseudonaturality():
     p = presets.v_poset_commutative()
     machine = DescentMachine(p)

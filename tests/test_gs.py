@@ -317,6 +317,41 @@ def test_gs_checks_raise_under_python_O(flags):
                                    "VerificationFailed"]
 
 
+_PRECONDITIONS_SCRIPT = r'''
+from gscohom import presets
+from gscohom.algebra import FinAlgebra, InvalidStructure
+from gscohom.gs import GSComplex
+from gscohom.hochschild import normalized_coordinates
+
+
+def outcome(call):
+    try:
+        call()
+    except ValueError as exc:               # InvalidStructure is one too
+        return type(exc).__name__
+    return "passed"
+
+
+# Q x Q on its two idempotents: the unit (1, 1) is not a basis vector
+idempotents = FinAlgebra(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1])
+print(outcome(lambda: normalized_coordinates(idempotents, 2, 1)))
+gs = GSComplex(presets.v_poset_commutative())
+print(outcome(lambda: gs.kept_coordinates("normalised", 1)))
+'''
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_library_preconditions_raise_under_python_O(flags):
+    # a unit that is not a basis vector, and a misspelt subcomplex kind
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+    done = subprocess.run([sys.executable, *flags, "-c",
+                           _PRECONDITIONS_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["InvalidStructure", "ValueError"]
+
+
 def test_factor_through_failure_named(complexes):
     gs = complexes["v_poset_commutative"]
     # a value the non-surjective restriction cannot reach: f^sigma kills x,

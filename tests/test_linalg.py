@@ -444,3 +444,161 @@ def test_hash_is_cached_and_agrees_with_eq(monkeypatch):
     fresh = rows @ RatMatrix.identity(2)
     assert hash(fresh) == hash(fresh) == hash(rows)
     assert len(sorted_reads) == 1
+
+
+# -- one exact number type per entry: an int where integral, else a Fraction
+
+def _assert_exact(mat):
+    """Every stored entry is nonzero, an int exactly when it is integral and
+    otherwise a Fraction with a denominator above one."""
+    for v in mat._d.values():
+        assert v != 0
+        assert type(v) is int or (type(v) is F and v.denominator > 1), v
+
+
+@st.composite
+def typed_twins(draw, rows=None, cols=None, max_dim=5):
+    """One matrix entered twice: `mixed` gives each integral value as an int
+    or as a Fraction, at random, and `fractions` gives every value as a
+    Fraction.  The values include integral Fractions such as 4/2."""
+    if rows is None:
+        rows = draw(st.integers(0, max_dim))
+    if cols is None:
+        cols = draw(st.integers(0, max_dim))
+    if not rows or not cols:
+        return RatMatrix.zeros(rows, cols), RatMatrix.zeros(rows, cols)
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+        _entries, max_size=rows * cols))
+    as_int = draw(st.lists(st.booleans(), min_size=len(cells),
+                           max_size=len(cells)))
+    mixed = {k: int(v) if v.denominator == 1 and flag else v
+             for (k, v), flag in zip(cells.items(), as_int)}
+    return (RatMatrix(rows, cols, mixed),
+            RatMatrix(rows, cols, {k: F(v) for k, v in cells.items()}))
+
+
+def _dense(mat):
+    return [[F(x) for x in row] for row in mat.to_rows()]
+
+
+def _same(result, reference):
+    """result (built from mixed inputs) equals reference (from Fractions),
+    entry for entry, and both hold their entries in the exact types."""
+    _assert_exact(result)
+    _assert_exact(reference)
+    assert result == reference and hash(result) == hash(reference)
+
+
+@ORACLE
+@given(st.data())
+def test_mixed_entry_types_give_equal_exact_sums_products_and_blocks(data):
+    a, a_f = data.draw(typed_twins())
+    b, b_f = data.draw(typed_twins(rows=a.rows, cols=a.cols))
+    c, c_f = data.draw(typed_twins(rows=a.cols))
+    for m in (a, a_f):
+        _assert_exact(m)
+    _same(a, a_f)
+    total = a + b
+    _same(total, a_f + b_f)
+    assert _dense(total) == [[x + y for x, y in zip(r, s)]
+                             for r, s in zip(_dense(a_f), _dense(b_f))]
+    _same(a - b, a_f - b_f)
+    _same(a - a, RatMatrix.zeros(a.rows, a.cols))
+    product = a @ c
+    _same(product, a_f @ c_f)
+    dense_c = _dense(c_f)
+    assert _dense(product) == [
+        [sum((r[k] * dense_c[k][j] for k in range(a.cols)), F(0))
+         for j in range(c.cols)] for r in _dense(a_f)]
+    kron = a.kron(c)
+    _same(kron, a_f.kron(c_f))
+    assert all(kron[i * c.rows + k, j * c.cols + l] == a_f[i, j] * c_f[k, l]
+               for i in range(a.rows) for j in range(a.cols)
+               for k in range(c.rows) for l in range(c.cols))
+    placed = [(0, 0, a), (1, 1, b), (a.rows, 0, c)]
+    placed_f = [(0, 0, a_f), (1, 1, b_f), (a.rows, 0, c_f)]
+    shape = (a.rows + c.rows + 1, max(a.cols, c.cols) + 1)
+    _same(RatMatrix.from_blocks(*shape, placed),
+          RatMatrix.from_blocks(*shape, placed_f))
+    for scalar in (2, F(1, 2), F(4, 2), -1, 0):
+        _same(a.scale(scalar), a_f.scale(F(scalar)))
+    _same(-a, -a_f)
+    _same(a.transpose(), a_f.transpose())
+    _same(linalg.reshape(a, a.rows * a.cols, 1),
+          linalg.reshape(a_f, a.rows * a.cols, 1))
+
+
+@ORACLE
+@given(typed_twins(max_dim=6))
+def test_mixed_entry_types_give_equal_exact_eliminations(twins):
+    mat, mat_f = twins
+    assert mat.rank() == mat_f.rank()
+    assert mat.pivot_columns() == mat_f.pivot_columns()
+    ker, ker_f = mat.kernel().matrix(), mat_f.kernel().matrix()
+    _same(ker, ker_f)
+    for row in mat._rref().values():
+        assert all(type(x) is int or x.denominator > 1 for x in row.values())
+    rhs = mat @ RatMatrix.identity(mat.cols)
+    _same(mat.solve_many(rhs), mat_f.solve_many(rhs))
+    assert mat @ mat.solve_many(rhs) == rhs
+    # 1 + M M^T is invertible: v^T (1 + M M^T) v = |v|^2 + |M^T v|^2
+    one = RatMatrix.identity(mat.rows)
+    inv = (one + mat @ mat.transpose()).inverse()
+    _same(inv, (one + mat_f @ mat_f.transpose()).inverse())
+    assert (one + mat @ mat.transpose()) @ inv == one
+
+
+def test_integral_values_are_stored_as_ints():
+    mat = RatMatrix.from_rows([[F(4, 2), "3/1", 0.5], [F(0), True, -1]])
+    assert mat._d == {(0, 0): 2, (0, 1): 3, (0, 2): F(1, 2), (1, 1): 1,
+                      (1, 2): -1}
+    _assert_exact(mat)
+    assert mat[1, 0] == 0 and type(mat[1, 0]) is int
+    assert linalg.exact(F(6, 3)) == 2 and type(linalg.exact(F(6, 3))) is int
+    assert linalg.exact(F(1, 3)) == F(1, 3)
+    # an RREF row divided by its leading entry stays an int where it divides
+    rref = RatMatrix.from_rows([[2, 4, 3]])._rref()
+    assert rref == {0: {0: 1, 1: 2, 2: F(3, 2)}}
+    assert type(rref[0][1]) is int
+
+
+def test_memo_keys_from_ints_hit_entries_built_from_fractions(monkeypatch):
+    from gscohom import descent, gs as gs_module, presets
+    from gscohom.algebra import FinBimodule, FinModule
+
+    def as_fractions(m):
+        return RatMatrix(m.rows, m.cols, {k: F(v) for k, v in m.items()})
+    # DescentMachine.tensor keys on (arrow, module dim, module action)
+    p = presets.v_poset_commutative()
+    machine = descent.DescentMachine(p)
+    dn = p.algebras["U0"]
+    free = FinModule.free(dn)
+    built = machine.tensor(
+        FinModule(dn, free.dim, [as_fractions(r) for r in free.action]),
+        "U01->U0")
+    monkeypatch.setattr(descent, "tensor_over", None)     # a miss would fail
+    ints = FinModule(dn, free.dim, [RatMatrix(r.rows, r.cols, dict(r.items()))
+                                    for r in free.action])
+    assert all(type(v) is int for r in ints.action for _, v in r.items())
+    assert machine.tensor(ints, "U01->U0") is built
+    # GSComplex keys each local Hochschild differential on the bimodule
+    gs = gs_module.GSComplex(p)
+    sigma = next(s for s in gs.category.nerve(1) if not s.is_degenerate())
+    first = gs._local_hoch(sigma, 2)
+    bimod = gs.bimodule_along(sigma)
+    gs._bimods[sigma.key()] = FinBimodule(
+        bimod.left_algebra, bimod.right_algebra, bimod.dim,
+        [as_fractions(m) for m in bimod.left],
+        [as_fractions(m) for m in bimod.right], check=False)
+    monkeypatch.setattr(gs_module, "hoch_differential", None)
+    assert gs._local_hoch(sigma, 2) is first
+
+
+def test_integral_entries_print_as_integers_in_json():
+    from gscohom.project import matrix_json, rat_str, vector_json
+    mat = RatMatrix.from_rows([[3, F(6, 2)], [F(-1, 2), 0]])
+    assert type(mat[0, 0]) is int and type(mat[0, 1]) is int
+    assert matrix_json(mat) == [["3", "3"], ["-1/2", "0"]]
+    assert vector_json(mat.column(0)) == ["3", "-1/2"]
+    assert rat_str(3) == rat_str(F(3)) == "3"
