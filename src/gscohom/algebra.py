@@ -206,7 +206,10 @@ class AlgebraHom:
 
     def compose(self, other):
         """self after other."""
-        assert other.target is self.source or other.target.dim == self.source.dim
+        if other.target.dim != self.source.dim:
+            raise InvalidStructure("cannot compose: the inner map lands in "
+                                   "dim %d, the outer one starts in dim %d"
+                                   % (other.target.dim, self.source.dim))
         return AlgebraHom(other.source, self.target,
                           self.matrix @ other.matrix, check=False)
 
@@ -376,8 +379,14 @@ def quotient_by_columns(raw_dim, rel_matrix):
 
     Returns (project, section): project maps a raw vector to coordinates in
     a chosen complement basis, section embeds them back.  Both depend only
-    on the span, not on the columns that present it.
+    on the span, not on the columns that present it.  The pivot columns of
+    the relations and the identity columns that complete them are a basis
+    by construction, and the inverse of that basis is checked to exist
+    (VerificationFailed).
     """
+    if rel_matrix.rows != raw_dim:
+        raise InvalidStructure("relations with %d rows do not live in Q^%d"
+                               % (rel_matrix.rows, raw_dim))
     rows = range(raw_dim)
     rel = submatrix(rel_matrix, rows, rel_matrix.pivot_columns())
     one = RatMatrix.identity(raw_dim)
@@ -386,7 +395,9 @@ def quotient_by_columns(raw_dim, rel_matrix):
     section = submatrix(one, rows, [c - r for c in combined.pivot_columns()
                                     if c >= r])
     inv = RatMatrix.hstack([rel, section]).inverse()
-    assert inv is not None
+    if inv is None:
+        raise VerificationFailed("the relations and their complement are "
+                                 "not a basis")
     project = submatrix(inv, range(r, raw_dim), rows)
     return project, section
 
@@ -419,7 +430,9 @@ def tensor_over(module, f):
 def module_hom_space(m, n):
     """Basis of Hom_A(M, N) (right module maps), as a list of matrices: the
     kernel of  vec X -> vec(X R^M_a - R^N_a X)  over all basis elements."""
-    assert m.algebra.dim == n.algebra.dim
+    if m.algebra.dim != n.algebra.dim:
+        raise InvalidStructure("modules over algebras of dims %d and %d"
+                               % (m.algebra.dim, n.algebra.dim))
     one_m, one_n = RatMatrix.identity(m.dim), RatMatrix.identity(n.dim)
     system = RatMatrix.vstack(
         [vec_operator(one_n, rm) - vec_operator(rn, one_m)

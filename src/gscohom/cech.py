@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
-from .linalg import RatMatrix, subcomplex_cohomology, submatrix
+from .linalg import RatMatrix, UsageError, subcomplex_cohomology, submatrix
 from .fincat import Simplex
 from .shuffles import perm_sign
 from .simplicial import ModPresheaf, PairComplex
@@ -74,7 +74,7 @@ def signed_permutations(n):
 TUPLE_BOUND = 10 ** 5
 
 
-class TooManyTuples(ValueError):
+class TooManyTuples(UsageError, ValueError):
     """Raised when the full Cech complex would enumerate more than
     TUPLE_BOUND tuples in one degree."""
 

@@ -20,15 +20,10 @@ import json
 import os
 import sys
 
-from .simplicial import PairComplex, ModPresheaf
-from .cech import CechComplex, TooManyTuples, compare_simp_cech
-from .hochschild import hh_algebra, regular_bimodule
-from .linalg import ComplexViolation, NotASubcomplex, VerificationFailed
-from .gs import GSComplex, KINDS, NotCommutative, factor_through_restrictions
-from .deform import (deform, NotACocycle, CandidateTriple, EquivalencePair,
-                     equivalence)
-from .descent import (DescentMachine, canonical_free_datum, check_descent,
-                      PreDescentDatum)
+# only what every command needs; each command imports the modules it runs,
+# so that a process loads and compiles no more than its command uses
+from .linalg import (KINDS, ComplexViolation, NotASubcomplex, UsageError,
+                     VerificationFailed)
 from .project import (load_project, SchemaError, matrix_json, vector_json,
                       parse_matrix, parse_vector, SCHEMA)
 
@@ -98,6 +93,7 @@ def _get_triple(project, name):
     block = project.cochains[name]
     if block["kind"] != "triple":
         raise SchemaError("/cochains/%s: expected an (m1, f1, c1) block" % name)
+    from .deform import CandidateTriple
     return CandidateTriple(project.presheaf, block["m1"], block["f1"],
                            block["c1"])
 
@@ -108,6 +104,7 @@ def _get_pair(project, name):
     block = project.cochains[name]
     if block["kind"] != "pair":
         raise SchemaError("/cochains/%s: expected a (g1, tau1) block" % name)
+    from .deform import EquivalencePair
     return EquivalencePair(project.presheaf, block["g1"], block["tau1"])
 
 
@@ -124,6 +121,7 @@ def cmd_cohomology(project, args):
         obj = args.object or presheaf.category.objects[0]
         if obj not in presheaf.category.objects:
             raise SchemaError("--object %s: unknown object" % obj)
+        from .hochschild import hh_algebra, regular_bimodule
         algebra = presheaf.algebras[obj]
         normalized = args.kind == "normalized"
         betti, reps = hh_algebra(algebra, regular_bimodule(algebra),
@@ -133,6 +131,7 @@ def cmd_cohomology(project, args):
                    "representatives": [matrix_json(r.matrix) for r in reps]}
         return _emit(payload, 0)
     if args.complex == "simp":
+        from .simplicial import ModPresheaf, PairComplex
         cx = PairComplex(ModPresheaf.constant(presheaf.category),
                          ModPresheaf.of_algebras(presheaf))
         betti, reps = cx.cohomology(args.degree,
@@ -144,6 +143,8 @@ def cmd_cohomology(project, args):
         if project.poset is None:
             raise SchemaError("/category: the Cech complex needs a poset "
                               "with binary meets")
+        from .cech import CechComplex
+        from .simplicial import ModPresheaf
         cx = CechComplex(ModPresheaf.of_algebras(presheaf), project.poset,
                          alternating=(args.kind != "full"))
         betti, reps = cx.cohomology(args.degree)
@@ -155,6 +156,7 @@ def cmd_cohomology(project, args):
     if not presheaf.is_strict():
         raise SchemaError("/presheaf: the total complex needs a strict "
                           "presheaf (no twists)")
+    from .gs import GSComplex
     kind = args.kind or "full"
     gs = GSComplex(presheaf)
     _progress(args, "assembling total complex through degree %d"
@@ -174,6 +176,7 @@ def cmd_hodge(project, args):
     if args.degree > bound:
         raise SchemaError("--degree %d exceeds the symmetric-group bound %d "
                           "(set GSD_IDEMPOTENT_BOUND)" % (args.degree, bound))
+    from .gs import GSComplex
     gs = GSComplex(presheaf)
     gs.require_commutative()
     components = {}
@@ -195,6 +198,7 @@ def cmd_hodge(project, args):
 
 def cmd_deform(project, args):
     triple = _get_triple(project, args.cocycle)
+    from .deform import NotACocycle, deform
     try:
         defn = deform(project.presheaf, triple)
     except NotACocycle as exc:
@@ -224,6 +228,8 @@ def cmd_equiv(project, args):
     triple_a = _get_triple(project, args.defA)
     triple_b = _get_triple(project, args.defB)
     pair = _get_pair(project, args.cochain)
+    from .deform import NotACocycle, deform, equivalence
+    from .gs import GSComplex
     gs = GSComplex(project.presheaf)
     try:
         def_a = deform(project.presheaf, triple_a, gs=gs)
@@ -241,6 +247,8 @@ def cmd_equiv(project, args):
 def cmd_compare_cech(project, args):
     if project.poset is None:
         raise SchemaError("/category: comparison needs a poset with meets")
+    from .cech import compare_simp_cech
+    from .simplicial import ModPresheaf
     f_presheaf = ModPresheaf.of_algebras(project.presheaf)
     report = compare_simp_cech(f_presheaf, project.poset, args.degree)
     ok = (report["simp_betti"] == report["cech_betti"] and
@@ -255,6 +263,8 @@ def _parse_datum(project, name):
     if name not in project.data:
         raise SchemaError("/data/%s: not present" % name)
     block = project.data[name]
+    from .descent import (DescentMachine, PreDescentDatum,
+                          canonical_free_datum)
     machine = DescentMachine(project.presheaf)
     chg_inv = {obj: project.basis_changes[obj].inverse()
                for obj in project.category.objects}
@@ -287,6 +297,7 @@ def _parse_datum(project, name):
 
 def cmd_descent_check(project, args):
     machine, datum = _parse_datum(project, args.datum)
+    from .descent import check_descent
     report = check_descent(datum)
     payload = {"classification": report["classification"],
                "failures": [list(f) for f in report["failures"]],
@@ -297,6 +308,7 @@ def cmd_descent_check(project, args):
 def cmd_factor(project, args):
     presheaf = project.presheaf
     triple = _get_triple(project, args.cocycle)
+    from .gs import GSComplex, factor_through_restrictions
     gs = GSComplex(presheaf)
     gs.require_commutative()
     bound = _idempotent_bound()
@@ -414,7 +426,7 @@ def _run(argv):
         return _usage_error("cannot read project: %s" % exc)
     try:
         return COMMANDS[args.command](project, args)
-    except (SchemaError, NotCommutative, TooManyTuples) as exc:
+    except (SchemaError, UsageError) as exc:
         return _usage_error(str(exc))
     except (VerificationFailed, ComplexViolation, NotASubcomplex) as exc:
         return _emit({"error": str(exc),

@@ -16,7 +16,7 @@ conditions, and insists the two verdicts agree.  Equivalences (1 + g1 eps,
 from .linalg import RatMatrix, VerificationFailed, zero_vector
 from .algebra import InvalidStructure
 from .presheaf import TwistedPresheaf, check_twisted_morphism
-from .gs import GSComplex, cochain_from_parts
+from .gs import GSComplex, NotCommutative, cochain_from_parts
 from .shuffles import perm_action_matrix
 
 
@@ -350,7 +350,6 @@ def central_underlying(defn, gs=None):
     base = defn.base
     for obj in base.category.objects:
         if not base.algebras[obj].is_commutative():
-            from .gs import NotCommutative
             raise NotCommutative("algebra at %s is not commutative" % obj)
     _verify(defn.twisted.has_central_twists(), "the twists are not central")
     triple = CandidateTriple(base, defn.triple.m1, defn.triple.f1, {})

@@ -40,14 +40,15 @@ class CentralityRequired(Exception):
 class DescentMachine:
     """Shared tensor-coordinate bookkeeping for one twisted presheaf.
 
-    Tensor quotients are memoised per machine (see `tensor`); the memo
-    lives and dies with the machine."""
+    Tensor quotients and can^{u,v} are memoised per machine (see `tensor`
+    and `can_matrix`); the memos live and die with the machine."""
 
     def __init__(self, presheaf):
         self.presheaf = presheaf
         self.category = presheaf.category
         self._homs = {}
         self._tensors = {}
+        self._cans = {}
 
     def hom(self, name):
         if name not in self._homs:
@@ -86,7 +87,17 @@ class DescentMachine:
     def can_matrix(self, module, u, v, twist=False):
         """can^{u,v}: M (x)_u A(V) (x)_v A(W) -> M (x)_{uv} A(W), sending
         m (x) a (x) b to m (x) v*(a) b; with twist=True the element c^{u,v}
-        is multiplied in front (the module-prestack twist)."""
+        is multiplied in front (the module-prestack twist).
+
+        Memoised like `tensor`, on (u, v, twist, module.dim, module.action),
+        which with the machine's presheaf fixes every factor; the same
+        (never mutated) triple is returned for an equal module."""
+        key = (u, v, twist, module.dim, module.action)
+        if key not in self._cans:
+            self._cans[key] = self._build_can(module, u, v, twist)
+        return self._cans[key]
+
+    def _build_can(self, module, u, v, twist):
         t_u = self.tensor(module, u)
         t_uv2 = self.tensor(t_u.module, v)
         t_uv = self.tensor(module, self.category.compose(u, v))

@@ -5,7 +5,7 @@ for output are lexicographic so that every computation downstream is
 deterministic.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class InvalidCategory(ValueError):
@@ -14,14 +14,14 @@ class InvalidCategory(ValueError):
     identities do not fit its objects."""
 
 
-@dataclass(frozen=True, order=True)
-class Morphism:
-    name: str
-    source: str
-    target: str
+class Morphism(namedtuple("Morphism", "name source target")):
+    """The arrow `name: source -> target`, an immutable triple that is
+    equal, hashed and ordered as (name, source, target)."""
+
+    __slots__ = ()
 
     def __repr__(self):
-        return "%s: %s -> %s" % (self.name, self.source, self.target)
+        return "%s: %s -> %s" % self
 
 
 class FiniteCategory:

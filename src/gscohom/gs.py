@@ -20,11 +20,11 @@ restriction maps.
 
 from functools import partial
 
-# re-exported: NotASubcomplex, which used to live here, and
+# re-exported: NotASubcomplex, which used to live here, KINDS, and
 # linalg_cohomology, under which bench/tracer.py's tests look for
 # linalg.cohomology in this module
-from .linalg import (RatMatrix, NotASubcomplex, is_closed,  # noqa: F401
-                     submatrix, subcomplex_cohomology,
+from .linalg import (KINDS, RatMatrix, NotASubcomplex,  # noqa: F401
+                     UsageError, is_closed, submatrix, subcomplex_cohomology,
                      cohomology as linalg_cohomology, VerificationFailed)
 from .algebra import AlgebraHom, FinBimodule, InvalidStructure
 from .simplicial import ModPresheaf, PairComplex
@@ -34,12 +34,9 @@ from .shuffles import (eulerian_idempotent, element_action_matrix,
                        perm_action_matrix)
 
 
-class NotCommutative(Exception):
-    pass
-
-
-KINDS = ("full", "normalized", "normalized_reduced", "truncated",
-         "truncated_normalized_reduced")
+class NotCommutative(UsageError):
+    """A Hodge splitting or a bottom-row splitting was asked of a presheaf
+    whose algebras are not all commutative."""
 
 
 class GSCochain:

@@ -59,6 +59,19 @@ class VerificationFailed(Exception):
     """Raised when an exact identity the library checks does not hold."""
 
 
+class UsageError(Exception):
+    """Raised when a valid input asks for something the library does not
+    do: a Hodge splitting of a noncommutative presheaf (`gs.NotCommutative`)
+    or a full Cech complex with too many tuples (`cech.TooManyTuples`).
+    The CLI reports it as bad input without loading either module."""
+
+
+# the subcomplexes of the total complex that `gs.GSComplex` computes; kept
+# here so that the CLI can list them without loading `gs`
+KINDS = ("full", "normalized", "normalized_reduced", "truncated",
+         "truncated_normalized_reduced")
+
+
 def exact(x):
     """x as an int when it is integral, else as a Fraction in lowest terms.
 

@@ -402,6 +402,58 @@ def test_tensor_memo_keeps_check_descent_verdicts(monkeypatch, fixtures):
         assert len(keys) == len(calls), name
 
 
+# -- the per-machine memo of can^{u,v}
+
+def _count_can_builds(monkeypatch):
+    keys = []
+    build = DescentMachine._build_can
+
+    def counted(machine, module, u, v, twist):
+        keys.append((u, v, twist, module.dim, module.action))
+        return build(machine, module, u, v, twist)
+
+    monkeypatch.setattr(DescentMachine, "_build_can", counted)
+    return keys
+
+
+def test_can_memo_shares_equal_keys(monkeypatch):
+    keys = _count_can_builds(monkeypatch)
+    twisted, _ = presets.twisted_diamond()
+    cat = twisted.category
+    u, v = "A->T", "AB->A"
+    assert cat.target(v) == cat.source(u)
+    machine = DescentMachine(twisted)
+    # two equal modules built apart are one key
+    first = machine.can_matrix(FinModule.free(twisted.algebras["T"]), u, v)
+    again = machine.can_matrix(FinModule.free(twisted.algebras["T"]), u, v)
+    assert len(keys) == 1 and again is first
+    fresh = DescentMachine(twisted).can_matrix(
+        FinModule.free(twisted.algebras["T"]), u, v)
+    assert fresh is not first and fresh[0] == first[0]
+    # the twisted map is another key, and differs on this prestack
+    twisted_can = machine.mod_c_matrix(FinModule.free(twisted.algebras["T"]),
+                                       u, v)
+    assert keys[-1] == (u, v, True) + keys[0][3:]
+    assert twisted_can is not first and twisted_can[0] != first[0]
+
+
+def test_can_memo_starts_empty_and_keeps_pseudonaturality(monkeypatch):
+    keys = _count_can_builds(monkeypatch)
+    twisted, samples = _twisted_diamond_samples()
+    machine = DescentMachine(twisted)
+    assert machine._cans == {}
+    rep = verify_pseudonatural(machine, samples)
+    assert rep["checked"] > 0 and not rep["failures"]
+    # each distinct input is built once: fewer builds than the three
+    # untwisted can maps that every checked (u, v, w, module) reads
+    assert len(keys) == len(set(keys)) == len(machine._cans)
+    assert len(keys) < 3 * rep["checked"]
+    assert DescentMachine(twisted)._cans == {}
+    # a second pass on the same machine builds nothing and checks as much
+    again = verify_pseudonatural(machine, samples)
+    assert len(keys) == len(machine._cans) and again == rep
+
+
 _DESCENT_CHECKS_SCRIPT = '''
 from fractions import Fraction as F
 

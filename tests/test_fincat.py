@@ -125,3 +125,21 @@ def test_explicit_categories_are_validated():
     with pytest.raises(InvalidCategory, match="do not fit the objects"):
         FiniteCategory(["pt"], [Morphism("1", "pt", "elsewhere")],
                        {("1", "1"): "1"}, {"pt": "1"})
+
+
+def test_morphism_is_an_immutable_ordered_triple():
+    m = Morphism("U01->U0", "U01", "U0")
+    assert (m.name, m.source, m.target) == ("U01->U0", "U01", "U0")
+    for attr in ("name", "source", "target", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, attr, "x")
+    assert m == Morphism("U01->U0", "U01", "U0")
+    assert hash(m) == hash(Morphism("U01->U0", "U01", "U0"))
+    assert m != Morphism("U01->U0", "U01", "U1")
+    assert len({m, Morphism("U01->U0", "U01", "U0")}) == 1
+    # ordered by name, then source, then target
+    arrows = [Morphism("b", "a", "a"), Morphism("a", "z", "a"),
+              Morphism("a", "b", "c"), Morphism("a", "b", "a")]
+    assert [(x.name, x.source, x.target) for x in sorted(arrows)] == [
+        ("a", "b", "a"), ("a", "b", "c"), ("a", "z", "a"), ("b", "a", "a")]
+    assert repr(m) == "U01->U0: U01 -> U0"

@@ -319,16 +319,19 @@ def test_gs_checks_raise_under_python_O(flags):
 
 _PRECONDITIONS_SCRIPT = r'''
 from gscohom import presets
-from gscohom.algebra import FinAlgebra, InvalidStructure
+from gscohom.algebra import (AlgebraHom, FinAlgebra, FinModule,
+                             InvalidStructure, module_hom_space,
+                             quotient_by_columns)
 from gscohom.gs import GSComplex
 from gscohom.hochschild import normalized_coordinates
+from gscohom.linalg import RatMatrix, VerificationFailed
 
 
 def outcome(call):
     try:
         call()
-    except ValueError as exc:               # InvalidStructure is one too
-        return type(exc).__name__
+    except (ValueError, VerificationFailed) as exc:  # InvalidStructure is
+        return type(exc).__name__                     # a ValueError
     return "passed"
 
 
@@ -337,19 +340,33 @@ idempotents = FinAlgebra(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1])
 print(outcome(lambda: normalized_coordinates(idempotents, 2, 1)))
 gs = GSComplex(presets.v_poset_commutative())
 print(outcome(lambda: gs.kept_coordinates("normalised", 1)))
+# homomorphisms and modules whose dimensions do not fit
+q, dn = presets.rationals(), presets.dual_numbers()
+into_q, into_dn = AlgebraHom.identity(q), AlgebraHom.identity(dn)
+print(outcome(lambda: into_q.compose(into_dn)))
+print(outcome(lambda: module_hom_space(FinModule.free(q), FinModule.free(dn))))
+# relations in Q^2 presented as living in Q^1
+print(outcome(lambda: quotient_by_columns(1, RatMatrix.identity(2))))
+# the complement check, with an inverse that is never found
+RatMatrix.inverse = lambda self: None
+print(outcome(lambda: quotient_by_columns(2, RatMatrix.identity(2))))
 '''
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
 def test_library_preconditions_raise_under_python_O(flags):
-    # a unit that is not a basis vector, and a misspelt subcomplex kind
+    # a unit that is not a basis vector, a misspelt subcomplex kind,
+    # algebras and relations of unfitting dimensions, and a failed
+    # complement in quotient_by_columns
     env = dict(os.environ, PYTHONPATH=os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", "src"))
     done = subprocess.run([sys.executable, *flags, "-c",
                            _PRECONDITIONS_SCRIPT],
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["InvalidStructure", "ValueError"]
+    assert done.stdout.split() == ["InvalidStructure", "ValueError",
+                                   "InvalidStructure", "InvalidStructure",
+                                   "InvalidStructure", "VerificationFailed"]
 
 
 def test_factor_through_failure_named(complexes):

@@ -362,6 +362,47 @@ def test_cli_hodge_builds_each_projector_once(monkeypatch):
                                     for r in range(3)})
 
 
+# -- each command loads only the modules it runs
+
+_BASE_MODULES = {"gscohom", "gscohom.project", "gscohom.linalg",
+                 "gscohom.fincat", "gscohom.algebra", "gscohom.presheaf",
+                 "gscohom.shuffles"}
+_GS_MODULES = {"gscohom.gs", "gscohom.hochschild", "gscohom.simplicial"}
+
+
+@pytest.mark.parametrize("args, extra", [
+    (["check", "--project", "v_poset.json"], set()),
+    (["deform", "--project", "one_object.json", "--cocycle", "nope"], set()),
+    (["cohomology", "--project", "one_object.json", "--complex", "hoch",
+      "--degree", "3"], {"gscohom.hochschild"}),
+    (["cohomology", "--project", "v_poset.json", "--complex", "gs",
+      "--degree", "2"], _GS_MODULES),
+    (["deform", "--project", "v_poset.json", "--cocycle", "rep_cocycle"],
+     _GS_MODULES | {"gscohom.deform"}),
+    (["compare-cech", "--project", "diamond.json", "--degree", "2"],
+     {"gscohom.cech", "gscohom.simplicial"}),
+    (["descent-check", "--project", "twisted_diamond.json", "--datum",
+      "naive"], {"gscohom.descent", "gscohom.simplicial"}),
+], ids=["check", "deform-schema-error", "hoch", "gs", "deform", "cech",
+        "descent"])
+def test_cli_command_imports_only_what_it_runs(args, extra):
+    # -X importtime lists on stderr every module the process imports; a
+    # module imported at the top of cli.py or of the package would show up
+    # in every command
+    args = [project_path(a) if a.endswith(".json") else a for a in args]
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "gscohom.cli", "--quiet", *args],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode in (0, 1, 2) and json.loads(done.stdout)
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert sorted(m for m in imported if m.startswith("gscohom")) == \
+        sorted(_BASE_MODULES | extra)
+    assert "dataclasses" not in imported
+
+
 # -- input validation survives python -O
 
 def _cli_plain_and_optimized(args):
