@@ -17,7 +17,7 @@ t.section.  Linear conditions on an unknown matrix X are solved on vec X,
 flattened row-major (`linalg.vec_operator`, `linalg.reshape`).
 """
 
-from .linalg import (RatMatrix, VerificationFailed, exact, reshape,
+from .linalg import (RatMatrix, VerificationFailed, exact, memo, reshape,
                      submatrix, unit_vector, vec_operator, zero_vector)
 
 
@@ -37,7 +37,6 @@ class FinAlgebra:
                                 for j in range(dim)) for i in range(dim))
         self.unit = tuple(exact(c) for c in unit)
         self.name = name
-        self._mu = None                  # see mult_matrix
         if len(self.unit) != dim:
             raise InvalidStructure("unit has %d coordinates, not %d"
                                    % (len(self.unit), dim))
@@ -86,14 +85,13 @@ class FinAlgebra:
         """R_x, the matrix of y -> y*x, which is mu (1 (x) x)."""
         return _multiplication_by(x, tuple(zip(*self.mult)))
 
+    @memo()
     def mult_matrix(self):
         """Multiplication as a matrix A (x) A -> A (basis e_i (x) e_j,
         index i*dim + j).  Built on the first call and kept: an algebra is
         never changed after construction."""
-        if self._mu is None:
-            self._mu = RatMatrix.from_cols(
-                [v for row in self.mult for v in row], ambient=self.dim)
-        return self._mu
+        return RatMatrix.from_cols([v for row in self.mult for v in row],
+                                   ambient=self.dim)
 
     def is_commutative(self):
         return all(self.mult[i][j] == self.mult[j][i]

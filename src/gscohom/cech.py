@@ -21,7 +21,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
-from .linalg import RatMatrix, UsageError, subcomplex_cohomology, submatrix
+from .linalg import (RatMatrix, UsageError, memo, subcomplex_cohomology,
+                     submatrix)
 from .fincat import Simplex
 from .shuffles import perm_sign
 from .simplicial import ModPresheaf, PairComplex
@@ -90,8 +91,6 @@ class CechComplex:
         self.f = f_presheaf
         self.poset = poset
         self.alternating = alternating
-        self._layout_cache = {}
-        self._d = {}
         self.order = {o: i for i, o in enumerate(poset.objects)}
 
     def tuples(self, p):
@@ -105,17 +104,15 @@ class CechComplex:
                 "%d" % (count, p, TUPLE_BOUND))
         return [tuple(t) for t in product(objs, repeat=p + 1)]
 
+    @memo()
     def layout(self, p):
-        if p in self._layout_cache:
-            return self._layout_cache[p]
         blocks = []
         offset = 0
         for tau in self.tuples(p):
             d = self.f.dims[self.poset.meet_all(tau)]
             blocks.append((tau, d, offset))
             offset += d
-        self._layout_cache[p] = (blocks, offset)
-        return self._layout_cache[p]
+        return blocks, offset
 
     def dim(self, p):
         return self.layout(p)[1]
@@ -145,12 +142,11 @@ class CechComplex:
         d, off = blocks[tau]
         return tuple(vec[off + t] for t in range(d))
 
+    @memo()
     def differential(self, p):
         """d(psi)^tau = sum_i (-1)^i psi^{face_i tau} restricted to F(meet
         tau): one signed restriction block per face, none for a face with a
         repeated coordinate when alternating.  Cached per degree."""
-        if p in self._d:
-            return self._d[p]
         in_blocks = self.block(p)
         placed = []
         for tau, _, off_out in self.layout(p + 1)[0]:
@@ -166,9 +162,7 @@ class CechComplex:
                 rest = self.f.maps[self.poset.morphism(
                     small, self.poset.meet_all(face))]
                 placed.append((off_out, in_blocks[face][1], rest.scale(sign)))
-        self._d[p] = RatMatrix.from_blocks(self.dim(p + 1), self.dim(p),
-                                           placed)
-        return self._d[p]
+        return RatMatrix.from_blocks(self.dim(p + 1), self.dim(p), placed)
 
     def cohomology(self, p):
         return subcomplex_cohomology(self.differential, p)

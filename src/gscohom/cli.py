@@ -22,8 +22,8 @@ import sys
 
 # only what every command needs; each command imports the modules it runs,
 # so that a process loads and compiles no more than its command uses
-from .linalg import (KINDS, ComplexViolation, NotASubcomplex, UsageError,
-                     VerificationFailed)
+from .linalg import (COMPLEX_KINDS, ComplexViolation, NotASubcomplex,
+                     UsageError, VerificationFailed)
 from .project import (load_project, SchemaError, matrix_json, vector_json,
                       parse_matrix, parse_vector, SCHEMA)
 
@@ -63,8 +63,7 @@ def _check_usage(args):
     if getattr(args, "degree", 0) < 0:
         raise SchemaError("--degree %d: expected a degree >= 0" % args.degree)
     if args.command == "cohomology" and args.kind is not None:
-        kinds = {"hoch": ("full", "normalized"), "simp": ("full", "reduced"),
-                 "cech": ("full", "alternating"), "gs": KINDS}[args.complex]
+        kinds = COMPLEX_KINDS[args.complex]
         if args.kind not in kinds:
             raise SchemaError("--kind %s: expected one of %s for --complex %s"
                               % (args.kind, ", ".join(kinds), args.complex))
@@ -347,14 +346,13 @@ def build_parser():
     common(p)
     p = sub.add_parser("cohomology", help="Betti numbers and representatives")
     common(p)
-    p.add_argument("--complex", choices=("hoch", "simp", "cech", "gs"),
-                   required=True)
+    p.add_argument("--complex", choices=tuple(COMPLEX_KINDS), required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--kind", default=None,
                    help="subcomplex selection, default the full complex "
-                        "(alternating for cech): hoch: full, normalized; "
-                        "simp: full, reduced; cech: full, alternating; "
-                        "gs: %s" % ", ".join(KINDS))
+                        "(alternating for cech): " + "; ".join(
+                            "%s: %s" % (name, ", ".join(kinds))
+                            for name, kinds in COMPLEX_KINDS.items()))
     p.add_argument("--object", default=None,
                    help="object whose algebra to use (hoch only)")
     p = sub.add_parser("hodge", help="Hodge components of the total complex")

@@ -20,7 +20,7 @@ the raw space times t.section.  Linear conditions on unknown matrices are
 solved on their row-major flattenings through `linalg.vec_operator`.
 """
 
-from .linalg import RatMatrix, VerificationFailed, vec_operator
+from .linalg import RatMatrix, VerificationFailed, memo, vec_operator
 from .algebra import (AlgebraHom, FinModule, InvalidStructure, tensor_over,
                       module_hom_space, check_flat_epimorphism,
                       quotient_by_columns)
@@ -37,28 +37,28 @@ class CentralityRequired(Exception):
     pass
 
 
+def _can_key(machine, module, u, v, twist=False):
+    return u, v, twist, module.dim, module.action
+
+
 class DescentMachine:
     """Shared tensor-coordinate bookkeeping for one twisted presheaf.
 
-    Tensor quotients and can^{u,v} are memoised per machine (see `tensor`
-    and `can_matrix`); the memos live and die with the machine."""
+    Homs, tensor quotients, can^{u,v} and its inverse are memoised per
+    machine through `linalg.memo`, and the memos die with the machine."""
 
     def __init__(self, presheaf):
         self.presheaf = presheaf
         self.category = presheaf.category
-        self._homs = {}
-        self._tensors = {}
-        self._cans = {}
 
+    @memo()
     def hom(self, name):
-        if name not in self._homs:
-            m = self.category.morphisms[name]
-            self._homs[name] = AlgebraHom(self.presheaf.algebras[m.target],
-                                          self.presheaf.algebras[m.source],
-                                          self.presheaf.restrictions[name],
-                                          check=False)
-        return self._homs[name]
+        m = self.category.morphisms[name]
+        return AlgebraHom(self.presheaf.algebras[m.target],
+                          self.presheaf.algebras[m.source],
+                          self.presheaf.restrictions[name], check=False)
 
+    @memo(key=lambda self, module, name: (name, module.dim, module.action))
     def tensor(self, module, name):
         """module (x)_u A(V) as a QuotientModule.
 
@@ -67,10 +67,7 @@ class DescentMachine:
         equal module built elsewhere gets the same (never mutated)
         QuotientModule, and so do the chains that tensor its `.module`
         again."""
-        key = (name, module.dim, module.action)
-        if key not in self._tensors:
-            self._tensors[key] = tensor_over(module, self.hom(name))
-        return self._tensors[key]
+        return tensor_over(module, self.hom(name))
 
     def tensor_map(self, x, src_q, tgt_q, name):
         """The induced map (src (x)_v A(W)) -> (tgt (x)_v A(W)) of a module
@@ -84,6 +81,7 @@ class DescentMachine:
         return q_module.module.action_matrix() @ RatMatrix.identity(
             q_module.dim).kron(RatMatrix.from_cols([element]))
 
+    @memo(key=_can_key)
     def can_matrix(self, module, u, v, twist=False):
         """can^{u,v}: M (x)_u A(V) (x)_v A(W) -> M (x)_{uv} A(W), sending
         m (x) a (x) b to m (x) v*(a) b; with twist=True the element c^{u,v}
@@ -92,10 +90,16 @@ class DescentMachine:
         Memoised like `tensor`, on (u, v, twist, module.dim, module.action),
         which with the machine's presheaf fixes every factor; the same
         (never mutated) triple is returned for an equal module."""
-        key = (u, v, twist, module.dim, module.action)
-        if key not in self._cans:
-            self._cans[key] = self._build_can(module, u, v, twist)
-        return self._cans[key]
+        return self._build_can(module, u, v, twist)
+
+    @memo(key=_can_key)
+    def can_inverse(self, module, u, v):
+        """(can^{u,v})^{-1}, computed once per key of `can_matrix`;
+        VerificationFailed when can^{u,v} is singular."""
+        inverse = self.can_matrix(module, u, v)[0].inverse()
+        if inverse is None:
+            raise VerificationFailed("can^{%s,%s} is not invertible" % (u, v))
+        return inverse
 
     def _build_can(self, module, u, v, twist):
         t_u = self.tensor(module, u)
@@ -417,7 +421,9 @@ def verify_pseudonatural(machine, samples):
     from M (x)_{uvw} A(T) to M (x)_{uv} A(W) (x)_w A(T) are compared as
     matrices; the z-side identity reduces to can^{1_U,w} being inverse to
     the unit insertion, also checked.  `samples` maps objects to lists of
-    modules over A(U).
+    modules over A(U).  Each can map and its inverse are computed once per
+    machine (`DescentMachine.can_inverse`), and a singular one raises
+    VerificationFailed.
     """
     presheaf = machine.presheaf
     if not presheaf.has_central_twists():
@@ -431,31 +437,22 @@ def verify_pseudonatural(machine, samples):
             modules = samples.get(cat.target(u), ())
             ws = [w for w in sorted(cat.morphisms)
                   if cat.target(w) == cat.source(v)]
-            # Mod(c)^{u,v} does not depend on w: one per module and pair
-            mod_cs = [machine.mod_c_matrix(module, u, v)
-                      for module in modules] if ws else []
             uv = cat.compose(u, v)
             c_elem = presheaf.twist(u, v)
             for w in ws:
                 vw = cat.compose(v, w)
                 uvw = cat.compose(uv, w)
                 w_of_c = presheaf.restrictions[w].apply(c_elem)
-                for module, (mod_c, t2, t_uv_q) in zip(modules, mod_cs):
+                for module in modules:
                     # left side
-                    can_uv_w, _, _ = machine.can_matrix(module, uv, w)
-                    inv_l = can_uv_w.inverse()
-                    if inv_l is None:
-                        raise VerificationFailed(
-                            "can^{%s,%s} is not invertible" % (uv, w))
-                    t_uvw = machine.tensor(module, uvw)
-                    rmult = machine.right_mult_matrix(t_uvw, w_of_c)
-                    lhs = inv_l @ rmult
+                    lhs = machine.can_inverse(module, uv, w) @ \
+                        machine.right_mult_matrix(
+                            machine.tensor(module, uvw), w_of_c)
                     # right side
-                    can_u_vw, _, _ = machine.can_matrix(module, u, vw)
-                    inv_1 = can_u_vw.inverse()
+                    inv_1 = machine.can_inverse(module, u, vw)
                     t_u = machine.tensor(module, u)
-                    can_v_w, _, _ = machine.can_matrix(t_u.module, v, w)
-                    inv_2 = can_v_w.inverse()
+                    inv_2 = machine.can_inverse(t_u.module, v, w)
+                    mod_c, t2, t_uv_q = machine.mod_c_matrix(module, u, v)
                     t_uv_w_src = machine.tensor(t2.module, w)
                     t_uv_w_tgt = machine.tensor(t_uv_q.module, w)
                     modc_tensor = machine.tensor_map(mod_c, t_uv_w_src,

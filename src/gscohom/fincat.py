@@ -7,6 +7,8 @@ deterministic.
 
 from collections import namedtuple
 
+from .linalg import memo
+
 
 class InvalidCategory(ValueError):
     """An explicit category breaks a unit or associativity law, its
@@ -37,7 +39,6 @@ class FiniteCategory:
         self.morphisms = {m.name: m for m in morphisms}
         self._comp = dict(composition)      # (g.name, f.name) -> name of g o f
         self.identities = dict(identities)  # object -> morphism name
-        self._nerve_cache = {}
         self._validate()
 
     def _validate(self):
@@ -99,11 +100,10 @@ class FiniteCategory:
     def target(self, name):
         return self.morphisms[name].target
 
+    @memo()
     def nerve(self, p):
         """All p-simplices: composable chains of p arrows (objects for p=0)."""
         assert p >= 0
-        if p in self._nerve_cache:
-            return self._nerve_cache[p]
         if p == 0:
             simplices = [Simplex(self, (), obj) for obj in self.objects]
         else:
@@ -115,8 +115,7 @@ class FiniteCategory:
                         simplices.append(Simplex(self, prev.arrows + (m.name,),
                                                  prev.domain))
             simplices.sort(key=lambda s: s.arrows)
-        self._nerve_cache[p] = tuple(simplices)
-        return self._nerve_cache[p]
+        return tuple(simplices)
 
 
 class Simplex:

@@ -24,8 +24,9 @@ from functools import partial
 # linalg_cohomology, under which bench/tracer.py's tests look for
 # linalg.cohomology in this module
 from .linalg import (KINDS, RatMatrix, NotASubcomplex,  # noqa: F401
-                     UsageError, is_closed, submatrix, subcomplex_cohomology,
-                     cohomology as linalg_cohomology, VerificationFailed)
+                     UsageError, is_closed, memo, submatrix,
+                     subcomplex_cohomology, cohomology as linalg_cohomology,
+                     VerificationFailed)
 from .algebra import AlgebraHom, FinBimodule, InvalidStructure
 from .simplicial import ModPresheaf, PairComplex
 from .hochschild import (hoch_differential, op_sign, flatten, unflatten,
@@ -90,27 +91,17 @@ class GSComplex:
         self.presheaf = presheaf
         self.category = presheaf.category
         self.module_presheaf = ModPresheaf.of_algebras(presheaf)
-        self._pairs = {}
-        self._hoch = {}
-        self._local_hochs = {}
-        self._bimods = {}
-        self._d = {}
-        self._projectors = {}
-        self._actions = {}
-        self._layouts = {}
 
     # -- layout
 
+    @memo()
     def pair(self, q):
-        if q not in self._pairs:
-            self._pairs[q] = PairComplex(self.module_presheaf.tensor_power(q),
-                                         self.module_presheaf)
-        return self._pairs[q]
+        return PairComplex(self.module_presheaf.tensor_power(q),
+                           self.module_presheaf)
 
+    @memo()
     def layout(self, n):
         """[(p, q, offset, block-list)] with blocks from the pair complex."""
-        if n in self._layouts:
-            return self._layouts[n]
         comps = []
         offset = 0
         for p in range(n + 1):
@@ -118,62 +109,57 @@ class GSComplex:
             blocks, size = self.pair(q).layout(p)
             comps.append((p, q, offset, blocks))
             offset += size
-        self._layouts[n] = (comps, offset)
-        return self._layouts[n]
+        return comps, offset
 
     def dim(self, n):
         return self.layout(n)[1]
 
     # -- differentials
 
+    @memo(key=lambda self, sigma: sigma.key())
     def bimodule_along(self, sigma):
         """A(d sigma) as an A(c sigma)-bimodule through f^sigma (cached per
         simplex)."""
-        key = sigma.key()
-        if key not in self._bimods:
-            hom = AlgebraHom(self.presheaf.algebras[sigma.codomain],
-                             self.presheaf.algebras[sigma.domain],
-                             self.presheaf.restriction_along(sigma),
-                             check=False)
-            self._bimods[key] = FinBimodule.along(hom)
-        return self._bimods[key]
+        return FinBimodule.along(AlgebraHom(
+            self.presheaf.algebras[sigma.codomain],
+            self.presheaf.algebras[sigma.domain],
+            self.presheaf.restriction_along(sigma), check=False))
 
     def simp_block(self, p, q):
         """d_simp: C^{p,q} -> C^{p+1,q} (row differential)."""
         return self.pair(q).differential(p)
 
+    @memo()
     def hoch_block(self, p, q):
         """d_Hoch: C^{p,q} -> C^{p,q+1} (column differential), block
         diagonal over the p-simplices."""
-        if (p, q) not in self._hoch:
-            self._hoch[(p, q)] = RatMatrix.block_diag([
-                self._local_hoch(sigma, q) for sigma in self.category.nerve(p)])
-        return self._hoch[(p, q)]
+        return RatMatrix.block_diag([self._local_hoch(sigma, q)
+                                     for sigma in self.category.nerve(p)])
 
+    def _local_hoch_key(self, sigma, q):
+        bimod = self.bimodule_along(sigma)
+        return sigma.codomain, bimod.dim, bimod.left, bimod.right, q
+
+    @memo(key=_local_hoch_key)
     def _local_hoch(self, sigma, q):
         """hoch_differential of A(c sigma) with values in A(d sigma),
         memoised per complex on the algebra's object, the bimodule's actions
         and q: a composite's bimodule often equals a 1-simplex's, so most
         sharing is across p."""
-        bimod = self.bimodule_along(sigma)
-        key = (sigma.codomain, bimod.dim, bimod.left, bimod.right, q)
-        if key not in self._local_hochs:
-            self._local_hochs[key] = hoch_differential(
-                self.presheaf.algebras[sigma.codomain], bimod, q)
-        return self._local_hochs[key]
+        return hoch_differential(self.presheaf.algebras[sigma.codomain],
+                                 self.bimodule_along(sigma), q)
 
+    @memo()
     def differential(self, n):
         """The total differential C^n -> C^{n+1}: d_Hoch from (p, q) to
         (p, q+1) on the block diagonal, (-1)^{n+1} d_simp from (p, q) to
         (p+1, q) below it."""
-        if n not in self._d:
-            sign = (-1) ** (n + 1)
-            grid = [[None] * (n + 1) for _ in range(n + 2)]
-            for p in range(n + 1):
-                grid[p][p] = self.hoch_block(p, n - p)
-                grid[p + 1][p] = self.simp_block(p, n - p).scale(sign)
-            self._d[n] = RatMatrix.block(grid)
-        return self._d[n]
+        sign = (-1) ** (n + 1)
+        grid = [[None] * (n + 1) for _ in range(n + 2)]
+        for p in range(n + 1):
+            grid[p][p] = self.hoch_block(p, n - p)
+            grid[p + 1][p] = self.simp_block(p, n - p).scale(sign)
+        return RatMatrix.block(grid)
 
     # -- cochain packing
 
@@ -205,7 +191,10 @@ class GSComplex:
 
     # -- subcomplexes
 
+    @memo()
     def kept_coordinates(self, kind, n):
+        """The flat coordinates of C^n that the subcomplex `kind` keeps,
+        built once per (kind, n); the list is shared and never mutated."""
         if kind not in KINDS:
             raise ValueError("unknown subcomplex kind %r; expected one of %s"
                              % (kind, ", ".join(KINDS)))
@@ -317,13 +306,12 @@ class GSComplex:
 
     # -- Hodge splitting
 
+    @memo()
     def hodge_projector(self, n, r):
         """The action of the degree-matching Eulerian idempotents on C^n:
         e_q(r) on each (p, q) component (identity for q = 0, r = 0); built
         once per (n, r)."""
-        if (n, r) not in self._projectors:
-            self._projectors[(n, r)] = self._build_hodge_projector(n, r)
-        return self._projectors[(n, r)]
+        return self._build_hodge_projector(n, r)
 
     def _build_hodge_projector(self, n, r):
         blocks = []
@@ -339,16 +327,13 @@ class GSComplex:
                     blocks.append(RatMatrix.zeros(size, size))
         return RatMatrix.block_diag(blocks)
 
+    @memo()
     def idempotent_action(self, q, r, m_dim, a_dim):
         """The action of e_q(r) on Hom(A^{(x) q}, M) for dim M = m_dim and
         dim A = a_dim, built once per complex: it depends on nothing else,
         and the projectors of neighbouring degrees and the lifts of
         `factor_through_restrictions` ask for the same ones."""
-        key = (q, r, m_dim, a_dim)
-        if key not in self._actions:
-            self._actions[key] = element_action_matrix(
-                eulerian_idempotent(q, r), m_dim, a_dim)
-        return self._actions[key]
+        return element_action_matrix(eulerian_idempotent(q, r), m_dim, a_dim)
 
     def hodge_split(self, theta):
         """theta = sum_r theta_r with theta_r in the image of the r-th

@@ -39,6 +39,7 @@ Cech and total complexes all call it.
 """
 
 from fractions import Fraction
+from functools import wraps
 from itertools import accumulate
 from math import gcd, lcm
 
@@ -66,10 +67,33 @@ class UsageError(Exception):
     The CLI reports it as bad input without loading either module."""
 
 
+def memo(key=None):
+    """Memoise a method in a dict `_memo_<method>` of each instance, which
+    dies with it (`functools.cache` would keep every instance alive).  The
+    key is the positional arguments, or key(self, *args, **kwargs); every
+    caller shares a result, which is never mutated."""
+    def decorate(method):
+        name = "_memo_" + method.__name__
+        key_of = key or (lambda self, *args: args)
+
+        @wraps(method)
+        def memoised(self, *args, **kwargs):
+            table = self.__dict__.setdefault(name, {})
+            k = key_of(self, *args, **kwargs)
+            if k not in table:
+                table[k] = method(self, *args, **kwargs)
+            return table[k]
+        return memoised
+    return decorate
+
+
 # the subcomplexes of the total complex that `gs.GSComplex` computes; kept
 # here so that the CLI can list them without loading `gs`
 KINDS = ("full", "normalized", "normalized_reduced", "truncated",
          "truncated_normalized_reduced")
+# the --kind values of each complex of `gscohom cohomology`
+COMPLEX_KINDS = {"hoch": ("full", "normalized"), "simp": ("full", "reduced"),
+                 "cech": ("full", "alternating"), "gs": KINDS}
 
 
 def exact(x):

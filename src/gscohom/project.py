@@ -28,12 +28,16 @@ class SchemaError(Exception):
 
 
 def parse_rat(s, path="?"):
-    try:
-        if isinstance(s, int):
-            return Fraction(s)
+    """An exact rational from a string "p/q" or "p", an int or a Fraction;
+    anything else, a JSON float or a bool included, is a SchemaError."""
+    if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError("%s: cannot parse rational %r" % (path, s))
+    if isinstance(s, str):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaError("%s: cannot parse rational %r" % (path, s))
 
 
 def rat_str(x):
@@ -62,6 +66,8 @@ def vector_json(vec):
 
 
 def parse_vector(vals, path="?"):
+    if not isinstance(vals, (list, tuple)):
+        raise SchemaError("%s: expected a list of rationals" % path)
     return tuple(parse_rat(v, path) for v in vals)
 
 
@@ -72,7 +78,24 @@ def _required(block, key, path):
     return block[key]
 
 
-def _twist_key(key):
+def _known(name, names, path):
+    """name, or a SchemaError at path when it is not among names."""
+    if name not in names:
+        raise SchemaError("%s: unknown %r" % (path, name))
+    return name
+
+
+def _relations(block):
+    """The poset relations [V, U] of the category block, as pairs."""
+    pairs = []
+    for k, rel in enumerate(block["relations"]):
+        if not (isinstance(rel, list) and len(rel) == 2):
+            raise SchemaError("/category/relations/%d: expected [V, U]" % k)
+        pairs.append(tuple(rel))
+    return pairs
+
+
+def _pair_key(key, path):
     """Composable-pair keys: canonical "u;v", with "(u,v)" also accepted."""
     if key.startswith("(") and key.endswith(")") and ";" not in key:
         inner = key[1:-1]
@@ -80,7 +103,7 @@ def _twist_key(key):
             u, v = inner.split(",")
             return u.strip(), v.strip()
     if key.count(";") != 1:
-        raise SchemaError("/presheaf/twists/%s: expected 'u;v'" % key)
+        raise SchemaError("%s: expected 'u;v'" % path)
     u, v = key.split(";")
     return u, v
 
@@ -102,14 +125,12 @@ class Project:
 
 def _load_category(block):
     if "relations" in block:
-        return poset_category(block["objects"],
-                              [tuple(p) for p in block["relations"]])
+        return poset_category(block["objects"], _relations(block))
     morphisms = [Morphism(m["name"], m["source"], m["target"])
                  for m in _required(block, "morphisms", "/category")]
     comp = {}
     for key, val in _required(block, "composition", "/category").items():
-        g, f = key.split(";")
-        comp[(g, f)] = val
+        comp[_pair_key(key, "/category/composition/%s" % key)] = val
     try:
         return FiniteCategory(_required(block, "objects", "/category"),
                               morphisms, comp,
@@ -119,21 +140,25 @@ def _load_category(block):
 
 
 def _load_algebra(name, block):
-    basis = block["basis"]
-    dim = len(basis)
     path = "/algebras/%s" % name
+    basis = _required(block, "basis", path)
+    if not isinstance(basis, list):
+        raise SchemaError("%s/basis: expected a list" % path)
+    dim = len(basis)
     zero = [Fraction(0)] * dim
     mult = [[list(zero) for _ in range(dim)] for _ in range(dim)]
     seen = set()
-    for entry in block["mult"]:
-        i, j, coeffs = entry
-        if not (0 <= i < dim and 0 <= j < dim) or len(coeffs) != dim:
+    for entry in _required(block, "mult", path):
+        i, j, coeffs = entry if isinstance(entry, list) and len(entry) == 3 \
+            else (None, None, None)
+        if not (type(i) is type(j) is int and 0 <= i < dim and 0 <= j < dim
+                and isinstance(coeffs, list) and len(coeffs) == dim):
             raise SchemaError("%s/mult: bad entry %r" % (path, entry))
         if (i, j) in seen:
             raise SchemaError("%s/mult: duplicate pair (%d, %d)" % (path, i, j))
         seen.add((i, j))
         mult[i][j] = [parse_rat(c, path) for c in coeffs]
-    unit = parse_vector(block["unit"], path)
+    unit = parse_vector(_required(block, "unit", path), path + "/unit")
     try:
         alg = FinAlgebra(dim, mult, unit, name=name)
     except InvalidStructure as exc:
@@ -157,7 +182,7 @@ def load_project(path_or_dict):
         try:
             poset = MeetPoset(_required(raw["category"], "objects",
                                         "/category"),
-                              [tuple(p) for p in raw["category"]["relations"]])
+                              _relations(raw["category"]))
         except NoMeet:
             poset = None
         except (NotAntisymmetric, UnknownObject) as exc:
@@ -172,7 +197,8 @@ def load_project(path_or_dict):
         algebras[name], changes[name] = _load_algebra(name, block)
 
     pblock = raw["presheaf"]
-    assignment = pblock["algebras"]
+    assignment = _required(pblock, "algebras", "/presheaf")
+    given = _required(pblock, "restrictions", "/presheaf")
     for obj in category.objects:
         if obj not in assignment:
             raise SchemaError("/presheaf/algebras/%s: missing" % obj)
@@ -186,12 +212,12 @@ def load_project(path_or_dict):
     restrictions = {}
     for name in category.morphisms:
         m = category.morphisms[name]
-        if name not in pblock["restrictions"]:
+        if name not in given:
             if m.source == m.target and category.is_identity(name):
                 restrictions[name] = RatMatrix.identity(alg_of[m.source].dim)
                 continue
             raise SchemaError("/presheaf/restrictions/%s: missing" % name)
-        mat = parse_matrix(pblock["restrictions"][name],
+        mat = parse_matrix(given[name],
                            "/presheaf/restrictions/%s" % name)
         if mat.rows != alg_of[m.source].dim or mat.cols != alg_of[m.target].dim:
             raise SchemaError("/presheaf/restrictions/%s: shape mismatch" % name)
@@ -199,7 +225,7 @@ def load_project(path_or_dict):
 
     twists = {}
     for key, coeffs in pblock.get("twists", {}).items():
-        u, v = _twist_key(key)
+        u, v = _pair_key(key, "/presheaf/twists/%s" % key)
         if u not in category.morphisms or v not in category.morphisms:
             raise SchemaError("/presheaf/twists/%s: unknown morphisms" % key)
         w_obj = category.source(v)
@@ -261,33 +287,39 @@ def _load_cochain(name, block, category, alg_of, chg, chg_inv):
     if "m1" in block or "f1" in block or "c1" in block:
         m1 = {}
         for obj, rows in block.get("m1", {}).items():
-            mat = parse_matrix(rows, path + "/m1/" + obj)
+            where = path + "/m1/" + obj
+            _known(obj, alg_of, where)
+            mat = parse_matrix(rows, where)
             d = alg_of[obj].dim
             if (mat.rows, mat.cols) != (d, d * d):
-                raise SchemaError("%s/m1/%s: shape mismatch" % (path, obj))
+                raise SchemaError("%s: shape mismatch" % where)
             m1[obj] = chg_inv[obj] @ mat @ chg[obj].kron(chg[obj])
         f1 = {}
         for mname, rows in block.get("f1", {}).items():
-            m = category.morphisms[mname]
-            mat = parse_matrix(rows, path + "/f1/" + mname)
+            where = path + "/f1/" + mname
+            m = category.morphisms[_known(mname, category.morphisms, where)]
+            mat = parse_matrix(rows, where)
             f1[mname] = chg_inv[m.source] @ mat @ chg[m.target]
         c1 = {}
         for key, coeffs in block.get("c1", {}).items():
-            u1, u2 = key.split(";")
-            dom = category.source(u1)
-            c1[(u1, u2)] = chg_inv[dom].apply(
-                parse_vector(coeffs, path + "/c1/" + key))
+            where = path + "/c1/" + key
+            u1, u2 = (_known(u, category.morphisms, where)
+                      for u in _pair_key(key, where))
+            c1[(u1, u2)] = chg_inv[category.source(u1)].apply(
+                parse_vector(coeffs, where))
         out.update({"kind": "triple", "m1": m1, "f1": f1, "c1": c1})
     elif "g1" in block or "tau1" in block:
         g1 = {}
         for obj, rows in block.get("g1", {}).items():
-            mat = parse_matrix(rows, path + "/g1/" + obj)
+            where = path + "/g1/" + obj
+            _known(obj, alg_of, where)
+            mat = parse_matrix(rows, where)
             g1[obj] = chg_inv[obj] @ mat @ chg[obj]
         tau1 = {}
         for mname, coeffs in block.get("tau1", {}).items():
-            src = category.source(mname)
-            tau1[mname] = chg_inv[src].apply(
-                parse_vector(coeffs, path + "/tau1/" + mname))
+            where = path + "/tau1/" + mname
+            src = category.source(_known(mname, category.morphisms, where))
+            tau1[mname] = chg_inv[src].apply(parse_vector(coeffs, where))
         out.update({"kind": "pair", "g1": g1, "tau1": tau1})
     else:
         raise SchemaError("%s: expected (m1, f1, c1) or (g1, tau1)" % path)

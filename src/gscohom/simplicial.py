@@ -18,7 +18,8 @@ deterministic.
 
 from functools import cache
 
-from .linalg import RatMatrix, VerificationFailed, subcomplex_cohomology
+from .linalg import (RatMatrix, VerificationFailed, memo,
+                     subcomplex_cohomology)
 from .algebra import InvalidStructure
 from .fincat import Simplex, slice_category
 
@@ -92,13 +93,10 @@ class PairComplex:
         self.g = g_presheaf
         self.f = f_presheaf
         self.category = f_presheaf.category
-        self._layout_cache = {}
-        self._diff_cache = {}
 
+    @memo()
     def layout(self, p):
         """Per-simplex blocks: list of (simplex, rows, cols, offset)."""
-        if p in self._layout_cache:
-            return self._layout_cache[p]
         blocks = []
         offset = 0
         for sigma in self.category.nerve(p):
@@ -106,8 +104,7 @@ class PairComplex:
             cols = self.g.dims[sigma.codomain]
             blocks.append((sigma, rows, cols, offset))
             offset += rows * cols
-        self._layout_cache[p] = (blocks, offset)
-        return self._layout_cache[p]
+        return blocks, offset
 
     def dim(self, p):
         return self.layout(p)[1]
@@ -116,6 +113,7 @@ class PairComplex:
         blocks, _ = self.layout(p)
         return {sigma.key(): (rows, cols, off) for sigma, rows, cols, off in blocks}
 
+    @memo()
     def differential(self, p):
         """Matrix of d_simp: C^p -> C^{p+1}, placed face by face.
 
@@ -126,8 +124,6 @@ class PairComplex:
         interior face d_i is (-1)^i times the identity.  Each distinct
         block is built once per call.
         """
-        if p in self._diff_cache:
-            return self._diff_cache[p]
         one = RatMatrix.identity
         last_sign = (-1) ** (p + 1)
         post = cache(lambda u, cols: one(cols).kron(self.f.maps[u]))
@@ -142,9 +138,7 @@ class PairComplex:
                 [pre(sigma.arrows[-1], rows)]
             placed.extend((off_out, index_in[sigma.face(i).key()][2], block)
                           for i, block in enumerate(faces))
-        mat = RatMatrix.from_blocks(self.dim(p + 1), self.dim(p), placed)
-        self._diff_cache[p] = mat
-        return mat
+        return RatMatrix.from_blocks(self.dim(p + 1), self.dim(p), placed)
 
     def reduced_coordinates(self, p):
         """Flat coordinates supported on non-degenerate simplices (every
@@ -184,16 +178,15 @@ class PresheafComplex:
         cat = presheaf.category
         self.slices = {u: slice_category(cat, u) for u in cat.objects}
         self.levels = []          # ModPresheaf per n
-        self._layouts = {}        # (n, U) -> (blocks, total)
         for n in range(n_max + 1):
             self.levels.append(self._build_level(n))
         self.phi = {n: {u: self._build_phi(n, u) for u in cat.objects}
                     for n in range(n_max)}
         self.eps = {u: self._build_eps(u) for u in cat.objects}
 
+    @memo()
     def _layout(self, n, u):
-        if (n, u) in self._layouts:
-            return self._layouts[(n, u)]
+        """(blocks, total) of level n at the object U."""
         cat = self.presheaf.category
         blocks = []
         offset = 0
@@ -202,8 +195,7 @@ class PresheafComplex:
             d = self.presheaf.algebras[cat.source(sigma.domain)].dim
             blocks.append((sigma, d, offset))
             offset += d
-        self._layouts[(n, u)] = (blocks, offset)
-        return self._layouts[(n, u)]
+        return blocks, offset
 
     def _build_level(self, n):
         cat = self.presheaf.category

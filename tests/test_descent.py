@@ -276,12 +276,13 @@ def test_pseudonaturality_builds_mod_c_once_per_pair(monkeypatch):
     twisted, samples = _twisted_diamond_samples()
     cat = twisted.category
     calls = []
-    build = DescentMachine.mod_c_matrix
+    build = DescentMachine._build_can
 
-    def counted(machine, module, u, v):
-        calls.append((u, v))
-        return build(machine, module, u, v)
-    monkeypatch.setattr(DescentMachine, "mod_c_matrix", counted)
+    def counted(machine, module, u, v, twist):
+        if twist:
+            calls.append((u, v))
+        return build(machine, module, u, v, twist)
+    monkeypatch.setattr(DescentMachine, "_build_can", counted)
     rep = verify_pseudonatural(DescentMachine(twisted), samples)
     pairs = [(u, v) for u in cat.morphisms for v in cat.morphisms
              if cat.target(v) == cat.source(u)]
@@ -404,6 +405,11 @@ def test_tensor_memo_keeps_check_descent_verdicts(monkeypatch, fixtures):
 
 # -- the per-machine memo of can^{u,v}
 
+def _cans(machine):
+    """The machine's can^{u,v} memo table (made on the first call)."""
+    return vars(machine).get("_memo_can_matrix", {})
+
+
 def _count_can_builds(monkeypatch):
     keys = []
     build = DescentMachine._build_can
@@ -441,17 +447,42 @@ def test_can_memo_starts_empty_and_keeps_pseudonaturality(monkeypatch):
     keys = _count_can_builds(monkeypatch)
     twisted, samples = _twisted_diamond_samples()
     machine = DescentMachine(twisted)
-    assert machine._cans == {}
+    assert _cans(machine) == {}
     rep = verify_pseudonatural(machine, samples)
     assert rep["checked"] > 0 and not rep["failures"]
     # each distinct input is built once: fewer builds than the three
     # untwisted can maps that every checked (u, v, w, module) reads
-    assert len(keys) == len(set(keys)) == len(machine._cans)
+    assert len(keys) == len(set(keys)) == len(_cans(machine))
     assert len(keys) < 3 * rep["checked"]
-    assert DescentMachine(twisted)._cans == {}
+    assert _cans(DescentMachine(twisted)) == {}
     # a second pass on the same machine builds nothing and checks as much
     again = verify_pseudonatural(machine, samples)
-    assert len(keys) == len(machine._cans) and again == rep
+    assert len(keys) == len(_cans(machine)) and again == rep
+
+
+def test_can_inverses_are_computed_once_per_key(monkeypatch):
+    # every checked (u, v, w, module) reads three inverse can maps; each
+    # untwisted can key of a machine is inverted once, a second pass on
+    # the same machine inverts nothing, and the report is the same
+    twisted, samples = _twisted_diamond_samples()
+    inverted = []
+    real = RatMatrix.inverse
+
+    def counted(mat):
+        inverted.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(RatMatrix, "inverse", counted)
+    machine = DescentMachine(twisted)
+    rep = verify_pseudonatural(machine, samples)
+    assert rep["checked"] > 0 and not rep["failures"]
+    cans = [mat for mat, _, _ in _cans(machine).values()]
+    of_cans = [m for m in inverted if any(m is c for c in cans)]
+    keys = vars(machine)["_memo_can_inverse"]
+    assert set(keys) == {k for k in _cans(machine) if not k[2]}
+    assert len(of_cans) == len(keys) < 3 * rep["checked"]
+    del inverted[:]
+    assert verify_pseudonatural(machine, samples) == rep and not inverted
 
 
 _DESCENT_CHECKS_SCRIPT = '''
@@ -522,6 +553,21 @@ singular.can_matrix = lambda m, u, v, twist=False: (
     RatMatrix.zeros(1, 1), None, None)
 print(outcome(lambda: verify_pseudonatural(
     singular, {"U0": [FinModule.free(dn)]})))
+# a singular can^{v,w}: over A(U01) it is never a can^{uv,w} of these samples
+ident01 = cat.identity("U01")
+real_build = DescentMachine._build_can
+
+
+def build_singular(machine, module, u, v, twist):
+    mat, t2, t = real_build(machine, module, u, v, twist)
+    if (u, v) == (ident01, ident01):
+        mat = RatMatrix.zeros(mat.rows, mat.cols)
+    return mat, t2, t
+
+
+DescentMachine._build_can = build_singular
+print(outcome(lambda: verify_pseudonatural(
+    DescentMachine(p), {"U0": [FinModule.free(dn)]})))
 '''
 
 
@@ -534,4 +580,4 @@ def test_descent_and_presheaf_checks_raise_under_python_O(flags):
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["InvalidStructure"] * 8 + \
-        ["VerificationFailed"] * 3
+        ["VerificationFailed"] * 4

@@ -469,16 +469,17 @@ def test_idempotent_actions_are_built_once_per_complex(monkeypatch):
         for r in range(n + 1):
             gs.hodge_projector(n, r)
     built = len(calls)
-    assert built == len(gs._actions)
+    actions = gs._memo_idempotent_action
+    assert built == len(actions)
     assert built < sum(len(gs.category.nerve(p)) * (n - p)
                        for n in (2, 3) for p in range(n + 1))
     ident = {sigma.key(): gs.presheaf.restriction_along(sigma)
              for sigma in gs.category.nerve(1) if not sigma.is_degenerate()}
     out = factor_through_restrictions(gs, 1, 1, ident)
     assert not out["failures"]
-    assert len(calls) == len(gs._actions)
-    for (q, r, m_dim, a_dim), action in gs._actions.items():
+    assert len(calls) == len(actions)
+    for (q, r, m_dim, a_dim), action in actions.items():
         assert action == real(eulerian_idempotent(q, r), m_dim, a_dim)
     # a new complex starts without the memo
     GSComplex(presets.v_poset_commutative()).hodge_projector(1, 1)
-    assert len(calls) > len(gs._actions)
+    assert len(calls) > len(actions)

@@ -587,12 +587,57 @@ def test_memo_keys_from_ints_hit_entries_built_from_fractions(monkeypatch):
     sigma = next(s for s in gs.category.nerve(1) if not s.is_degenerate())
     first = gs._local_hoch(sigma, 2)
     bimod = gs.bimodule_along(sigma)
-    gs._bimods[sigma.key()] = FinBimodule(
+    gs._memo_bimodule_along[sigma.key()] = FinBimodule(
         bimod.left_algebra, bimod.right_algebra, bimod.dim,
         [as_fractions(m) for m in bimod.left],
         [as_fractions(m) for m in bimod.right], check=False)
     monkeypatch.setattr(gs_module, "hoch_differential", None)
     assert gs._local_hoch(sigma, 2) is first
+
+
+def test_memo_keeps_one_table_per_instance():
+    calls = []
+
+    class Squares:
+        @linalg.memo()
+        def square(self, x):
+            calls.append(x)
+            return [x * x]
+
+        @linalg.memo(key=lambda self, x, scale=1: (abs(x), scale))
+        def scaled(self, x, scale=1):
+            calls.append((x, scale))
+            return abs(x) * scale
+
+    a, b = Squares(), Squares()
+    assert a.square(3) is a.square(3) and calls == [3]
+    assert b.square(3) == [9] and calls == [3, 3]
+    assert a._memo_square == {(3,): [9]} and "_memo_scaled" not in vars(a)
+    assert a.scaled(-2) == a.scaled(2) == 2 and calls[2:] == [(-2, 1)]
+    assert a.scaled(2, scale=3) == 6 and a._memo_scaled == {(2, 1): 2,
+                                                            (2, 3): 6}
+
+
+def test_memo_tables_die_with_their_instance():
+    # a memo held outside the instance (a global functools.cache) would
+    # keep the complex and the machine alive
+    import gc
+    import weakref
+    from gscohom import presets
+    from gscohom.algebra import FinModule
+    from gscohom.descent import DescentMachine, verify_pseudonatural
+    from gscohom.gs import GSComplex
+    gs = GSComplex(presets.v_poset_triangular())
+    assert gs.cohomology(2, "normalized_reduced")[0] >= 0
+    twisted, _ = presets.twisted_diamond()
+    machine = DescentMachine(twisted)
+    rep = verify_pseudonatural(machine, {o: [FinModule.free(a)] for o, a
+                                         in twisted.algebras.items()})
+    assert rep["checked"] > 0
+    refs = [weakref.ref(gs), weakref.ref(machine)]
+    del gs, machine
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_integral_entries_print_as_integers_in_json():

@@ -578,3 +578,84 @@ def test_cech_tuple_bound_is_a_usage_error_under_python_O():
         ["cohomology", "--complex", "cech", "--kind", "full", "--degree", "7",
          "--project", project_path("diamond.json")],
         "the full Cech complex has 262144 tuples in degree 8")
+
+
+def test_parse_rat_accepts_only_exact_values():
+    from fractions import Fraction
+    assert parse_rat(3) == parse_rat("3") == parse_rat(Fraction(6, 2))
+    for value in (0.1, 1.0, True, None, [1], {"p": 1}):
+        with pytest.raises(SchemaError, match="/here: cannot parse"):
+            parse_rat(value, "/here")
+
+
+def _dual_numbers(raw):
+    return raw["algebras"]["dual_numbers"]
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda raw: _dual_numbers(raw).pop("unit"),
+     "/algebras/dual_numbers/unit"),
+    (lambda raw: _dual_numbers(raw).pop("basis"),
+     "/algebras/dual_numbers/basis"),
+    (lambda raw: _dual_numbers(raw)["mult"].append([0, 0]),
+     "/algebras/dual_numbers/mult"),
+    (lambda raw: _dual_numbers(raw).update(unit=None),
+     "/algebras/dual_numbers/unit"),
+    (lambda raw: raw["presheaf"].pop("restrictions"),
+     "/presheaf/restrictions"),
+    (lambda raw: raw["presheaf"].pop("algebras"), "/presheaf/algebras"),
+    (lambda raw: raw["cochains"]["perturbed"].update(f1={"nope": [["1"]]}),
+     "/cochains/perturbed/f1/nope"),
+    (lambda raw: raw["cochains"]["perturbed"].update(
+        c1={"U01->U0": ["1"]}), "/cochains/perturbed/c1/U01->U0"),
+    (lambda raw: raw["category"]["relations"].append(["U0"]),
+     "/category/relations/2"),
+    (lambda raw: raw["presheaf"]["restrictions"].update(
+        {"U01->U0": [[None, "0"]]}), "/presheaf/restrictions/U01->U0"),
+    (lambda raw: raw["presheaf"]["restrictions"].update(
+        {"U01->U0": [[[1], "0"]]}), "/presheaf/restrictions/U01->U0"),
+    (lambda raw: raw["presheaf"]["restrictions"].update(
+        {"U01->U0": [[1.0, "0"]]}), "/presheaf/restrictions/U01->U0"),
+], ids=["no-unit", "no-basis", "mult-pair", "unit-null", "no-restrictions",
+        "no-presheaf-algebras", "f1-unknown-morphism", "c1-without-semicolon",
+        "one-object-relation", "entry-null", "entry-list", "entry-float"])
+def test_malformed_project_is_a_schema_error_without_traceback(
+        tmp_path, edit, path):
+    with open(project_path("v_poset.json")) as fh:
+        raw = json.load(fh)
+    edit(raw)
+    project = tmp_path / "project.json"
+    project.write_text(json.dumps(raw))
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    done = subprocess.run([sys.executable, "-m", "gscohom.cli", "check",
+                           "--project", str(project)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2, done.stderr
+    assert path in json.loads(done.stdout)["error"]
+    assert "Traceback" not in done.stderr
+
+
+COHOMOLOGY_HELP = """\
+usage: gscohom cohomology [-h] --project PROJECT --complex {hoch,simp,cech,gs}
+                          --degree DEGREE [--kind KIND] [--object OBJECT]
+
+options:
+  -h, --help            show this help message and exit
+  --project PROJECT     path to the JSON project file
+  --complex {hoch,simp,cech,gs}
+  --degree DEGREE
+  --kind KIND           subcomplex selection, default the full complex
+                        (alternating for cech): hoch: full, normalized; simp:
+                        full, reduced; cech: full, alternating; gs: full,
+                        normalized, normalized_reduced, truncated,
+                        truncated_normalized_reduced
+  --object OBJECT       object whose algebra to use (hoch only)
+"""
+
+
+def test_cohomology_help_is_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        cli_main(["cohomology", "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == COHOMOLOGY_HELP
