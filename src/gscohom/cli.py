@@ -25,7 +25,8 @@ import sys
 from .linalg import (COMPLEX_KINDS, ComplexViolation, NotASubcomplex,
                      UsageError, VerificationFailed)
 from .project import (load_project, SchemaError, matrix_json, vector_json,
-                      parse_matrix, parse_vector, SCHEMA)
+                      parse_matrix, parse_vector, SCHEMA, _entries, _object,
+                      _required)
 
 from .shuffles import ACTION_CONVENTION
 
@@ -261,7 +262,8 @@ def cmd_compare_cech(project, args):
 def _parse_datum(project, name):
     if name not in project.data:
         raise SchemaError("/data/%s: not present" % name)
-    block = project.data[name]
+    path = "/data/%s" % name
+    block = _object(project.data[name], path)
     from .descent import (DescentMachine, PreDescentDatum,
                           canonical_free_datum)
     machine = DescentMachine(project.presheaf)
@@ -269,14 +271,16 @@ def _parse_datum(project, name):
                for obj in project.category.objects}
     if block.get("type") == "free":
         trivialization = {}
-        for mname, coeffs in block.get("trivialization", {}).items():
+        for mname, coeffs in _entries(block, "trivialization", path):
             src = project.category.source(mname)
             trivialization[mname] = chg_inv[src].apply(
                 parse_vector(coeffs, "/data/%s/trivialization" % name))
         return machine, canonical_free_datum(machine, trivialization)
     modules = {}
+    given_modules = _object(_required(block, "modules", path),
+                            path + "/modules")
     for obj in project.category.objects:
-        mod_name = block["modules"].get(obj)
+        mod_name = given_modules.get(obj)
         if mod_name is None or mod_name not in project.modules:
             raise SchemaError("/data/%s/modules/%s: unknown module"
                               % (name, obj))
@@ -286,8 +290,9 @@ def _parse_datum(project, name):
                               % (name, obj, mobj))
         modules[obj] = module
     maps = {}
+    given_maps = _object(_required(block, "maps", path), path + "/maps")
     for mname in project.category.morphisms:
-        rows = block["maps"].get(mname)
+        rows = given_maps.get(mname)
         if rows is None:
             raise SchemaError("/data/%s/maps/%s: missing" % (name, mname))
         maps[mname] = parse_matrix(rows, "/data/%s/maps/%s" % (name, mname))

@@ -18,7 +18,9 @@ Eulerian idempotents, and the lift of top Hodge components through the
 restriction maps.
 """
 
+from fractions import Fraction
 from functools import partial
+from math import factorial
 
 # re-exported: NotASubcomplex, which used to live here, KINDS, and
 # linalg_cohomology, under which bench/tracer.py's tests look for
@@ -31,8 +33,8 @@ from .algebra import AlgebraHom, FinBimodule, InvalidStructure
 from .simplicial import ModPresheaf, PairComplex
 from .hochschild import (hoch_differential, op_sign, flatten, unflatten,
                          normalized_coordinates)
-from .shuffles import (eulerian_idempotent, element_action_matrix,
-                       perm_action_matrix)
+from .shuffles import (element_action_matrix, perm_action_matrix,
+                       scaled_eulerian_idempotent)
 
 
 class NotCommutative(UsageError):
@@ -52,7 +54,9 @@ class GSCochain:
         return self.components.get((p, q), {})
 
     def __add__(self, other):
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise InvalidStructure("cochains of degrees %d and %d cannot be "
+                                   "added" % (self.degree, other.degree))
         out = {}
         for key in set(self.components) | set(other.components):
             a = self.components.get(key, {})
@@ -305,63 +309,82 @@ class GSComplex:
         return total, truncated, bottom
 
     # -- Hodge splitting
+    #
+    # Everything here is integral: the projector of degree n is n! P_r(n)
+    # and the idempotent actions are q! e_q(r), so no product runs in
+    # Fraction arithmetic.  Each identity is the rational one times a
+    # nonzero integer.
 
     @memo()
     def hodge_projector(self, n, r):
-        """The action of the degree-matching Eulerian idempotents on C^n:
-        e_q(r) on each (p, q) component (identity for q = 0, r = 0); built
+        """n! P_r(n), where the Hodge projector P_r(n) acts on C^n by the
+        degree-matching Eulerian idempotent: e_q(r) on each (p, q)
+        component (identity for q = 0, r = 0).  Its blocks are the integral
+        actions q! e_q(r) scaled by n!/q!, so every entry is an int; built
         once per (n, r)."""
         return self._build_hodge_projector(n, r)
 
     def _build_hodge_projector(self, n, r):
+        order = factorial(n)
         blocks = []
         for p, q, _, simplices in self.layout(n)[0]:
             for sigma, rows, cols, _ in simplices:
                 size = rows * cols
                 if 1 <= r <= q:
                     d_c = self.presheaf.algebras[sigma.codomain].dim
-                    blocks.append(self.idempotent_action(q, r, rows, d_c))
+                    blocks.append(self.idempotent_action(q, r, rows, d_c)
+                                  .scale(order // factorial(q)))
                 elif q == r == 0:
-                    blocks.append(RatMatrix.identity(size))
+                    blocks.append(RatMatrix.identity(size).scale(order))
                 else:
                     blocks.append(RatMatrix.zeros(size, size))
         return RatMatrix.block_diag(blocks)
 
     @memo()
     def idempotent_action(self, q, r, m_dim, a_dim):
-        """The action of e_q(r) on Hom(A^{(x) q}, M) for dim M = m_dim and
-        dim A = a_dim, built once per complex: it depends on nothing else,
-        and the projectors of neighbouring degrees and the lifts of
-        `factor_through_restrictions` ask for the same ones."""
-        return element_action_matrix(eulerian_idempotent(q, r), m_dim, a_dim)
+        """The action of q! e_q(r) on Hom(A^{(x) q}, M) for dim M = m_dim
+        and dim A = a_dim (an int matrix), built once per complex: it
+        depends on nothing else, and the projectors of neighbouring degrees
+        and the lifts of `factor_through_restrictions` ask for the same
+        ones."""
+        return element_action_matrix(scaled_eulerian_idempotent(q, r),
+                                     m_dim, a_dim)
 
     def hodge_split(self, theta):
         """theta = sum_r theta_r with theta_r in the image of the r-th
-        idempotent in every bidegree; the r = 0 part is the bottom row."""
+        idempotent in every bidegree; the r = 0 part is the bottom row.
+        theta_r = (n! P_r) theta / n!, and sum_r (n! P_r) theta = n! theta
+        is checked (VerificationFailed otherwise), which is sum_r theta_r =
+        theta times n!."""
         self.require_commutative()
         n = theta.degree
+        order = factorial(n)
         vec = self.flatten_cochain(theta)
         parts = {}
         total = [0] * self.dim(n)
         for r in range(n + 1):
             pvec = self.hodge_projector(n, r).apply(vec)
-            parts[r] = self.unflatten_cochain(n, pvec)
+            parts[r] = self.unflatten_cochain(
+                n, [Fraction(x, order) if x else 0 for x in pvec])
             total = [a + b for a, b in zip(total, pvec)]
-        if tuple(total) != vec:
+        if total != [order * x for x in vec]:
             raise VerificationFailed("Hodge components do not sum back")
         return parts
 
     def check_hodge_stability(self, n, r):
         """Both differentials preserve the r-component:
-        P_r(n+1) d P_r(n) = d P_r(n)."""
+        P_r(n+1) d P_r(n) = d P_r(n).  Checked on the integral projectors
+        Pi_m = m! P_r(m) as Pi_{n+1} d Pi_n = (n+1)! d Pi_n, which is the
+        same identity times the nonzero integer (n+1)! n!."""
         p_n = self.hodge_projector(n, r)
         p_n1 = self.hodge_projector(n + 1, r)
         d_p = self.differential(n) @ p_n
-        return p_n1 @ d_p == d_p
+        return p_n1 @ d_p == d_p.scale(factorial(n + 1))
 
     def hodge_cohomology(self, n, r):
         """Betti number of the r-Hodge summand at degree n (commutative
-        presheaves)."""
+        presheaves).  The summand in degree m is spanned by the pivot
+        columns of m! P_r(m), which span the image of P_r(m)."""
         self.require_commutative()
 
         def basis(m):
@@ -375,12 +398,14 @@ def factor_through_restrictions(gs, p, r, component):
     restriction maps.
 
     `component` maps p-simplex keys to cochain matrices at bidegree (p, r)
-    satisfying theta e_r(r) = theta.  For each simplex the exact linear
-    system  Theta o (f^sigma)^{(x) r} = theta  is solved; the result maps
-    simplex keys to dicts with the lifted matrix (a multilinear cochain on
-    A(d sigma)) and a uniqueness flag, or records the simplices where no
+    satisfying theta e_r(r) = theta, checked as theta (r! e_r(r)) =
+    r! theta (VerificationFailed otherwise).  For each simplex the exact
+    linear system  Theta o (f^sigma)^{(x) r} = theta  is solved; the result
+    maps simplex keys to dicts with the lifted matrix (a multilinear cochain
+    on A(d sigma)) and a uniqueness flag, or records the simplices where no
     factorization exists.
     """
+    order = factorial(r)
     out = {"lifts": {}, "failures": []}
     for sigma in gs.category.nerve(p):
         theta = component.get(sigma.key())
@@ -390,7 +415,7 @@ def factor_through_restrictions(gs, p, r, component):
         a_c = gs.presheaf.algebras[sigma.codomain]
         action = gs.idempotent_action(r, r, a_d.dim, a_c.dim)
         flat = flatten(theta)
-        if action.apply(flat) != flat:
+        if action.apply(flat) != tuple(order * x for x in flat):
             raise VerificationFailed("component at %s is not fixed by the top "
                                      "idempotent" % sigma.label())
         f_sigma = gs.presheaf.restriction_along(sigma)

@@ -38,8 +38,11 @@ class HCochain:
         self.bimodule = bimodule
         self.n = n
         self.matrix = matrix
-        assert matrix.rows == bimodule.dim
-        assert matrix.cols == algebra.dim ** n
+        shape = (bimodule.dim, algebra.dim ** n)
+        if (matrix.rows, matrix.cols) != shape:
+            raise InvalidStructure(
+                "a Hochschild %d-cochain is a %d x %d matrix, got %d x %d"
+                % ((n,) + shape + (matrix.rows, matrix.cols)))
 
     def __call__(self, word):
         return self.matrix.column(word_index(word, self.algebra.dim))

@@ -78,6 +78,19 @@ def _required(block, key, path):
     return block[key]
 
 
+def _object(value, path):
+    """value, or a SchemaError at path when it is not a JSON object."""
+    if not isinstance(value, dict):
+        raise SchemaError("%s: expected an object" % path)
+    return value
+
+
+def _entries(block, key, path):
+    """The items of the optional object block[key], or a SchemaError at
+    path/key when it is not a JSON object."""
+    return _object(block.get(key, {}), "%s/%s" % (path, key)).items()
+
+
 def _known(name, names, path):
     """name, or a SchemaError at path when it is not among names."""
     if name not in names:
@@ -243,7 +256,7 @@ def load_project(path_or_dict):
     modules = {}
     for name, block in raw.get("modules", {}).items():
         path = "/modules/%s" % name
-        obj = _required(block, "object", path)
+        obj = _required(_object(block, path), "object", path)
         if obj not in category.objects:
             raise SchemaError("%s/object: unknown %r" % (path, obj))
         alg = alg_of[obj]
@@ -252,6 +265,8 @@ def load_project(path_or_dict):
             raise SchemaError("%s/dim: expected a non-negative integer, got %r"
                               % (path, dim))
         mats = _required(block, "action", path)
+        if not isinstance(mats, list):
+            raise SchemaError("%s/action: expected a list of matrices" % path)
         if len(mats) != alg.dim:
             raise SchemaError("%s/action: need one matrix per basis element"
                               % path)
@@ -283,10 +298,11 @@ def load_project(path_or_dict):
 
 def _load_cochain(name, block, category, alg_of, chg, chg_inv):
     path = "/cochains/%s" % name
+    _object(block, path)
     out = {"name": name}
     if "m1" in block or "f1" in block or "c1" in block:
         m1 = {}
-        for obj, rows in block.get("m1", {}).items():
+        for obj, rows in _entries(block, "m1", path):
             where = path + "/m1/" + obj
             _known(obj, alg_of, where)
             mat = parse_matrix(rows, where)
@@ -295,13 +311,13 @@ def _load_cochain(name, block, category, alg_of, chg, chg_inv):
                 raise SchemaError("%s: shape mismatch" % where)
             m1[obj] = chg_inv[obj] @ mat @ chg[obj].kron(chg[obj])
         f1 = {}
-        for mname, rows in block.get("f1", {}).items():
+        for mname, rows in _entries(block, "f1", path):
             where = path + "/f1/" + mname
             m = category.morphisms[_known(mname, category.morphisms, where)]
             mat = parse_matrix(rows, where)
             f1[mname] = chg_inv[m.source] @ mat @ chg[m.target]
         c1 = {}
-        for key, coeffs in block.get("c1", {}).items():
+        for key, coeffs in _entries(block, "c1", path):
             where = path + "/c1/" + key
             u1, u2 = (_known(u, category.morphisms, where)
                       for u in _pair_key(key, where))
@@ -310,13 +326,13 @@ def _load_cochain(name, block, category, alg_of, chg, chg_inv):
         out.update({"kind": "triple", "m1": m1, "f1": f1, "c1": c1})
     elif "g1" in block or "tau1" in block:
         g1 = {}
-        for obj, rows in block.get("g1", {}).items():
+        for obj, rows in _entries(block, "g1", path):
             where = path + "/g1/" + obj
             _known(obj, alg_of, where)
             mat = parse_matrix(rows, where)
             g1[obj] = chg_inv[obj] @ mat @ chg[obj]
         tau1 = {}
-        for mname, coeffs in block.get("tau1", {}).items():
+        for mname, coeffs in _entries(block, "tau1", path):
             where = path + "/tau1/" + mname
             src = category.source(_known(mname, category.morphisms, where))
             tau1[mname] = chg_inv[src].apply(parse_vector(coeffs, where))

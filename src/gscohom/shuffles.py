@@ -12,12 +12,18 @@ Gerstenhaber-Schack, JPAA 1987): the coefficient of e_n(r) on sigma is
     sgn(sigma) [t^r] C(t - d(sigma) + n - 1, n),
 
 where d(sigma) counts the descents of sigma, so n! e_n(r) has integer
-coefficients.  Every family is certified before it is returned: the
+coefficients.  Both families, e_n(r) and the integral n! e_n(r), are built
+together, and the integral one is certified before either is returned: the
 certificate (`certify_eulerian_family`) checks sum_r e_n(r) = 1 and
 s_n e_n(r) = lambda_r e_n(r), which proves the family equal to the Lagrange
-interpolants and hence idempotent and pairwise orthogonal.  It costs n
-products with s_n (2^n - n terms for n >= 2), where the all-pairs check
-cost n(n+1)/2 products of n!-term elements.
+interpolants and hence idempotent and pairwise orthogonal.  Its cost is one
+composition p o q per term p of s_n (2^n - n terms for n >= 2) and
+permutation q, shared by all n identities: the permutations with equal
+coefficient vectors (e_1[q], ..., e_n[q]) are composed with s_n together,
+and the closed form has at most 2n such vectors, one per sign and descent
+number.  The all-pairs check it replaced cost n(n+1)/2 products of n!-term
+elements.  The Hodge layer (`gs`) acts by the integral multiples
+(`scaled_eulerian_idempotent`), so its action matrices have int entries.
 
 Coefficients are exact: an int where integral, else a Fraction
 (`linalg.exact`; the two compare and hash equal).  Permutations act on
@@ -29,7 +35,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, lcm
-from operator import add
+from operator import add, itemgetter
 
 from .linalg import RatMatrix, VerificationFailed, exact
 
@@ -130,14 +136,18 @@ def total_shuffle_operator(n):
     return GroupAlgebraElement(n, terms)
 
 
-def certify_eulerian_family(family):
-    """Raise VerificationFailed unless `family` = (e_1, ..., e_n) is the
-    family of Eulerian idempotents of QS_n, the Lagrange interpolants
-    L_r(s_n) of the total shuffle operator.
+def certify_eulerian_family(family, scale=1):
+    """Raise VerificationFailed unless `family` = (f_1, ..., f_n) is `scale`
+    times the family (e_1, ..., e_n) of Eulerian idempotents of QS_n, the
+    Lagrange interpolants L_r(s_n) of the total shuffle operator.  `scale`
+    is a nonzero number; `eulerian_idempotents` passes the integral family
+    n! e_r with scale n!, so that the check runs in int arithmetic.
 
-    Certificate: sum_r e_r = 1 and s_n e_r = lambda_r e_r for every r,
-    where lambda_r = 2^r - 2.  Proof that it is as strong as checking
-    e_r = L_r(s_n) and e_r e_t = delta_rt e_t for all pairs: let
+    Certificate: sum_r f_r = scale and s_n f_r = lambda_r f_r for every r,
+    where lambda_r = 2^r - 2.  Dividing by the nonzero scale, these are
+    exactly sum_r e_r = 1 and s_n e_r = lambda_r e_r for e_r = f_r / scale.
+    Proof that those are as strong as checking e_r = L_r(s_n) and
+    e_r e_t = delta_rt e_t for all pairs: let
     L_r(x) = prod_{j != r} (x - lambda_j) / (lambda_r - lambda_j), so that
     L_r(lambda_j) = delta_rj, the lambda_j being distinct.  From
     s_n e_j = lambda_j e_j, p(s_n) e_j = p(lambda_j) e_j for every
@@ -150,38 +160,82 @@ def certify_eulerian_family(family):
         e_r e_t = L_r(s_n) e_t = L_r(lambda_t) e_t = delta_rt e_t.
 
     Conversely the Lagrange family passes: (s_n - lambda_r) L_r(s_n) is a
-    multiple of prod_j (s_n - lambda_j) = 0.  Both identities are checked
-    on the multiples n! e_r, whose coefficients are integers for the true
-    family, so the products with s_n run in integer arithmetic.
+    multiple of prod_j (s_n - lambda_j) = 0.
+
+    Each composition is computed once for all n products.  Group the
+    permutations q by their coefficient vector v(q) = (f_1[q], ..., f_n[q])
+    and let T_C = sum_{q in C} s_n q for each class C.  By linearity
+
+        s_n f_r = sum_q f_r[q] s_n q = sum_C v_r(C) T_C,
+
+    since f_r[q] = v_r(C) for every q in C.  So the right-hand side is
+    s_n f_r itself, for any input family (the grouping reads the family; it
+    does not assume the closed form), and comparing it with lambda_r f_r
+    checks the same n identities.
     """
     n = len(family)
     if n < 1 or any(e.n != n for e in family):
         raise VerificationFailed("%d elements are not a family in QS_%d"
                                  % (n, n))
-    scaled = [e.scale(factorial(n)) for e in family]
-    total = GroupAlgebraElement.zero(n)
-    for e in scaled:
-        total = total + e
-    if total != GroupAlgebraElement.one(n).scale(factorial(n)):
+    classes = {}                        # v(q) -> the permutations q
+    for q in set().union(*(e.terms for e in family)):
+        vec = tuple(e.terms.get(q, 0) for e in family)
+        classes.setdefault(vec, []).append(q)
+    total = {q: sum(vec) for vec, qs in classes.items() for q in qs
+             if sum(vec)}
+    if not scale or total != {identity_perm(n): scale}:
         raise VerificationFailed("idempotents do not sum to 1 in QS_%d" % n)
-    s = total_shuffle_operator(n)
-    for r, e in enumerate(scaled, start=1):
-        if s * e != e.scale(2 ** r - 2):
+    by_coeff = {}                       # coefficient of s_n -> its terms p
+    for p, c in total_shuffle_operator(n).terms.items():
+        by_coeff.setdefault(c, []).append(p)
+    images = [Counter() for _ in family]        # s_n f_r
+    for vec, qs in classes.items():
+        t = Counter()                           # T_C
+        for c, ps in by_coeff.items():
+            hits = Counter()                    # p o q = q mapped through p
+            for q in qs:
+                hits.update(map(itemgetter(*q), ps))
+            for x, k in hits.items():
+                t[x] += c * k
+        for v, image in zip(vec, images):
+            if v:
+                for x, k in t.items():
+                    image[x] += v * k
+    for r, (e, image) in enumerate(zip(family, images), start=1):
+        lam = 2 ** r - 2
+        if {x: v for x, v in image.items() if v} != \
+                {q: lam * c for q, c in e.terms.items() if lam}:
             raise VerificationFailed(
-                "s_%d e_%d(%d) != %d e_%d(%d)" % (n, n, r, 2 ** r - 2, n, r))
+                "s_%d e_%d(%d) != %d e_%d(%d)" % (n, n, r, lam, n, r))
 
 
 _idempotent_cache = {}
 
 
 def eulerian_idempotents(n):
-    """The family (e_n(1), ..., e_n(n)) from its closed form, certified
-    exactly by `certify_eulerian_family` (VerificationFailed otherwise) and
-    kept per n.  Raises ValueError for n < 1."""
+    """The family (e_n(1), ..., e_n(n)) from its closed form.  It is built
+    together with the integral family (n! e_n(1), ..., n! e_n(n)), which is
+    certified exactly by `certify_eulerian_family` (VerificationFailed
+    otherwise); both are kept per n in one cache entry.  Raises ValueError
+    for n < 1."""
     if n < 1:
         raise ValueError("Eulerian idempotents of QS_%d: expected n >= 1" % n)
-    if n in _idempotent_cache:
-        return _idempotent_cache[n]
+    if n not in _idempotent_cache:
+        order = factorial(n)
+        scaled = _scaled_family(n)
+        certify_eulerian_family(scaled, order)
+        rational = {}                   # integral coefficient -> c / n!
+        family = tuple(GroupAlgebraElement(n, {
+            p: rational.setdefault(c, exact(Fraction(c, order)))
+            for p, c in e.terms.items()}) for e in scaled)
+        _idempotent_cache[n] = family, scaled
+    return _idempotent_cache[n][0]
+
+
+def _scaled_family(n):
+    """(n! e_n(1), ..., n! e_n(n)) from the closed form: the coefficient of
+    n! e_n(r) on sigma is sgn(sigma) [t^r] n! C(t - d(sigma) + n - 1, n),
+    an integer."""
     # n! C(t - d + n - 1, n) = prod_{j < n} (t - d + j), as coefficient
     # lists in t, one per descent number d
     polys = []
@@ -194,15 +248,12 @@ def eulerian_idempotents(n):
             coeffs = shifted
         polys.append(coeffs)
     terms = [{} for _ in range(n)]
-    order = factorial(n)
     for perm in permutations(range(n)):
         sign, coeffs = perm_sign(perm), polys[descents(perm)]
         for r in range(1, n + 1):
-            terms[r - 1][perm] = Fraction(sign * coeffs[r], order)
-    family = tuple(GroupAlgebraElement(n, t) for t in terms)
-    certify_eulerian_family(family)
-    _idempotent_cache[n] = family
-    return family
+            if coeffs[r]:
+                terms[r - 1][perm] = sign * coeffs[r]
+    return tuple(GroupAlgebraElement(n, t) for t in terms)
 
 
 def eulerian_idempotent(n, r):
@@ -213,6 +264,16 @@ def eulerian_idempotent(n, r):
     if r < 1 or r > n:
         return GroupAlgebraElement.zero(n)
     return eulerian_idempotents(n)[r - 1]
+
+
+def scaled_eulerian_idempotent(n, r):
+    """n! e_n(r), with integer coefficients and the boundary conventions of
+    `eulerian_idempotent`; certified together with e_n(r) by
+    `eulerian_idempotents`."""
+    if n == 0 or r < 1 or r > n:
+        return eulerian_idempotent(n, r)
+    eulerian_idempotents(n)             # builds, certifies and keeps both
+    return _idempotent_cache[n][1][r - 1]
 
 
 ACTION_CONVENTION = "inverse-place-permutation/signs-in-operator"
@@ -237,7 +298,9 @@ def element_action_matrix(elt, m_dim, a_dim):
     all words, in word order, are built digit by digit; the (word, source)
     hits are counted per coefficient value, so the counting runs in
     `Counter`, and summed as integers over the common denominator of the
-    coefficients.  The action is the identity on M.
+    coefficients; with integer coefficients (the multiples q! e_q(r) of
+    `scaled_eulerian_idempotent`) every entry is an int.  The action is the
+    identity on M.
     """
     q = elt.n
     n_words = a_dim ** q
@@ -262,11 +325,11 @@ def element_action_matrix(elt, m_dim, a_dim):
     for key, v in totals.items():
         if v:
             dst, src = divmod(key, n_words)
-            value = Fraction(v, den)
+            value = v if den == 1 else exact(Fraction(v, den))
             for i in range(m_dim):
                 entries[(dst * m_dim + i, src * m_dim + i)] = value
     size = m_dim * n_words
-    return RatMatrix(size, size, entries)
+    return RatMatrix._trusted(size, size, entries)
 
 
 def perm_action_matrix(perm, m_dim, a_dim):

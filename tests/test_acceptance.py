@@ -7,6 +7,7 @@ budget.  All assertions are exact: no tolerances anywhere.
 
 import time
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -256,12 +257,13 @@ def test_criterion_4_hodge_suite(fixture_complexes):
                 if r <= deg:
                     acc += gs.hodge_cohomology(deg, r)
             assert acc == total, (name, deg)
-        # the r = 0 projector is exactly the bottom-row projector
+        # the r = 0 projector is exactly the bottom-row projector (times
+        # deg!, the scale of the integral projectors)
         for deg in (1, 2, 3):
             p0 = gs.hodge_projector(deg, 0)
             bottom = set(gs.bottom_row_coordinates(deg))
             for (i, j), v in p0.items():
-                assert i == j and i in bottom and v == 1
+                assert i == j and i in bottom and v == factorial(deg)
             assert p0.nnz() == len(bottom)
     report(4, "Hodge suite", t0, 120)
 

@@ -32,6 +32,8 @@ COMMANDS = {
     "hoch_h3_one_object": ["cohomology", "--project", P + "one_object.json",
                            "--complex", "hoch", "--degree", "3"],
     "hodge_2": ["hodge", "--project", P + "v_poset.json", "--degree", "2"],
+    # reaches the q = 4 Hodge blocks; hodge_2 stops at q = 3
+    "hodge_4": ["hodge", "--project", P + "v_poset.json", "--degree", "4"],
     "deform_rep_cocycle": ["deform", "--project", P + "v_poset.json",
                            "--cocycle", "rep_cocycle"],
     "deform_perturbed": ["deform", "--project", P + "v_poset.json",

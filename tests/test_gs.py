@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -188,9 +189,11 @@ def test_hodge_split_components(complexes, rng):
             acc = acc + parts[r]
         assert acc == theta
         for r in range(0, n + 1):
-            # components live in the image of the projector
+            # components live in the image of the projector, which is
+            # n! P_r: P_r v = v reads (n! P_r) v = n! v
             v = gs.flatten_cochain(parts[r])
-            assert gs.hodge_projector(n, r).apply(v) == v
+            assert gs.hodge_projector(n, r).apply(v) == \
+                tuple(factorial(n) * x for x in v)
 
 
 def test_hodge_bottom_row_is_r0(complexes):
@@ -228,6 +231,48 @@ def test_hodge_stability_and_additivity(complexes):
                 if r <= n:
                     sigma += gs.hodge_cohomology(n, r)
             assert sigma == total, (name, n)
+
+
+def test_integral_projector_is_n_factorial_times_the_rational_one():
+    # n! P_r(n) against the block diagonal of the rational actions of
+    # e_q(r), built here from the rational family, times n!
+    gs = GSComplex(presets.v_poset_commutative())
+    for n in range(5):
+        for r in range(n + 2):
+            blocks = []
+            for p, q, _, simplices in gs.layout(n)[0]:
+                for sigma, rows, cols, _ in simplices:
+                    d_c = gs.presheaf.algebras[sigma.codomain].dim
+                    if q == 0:
+                        blocks.append(RatMatrix.identity(rows * cols)
+                                      if r == 0 else
+                                      RatMatrix.zeros(rows * cols, rows * cols))
+                    else:
+                        blocks.append(gs_module.element_action_matrix(
+                            eulerian_idempotent(q, r), rows, d_c))
+            rational = RatMatrix.block_diag(blocks)
+            projector = gs.hodge_projector(n, r)
+            assert projector == rational.scale(factorial(n)), (n, r)
+            assert all(type(v) is int for _, v in projector.items())
+
+
+def test_stability_check_fails_on_a_perturbed_action():
+    # one entry of the action of 2! e_2(1) on 2-cochains of a 2-dimensional
+    # algebra changed: the projector of degree 2 no longer fixes the image
+    # of d P_1(1), and the stability check must say so
+    gs = GSComplex(presets.v_poset_commutative())
+    assert gs.check_hodge_stability(1, 1)
+    gs = GSComplex(presets.v_poset_commutative())
+    real = gs.idempotent_action
+    key = (2, 1, 2, 2)
+
+    def perturbed(q, r, m_dim, a_dim):
+        action = real(q, r, m_dim, a_dim)
+        if (q, r, m_dim, a_dim) != key:
+            return action
+        return action + RatMatrix(action.rows, action.cols, {(0, 1): 1})
+    gs.idempotent_action = perturbed
+    assert not gs.check_hodge_stability(1, 1)
 
 
 def test_gs_op_involution_and_chain_map(complexes):
@@ -319,11 +364,11 @@ def test_gs_checks_raise_under_python_O(flags):
 
 _PRECONDITIONS_SCRIPT = r'''
 from gscohom import presets
-from gscohom.algebra import (AlgebraHom, FinAlgebra, FinModule,
+from gscohom.algebra import (AlgebraHom, FinAlgebra, FinBimodule, FinModule,
                              InvalidStructure, module_hom_space,
                              quotient_by_columns)
 from gscohom.gs import GSComplex
-from gscohom.hochschild import normalized_coordinates
+from gscohom.hochschild import HCochain, normalized_coordinates
 from gscohom.linalg import RatMatrix, VerificationFailed
 
 
@@ -350,14 +395,21 @@ print(outcome(lambda: quotient_by_columns(1, RatMatrix.identity(2))))
 # the complement check, with an inverse that is never found
 RatMatrix.inverse = lambda self: None
 print(outcome(lambda: quotient_by_columns(2, RatMatrix.identity(2))))
+# a 2-cochain of the dual numbers given as a 2 x 2 matrix (it is 2 x 4)
+dual = FinBimodule.regular(dn)
+print(outcome(lambda: HCochain(dn, dual, 2, RatMatrix.identity(2))))
+# GS cochains of different degrees
+print(outcome(lambda: gs.unflatten_cochain(1, (0,) * gs.dim(1))
+              + gs.unflatten_cochain(2, (0,) * gs.dim(2))))
 '''
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
 def test_library_preconditions_raise_under_python_O(flags):
     # a unit that is not a basis vector, a misspelt subcomplex kind,
-    # algebras and relations of unfitting dimensions, and a failed
-    # complement in quotient_by_columns
+    # algebras and relations of unfitting dimensions, a failed complement
+    # in quotient_by_columns, a Hochschild cochain of the wrong shape and
+    # the sum of GS cochains of different degrees
     env = dict(os.environ, PYTHONPATH=os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", "src"))
     done = subprocess.run([sys.executable, *flags, "-c",
@@ -366,7 +418,8 @@ def test_library_preconditions_raise_under_python_O(flags):
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["InvalidStructure", "ValueError",
                                    "InvalidStructure", "InvalidStructure",
-                                   "InvalidStructure", "VerificationFailed"]
+                                   "InvalidStructure", "VerificationFailed",
+                                   "InvalidStructure", "InvalidStructure"]
 
 
 def test_factor_through_failure_named(complexes):
@@ -479,7 +532,10 @@ def test_idempotent_actions_are_built_once_per_complex(monkeypatch):
     assert not out["failures"]
     assert len(calls) == len(actions)
     for (q, r, m_dim, a_dim), action in actions.items():
-        assert action == real(eulerian_idempotent(q, r), m_dim, a_dim)
+        # the action of q! e_q(r), with int entries
+        assert action == real(eulerian_idempotent(q, r), m_dim,
+                              a_dim).scale(factorial(q))
+        assert all(type(v) is int for _, v in action.items())
     # a new complex starts without the memo
     GSComplex(presets.v_poset_commutative()).hodge_projector(1, 1)
     assert len(calls) > len(actions)

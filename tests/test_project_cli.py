@@ -616,9 +616,23 @@ def _dual_numbers(raw):
         {"U01->U0": [[[1], "0"]]}), "/presheaf/restrictions/U01->U0"),
     (lambda raw: raw["presheaf"]["restrictions"].update(
         {"U01->U0": [[1.0, "0"]]}), "/presheaf/restrictions/U01->U0"),
+    (lambda raw: raw["modules"]["free_U0"].update(action=5),
+     "/modules/free_U0/action"),
+    (lambda raw: raw["cochains"]["perturbed"].update(m1=[]),
+     "/cochains/perturbed/m1"),
+    (lambda raw: raw["cochains"]["perturbed"].update(f1=[]),
+     "/cochains/perturbed/f1"),
+    (lambda raw: raw["cochains"]["perturbed"].update(c1=[]),
+     "/cochains/perturbed/c1"),
+    (lambda raw: raw["cochains"]["gauge"].update(g1=[]),
+     "/cochains/gauge/g1"),
+    (lambda raw: raw["cochains"]["gauge"].update(tau1=[]),
+     "/cochains/gauge/tau1"),
 ], ids=["no-unit", "no-basis", "mult-pair", "unit-null", "no-restrictions",
         "no-presheaf-algebras", "f1-unknown-morphism", "c1-without-semicolon",
-        "one-object-relation", "entry-null", "entry-list", "entry-float"])
+        "one-object-relation", "entry-null", "entry-list", "entry-float",
+        "action-not-a-list", "m1-list", "f1-list", "c1-list", "g1-list",
+        "tau1-list"])
 def test_malformed_project_is_a_schema_error_without_traceback(
         tmp_path, edit, path):
     with open(project_path("v_poset.json")) as fh:
@@ -629,6 +643,39 @@ def test_malformed_project_is_a_schema_error_without_traceback(
     env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
     done = subprocess.run([sys.executable, "-m", "gscohom.cli", "check",
                            "--project", str(project)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2, done.stderr
+    assert path in json.loads(done.stdout)["error"]
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("block, path", [
+    ({"type": "explicit"}, "/data/structure/modules: missing"),
+    ({"type": "explicit", "modules": {"pt": "free_pt"}},
+     "/data/structure/maps: missing"),
+    ({"type": "explicit", "modules": [], "maps": {}},
+     "/data/structure/modules: expected an object"),
+    ({"type": "explicit", "modules": {"pt": "free_pt"}, "maps": []},
+     "/data/structure/maps: expected an object"),
+    ({"type": "free", "trivialization": []},
+     "/data/structure/trivialization: expected an object"),
+    ([], "/data/structure: expected an object"),
+], ids=["no-modules", "no-maps", "modules-list", "maps-list",
+        "trivialization-list", "datum-list"])
+def test_malformed_datum_is_a_schema_error_without_traceback(
+        tmp_path, block, path):
+    with open(project_path("one_object.json")) as fh:
+        raw = json.load(fh)
+    # the free module over the dual numbers at the one object
+    raw["modules"] = {"free_pt": {"object": "pt", "dim": 2, "action": [
+        [["1", "0"], ["0", "1"]], [["0", "0"], ["1", "0"]]]}}
+    raw["data"] = {"structure": block}
+    project = tmp_path / "project.json"
+    project.write_text(json.dumps(raw))
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    done = subprocess.run([sys.executable, "-m", "gscohom.cli",
+                           "descent-check", "--project", str(project),
+                           "--datum", "structure"],
                           capture_output=True, text=True, env=env)
     assert done.returncode == 2, done.stderr
     assert path in json.loads(done.stdout)["error"]

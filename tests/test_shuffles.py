@@ -3,7 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +14,7 @@ from gscohom.shuffles import (GroupAlgebraElement, eulerian_idempotents,
                               eulerian_idempotent, total_shuffle_operator,
                               riffle_shuffles, element_action_matrix,
                               perm_action_matrix, certify_eulerian_family,
-                              descents, perm_sign)
+                              descents, perm_sign, scaled_eulerian_idempotent)
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -183,6 +183,44 @@ def test_certificate_rejects_swapped_members(n):
             # the sum is still 1; the eigenvalue identity must catch it
             with pytest.raises(VerificationFailed, match="s_%d" % n):
                 certify_eulerian_family(swapped)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_certificate_rejects_a_permutation_moved_to_another_class(n):
+    # give one non-identity permutation the coefficients of another
+    # descent number with its sign: every class but one keeps its members,
+    # the sum is still n!, and only the eigenvalue identity can object
+    scaled = [scaled_eulerian_idempotent(n, r) for r in range(1, n + 1)]
+    certify_eulerian_family(scaled, factorial(n))
+    perm = (1, 0) + tuple(range(2, n))              # one descent
+    other = (2, 1, 0) + tuple(range(3, n))          # two descents
+    assert descents(perm) != descents(other)
+    assert perm_sign(perm) == perm_sign(other)
+    moved = [GroupAlgebraElement(n, {**e.terms, perm: e.terms.get(other, 0)})
+             for e in scaled]
+    assert moved != scaled
+    with pytest.raises(VerificationFailed, match="s_%d" % n):
+        certify_eulerian_family(moved, factorial(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certificate_rejects_a_scaled_family(n):
+    # 2 e_r satisfies every eigenvalue identity; only the sum can object
+    doubled = [e.scale(2) for e in eulerian_idempotents(n)]
+    with pytest.raises(VerificationFailed, match="sum to 1"):
+        certify_eulerian_family(doubled)
+    scaled = [scaled_eulerian_idempotent(n, r) for r in range(1, n + 1)]
+    with pytest.raises(VerificationFailed, match="sum to 1"):
+        certify_eulerian_family([e.scale(2) for e in scaled], factorial(n))
+    certify_eulerian_family([e.scale(2) for e in scaled], 2 * factorial(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_scaled_family_is_integral_and_n_factorial_times_the_family(n):
+    for r in range(n + 2):
+        scaled = scaled_eulerian_idempotent(n, r)
+        assert all(type(c) is int for c in scaled.terms.values())
+        assert scaled == eulerian_idempotent(n, r).scale(factorial(n))
 
 
 def test_certificate_rejects_wrong_sizes():
