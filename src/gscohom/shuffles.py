@@ -136,16 +136,15 @@ def total_shuffle_operator(n):
     return GroupAlgebraElement(n, terms)
 
 
-def certify_eulerian_family(family, scale=1):
-    """Raise VerificationFailed unless `family` = (f_1, ..., f_n) is `scale`
-    times the family (e_1, ..., e_n) of Eulerian idempotents of QS_n, the
-    Lagrange interpolants L_r(s_n) of the total shuffle operator.  `scale`
-    is a nonzero number; `eulerian_idempotents` passes the integral family
-    n! e_r with scale n!, so that the check runs in int arithmetic.
+def certify_eulerian_family(family):
+    """Raise VerificationFailed unless `family` = (f_1, ..., f_n) is n! times
+    the family (e_1, ..., e_n) of Eulerian idempotents of QS_n, the Lagrange
+    interpolants L_r(s_n) of the total shuffle operator.  The integral
+    multiples keep the check in int arithmetic.
 
-    Certificate: sum_r f_r = scale and s_n f_r = lambda_r f_r for every r,
-    where lambda_r = 2^r - 2.  Dividing by the nonzero scale, these are
-    exactly sum_r e_r = 1 and s_n e_r = lambda_r e_r for e_r = f_r / scale.
+    Certificate: sum_r f_r = n! and s_n f_r = lambda_r f_r for every r,
+    where lambda_r = 2^r - 2.  Dividing by n!, these are exactly
+    sum_r e_r = 1 and s_n e_r = lambda_r e_r for e_r = f_r / n!.
     Proof that those are as strong as checking e_r = L_r(s_n) and
     e_r e_t = delta_rt e_t for all pairs: let
     L_r(x) = prod_{j != r} (x - lambda_j) / (lambda_r - lambda_j), so that
@@ -183,7 +182,7 @@ def certify_eulerian_family(family, scale=1):
         classes.setdefault(vec, []).append(q)
     total = {q: sum(vec) for vec, qs in classes.items() for q in qs
              if sum(vec)}
-    if not scale or total != {identity_perm(n): scale}:
+    if total != {identity_perm(n): factorial(n)}:
         raise VerificationFailed("idempotents do not sum to 1 in QS_%d" % n)
     by_coeff = {}                       # coefficient of s_n -> its terms p
     for p, c in total_shuffle_operator(n).terms.items():
@@ -221,13 +220,9 @@ def eulerian_idempotents(n):
     if n < 1:
         raise ValueError("Eulerian idempotents of QS_%d: expected n >= 1" % n)
     if n not in _idempotent_cache:
-        order = factorial(n)
         scaled = _scaled_family(n)
-        certify_eulerian_family(scaled, order)
-        rational = {}                   # integral coefficient -> c / n!
-        family = tuple(GroupAlgebraElement(n, {
-            p: rational.setdefault(c, exact(Fraction(c, order)))
-            for p, c in e.terms.items()}) for e in scaled)
+        certify_eulerian_family(scaled)
+        family = tuple(e.scale(Fraction(1, factorial(n))) for e in scaled)
         _idempotent_cache[n] = family, scaled
     return _idempotent_cache[n][0]
 
