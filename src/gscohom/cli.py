@@ -24,9 +24,9 @@ import sys
 # so that a process loads and compiles no more than its command uses
 from .linalg import (COMPLEX_KINDS, ComplexViolation, NotASubcomplex,
                      UsageError, VerificationFailed)
-from .project import (load_project, SchemaError, matrix_json, vector_json,
-                      parse_matrix, parse_vector, SCHEMA, _entries, _object,
-                      _required)
+from .project import (load_project, SchemaError, algebra_json, matrix_json,
+                      vector_json, parse_matrix, parse_vector, SCHEMA,
+                      _entries, _object, _required)
 
 from .shuffles import ACTION_CONVENTION
 
@@ -131,11 +131,10 @@ def cmd_cohomology(project, args):
                    "representatives": [matrix_json(r.matrix) for r in reps]}
         return _emit(payload, 0)
     if args.complex == "simp":
-        from .simplicial import ModPresheaf, PairComplex
-        cx = PairComplex(ModPresheaf.constant(presheaf.category),
-                         ModPresheaf.of_algebras(presheaf))
-        betti, reps = cx.cohomology(args.degree,
-                                    reduced=(args.kind == "reduced"))
+        from .simplicial import ModPresheaf, presheaf_cohomology
+        betti, reps = presheaf_cohomology(ModPresheaf.of_algebras(presheaf),
+                                          args.degree,
+                                          reduced=(args.kind == "reduced"))
         payload = {"complex": "simp", "degree": args.degree, "betti": betti,
                    "representatives": [vector_json(r) for r in reps]}
         return _emit(payload, 0)
@@ -213,13 +212,9 @@ def cmd_deform(project, args):
     }
     for obj in twisted.category.objects:
         alg = twisted.algebras[obj]
-        mult = []
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                if any(alg.mult[i][j]):
-                    mult.append([i, j, vector_json(alg.mult[i][j])])
-        deformation["algebras"][obj] = {"dim": alg.dim, "mult": mult,
-                                        "unit": vector_json(alg.unit)}
+        entry = algebra_json(alg)
+        del entry["basis"]
+        deformation["algebras"][obj] = dict(entry, dim=alg.dim)
     return _emit({"valid": True, "failures": [],
                   "deformation": deformation}, 0)
 

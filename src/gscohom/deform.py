@@ -229,7 +229,7 @@ def deform(presheaf, m1=None, f1=None, c1=None, gs=None):
     return TwistedDeformation(presheaf, triple, candidate)
 
 
-def deformation_from_cochain(presheaf, theta, gs=None):
+def deformation_from_cochain(presheaf, theta):
     """Repackage a degree-2 GSCochain as a candidate triple."""
     m1 = {key[0]: mat for key, mat in theta.component(0, 2).items()}
     f1 = {key[1]: mat for key, mat in theta.component(1, 1).items()}

@@ -31,10 +31,9 @@ from .linalg import (KINDS, RatMatrix, NotASubcomplex,  # noqa: F401
                      VerificationFailed)
 from .algebra import AlgebraHom, FinBimodule, InvalidStructure
 from .simplicial import ModPresheaf, PairComplex
-from .hochschild import (hoch_differential, op_sign, flatten, unflatten,
+from .hochschild import (hoch_differential, op_matrix, flatten, unflatten,
                          normalized_coordinates)
-from .shuffles import (element_action_matrix, perm_action_matrix,
-                       scaled_eulerian_idempotent)
+from .shuffles import element_action_matrix, scaled_eulerian_idempotent
 
 
 class NotCommutative(UsageError):
@@ -251,16 +250,12 @@ class GSComplex:
     # -- the opposite-cochain isomorphism
 
     def op_matrix(self, n):
-        """The blockwise opposite map C^n(A) -> C^n(A^op): reverse the
-        tensor arguments and multiply by the degree sign."""
-        blocks = []
-        for p, q, _, simplices in self.layout(n)[0]:
-            reversal = tuple(reversed(range(q)))
-            for sigma, rows, cols, _ in simplices:
-                d_c = self.presheaf.algebras[sigma.codomain].dim
-                blocks.append(perm_action_matrix(reversal, rows, d_c)
-                              .scale(op_sign(q)))
-        return RatMatrix.block_diag(blocks)
+        """The blockwise opposite map C^n(A) -> C^n(A^op): on each cell
+        Hom(A(c sigma)^{(x) q}, A(d sigma)), `hochschild.op_matrix`."""
+        return RatMatrix.block_diag([
+            op_matrix(q, rows, self.presheaf.algebras[sigma.codomain].dim)
+            for _, q, _, simplices in self.layout(n)[0]
+            for sigma, rows, _, _ in simplices])
 
     def op_cochain(self, theta):
         """Transport a cochain to the opposite presheaf (an involution).
@@ -303,9 +298,7 @@ class GSComplex:
         self.check_bottom_row_split(n)
         total = self.cohomology(n, "full")[0]
         truncated = self.cohomology(n, "truncated")[0]
-        simp = PairComplex(ModPresheaf.constant(self.category),
-                           self.module_presheaf)
-        bottom = simp.cohomology(n)[0]
+        bottom = self.pair(0).cohomology(n)[0]
         return total, truncated, bottom
 
     # -- Hodge splitting

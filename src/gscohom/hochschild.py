@@ -10,7 +10,8 @@ coordinate of a cochain is column-major, i.e. word index first: entry
 
 so maps on flat cochains are Kronecker products (`hoch_differential`); the
 GS complex (`gs`) and the place-permutation actions (`shuffles`) use the
-same flattening.  (`linalg.vec_operator` is the row-major counterpart.)
+same flattening, and the opposite map is one such action (`op_matrix`).
+(`linalg.vec_operator` is the row-major counterpart.)
 """
 
 from functools import partial
@@ -18,6 +19,7 @@ from itertools import product
 
 from .linalg import RatMatrix, subcomplex_cohomology, unit_vector
 from .algebra import AlgebraHom, FinBimodule, InvalidStructure
+from .shuffles import perm_action_matrix
 
 
 def words(dim, n):
@@ -175,22 +177,22 @@ def op_sign(n):
     return -1 if lam % 2 else 1
 
 
+def op_matrix(n, m_dim, a_dim):
+    """The opposite map on flat n-cochains Hom(A^{(x) n}, M), dim M = m_dim
+    and dim A = a_dim: the place-permutation action of the reversal of the
+    n arguments (`shuffles.perm_action_matrix`) times op_sign(n)."""
+    reversal = tuple(reversed(range(n)))
+    return perm_action_matrix(reversal, m_dim, a_dim).scale(op_sign(n))
+
+
 def op_cochain(phi):
     """The opposite cochain over (A^op, M^op): reverse the arguments and
     multiply by the degree sign (identity in degree 1, swap in degree 2,
     negated reversal in degree 3, ...)."""
-    a = phi.algebra
-    d = a.dim
-    sign = op_sign(phi.n)
-    entries = {}
-    for w in words(d, phi.n):
-        col = phi(w)
-        j = word_index(tuple(reversed(w)), d)
-        for i, v in enumerate(col):
-            if v:
-                entries[(i, j)] = sign * v
-    mat = RatMatrix(phi.bimodule.dim, d ** phi.n, entries)
-    return HCochain(a.opposite(), phi.bimodule.opposite(), phi.n, mat)
+    d, m = phi.algebra.dim, phi.bimodule.dim
+    flat = op_matrix(phi.n, m, d).apply(flatten(phi.matrix))
+    return HCochain(phi.algebra.opposite(), phi.bimodule.opposite(), phi.n,
+                    unflatten(flat, m, d ** phi.n))
 
 
 def hh_algebra(algebra, bimodule, n, normalized=False):

@@ -34,13 +34,6 @@ class TwistedPresheaf:
 
     # -- basic access
 
-    def algebra(self, obj):
-        return self.algebras[obj]
-
-    def restriction(self, name):
-        """The matrix of f^u: A(target u) -> A(source u)."""
-        return self.restrictions[name]
-
     def twist(self, u, v):
         """c^{u,v}, an element of A(source v); defaults to 1."""
         w_obj = self.category.source(v)

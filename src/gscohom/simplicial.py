@@ -6,10 +6,11 @@ For presheaves of modules G, F the pair complex has
 
 with the differential d = sum (-1)^i d_i, where d_0 post-composes with the
 first restriction map of F, d_{p+1} pre-composes with the last restriction
-map of G, and the interior d_i reindex along the faces.  The same machinery
-also yields, for a presheaf of algebras A, the complex of presheaves A^0 ->
-A^1 -> ... built from slice-category nerves, together with the embedding
-A -> A^0.
+map of G, and the interior d_i reindex along the faces.  For a presheaf of
+algebras A, the complex of presheaves A^0 -> A^1 -> ... is the same
+construction on each slice: A^n(U) is the pair complex of the slice C/U
+against A pulled back to it, so its layout and differential are those of
+`PairComplex`.  The embedding A -> A^0 comes with it.
 
 Cochain blocks are flattened column-major (input index outer, output index
 inner); simplices are ordered as produced by the nerve, which is
@@ -165,98 +166,71 @@ def presheaf_cohomology(f_presheaf, p, reduced=False):
 
 
 class PresheafComplex:
-    """The complex of presheaves A^0 -> A^1 -> ... attached to a presheaf of
-    algebras, where A^n(U) is the product of A(V) over the n-simplices of
-    the slice category over U (identified with their composite arrow
-    V -> U), with the alternating-face differential and the embedding
-    A -> A^0 induced by the restriction maps."""
+    """The complex of presheaves A^0 -> A^1 -> ... attached to a strict
+    presheaf of algebras, with the embedding A -> A^0 induced by the
+    restriction maps.
+
+    A^n(U) is the degree-n cochain space of the pair complex of the slice
+    C/U, PairComplex(constant(C/U), F_U), where F_U puts A(V) on the slice
+    object V -> U and restricts along the underlying arrow of each slice
+    arrow; phi^{n,U} is that complex's differential, and rho^{n,u} copies
+    the block of u.sigma to the block of sigma."""
 
     def __init__(self, presheaf, n_max):
-        assert presheaf.is_strict(), "the slice complex needs a strict presheaf"
+        if not presheaf.is_strict():
+            raise InvalidStructure("the slice complex needs a strict presheaf")
         self.presheaf = presheaf
         self.n_max = n_max
         cat = presheaf.category
-        self.slices = {u: slice_category(cat, u) for u in cat.objects}
-        self.levels = []          # ModPresheaf per n
-        for n in range(n_max + 1):
-            self.levels.append(self._build_level(n))
-        self.phi = {n: {u: self._build_phi(n, u) for u in cat.objects}
+        self.slices = {u: self._slice_complex(u) for u in cat.objects}
+        self.levels = [self._build_level(n) for n in range(n_max + 1)]
+        self.phi = {n: {u: self.slices[u].differential(n)
+                        for u in cat.objects}
                     for n in range(n_max)}
         self.eps = {u: self._build_eps(u) for u in cat.objects}
 
-    @memo()
-    def _layout(self, n, u):
-        """(blocks, total) of level n at the object U."""
+    def _slice_complex(self, u):
+        """The pair complex of constant(C/U) and F_U."""
         cat = self.presheaf.category
-        blocks = []
-        offset = 0
-        for sigma in self.slices[u].nerve(n):
-            # a slice object V -> U carries A(V)
-            d = self.presheaf.algebras[cat.source(sigma.domain)].dim
-            blocks.append((sigma, d, offset))
-            offset += d
-        return blocks, offset
+        sl = slice_category(cat, u)
+        dims = {w: self.presheaf.algebras[cat.source(w)].dim
+                for w in sl.objects}
+        maps = {name: self.presheaf.restrictions[v]
+                for name, v in sl.underlying_arrow.items()}
+        return PairComplex(ModPresheaf.constant(sl),
+                           ModPresheaf(sl, dims, maps, check=False))
 
     def _build_level(self, n):
         cat = self.presheaf.category
-        dims = {u: self._layout(n, u)[1] for u in cat.objects}
+        dims = {u: self.slices[u].dim(n) for u in cat.objects}
         maps = {}
         for name, m in cat.morphisms.items():
             # rho^{n,u}: A^n(U) -> A^n(V) copies the block of u.sigma
-            u_obj, v_obj = m.target, m.source
-            index_u = {sigma.key(): (d, off)
-                       for sigma, d, off in self._layout(n, u_obj)[0]}
+            index_u = self.slices[m.target].block_index(n)
             placed = []
-            for sigma, d, off_v in self._layout(n, v_obj)[0]:
-                pushed = self._push_simplex(name, v_obj, u_obj, sigma)
-                d_u, off_u = index_u[pushed.key()]
-                assert d_u == d
-                placed.append((off_v, off_u, RatMatrix.identity(d)))
-            maps[name] = RatMatrix.from_blocks(dims[v_obj], dims[u_obj], placed)
+            for sigma, rows, _, off_v in self.slices[m.source].layout(n)[0]:
+                pushed = self._push_simplex(name, sigma)
+                placed.append((off_v, index_u[pushed.key()][2],
+                               RatMatrix.identity(rows)))
+            maps[name] = RatMatrix.from_blocks(dims[m.source], dims[m.target],
+                                               placed)
         return ModPresheaf(cat, dims, maps)
 
-    def _push_simplex(self, u_name, v_obj, u_obj, sigma):
-        """N_n(slice over V) -> N_n(slice over U) by postcomposing with u."""
+    def _push_simplex(self, u_name, sigma):
+        """N_n(C/V) -> N_n(C/U) for u: V -> U, by postcomposing with u."""
         cat = self.presheaf.category
-        slice_v, slice_u = self.slices[v_obj], self.slices[u_obj]
-        new_domain = cat.compose(u_name, sigma.domain)
-        arrows = []
-        for arr in sigma.arrows:
-            under = slice_v.underlying_arrow[arr]
-            target_obj = slice_v.target(arr)
-            new_target = cat.compose(u_name, target_obj)
-            arrows.append("%s|%s" % (under, new_target))
-        return Simplex(slice_u, tuple(arrows), new_domain)
-
-    def _build_phi(self, n, u):
-        """phi^{n,U}: A^n(U) -> A^{n+1}(U): on the block of sigma, the 0th
-        face restricted along the first slice arrow, minus the first face,
-        plus the second, and so on."""
-        sl = self.slices[u]
-        index_in = {sigma.key(): (d, off)
-                    for sigma, d, off in self._layout(n, u)[0]}
-        blocks_out, dim_out = self._layout(n + 1, u)
-        placed = []
-        for sigma, d_out, off_out in blocks_out:
-            d_in, off_in = index_in[sigma.face(0).key()]
-            under = sl.underlying_arrow[sigma.arrows[0]]
-            rest = self.presheaf.restrictions[under]
-            assert rest.rows == d_out and rest.cols == d_in
-            placed.append((off_out, off_in, rest))
-            for i in range(1, n + 2):
-                d_in, off_in = index_in[sigma.face(i).key()]
-                assert d_in == d_out
-                placed.append((off_out, off_in,
-                               RatMatrix.identity(d_out).scale((-1) ** i)))
-        return RatMatrix.from_blocks(dim_out, self._layout(n, u)[1], placed)
+        slice_v = self.slices[cat.source(u_name)].category
+        arrows = tuple("%s|%s" % (slice_v.underlying_arrow[arr],
+                                  cat.compose(u_name, slice_v.target(arr)))
+                       for arr in sigma.arrows)
+        return Simplex(self.slices[cat.target(u_name)].category, arrows,
+                       cat.compose(u_name, sigma.domain))
 
     def _build_eps(self, u):
         """The embedding A(U) -> A^0(U), blockwise the restriction along the
         slice object's arrow."""
-        mats = []
-        for sigma, d, off in self._layout(0, u)[0]:
-            mats.append(self.presheaf.restrictions[sigma.domain])
-        return RatMatrix.vstack(mats)
+        return RatMatrix.vstack([self.presheaf.restrictions[sigma.domain]
+                                 for sigma, *_ in self.slices[u].layout(0)[0]])
 
     # -- verification helpers
 

@@ -294,6 +294,8 @@ slices = PresheafComplex(base, 2)
 phi1 = slices.phi[1]["U0"]
 slices.phi[1]["U0"] = RatMatrix.from_rows([[1] * phi1.cols] * phi1.rows)
 print(outcome(slices.check_complex))
+# the slice complex of a presheaf with a nontrivial twist
+print(outcome(lambda: PresheafComplex(twisted, 1)))
 # a comparison-functor presheaf whose identity transition is zero
 q = QPresheafObject(DescentMachine(base), "U0",
                     FinModule.free(presets.dual_numbers()))
@@ -307,8 +309,9 @@ print(outcome(q._check_functorial))
 def test_headline_checks_raise_under_python_O(flags):
     # functoriality of module presheaves and of strict_presheaf, the
     # preconditions of deform, equivalence and cochain_failures, the
-    # axiom-vs-cocycle agreement of deform, the slice complex and the
-    # comparison functor's presheaf: typed errors that -O does not strip
+    # axiom-vs-cocycle agreement of deform, the slice complex and its
+    # strictness precondition, and the comparison functor's presheaf: typed
+    # errors that -O does not strip
     env = dict(os.environ, PYTHONPATH=os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..", "src"))
     done = subprocess.run([sys.executable, *flags, "-c",
@@ -318,4 +321,5 @@ def test_headline_checks_raise_under_python_O(flags):
     assert done.stdout.split() == ["InvalidStructure", "InvalidStructure",
                                    "InvalidStructure", "InvalidStructure",
                                    "InvalidStructure", "VerificationFailed",
-                                   "VerificationFailed", "VerificationFailed"]
+                                   "VerificationFailed", "InvalidStructure",
+                                   "VerificationFailed"]

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -420,6 +421,20 @@ def test_library_preconditions_raise_under_python_O(flags):
                                    "InvalidStructure", "InvalidStructure",
                                    "InvalidStructure", "VerificationFailed",
                                    "InvalidStructure", "InvalidStructure"]
+
+
+def test_library_assert_lines_do_not_grow():
+    # python -O strips an assert, so a precondition written as one is no
+    # check at all there; the count may fall but never rise
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "src", "gscohom")
+    count = 0
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as handle:
+                count += sum(bool(re.match(r"\s*assert\b", line))
+                             for line in handle)
+    assert count <= 31
 
 
 def test_factor_through_failure_named(complexes):

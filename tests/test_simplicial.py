@@ -140,6 +140,28 @@ def test_presheaf_complex_slice_dimensions():
     assert pc.levels[0].dims["U01"] == p.algebras["U01"].dim
 
 
+def test_slice_complex_matrices_are_pinned():
+    # v_poset_commutative over U0.  A^0(U0) has the blocks of the slice
+    # objects U0->U0 (A(U0) = Q[x]/(x^2)) and U01->U0 (A(U01) = Q); A^1(U0)
+    # the blocks of the 1-simplices id|U0->U0, id|U01->U0 and
+    # U01->U0|U0->U0, of dims 2, 1, 1.  phi^2 = 0, naturality and the
+    # kernel hold for any reordering of the blocks; these matrices do not.
+    p = presets.v_poset_commutative()
+    pc = PresheafComplex(p, 2)
+    rows = RatMatrix.from_rows
+    assert pc.phi[0]["U0"] == rows([[0, 0, 0], [0, 0, 0], [0, 0, 0],
+                                    [1, 0, -1]])
+    assert pc.phi[1]["U0"] == rows([[1, 0, 0, 0], [0, 1, 0, 0],
+                                    [0, 0, 1, 0], [0, 0, 1, 0],
+                                    [1, 0, 0, 0]])
+    assert pc.eps["U0"] == rows([[1, 0], [0, 1], [1, 0]])
+    rho = pc.levels[0].maps
+    assert rho["U0->U0"] == rho["U1->U1"] == RatMatrix.identity(3)
+    assert rho["U01->U01"] == RatMatrix.identity(1)
+    assert rho["U01->U0"] == rows([[0, 0, 1]])
+    assert rho["U01->U1"] == rows([[1, 0, 0]])
+
+
 def test_bogus_keep_set_is_not_a_subcomplex():
     p = presets.v_poset_commutative()
     cx = PairComplex(ModPresheaf.constant(p.category), underlying(p))
