@@ -9,10 +9,11 @@ complex does not have, a malformed GSD_IDEMPOTENT_BOUND, or a Hodge
 command on an algebra that is not commutative), always reported as JSON.
 A reader that closes stdout early (`| head`) ends the command without a
 traceback and with exit code 141, as SIGPIPE would.  Progress notes go to
-stderr unless --quiet is given.  GSD_IDEMPOTENT_BOUND (default 6) is the
-largest `hodge --degree` and the largest Hodge component `factor` lifts; a
-larger value is a usage error.  Degree n builds the Eulerian idempotents of
-QS_{n+1}, so the default allows those of QS_7.
+stderr unless --quiet is given.  GSD_IDEMPOTENT_BOUND (default 6) bounds
+the Hodge degree: it is the largest `hodge --degree` and the largest Hodge
+component `factor` lifts, and a larger value is a usage error.  Degree n
+acts by the total shuffle operators of QS_q for q <= n + 1, whose
+eigenspaces are the Hodge summands; no Eulerian idempotent is built.
 """
 
 import argparse
@@ -173,7 +174,7 @@ def cmd_hodge(project, args):
         raise SchemaError("/presheaf: Hodge splitting needs a strict presheaf")
     bound = _idempotent_bound()
     if args.degree > bound:
-        raise SchemaError("--degree %d exceeds the symmetric-group bound %d "
+        raise SchemaError("--degree %d exceeds the Hodge degree bound %d "
                           "(set GSD_IDEMPOTENT_BOUND)" % (args.degree, bound))
     from .gs import GSComplex
     gs = GSComplex(presheaf)

@@ -15,25 +15,28 @@ Besides total cohomology on the full / normalized / reduced / truncated
 subcomplexes, this module provides the bottom-row splitting for commutative
 presheaves, the opposite-cochain isomorphism, the Hodge splitting by
 Eulerian idempotents, and the lift of top Hodge components through the
-restriction maps.
+restriction maps.  The Hodge summands are computed as the eigenspaces of
+the total shuffle operator on each cell, which are certified to be the
+images of the idempotents (`GSComplex.hodge_eigendata`).
 """
 
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import factorial, lcm
 
 # re-exported: NotASubcomplex, which used to live here, KINDS, and
 # linalg_cohomology, under which bench/tracer.py's tests look for
 # linalg.cohomology in this module
 from .linalg import (KINDS, RatMatrix, NotASubcomplex,  # noqa: F401
-                     UsageError, is_closed, memo, submatrix,
+                     UsageError, is_closed, memo,
                      subcomplex_cohomology, cohomology as linalg_cohomology,
                      VerificationFailed)
 from .algebra import AlgebraHom, FinBimodule, InvalidStructure
 from .simplicial import ModPresheaf, PairComplex
 from .hochschild import (hoch_differential, op_matrix, flatten, unflatten,
                          normalized_coordinates)
-from .shuffles import element_action_matrix, scaled_eulerian_idempotent
+from .shuffles import (element_action_matrix, hodge_range,
+                       shuffle_eigenvalue, total_shuffle_operator)
 
 
 class NotCommutative(UsageError):
@@ -303,45 +306,121 @@ class GSComplex:
 
     # -- Hodge splitting
     #
-    # Everything here is integral: the projector of degree n is n! P_r(n)
-    # and the idempotent actions are q! e_q(r), so no product runs in
-    # Fraction arithmetic.  Each identity is the rational one times a
-    # nonzero integer.
+    # The r-th Hodge summand of a cell Hom(A^{(x) q}, M) is the image of the
+    # Eulerian idempotent e_q(r), which is the eigenspace of the total
+    # shuffle operator s_q for lambda_r = 2^r - 2 (`hodge_eigendata`).  So
+    # the summands, the stability check and the lifts act by s_q, which has
+    # 2^q - 2 terms, and never by e_q(r), which has up to q! of them.  All
+    # of it is integral: s_q and the bases have int entries.
+
+    @memo()
+    def hodge_eigendata(self, q, a_dim):
+        """(S, kernels) on Hom(A^{(x) q}, Q) for dim A = a_dim, built once
+        per (q, a_dim) and complex: S is the int action of s_q
+        (`element_action_matrix`), and S = (-1) = lambda_0 for q = 0;
+        kernels maps each r of `hodge_range(q)` whose eigenspace
+        K_r = ker(S - lambda_r) is nonzero to a basis of it with integer
+        columns.  The certificate sum_r dim K_r = a_dim^q is checked
+        (VerificationFailed otherwise).  The kernels are computed for
+        r = 1, 2, ... until their dimensions add up to a_dim^q; the higher
+        eigenspaces, which are often 0, are then 0 by the same argument.
+
+        Proof that then ker(rho(s_q) - lambda_r) = im rho(e_q(r)) for every
+        r >= 0, rho being the action.  The lambda_r are distinct, so the
+        K_r are independent, and as their dimensions add up to a_dim^q the
+        space is their direct sum: S is diagonalizable with spectrum in
+        {lambda_r : K_r != 0}, and ker(S - lambda) = 0 for every other
+        lambda.  For q >= 1, e_q(r) = L_r(s_q), the Lagrange interpolant
+        over lambda_1, ..., lambda_q (module docstring of `shuffles`), and
+        rho(p(s_q)) = p(S) for every polynomial p, so rho(e_q(r)) = L_r(S)
+        acts on K_j as L_r(lambda_j) = delta_rj: it is the projector onto
+        K_r along the other eigenspaces, and its image is K_r.  For r outside
+        hodge_range(q), e_q(r) = 0 and lambda_r is no eigenvalue, so both
+        sides are 0.  For q = 0, e_0(0) = 1 and S = lambda_0 make both sides
+        the whole line.  The action on Hom(A^{(x) q}, M) is rho (x) id_M on
+        the flat coordinates word * dim M + i, so there the summand has the
+        basis K_r (x) 1_M, and S (x) 1_M acts.  The proof uses neither the
+        closed form nor the q! coefficients of e_q(r).
+        """
+        if q == 0:
+            return RatMatrix.identity(1).scale(-1), {0: RatMatrix.identity(1)}
+        shuffle = element_action_matrix(total_shuffle_operator(q), 1, a_dim)
+        kernels, filled = {}, 0
+        for r in hodge_range(q):
+            if filled == shuffle.rows:
+                break
+            basis = _shifted(shuffle, r).kernel().matrix()
+            if basis.cols:
+                kernels[r] = _integral_columns(basis)
+                filled += basis.cols
+        if filled != shuffle.rows:
+            raise VerificationFailed("the eigenspaces of s_%d do not fill "
+                                     "Q^%d" % (q, shuffle.rows))
+        return shuffle, kernels
+
+    def _cells(self, n):
+        """(q, rows, cols, dim A) per cell of C^n, in flat order."""
+        return [(q, rows, cols, self.presheaf.algebras[sigma.codomain].dim)
+                for _, q, _, simplices in self.layout(n)[0]
+                for sigma, rows, cols, _ in simplices]
+
+    @memo()
+    def _hodge_cell(self, q, r, a_dim, m_dim):
+        """(basis, operator) of the r-th Hodge summand on a cell
+        Hom(A^{(x) q}, M) with r in hodge_range(q), built once per shape:
+        K_r (x) 1_M and (S - lambda_r) (x) 1_M, whose kernel is the
+        summand."""
+        shuffle, kernels = self.hodge_eigendata(q, a_dim)
+        ones = RatMatrix.identity(m_dim)
+        kernel = kernels.get(r, RatMatrix.zeros(shuffle.rows, 0))
+        return kernel.kron(ones), _shifted(shuffle, r).kron(ones)
+
+    @memo()
+    def hodge_basis(self, n, r):
+        """B_r(n): a basis of the r-th Hodge summand of C^n as the columns
+        of an int matrix, block diagonal over the cells: the basis of
+        `_hodge_cell` where r is in hodge_range(q), no columns elsewhere
+        (the summand is 0 there).  Only those cells' eigendata are built."""
+        return RatMatrix.block_diag([
+            self._hodge_cell(q, r, a_dim, rows)[0] if r in hodge_range(q)
+            else RatMatrix.zeros(rows * cols, 0)
+            for q, rows, cols, a_dim in self._cells(n)])
+
+    @memo()
+    def _scaled_eigenprojectors(self, q, a_dim):
+        """{r: q! rho(e_q(r))} on Hom(A^{(x) q}, Q) for the r with K_r != 0,
+        from the eigendata: S is diagonalizable with spectrum
+        {lambda_r : K_r != 0}, so the Lagrange interpolant L_r(S) over that
+        spectrum, prod_{j != r} (S - lambda_j) / (lambda_r - lambda_j), is
+        the projector onto K_r along the other eigenspaces, which is
+        rho(e_q(r)) (`hodge_eigendata`)."""
+        shuffle, kernels = self.hodge_eigendata(q, a_dim)
+        out = {}
+        for r in kernels:
+            proj, den = RatMatrix.identity(shuffle.rows), 1
+            for j in kernels:
+                if j != r:
+                    proj = proj @ _shifted(shuffle, j)
+                    den *= shuffle_eigenvalue(r) - shuffle_eigenvalue(j)
+            out[r] = proj.scale(Fraction(factorial(q), den))
+        return out
 
     @memo()
     def hodge_projector(self, n, r):
         """n! P_r(n), where the Hodge projector P_r(n) acts on C^n by the
         degree-matching Eulerian idempotent: e_q(r) on each (p, q)
         component (identity for q = 0, r = 0).  Its blocks are the integral
-        actions q! e_q(r) scaled by n!/q!, so every entry is an int; built
-        once per (n, r)."""
-        return self._build_hodge_projector(n, r)
-
-    def _build_hodge_projector(self, n, r):
+        q! rho(e_q(r)) of `_scaled_eigenprojectors`, tensored with 1_M and
+        scaled by n!/q!, so every entry is an int; built once per (n, r)."""
         order = factorial(n)
         blocks = []
-        for p, q, _, simplices in self.layout(n)[0]:
-            for sigma, rows, cols, _ in simplices:
-                size = rows * cols
-                if 1 <= r <= q:
-                    d_c = self.presheaf.algebras[sigma.codomain].dim
-                    blocks.append(self.idempotent_action(q, r, rows, d_c)
-                                  .scale(order // factorial(q)))
-                elif q == r == 0:
-                    blocks.append(RatMatrix.identity(size).scale(order))
-                else:
-                    blocks.append(RatMatrix.zeros(size, size))
+        for q, rows, cols, a_dim in self._cells(n):
+            proj = self._scaled_eigenprojectors(q, a_dim).get(r) \
+                if r in hodge_range(q) else None
+            blocks.append(
+                proj.kron(RatMatrix.identity(rows)).scale(order // factorial(q))
+                if proj else RatMatrix.zeros(rows * cols, rows * cols))
         return RatMatrix.block_diag(blocks)
-
-    @memo()
-    def idempotent_action(self, q, r, m_dim, a_dim):
-        """The action of q! e_q(r) on Hom(A^{(x) q}, M) for dim M = m_dim
-        and dim A = a_dim (an int matrix), built once per complex: it
-        depends on nothing else, and the projectors of neighbouring degrees
-        and the lifts of `factor_through_restrictions` ask for the same
-        ones."""
-        return element_action_matrix(scaled_eulerian_idempotent(q, r),
-                                     m_dim, a_dim)
 
     def hodge_split(self, theta):
         """theta = sum_r theta_r with theta_r in the image of the r-th
@@ -365,25 +444,53 @@ class GSComplex:
         return parts
 
     def check_hodge_stability(self, n, r):
-        """Both differentials preserve the r-component:
-        P_r(n+1) d P_r(n) = d P_r(n).  Checked on the integral projectors
-        Pi_m = m! P_r(m) as Pi_{n+1} d Pi_n = (n+1)! d Pi_n, which is the
-        same identity times the nonzero integer (n+1)! n!."""
-        p_n = self.hodge_projector(n, r)
-        p_n1 = self.hodge_projector(n + 1, r)
-        d_p = self.differential(n) @ p_n
-        return p_n1 @ d_p == d_p.scale(factorial(n + 1))
+        """Both differentials preserve the r-component: d^n maps the r-th
+        summand of C^n into that of C^{n+1}.  Checked as T d^n B_r(n) = 0
+        in int arithmetic, with T block diagonal over the cells of C^{n+1}
+        and the kernel of each block the summand on its cell: the operator
+        (S - lambda_r) (x) 1_M of `_hodge_cell`, that is S_{n+1} - lambda_r,
+        where r is in hodge_range(q), and the identity where the summand
+        is 0, which needs no eigendata.  A cell on which d^n B_r(n) vanishes satisfies the identity
+        whatever its block, so the blocks are built only on the cells that
+        the image reaches (a zero block elsewhere)."""
+        image = self.differential(n) @ self.hodge_basis(n, r)
+        reached = {i for (i, _), _ in image.items()}
+        blocks, start = [], 0
+        for q, rows, cols, a_dim in self._cells(n + 1):
+            size = rows * cols
+            if reached.isdisjoint(range(start, start + size)):
+                blocks.append(RatMatrix.zeros(size, size))
+            elif r in hodge_range(q):
+                blocks.append(self._hodge_cell(q, r, a_dim, rows)[1])
+            else:
+                blocks.append(RatMatrix.identity(size))
+            start += size
+        return (RatMatrix.block_diag(blocks) @ image).is_zero()
 
     def hodge_cohomology(self, n, r):
         """Betti number of the r-Hodge summand at degree n (commutative
-        presheaves).  The summand in degree m is spanned by the pivot
-        columns of m! P_r(m), which span the image of P_r(m)."""
+        presheaves), with the bases B_r(m) of `hodge_basis` as the
+        subcomplex; `subcomplex_cohomology` checks that d^{n-1} and d^n
+        keep it."""
         self.require_commutative()
+        return subcomplex_cohomology(self.differential, n,
+                                     lambda m: self.hodge_basis(m, r))[0]
 
-        def basis(m):
-            proj = self.hodge_projector(m, r)
-            return submatrix(proj, range(proj.rows), proj.pivot_columns())
-        return subcomplex_cohomology(self.differential, n, basis)[0]
+
+def _shifted(shuffle, r):
+    """S - lambda_r."""
+    return shuffle - RatMatrix.identity(shuffle.rows).scale(
+        shuffle_eigenvalue(r))
+
+
+def _integral_columns(mat):
+    """mat with each column times the lcm of its entries' denominators."""
+    scale = {}
+    for (_, j), v in mat.items():
+        if type(v) is not int:
+            scale[j] = lcm(scale.get(j, 1), v.denominator)
+    return RatMatrix(mat.rows, mat.cols, {
+        (i, j): v * scale.get(j, 1) for (i, j), v in mat.items()})
 
 
 def factor_through_restrictions(gs, p, r, component):
@@ -391,14 +498,15 @@ def factor_through_restrictions(gs, p, r, component):
     restriction maps.
 
     `component` maps p-simplex keys to cochain matrices at bidegree (p, r)
-    satisfying theta e_r(r) = theta, checked as theta (r! e_r(r)) =
-    r! theta (VerificationFailed otherwise).  For each simplex the exact
-    linear system  Theta o (f^sigma)^{(x) r} = theta  is solved; the result
-    maps simplex keys to dicts with the lifted matrix (a multilinear cochain
-    on A(d sigma)) and a uniqueness flag, or records the simplices where no
-    factorization exists.
+    satisfying theta e_r(r) = theta, checked as theta rho(s_r) =
+    lambda_r theta (VerificationFailed otherwise): the image of e_r(r) is
+    that eigenspace (`GSComplex.hodge_eigendata`).  For each simplex the
+    exact linear system  Theta o (f^sigma)^{(x) r} = theta  is solved; the
+    result maps simplex keys to dicts with the lifted matrix (a multilinear
+    cochain on A(d sigma)) and a uniqueness flag, or records the simplices
+    where no factorization exists.
     """
-    order = factorial(r)
+    lam = shuffle_eigenvalue(r)
     out = {"lifts": {}, "failures": []}
     for sigma in gs.category.nerve(p):
         theta = component.get(sigma.key())
@@ -406,9 +514,10 @@ def factor_through_restrictions(gs, p, r, component):
             continue
         a_d = gs.presheaf.algebras[sigma.domain]
         a_c = gs.presheaf.algebras[sigma.codomain]
-        action = gs.idempotent_action(r, r, a_d.dim, a_c.dim)
+        action = gs.hodge_eigendata(r, a_c.dim)[0].kron(
+            RatMatrix.identity(a_d.dim))
         flat = flatten(theta)
-        if action.apply(flat) != tuple(order * x for x in flat):
+        if action.apply(flat) != tuple(lam * x for x in flat):
             raise VerificationFailed("component at %s is not fixed by the top "
                                      "idempotent" % sigma.label())
         f_sigma = gs.presheaf.restriction_along(sigma)

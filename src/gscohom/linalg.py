@@ -56,6 +56,11 @@ class DependentBasis(ValueError):
     """Raised when the vectors given as a basis are linearly dependent."""
 
 
+class ShapeMismatch(ValueError):
+    """Raised when a system, a basis, a pair of differentials or a reshape
+    is given operands whose dimensions do not fit."""
+
+
 class VerificationFailed(Exception):
     """Raised when an exact identity the library checks does not hold."""
 
@@ -452,14 +457,18 @@ class RatMatrix:
 
     def solve(self, b):
         """Some x with M x = b, or None if the system is inconsistent."""
-        assert len(b) == self.rows
+        if len(b) != self.rows:
+            raise ShapeMismatch("a right-hand side of length %d for %d rows"
+                                % (len(b), self.rows))
         x = self.solve_many(RatMatrix.from_cols([b], ambient=self.rows))
         return None if x is None else x.column(0)
 
     def solve_many(self, rhs):
         """X with M X = rhs (columnwise), or None; one elimination of
         [M | rhs], whose RREF holds X in its pivot rows."""
-        assert rhs.rows == self.rows
+        if rhs.rows != self.rows:
+            raise ShapeMismatch("a right-hand side of %d rows for %d rows"
+                                % (rhs.rows, self.rows))
         n = self.cols
         rref = RatMatrix.hstack([self, rhs])._rref()
         if any(c >= n for c in rref):
@@ -473,7 +482,9 @@ class RatMatrix:
 
     def inverse(self):
         """M^-1, or None: M X = 1 is consistent iff M is invertible."""
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise ShapeMismatch("a %d x %d matrix has no inverse"
+                                % (self.rows, self.cols))
         return self.solve_many(RatMatrix.identity(self.rows))
 
 
@@ -558,10 +569,13 @@ class Subspace:
     __slots__ = ("_m",)
 
     def __init__(self, ambient_dim, basis):
-        """Raises DependentBasis unless the vectors are independent."""
+        """Raises DependentBasis unless the vectors are independent, and
+        ShapeMismatch unless each has ambient_dim coordinates."""
         basis = list(basis)
         for v in basis:
-            assert len(v) == ambient_dim
+            if len(v) != ambient_dim:
+                raise ShapeMismatch("a vector of length %d in Q^%d"
+                                    % (len(v), ambient_dim))
         self._m = RatMatrix.from_cols(basis, ambient=ambient_dim)
         if self._m.rank() != self._m.cols:
             raise DependentBasis("basis vectors are dependent")
@@ -612,7 +626,9 @@ def cohomology(d_in, d_out):
     dimension ker(d_out)/im(d_in) together with kernel vectors spanning a
     complement of the image inside the kernel.
     """
-    assert d_in.rows == d_out.cols
+    if d_in.rows != d_out.cols:
+        raise ShapeMismatch("d_in has %d rows but d_out %d columns"
+                            % (d_in.rows, d_out.cols))
     if not (d_out @ d_in).is_zero():
         raise ComplexViolation("composite of differentials is not zero")
     kernel = d_out.kernel().matrix()
@@ -716,7 +732,9 @@ def vec_operator(left, right):
 def reshape(mat, rows, cols):
     """The rows x cols matrix with the same row-major entry sequence as mat:
     reshape(X, n*m, 1) is vec X, and reshape(v, n, m) undoes it."""
-    assert rows * cols == mat.rows * mat.cols
+    if rows * cols != mat.rows * mat.cols:
+        raise ShapeMismatch("a %d x %d matrix cannot be reshaped to %d x %d"
+                            % (mat.rows, mat.cols, rows, cols))
     return RatMatrix._trusted(rows, cols, {divmod(i * mat.cols + j, cols): v
                                            for (i, j), v in mat._d.items()})
 

@@ -22,8 +22,14 @@ permutation q, shared by all n identities: the permutations with equal
 coefficient vectors (e_1[q], ..., e_n[q]) are composed with s_n together,
 and the closed form has at most 2n such vectors, one per sign and descent
 number.  The all-pairs check it replaced cost n(n+1)/2 products of n!-term
-elements.  The Hodge layer (`gs`) acts by the integral multiples
-(`scaled_eulerian_idempotent`), so its action matrices have int entries.
+elements.
+
+The Hodge layer (`gs`) does not act by the idempotents at all: on every
+cochain space the image of e_n(r) is the lambda_r-eigenspace of the action
+of s_n, which has 2^n - 2 terms against up to n! for e_n(r), and `gs`
+certifies per cell that those eigenspaces fill the space
+(`gs.GSComplex.hodge_eigendata`).  The idempotents stay as library API
+and as the test oracle of that identity.
 
 Coefficients are exact: an int where integral, else a Fraction
 (`linalg.exact`; the two compare and hash equal).  Permutations act on
@@ -127,6 +133,17 @@ def riffle_shuffles(n, i):
     return out
 
 
+def shuffle_eigenvalue(r):
+    """lambda_r = 2^r - 2, the eigenvalue of s_n on the image of e_n(r);
+    lambda_0 = -1 is the value the Hodge layer gives s_0."""
+    return 2 ** r - 2
+
+
+def hodge_range(n):
+    """The r with e_n(r) != 0: 1, ..., n, and 0 alone for n = 0."""
+    return range(1, n + 1) if n else range(1)
+
+
 def total_shuffle_operator(n):
     """s_n = sum_{i=1}^{n-1} sum over (i, n-i)-shuffles of sign * shuffle."""
     terms = {}
@@ -201,7 +218,7 @@ def certify_eulerian_family(family):
                 for x, k in t.items():
                     image[x] += v * k
     for r, (e, image) in enumerate(zip(family, images), start=1):
-        lam = 2 ** r - 2
+        lam = shuffle_eigenvalue(r)
         if {x: v for x, v in image.items() if v} != \
                 {q: lam * c for q, c in e.terms.items() if lam}:
             raise VerificationFailed(
@@ -293,9 +310,9 @@ def element_action_matrix(elt, m_dim, a_dim):
     all words, in word order, are built digit by digit; the (word, source)
     hits are counted per coefficient value, so the counting runs in
     `Counter`, and summed as integers over the common denominator of the
-    coefficients; with integer coefficients (the multiples q! e_q(r) of
-    `scaled_eulerian_idempotent`) every entry is an int.  The action is the
-    identity on M.
+    coefficients; with integer coefficients (s_q, or the multiples
+    q! e_q(r) of `scaled_eulerian_idempotent`) every entry is an int.  The
+    action is the identity on M.
     """
     q = elt.n
     n_words = a_dim ** q

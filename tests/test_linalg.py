@@ -160,6 +160,43 @@ def test_subcomplex_cohomology_paths():
         subcomplex_cohomology(diffs.get, 0, {0: [0], 1: [1]}.get)
 
 
+_SHAPES_SCRIPT = """
+from gscohom.linalg import (RatMatrix, ShapeMismatch, Subspace, cohomology,
+                            reshape)
+
+
+def outcome(call):
+    try:
+        call()
+    except ShapeMismatch:
+        return "ShapeMismatch"
+    return "passed"
+
+
+m = RatMatrix.identity(2)
+wide = RatMatrix.zeros(2, 3)
+print(outcome(lambda: m.solve((1, 2, 3))))
+print(outcome(lambda: m.solve_many(RatMatrix.identity(3))))
+print(outcome(lambda: wide.inverse()))
+print(outcome(lambda: Subspace(2, [(1, 0, 0)])))
+print(outcome(lambda: cohomology(wide.transpose(), m)))
+print(outcome(lambda: reshape(wide, 4, 2)))
+print(outcome(lambda: reshape(wide, 3, 2)))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_shape_preconditions_raise_under_python_O(flags):
+    # solve, solve_many, inverse, Subspace, cohomology and reshape given
+    # operands whose dimensions do not fit; the last reshape fits
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, *flags, "-c", _SHAPES_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ShapeMismatch"] * 6 + ["passed"]
+    assert issubclass(linalg.ShapeMismatch, ValueError)
+
+
 def test_dependent_basis_raises_under_python_O():
     script = ("from gscohom.linalg import Subspace\n"
               "print(__debug__)\n"

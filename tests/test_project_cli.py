@@ -344,22 +344,28 @@ def test_cli_failed_check_is_a_json_report(monkeypatch, exc_name):
     assert payload["error"] == "an exact identity does not hold"
 
 
-def test_cli_hodge_builds_each_projector_once(monkeypatch):
+def test_cli_hodge_builds_no_projector_and_each_eigendata_once(monkeypatch):
+    from gscohom import gs as gs_module
     from gscohom.gs import GSComplex
-    built = []
-    build = GSComplex._build_hodge_projector
+    projectors, built = [], []
+    real = GSComplex.hodge_eigendata.__wrapped__
 
-    def counting(self, n, r):
-        built.append((n, r))
-        return build(self, n, r)
-    monkeypatch.setattr(GSComplex, "_build_hodge_projector", counting)
+    def counting(self, q, a_dim):
+        built.append((q, a_dim))
+        return real(self, q, a_dim)
+    monkeypatch.setattr(GSComplex, "hodge_projector",
+                        lambda self, n, r: projectors.append((n, r)))
+    monkeypatch.setattr(GSComplex, "hodge_eigendata",
+                        gs_module.memo()(counting))
     code, _ = run_cli(["hodge", "--project", project_path("v_poset.json"),
                        "--degree", "2"])
     assert code == 0
-    # the stability check at degree 2 needs P_r(2), P_r(3); the cohomology
-    # of the r-summand needs P_r(1), P_r(2), P_r(3); r = 0, 1, 2
-    assert sorted(built) == sorted({(m, r) for m in (1, 2, 3)
-                                    for r in range(3)})
+    assert projectors == []
+    # the stability checks at degree 2 reach the cells of degree 3; the
+    # summands of degrees 1 to 3 need the cells with q >= r >= 1, and the
+    # bottom row; v_poset's algebras have dimensions 1 and 2
+    assert len(built) == len(set(built))
+    assert set(built) == {(q, a) for q in range(4) for a in (1, 2)}
 
 
 # -- each command loads only the modules it runs
