@@ -34,6 +34,8 @@ COMMANDS = {
     "hodge_2": ["hodge", "--project", P + "v_poset.json", "--degree", "2"],
     # reaches the q = 4 Hodge blocks; hodge_2 stops at q = 3
     "hodge_4": ["hodge", "--project", P + "v_poset.json", "--degree", "4"],
+    # the top of the default degree bound; reaches the q = 7 eigendata
+    "hodge_6": ["hodge", "--project", P + "v_poset.json", "--degree", "6"],
     "deform_rep_cocycle": ["deform", "--project", P + "v_poset.json",
                            "--cocycle", "rep_cocycle"],
     "deform_perturbed": ["deform", "--project", P + "v_poset.json",
