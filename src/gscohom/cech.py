@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
-from .linalg import (RatMatrix, UsageError, memo, subcomplex_cohomology,
-                     submatrix)
+from .linalg import (RatMatrix, ShapeMismatch, UsageError, memo,
+                     subcomplex_cohomology, submatrix)
 from .fincat import Simplex
 from .shuffles import perm_sign
 from .simplicial import ModPresheaf, PairComplex
@@ -37,7 +37,8 @@ def tuple_face(tau, i):
 
 def tuple_delta(poset, tau, i):
     """Merge coordinates i-1 and i into their meet (1 <= i <= p)."""
-    assert 1 <= i <= len(tau) - 1
+    if not 1 <= i <= len(tau) - 1:
+        raise IndexError("no coordinates %d and %d in %s" % (i - 1, i, tau))
     return tau[:i - 1] + (poset.meet(tau[i - 1], tau[i]),) + tau[i + 1:]
 
 
@@ -57,8 +58,8 @@ def tuple_bar(poset, tau):
 def tuple_theta(poset, tau, i):
     """Interleave partial meets: (meet tau[0:], meet tau[1:], ..., meet
     tau[i:], tau[i], ..., tau[-1]); one coordinate longer than tau."""
-    m = len(tau)
-    assert 0 <= i <= m - 1
+    if not 0 <= i <= len(tau) - 1:
+        raise IndexError("no coordinate %d in %s" % (i, tau))
     head = []
     for start in range(i + 1):
         head.append(poset.meet_all(tau[start:]))
@@ -174,7 +175,8 @@ def iota_matrix(cech, simp, p):
     iota(phi)^tau = sum over permutations s of the coordinates of tau of
     sign(s) phi^{bar(tau s)}.  On reduced cochains this is a chain map.
     """
-    assert cech.alternating
+    if not cech.alternating:
+        raise UsageError("iota maps into the alternating Cech complex only")
     simp_blocks = simp.block_index(p)
     perms = signed_permutations(p + 1)
     placed = []
@@ -182,7 +184,8 @@ def iota_matrix(cech, simp, p):
         for perm, sign in perms:
             sigma = tuple_bar(cech.poset, tuple(tau[i] for i in perm))
             rows, cols, off_in = simp_blocks[sigma.key()]
-            assert rows == d and cols == 1
+            if (rows, cols) != (d, 1):
+                raise ShapeMismatch("iota needs the constant presheaf as G")
             placed.append((off_out, off_in, RatMatrix.identity(d).scale(sign)))
     return RatMatrix.from_blocks(cech.dim(p), simp.dim(p), placed)
 
@@ -190,11 +193,13 @@ def iota_matrix(cech, simp, p):
 def pi_matrix(cech, simp, p):
     """pi: alternating Cech p-cochains -> (reduced) simplicial p-cochains,
     by evaluating on the underlying object tuple of a simplex."""
-    assert cech.alternating
+    if not cech.alternating:
+        raise UsageError("pi maps from the alternating Cech complex only")
     in_blocks = cech.block(p)
     placed = []
     for sigma, rows, cols, off_out in simp.layout(p)[0]:
-        assert cols == 1
+        if cols != 1:
+            raise ShapeMismatch("pi needs the constant presheaf as G")
         sign, canon = cech.canonical(sigma.objects())
         if canon is not None:
             placed.append((off_out, in_blocks[canon][1],
@@ -205,7 +210,8 @@ def pi_matrix(cech, simp, p):
 def homotopy_matrix(cech, p):
     """h^p: alternating Cech p-cochains -> (p-1)-cochains, satisfying
     1 - iota pi = h d + d h."""
-    assert cech.alternating and p >= 1
+    if not cech.alternating or p < 1:
+        raise UsageError("h^p acts on the alternating Cech complex, p >= 1")
     in_blocks = cech.block(p)
     perms = signed_permutations(p)
     placed = []
@@ -218,7 +224,8 @@ def homotopy_matrix(cech, p):
                 if canon is None:
                     continue
                 d_in, off_in = in_blocks[canon]
-                assert d_in == d
+                if d_in != d:
+                    raise ShapeMismatch("h^%d joins unequal blocks" % p)
                 placed.append((off_out, off_in, RatMatrix.identity(d).scale(
                     coeff_i * sign * theta_sign)))
     return RatMatrix.from_blocks(cech.dim(p - 1), cech.dim(p), placed)

@@ -103,7 +103,8 @@ class FiniteCategory:
     @memo()
     def nerve(self, p):
         """All p-simplices: composable chains of p arrows (objects for p=0)."""
-        assert p >= 0
+        if p < 0:
+            raise ValueError("the nerve has no simplices of degree %d" % p)
         if p == 0:
             simplices = [Simplex(self, (), obj) for obj in self.objects]
         else:
@@ -129,7 +130,9 @@ class Simplex:
         self.domain = domain
         tail = domain
         for name in self.arrows:
-            assert cat.source(name) == tail, "arrows are not composable"
+            if cat.source(name) != tail:
+                raise InvalidCategory("arrows %s are not composable"
+                                      % (self.arrows,))
             tail = cat.target(name)
         self.codomain = tail
 
@@ -155,8 +158,7 @@ class Simplex:
         """The i-th face: drop the first arrow (i=0), the last (i=p), or
         compose u_{i+1} u_i for interior i."""
         p = self.degree
-        assert p >= 1
-        if not (0 <= i <= p):
+        if not (0 <= i <= p) or p == 0:
             raise IndexError("face index %d out of range for a %d-simplex" % (i, p))
         if i == 0:
             return Simplex(self.cat, self.arrows[1:], self.cat.target(self.arrows[0]))
@@ -267,7 +269,8 @@ class MeetPoset:
         return acc
 
     def morphism(self, src, tgt):
-        assert self.le(src, tgt)
+        if not self.le(src, tgt):
+            raise ValueError("%s is not below %s" % (src, tgt))
         return "%s->%s" % (src, tgt)
 
     def nerve(self, p):

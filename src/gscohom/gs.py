@@ -17,16 +17,17 @@ presheaves, the opposite-cochain isomorphism, the Hodge splitting by
 Eulerian idempotents, and the lift of top Hodge components through the
 restriction maps.  The Hodge summands are computed as the eigenspaces of
 the total shuffle operator on each cell, which are certified to be the
-images of the idempotents (`GSComplex.hodge_eigendata`).
+images of the idempotents (`GSComplex.hodge_eigendata`), and one solve per
+(n, r) both checks that d^n keeps a summand and restricts d^n to it.
 """
 
 from fractions import Fraction
 from functools import partial
 from math import factorial, lcm
 
-# re-exported: NotASubcomplex, which used to live here, KINDS, and
-# linalg_cohomology, under which bench/tracer.py's tests look for
-# linalg.cohomology in this module
+# re-exported: NotASubcomplex, which used to live here, and KINDS;
+# linalg.cohomology is imported as linalg_cohomology, the name under which
+# bench/tracer.py's tests look for it in this module
 from .linalg import (KINDS, RatMatrix, NotASubcomplex,  # noqa: F401
                      UsageError, is_closed, memo,
                      subcomplex_cohomology, cohomology as linalg_cohomology,
@@ -309,9 +310,10 @@ class GSComplex:
     # The r-th Hodge summand of a cell Hom(A^{(x) q}, M) is the image of the
     # Eulerian idempotent e_q(r), which is the eigenspace of the total
     # shuffle operator s_q for lambda_r = 2^r - 2 (`hodge_eigendata`).  So
-    # the summands, the stability check and the lifts act by s_q, which has
-    # 2^q - 2 terms, and never by e_q(r), which has up to q! of them.  All
-    # of it is integral: s_q and the bases have int entries.
+    # the summands and the lifts act by s_q, which has 2^q - 2 terms, and
+    # never by e_q(r), which has up to q! of them; stability and cohomology
+    # need only the bases (`_hodge_restricted`).  All of it is integral: s_q
+    # and the bases have int entries.
 
     @memo()
     def hodge_eigendata(self, q, a_dim):
@@ -365,26 +367,35 @@ class GSComplex:
                 for sigma, rows, cols, _ in simplices]
 
     @memo()
-    def _hodge_cell(self, q, r, a_dim, m_dim):
-        """(basis, operator) of the r-th Hodge summand on a cell
-        Hom(A^{(x) q}, M) with r in hodge_range(q), built once per shape:
-        K_r (x) 1_M and (S - lambda_r) (x) 1_M, whose kernel is the
-        summand."""
-        shuffle, kernels = self.hodge_eigendata(q, a_dim)
-        ones = RatMatrix.identity(m_dim)
-        kernel = kernels.get(r, RatMatrix.zeros(shuffle.rows, 0))
-        return kernel.kron(ones), _shifted(shuffle, r).kron(ones)
-
-    @memo()
     def hodge_basis(self, n, r):
         """B_r(n): a basis of the r-th Hodge summand of C^n as the columns
-        of an int matrix, block diagonal over the cells: the basis of
-        `_hodge_cell` where r is in hodge_range(q), no columns elsewhere
-        (the summand is 0 there).  Only those cells' eigendata are built."""
-        return RatMatrix.block_diag([
-            self._hodge_cell(q, r, a_dim, rows)[0] if r in hodge_range(q)
-            else RatMatrix.zeros(rows * cols, 0)
-            for q, rows, cols, a_dim in self._cells(n)])
+        of an int matrix, block diagonal over the cells: K_r (x) 1_M of
+        `hodge_eigendata` where K_r is nonzero, no columns elsewhere (the
+        summand is 0 there).  Only the eigendata of the cells with r in
+        hodge_range(q) are built."""
+        blocks = []
+        for q, rows, cols, a_dim in self._cells(n):
+            kernels = self.hodge_eigendata(q, a_dim)[1] \
+                if r in hodge_range(q) else {}
+            blocks.append(kernels.get(r, RatMatrix.zeros(cols, 0)).kron(
+                RatMatrix.identity(rows)))
+        return RatMatrix.block_diag(blocks)
+
+    @memo()
+    def _hodge_restricted(self, n, r):
+        """d^n restricted to the r-th Hodge summands: the X with
+        B_r(n+1) X = d^n B_r(n), or None when d^n B_r(n) leaves the span of
+        B_r(n+1); the stability check and the summand cohomology share it.
+
+        This is as strong as checking (S_{n+1} - lambda_r) d^n B_r(n) = 0,
+        where S_{n+1} acts on each cell of C^{n+1} as S (x) 1_M.  On each
+        cell `hodge_eigendata` certifies that K_r spans ker(S - lambda_r),
+        and that lambda_r is no eigenvalue of S where K_r is missing (r
+        outside hodge_range(q), or K_r = 0).  So span B_r(n+1) =
+        ker(S_{n+1} - lambda_r), and the system is solvable exactly when
+        (S_{n+1} - lambda_r) d^n B_r(n) = 0."""
+        return self.hodge_basis(n + 1, r).solve_many(
+            self.differential(n) @ self.hodge_basis(n, r))
 
     @memo()
     def _scaled_eigenprojectors(self, q, a_dim):
@@ -445,36 +456,22 @@ class GSComplex:
 
     def check_hodge_stability(self, n, r):
         """Both differentials preserve the r-component: d^n maps the r-th
-        summand of C^n into that of C^{n+1}.  Checked as T d^n B_r(n) = 0
-        in int arithmetic, with T block diagonal over the cells of C^{n+1}
-        and the kernel of each block the summand on its cell: the operator
-        (S - lambda_r) (x) 1_M of `_hodge_cell`, that is S_{n+1} - lambda_r,
-        where r is in hodge_range(q), and the identity where the summand
-        is 0, which needs no eigendata.  A cell on which d^n B_r(n) vanishes satisfies the identity
-        whatever its block, so the blocks are built only on the cells that
-        the image reaches (a zero block elsewhere)."""
-        image = self.differential(n) @ self.hodge_basis(n, r)
-        reached = {i for (i, _), _ in image.items()}
-        blocks, start = [], 0
-        for q, rows, cols, a_dim in self._cells(n + 1):
-            size = rows * cols
-            if reached.isdisjoint(range(start, start + size)):
-                blocks.append(RatMatrix.zeros(size, size))
-            elif r in hodge_range(q):
-                blocks.append(self._hodge_cell(q, r, a_dim, rows)[1])
-            else:
-                blocks.append(RatMatrix.identity(size))
-            start += size
-        return (RatMatrix.block_diag(blocks) @ image).is_zero()
+        summand of C^n into that of C^{n+1}, decided by the solve of
+        `_hodge_restricted`."""
+        return self._hodge_restricted(n, r) is not None
 
     def hodge_cohomology(self, n, r):
         """Betti number of the r-Hodge summand at degree n (commutative
-        presheaves), with the bases B_r(m) of `hodge_basis` as the
-        subcomplex; `subcomplex_cohomology` checks that d^{n-1} and d^n
-        keep it."""
+        presheaves): the cohomology of d^{n-1} and d^n restricted to the
+        summands (`_hodge_restricted`); NotASubcomplex if either leaks."""
         self.require_commutative()
-        return subcomplex_cohomology(self.differential, n,
-                                     lambda m: self.hodge_basis(m, r))[0]
+        d_out = self._hodge_restricted(n, r)
+        d_in = self._hodge_restricted(n - 1, r) if n >= 1 else \
+            RatMatrix.zeros(self.hodge_basis(n, r).cols, 0)
+        if d_in is None or d_out is None:
+            raise NotASubcomplex("d^%d or d^%d leaves the Hodge summand "
+                                 "r = %d" % (n - 1, n, r))
+        return linalg_cohomology(d_in, d_out)[0]
 
 
 def _shifted(shuffle, r):

@@ -33,9 +33,11 @@ call it, and so do the cochain maps of the simplicial, slice and Cech
 complexes, which are built per simplex or per tuple from restriction and
 identity blocks.
 
-`subcomplex_cohomology` is the one place where the cohomology of a cochain
-complex, or of a subcomplex of it, is computed; the Hochschild, simplicial,
-Cech and total complexes all call it.
+`cohomology` is the one place where cohomology is computed.  The
+Hochschild, simplicial, Cech and total complexes reach it through
+`subcomplex_cohomology`, for the whole complex or for a subcomplex spanned
+by coordinates; the Hodge summands of the total complex hand it their
+restricted differentials (`gs.GSComplex.hodge_cohomology`).
 """
 
 from fractions import Fraction
@@ -669,17 +671,13 @@ def subcomplex_cohomology(differential, n, keep=None, check=None):
     """H^n of a cochain complex, or of a subcomplex: (betti, representatives).
 
     differential(m) is the matrix of d: C^m -> C^{m+1}.  With keep=None the
-    whole complex is taken.  Otherwise keep(m) spans the subcomplex in
-    degree m, either as a list of kept coordinates or as a RatMatrix whose
-    columns are a basis, and the subcomplex must be closed under d^{n-1}
-    and d^n.  Each of the two is checked once, and a leak raises
-    NotASubcomplex:
-      * coordinates: by is_closed, or by check(m) when the caller names
-        its own check (which must raise NotASubcomplex itself); d^m is then
-        the submatrix on the kept coordinates;
-      * a basis B: by solving B(m+1) X = d^m B(m); the solution X is the
-        restricted d^m.
-    The representatives are returned in the coordinates of C^n.
+    whole complex is taken.  Otherwise keep(m) is the list of coordinates
+    that span the subcomplex in degree m, and the subcomplex must be closed
+    under d^{n-1} and d^n.  Each of the two is checked once, by is_closed,
+    or by check(m) when the caller names its own check (which must raise
+    NotASubcomplex itself); d^m is then the submatrix on the kept
+    coordinates, and a leak raises NotASubcomplex.  The representatives
+    are returned in the coordinates of C^n.
     """
     keeps = {} if keep is None else \
         {m: keep(m) for m in (n - 1, n, n + 1) if m >= 0}
@@ -688,11 +686,6 @@ def subcomplex_cohomology(differential, n, keep=None, check=None):
         src, tgt = keeps.get(m), keeps.get(m + 1)
         if src is None:
             return d
-        if isinstance(src, RatMatrix):
-            x = tgt.solve_many(d @ src)
-            if x is None:
-                raise NotASubcomplex("d^%d leaves the subcomplex" % m)
-            return x
         if check is not None:
             check(m)
         elif not is_closed(d, src, tgt):
@@ -705,16 +698,10 @@ def subcomplex_cohomology(differential, n, keep=None, check=None):
         RatMatrix.zeros(d_out.cols, 0)
     betti, reps = cohomology(d_in, d_out)
     keep_n = keeps.get(n)
-    if isinstance(keep_n, RatMatrix):
-        reps = [keep_n.apply(v) for v in reps]
-    elif keep_n is not None:
-        embedded = []
-        for v in reps:
-            full = [0] * d_n.cols
-            for pos, c in zip(keep_n, v):
-                full[pos] = c
-            embedded.append(tuple(full))
-        reps = embedded
+    if keep_n is not None:
+        placed = [dict(zip(keep_n, v)) for v in reps]
+        reps = [tuple(p.get(pos, 0) for pos in range(d_n.cols))
+                for p in placed]
     return betti, reps
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .linalg import RatMatrix
 from .fincat import poset_category, MeetPoset
-from .algebra import FinAlgebra
+from .algebra import FinAlgebra, InvalidStructure
 from .presheaf import TwistedPresheaf, strict_presheaf
 
 
@@ -131,7 +131,8 @@ def twisted_diamond(scale=2):
         if val != aw.unit:
             twists[(u, v)] = val
     twisted = TwistedPresheaf(cat, base.algebras, base.restrictions, twists)
-    assert twisted.is_valid()
+    if not twisted.is_valid():
+        raise InvalidStructure("the twisted diamond fails its axioms")
     return twisted, x
 
 

@@ -90,7 +90,9 @@ class PairComplex:
     """The simplicial complex C(G, F) of a pair of module presheaves."""
 
     def __init__(self, g_presheaf, f_presheaf):
-        assert g_presheaf.category.same_shape(f_presheaf.category)
+        if not g_presheaf.category.same_shape(f_presheaf.category):
+            raise InvalidStructure("the presheaves live on different "
+                                   "categories")
         self.g = g_presheaf
         self.f = f_presheaf
         self.category = f_presheaf.category

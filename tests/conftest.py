@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from gscohom import presets
 from gscohom.linalg import RatMatrix
+
+# derandomised and small, so the suite stays deterministic and quick
+ORACLE = settings(derandomize=True, max_examples=60, deadline=None,
+                  database=None)
 
 
 @pytest.fixture

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import product
+
+import pytest
 
 from gscohom.linalg import RatMatrix, submatrix
 from gscohom.simplicial import ModPresheaf, PairComplex
@@ -237,3 +242,46 @@ def test_compare_builds_each_map_once(monkeypatch):
     cech = CechComplex(f, poset)
     assert cech.differential(2) is cech.differential(2)
     assert cech.differential(2) == real_differential(CechComplex(f, poset), 2)
+
+
+_PRECONDITIONS_SCRIPT = """
+from gscohom import presets
+from gscohom.cech import CechComplex, iota_matrix
+from gscohom.fincat import Simplex
+from gscohom.linalg import UsageError
+from gscohom.simplicial import ModPresheaf, PairComplex
+
+
+def outcome(call):
+    try:
+        call()
+    except (ValueError, UsageError) as exc:
+        return type(exc).__name__
+    return "passed"
+
+
+poset = presets.v_poset()
+cat = poset.category
+print(outcome(lambda: cat.nerve(-1)))
+print(outcome(lambda: Simplex(cat, ("U01->U0", "U01->U1"), "U01")))
+f = ModPresheaf.of_algebras(presets.v_poset_commutative())
+simp = PairComplex(ModPresheaf.constant(cat), f)
+print(outcome(lambda: iota_matrix(CechComplex(f, poset, alternating=False),
+                                  simp, 1)))
+print(outcome(lambda: PairComplex(
+    ModPresheaf.constant(presets.diamond_poset().category), f)))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_preconditions_raise_under_python_O(flags):
+    # a nerve of negative degree, arrows that do not compose, iota on the
+    # full Cech complex and a pair of presheaves on different categories
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+    done = subprocess.run([sys.executable, *flags, "-c",
+                           _PRECONDITIONS_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ValueError", "InvalidCategory",
+                                   "UsageError", "InvalidStructure"]

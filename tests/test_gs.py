@@ -6,19 +6,22 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gscohom import gs as gs_module
 from gscohom.algebra import AlgebraHom, FinBimodule
-from gscohom.linalg import RatMatrix
+from gscohom.hochschild import hh_algebra
+from gscohom.linalg import NotASubcomplex, RatMatrix
 from gscohom.gs import (GSComplex, NotCommutative,
                         factor_through_restrictions, cochain_from_parts, KINDS)
 from gscohom.shuffles import (VerificationFailed, eulerian_idempotent,
-                              scaled_eulerian_idempotent,
+                              scaled_eulerian_idempotent, shuffle_eigenvalue,
                               total_shuffle_operator)
 from gscohom import presets
 from gscohom.algebra import FinAlgebra
 from gscohom.fincat import poset_category
 from gscohom.presheaf import strict_presheaf
+from conftest import ORACLE
 
 
 @pytest.fixture(scope="module")
@@ -297,14 +300,19 @@ def test_eigendata_certificate_rejects_a_defective_action(monkeypatch):
         gs.hodge_cohomology(2, 2)
 
 
-def cubic_truncation():
-    """Q[x]/(x^3) on one object, so that cells have dim A = 3."""
-    mult = [[[1 if k == i + j else 0 for k in range(3)] for j in range(3)]
-            for i in range(3)]
+def truncated_polynomials(k, slots=None):
+    """Q[x]/(x^k) on one object, with x^i at basis slot slots[i]
+    (slots[0] = 0 keeps the unit first), so that cells have dim A = k."""
+    slots = slots or range(k)
+    mult = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        for j in range(k - i):
+            mult[slots[i]][slots[j]][slots[i + j]] = 1
     cat = poset_category(["pt"], [])
     return strict_presheaf(
-        cat, {"pt": FinAlgebra(3, mult, [1, 0, 0], name="Q[x]/(x^3)")},
-        {"pt->pt": RatMatrix.identity(3)})
+        cat, {"pt": FinAlgebra(k, mult, [1] + [0] * (k - 1),
+                               name="Q[x]/(x^%d)" % k)},
+        {"pt->pt": RatMatrix.identity(k)})
 
 
 def test_hodge_betti_numbers_of_the_cubic_truncation():
@@ -313,7 +321,7 @@ def test_hodge_betti_numbers_of_the_cubic_truncation():
     # has dimension 3, 2, 2, ...
     expected = {0: [3, 0], 1: [0, 2, 0], 2: [0, 2, 0, 0],
                 3: [0, 0, 2, 0, 0], 4: [0, 0, 2, 0, 0, 0]}
-    gs = GSComplex(cubic_truncation())
+    gs = GSComplex(truncated_polynomials(3))
     for n, bettis in expected.items():
         assert [gs.hodge_cohomology(n, r) if r <= n else 0
                 for r in range(n + 2)] == bettis, n
@@ -321,28 +329,77 @@ def test_hodge_betti_numbers_of_the_cubic_truncation():
         assert gs.cohomology(n)[0] == sum(bettis), n
 
 
-def test_stability_check_fails_on_a_perturbed_action():
-    # one entry of the action of s_2 on 2-cochains of a 2-dimensional
-    # algebra changed: d B_1(1) no longer lies in the lambda_1-eigenspace of
-    # S_2, and the stability check must say so
-    gs = GSComplex(presets.v_poset_commutative())
-    assert gs.check_hodge_stability(1, 1)
-    gs = GSComplex(presets.v_poset_commutative())
-    real = gs.hodge_eigendata
+@ORACLE
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(0, 3), st.permutations(range(1, k)))))
+def test_hodge_summands_of_truncated_polynomials(case):
+    # HH^n(Q[x]/(x^k)) is k-dimensional at n = 0 and (k - 1)-dimensional
+    # above, all of it in the summand r = ceil(n / 2), whatever basis order
+    # the algebra is given in
+    k, n, perm = case
+    presheaf = truncated_polynomials(k, (0,) + tuple(perm))
+    algebra = presheaf.algebras["pt"]
+    regular = FinBimodule.regular(algebra)
+    total = k if n == 0 else k - 1
+    gs = GSComplex(presheaf)
+    assert gs.cohomology(n)[0] == hh_algebra(algebra, regular, n)[0] == \
+        hh_algebra(algebra, regular, n, normalized=True)[0] == total
+    assert [gs.hodge_cohomology(n, r) for r in range(n + 1)] == \
+        [total if r == (n + 1) // 2 else 0 for r in range(n + 1)]
+    assert all(gs.check_hodge_stability(n, r) for r in range(n + 2))
+
+
+def test_stability_check_fails_on_a_perturbed_summand():
+    # d B_1(1) lies in the lambda_1-eigenspace of S_2, so a degree-2 basis
+    # of the summand r = 1 that spans anything else must fail the check and
+    # make the summand's cohomology raise
+    assert GSComplex(presets.v_poset_commutative()).check_hodge_stability(1, 1)
+    moved = GSComplex(presets.v_poset_commutative())
+    real = moved.hodge_eigendata
 
     def perturbed(q, a_dim):
+        # K_1 of (q, dim A) = (2, 2) with the column of K_2 added to its
+        # second column
         shuffle, kernels = real(q, a_dim)
         if (q, a_dim) != (2, 2):
             return shuffle, kernels
-        return shuffle + RatMatrix(shuffle.rows, shuffle.cols,
-                                   {(0, 1): 1}), kernels
-    gs.hodge_eigendata = perturbed
-    assert not gs.check_hodge_stability(1, 1)
-    # the bottom row passed off as the r = 1 summand: d maps it onto cells
-    # where that summand is 0
+        k1, k2 = kernels[1], kernels[2]
+        return shuffle, {1: k1 + RatMatrix.from_blocks(
+            k1.rows, k1.cols, [(0, 1, k2)]), 2: k2}
+    moved.hodge_eigendata = perturbed
+    shuffle, kernels = perturbed(2, 2)
+    # the columns stay independent and fill Q^4, but leave the eigenspace
+    assert RatMatrix.hstack([kernels[1], kernels[2]]).rank() == 4
+    assert shuffle @ kernels[1] != kernels[1].scale(shuffle_eigenvalue(1))
+    # the degree-2 basis of r = 1 replaced by that of r = 2
+    swapped = GSComplex(presets.v_poset_commutative())
+    swapped.hodge_basis = lambda n, r: GSComplex.hodge_basis(
+        swapped, n, 2 if (n, r) == (2, 1) else r)
+    for gs in (moved, swapped):
+        assert not gs.check_hodge_stability(1, 1)
+        with pytest.raises(NotASubcomplex):
+            gs.hodge_cohomology(1, 1)
+
+
+def test_stability_and_cohomology_share_one_solve(monkeypatch):
+    # check_hodge_stability(n, r) solves for d^n; hodge_cohomology(n, r)
+    # reuses that solve and adds only the one for d^{n-1}
+    solved = []
+    real = RatMatrix.solve_many
+
+    def counted(self, rhs):
+        solved.append(self)
+        return real(self, rhs)
+
+    monkeypatch.setattr(RatMatrix, "solve_many", counted)
     gs = GSComplex(presets.v_poset_commutative())
-    gs.hodge_basis = lambda n, r: GSComplex.hodge_basis(gs, n, 0)
-    assert not gs.check_hodge_stability(1, 1)
+    n = 3
+    for r in range(n + 2):
+        solved.clear()
+        assert gs.check_hodge_stability(n, r)
+        assert len(solved) == 1 and solved[0] is gs.hodge_basis(n + 1, r), r
+        gs.hodge_cohomology(n, r)
+        assert len(solved) == 2 and solved[1] is gs.hodge_basis(n, r), r
 
 
 def test_gs_op_involution_and_chain_map(complexes):
@@ -503,7 +560,7 @@ def test_library_assert_lines_do_not_grow():
             with open(os.path.join(src, name)) as handle:
                 count += sum(bool(re.match(r"\s*assert\b", line))
                              for line in handle)
-    assert count <= 25
+    assert count <= 11
 
 
 def test_factor_through_failure_named(complexes):

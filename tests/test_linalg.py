@@ -4,19 +4,15 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from gscohom import linalg
 from gscohom.linalg import (RatMatrix, Subspace, cohomology,
                             ComplexViolation, NotASubcomplex, DependentBasis,
                             subcomplex_cohomology)
-from conftest import random_matrix
+from conftest import ORACLE, random_matrix
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-
-# derandomised and small, so the suite stays deterministic and quick
-ORACLE = settings(derandomize=True, max_examples=60, deadline=None,
-                  database=None)
 
 
 def test_kernel_examples():
@@ -147,15 +143,7 @@ def test_subcomplex_cohomology_paths():
     # back in the coordinates of C^1
     coords = {0: [], 1: [1], 2: []}.get
     assert subcomplex_cohomology(diffs.get, 1, coords) == (1, [(F(0), F(1))])
-    # a basis: span((1, 1)) in degree 1 is closed, but its partner in
-    # degree 0 maps outside it
-    basis = {0: RatMatrix.zeros(1, 0), 1: RatMatrix.from_cols([(F(1), F(1))]),
-             2: RatMatrix.zeros(0, 0)}.get
-    assert subcomplex_cohomology(diffs.get, 1, basis) == (1, [(F(1), F(1))])
-    leaky = {0: RatMatrix.identity(1), 1: RatMatrix.from_cols([(F(0), F(1))]),
-             2: RatMatrix.zeros(0, 0)}.get
-    with pytest.raises(NotASubcomplex):
-        subcomplex_cohomology(diffs.get, 1, leaky)
+    # d^0 maps e_1 of C^0 onto e_1 of C^1, which is not kept
     with pytest.raises(NotASubcomplex):
         subcomplex_cohomology(diffs.get, 0, {0: [0], 1: [1]}.get)
 
