@@ -11,13 +11,17 @@ and eps-linear maps as lower-triangular block matrices), runs the full
 twisted-presheaf axiom checker, independently evaluates the cochain
 conditions, and insists the two verdicts agree.  Equivalences (1 + g1 eps,
 1 + tau1 eps) are handled the same way against the morphism axioms.
+
+The cochain side is the `normalized_reduced` subcomplex of the presheaf's
+own `GSComplex` (`kept_coordinates`, `op_cochain`; a complex of another
+presheaf raises InvalidStructure).  The axiom side uses no GS formula, so
+it stays an independent cross-check.
 """
 
 from .linalg import RatMatrix, VerificationFailed, zero_vector
 from .algebra import InvalidStructure
 from .presheaf import TwistedPresheaf, check_twisted_morphism
-from .gs import GSComplex, NotCommutative, cochain_from_parts
-from .shuffles import perm_action_matrix
+from .gs import GSCochain, GSComplex
 
 
 class NotACocycle(Exception):
@@ -33,6 +37,31 @@ def _verify(holds, what):
     """Raise VerificationFailed(what) unless the checked identity holds."""
     if not holds:
         raise VerificationFailed(what)
+
+
+def _complex_of(presheaf, gs):
+    """gs, which must be the GS complex of this very presheaf
+    (InvalidStructure otherwise), or a new one when gs is None."""
+    if gs is None:
+        return GSComplex(presheaf)
+    if gs.presheaf is not presheaf:
+        raise InvalidStructure("the GS complex belongs to another presheaf")
+    return gs
+
+
+def _verify_same(built, expected, what):
+    """Check that two twisted presheaves on one category have the same
+    products, restrictions and twists (VerificationFailed otherwise)."""
+    cat = built.category
+    for obj in cat.objects:
+        _verify(built.algebras[obj].mult == expected.algebras[obj].mult,
+                "%s: products differ at %s" % (what, obj))
+    for name in cat.morphisms:
+        _verify(built.restrictions[name] == expected.restrictions[name],
+                "%s: restrictions differ at %s" % (what, name))
+    for pair in cat.composable_pairs():
+        _verify(built.twist(*pair) == expected.twist(*pair),
+                "%s: twists differ at %s" % (what, pair,))
 
 
 class CandidateTriple:
@@ -65,17 +94,16 @@ class CandidateTriple:
                            zero_vector(self.presheaf.algebras[dom].dim))
 
     def as_cochain(self, gs):
-        parts = {(0, 2): {}, (1, 1): {}, (2, 0): {}}
-        for obj, mat in self.m1.items():
-            parts[(0, 2)][(obj,)] = mat
-        for name, mat in self.f1.items():
-            src = self.presheaf.category.source(name)
-            parts[(1, 1)][(src, name)] = mat
-        for arrows, vec in self.c1.items():
-            dom = self.presheaf.category.source(arrows[0])
-            parts[(2, 0)][(dom,) + tuple(arrows)] = \
-                RatMatrix.from_cols([vec])
-        return cochain_from_parts(gs, 2, parts)
+        """(m1, f1, c1) as a sparse degree-2 GSCochain of gs, a complex of
+        this presheaf: the blocks given, the others read as zero."""
+        cat = _complex_of(self.presheaf, gs).category
+        return GSCochain(2, {
+            (0, 2): {(obj,): mat for obj, mat in self.m1.items()},
+            (1, 1): {(cat.source(name), name): mat
+                     for name, mat in self.f1.items()},
+            (2, 0): {(cat.source(arrows[0]),) + arrows:
+                     RatMatrix.from_cols([vec])
+                     for arrows, vec in self.c1.items()}})
 
     def m1_tensor(self, obj):
         """m1 at obj as a structure-constant correction tensor."""
@@ -85,56 +113,48 @@ class CandidateTriple:
                 for i in range(a.dim)]
 
 
-def cochain_failures(presheaf, triple, gs=None):
-    """The cochain-side obstructions, named by the structure they deform.
+# The message naming a nonzero cell of d(theta), or of theta off the
+# normalized or the normalized reduced coordinates, per bidegree (p, q);
+# the fields are the cell's simplex key (domain, u_1, ..., u_p).
+_DEVIATION = {
+    (0, 3): "associativity deviation at {0}: d_Hoch(m1) != 0",
+    (1, 2): "restriction-hom deviation at {1}: d_simp(m1) - d_Hoch(f1) != 0",
+    (2, 1): "twist-conjugation deviation at ({2}, {1}): "
+            "-d_simp(f1) + d_Hoch(c1) != 0",
+    (3, 0): "twist-cocycle deviation at ({3}, {2}, {1}): d_simp(c1) != 0",
+}
+_NOT_NORMALIZED = {(0, 2): "m1 not normalized at {0}",
+                   (1, 1): "f1 not normalized at {1} (f1(1) != 0)"}
+_NOT_REDUCED = {(1, 1): "f1 not reduced at identity {1}",
+                (2, 0): "c1 not reduced at degenerate simplex {1};{2}"}
 
-    Returns [] exactly when (m1, f1, c1) is a normalized reduced cocycle.
+
+def _named(table, cells):
+    return [table[p, q].format(*sigma.key()) for p, q, sigma in cells]
+
+
+def cochain_failures(presheaf, triple, gs=None):
+    """The cochain-side obstructions, named by the structure they deform:
+    the nonzero cells of d(theta), sorted by simplex key within each
+    bidegree, then the cells where theta leaves the normalized coordinates,
+    then the degenerate cells where it leaves the normalized reduced ones
+    (an identity f1 with f1(1) != 0 is named by both).
+
+    Returns [] exactly when theta = (m1, f1, c1) is a cocycle of the
+    `normalized_reduced` subcomplex of gs.
     """
-    gs = gs or GSComplex(presheaf)
-    cat = presheaf.category
-    fails = []
+    gs = _complex_of(presheaf, gs)
     theta = triple.as_cochain(gs)
-    d_theta = gs.d(theta)
-    for (obj,), mat in sorted(d_theta.component(0, 3).items()):
-        if not mat.is_zero():
-            fails.append("associativity deviation at %s: d_Hoch(m1) != 0" % obj)
-    for key, mat in sorted(d_theta.component(1, 2).items()):
-        if not mat.is_zero():
-            fails.append("restriction-hom deviation at %s: "
-                         "d_simp(m1) - d_Hoch(f1) != 0" % key[1])
-    for key, mat in sorted(d_theta.component(2, 1).items()):
-        if not mat.is_zero():
-            fails.append("twist-conjugation deviation at (%s, %s): "
-                         "-d_simp(f1) + d_Hoch(c1) != 0" % (key[2], key[1]))
-    for key, mat in sorted(d_theta.component(3, 0).items()):
-        if not mat.is_zero():
-            fails.append("twist-cocycle deviation at (%s, %s, %s): "
-                         "d_simp(c1) != 0" % (key[3], key[2], key[1]))
-    # normalization: vanishing on unit slots
-    for obj in cat.objects:
-        a = presheaf.algebras[obj]
-        u = a.unit_index()
-        if u is None:
-            raise InvalidStructure("the unit of the algebra at %s is not a "
-                                   "basis vector" % obj)
-        mat = triple.m1_at(obj)
-        for i in range(a.dim):
-            if any(mat.column(u * a.dim + i)) or any(mat.column(i * a.dim + u)):
-                fails.append("m1 not normalized at %s" % obj)
-                break
-    for name in sorted(cat.morphisms):
-        m = cat.morphisms[name]
-        u = presheaf.algebras[m.target].unit_index()
-        if any(triple.f1_at(name).column(u)):
-            fails.append("f1 not normalized at %s (f1(1) != 0)" % name)
-    # reduction: vanishing on degenerate simplices
-    for name in sorted(cat.morphisms):
-        if cat.is_identity(name) and not triple.f1_at(name).is_zero():
-            fails.append("f1 not reduced at identity %s" % name)
-    for sigma in cat.nerve(2):
-        if sigma.is_degenerate() and any(triple.c1_at(sigma.arrows)):
-            fails.append("c1 not reduced at degenerate simplex %s" % sigma.label())
-    return fails
+    deviations = sorted(gs.nonzero_cells(gs.d(theta)),
+                        key=lambda cell: (cell[0], cell[2].key()))
+    off_normalized = gs.nonzero_cells(
+        theta, gs.kept_coordinates("normalized", 2))
+    degenerate = [cell for cell in gs.nonzero_cells(
+        theta, gs.kept_coordinates("normalized_reduced", 2))
+        if cell[2].is_degenerate()]
+    return (_named(_DEVIATION, deviations) +
+            _named(_NOT_NORMALIZED, off_normalized) +
+            _named(_NOT_REDUCED, degenerate))
 
 
 def eps_block(m0, m1):
@@ -217,6 +237,7 @@ def deform(presheaf, m1=None, f1=None, c1=None, gs=None):
     """
     if not presheaf.is_strict():
         raise InvalidStructure("only a strict presheaf can be deformed")
+    gs = _complex_of(presheaf, gs)
     triple = m1 if isinstance(m1, CandidateTriple) else \
         CandidateTriple(presheaf, m1, f1, c1)
     axiom_ok, cochain_ok, candidate, cochain_fails = \
@@ -255,16 +276,15 @@ class EquivalencePair:
         return self.tau1.get(name, zero_vector(self.presheaf.algebras[src].dim))
 
     def as_cochain(self, gs):
-        """(g1, -tau1) as a degree-1 cochain (the sign comes from the
-        direction conventions of the morphism identities)."""
-        parts = {(0, 1): {}, (1, 0): {}}
-        for obj in self.presheaf.category.objects:
-            parts[(0, 1)][(obj,)] = self.g1_at(obj)
-        for name in self.presheaf.category.morphisms:
-            src = self.presheaf.category.source(name)
-            vec = tuple(-x for x in self.tau1_at(name))
-            parts[(1, 0)][(src, name)] = RatMatrix.from_cols([vec])
-        return cochain_from_parts(gs, 1, parts)
+        """(g1, -tau1) as a sparse degree-1 GSCochain of gs, a complex of
+        this presheaf (the sign comes from the direction conventions of the
+        morphism identities)."""
+        cat = _complex_of(self.presheaf, gs).category
+        return GSCochain(1, {
+            (0, 1): {(obj,): mat for obj, mat in self.g1.items()},
+            (1, 0): {(cat.source(name), name):
+                     RatMatrix.from_cols([tuple(-x for x in vec)])
+                     for name, vec in self.tau1.items()}})
 
 
 def equivalence(def_a, def_b, pair, gs=None):
@@ -279,6 +299,7 @@ def equivalence(def_a, def_b, pair, gs=None):
     base = def_a.base
     if def_b.base is not base:
         raise InvalidStructure("the deformations have different bases")
+    gs = _complex_of(base, gs)
     cat = base.category
     g_blocks = {}
     for obj in cat.objects:
@@ -293,18 +314,11 @@ def equivalence(def_a, def_b, pair, gs=None):
                                          g_blocks, tau_elems)
     axiom_verdict = not axiom_fails
 
-    gs = gs or GSComplex(base)
     chain = pair.as_cochain(gs)
-    diff = gs.d(chain)
-    target = def_a.triple.as_cochain(gs) - def_b.triple.as_cochain(gs)
-    cochain_verdict = (diff == target)
-    for obj in cat.objects:
-        u = base.algebras[obj].unit_index()
-        if any(pair.g1_at(obj).column(u)):
-            cochain_verdict = False
-    for name in cat.morphisms:
-        if cat.is_identity(name) and any(pair.tau1_at(name)):
-            cochain_verdict = False
+    cochain_verdict = (
+        gs.d(chain) == def_a.triple.as_cochain(gs) -
+        def_b.triple.as_cochain(gs) and not gs.nonzero_cells(
+            chain, gs.kept_coordinates("normalized_reduced", 1)))
     _verify(axiom_verdict == cochain_verdict,
             "morphism axioms and cochain equation disagree: %s"
             % axiom_fails[:3])
@@ -315,59 +329,34 @@ def equivalence(def_a, def_b, pair, gs=None):
     }
 
 
-def opposite_deformation(defn, gs=None):
-    """The deformation of the opposite presheaf by (m1 swapped, f1, -c1);
-    structurally equal to the opposite of the given deformation (checked;
-    VerificationFailed otherwise).  m1 is swapped by the place permutation
-    of its two arguments."""
+def opposite_deformation(defn):
+    """The deformation of the opposite presheaf by the opposite cochain
+    (`GSComplex.op_cochain`), which in degree 2 is (m1 with its two
+    arguments swapped, f1, -c1); structurally equal to the opposite of the
+    given deformation (checked; VerificationFailed otherwise)."""
+    gs = GSComplex(defn.base)
     base_op = defn.base.opposite()
-    cat = defn.base.category
-    m1_op = {obj: defn.triple.m1_at(obj) @ perm_action_matrix(
-                 (1, 0), 1, defn.base.algebras[obj].dim)
-             for obj in cat.objects}
-    f1_op = dict(defn.triple.f1)
-    c1_op = {k: tuple(-x for x in v) for k, v in defn.triple.c1.items()}
-    result = deform(base_op, m1_op, f1_op, c1_op, gs=gs)
-    expected = defn.twisted.opposite()
-    for obj in cat.objects:
-        _verify(result.twisted.algebras[obj].mult ==
-                expected.algebras[obj].mult,
-                "opposite deformation: products differ at %s" % obj)
-    for name in cat.morphisms:
-        _verify(result.twisted.restrictions[name] ==
-                expected.restrictions[name],
-                "opposite deformation: restrictions differ at %s" % name)
-    for pair in cat.composable_pairs():
-        _verify(result.twisted.twist(*pair) == expected.twist(*pair),
-                "opposite deformation: twists differ at %s" % (pair,))
+    theta_op = gs.op_cochain(defn.triple.as_cochain(gs))
+    result = deform(base_op, deformation_from_cochain(base_op, theta_op))
+    _verify_same(result.twisted, defn.twisted.opposite(),
+                 "opposite deformation")
     return result
 
 
 def central_underlying(defn, gs=None):
     """For a deformation of a commutative presheaf: the twists are central
     and the underlying presheaf is the deformation along (m1, f1, 0), whose
-    pair is a cocycle of the truncated complex."""
+    pair is a cocycle of the truncated complex: d(m1, f1) vanishes on the
+    coordinates that `truncated` keeps."""
     base = defn.base
-    for obj in base.category.objects:
-        if not base.algebras[obj].is_commutative():
-            raise NotCommutative("algebra at %s is not commutative" % obj)
+    gs = _complex_of(base, gs)
+    gs.require_commutative()
     _verify(defn.twisted.has_central_twists(), "the twists are not central")
     triple = CandidateTriple(base, defn.triple.m1, defn.triple.f1, {})
     underlying = deform(base, triple, gs=gs)
-    expected = defn.twisted.underlying_presheaf()
-    for obj in base.category.objects:
-        _verify(underlying.twisted.algebras[obj].mult ==
-                expected.algebras[obj].mult,
-                "underlying presheaf: products differ at %s" % obj)
-    for name in base.category.morphisms:
-        _verify(underlying.twisted.restrictions[name] ==
-                expected.restrictions[name],
-                "underlying presheaf: restrictions differ at %s" % name)
-    # the truncated-cocycle conditions for (m1, f1)
-    gs = gs or GSComplex(base)
-    theta = triple.as_cochain(gs)
-    d_theta = gs.d(theta)
-    for (p, q) in ((0, 3), (1, 2), (2, 1)):
-        for mat in d_theta.component(p, q).values():
-            _verify(mat.is_zero(), "truncated cocycle condition fails")
+    _verify_same(underlying.twisted, defn.twisted.underlying_presheaf(),
+                 "underlying presheaf")
+    d_theta = gs.flatten_cochain(gs.d(triple.as_cochain(gs)))
+    _verify(not any(d_theta[c] for c in gs.kept_coordinates("truncated", 3)),
+            "truncated cocycle condition fails")
     return underlying

@@ -60,17 +60,11 @@ class GSCochain:
         if self.degree != other.degree:
             raise InvalidStructure("cochains of degrees %d and %d cannot be "
                                    "added" % (self.degree, other.degree))
-        out = {}
-        for key in set(self.components) | set(other.components):
-            a = self.components.get(key, {})
-            b = other.components.get(key, {})
-            blk = {}
-            for sk in set(a) | set(b):
-                if sk in a and sk in b:
-                    blk[sk] = a[sk] + b[sk]
-                else:
-                    blk[sk] = a.get(sk, b.get(sk))
-            out[key] = blk
+        out = {key: dict(blk) for key, blk in self.components.items()}
+        for key, blk in other.components.items():
+            mine = out.setdefault(key, {})
+            for sk, mat in blk.items():
+                mine[sk] = mine[sk] + mat if sk in mine else mat
         return GSCochain(self.degree, out)
 
     def __sub__(self, other):
@@ -136,7 +130,6 @@ class GSComplex:
         """d_simp: C^{p,q} -> C^{p+1,q} (row differential)."""
         return self.pair(q).differential(p)
 
-    @memo()
     def hoch_block(self, p, q):
         """d_Hoch: C^{p,q} -> C^{p,q+1} (column differential), block
         diagonal over the p-simplices."""
@@ -222,6 +215,18 @@ class GSComplex:
                     local = range(rows * cols)
                 keep.extend(off + boff + c for c in local)
         return keep
+
+    def nonzero_cells(self, theta, kept=()):
+        """The cells (p, q, simplex) of theta's degree, in flat order, where
+        theta is nonzero at a flat coordinate outside `kept` (anywhere, by
+        default)."""
+        vec, kept = self.flatten_cochain(theta), set(kept)
+        return [(p, q, sigma)
+                for p, q, off, blocks in self.layout(theta.degree)[0]
+                for sigma, rows, cols, boff in blocks
+                if any(vec[c] for c in range(off + boff,
+                                             off + boff + rows * cols)
+                       if c not in kept)]
 
     def check_subcomplex(self, kind, n):
         """The differential must not leak out of the selected coordinates."""
@@ -528,17 +533,3 @@ def factor_through_restrictions(gs, p, r, component):
         out["lifts"][sigma.key()] = {"matrix": lift_t.transpose(),
                                      "unique": unique}
     return out
-
-
-def cochain_from_parts(gs, n, parts):
-    """Assemble a GSCochain from {(p, q): {simplex key: matrix}} filling
-    missing blocks with zero."""
-    comps = {}
-    for p, q, off, blocks in gs.layout(n)[0]:
-        blk = {}
-        for sigma, rows, cols, boff in blocks:
-            given = parts.get((p, q), {}).get(sigma.key())
-            blk[sigma.key()] = given if given is not None \
-                else RatMatrix.zeros(rows, cols)
-        comps[(p, q)] = blk
-    return GSCochain(n, comps)

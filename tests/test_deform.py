@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from gscohom.algebra import InvalidStructure
 from gscohom.linalg import RatMatrix
 from gscohom.gs import GSComplex
 from gscohom.deform import (deform, NotACocycle, CandidateTriple,
-                            EquivalencePair, equivalence,
+                            EquivalencePair, equivalence, cochain_failures,
                             opposite_deformation, central_underlying,
                             deformation_from_cochain, bidirectional_verdicts)
 from gscohom import presets
@@ -229,6 +230,43 @@ def test_central_underlying(setup):
         for r in range(2, 3):
             acc = acc + parts[r]
         assert acc == underlying.triple.as_cochain(gs)
+
+
+def test_opposite_of_a_coboundary_on_a_noncommutative_presheaf(rng):
+    # the opposite deformation is checked in the complex of the opposite
+    # presheaf; the base's complex, once accepted here, made the cochain
+    # side disagree with the axioms on this coboundary
+    p = presets.v_poset_triangular()
+    gs = GSComplex(p)
+    pair = random_equivalence_pair(rng, p)
+    defn = deform(p, deformation_from_cochain(p, gs.d(pair.as_cochain(gs))),
+                  gs=gs)
+    opp = opposite_deformation(defn)
+    assert opp.base.category is p.category
+    op_gs = GSComplex(opp.base)
+    assert opp.triple.as_cochain(op_gs) == \
+        gs.op_cochain(defn.triple.as_cochain(gs))
+    with pytest.raises(InvalidStructure):
+        deform(opp.base, opp.triple, gs=gs)
+
+
+def test_a_complex_of_another_presheaf_is_refused(setup):
+    p, gs = setup
+    defn = deform(p, gs=gs)
+    tri = presets.v_poset_triangular()
+    other = GSComplex(presets.diamond_mixed())
+    with pytest.raises(InvalidStructure):
+        deform(tri, gs=other)
+    with pytest.raises(InvalidStructure):
+        cochain_failures(tri, CandidateTriple(tri), gs=other)
+    # an equal presheaf is still another object
+    with pytest.raises(InvalidStructure):
+        equivalence(defn, defn, EquivalencePair(p),
+                    gs=GSComplex(presets.v_poset_commutative()))
+    with pytest.raises(InvalidStructure):
+        central_underlying(defn, gs=other)
+    with pytest.raises(InvalidStructure):
+        CandidateTriple(tri).as_cochain(gs)
 
 
 def test_noncommutative_deformation_round_trip():

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -6,14 +7,14 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gscohom import gs as gs_module
 from gscohom.algebra import AlgebraHom, FinBimodule
 from gscohom.hochschild import hh_algebra
 from gscohom.linalg import NotASubcomplex, RatMatrix
-from gscohom.gs import (GSComplex, NotCommutative,
-                        factor_through_restrictions, cochain_from_parts, KINDS)
+from gscohom.gs import (GSCochain, GSComplex, NotCommutative,
+                        factor_through_restrictions, KINDS)
 from gscohom.shuffles import (VerificationFailed, eulerian_idempotent,
                               scaled_eulerian_idempotent, shuffle_eigenvalue,
                               total_shuffle_operator)
@@ -21,6 +22,7 @@ from gscohom import presets
 from gscohom.algebra import FinAlgebra
 from gscohom.fincat import poset_category
 from gscohom.presheaf import strict_presheaf
+from gscohom.simplicial import ModPresheaf, PairComplex
 from conftest import ORACLE
 
 
@@ -94,11 +96,10 @@ def test_identity_cochain_has_zero_row_differential(complexes):
     # theta at (0,1) with theta^U = id_{A(U)}: the row differential gives
     # f^u o id - id o f^u = 0 on every 1-simplex
     for name, gs in complexes.items():
-        parts = {(0, 1): {}}
-        for sigma in gs.category.nerve(0):
-            d = gs.presheaf.algebras[sigma.domain].dim
-            parts[(0, 1)][sigma.key()] = RatMatrix.identity(d)
-        theta = cochain_from_parts(gs, 1, parts)
+        theta = GSCochain(1, {(0, 1): {
+            sigma.key(): RatMatrix.identity(
+                gs.presheaf.algebras[sigma.domain].dim)
+            for sigma in gs.category.nerve(0)}})
         vec = gs.flatten_cochain(theta)
         comps, _ = gs.layout(1)
         off = next(off for p, q, off, _ in comps if (p, q) == (0, 1))
@@ -207,8 +208,7 @@ def test_hodge_split_components(complexes, rng):
 
 def test_hodge_bottom_row_is_r0(complexes):
     gs = complexes["v_poset_commutative"]
-    parts_keys = {}
-    theta = cochain_from_parts(gs, 2, {
+    theta = GSCochain(2, {
         (2, 0): {sigma.key(): RatMatrix.from_cols(
             [tuple(F(1) for _ in range(
                 gs.presheaf.algebras[sigma.domain].dim))])
@@ -223,7 +223,7 @@ def test_hodge_symmetric_2cochain_is_harrison(complexes):
     gs = complexes["v_poset_commutative"]
     # a symmetric Hochschild 2-cochain at (0, 2) sits entirely in r = 1
     sym = RatMatrix.from_rows([[1, 2, 2, 0], [0, 1, 1, 3]])
-    theta = cochain_from_parts(gs, 2, {(0, 2): {("U0",): sym}})
+    theta = GSCochain(2, {(0, 2): {("U0",): sym}})
     parts = gs.hodge_split(theta)
     assert parts[1] == theta
     assert parts[0].is_zero() and parts[2].is_zero()
@@ -347,6 +347,62 @@ def test_hodge_summands_of_truncated_polynomials(case):
     assert [gs.hodge_cohomology(n, r) for r in range(n + 1)] == \
         [total if r == (n + 1) // 2 else 0 for r in range(n + 1)]
     assert all(gs.check_hodge_stability(n, r) for r in range(n + 2))
+
+
+# the algebra family of the random constant presheaves below
+ALGEBRAS = {"Q[x]/(x^2)": presets.dual_numbers(),
+            "Q[x]/(x^3)": truncated_polynomials(3).algebras["pt"],
+            "UT2": presets.upper_triangular(), "QxQ": presets.two_points()}
+
+
+def constant_presheaf(objects, relations, algebra):
+    cat = poset_category(objects, relations)
+    return strict_presheaf(cat, {o: algebra for o in cat.objects},
+                           {name: RatMatrix.identity(algebra.dim)
+                            for name in cat.morphisms})
+
+
+@st.composite
+def constant_presheaves(draw):
+    """A random poset on at most 4 objects (Pi <= Pj drawn for i < j, so it
+    is antisymmetric; meets not required) with one algebra of ALGEBRAS on
+    every object and identity restrictions: always a valid presheaf."""
+    objects = ["P%d" % i for i in range(draw(st.integers(1, 4)))]
+    pairs = [(v, u) for j, u in enumerate(objects) for v in objects[:j]]
+    relations = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+        if pairs else []
+    return constant_presheaf(
+        objects, relations, ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))])
+
+
+@settings(ORACLE, max_examples=30)
+@given(constant_presheaves())
+# the crown P0, P1 <= P2, P3 has a circle as its classifying space
+@example(constant_presheaf(["P0", "P1", "P2", "P3"],
+                           [("P0", "P2"), ("P0", "P3"), ("P1", "P2"),
+                            ("P1", "P3")], presets.upper_triangular()))
+def test_kunneth_and_the_opposite_map_on_constant_presheaves(presheaf):
+    # for a constant presheaf the GS complex is the simplicial cochains of
+    # the nerve tensored with the Hochschild complex of A, so over Q
+    # GS H^n = sum_{p+q=n} H^p(|P|) HH^q(A); the oracles share no total
+    # complex with GS: the pair complex of the constant Q presheaf and
+    # hh_algebra.  The opposite map is an involution and a chain map into
+    # the complex of the opposite presheaf.
+    cat = presheaf.category
+    algebra = presheaf.algebras[cat.objects[0]]
+    nerve = PairComplex(ModPresheaf.constant(cat), ModPresheaf.constant(cat))
+    regular = FinBimodule.regular(algebra)
+    space = [nerve.cohomology(p)[0] for p in range(4)]
+    hh = [hh_algebra(algebra, regular, q)[0] for q in range(4)]
+    gs = GSComplex(presheaf)
+    gop = GSComplex(presheaf.opposite())
+    for n in range(4):
+        assert gs.cohomology(n)[0] == sum(space[p] * hh[n - p]
+                                          for p in range(n + 1)), n
+        op = gs.op_matrix(n)
+        assert gop.op_matrix(n) @ op == RatMatrix.identity(gs.dim(n))
+        assert gs.op_matrix(n + 1) @ gs.differential(n) == \
+            gop.differential(n) @ op, n
 
 
 def test_stability_check_fails_on_a_perturbed_summand():
@@ -561,6 +617,40 @@ def test_library_assert_lines_do_not_grow():
                 count += sum(bool(re.match(r"\s*assert\b", line))
                              for line in handle)
     assert count <= 11
+
+
+def unused_imports(text):
+    """(line, name) for each name that an import statement of the module
+    source `text` binds and the module never references; a statement whose
+    first line carries `noqa: F401` is exempt (flake8's F401, stdlib only)."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(node.lineno, bound)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and
+            "noqa: F401" not in lines[node.lineno - 1]
+            for alias in node.names
+            for bound in [(alias.asname or alias.name).split(".")[0]]
+            if bound not in used]
+
+
+def test_library_imports_are_all_used():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "src", "gscohom")
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as handle:
+                unused = unused_imports(handle.read())
+            if unused:
+                found[name] = unused
+    assert not found
+    # the check sees a dead import, a dead module import and the exemption
+    assert unused_imports("from .shuffles import perm_action_matrix\n"
+                          "import os.path\n"
+                          "from .gs import KINDS  # noqa: F401\n") == \
+        [(1, "perm_action_matrix"), (2, "os")]
 
 
 def test_factor_through_failure_named(complexes):
