@@ -3,22 +3,29 @@
 Elements are coordinate tuples of exact numbers (`linalg.exact`: an int
 where integral, else a Fraction).  Everything is validated at
 construction: associativity of the structure tensor, two-sidedness of the
-unit, multiplicativity of homomorphisms, module axioms.  Algebras over the
-dual numbers arise through `dual_extension`, which doubles the basis with
-an eps-part (eps^2 = 0) so that all downstream linear algebra stays over Q.
-A structure that fails its axioms raises InvalidStructure.
+unit, multiplicativity of homomorphisms, module axioms.  A structure that
+fails its axioms raises InvalidStructure.
+
+Eps-doubling.  Algebras over the dual numbers Q[eps] (eps^2 = 0) stay
+Q-algebras of doubled dimension on the basis (e_0..e_{d-1}, eps*e_0..
+eps*e_{d-1}), so that all downstream linear algebra stays over Q: an
+element x + y*eps is the tuple x followed by y (`eps_element`), an
+eps-linear map m0 + m1*eps is the lower-triangular block matrix
+[[m0, 0], [m1, m0]] (`eps_block`), and the algebra with multiplication
+m + m1*eps is `FinAlgebra.dual_extension(m1)`.
 
 Tensor coordinates.  The raw space M (x)_Q B of a tensor product has the
 basis m_i (x) e_b at coordinate i*dim(B) + b, the index convention of
 `RatMatrix.kron`: X.kron(Y) acts as X on the M factor and as Y on the B
 factor.  A bilinear map out of M (x) B is therefore one matrix on the raw
 space, and on a tensor quotient t = M (x)_A B it is that matrix times
-t.section.  Linear conditions on an unknown matrix X are solved on vec X,
-flattened row-major (`linalg.vec_operator`, `linalg.reshape`).
+t.section.  Linear conditions on an unknown matrix X are solved on the
+column-major vec X (`linalg.vec_operator`, `linalg.unflatten`).
 """
 
-from .linalg import (RatMatrix, VerificationFailed, exact, memo, reshape,
-                     submatrix, unit_vector, vec_operator, zero_vector)
+from .linalg import (RatMatrix, VerificationFailed, complete_span, exact,
+                     flatten, memo, submatrix, unflatten, unit_vector,
+                     vec_operator, zero_vector)
 
 
 class InvalidStructure(ValueError):
@@ -144,35 +151,26 @@ class FinAlgebra:
         mult = [[self.mult[j][i] for j in range(self.dim)] for i in range(self.dim)]
         return FinAlgebra(self.dim, mult, self.unit, name=self.name + "^op")
 
-    def dual_extension(self, m1=None, name=None):
-        """The dual-number algebra A[eps] with multiplication m + m1*eps.
+    def dual_extension(self, m1=None):
+        """The dual-number algebra A[eps] with multiplication m + m1*eps, as
+        a Q-algebra of dimension 2*dim (see Eps-doubling above).
 
-        Returned as a plain Q-algebra of dimension 2*dim on basis
-        (e_0..e_{d-1}, eps*e_0..eps*e_{d-1}).  m1 must be a normalized
-        2-cochain tensor (m1[i][j] a coordinate tuple) or None for the
-        trivial extension.
+        m1 is a 2-cochain matrix shaped like `mult_matrix()`: column
+        i*dim + j holds m1(e_i, e_j).  None means the trivial extension.
+        Not validated: A[eps] is associative iff m1 is a Hochschild
+        cocycle, and has the unit of A iff m1 is normalized.
         """
         d = self.dim
-        if m1 is None:
-            m1 = [[zero_vector(d)] * d for _ in range(d)]
-        zero = zero_vector(2 * d)
-
-        def emb(v, eps_part=False):
-            if eps_part:
-                return zero_vector(d) + tuple(v)
-            return tuple(v) + zero_vector(d)
-
-        mult = [[zero] * (2 * d) for _ in range(2 * d)]
+        zero = zero_vector(d)
+        mult = [[zero_vector(2 * d)] * (2 * d) for _ in range(2 * d)]
         for i in range(d):
             for j in range(d):
                 top = self.mult[i][j]
-                mult[i][j] = tuple(top) + tuple(m1[i][j])
-                mult[i][j + d] = emb(top, eps_part=True)
-                mult[i + d][j] = emb(top, eps_part=True)
-                mult[i + d][j + d] = zero
-        unit = emb(self.unit)
-        return FinAlgebra(2 * d, mult, unit,
-                          name=name or self.name + "[eps]", check=False)
+                low = zero if m1 is None else m1.column(i * d + j)
+                mult[i][j] = eps_element(top, low)
+                mult[i][j + d] = mult[i + d][j] = eps_element(zero, top)
+        return FinAlgebra(2 * d, mult, eps_element(self.unit, zero),
+                          name=self.name + "[eps]", check=False)
 
     def __repr__(self):
         return "FinAlgebra(%s, dim %d)" % (self.name, self.dim)
@@ -339,6 +337,19 @@ class FinBimodule:
                            self.dim, self.right, self.left, check=False)
 
 
+def eps_element(top, eps):
+    """The element of A[eps] with top part top and eps-part eps, as a
+    coordinate tuple on the doubled basis."""
+    return tuple(top) + tuple(eps)
+
+
+def eps_block(m0, m1):
+    """The matrix of the eps-linear map m0 + m1*eps on doubled coordinates:
+    [[m0, 0], [m1, m0]]."""
+    z = RatMatrix.zeros(m0.rows, m0.cols)
+    return RatMatrix.block([[m0, z], [m1, m0]])
+
+
 def _multiplication_by(x, table):
     """The matrix of y -> sum_{i,j} x_i y_j table[i][j], read off the
     structure constants: column j is sum_i x_i table[i][j]."""
@@ -386,17 +397,14 @@ def quotient_by_columns(raw_dim, rel_matrix):
         raise InvalidStructure("relations with %d rows do not live in Q^%d"
                                % (rel_matrix.rows, raw_dim))
     rows = range(raw_dim)
-    rel = submatrix(rel_matrix, rows, rel_matrix.pivot_columns())
     one = RatMatrix.identity(raw_dim)
-    r = rel.cols
-    combined = RatMatrix.hstack([rel, one])
-    section = submatrix(one, rows, [c - r for c in combined.pivot_columns()
-                                    if c >= r])
+    rel, extra = complete_span(rel_matrix, one)
+    section = submatrix(one, rows, extra)
     inv = RatMatrix.hstack([rel, section]).inverse()
     if inv is None:
         raise VerificationFailed("the relations and their complement are "
                                  "not a basis")
-    project = submatrix(inv, range(r, raw_dim), rows)
+    project = submatrix(inv, range(rel.cols, raw_dim), rows)
     return project, section
 
 
@@ -435,8 +443,7 @@ def module_hom_space(m, n):
     system = RatMatrix.vstack(
         [vec_operator(one_n, rm) - vec_operator(rn, one_m)
          for rm, rn in zip(m.action, n.action)])
-    return [reshape(RatMatrix.from_cols([v]), n.dim, m.dim)
-            for v in system.kernel().basis]
+    return [unflatten(v, n.dim, m.dim) for v in system.kernel().basis]
 
 
 def check_flat_epimorphism(f):
@@ -467,7 +474,7 @@ def check_flat_epimorphism(f):
                       one_b)
          for e in a.basis()] + [vec_operator(pi, one_b)])
     rhs = RatMatrix.vstack([RatMatrix.zeros(system.rows - b.dim ** 2, 1),
-                            reshape(one_b, b.dim ** 2, 1)])
+                            RatMatrix.from_cols([flatten(one_b)])])
     is_flat = system.solve_many(rhs) is not None
 
     return {

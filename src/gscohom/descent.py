@@ -17,7 +17,7 @@ Coordinates.  m_i (x) e_b sits at raw coordinate i*dim(B) + b of M (x)_Q B,
 as in `RatMatrix.kron`, and an iterated product M (x) A(V) (x) A(W) nests
 the same way.  A map out of a tensor quotient t is built as one matrix on
 the raw space times t.section.  Linear conditions on unknown matrices are
-solved on their row-major flattenings through `linalg.vec_operator`.
+solved on their column-major flattenings through `linalg.vec_operator`.
 """
 
 from .linalg import RatMatrix, VerificationFailed, memo, vec_operator

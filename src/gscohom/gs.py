@@ -29,12 +29,12 @@ from math import factorial, lcm
 # linalg.cohomology is imported as linalg_cohomology, the name under which
 # bench/tracer.py's tests look for it in this module
 from .linalg import (KINDS, RatMatrix, NotASubcomplex,  # noqa: F401
-                     UsageError, is_closed, memo,
+                     UsageError, flatten, is_closed, memo, unflatten,
                      subcomplex_cohomology, cohomology as linalg_cohomology,
                      VerificationFailed)
 from .algebra import AlgebraHom, FinBimodule, InvalidStructure
 from .simplicial import ModPresheaf, PairComplex
-from .hochschild import (hoch_differential, op_matrix, flatten, unflatten,
+from .hochschild import (hoch_differential, op_matrix,
                          normalized_coordinates)
 from .shuffles import (element_action_matrix, hodge_range,
                        shuffle_eigenvalue, total_shuffle_operator)

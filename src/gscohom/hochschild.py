@@ -2,23 +2,24 @@
 
 A degree-n cochain is a linear map A^{(x) n} -> M stored as an
 (dim M) x (dim A)^n matrix.  Tensor words are indexed lexicographically:
-the word (i_1, ..., i_n) has index sum i_t * dim^{n-t}.  The flattened
-coordinate of a cochain is column-major, i.e. word index first: entry
-(r, w) of the cochain matrix X sits at w * (dim M) + r.  For this vec,
+the word (i_1, ..., i_n) has index sum i_t * dim^{n-t}.  A cochain is
+flattened by the column-major `linalg.flatten`, i.e. word index first:
+entry (r, w) of the cochain matrix X sits at w * (dim M) + r.  For this
+vec,
 
     vec(L X R) = (R^T (x) L) vec X,
 
 so maps on flat cochains are Kronecker products (`hoch_differential`); the
 GS complex (`gs`) and the place-permutation actions (`shuffles`) use the
 same flattening, and the opposite map is one such action (`op_matrix`).
-(`linalg.vec_operator` is the row-major counterpart.)
 """
 
 from functools import partial
 from itertools import product
 
-from .linalg import RatMatrix, subcomplex_cohomology, unit_vector
-from .algebra import AlgebraHom, FinBimodule, InvalidStructure
+from .linalg import (RatMatrix, flatten, subcomplex_cohomology, unflatten,
+                     unit_vector)
+from .algebra import AlgebraHom, FinBimodule, InvalidStructure, eps_block
 from .shuffles import perm_action_matrix
 
 
@@ -114,22 +115,6 @@ def d_hoch(phi):
                     unflatten(out, m, d ** (phi.n + 1)))
 
 
-def flatten(matrix):
-    """Column-major flattening of a cochain matrix."""
-    out = [0] * (matrix.rows * matrix.cols)
-    for (i, j), v in matrix.items():
-        out[j * matrix.rows + i] = v
-    return tuple(out)
-
-
-def unflatten(vec, rows, cols):
-    entries = {}
-    for idx, v in enumerate(vec):
-        if v:
-            entries[(idx % rows, idx // rows)] = v
-    return RatMatrix(rows, cols, entries)
-
-
 def is_normalized(phi):
     """True iff phi vanishes whenever some argument is the algebra unit."""
     a = phi.algebra
@@ -216,22 +201,10 @@ def regular_bimodule(algebra):
 
 # -- first order deformations of a single algebra
 
-def deformed_algebra(algebra, m1_matrix):
-    """A[eps] with multiplication m + m1*eps, built from a 2-cochain matrix
-    (not validated: associativity holds iff m1 is a Hochschild cocycle)."""
-    d = algebra.dim
-    m1 = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            m1[i][j] = m1_matrix.column(word_index((i, j), d))
-    return algebra.dual_extension(m1)
-
-
 def is_algebra_deformation(algebra, m1_matrix):
     """Axiom-level check that (A[eps], m + m1*eps) is an associative unital
     Q[eps]-algebra with the unit of A (no cochain conditions consulted)."""
-    bar = deformed_algebra(algebra, m1_matrix)
-    return not bar.axiom_failures()
+    return not algebra.dual_extension(m1_matrix).axiom_failures()
 
 
 def deformation_cocycle_check(algebra, m1_matrix):
@@ -245,13 +218,9 @@ def algebra_deformation_equivalence(algebra, m1, m1_prime, g1_matrix):
     """Check that 1 + g1*eps is an isomorphism (A[eps], m + m1 eps) ->
     (A[eps], m + m1' eps), and the cochain identity d(g1) = m1 - m1' with
     g1 normalized; both verdicts are returned for cross-checking."""
-    d = algebra.dim
-    bar = deformed_algebra(algebra, m1)
-    bar_p = deformed_algebra(algebra, m1_prime)
-    z = RatMatrix.zeros(d, d)
-    g_block = RatMatrix.block([[RatMatrix.identity(d), z],
-                               [g1_matrix, RatMatrix.identity(d)]])
-    g_hom = AlgebraHom(bar, bar_p, g_block, check=False)
+    g_block = eps_block(RatMatrix.identity(algebra.dim), g1_matrix)
+    g_hom = AlgebraHom(algebra.dual_extension(m1),
+                       algebra.dual_extension(m1_prime), g_block, check=False)
     axiom_verdict = g_hom.is_multiplicative() and g_hom.is_unital()
 
     bim = FinBimodule.regular(algebra)

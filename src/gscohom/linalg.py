@@ -37,7 +37,13 @@ identity blocks.
 Hochschild, simplicial, Cech and total complexes reach it through
 `subcomplex_cohomology`, for the whole complex or for a subcomplex spanned
 by coordinates; the Hodge summands of the total complex hand it their
-restricted differentials (`gs.GSComplex.hodge_cohomology`).
+restricted differentials (`gs.GSComplex.hodge_cohomology`).  It picks its
+representatives with `complete_span`, as `algebra.quotient_by_columns`
+picks the complement of the relations of a tensor quotient.
+
+The one vec convention is column-major (`flatten`, `unflatten`), so that
+vec(L X R) = (R^T (x) L) vec X (`vec_operator`): cochains are flattened so,
+and linear conditions on an unknown matrix are solved on its flattening.
 """
 
 from fractions import Fraction
@@ -59,8 +65,9 @@ class DependentBasis(ValueError):
 
 
 class ShapeMismatch(ValueError):
-    """Raised when a system, a basis, a pair of differentials or a reshape
-    is given operands whose dimensions do not fit."""
+    """Raised when a matrix operation, a system, a basis, a pair of
+    differentials or an unflattening is given operands whose dimensions do
+    not fit."""
 
 
 class VerificationFailed(Exception):
@@ -150,7 +157,8 @@ class RatMatrix:
     def __init__(self, rows, cols, entries):
         """`entries` is a dict {(i, j): value} or a list of rows; values may
         be ints, Fractions or anything Fraction accepts."""
-        assert rows >= 0 and cols >= 0
+        if rows < 0 or cols < 0:
+            raise ShapeMismatch("a matrix cannot be %d x %d" % (rows, cols))
         self.rows = rows
         self.cols = cols
         self._ech = self._red = None     # elimination caches, see _echelon
@@ -191,8 +199,8 @@ class RatMatrix:
     def from_rows(rows_list):
         r = len(rows_list)
         c = len(rows_list[0]) if r else 0
-        for row in rows_list:
-            assert len(row) == c, "ragged rows"
+        if any(len(row) != c for row in rows_list):
+            raise ShapeMismatch("ragged rows")
         return RatMatrix(r, c, rows_list)
 
     @staticmethod
@@ -201,7 +209,9 @@ class RatMatrix:
         r = len(cols_list[0]) if c else (ambient or 0)
         d = {}
         for j, col in enumerate(cols_list):
-            assert len(col) == r
+            if len(col) != r:
+                raise ShapeMismatch("columns of lengths %d and %d"
+                                    % (r, len(col)))
             for i, v in enumerate(col):
                 v = exact(v)
                 if v:
@@ -212,7 +222,8 @@ class RatMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        assert 0 <= i < self.rows and 0 <= j < self.cols
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("entry (%d, %d) of %r" % (i, j, self))
         return self._d.get((i, j), 0)
 
     def items(self):
@@ -226,7 +237,8 @@ class RatMatrix:
         return mat
 
     def column(self, j):
-        assert 0 <= j < self.cols
+        if not 0 <= j < self.cols:
+            raise IndexError("column %d of %r" % (j, self))
         return tuple(self._d.get((i, j), 0) for i in range(self.rows))
 
     def nnz(self):
@@ -254,7 +266,8 @@ class RatMatrix:
     # -- arithmetic
 
     def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeMismatch("%r + %r" % (self, other))
         return RatMatrix.from_blocks(self.rows, self.cols,
                                      [(0, 0, self), (0, 0, other)])
 
@@ -275,7 +288,8 @@ class RatMatrix:
             {k: a * v for k, v in self._d.items()}))
 
     def __matmul__(self, other):
-        assert self.cols == other.rows, (self.cols, other.rows)
+        if self.cols != other.rows:
+            raise ShapeMismatch("%r @ %r" % (self, other))
         rows_of_b = {}
         for (k, j), v in other._d.items():
             rows_of_b.setdefault(k, []).append((j, v))
@@ -288,7 +302,9 @@ class RatMatrix:
 
     def apply(self, vec):
         """Matrix times column vector (a tuple of exact numbers)."""
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise ShapeMismatch("%r applied to %d coordinates"
+                                % (self, len(vec)))
         out = [0] * self.rows
         for (i, j), v in self._d.items():
             if vec[j]:
@@ -335,14 +351,16 @@ class RatMatrix:
 
     @staticmethod
     def hstack(mats):
-        assert all(m.rows == mats[0].rows for m in mats)
+        if any(m.rows != mats[0].rows for m in mats):
+            raise ShapeMismatch("hstack of %r" % (mats,))
         offs = list(accumulate([m.cols for m in mats], initial=0))
         return RatMatrix.from_blocks(mats[0].rows, offs[-1],
                                      [(0, c, m) for c, m in zip(offs, mats)])
 
     @staticmethod
     def vstack(mats):
-        assert all(m.cols == mats[0].cols for m in mats)
+        if any(m.cols != mats[0].cols for m in mats):
+            raise ShapeMismatch("vstack of %r" % (mats,))
         offs = list(accumulate([m.rows for m in mats], initial=0))
         return RatMatrix.from_blocks(offs[-1], mats[0].cols,
                                      [(r, 0, m) for r, m in zip(offs, mats)])
@@ -360,7 +378,9 @@ class RatMatrix:
         for i, row in enumerate(grid):
             for j, m in enumerate(row):
                 if m is not None:
-                    assert (m.rows, m.cols) == (heights[i], widths[j])
+                    if (m.rows, m.cols) != (heights[i], widths[j]):
+                        raise ShapeMismatch("%r in a %d x %d slot" % (
+                            m, heights[i], widths[j]))
                     placed.append((row_offs[i], col_offs[j], m))
         return RatMatrix.from_blocks(row_offs[-1], col_offs[-1], placed)
 
@@ -634,18 +654,26 @@ def cohomology(d_in, d_out):
     if not (d_out @ d_in).is_zero():
         raise ComplexViolation("composite of differentials is not zero")
     kernel = d_out.kernel().matrix()
-    # columns: the pivot columns of d_in (a basis of its image), then the
-    # kernel basis; the pivot columns among the latter complete the image
-    image = submatrix(d_in, range(d_in.rows), d_in.pivot_columns())
-    r = image.cols
-    combined = RatMatrix.hstack([image, kernel])
-    reps = [kernel.column(c - r) for c in combined.pivot_columns() if c >= r]
-    betti = kernel.cols - r
+    image, extra = complete_span(d_in, kernel)
+    reps = [kernel.column(k) for k in extra]
+    betti = kernel.cols - image.cols
     if betti != len(reps):
         raise VerificationFailed(
             "dim ker - rank im = %d, but %d representatives complete the "
             "image" % (betti, len(reps)))
     return betti, reps
+
+
+def complete_span(span, candidates):
+    """(basis, extra): basis is the matrix of the pivot columns of span, a
+    basis of its column space; extra lists, ascending, the indices of the
+    columns of candidates that are pivot columns of [basis | candidates],
+    which complete basis to a basis of the span of both.  Which candidates
+    complete it depends only on the column space of span."""
+    basis = submatrix(span, range(span.rows), span.pivot_columns())
+    r = basis.cols
+    combined = RatMatrix.hstack([basis, candidates])
+    return basis, [c - r for c in combined.pivot_columns() if c >= r]
 
 
 def submatrix(mat, row_idx, col_idx):
@@ -705,25 +733,32 @@ def subcomplex_cohomology(differential, n, keep=None, check=None):
     return betti, reps
 
 
+def flatten(matrix):
+    """vec X: the column-major flattening of a matrix, as a dense tuple.
+    Entry (i, j) of an n x m matrix sits at coordinate j*n + i."""
+    out = [0] * (matrix.rows * matrix.cols)
+    rows = matrix.rows
+    for (i, j), v in matrix._d.items():
+        out[j * rows + i] = v
+    return tuple(out)
+
+
+def unflatten(vec, rows, cols):
+    """The rows x cols matrix X with flatten(X) = vec (ShapeMismatch unless
+    vec has rows * cols coordinates)."""
+    if len(vec) != rows * cols:
+        raise ShapeMismatch("a vector of length %d is not a %d x %d matrix"
+                            % (len(vec), rows, cols))
+    return RatMatrix(rows, cols, {(idx % rows, idx // rows): v
+                                  for idx, v in enumerate(vec) if v})
+
+
 def vec_operator(left, right):
-    """The matrix of X -> left X right acting on vec X, left (x) right^T.
+    """The matrix of X -> left X right acting on flatten(X): for the
+    column-major vec, vec(left X right) = (right^T (x) left) vec X, and in
+    particular vec(X a) = (a^T (x) 1) vec X and vec(b X) = (1 (x) b) vec X."""
+    return right.transpose().kron(left)
 
-    vec flattens a matrix row-major: entry (i, j) of an n x m matrix sits at
-    coordinate i*m + j, the index convention of `RatMatrix.kron`.  So
-    vec(left X right) = (left (x) right^T) vec X, and in particular
-    vec(X a) = (1 (x) a^T) vec X and vec(b X) = (b (x) 1) vec X.
-    """
-    return left.kron(right.transpose())
-
-
-def reshape(mat, rows, cols):
-    """The rows x cols matrix with the same row-major entry sequence as mat:
-    reshape(X, n*m, 1) is vec X, and reshape(v, n, m) undoes it."""
-    if rows * cols != mat.rows * mat.cols:
-        raise ShapeMismatch("a %d x %d matrix cannot be reshaped to %d x %d"
-                            % (mat.rows, mat.cols, rows, cols))
-    return RatMatrix._trusted(rows, cols, {divmod(i * mat.cols + j, cols): v
-                                           for (i, j), v in mat._d.items()})
 
 def unit_vector(n, i):
     return tuple(1 if j == i else 0 for j in range(n))

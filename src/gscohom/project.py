@@ -185,11 +185,13 @@ def load_project(path_or_dict):
     else:
         with open(path_or_dict) as fh:
             raw = json.load(fh)
+    _object(raw, "/")
     if raw.get("schema") != SCHEMA:
         raise SchemaError("/schema: expected %r" % SCHEMA)
     for key in ("category", "algebras", "presheaf"):
         if key not in raw:
             raise SchemaError("/%s: missing block" % key)
+        _object(raw[key], "/" + key)
     poset = None
     if "relations" in raw["category"]:
         try:
@@ -210,8 +212,10 @@ def load_project(path_or_dict):
         algebras[name], changes[name] = _load_algebra(name, block)
 
     pblock = raw["presheaf"]
-    assignment = _required(pblock, "algebras", "/presheaf")
-    given = _required(pblock, "restrictions", "/presheaf")
+    assignment = _object(_required(pblock, "algebras", "/presheaf"),
+                         "/presheaf/algebras")
+    given = _object(_required(pblock, "restrictions", "/presheaf"),
+                    "/presheaf/restrictions")
     for obj in category.objects:
         if obj not in assignment:
             raise SchemaError("/presheaf/algebras/%s: missing" % obj)
@@ -237,7 +241,7 @@ def load_project(path_or_dict):
         restrictions[name] = chg_inv[m.source] @ mat @ chg[m.target]
 
     twists = {}
-    for key, coeffs in pblock.get("twists", {}).items():
+    for key, coeffs in _entries(pblock, "twists", "/presheaf"):
         u, v = _pair_key(key, "/presheaf/twists/%s" % key)
         if u not in category.morphisms or v not in category.morphisms:
             raise SchemaError("/presheaf/twists/%s: unknown morphisms" % key)
@@ -245,16 +249,16 @@ def load_project(path_or_dict):
         twists[(u, v)] = chg_inv[w_obj].apply(
             parse_vector(coeffs, "/presheaf/twists/%s" % key))
     z = {}
-    for obj, coeffs in pblock.get("z", {}).items():
+    for obj, coeffs in _entries(pblock, "z", "/presheaf"):
         z[obj] = chg_inv[obj].apply(parse_vector(coeffs, "/presheaf/z/%s" % obj))
     presheaf = TwistedPresheaf(category, alg_of, restrictions, twists, z)
 
     cochains = {}
-    for name, block in raw.get("cochains", {}).items():
+    for name, block in _entries(raw, "cochains", ""):
         cochains[name] = _load_cochain(name, block, category, alg_of,
                                        chg, chg_inv)
     modules = {}
-    for name, block in raw.get("modules", {}).items():
+    for name, block in _entries(raw, "modules", ""):
         path = "/modules/%s" % name
         obj = _required(_object(block, path), "object", path)
         if obj not in category.objects:
@@ -291,7 +295,7 @@ def load_project(path_or_dict):
         except InvalidStructure as exc:
             raise SchemaError("%s: not a module: %s" % (path, exc))
     data = {}
-    for name, block in raw.get("data", {}).items():
+    for name, block in _entries(raw, "data", ""):
         data[name] = block
     return Project(category, poset, presheaf, cochains, modules, data, chg)
 

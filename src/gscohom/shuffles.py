@@ -229,19 +229,18 @@ _idempotent_cache = {}
 
 
 def eulerian_idempotents(n):
-    """The family (e_n(1), ..., e_n(n)) from its closed form.  It is built
-    together with the integral family (n! e_n(1), ..., n! e_n(n)), which is
-    certified exactly by `certify_eulerian_family` (VerificationFailed
-    otherwise); both are kept per n in one cache entry.  Raises ValueError
-    for n < 1."""
+    """The family (e_n(1), ..., e_n(n)) from its closed form, kept per n.
+    It is built as the integral family (n! e_n(1), ..., n! e_n(n)), which
+    is certified exactly by `certify_eulerian_family` (VerificationFailed
+    otherwise), and then divided by n!.  Raises ValueError for n < 1."""
     if n < 1:
         raise ValueError("Eulerian idempotents of QS_%d: expected n >= 1" % n)
     if n not in _idempotent_cache:
         scaled = _scaled_family(n)
         certify_eulerian_family(scaled)
-        family = tuple(e.scale(Fraction(1, factorial(n))) for e in scaled)
-        _idempotent_cache[n] = family, scaled
-    return _idempotent_cache[n][0]
+        _idempotent_cache[n] = tuple(e.scale(Fraction(1, factorial(n)))
+                                     for e in scaled)
+    return _idempotent_cache[n]
 
 
 def _scaled_family(n):
@@ -278,16 +277,6 @@ def eulerian_idempotent(n, r):
     return eulerian_idempotents(n)[r - 1]
 
 
-def scaled_eulerian_idempotent(n, r):
-    """n! e_n(r), with integer coefficients and the boundary conventions of
-    `eulerian_idempotent`; certified together with e_n(r) by
-    `eulerian_idempotents`."""
-    if n == 0 or r < 1 or r > n:
-        return eulerian_idempotent(n, r)
-    eulerian_idempotents(n)             # builds, certifies and keeps both
-    return _idempotent_cache[n][1][r - 1]
-
-
 ACTION_CONVENTION = "inverse-place-permutation/signs-in-operator"
 
 
@@ -311,8 +300,8 @@ def element_action_matrix(elt, m_dim, a_dim):
     hits are counted per coefficient value, so the counting runs in
     `Counter`, and summed as integers over the common denominator of the
     coefficients; with integer coefficients (s_q, or the multiples
-    q! e_q(r) of `scaled_eulerian_idempotent`) every entry is an int.  The
-    action is the identity on M.
+    q! e_q(r) of the idempotents) every entry is an int.  The action is the
+    identity on M.
     """
     q = elt.n
     n_words = a_dim ** q

@@ -183,6 +183,30 @@ def test_dual_extension_is_an_algebra():
     assert all(v == 0 for v in doubled.mul(eps, eps))
 
 
+# m + m1*eps for a fixed m1 on two presets, as the nonzero entries of the
+# doubled multiplication matrix (column i*dim + j holds e_i * e_j), with
+# the number of axiom failures: x*x = eps on the dual numbers is a
+# commutative deformation; the m1 on UT2 is no cocycle
+@pytest.mark.parametrize("algebra, m1, mult, failures", [
+    (presets.dual_numbers(), {(0, 3): 1},
+     {(0, 0): 1, (1, 1): 1, (1, 4): 1, (2, 2): 1, (2, 5): 1, (2, 8): 1,
+      (3, 3): 1, (3, 6): 1, (3, 9): 1, (3, 12): 1}, 0),
+    (presets.upper_triangular(),
+     {(0, 5): 2, (1, 4): F(-1, 2), (2, 8): 3, (1, 7): 1},
+     {(0, 0): 1, (1, 1): 1, (1, 6): 1, (1, 8): 1, (2, 2): 1, (2, 12): 1,
+      (2, 14): 1, (3, 3): 1, (3, 8): 2, (3, 18): 1, (4, 4): 1,
+      (4, 7): F(-1, 2), (4, 9): 1, (4, 11): 1, (4, 13): 1, (4, 19): 1,
+      (4, 24): 1, (4, 26): 1, (5, 5): 1, (5, 14): 3, (5, 15): 1,
+      (5, 17): 1, (5, 20): 1, (5, 30): 1, (5, 32): 1}, 5),
+], ids=["dual_numbers", "upper_triangular"])
+def test_dual_extension_structure_constants(algebra, m1, mult, failures):
+    d = algebra.dim
+    doubled = algebra.dual_extension(RatMatrix(d, d * d, m1))
+    assert doubled.mult_matrix() == RatMatrix(2 * d, 4 * d * d, mult)
+    assert doubled.unit == algebra.unit + (0,) * d
+    assert len(doubled.axiom_failures()) == failures
+
+
 # -- property tests of the Kronecker formulation
 
 # derandomised and small, like the oracle tests of test_linalg

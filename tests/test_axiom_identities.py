@@ -13,11 +13,10 @@ presheaves and morphisms with tampered restrictions, twists, z, g and tau.
 from hypothesis import given, settings, strategies as st
 
 from gscohom import presets
-from gscohom.algebra import FinAlgebra, FinBimodule
-from gscohom.deform import (CandidateTriple, build_twisted_candidate,
-                            eps_block)
+from gscohom.algebra import FinAlgebra, FinBimodule, eps_block
+from gscohom.deform import CandidateTriple, build_twisted_candidate
 from gscohom.hochschild import (HCochain, algebra_deformation_equivalence,
-                                d_hoch, deformed_algebra, is_normalized)
+                                d_hoch, is_normalized)
 from gscohom.linalg import RatMatrix, unit_vector, zero_vector
 from gscohom.presheaf import TwistedPresheaf, check_twisted_morphism
 
@@ -175,8 +174,8 @@ def oracle_check_morphism(src, tgt, g, tau):
 
 def oracle_deformation_equivalence(algebra, m1, m1_prime, g1):
     d = algebra.dim
-    bar = deformed_algebra(algebra, m1)
-    bar_p = deformed_algebra(algebra, m1_prime)
+    bar = algebra.dual_extension(m1)
+    bar_p = algebra.dual_extension(m1_prime)
     g_block = eps_block(RatMatrix.identity(d), g1)
     axiom_verdict = _is_multiplicative(g_block, bar, bar_p) and \
         g_block.apply(bar.unit) == bar_p.unit
@@ -219,8 +218,7 @@ def perturbed_algebras(draw):
     d = a.dim
     if draw(st.booleans()):
         m1 = _sparse(draw, d, d * d)
-        a = a.dual_extension([[m1.column(i * d + j) for j in range(d)]
-                              for i in range(d)])
+        a = a.dual_extension(m1)
         d = a.dim
     mult = [[list(v) for v in row] for row in a.mult]
     cells = st.tuples(*[st.integers(0, d - 1)] * 3, _nonzero)

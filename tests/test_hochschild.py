@@ -9,8 +9,7 @@ from gscohom.hochschild import (HCochain, d_hoch, hoch_differential,
                                 is_normalized, op_cochain, hh_algebra,
                                 regular_bimodule, is_algebra_deformation,
                                 deformation_cocycle_check,
-                                algebra_deformation_equivalence, flatten,
-                                unflatten)
+                                algebra_deformation_equivalence)
 from gscohom import presets
 from conftest import random_matrix
 
@@ -177,12 +176,3 @@ def test_bogus_keep_set_is_not_a_subcomplex():
     for n in (0, 1):
         with pytest.raises(NotASubcomplex):
             subcomplex_cohomology(diff, n, keep)
-
-
-def test_column_major_vec_identity(rng):
-    # vec(L X R) = (R^T (x) L) vec X for the cochain flattening
-    x = random_matrix(rng, 2, 3)
-    left, right = random_matrix(rng, 4, 2), random_matrix(rng, 3, 2)
-    assert flatten(left @ x @ right) == \
-        right.transpose().kron(left).apply(flatten(x))
-    assert unflatten(flatten(x), 2, 3) == x

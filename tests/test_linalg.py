@@ -150,14 +150,14 @@ def test_subcomplex_cohomology_paths():
 
 _SHAPES_SCRIPT = """
 from gscohom.linalg import (RatMatrix, ShapeMismatch, Subspace, cohomology,
-                            reshape)
+                            unflatten)
 
 
 def outcome(call):
     try:
         call()
-    except ShapeMismatch:
-        return "ShapeMismatch"
+    except (ShapeMismatch, IndexError) as exc:
+        return type(exc).__name__
     return "passed"
 
 
@@ -168,20 +168,34 @@ print(outcome(lambda: m.solve_many(RatMatrix.identity(3))))
 print(outcome(lambda: wide.inverse()))
 print(outcome(lambda: Subspace(2, [(1, 0, 0)])))
 print(outcome(lambda: cohomology(wide.transpose(), m)))
-print(outcome(lambda: reshape(wide, 4, 2)))
-print(outcome(lambda: reshape(wide, 3, 2)))
+print(outcome(lambda: unflatten((0,) * 6, 4, 2)))
+print(outcome(lambda: RatMatrix(-1, 2, {})))
+print(outcome(lambda: RatMatrix.from_rows([[1, 2], [3]])))
+print(outcome(lambda: RatMatrix.from_cols([(1, 2), (3,)])))
+print(outcome(lambda: m + wide))
+print(outcome(lambda: wide @ m))
+print(outcome(lambda: m.apply((1, 2, 3))))
+print(outcome(lambda: RatMatrix.hstack([m, RatMatrix.zeros(3, 1)])))
+print(outcome(lambda: RatMatrix.vstack([m, wide])))
+print(outcome(lambda: RatMatrix.block([[m, None], [wide, m]])))
+print(outcome(lambda: m[2, 0]))
+print(outcome(lambda: m.column(-1)))
+print(outcome(lambda: unflatten((0,) * 6, 3, 2)))
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
 def test_shape_preconditions_raise_under_python_O(flags):
-    # solve, solve_many, inverse, Subspace, cohomology and reshape given
-    # operands whose dimensions do not fit; the last reshape fits
+    # solve, solve_many, inverse, Subspace, cohomology, unflatten, the
+    # constructors, +, @, apply and the stacking of blocks given operands
+    # whose dimensions do not fit, and an entry and a column out of range;
+    # the last unflatten fits
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, *flags, "-c", _SHAPES_SCRIPT],
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["ShapeMismatch"] * 6 + ["passed"]
+    assert done.stdout.split() == \
+        ["ShapeMismatch"] * 15 + ["IndexError"] * 2 + ["passed"]
     assert issubclass(linalg.ShapeMismatch, ValueError)
 
 
@@ -305,18 +319,18 @@ def test_vec_helpers_match_direct_products(data):
     x = data.draw(sparse_matrices())
     left = data.draw(sparse_matrices(cols=x.rows))
     right = data.draw(sparse_matrices(rows=x.cols))
-    vec_x = linalg.reshape(x, x.rows * x.cols, 1)
-    # row-major: entry (i, j) at coordinate i*cols + j
-    assert vec_x.column(0) == tuple(x[i, j] for i in range(x.rows)
-                                    for j in range(x.cols))
-    assert linalg.reshape(vec_x, x.rows, x.cols) == x
-
-    def vec(mat):
-        return linalg.reshape(mat, mat.rows * mat.cols, 1)
-    assert linalg.vec_operator(left, right) @ vec_x == vec(left @ x @ right)
+    vec = linalg.flatten
+    vec_x = vec(x)
+    # column-major: entry (i, j) at coordinate j*rows + i
+    assert vec_x == tuple(x[i, j] for j in range(x.cols)
+                          for i in range(x.rows))
+    assert linalg.unflatten(vec_x, x.rows, x.cols) == x
+    # vec(L X R) = (R^T (x) L) vec X
+    assert linalg.vec_operator(left, right).apply(vec_x) == \
+        vec(left @ x @ right)
     one_r, one_c = RatMatrix.identity(x.rows), RatMatrix.identity(x.cols)
-    assert linalg.vec_operator(one_r, right) @ vec_x == vec(x @ right)
-    assert linalg.vec_operator(left, one_c) @ vec_x == vec(left @ x)
+    assert linalg.vec_operator(one_r, right).apply(vec_x) == vec(x @ right)
+    assert linalg.vec_operator(left, one_c).apply(vec_x) == vec(left @ x)
 
 
 def test_block_diag_with_empty_blocks():
@@ -550,8 +564,8 @@ def test_mixed_entry_types_give_equal_exact_sums_products_and_blocks(data):
         _same(a.scale(scalar), a_f.scale(F(scalar)))
     _same(-a, -a_f)
     _same(a.transpose(), a_f.transpose())
-    _same(linalg.reshape(a, a.rows * a.cols, 1),
-          linalg.reshape(a_f, a.rows * a.cols, 1))
+    assert linalg.flatten(a) == linalg.flatten(a_f)
+    _same(linalg.unflatten(linalg.flatten(a_f), a.rows, a.cols), a_f)
 
 
 @ORACLE

@@ -598,6 +598,10 @@ def _dual_numbers(raw):
     return raw["algebras"]["dual_numbers"]
 
 
+class _Document(list):
+    """What an edit returns to replace the whole project document."""
+
+
 @pytest.mark.parametrize("edit, path", [
     (lambda raw: _dual_numbers(raw).pop("unit"),
      "/algebras/dual_numbers/unit"),
@@ -634,18 +638,37 @@ def _dual_numbers(raw):
      "/cochains/gauge/g1"),
     (lambda raw: raw["cochains"]["gauge"].update(tau1=[]),
      "/cochains/gauge/tau1"),
+    (lambda raw: raw.update(algebras=list(raw["algebras"].values())),
+     "/algebras: expected an object"),
+    (lambda raw: raw.update(cochains=[]), "/cochains: expected an object"),
+    (lambda raw: raw.update(modules=[]), "/modules: expected an object"),
+    (lambda raw: raw.update(data=[]), "/data: expected an object"),
+    (lambda raw: raw["presheaf"].update(twists=[]),
+     "/presheaf/twists: expected an object"),
+    (lambda raw: raw["presheaf"].update(z=1),
+     "/presheaf/z: expected an object"),
+    (lambda raw: _Document([raw]), "/: expected an object"),
+    (lambda raw: raw["presheaf"].update(algebras=list(
+        raw["presheaf"]["algebras"])),
+     "/presheaf/algebras: expected an object"),
+    (lambda raw: raw["presheaf"].update(restrictions=list(
+        raw["presheaf"]["restrictions"])),
+     "/presheaf/restrictions: expected an object"),
 ], ids=["no-unit", "no-basis", "mult-pair", "unit-null", "no-restrictions",
         "no-presheaf-algebras", "f1-unknown-morphism", "c1-without-semicolon",
         "one-object-relation", "entry-null", "entry-list", "entry-float",
         "action-not-a-list", "m1-list", "f1-list", "c1-list", "g1-list",
-        "tau1-list"])
+        "tau1-list", "algebras-list", "cochains-list", "modules-list",
+        "data-list", "twists-list", "z-number", "document-list",
+        "presheaf-algebras-list", "restrictions-list"])
 def test_malformed_project_is_a_schema_error_without_traceback(
         tmp_path, edit, path):
     with open(project_path("v_poset.json")) as fh:
         raw = json.load(fh)
-    edit(raw)
+    edited = edit(raw)
     project = tmp_path / "project.json"
-    project.write_text(json.dumps(raw))
+    project.write_text(json.dumps(
+        edited if isinstance(edited, _Document) else raw))
     env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
     done = subprocess.run([sys.executable, "-m", "gscohom.cli", "check",
                            "--project", str(project)],

@@ -14,7 +14,7 @@ from gscohom.shuffles import (GroupAlgebraElement, eulerian_idempotents,
                               eulerian_idempotent, total_shuffle_operator,
                               riffle_shuffles, element_action_matrix,
                               perm_action_matrix, certify_eulerian_family,
-                              descents, perm_sign, scaled_eulerian_idempotent)
+                              descents, perm_sign)
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -78,7 +78,7 @@ def test_shuffle_operator_spectrum():
 def test_action_matrix_antisymmetrizes():
     e = element_action_matrix(eulerian_idempotent(2, 2), 2, 2)
     phi = RatMatrix.from_rows([[1, 2, 3, 4], [5, 6, 7, 8]])
-    from gscohom.hochschild import flatten, unflatten
+    from gscohom.linalg import flatten, unflatten
     out = unflatten(e.apply(flatten(phi)), 2, 4)
     # antisymmetrization: (phi(a,b) - phi(b,a)) / 2; symmetric words die
     assert out.column(0) == (F(0), F(0))
@@ -190,7 +190,8 @@ def test_certificate_rejects_a_permutation_moved_to_another_class(n):
     # give one non-identity permutation the coefficients of another
     # descent number with its sign: every class but one keeps its members,
     # the sum is still n!, and only the eigenvalue identity can object
-    scaled = [scaled_eulerian_idempotent(n, r) for r in range(1, n + 1)]
+    scaled = [eulerian_idempotent(n, r).scale(factorial(n))
+              for r in range(1, n + 1)]
     certify_eulerian_family(scaled)
     perm = (1, 0) + tuple(range(2, n))              # one descent
     other = (2, 1, 0) + tuple(range(3, n))          # two descents
@@ -206,17 +207,18 @@ def test_certificate_rejects_a_permutation_moved_to_another_class(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_certificate_rejects_a_scaled_family(n):
     # 2 n! e_r satisfies every eigenvalue identity; only the sum can object
-    scaled = [scaled_eulerian_idempotent(n, r) for r in range(1, n + 1)]
+    scaled = [eulerian_idempotent(n, r).scale(factorial(n))
+              for r in range(1, n + 1)]
     with pytest.raises(VerificationFailed, match="sum to 1"):
         certify_eulerian_family([e.scale(2) for e in scaled])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 def test_scaled_family_is_integral_and_n_factorial_times_the_family(n):
+    # n! e_n(r) has integer coefficients, also at the boundary conventions
     for r in range(n + 2):
-        scaled = scaled_eulerian_idempotent(n, r)
+        scaled = eulerian_idempotent(n, r).scale(factorial(n))
         assert all(type(c) is int for c in scaled.terms.values())
-        assert scaled == eulerian_idempotent(n, r).scale(factorial(n))
 
 
 def test_certificate_rejects_wrong_sizes():

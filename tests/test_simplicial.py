@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from gscohom.algebra import InvalidStructure
-from gscohom.hochschild import flatten, unflatten
-from gscohom.linalg import RatMatrix, NotASubcomplex, subcomplex_cohomology
+from gscohom.linalg import (RatMatrix, NotASubcomplex, flatten,
+                            subcomplex_cohomology, unflatten)
 from gscohom.simplicial import (ModPresheaf, PairComplex, presheaf_cohomology,
                                 PresheafComplex)
 from gscohom import presets
