@@ -12,10 +12,11 @@ p = presets.v_poset_commutative()
 gs = GSComplex(p)
 
 print("== bidegree layout in total degree 2")
-for deg_p, q, off, blocks in gs.layout(2)[0]:
-    dims = sum(rows * cols for _, rows, cols, _ in blocks)
+for deg_p in range(3):
+    cells = [c for c in gs.cells(2) if c.p == deg_p]
+    dims = sum(c.rows * c.cols for c in cells)
     print("  component (p, q) = (%d, %d): dimension %d over %d simplices"
-          % (deg_p, q, dims, len(blocks)))
+          % (deg_p, 2 - deg_p, dims, len(cells)))
 
 print()
 print("== the differential squares to zero (exact matrix identity)")

@@ -326,10 +326,6 @@ class FinBimodule:
     def regular(a):
         return FinBimodule.along(AlgebraHom.identity(a))
 
-    def is_symmetric(self):
-        return all(self.left[i] == self.right[i]
-                   for i in range(self.left_algebra.dim))
-
     def opposite(self):
         """M^op over A^op: left and right actions swapped."""
         return FinBimodule(self.right_algebra.opposite(),
@@ -408,6 +404,23 @@ def quotient_by_columns(raw_dim, rel_matrix):
     return project, section
 
 
+def quotient_module(algebra, action, rel):
+    """The right algebra-module Q^n / span(columns of rel), n = rel.rows,
+    where action[k] is the n x n matrix of the k-th basis element on Q^n.
+    The span must be stable under every action[k] (VerificationFailed
+    otherwise); the basis element then acts on the quotient by
+    project . action[k] . section.  Returns a QuotientModule."""
+    project, section = quotient_by_columns(rel.rows, rel)
+    induced = []
+    for a in action:
+        if not (project @ a @ rel).is_zero():
+            raise VerificationFailed("the relations are not stable under "
+                                     "the action")
+        induced.append(project @ a @ section)
+    return QuotientModule(FinModule(algebra, project.rows, induced,
+                                    check=False), project, section, rel)
+
+
 def tensor_over(module, f):
     """M (x)_A B for a right A-module M along f: A -> B.
 
@@ -421,16 +434,8 @@ def tensor_over(module, f):
     rel = RatMatrix.hstack(
         [r.kron(one_b) - one_m.kron(b.left_mult_matrix(f(e)))
          for r, e in zip(module.action, f.source.basis())])
-    project, section = quotient_by_columns(module.dim * b.dim, rel)
-    action = []
-    for e in b.basis():
-        big = one_m.kron(b.right_mult_matrix(e))
-        if not (project @ big @ rel).is_zero():
-            raise VerificationFailed(
-                "induced action does not preserve relations")
-        action.append(project @ big @ section)
-    q_module = FinModule(b, project.rows, action, check=False)
-    return QuotientModule(q_module, project, section, rel)
+    return quotient_module(b, [one_m.kron(b.right_mult_matrix(e))
+                               for e in b.basis()], rel)
 
 
 def module_hom_space(m, n):

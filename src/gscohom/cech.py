@@ -35,13 +35,6 @@ def tuple_face(tau, i):
     return tau[:i] + tau[i + 1:]
 
 
-def tuple_delta(poset, tau, i):
-    """Merge coordinates i-1 and i into their meet (1 <= i <= p)."""
-    if not 1 <= i <= len(tau) - 1:
-        raise IndexError("no coordinates %d and %d in %s" % (i - 1, i, tau))
-    return tau[:i - 1] + (poset.meet(tau[i - 1], tau[i]),) + tau[i + 1:]
-
-
 def tuple_bar(poset, tau):
     """The simplex closing tau under meets: V_i = meet of tau[i:]."""
     m = len(tau)

@@ -26,8 +26,8 @@ import sys
 from .linalg import (COMPLEX_KINDS, ComplexViolation, NotASubcomplex,
                      UsageError, VerificationFailed)
 from .project import (load_project, SchemaError, algebra_json, matrix_json,
-                      vector_json, parse_matrix, parse_vector, SCHEMA,
-                      _entries, _object, _required)
+                      vector_json, parse_matrix, SCHEMA,
+                      _entries, _known, _object, _required, _sized_vector)
 
 from .shuffles import ACTION_CONVENTION
 
@@ -268,9 +268,11 @@ def _parse_datum(project, name):
     if block.get("type") == "free":
         trivialization = {}
         for mname, coeffs in _entries(block, "trivialization", path):
-            src = project.category.source(mname)
-            trivialization[mname] = chg_inv[src].apply(
-                parse_vector(coeffs, "/data/%s/trivialization" % name))
+            where = "%s/trivialization/%s" % (path, mname)
+            src = project.category.source(
+                _known(mname, project.category.morphisms, where))
+            trivialization[mname] = chg_inv[src].apply(_sized_vector(
+                coeffs, where, project.presheaf.algebras[src].dim))
         return machine, canonical_free_datum(machine, trivialization)
     modules = {}
     given_modules = _object(_required(block, "modules", path),

@@ -14,13 +14,13 @@ Equivalences (1 + g1 eps, 1 + tau1 eps) are handled the same way against
 the morphism axioms.
 
 The cochain side is the `normalized_reduced` subcomplex of the presheaf's
-own `GSComplex` (`kept_coordinates`, `op_cochain`; a complex of another
+own `GSComplex` (`nonzero_cells`, `op_cochain`; a complex of another
 presheaf raises InvalidStructure).  The axiom side uses no GS formula, so
 it stays an independent cross-check.
 """
 
-from .linalg import RatMatrix, VerificationFailed, zero_vector
-from .algebra import InvalidStructure, eps_block, eps_element
+from .linalg import RatMatrix, VerificationFailed, submatrix, zero_vector
+from .algebra import FinAlgebra, InvalidStructure, eps_block, eps_element
 from .presheaf import TwistedPresheaf, check_twisted_morphism
 from .gs import GSCochain, GSComplex
 
@@ -124,7 +124,7 @@ _NOT_REDUCED = {(1, 1): "f1 not reduced at identity {1}",
 
 
 def _named(table, cells):
-    return [table[p, q].format(*sigma.key()) for p, q, sigma in cells]
+    return [table[c.p, c.q].format(*c.sigma.key()) for c in cells]
 
 
 def cochain_failures(presheaf, triple, gs=None):
@@ -140,12 +140,10 @@ def cochain_failures(presheaf, triple, gs=None):
     gs = _complex_of(presheaf, gs)
     theta = triple.as_cochain(gs)
     deviations = sorted(gs.nonzero_cells(gs.d(theta)),
-                        key=lambda cell: (cell[0], cell[2].key()))
-    off_normalized = gs.nonzero_cells(
-        theta, gs.kept_coordinates("normalized", 2))
+                        key=lambda cell: (cell.p, cell.sigma.key()))
+    off_normalized = gs.nonzero_cells(theta, "normalized")
     degenerate = [cell for cell in gs.nonzero_cells(
-        theta, gs.kept_coordinates("normalized_reduced", 2))
-        if cell[2].is_degenerate()]
+        theta, "normalized_reduced") if cell.sigma.is_degenerate()]
     return (_named(_DEVIATION, deviations) +
             _named(_NOT_NORMALIZED, off_normalized) +
             _named(_NOT_REDUCED, degenerate))
@@ -180,25 +178,25 @@ class TwistedDeformation:
         self.twisted = twisted
 
     def reduction_mod_eps(self):
-        """Project the deformation back to the original presheaf (top
-        blocks); returns the strict presheaf and checks exact equality
-        (VerificationFailed otherwise)."""
-        cat = self.base.category
+        """The presheaf this deformation reduces to mod eps, read off the
+        top blocks: the products e_i e_j of the doubled algebras, the
+        restrictions and the twists.  It must be the base presheaf, twists
+        included (VerificationFailed otherwise); returns it."""
+        cat, twisted = self.base.category, self.twisted
+        algebras = {}
         for obj, a in self.base.algebras.items():
-            doubled = self.twisted.algebras[obj]
-            _verify(all(doubled.mult[i][j][:a.dim] == a.mult[i][j]
-                        for i in range(a.dim) for j in range(a.dim)),
-                    "the product mod eps differs at %s" % obj)
-        restrictions = {}
-        for name, mat in self.base.restrictions.items():
-            big = self.twisted.restrictions[name]
-            rows, cols = mat.rows, mat.cols
-            top = RatMatrix(rows, cols,
-                            {(i, j): big[i, j] for i in range(rows)
-                             for j in range(cols)})
-            _verify(top == mat, "the restriction mod eps differs at %s" % name)
-            restrictions[name] = top
-        return TwistedPresheaf(cat, self.base.algebras, restrictions)
+            top, d = twisted.algebras[obj], a.dim
+            algebras[obj] = FinAlgebra(
+                d, [[top.mult[i][j][:d] for j in range(d)] for i in range(d)],
+                top.unit[:d], name=a.name, check=False)
+        restrictions = {name: submatrix(twisted.restrictions[name],
+                                        range(mat.rows), range(mat.cols))
+                        for name, mat in self.base.restrictions.items()}
+        twists = {(u, v): twisted.twist(u, v)[:algebras[cat.source(v)].dim]
+                  for u, v in cat.composable_pairs()}
+        reduced = TwistedPresheaf(cat, algebras, restrictions, twists)
+        _verify_same(reduced, self.base, "reduction mod eps")
+        return reduced
 
 
 def bidirectional_verdicts(presheaf, triple, gs=None):
@@ -217,7 +215,8 @@ def deform(presheaf, m1=None, f1=None, c1=None, gs=None):
     Runs the exact twisted-presheaf axiom checker on the built candidate
     and, independently, the cochain conditions; the two verdicts always
     agree (VerificationFailed otherwise).  Returns the TwistedDeformation,
-    or raises NotACocycle naming the failed identities.
+    checked to reduce to the presheaf mod eps (`reduction_mod_eps`), or
+    raises NotACocycle naming the failed identities.
     """
     if not presheaf.is_strict():
         raise InvalidStructure("only a strict presheaf can be deformed")
@@ -231,7 +230,9 @@ def deform(presheaf, m1=None, f1=None, c1=None, gs=None):
             % cochain_fails[:3])
     if not cochain_ok:
         raise NotACocycle(cochain_fails)
-    return TwistedDeformation(presheaf, triple, candidate)
+    deformation = TwistedDeformation(presheaf, triple, candidate)
+    deformation.reduction_mod_eps()
+    return deformation
 
 
 def deformation_from_cochain(presheaf, theta):
@@ -301,8 +302,8 @@ def equivalence(def_a, def_b, pair, gs=None):
     chain = pair.as_cochain(gs)
     cochain_verdict = (
         gs.d(chain) == def_a.triple.as_cochain(gs) -
-        def_b.triple.as_cochain(gs) and not gs.nonzero_cells(
-            chain, gs.kept_coordinates("normalized_reduced", 1)))
+        def_b.triple.as_cochain(gs) and
+        not gs.nonzero_cells(chain, "normalized_reduced"))
     _verify(axiom_verdict == cochain_verdict,
             "morphism axioms and cochain equation disagree: %s"
             % axiom_fails[:3])

@@ -23,7 +23,7 @@ solved on their column-major flattenings through `linalg.vec_operator`.
 from .linalg import RatMatrix, VerificationFailed, memo, vec_operator
 from .algebra import (AlgebraHom, FinModule, InvalidStructure, tensor_over,
                       module_hom_space, check_flat_epimorphism,
-                      quotient_by_columns)
+                      quotient_module)
 from .fincat import slice_category
 from .simplicial import require_functorial
 
@@ -287,17 +287,9 @@ def pointwise_cokernel(datum_a, datum_b, components):
     projections = {}
     for obj in cat.objects:
         mb = datum_b.modules[obj]
-        rel = components[obj]
-        project, section = quotient_by_columns(mb.dim, rel)
-        action = []
-        for r in mb.action:
-            action.append(project @ r @ section)
-            if not (project @ r @ rel).is_zero():
-                raise VerificationFailed(
-                    "the image at %s is not action-stable" % obj)
-        cokernels[obj] = FinModule(mb.algebra, project.rows, action,
-                                   check=False)
-        projections[obj] = project
+        quotient = quotient_module(mb.algebra, mb.action, components[obj])
+        cokernels[obj] = quotient.module
+        projections[obj] = quotient.project
     maps = {}
     for name in sorted(cat.morphisms):
         m = cat.morphisms[name]
@@ -393,10 +385,6 @@ class QPresheafObject:
                     RatMatrix.identity(self.tensors[w_tgt].dim))))
         system = RatMatrix.block(grid)
         return system.cols - system.rank()
-
-
-def q_functor(machine, anchor, module):
-    return QPresheafObject(machine, anchor, module)
 
 
 def q_functor_hom_check(machine, anchor, module_a, module_b):

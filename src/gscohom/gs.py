@@ -9,7 +9,9 @@ the composite restriction f^sigma.  The total differential in degree n is
 with the simplicial differential acting along the rows (coefficients in the
 tensor-power presheaf) and the Hochschild differential acting down the
 columns.  Flat coordinates are ordered by p ascending, then simplex, then
-column-major within each cochain matrix.
+column-major within each cochain matrix; `GSComplex.cells` is the one place
+that lays them out, and each subcomplex kind is a rule on one cell
+(`GSComplex._kept_in_cell`).
 
 Besides total cohomology on the full / normalized / reduced / truncated
 subcomplexes, this module provides the bottom-row splitting for commutative
@@ -21,6 +23,7 @@ images of the idempotents (`GSComplex.hodge_eigendata`), and one solve per
 (n, r) both checks that d^n keeps a summand and restricts d^n to it.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from math import factorial, lcm
@@ -43,6 +46,18 @@ from .shuffles import (element_action_matrix, hodge_range,
 class NotCommutative(UsageError):
     """A Hodge splitting or a bottom-row splitting was asked of a presheaf
     whose algebras are not all commutative."""
+
+
+class Cell(namedtuple("Cell", "p q sigma algebra rows cols start")):
+    """The cell of C^{p,q} at the p-simplex sigma: the cochain matrices
+    Hom(A(c sigma)^{(x) q}, A(d sigma)), rows x cols with algebra =
+    A(c sigma), whose column-major entries are the flat coordinates
+    start, ..., stop - 1 of C^{p+q}."""
+    __slots__ = ()
+
+    @property
+    def stop(self):
+        return self.start + self.rows * self.cols
 
 
 class GSCochain:
@@ -101,19 +116,21 @@ class GSComplex:
                            self.module_presheaf)
 
     @memo()
-    def layout(self, n):
-        """[(p, q, offset, block-list)] with blocks from the pair complex."""
-        comps = []
-        offset = 0
+    def cells(self, n):
+        """The cells of C^n in flat order, one `Cell` per (p, q = n - p) and
+        p-simplex, with the simplices and their cochain shapes taken from
+        the pair complex of row q."""
+        cells, start = [], 0
         for p in range(n + 1):
-            q = n - p
-            blocks, size = self.pair(q).layout(p)
-            comps.append((p, q, offset, blocks))
-            offset += size
-        return comps, offset
+            for sigma, rows, cols, _ in self.pair(n - p).layout(p)[0]:
+                cells.append(Cell(p, n - p, sigma,
+                                  self.presheaf.algebras[sigma.codomain],
+                                  rows, cols, start))
+                start += rows * cols
+        return cells
 
     def dim(self, n):
-        return self.layout(n)[1]
+        return sum(cell.rows * cell.cols for cell in self.cells(n))
 
     # -- differentials
 
@@ -166,22 +183,17 @@ class GSComplex:
     def flatten_cochain(self, theta):
         """The flat coordinates of theta (missing blocks are zero)."""
         vec = []
-        for p, q, _, simplices in self.layout(theta.degree)[0]:
-            comp = theta.component(p, q)
-            for sigma, rows, cols, _ in simplices:
-                mat = comp.get(sigma.key())
-                vec.extend(flatten(mat if mat is not None
-                                   else RatMatrix.zeros(rows, cols)))
+        for cell in self.cells(theta.degree):
+            mat = theta.component(cell.p, cell.q).get(cell.sigma.key())
+            vec.extend(flatten(mat if mat is not None
+                               else RatMatrix.zeros(cell.rows, cell.cols)))
         return tuple(vec)
 
     def unflatten_cochain(self, n, vec):
         comps = {}
-        for p, q, off, simplices in self.layout(n)[0]:
-            blk = comps[(p, q)] = {}
-            for sigma, rows, cols, boff in simplices:
-                start = off + boff
-                blk[sigma.key()] = unflatten(vec[start:start + rows * cols],
-                                             rows, cols)
+        for cell in self.cells(n):
+            comps.setdefault((cell.p, cell.q), {})[cell.sigma.key()] = \
+                unflatten(vec[cell.start:cell.stop], cell.rows, cell.cols)
         return GSCochain(n, comps)
 
     def d(self, theta):
@@ -191,42 +203,42 @@ class GSComplex:
 
     # -- subcomplexes
 
+    @staticmethod
+    def _kept_in_cell(kind, cell):
+        """The local coordinates (0, ..., rows * cols - 1) of the cell that
+        the subcomplex `kind` keeps: `truncated` drops the q = 0 cells,
+        `reduced` the cells of degenerate simplices, and `normalized` keeps
+        the `normalized_coordinates` of the q >= 1 cells."""
+        if kind not in KINDS:
+            raise ValueError("unknown subcomplex kind %r; expected one of %s"
+                             % (kind, ", ".join(KINDS)))
+        if "truncated" in kind and cell.q == 0 or \
+                "reduced" in kind and cell.sigma.is_degenerate():
+            return ()
+        if "normalized" in kind and cell.q >= 1:
+            return normalized_coordinates(cell.algebra, cell.rows, cell.q)
+        return range(cell.rows * cell.cols)
+
     @memo()
     def kept_coordinates(self, kind, n):
         """The flat coordinates of C^n that the subcomplex `kind` keeps,
         built once per (kind, n); the list is shared and never mutated."""
-        if kind not in KINDS:
-            raise ValueError("unknown subcomplex kind %r; expected one of %s"
-                             % (kind, ", ".join(KINDS)))
-        normalized = "normalized" in kind
-        reduced = "reduced" in kind
-        truncated = "truncated" in kind
-        keep = []
-        for p, q, off, blocks in self.layout(n)[0]:
-            if truncated and q == 0:
-                continue
-            for sigma, rows, cols, boff in blocks:
-                if reduced and p >= 1 and sigma.is_degenerate():
-                    continue
-                if normalized and q >= 1:
-                    local = normalized_coordinates(
-                        self.presheaf.algebras[sigma.codomain], rows, q)
-                else:
-                    local = range(rows * cols)
-                keep.extend(off + boff + c for c in local)
-        return keep
+        return [cell.start + c for cell in self.cells(n)
+                for c in self._kept_in_cell(kind, cell)]
 
-    def nonzero_cells(self, theta, kept=()):
-        """The cells (p, q, simplex) of theta's degree, in flat order, where
-        theta is nonzero at a flat coordinate outside `kept` (anywhere, by
-        default)."""
-        vec, kept = self.flatten_cochain(theta), set(kept)
-        return [(p, q, sigma)
-                for p, q, off, blocks in self.layout(theta.degree)[0]
-                for sigma, rows, cols, boff in blocks
-                if any(vec[c] for c in range(off + boff,
-                                             off + boff + rows * cols)
-                       if c not in kept)]
+    def nonzero_cells(self, theta, kind=None):
+        """The cells of theta's degree, in flat order, where theta is
+        nonzero at a coordinate that the subcomplex `kind` drops (anywhere,
+        by default).  The cell rule runs on every cell, so a kind that
+        cannot be read on a cell raises even where theta is zero."""
+        out = []
+        for cell in self.cells(theta.degree):
+            kept = () if kind is None else set(self._kept_in_cell(kind, cell))
+            mat = theta.component(cell.p, cell.q).get(cell.sigma.key())
+            if mat is not None and any(j * cell.rows + i not in kept
+                                       for (i, j), _ in mat.items()):
+                out.append(cell)
+        return out
 
     def check_subcomplex(self, kind, n):
         """The differential must not leak out of the selected coordinates."""
@@ -262,15 +274,14 @@ class GSComplex:
         """The blockwise opposite map C^n(A) -> C^n(A^op): on each cell
         Hom(A(c sigma)^{(x) q}, A(d sigma)), `hochschild.op_matrix`."""
         return RatMatrix.block_diag([
-            op_matrix(q, rows, self.presheaf.algebras[sigma.codomain].dim)
-            for _, q, _, simplices in self.layout(n)[0]
-            for sigma, rows, _, _ in simplices])
+            op_matrix(cell.q, cell.rows, cell.algebra.dim)
+            for cell in self.cells(n)])
 
     def op_cochain(self, theta):
         """Transport a cochain to the opposite presheaf (an involution).
 
         Returns the new GSCochain; to interpret it, build the GS complex of
-        presheaf.opposite(), whose layout coincides with this one.
+        presheaf.opposite(), whose cells coincide with these.
         """
         n = theta.degree
         vec = self.flatten_cochain(theta)
@@ -283,20 +294,18 @@ class GSComplex:
             if not self.presheaf.algebras[obj].is_commutative():
                 raise NotCommutative("algebra at %s is not commutative" % obj)
 
-    def bottom_row_coordinates(self, n):
-        for p, q, off, blocks in self.layout(n)[0]:
-            if q == 0:
-                size = sum(rows * cols for _, rows, cols, _ in blocks)
-                return list(range(off, off + size))
-        return []
-
     def check_bottom_row_split(self, n):
         """For commutative presheaves the bottom row is a subcomplex, i.e.
-        the projection onto it is a chain map (the degree-zero Hochschild
-        differential vanishes)."""
+        the projection onto it is a chain map.
+
+        hoch_block(n, 0) decides it: d^n maps the bottom row C^{n,0} of C^n
+        by d_simp into C^{n+1,0}, the bottom row of C^{n+1}, and by
+        d_Hoch = hoch_block(n, 0) into C^{n,1}, which meets that row in 0;
+        so d^n keeps the row exactly when hoch_block(n, 0) = 0.  That block
+        sends m in A(d sigma) to a -> f^sigma(a) m - m f^sigma(a), which is 0
+        when A(d sigma) is commutative."""
         self.require_commutative()
-        if not is_closed(self.differential(n), self.bottom_row_coordinates(n),
-                         self.bottom_row_coordinates(n + 1)):
+        if not self.hoch_block(n, 0).is_zero():
             raise NotASubcomplex("bottom row is not a subcomplex")
         return True
 
@@ -365,12 +374,6 @@ class GSComplex:
                                      "Q^%d" % (q, shuffle.rows))
         return shuffle, kernels
 
-    def _cells(self, n):
-        """(q, rows, cols, dim A) per cell of C^n, in flat order."""
-        return [(q, rows, cols, self.presheaf.algebras[sigma.codomain].dim)
-                for _, q, _, simplices in self.layout(n)[0]
-                for sigma, rows, cols, _ in simplices]
-
     @memo()
     def hodge_basis(self, n, r):
         """B_r(n): a basis of the r-th Hodge summand of C^n as the columns
@@ -379,11 +382,11 @@ class GSComplex:
         summand is 0 there).  Only the eigendata of the cells with r in
         hodge_range(q) are built."""
         blocks = []
-        for q, rows, cols, a_dim in self._cells(n):
-            kernels = self.hodge_eigendata(q, a_dim)[1] \
-                if r in hodge_range(q) else {}
-            blocks.append(kernels.get(r, RatMatrix.zeros(cols, 0)).kron(
-                RatMatrix.identity(rows)))
+        for cell in self.cells(n):
+            kernels = self.hodge_eigendata(cell.q, cell.algebra.dim)[1] \
+                if r in hodge_range(cell.q) else {}
+            blocks.append(kernels.get(r, RatMatrix.zeros(cell.cols, 0)).kron(
+                RatMatrix.identity(cell.rows)))
         return RatMatrix.block_diag(blocks)
 
     @memo()
@@ -430,12 +433,12 @@ class GSComplex:
         scaled by n!/q!, so every entry is an int; built once per (n, r)."""
         order = factorial(n)
         blocks = []
-        for q, rows, cols, a_dim in self._cells(n):
-            proj = self._scaled_eigenprojectors(q, a_dim).get(r) \
+        for cell in self.cells(n):
+            q, size = cell.q, cell.rows * cell.cols
+            proj = self._scaled_eigenprojectors(q, cell.algebra.dim).get(r) \
                 if r in hodge_range(q) else None
-            blocks.append(
-                proj.kron(RatMatrix.identity(rows)).scale(order // factorial(q))
-                if proj else RatMatrix.zeros(rows * cols, rows * cols))
+            blocks.append(proj.kron(RatMatrix.identity(cell.rows)).scale(
+                order // factorial(q)) if proj else RatMatrix.zeros(size, size))
         return RatMatrix.block_diag(blocks)
 
     def hodge_split(self, theta):

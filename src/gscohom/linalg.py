@@ -351,7 +351,7 @@ class RatMatrix:
 
     @staticmethod
     def hstack(mats):
-        if any(m.rows != mats[0].rows for m in mats):
+        if not mats or any(m.rows != mats[0].rows for m in mats):
             raise ShapeMismatch("hstack of %r" % (mats,))
         offs = list(accumulate([m.cols for m in mats], initial=0))
         return RatMatrix.from_blocks(mats[0].rows, offs[-1],
@@ -359,7 +359,7 @@ class RatMatrix:
 
     @staticmethod
     def vstack(mats):
-        if any(m.cols != mats[0].cols for m in mats):
+        if not mats or any(m.cols != mats[0].cols for m in mats):
             raise ShapeMismatch("vstack of %r" % (mats,))
         offs = list(accumulate([m.rows for m in mats], initial=0))
         return RatMatrix.from_blocks(offs[-1], mats[0].cols,
@@ -368,10 +368,15 @@ class RatMatrix:
     @staticmethod
     def block(grid):
         """Assemble from a 2d grid of blocks (None = zero block of fitting
-        size)."""
-        heights = [next(m.rows for m in row if m is not None) for row in grid]
-        widths = [next(row[j].cols for row in grid if row[j] is not None)
-                  for j in range(len(grid[0]))]
+        size); every row and every column needs a block that fixes its
+        size."""
+        heights = [next((m.rows for m in row if m is not None), None)
+                   for row in grid]
+        widths = [next((row[j].cols for row in grid if row[j] is not None),
+                       None) for j in range(len(grid[0]) if grid else 0)]
+        if not grid or None in heights + widths:
+            raise ShapeMismatch("a block grid with an empty row or column: "
+                                "%r" % (grid,))
         row_offs = list(accumulate(heights, initial=0))
         col_offs = list(accumulate(widths, initial=0))
         placed = []

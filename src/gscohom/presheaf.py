@@ -224,18 +224,3 @@ def check_twisted_morphism(src, tgt, g, tau):
             fails.append(("z_condition", obj))
     return fails
 
-
-def is_twisted_isomorphism(src, tgt, g, tau):
-    """A morphism of twisted presheaves is an isomorphism iff every g^U is
-    bijective."""
-    if check_twisted_morphism(src, tgt, g, tau):
-        return False
-    return all(g[obj].is_invertible() for obj in src.category.objects)
-
-
-def identity_morphism(presheaf):
-    g = {o: RatMatrix.identity(presheaf.algebras[o].dim)
-         for o in presheaf.category.objects}
-    tau = {name: presheaf.algebras[m.source].unit
-           for name, m in presheaf.category.morphisms.items()}
-    return g, tau

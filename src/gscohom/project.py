@@ -71,6 +71,26 @@ def parse_vector(vals, path="?"):
     return tuple(parse_rat(v, path) for v in vals)
 
 
+def _sized_matrix(rows, path, shape):
+    """parse_matrix(rows, path), or a SchemaError at path when the matrix
+    is not shape = (rows, cols)."""
+    mat = parse_matrix(rows, path)
+    if (mat.rows, mat.cols) != shape:
+        raise SchemaError("%s: expected a %d x %d matrix, got %d x %d"
+                          % ((path,) + shape + (mat.rows, mat.cols)))
+    return mat
+
+
+def _sized_vector(vals, path, length):
+    """parse_vector(vals, path), or a SchemaError at path when the vector
+    does not have `length` entries."""
+    vec = parse_vector(vals, path)
+    if len(vec) != length:
+        raise SchemaError("%s: expected %d entries, got %d"
+                          % (path, length, len(vec)))
+    return vec
+
+
 def _required(block, key, path):
     """block[key], or a SchemaError at path/key when it is absent."""
     if key not in block:
@@ -234,10 +254,8 @@ def load_project(path_or_dict):
                 restrictions[name] = RatMatrix.identity(alg_of[m.source].dim)
                 continue
             raise SchemaError("/presheaf/restrictions/%s: missing" % name)
-        mat = parse_matrix(given[name],
-                           "/presheaf/restrictions/%s" % name)
-        if mat.rows != alg_of[m.source].dim or mat.cols != alg_of[m.target].dim:
-            raise SchemaError("/presheaf/restrictions/%s: shape mismatch" % name)
+        mat = _sized_matrix(given[name], "/presheaf/restrictions/%s" % name,
+                            (alg_of[m.source].dim, alg_of[m.target].dim))
         restrictions[name] = chg_inv[m.source] @ mat @ chg[m.target]
 
     twists = {}
@@ -246,11 +264,13 @@ def load_project(path_or_dict):
         if u not in category.morphisms or v not in category.morphisms:
             raise SchemaError("/presheaf/twists/%s: unknown morphisms" % key)
         w_obj = category.source(v)
-        twists[(u, v)] = chg_inv[w_obj].apply(
-            parse_vector(coeffs, "/presheaf/twists/%s" % key))
+        twists[(u, v)] = chg_inv[w_obj].apply(_sized_vector(
+            coeffs, "/presheaf/twists/%s" % key, alg_of[w_obj].dim))
     z = {}
     for obj, coeffs in _entries(pblock, "z", "/presheaf"):
-        z[obj] = chg_inv[obj].apply(parse_vector(coeffs, "/presheaf/z/%s" % obj))
+        where = "/presheaf/z/%s" % obj
+        dim = alg_of[_known(obj, alg_of, where)].dim
+        z[obj] = chg_inv[obj].apply(_sized_vector(coeffs, where, dim))
     presheaf = TwistedPresheaf(category, alg_of, restrictions, twists, z)
 
     cochains = {}
@@ -276,12 +296,8 @@ def load_project(path_or_dict):
                               % path)
         raw_action = []
         for k, m in enumerate(mats):
-            mat_path = "%s/action/%d" % (path, k)
-            mat = parse_matrix(m, mat_path)
-            if (mat.rows, mat.cols) != (dim, dim):
-                raise SchemaError("%s: expected a %d x %d matrix, got %d x %d"
-                                  % (mat_path, dim, dim, mat.rows, mat.cols))
-            raw_action.append(mat)
+            raw_action.append(_sized_matrix(m, "%s/action/%d" % (path, k),
+                                            (dim, dim)))
         action = []
         for j in range(alg.dim):
             col = chg[obj].column(j)
@@ -308,38 +324,38 @@ def _load_cochain(name, block, category, alg_of, chg, chg_inv):
         m1 = {}
         for obj, rows in _entries(block, "m1", path):
             where = path + "/m1/" + obj
-            _known(obj, alg_of, where)
-            mat = parse_matrix(rows, where)
-            d = alg_of[obj].dim
-            if (mat.rows, mat.cols) != (d, d * d):
-                raise SchemaError("%s: shape mismatch" % where)
+            d = alg_of[_known(obj, alg_of, where)].dim
+            mat = _sized_matrix(rows, where, (d, d * d))
             m1[obj] = chg_inv[obj] @ mat @ chg[obj].kron(chg[obj])
         f1 = {}
         for mname, rows in _entries(block, "f1", path):
             where = path + "/f1/" + mname
             m = category.morphisms[_known(mname, category.morphisms, where)]
-            mat = parse_matrix(rows, where)
+            mat = _sized_matrix(rows, where, (alg_of[m.source].dim,
+                                              alg_of[m.target].dim))
             f1[mname] = chg_inv[m.source] @ mat @ chg[m.target]
         c1 = {}
         for key, coeffs in _entries(block, "c1", path):
             where = path + "/c1/" + key
             u1, u2 = (_known(u, category.morphisms, where)
                       for u in _pair_key(key, where))
-            c1[(u1, u2)] = chg_inv[category.source(u1)].apply(
-                parse_vector(coeffs, where))
+            src = category.source(u1)
+            c1[(u1, u2)] = chg_inv[src].apply(
+                _sized_vector(coeffs, where, alg_of[src].dim))
         out.update({"kind": "triple", "m1": m1, "f1": f1, "c1": c1})
     elif "g1" in block or "tau1" in block:
         g1 = {}
         for obj, rows in _entries(block, "g1", path):
             where = path + "/g1/" + obj
-            _known(obj, alg_of, where)
-            mat = parse_matrix(rows, where)
+            d = alg_of[_known(obj, alg_of, where)].dim
+            mat = _sized_matrix(rows, where, (d, d))
             g1[obj] = chg_inv[obj] @ mat @ chg[obj]
         tau1 = {}
         for mname, coeffs in _entries(block, "tau1", path):
             where = path + "/tau1/" + mname
             src = category.source(_known(mname, category.morphisms, where))
-            tau1[mname] = chg_inv[src].apply(parse_vector(coeffs, where))
+            tau1[mname] = chg_inv[src].apply(
+                _sized_vector(coeffs, where, alg_of[src].dim))
         out.update({"kind": "pair", "g1": g1, "tau1": tau1})
     else:
         raise SchemaError("%s: expected (m1, f1, c1) or (g1, tau1)" % path)

@@ -144,11 +144,11 @@ class PairComplex:
         return RatMatrix.from_blocks(self.dim(p + 1), self.dim(p), placed)
 
     def reduced_coordinates(self, p):
-        """Flat coordinates supported on non-degenerate simplices (every
-        0-cochain is reduced)."""
+        """Flat coordinates supported on non-degenerate simplices (a
+        0-simplex is never degenerate)."""
         keep = []
         for sigma, rows, cols, off in self.layout(p)[0]:
-            if p == 0 or not sigma.is_degenerate():
+            if not sigma.is_degenerate():
                 keep.extend(range(off, off + rows * cols))
         return keep
 

@@ -10,8 +10,13 @@ from gscohom.linalg import RatMatrix, submatrix
 from gscohom.simplicial import ModPresheaf, PairComplex
 from gscohom.cech import (CechComplex, iota_matrix, pi_matrix, homotopy_matrix,
                           compare_simp_cech, tuple_bar, tuple_theta,
-                          tuple_face, tuple_delta)
+                          tuple_face)
 from gscohom import cech as cech_module, presets
+
+
+def tuple_delta(poset, tau, i):
+    """Merge coordinates i-1 and i of tau into their meet (1 <= i <= p)."""
+    return tau[:i - 1] + (poset.meet(tau[i - 1], tau[i]),) + tau[i + 1:]
 
 
 def v_setup():

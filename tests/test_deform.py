@@ -5,10 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from gscohom.algebra import InvalidStructure
-from gscohom.linalg import RatMatrix
+from gscohom.algebra import FinAlgebra, InvalidStructure
+from gscohom.linalg import RatMatrix, VerificationFailed
 from gscohom.gs import GSComplex
+from gscohom.presheaf import TwistedPresheaf
 from gscohom.deform import (deform, NotACocycle, CandidateTriple,
+                            TwistedDeformation,
                             EquivalencePair, equivalence, cochain_failures,
                             opposite_deformation, central_underlying,
                             deformation_from_cochain, bidirectional_verdicts)
@@ -48,6 +50,44 @@ def test_trivial_deformation(setup):
     defn = deform(p, gs=gs)
     assert defn.twisted.is_valid()
     defn.reduction_mod_eps()
+
+
+def test_deform_checks_the_reduction_mod_eps(setup, monkeypatch):
+    p, gs = setup
+    reduced = []
+    monkeypatch.setattr(TwistedDeformation, "reduction_mod_eps",
+                        lambda defn: reduced.append(defn))
+    defn = deform(p, gs=gs)
+    assert reduced == [defn]
+
+
+@pytest.mark.parametrize("block", ["product", "restriction", "twist"])
+def test_reduction_mod_eps_compares_every_block(setup, block):
+    # a doubled presheaf whose top block differs from the base at one
+    # product, restriction or twist does not reduce to the base
+    p, gs = setup
+    twisted = deform(p, gs=gs).twisted
+    cat = p.category
+    algebras, restrictions = dict(twisted.algebras), \
+        dict(twisted.restrictions)
+    twists = dict(twisted.twists)
+    if block == "product":
+        doubled = twisted.algebras["U0"]
+        algebras["U0"] = FinAlgebra(
+            doubled.dim, [[tuple(2 * x for x in v) for v in row]
+                          for row in doubled.mult], doubled.unit, check=False)
+    elif block == "restriction":
+        name = "U01->U0"
+        restrictions[name] = restrictions[name].scale(2)
+    else:
+        u, v = next(pair for pair in cat.composable_pairs()
+                    if not cat.is_identity(pair[1]))
+        twists[(u, v)] = tuple(2 * x for x in twisted.twist(u, v))
+    bad = TwistedDeformation(p, CandidateTriple(p), TwistedPresheaf(
+        cat, algebras, restrictions, twists))
+    with pytest.raises(VerificationFailed, match="reduction mod eps: %ss "
+                       "differ" % block):
+        bad.reduction_mod_eps()
 
 
 def test_representatives_deform(setup):

@@ -13,7 +13,7 @@ from gscohom.deform import deform, deformation_from_cochain
 from gscohom.descent import (DescentMachine, PreDescentDatum, check_descent,
                              canonical_free_datum, check_datum_morphism,
                              pointwise_kernel, pointwise_cokernel,
-                             q_functor, q_functor_hom_check,
+                             QPresheafObject, q_functor_hom_check,
                              verify_pseudonatural, check_semiseparated,
                              ExactnessFailure, CentralityRequired)
 from gscohom import algebra, descent, presets
@@ -198,12 +198,12 @@ def test_q_functor_free_and_zero():
     p = presets.v_poset_commutative()
     machine = DescentMachine(p)
     dn = p.algebras["U0"]
-    qt = q_functor(machine, "U0", FinModule.free(dn))
+    qt = QPresheafObject(machine, "U0", FinModule.free(dn))
     # M = A(U): each slice value has the dimension of the local algebra
     for w, t in qt.tensors.items():
         local = p.algebras[p.category.source(w)]
         assert t.dim == local.dim
-    zero = q_functor(machine, "U0", FinModule.zero(dn))
+    zero = QPresheafObject(machine, "U0", FinModule.zero(dn))
     assert all(t.dim == 0 for t in zero.tensors.values())
 
 
@@ -216,7 +216,7 @@ def test_q_functor_requires_central_twists():
                               {(ident0, ident0): elt})
     machine = DescentMachine(twisted)
     with pytest.raises(CentralityRequired):
-        q_functor(machine, "U0", FinModule.free(p.algebras["U0"]))
+        QPresheafObject(machine, "U0", FinModule.free(p.algebras["U0"]))
 
 
 def test_pseudonaturality_strict_and_twisted():
@@ -494,7 +494,7 @@ from gscohom.linalg import RatMatrix, VerificationFailed
 from gscohom.presheaf import TwistedPresheaf
 from gscohom.descent import (DescentMachine, canonical_free_datum,
                              check_descent, pointwise_kernel,
-                             pointwise_cokernel, q_functor,
+                             pointwise_cokernel, QPresheafObject,
                              verify_pseudonatural)
 
 
@@ -528,8 +528,9 @@ scalar = {o: RatMatrix.identity(free.modules[o].dim).scale(o == "U0")
           for o in cat.objects}
 print(outcome(lambda: pointwise_kernel(free, free, scalar)))
 print(outcome(lambda: pointwise_cokernel(free, free, scalar)))
-print(outcome(lambda: q_functor(machine, "U0", FinModule.free(dn)).hom_dim_to(
-    q_functor(machine, "U1", FinModule.free(p.algebras["U1"])))))
+print(outcome(lambda: QPresheafObject(
+    machine, "U0", FinModule.free(dn)).hom_dim_to(QPresheafObject(
+        machine, "U1", FinModule.free(p.algebras["U1"])))))
 # result checks, each made to fail by a broken piece of the machine
 broken = DescentMachine(p)
 real_mod_c = broken.mod_c_matrix

@@ -178,6 +178,11 @@ print(outcome(lambda: m.apply((1, 2, 3))))
 print(outcome(lambda: RatMatrix.hstack([m, RatMatrix.zeros(3, 1)])))
 print(outcome(lambda: RatMatrix.vstack([m, wide])))
 print(outcome(lambda: RatMatrix.block([[m, None], [wide, m]])))
+print(outcome(lambda: RatMatrix.block([[m, None], [None, None]])))
+print(outcome(lambda: RatMatrix.block([[m, None], [wide, None]])))
+print(outcome(lambda: RatMatrix.block([])))
+print(outcome(lambda: RatMatrix.hstack([])))
+print(outcome(lambda: RatMatrix.vstack([])))
 print(outcome(lambda: m[2, 0]))
 print(outcome(lambda: m.column(-1)))
 print(outcome(lambda: unflatten((0,) * 6, 3, 2)))
@@ -188,14 +193,15 @@ print(outcome(lambda: unflatten((0,) * 6, 3, 2)))
 def test_shape_preconditions_raise_under_python_O(flags):
     # solve, solve_many, inverse, Subspace, cohomology, unflatten, the
     # constructors, +, @, apply and the stacking of blocks given operands
-    # whose dimensions do not fit, and an entry and a column out of range;
-    # the last unflatten fits
+    # whose dimensions do not fit, block grids with an empty row, an empty
+    # column or no rows, empty stacks, and an entry and a column out of
+    # range; the last unflatten fits
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, *flags, "-c", _SHAPES_SCRIPT],
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == \
-        ["ShapeMismatch"] * 15 + ["IndexError"] * 2 + ["passed"]
+        ["ShapeMismatch"] * 20 + ["IndexError"] * 2 + ["passed"]
     assert issubclass(linalg.ShapeMismatch, ValueError)
 
 

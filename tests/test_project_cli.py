@@ -654,13 +654,30 @@ class _Document(list):
     (lambda raw: raw["presheaf"].update(restrictions=list(
         raw["presheaf"]["restrictions"])),
      "/presheaf/restrictions: expected an object"),
+    (lambda raw: raw["cochains"]["rep_cocycle"]["f1"].update(
+        {"U01->U0": [["1"]]}), "/cochains/rep_cocycle/f1/U01->U0"),
+    (lambda raw: raw["cochains"]["gauge"]["g1"].update(U0=[["1"]]),
+     "/cochains/gauge/g1/U0"),
+    (lambda raw: raw["cochains"]["rep_cocycle"]["c1"].update(
+        {"U01->U0;U01->U01": ["1", "0", "0"]}),
+     "/cochains/rep_cocycle/c1/U01->U0;U01->U01"),
+    (lambda raw: raw["cochains"]["gauge"]["tau1"].update(
+        {"U01->U0": ["1", "0", "0"]}), "/cochains/gauge/tau1/U01->U0"),
+    (lambda raw: raw["presheaf"].update(z={"U0": ["1"]}), "/presheaf/z/U0"),
+    (lambda raw: raw["presheaf"].update(z={"nowhere": ["1"]}),
+     "/presheaf/z/nowhere"),
+    (lambda raw: raw["presheaf"].update(
+        twists={"U01->U0;U01->U01": ["1", "0"]}),
+     "/presheaf/twists/U01->U0;U01->U01"),
 ], ids=["no-unit", "no-basis", "mult-pair", "unit-null", "no-restrictions",
         "no-presheaf-algebras", "f1-unknown-morphism", "c1-without-semicolon",
         "one-object-relation", "entry-null", "entry-list", "entry-float",
         "action-not-a-list", "m1-list", "f1-list", "c1-list", "g1-list",
         "tau1-list", "algebras-list", "cochains-list", "modules-list",
         "data-list", "twists-list", "z-number", "document-list",
-        "presheaf-algebras-list", "restrictions-list"])
+        "presheaf-algebras-list", "restrictions-list", "f1-shape",
+        "g1-shape", "c1-length", "tau1-length", "z-length",
+        "z-unknown-object", "twist-length"])
 def test_malformed_project_is_a_schema_error_without_traceback(
         tmp_path, edit, path):
     with open(project_path("v_poset.json")) as fh:
@@ -689,8 +706,13 @@ def test_malformed_project_is_a_schema_error_without_traceback(
     ({"type": "free", "trivialization": []},
      "/data/structure/trivialization: expected an object"),
     ([], "/data/structure: expected an object"),
+    ({"type": "free", "trivialization": {"pt->pt": ["1", "0", "0"]}},
+     "/data/structure/trivialization/pt->pt: expected 2 entries"),
+    ({"type": "free", "trivialization": {"nope": ["1"]}},
+     "/data/structure/trivialization/nope: unknown"),
 ], ids=["no-modules", "no-maps", "modules-list", "maps-list",
-        "trivialization-list", "datum-list"])
+        "trivialization-list", "datum-list", "trivialization-length",
+        "trivialization-unknown-morphism"])
 def test_malformed_datum_is_a_schema_error_without_traceback(
         tmp_path, block, path):
     with open(project_path("one_object.json")) as fh:
