@@ -26,8 +26,8 @@ import sys
 from .linalg import (COMPLEX_KINDS, ComplexViolation, NotASubcomplex,
                      UsageError, VerificationFailed)
 from .project import (load_project, SchemaError, algebra_json, matrix_json,
-                      vector_json, parse_matrix, SCHEMA,
-                      _entries, _known, _object, _required, _sized_vector)
+                      vector_json, SCHEMA, _entries, _known, _object,
+                      _required, _sized_matrix, _sized_vector)
 
 from .shuffles import ACTION_CONVENTION
 
@@ -289,11 +289,15 @@ def _parse_datum(project, name):
         modules[obj] = module
     maps = {}
     given_maps = _object(_required(block, "maps", path), path + "/maps")
-    for mname in project.category.morphisms:
+    for mname, m in project.category.morphisms.items():
         rows = given_maps.get(mname)
         if rows is None:
             raise SchemaError("/data/%s/maps/%s: missing" % (name, mname))
-        maps[mname] = parse_matrix(rows, "/data/%s/maps/%s" % (name, mname))
+        # phi_u: M_U (x)_u A(V) -> M_V
+        shape = (modules[m.source].dim,
+                 machine.tensor(modules[m.target], mname).dim)
+        maps[mname] = _sized_matrix(rows, "/data/%s/maps/%s" % (name, mname),
+                                    shape)
     return machine, PreDescentDatum(machine, modules, maps)
 
 

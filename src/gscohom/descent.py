@@ -139,6 +139,8 @@ def check_descent(datum):
 
     Verifies that each phi_u is a module map, the twist-corrected cocycle
     compatibility on every composable pair, and bijectivity of every phi_u.
+    The compatibilities need maps of the right shapes, so if one is
+    ill-shaped the datum is invalid with the failures of the per-arrow loop.
     """
     machine = datum.machine
     cat = machine.category
@@ -156,6 +158,8 @@ def check_descent(datum):
             if phi @ t_u.module.action[j] != tgt.action[j] @ phi:
                 failures.append(("not_module_map", name))
                 break
+    if any(f[0] == "shape" for f in failures):
+        return {"classification": "invalid", "failures": failures}
     for (u, v) in cat.composable_pairs():
         m_u = cat.morphisms[u]
         uv = cat.compose(u, v)

@@ -273,9 +273,6 @@ class MeetPoset:
             raise ValueError("%s is not below %s" % (src, tgt))
         return "%s->%s" % (src, tgt)
 
-    def nerve(self, p):
-        return self.category.nerve(p)
-
 
 def slice_category(cat, base_obj):
     """The slice category C/U: objects are arrows w: V -> U (named by w),

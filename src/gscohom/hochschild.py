@@ -12,13 +12,14 @@ vec,
 so maps on flat cochains are Kronecker products (`hoch_differential`); the
 GS complex (`gs`) and the place-permutation actions (`shuffles`) use the
 same flattening, and the opposite map is one such action (`op_matrix`).
+`is_normalized` is one matrix identity for any unit; `normalized_coordinates`
+and the subcomplex kinds built on it need the unit to be a basis vector.
 """
 
 from functools import partial
 from itertools import product
 
-from .linalg import (RatMatrix, flatten, subcomplex_cohomology, unflatten,
-                     unit_vector)
+from .linalg import RatMatrix, flatten, subcomplex_cohomology, unflatten
 from .algebra import AlgebraHom, FinBimodule, InvalidStructure, eps_block
 from .shuffles import perm_action_matrix
 
@@ -49,30 +50,6 @@ class HCochain:
 
     def __call__(self, word):
         return self.matrix.column(word_index(word, self.algebra.dim))
-
-    def evaluate(self, vectors):
-        """Evaluate on a tuple of algebra elements (multilinear extension)."""
-        d = self.algebra.dim
-        out = [0] * self.bimodule.dim
-        for w in words(d, self.n):
-            coeff = 1
-            for pos, i in enumerate(w):
-                coeff *= vectors[pos][i]
-                if not coeff:
-                    break
-            if coeff:
-                col = self.matrix.column(word_index(w, d))
-                for r, v in enumerate(col):
-                    out[r] += coeff * v
-        return tuple(out)
-
-    def __add__(self, other):
-        return HCochain(self.algebra, self.bimodule, self.n,
-                        self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return HCochain(self.algebra, self.bimodule, self.n,
-                        self.matrix - other.matrix)
 
     def is_zero(self):
         return self.matrix.is_zero()
@@ -116,23 +93,16 @@ def d_hoch(phi):
 
 
 def is_normalized(phi):
-    """True iff phi vanishes whenever some argument is the algebra unit."""
-    a = phi.algebra
-    d = a.dim
-    u = a.unit_index()
-    if u is not None:
-        for w in words(d, phi.n):
-            if u in w and any(phi(w)):
-                return False
-        return True
-    # general unit: evaluate with the unit inserted in each slot
-    for pos in range(phi.n):
-        for w in words(d, phi.n - 1):
-            vecs = [unit_vector(d, c) for c in w]
-            vecs.insert(pos, a.unit)
-            if any(phi.evaluate(vecs)):
-                return False
-    return True
+    """True iff phi vanishes whenever some argument is the unit u, for any
+    unit: phi.matrix @ (1_{d^i} (x) u (x) 1_{d^{n-1-i}}) = 0 for each slot
+    i < n, d = dim A.  Proof: words put the first letter most significant,
+    as `RatMatrix.kron` does its left factor, so that product is the map
+    A^{(x)(n-1)} -> A^{(x) n} inserting u in slot i, and phi composed with it
+    is phi with u in slot i, which is zero iff phi vanishes there."""
+    d, one = phi.algebra.dim, RatMatrix.identity
+    unit = RatMatrix.from_cols([phi.algebra.unit])
+    return all((phi.matrix @ one(d ** i).kron(unit).kron(
+        one(d ** (phi.n - 1 - i)))).is_zero() for i in range(phi.n))
 
 
 def normalized_coordinates(algebra, m_dim, n):

@@ -109,16 +109,16 @@ def diamond_mixed():
     return strict_presheaf(cat, algebras, _restrictions(cat, algebras, off))
 
 
-def twisted_diamond(scale=2):
+def twisted_diamond():
     """A twisted presheaf on the diamond whose twist is the multiplicative
-    coboundary of x with x_{A->T} = scale; returns (presheaf, x)."""
+    coboundary of x with x_{A->T} = 2; returns (presheaf, x)."""
     base = diamond_mixed()
     cat = base.category
     x = {}
     for name, m in cat.morphisms.items():
         unit = base.algebras[m.source].unit
         if name == "A->T":
-            x[name] = tuple(Fraction(scale) * v for v in unit)
+            x[name] = tuple(Fraction(2) * v for v in unit)
         else:
             x[name] = unit
     twists = {}

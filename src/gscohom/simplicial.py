@@ -67,9 +67,10 @@ class ModPresheaf:
                            "functoriality fails on (%s, %s)")
 
     @staticmethod
-    def constant(category, dim=1):
-        dims = {o: dim for o in category.objects}
-        maps = {name: RatMatrix.identity(dim) for name in category.morphisms}
+    def constant(category):
+        """The constant presheaf Q, every restriction the identity."""
+        dims = {o: 1 for o in category.objects}
+        maps = {name: RatMatrix.identity(1) for name in category.morphisms}
         return ModPresheaf(category, dims, maps, check=False)
 
     @staticmethod

@@ -3,10 +3,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gscohom.linalg import RatMatrix
+from gscohom.linalg import RatMatrix, VerificationFailed
 from gscohom.algebra import (FinAlgebra, AlgebraHom, FinModule, FinBimodule,
                              InvalidStructure, tensor_over, module_hom_space,
-                             check_flat_epimorphism)
+                             check_flat_epimorphism, quotient_module)
 from gscohom import presets
 
 
@@ -319,3 +319,13 @@ def test_module_hom_space_against_sympy(data):
         basis[r][divmod(c, m.dim)].numerator,
         basis[r][divmod(c, m.dim)].denominator))
     assert flat.rank() == len(basis)
+
+
+def test_quotient_module_rejects_relations_the_action_moves():
+    # x sends e_0 to e_1, so span(e_0) is no submodule of Q^2
+    dn = presets.dual_numbers()
+    action = [RatMatrix.identity(2), RatMatrix.from_rows([[0, 0], [1, 0]])]
+    with pytest.raises(VerificationFailed,
+                       match="^the relations are not stable under the "
+                             "action$"):
+        quotient_module(dn, action, RatMatrix.from_cols([(1, 0)]))

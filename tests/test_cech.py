@@ -5,13 +5,16 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from gscohom.fincat import MeetPoset
 from gscohom.linalg import RatMatrix, submatrix
 from gscohom.simplicial import ModPresheaf, PairComplex
 from gscohom.cech import (CechComplex, iota_matrix, pi_matrix, homotopy_matrix,
                           compare_simp_cech, tuple_bar, tuple_theta,
                           tuple_face)
 from gscohom import cech as cech_module, presets
+from conftest import ORACLE
 
 
 def tuple_delta(poset, tau, i):
@@ -32,7 +35,6 @@ def diamond_setup():
 
 
 def test_one_element_poset():
-    from gscohom.fincat import MeetPoset
     mp = MeetPoset(["pt"], [])
     f = ModPresheaf.constant(mp.category)
     cech = CechComplex(f, mp)
@@ -170,6 +172,45 @@ def test_betti_equality_and_report():
         report = compare_simp_cech(f, poset, pmax)
         assert report["simp_betti"] == report["cech_betti"]
         assert report["pi_iota_identity"] and report["homotopy_identity"]
+
+
+@st.composite
+def subset_presheaves(draw):
+    """(F, poset): a family of subsets of {0, ..., k-1}, k <= 5, closed
+    under pairwise intersection and ordered by inclusion, at most 6 sets;
+    F(U) = Q^{|U|}, restricted to V <= U by the coordinate projection."""
+    k = draw(st.integers(1, 5))
+    family = set(draw(st.sets(st.frozensets(st.integers(0, k - 1)),
+                              min_size=1, max_size=3)))
+    while True:
+        meets = {a & b for a in family for b in family} - family
+        if not meets:
+            break
+        family |= meets
+    assume(len(family) <= 6)
+    name = {u: "U" + "".join(map(str, sorted(u))) for u in family}
+    poset = MeetPoset(list(name.values()), [(name[v], name[u])
+                                            for u in family for v in family
+                                            if v < u])
+    maps = {}
+    for v in family:
+        for u in family:
+            if v <= u:
+                cols = sorted(u)
+                maps[poset.morphism(name[v], name[u])] = RatMatrix(
+                    len(v), len(u),
+                    {(i, cols.index(x)): 1 for i, x in enumerate(sorted(v))})
+    dims = {name[u]: len(u) for u in family}
+    return ModPresheaf(poset.category, dims, maps), poset
+
+
+@settings(ORACLE, max_examples=24)
+@given(subset_presheaves())
+def test_cech_equals_simplicial_on_random_meet_posets(case):
+    f, poset = case
+    report = compare_simp_cech(f, poset, 2)
+    assert report["simp_betti"] == report["cech_betti"]
+    assert report["pi_iota_identity"] and report["homotopy_identity"]
 
 
 def test_tuple_lemma_identities():

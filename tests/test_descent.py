@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gscohom.linalg import RatMatrix
+from gscohom.linalg import RatMatrix, VerificationFailed
 from gscohom.algebra import FinModule
 from gscohom.presheaf import TwistedPresheaf, strict_presheaf
 from gscohom.gs import GSComplex
@@ -67,6 +67,48 @@ def test_zeroed_map_is_pre_descent():
                                       maps["U01->U0"].cols)
     rep = check_descent(PreDescentDatum(machine, free.modules, maps))
     assert rep["classification"] == "pre-descent"
+
+
+def test_ill_shaped_map_is_invalid_before_the_compatibilities():
+    # the compatibilities multiply the maps, so an ill-shaped one stops the
+    # check with a verdict instead of a ShapeMismatch
+    p = presets.v_poset_commutative()
+    machine = DescentMachine(p)
+    free = canonical_free_datum(machine)
+    maps = dict(free.maps, **{"U0->U0": RatMatrix.identity(1)})
+    rep = check_descent(PreDescentDatum(machine, free.modules, maps))
+    assert rep == {"classification": "invalid",
+                   "failures": [("shape", "U0->U0")]}
+
+
+def _unchecked_endomorphism(monkeypatch, on_u0):
+    """The free datum of v_poset_commutative, and module maps that are the
+    identity at U0 (on_u0) or away from it and zero elsewhere.  They are no
+    morphism of the datum, so the morphism check is patched out to reach
+    the checks on the result."""
+    monkeypatch.setattr(descent, "_require_datum_morphism", lambda *a: None)
+    p = presets.v_poset_commutative()
+    free = canonical_free_datum(DescentMachine(p))
+    return free, {o: RatMatrix.identity(free.modules[o].dim).scale(
+        (o == "U0") == on_u0) for o in p.category.objects}
+
+
+def test_pointwise_kernel_trips_when_phi_leaves_the_kernel(monkeypatch):
+    # the kernel is A(U0) at U0 and 0 at U01, and phi_{U01->U0} is onto
+    free, comps = _unchecked_endomorphism(monkeypatch, False)
+    with pytest.raises(VerificationFailed,
+                       match="^phi does not restrict to the kernel at "
+                             "U01->U0$"):
+        pointwise_kernel(free, free, comps)
+
+
+def test_pointwise_cokernel_trips_when_phi_is_not_well_defined(monkeypatch):
+    # the cokernel is 0 at U0 and A(U01) at U01, where phi_{U01->U0} lands
+    free, comps = _unchecked_endomorphism(monkeypatch, True)
+    with pytest.raises(VerificationFailed,
+                       match="^cokernel comparison map is not well defined "
+                             "at U01->U0$"):
+        pointwise_cokernel(free, free, comps)
 
 
 def test_twisted_free_datum_needs_trivialization():

@@ -4,9 +4,13 @@ from itertools import product
 
 import pytest
 
-from gscohom.linalg import RatMatrix, NotASubcomplex, subcomplex_cohomology
+from gscohom.algebra import FinAlgebra
+from gscohom.linalg import (RatMatrix, NotASubcomplex, Subspace,
+                            subcomplex_cohomology, unflatten, unit_vector,
+                            vec_operator)
 from gscohom.hochschild import (HCochain, d_hoch, hoch_differential,
-                                is_normalized, op_cochain, hh_algebra,
+                                is_normalized, normalized_coordinates,
+                                op_cochain, hh_algebra,
                                 regular_bimodule, is_algebra_deformation,
                                 deformation_cocycle_check,
                                 algebra_deformation_equivalence)
@@ -47,6 +51,57 @@ def test_multiplication_is_a_cocycle_but_not_normalized():
     assert is_normalized(HCochain(presets.dual_numbers(),
                                   regular_bimodule(presets.dual_numbers()),
                                   2, RatMatrix.zeros(2, 4)))
+
+
+def unit_insertions(algebra, m_dim, n):
+    """The maps on flat n-cochains that put the unit into each slot i < n,
+    phi -> phi o (1_{d^i} (x) u (x) 1_{d^{n-1-i}}), stacked: their common
+    kernel is the normalized cochains."""
+    d, one = algebra.dim, RatMatrix.identity
+    unit = RatMatrix.from_cols([algebra.unit])
+    return RatMatrix.vstack([vec_operator(one(m_dim), one(d ** i).kron(
+        unit).kron(one(d ** (n - 1 - i)))) for i in range(n)])
+
+
+@pytest.mark.parametrize("algebra", algebras(), ids=lambda a: a.name)
+def test_unit_insertion_kernel_is_the_normalized_coordinates(algebra):
+    # with a basis unit, the identity of is_normalized and the coordinate
+    # rule of normalized_coordinates pick out the same subspace
+    bim = regular_bimodule(algebra)
+    m, d = bim.dim, algebra.dim
+    for n in range(1, 4):
+        kernel = unit_insertions(algebra, m, n).kernel()
+        keep = normalized_coordinates(algebra, m, n)
+        coords = Subspace(m * d ** n, [unit_vector(m * d ** n, k)
+                                       for k in keep])
+        assert kernel.dim == coords.dim, (algebra.name, n)
+        assert all(kernel.contains(v) for v in coords.basis)
+        for k in set(range(m * d ** n)) - set(keep):
+            phi = unflatten(unit_vector(m * d ** n, k), m, d ** n)
+            assert not is_normalized(HCochain(algebra, bim, n, phi))
+        for v in kernel.basis:
+            phi = unflatten(v, m, d ** n)
+            assert is_normalized(HCochain(algebra, bim, n, phi))
+
+
+def test_normalization_with_a_unit_that_is_no_basis_vector():
+    # Q x Q with the unit (1, 1): normalization is no coordinate condition
+    qq = FinAlgebra(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 1])
+    assert qq.unit_index() is None
+    bim = regular_bimodule(qq)
+    assert not is_normalized(HCochain(qq, bim, 2, qq.mult_matrix()))
+    kernel = unit_insertions(qq, 2, 2).kernel()
+    assert kernel.dim == 2      # (d - 1)^n words times dim M
+    flat = tuple(map(sum, zip(*kernel.basis)))
+    phi = HCochain(qq, bim, 2, unflatten(flat, 2, 4))
+    assert not phi.is_zero() and is_normalized(phi)
+    # phi(u, e_j) = phi(e_0, e_j) + phi(e_1, e_j), and so in the other slot
+    zero = (0, 0)
+    for j in range(2):
+        assert tuple(a + b for a, b in zip(phi((0, j)), phi((1, j)))) == zero
+        assert tuple(a + b for a, b in zip(phi((j, 0)), phi((j, 1)))) == zero
+    assert deformation_cocycle_check(qq, RatMatrix.zeros(2, 4))
+    assert not deformation_cocycle_check(qq, qq.mult_matrix())
 
 
 def test_d_squared_zero_full_bases():

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from gscohom import linalg
 from gscohom.linalg import (RatMatrix, Subspace, cohomology,
                             ComplexViolation, NotASubcomplex, DependentBasis,
-                            subcomplex_cohomology)
+                            VerificationFailed, subcomplex_cohomology)
 from conftest import ORACLE, random_matrix
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -692,3 +692,16 @@ def test_integral_entries_print_as_integers_in_json():
     assert matrix_json(mat) == [["3", "3"], ["-1/2", "0"]]
     assert vector_json(mat.column(0)) == ["3", "-1/2"]
     assert rat_str(3) == rat_str(F(3)) == "3"
+
+
+def test_cohomology_trips_when_count_and_representatives_disagree(
+        monkeypatch):
+    # only a broken span completion reaches the check: drop its last index
+    real = linalg.complete_span
+    monkeypatch.setattr(linalg, "complete_span", lambda span, candidates: (
+        real(span, candidates)[0], real(span, candidates)[1][:-1]))
+    zero = RatMatrix.zeros(1, 1)
+    with pytest.raises(VerificationFailed,
+                       match=r"^dim ker - rank im = 1, but 0 representatives "
+                             r"complete the image$"):
+        cohomology(zero, zero)

@@ -710,9 +710,12 @@ def test_malformed_project_is_a_schema_error_without_traceback(
      "/data/structure/trivialization/pt->pt: expected 2 entries"),
     ({"type": "free", "trivialization": {"nope": ["1"]}},
      "/data/structure/trivialization/nope: unknown"),
+    ({"type": "explicit", "modules": {"pt": "free_pt"},
+      "maps": {"pt->pt": [["1"]]}},
+     "/data/structure/maps/pt->pt: expected a 2 x 2 matrix, got 1 x 1"),
 ], ids=["no-modules", "no-maps", "modules-list", "maps-list",
         "trivialization-list", "datum-list", "trivialization-length",
-        "trivialization-unknown-morphism"])
+        "trivialization-unknown-morphism", "map-shape"])
 def test_malformed_datum_is_a_schema_error_without_traceback(
         tmp_path, block, path):
     with open(project_path("one_object.json")) as fh:

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from gscohom.algebra import InvalidStructure
-from gscohom.linalg import (RatMatrix, NotASubcomplex, flatten,
-                            subcomplex_cohomology, unflatten)
+from gscohom.linalg import (RatMatrix, NotASubcomplex, VerificationFailed,
+                            flatten, subcomplex_cohomology, unflatten)
 from gscohom.simplicial import (ModPresheaf, PairComplex, presheaf_cohomology,
                                 PresheafComplex)
 from gscohom import presets
@@ -138,6 +138,44 @@ def test_presheaf_complex_slice_dimensions():
     assert pc.levels[0].dims["U0"] == \
         p.algebras["U0"].dim + p.algebras["U01"].dim
     assert pc.levels[0].dims["U01"] == p.algebras["U01"].dim
+
+
+# each check of PresheafComplex tripped by one broken matrix of the slice
+# complex of v_poset_commutative (pinned below); A^0(U0) = A(U0) + A(U01)
+
+def test_presheaf_complex_trips_on_a_non_natural_phi():
+    pc = PresheafComplex(presets.v_poset_commutative(), 1)
+    pc.levels[1].maps["U0->U0"] = pc.levels[1].maps["U0->U0"].scale(2)
+    with pytest.raises(VerificationFailed,
+                       match="^phi is not natural along U0->U0$"):
+        pc.check_complex()
+
+
+def test_presheaf_complex_trips_on_a_non_injective_embedding():
+    pc = PresheafComplex(presets.v_poset_commutative(), 1)
+    pc.eps["U0"] = RatMatrix.zeros(3, 2)
+    with pytest.raises(VerificationFailed,
+                       match="^embedding is not injective at U0$"):
+        pc.check_kernel_is_algebra()
+
+
+def test_presheaf_complex_trips_on_a_kernel_of_the_wrong_dimension():
+    pc = PresheafComplex(presets.v_poset_commutative(), 1)
+    pc.phi[0]["U0"] = RatMatrix.zeros(4, 3)
+    with pytest.raises(VerificationFailed,
+                       match=r"^kernel of phi\^0 has dim 3 != dim A\(U0\) = "
+                             r"2$"):
+        pc.check_kernel_is_algebra()
+
+
+def test_presheaf_complex_trips_on_an_image_outside_the_kernel():
+    # injective, but (1, 0, 0) breaks v_0 = v_2, the kernel of phi^0
+    pc = PresheafComplex(presets.v_poset_commutative(), 1)
+    pc.eps["U0"] = RatMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
+    with pytest.raises(VerificationFailed,
+                       match=r"^the image of A\(U0\) is not in the kernel of "
+                             r"phi\^0$"):
+        pc.check_kernel_is_algebra()
 
 
 def test_slice_complex_matrices_are_pinned():
