@@ -23,13 +23,18 @@ t.section.  Linear conditions on an unknown matrix X are solved on the
 column-major vec X (`linalg.vec_operator`, `linalg.unflatten`).
 """
 
-from .linalg import (RatMatrix, VerificationFailed, complete_span, exact,
-                     flatten, memo, submatrix, unflatten, unit_vector,
-                     vec_operator, zero_vector)
+from .linalg import (RatMatrix, VerificationFailed, exact, flatten, memo,
+                     submatrix, unflatten, unit_vector, vec_operator,
+                     zero_vector)
 
 
 class InvalidStructure(ValueError):
     """An algebra, module or bimodule fails its axioms or its shapes."""
+
+
+def _element_key(algebra, x):
+    """The memo key of an element: its coordinates as a tuple."""
+    return tuple(x)
 
 
 class FinAlgebra:
@@ -84,12 +89,17 @@ class FinAlgebra:
     def basis(self):
         return [unit_vector(self.dim, i) for i in range(self.dim)]
 
+    @memo(key=_element_key)
     def left_mult_matrix(self, x):
-        """L_x, the matrix of y -> x*y, which is mu (x (x) 1)."""
+        """L_x, the matrix of y -> x*y, which is mu (x (x) 1).  Built once
+        per element and kept: an algebra is never changed after
+        construction, and an int and the equal Fraction are one key."""
         return _multiplication_by(x, self.mult)
 
+    @memo(key=_element_key)
     def right_mult_matrix(self, x):
-        """R_x, the matrix of y -> y*x, which is mu (1 (x) x)."""
+        """R_x, the matrix of y -> y*x, which is mu (1 (x) x); kept like
+        L_x."""
         return _multiplication_by(x, tuple(zip(*self.mult)))
 
     @memo()
@@ -113,8 +123,10 @@ class FinAlgebra:
         f and g, as the matrix identity L_x F = R_y G."""
         return self.left_mult_matrix(x) @ f == self.right_mult_matrix(y) @ g
 
+    @memo(key=_element_key)
     def two_sided_inverse(self, x):
-        """The inverse of x, or None.  Solves x*y = 1 and checks y*x = 1."""
+        """The inverse of x, or None.  Solves x*y = 1 and checks y*x = 1,
+        once per element (kept like L_x)."""
         y = self.left_mult_matrix(x).solve(self.unit)
         if y is None or self.mul(y, x) != self.unit:
             return None
@@ -384,23 +396,51 @@ def quotient_by_columns(raw_dim, rel_matrix):
 
     Returns (project, section): project maps a raw vector to coordinates in
     a chosen complement basis, section embeds them back.  Both depend only
-    on the span, not on the columns that present it.  The pivot columns of
-    the relations and the identity columns that complete them are a basis
-    by construction, and the inverse of that basis is checked to exist
-    (VerificationFailed).
+    on the span, not on the columns that present it.
+
+    One elimination of combined = [rel | 1] gives both.  Its pivot columns
+    before rel.cols pick a basis of span(rel) among the columns of rel; the
+    ones at or past rel.cols are the identity columns e_j that complete it
+    (`linalg.complete_span`'s choice, which depends only on span(rel)), and
+    section is those e_j.  Every column of combined is a pivot or lies in
+    the span of the pivots before it, so the RREF is E.combined for the
+    unique E with E.[basis | section] = 1, and E is its identity block, read
+    row by row in pivot order.  project is the rows of E at the pivots of
+    section, which is the same matrix for every presentation of span(rel).
+
+    Certificate (VerificationFailed), with B = [basis | section]:
+      - E.B = 1_n.  The product is n x n only when there are n pivots;
+        then E and B are square, so B is invertible with inverse E.  Hence
+        Q^n = span(basis) (+) span(section), and project, the rows of
+        B^-1 that give the section coordinates, has kernel span(basis) and
+        satisfies project.section = 1.
+      - project.rel = 0.  So span(rel) lies in the kernel of project, which
+        is span(basis), a subspace of span(rel): the two spans are equal.
+    Together: Q^n = span(rel) (+) span(section), and project is the
+    projection along span(rel) in the coordinates of section.  The first
+    identity alone says that [basis | section] has an inverse; the second
+    rules out a basis that misses part of span(rel).
     """
     if rel_matrix.rows != raw_dim:
         raise InvalidStructure("relations with %d rows do not live in Q^%d"
                                % (rel_matrix.rows, raw_dim))
+    cols = rel_matrix.cols
+    combined = RatMatrix.hstack([rel_matrix, RatMatrix.identity(raw_dim)])
+    pivots = combined.pivot_columns()
+    rref = combined._rref()
+    inverse = RatMatrix(len(pivots), raw_dim, {
+        (i, j - cols): x for i, p in enumerate(pivots)
+        for j, x in rref[p].items() if j >= cols})
+    basis = [p for p in pivots if p < cols]
+    extra = [p - cols for p in pivots if p >= cols]
     rows = range(raw_dim)
-    one = RatMatrix.identity(raw_dim)
-    rel, extra = complete_span(rel_matrix, one)
-    section = submatrix(one, rows, extra)
-    inv = RatMatrix.hstack([rel, section]).inverse()
-    if inv is None:
+    section = submatrix(RatMatrix.identity(raw_dim), rows, extra)
+    project = submatrix(inverse, range(len(basis), len(pivots)), rows)
+    spanning = RatMatrix.hstack([submatrix(rel_matrix, rows, basis), section])
+    if inverse @ spanning != RatMatrix.identity(raw_dim) or \
+            not (project @ rel_matrix).is_zero():
         raise VerificationFailed("the relations and their complement are "
                                  "not a basis")
-    project = submatrix(inv, range(rel.cols, raw_dim), rows)
     return project, section
 
 
@@ -413,10 +453,11 @@ def quotient_module(algebra, action, rel):
     project, section = quotient_by_columns(rel.rows, rel)
     induced = []
     for a in action:
-        if not (project @ a @ rel).is_zero():
+        moved = project @ a
+        if not (moved @ rel).is_zero():
             raise VerificationFailed("the relations are not stable under "
                                      "the action")
-        induced.append(project @ a @ section)
+        induced.append(moved @ section)
     return QuotientModule(FinModule(algebra, project.rows, induced,
                                     check=False), project, section, rel)
 

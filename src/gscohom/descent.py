@@ -25,7 +25,7 @@ from .algebra import (AlgebraHom, FinModule, InvalidStructure, tensor_over,
                       module_hom_space, check_flat_epimorphism,
                       quotient_module)
 from .fincat import slice_category
-from .simplicial import require_functorial
+from .simplicial import functoriality_failure
 
 
 class ExactnessFailure(Exception):
@@ -44,8 +44,9 @@ def _can_key(machine, module, u, v, twist=False):
 class DescentMachine:
     """Shared tensor-coordinate bookkeeping for one twisted presheaf.
 
-    Homs, tensor quotients, can^{u,v} and its inverse are memoised per
-    machine through `linalg.memo`, and the memos die with the machine."""
+    Homs, tensor quotients, induced maps between them, can^{u,v} and its
+    inverse are memoised per machine through `linalg.memo`, and the memos
+    die with the machine."""
 
     def __init__(self, presheaf):
         self.presheaf = presheaf
@@ -69,9 +70,14 @@ class DescentMachine:
         again."""
         return tensor_over(module, self.hom(name))
 
+    @memo()
     def tensor_map(self, x, src_q, tgt_q, name):
         """The induced map (src (x)_v A(W)) -> (tgt (x)_v A(W)) of a module
-        map x: src -> tgt, on quotient coordinates."""
+        map x: src -> tgt, on quotient coordinates.
+
+        Memoised on (x, src_q, tgt_q, name).  The quotients are keyed by
+        identity: they are never mutated, the callers pass the machine's own
+        memoised `tensor` results, and the key keeps them alive."""
         dim_w = self.hom(name).target.dim
         big = x.kron(RatMatrix.identity(dim_w))
         return tgt_q.project @ big @ src_q.section
@@ -346,11 +352,13 @@ class QPresheafObject:
     def _check_functorial(self):
         """The transitions form a presheaf on the slice (VerificationFailed
         otherwise)."""
-        require_functorial(
+        failure = functoriality_failure(
             self.slice, self.transitions,
-            {w: t.dim for w, t in self.tensors.items()}, VerificationFailed,
+            {w: t.dim for w, t in self.tensors.items()},
             "the transition of the identity at %s is not 1",
             "the transitions are not functorial on (%s, %s)")
+        if failure:
+            raise VerificationFailed(failure)
 
     def hom_dim_to(self, other):
         """dim of natural transformations self -> other in the presheaf

@@ -38,8 +38,9 @@ Hochschild, simplicial, Cech and total complexes reach it through
 `subcomplex_cohomology`, for the whole complex or for a subcomplex spanned
 by coordinates; the Hodge summands of the total complex hand it their
 restricted differentials (`gs.GSComplex.hodge_cohomology`).  It picks its
-representatives with `complete_span`, as `algebra.quotient_by_columns`
-picks the complement of the relations of a tensor quotient.
+representatives with `complete_span`; `algebra.quotient_by_columns` picks
+the complement of the relations of a tensor quotient by the same pivot
+rule, in one elimination that also gives its projection.
 
 The one vec convention is column-major (`flatten`, `unflatten`), so that
 vec(L X R) = (R^T (x) L) vec X (`vec_operator`): cochains are flattened so,
@@ -85,18 +86,28 @@ def memo(key=None):
     """Memoise a method in a dict `_memo_<method>` of each instance, which
     dies with it (`functools.cache` would keep every instance alive).  The
     key is the positional arguments, or key(self, *args, **kwargs); every
-    caller shares a result, which is never mutated."""
+    caller shares a result, which is never mutated.
+
+    Only methods of objects that never change are memoised, so a result
+    never goes stale.  A hit costs its key and two dict reads (the table,
+    then the entry); a miss calls the method outside the lookup's `except`,
+    so an error it raises carries no KeyError context, and then stores the
+    result, making the table on the first miss.  Keys built from exact
+    entries (`exact`) make an int and the equal Fraction one key."""
     def decorate(method):
         name = "_memo_" + method.__name__
         key_of = key or (lambda self, *args: args)
 
         @wraps(method)
         def memoised(self, *args, **kwargs):
-            table = self.__dict__.setdefault(name, {})
             k = key_of(self, *args, **kwargs)
-            if k not in table:
-                table[k] = method(self, *args, **kwargs)
-            return table[k]
+            try:
+                return self.__dict__[name][k]
+            except KeyError:
+                pass
+            value = method(self, *args, **kwargs)
+            self.__dict__.setdefault(name, {})[k] = value
+            return value
         return memoised
     return decorate
 

@@ -14,7 +14,7 @@ invertible z^U in A(U) per object, subject to
 its witnessing morphisms.  Strict presheaves are the case c = 1, z = 1.
 """
 
-from .linalg import RatMatrix
+from .linalg import RatMatrix, memo
 from .algebra import AlgebraHom, InvalidStructure
 
 
@@ -50,7 +50,10 @@ class TwistedPresheaf:
                 for u, v in cat.composable_pairs()] + \
             [(self.algebras[o], self.z_element(o)) for o in cat.objects]
 
+    @memo()
     def is_strict(self):
+        """Every twist and z is 1; decided once per presheaf, which is never
+        changed after construction."""
         return all(x == a.unit for a, x in self._twist_elements())
 
     def restriction_along(self, simplex):
@@ -87,7 +90,10 @@ class TwistedPresheaf:
         return TwistedPresheaf(self.category, algebras, self.restrictions,
                                twists, z)
 
+    @memo()
     def has_central_twists(self):
+        """Every twist and z is central; decided once per presheaf, like
+        `is_strict`."""
         return all(a.is_central(x) for a, x in self._twist_elements())
 
     def underlying_presheaf(self):

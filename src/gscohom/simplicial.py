@@ -25,20 +25,22 @@ from .algebra import InvalidStructure
 from .fincat import Simplex, slice_category
 
 
-def require_functorial(category, maps, dims, error, identity_fails,
-                       composite_fails):
-    """Check that maps[u]: F(U) -> F(V), one per u: V -> U with F(U) of
-    dimension dims[U], form a presheaf: F(1_U) = 1 and F(f) F(g) = F(g f).
-    The first law that fails raises `error` with the message
-    `identity_fails % U` or `composite_fails % (g, f)`."""
+def functoriality_failure(category, maps, dims, identity_fails,
+                          composite_fails):
+    """The first presheaf law that maps[u]: F(U) -> F(V), one per
+    u: V -> U with F(U) of dimension dims[U], breaks, or None: F(1_U) = 1
+    and F(f) F(g) = F(g f).  The failure is the message
+    `identity_fails % U` or `composite_fails % (g, f)`; each caller raises
+    its own error class with it."""
     for obj in category.objects:
         if maps[category.identity(obj)] != RatMatrix.identity(dims[obj]):
-            raise error(identity_fails % obj)
+            return identity_fails % obj
     for g in category.morphisms:
         for f in category.morphisms:
             if category.target(f) == category.source(g) and \
                     maps[f] @ maps[g] != maps[category.compose(g, f)]:
-                raise error(composite_fails % (g, f))
+                return composite_fails % (g, f)
+    return None
 
 
 class ModPresheaf:
@@ -62,9 +64,12 @@ class ModPresheaf:
                                         self.dims[m.target]):
                 raise InvalidStructure("restriction %s has the wrong shape"
                                        % name)
-        require_functorial(cat, self.maps, self.dims, InvalidStructure,
-                           "identity restriction is not the identity at %s",
-                           "functoriality fails on (%s, %s)")
+        failure = functoriality_failure(
+            cat, self.maps, self.dims,
+            "identity restriction is not the identity at %s",
+            "functoriality fails on (%s, %s)")
+        if failure:
+            raise InvalidStructure(failure)
 
     @staticmethod
     def constant(category):

@@ -1,13 +1,17 @@
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gscohom.linalg import RatMatrix, VerificationFailed
+from gscohom.linalg import (RatMatrix, VerificationFailed, complete_span,
+                            submatrix)
 from gscohom.algebra import (FinAlgebra, AlgebraHom, FinModule, FinBimodule,
                              InvalidStructure, tensor_over, module_hom_space,
-                             check_flat_epimorphism, quotient_module)
-from gscohom import presets
+                             check_flat_epimorphism, quotient_by_columns,
+                             quotient_module)
+from gscohom import algebra, presets
 
 
 def test_validation_rejects_broken_structures():
@@ -329,3 +333,163 @@ def test_quotient_module_rejects_relations_the_action_moves():
                        match="^the relations are not stable under the "
                              "action$"):
         quotient_module(dn, action, RatMatrix.from_cols([(1, 0)]))
+
+
+# -- the one-elimination quotient against the three-elimination one
+
+def _reference_quotient(raw_dim, rel):
+    """(project, section) as built before the quotient took one
+    elimination: the pivot columns of rel completed by identity columns
+    (`complete_span`), and the complement rows of the inverse of
+    [basis | section]."""
+    rows = range(raw_dim)
+    one = RatMatrix.identity(raw_dim)
+    basis, extra = complete_span(rel, one)
+    section = submatrix(one, rows, extra)
+    inverse = RatMatrix.hstack([basis, section]).inverse()
+    return submatrix(inverse, range(basis.cols, raw_dim), rows), section
+
+
+def _random_relations(rng, raw_dim, cols):
+    """A raw_dim x cols matrix with sparse small entries, some columns
+    zero and some combinations of the others."""
+    entries = {(i, j): F(rng.randint(-3, 3), rng.randint(1, 3))
+               for i in range(raw_dim) for j in range(cols)
+               if rng.random() < 0.4}
+    rel = RatMatrix(raw_dim, cols, entries)
+    if cols and rng.random() < 0.5:
+        mix = RatMatrix.from_cols(
+            [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(2)])
+        rel = RatMatrix.hstack([rel, rel @ mix, RatMatrix.zeros(raw_dim, 1)])
+    return rel
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quotient_by_columns_matches_three_eliminations(seed):
+    rng = random.Random(seed)
+    shapes = [(rng.randint(0, 7), rng.randint(0, 8)) for _ in range(60)]
+    shapes += [(0, 0), (0, 3), (4, 0), (3, 3)]
+    for raw_dim, cols in shapes:
+        rel = _random_relations(rng, raw_dim, cols)
+        project, section = quotient_by_columns(raw_dim, rel)
+        assert (project, section) == _reference_quotient(raw_dim, rel)
+        assert project.rows == raw_dim - rel.rank()
+
+
+def test_quotient_by_columns_takes_one_elimination(monkeypatch):
+    # the relations themselves are never eliminated and nothing is
+    # inverted: one pivot search on [rel | 1], whose RREF is then reused
+    eliminated = []
+    real = RatMatrix.pivot_columns
+
+    def counted(mat):
+        eliminated.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(RatMatrix, "pivot_columns", counted)
+    monkeypatch.setattr(RatMatrix, "inverse", None)
+    rel = RatMatrix.from_cols([(1, 1, 0), (2, 2, 0), (0, 0, 0)])
+    project, section = quotient_by_columns(3, rel)
+    assert len(eliminated) == 1 and eliminated[0].cols == 6
+    # e_0 completes span(1, 1, 0), e_1 then lies in the span, e_2 completes
+    assert section == RatMatrix.from_cols([(1, 0, 0), (0, 0, 1)])
+    assert project == RatMatrix.from_rows([[1, -1, 0], [0, 0, 1]])
+
+
+@ORACLE
+@given(st.data())
+def test_tensor_quotient_actions_are_unchanged(data):
+    # the induced actions of quotient_module on the relations of a random
+    # tensor quotient equal project . a . section of the old construction
+    f = data.draw(st.sampled_from(MAPS))
+    m = data.draw(modules_over(f.source))
+    t = tensor_over(m, f)
+    project, section = _reference_quotient(t.relations.rows, t.relations)
+    assert (t.project, t.section) == (project, section)
+    b = f.target
+    actions = [RatMatrix.identity(m.dim).kron(b.right_mult_matrix(e))
+               for e in b.basis()]
+    assert list(t.module.action) == [project @ a @ section for a in actions]
+    again = quotient_module(b, actions, t.relations)
+    assert again.module.action == t.module.action
+
+
+# -- the per-algebra memos of L_x, R_x and inverses
+
+def _count_products(monkeypatch):
+    """Each build of an L_x or R_x, as (algebra, side, element)."""
+    builds = []
+    real = algebra._multiplication_by
+
+    def counted(x, table):
+        caller = sys._getframe(1)
+        builds.append((caller.f_locals["self"], caller.f_code.co_name,
+                       tuple(x)))
+        return real(x, table)
+
+    monkeypatch.setattr(algebra, "_multiplication_by", counted)
+    return builds
+
+
+def test_multiplication_matrices_are_built_once_per_element(monkeypatch):
+    direct = algebra._multiplication_by
+    builds = _count_products(monkeypatch)
+    ut = presets.upper_triangular()
+    elements = [(1, 0, 0), (0, 1, 0), (1, 0, 0), (F(1), F(0), F(0)),
+                (0, 1, 0), (2, F(1, 2), 0)]
+    left = [ut.left_mult_matrix(x) for x in elements]
+    right = [ut.right_mult_matrix(list(x)) for x in elements]
+    assert len(builds) == len(set(builds)) == 6
+    assert {side for _, side, _ in builds} == {"left_mult_matrix",
+                                               "right_mult_matrix"}
+    # an int element and the equal Fraction share one entry
+    assert left[3] is left[2] is left[0] and right[3] is right[0]
+    assert left[0] == direct((1, 0, 0), ut.mult)
+    # a product reads the memo too
+    assert ut.mul((0, 1, 0), (0, 0, 1)) == (0, 1, 0) and len(builds) == 6
+    # an equal algebra built apart starts empty
+    other = presets.upper_triangular()
+    assert "_memo_left_mult_matrix" not in vars(other)
+    assert other.left_mult_matrix((1, 0, 0)) == left[0]
+    assert len(builds) == 7 and builds[-1][0] is other
+
+
+def test_two_sided_inverse_is_solved_once_per_element(monkeypatch):
+    solved = []
+    real = RatMatrix.solve
+
+    def counted(mat, b):
+        solved.append(tuple(b))
+        return real(mat, b)
+
+    monkeypatch.setattr(RatMatrix, "solve", counted)
+    dn = presets.dual_numbers()
+    elements = [(2, 1), (F(2), F(1)), (0, 1), (2, 1), (0, F(1))]
+    inverses = [dn.two_sided_inverse(x) for x in elements]
+    assert len(solved) == 2
+    assert inverses[0] == inverses[1] == (F(1, 2), F(-1, 4))
+    assert inverses[0] is inverses[3]
+    assert inverses[2] is inverses[4] is None     # x is nilpotent
+    assert dn.mul(inverses[0], (2, 1)) == dn.unit
+    assert presets.dual_numbers().two_sided_inverse((2, 1)) == inverses[0]
+    assert len(solved) == 3
+
+
+def test_pipeline_builds_each_multiplication_matrix_once(monkeypatch,
+                                                         fixtures):
+    # the descent pipeline asks for L_x and R_x many times over; each
+    # distinct (algebra, side, element) is built once
+    from gscohom.descent import (DescentMachine, canonical_free_datum,
+                                 check_descent, verify_pseudonatural)
+    builds = _count_products(monkeypatch)
+    twisted, _ = presets.twisted_diamond()
+    for name, p in dict(fixtures, twisted_diamond=twisted).items():
+        del builds[:]
+        machine = DescentMachine(p)
+        if p.is_strict():
+            assert check_descent(canonical_free_datum(machine))[
+                "classification"] == "descent", name
+        report = verify_pseudonatural(machine, {
+            o: [FinModule.free(a)] for o, a in p.algebras.items()})
+        assert report["checked"] > 0 and not report["failures"], name
+        assert len(builds) == len(set(builds)), name

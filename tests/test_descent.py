@@ -16,6 +16,7 @@ from gscohom.descent import (DescentMachine, PreDescentDatum, check_descent,
                              QPresheafObject, q_functor_hom_check,
                              verify_pseudonatural, check_semiseparated,
                              ExactnessFailure, CentralityRequired)
+from gscohom.fincat import slice_category
 from gscohom import algebra, descent, presets
 
 
@@ -445,6 +446,86 @@ def test_tensor_memo_keeps_check_descent_verdicts(monkeypatch, fixtures):
         assert len(keys) == len(calls), name
 
 
+# -- the per-machine memo of induced maps between tensor quotients
+
+def _count_tensor_maps(monkeypatch):
+    """Each build of a tensor_map, seen as its x (x) 1 factor."""
+    built = []
+    real = RatMatrix.kron
+
+    def counted(mat, other):
+        if sys._getframe(1).f_code.co_name == "tensor_map":
+            built.append(mat)
+        return real(mat, other)
+
+    monkeypatch.setattr(RatMatrix, "kron", counted)
+    return built
+
+
+def test_tensor_map_is_built_once_per_key(monkeypatch):
+    p = presets.v_poset_commutative()
+    machine = DescentMachine(p)
+    dn = p.algebras["U0"]
+    name = "U01->U0"
+    free = machine.tensor(FinModule.free(dn), name)
+    trivial = machine.tensor(FinModule(
+        dn, 2, [RatMatrix.identity(2), RatMatrix.zeros(2, 2)]), name)
+    x = RatMatrix.from_rows([[1, 0], [0, 0]])
+    direct = trivial.project @ x.kron(RatMatrix.identity(1)) @ free.section
+    built = _count_tensor_maps(monkeypatch)
+    assert "_memo_tensor_map" not in vars(machine)
+    first = machine.tensor_map(x, free, trivial, name)
+    assert first == direct and len(built) == 1
+    # an equal x built apart, with Fraction entries, is the same key
+    again = machine.tensor_map(RatMatrix.from_rows([[F(1), 0], [0, 0]]),
+                               free, trivial, name)
+    assert again is first and len(built) == 1
+    # other quotients or another x are other keys
+    other = machine.tensor_map(x, free, free, name)
+    assert other is not first and len(built) == 2
+    machine.tensor_map(RatMatrix.identity(2), free, trivial, name)
+    assert len(built) == 3 == len(vars(machine)["_memo_tensor_map"])
+    # a new machine starts empty
+    assert DescentMachine(p).tensor_map(x, free, trivial, name) == first
+    assert len(built) == 4
+
+
+def test_tensor_map_memo_keeps_descent_verdicts(monkeypatch, fixtures):
+    # check_descent, a morphism check and the pseudonaturality check ask
+    # for induced maps many times; each distinct key is built once, equal
+    # to a direct build, and the verdicts do not move
+    built = _count_tensor_maps(monkeypatch)
+    calls = []
+    memoised = DescentMachine.tensor_map
+
+    def recorded(machine, *key):
+        calls.append(key)
+        return memoised(machine, *key)
+
+    monkeypatch.setattr(DescentMachine, "tensor_map", recorded)
+    twisted, samples = _twisted_diamond_samples()
+    for name, p in dict(fixtures, twisted_diamond=twisted).items():
+        del built[:], calls[:]
+        machine = DescentMachine(p)
+        if p.is_strict():
+            datum = canonical_free_datum(machine)
+            ident = {o: RatMatrix.identity(datum.modules[o].dim)
+                     for o in p.category.objects}
+            for _ in range(2):
+                assert check_descent(datum)["classification"] == \
+                    "descent", name
+                assert check_datum_morphism(datum, datum, ident) == [], name
+        report = verify_pseudonatural(machine, {
+            o: [FinModule.free(a)] for o, a in p.algebras.items()})
+        assert report["checked"] > 0 and not report["failures"], name
+        assert len(built) == len(set(calls)) < len(calls), name
+        for (x, src_q, tgt_q, arrow), mat in \
+                vars(machine)["_memo_tensor_map"].items():
+            dim_w = machine.hom(arrow).target.dim
+            assert mat == tgt_q.project @ x.kron(
+                RatMatrix.identity(dim_w)) @ src_q.section, name
+
+
 # -- the per-machine memo of can^{u,v}
 
 def _cans(machine):
@@ -525,6 +606,25 @@ def test_can_inverses_are_computed_once_per_key(monkeypatch):
     assert len(of_cans) == len(keys) < 3 * rep["checked"]
     del inverted[:]
     assert verify_pseudonatural(machine, samples) == rep and not inverted
+
+
+def test_comparison_presheaf_trips_on_a_non_functorial_transition(
+        monkeypatch):
+    # over the top of the diamond the slice has composable arrows; doubling
+    # one transition that is not an identity breaks F(f) F(g) = F(g f)
+    p = presets.diamond_mixed()
+    top = next(o for o in p.category.objects
+               if len(slice_category(p.category, o).objects) == 4)
+    q = QPresheafObject(DescentMachine(p), top,
+                        FinModule.free(p.algebras[top]))
+    sl = q.slice
+    arrow = next(f for f in sorted(sl.morphisms) for g in sl.morphisms
+                 if not sl.is_identity(f) and not sl.is_identity(g)
+                 and sl.target(f) == sl.source(g))
+    monkeypatch.setitem(q.transitions, arrow, q.transitions[arrow].scale(2))
+    with pytest.raises(VerificationFailed,
+                       match=r"^the transitions are not functorial on "):
+        q._check_functorial()
 
 
 _DESCENT_CHECKS_SCRIPT = '''

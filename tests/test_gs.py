@@ -632,9 +632,13 @@ print(outcome(lambda: into_q.compose(into_dn)))
 print(outcome(lambda: module_hom_space(FinModule.free(q), FinModule.free(dn))))
 # relations in Q^2 presented as living in Q^1
 print(outcome(lambda: quotient_by_columns(1, RatMatrix.identity(2))))
-# the complement check, with an inverse that is never found
-RatMatrix.inverse = lambda self: None
+# the complement certificate, fed an elimination whose reduced rows are
+# doubled: the inverse it reads off them is twice the true one
+real_rref = RatMatrix._rref
+RatMatrix._rref = lambda self: {c: {j: 2 * x for j, x in row.items()}
+                                for c, row in real_rref(self).items()}
 print(outcome(lambda: quotient_by_columns(2, RatMatrix.identity(2))))
+RatMatrix._rref = real_rref
 # a 2-cochain of the dual numbers given as a 2 x 2 matrix (it is 2 x 4)
 dual = FinBimodule.regular(dn)
 print(outcome(lambda: HCochain(dn, dual, 2, RatMatrix.identity(2))))

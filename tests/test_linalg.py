@@ -663,6 +663,34 @@ def test_memo_keeps_one_table_per_instance():
                                                             (2, 3): 6}
 
 
+def test_memo_hits_return_the_stored_object():
+    # a hit returns the very object the one call stored, None included;
+    # a call that raises stores nothing and its error carries no trace of
+    # the missed lookup
+    calls = []
+
+    class Inverses:
+        @linalg.memo()
+        def inverse(self, x):
+            calls.append(x)
+            if x == "bad":
+                raise VerificationFailed("no inverse of %s" % x)
+            return None if x == 0 else [F(1, x)]
+
+    inv = Inverses()
+    first = inv.inverse(4)
+    assert all(inv.inverse(4) is first for _ in range(3)) and calls == [4]
+    assert inv.inverse(0) is None and inv.inverse(0) is None
+    assert calls == [4, 0]
+    for _ in range(2):
+        with pytest.raises(VerificationFailed) as caught:
+            inv.inverse("bad")
+        assert caught.value.__context__ is None
+    assert calls == [4, 0, "bad", "bad"]
+    assert inv._memo_inverse == {(4,): [F(1, 4)], (0,): None}
+    assert "_memo_inverse" not in vars(Inverses())
+
+
 def test_memo_tables_die_with_their_instance():
     # a memo held outside the instance (a global functools.cache) would
     # keep the complex and the machine alive

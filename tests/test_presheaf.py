@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+from gscohom.algebra import FinAlgebra
 from gscohom.linalg import RatMatrix
 from gscohom.presheaf import TwistedPresheaf, check_twisted_morphism
 from gscohom import presets
@@ -142,6 +143,33 @@ def test_central_twists_detection():
     twisted_nc = TwistedPresheaf(cat, p.algebras, p.restrictions,
                                  {(ident0, ident0): elt})
     assert not twisted_nc.has_central_twists()
+
+
+def test_twist_verdicts_are_decided_once_per_presheaf(monkeypatch):
+    # is_central runs once per twist and z on the first has_central_twists
+    # call; later calls of both verdicts read the presheaf's memo
+    central = []
+    real = FinAlgebra.is_central
+
+    def counted(algebra, x):
+        central.append((algebra, tuple(x)))
+        return real(algebra, x)
+
+    monkeypatch.setattr(FinAlgebra, "is_central", counted)
+    twisted, _ = presets.twisted_diamond()
+    elements = twisted._twist_elements()
+    assert "_memo_has_central_twists" not in vars(twisted)
+    assert twisted.has_central_twists() and len(central) == len(elements)
+    assert not twisted.is_strict()
+    for _ in range(3):
+        assert twisted.has_central_twists() and not twisted.is_strict()
+    assert len(central) == len(elements)
+    assert vars(twisted)["_memo_has_central_twists"] == {(): True}
+    assert vars(twisted)["_memo_is_strict"] == {(): False}
+    # an equal presheaf built apart starts empty and decides again
+    again, _ = presets.twisted_diamond()
+    assert again.has_central_twists()
+    assert len(central) == 2 * len(elements)
 
 
 def test_identity_morphism_is_isomorphism(fixtures):

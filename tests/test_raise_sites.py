@@ -29,6 +29,10 @@ TRIPPED_BY = {
     ("descent", "DescentMachine.can_inverse", "VerificationFailed", 0):
         "test_descent.py::"
         "test_descent_and_presheaf_checks_raise_under_python_O",
+    ("descent", "QPresheafObject._check_functorial", "VerificationFailed",
+     0):
+        "test_descent.py::"
+        "test_comparison_presheaf_trips_on_a_non_functorial_transition",
     ("descent", "check_descent", "VerificationFailed", 0):
         "test_descent.py::"
         "test_descent_and_presheaf_checks_raise_under_python_O",
