@@ -118,6 +118,22 @@ class FiniteCategory:
             simplices.sort(key=lambda s: s.arrows)
         return tuple(simplices)
 
+    @memo()
+    def faces(self, p):
+        """The face table of degree p: per (p+1)-simplex, in nerve order,
+        the positions in nerve(p) of its faces d_0, ..., d_{p+1}."""
+        position = {s.key(): k for k, s in enumerate(self.nerve(p))}
+        return tuple(tuple(position[self.face_key(s.key(), i)]
+                           for i in range(p + 2)) for s in self.nerve(p + 1))
+
+    def face_key(self, key, i):
+        """The key of the i-th face of the simplex with key (domain, u_1,
+        ..., u_p): drop u_1 (i=0) or u_p (i=p), or compose u_{i+1} u_i."""
+        if i == 0:
+            return (self.target(key[1]),) + key[2:]
+        return key[:-1] if i == len(key) - 1 else \
+            key[:i] + (self.compose(key[i + 1], key[i]),) + key[i + 2:]
+
 
 class Simplex:
     """A p-simplex: composable arrows u_1, ..., u_p from `domain` to `codomain`."""
@@ -136,10 +152,6 @@ class Simplex:
             tail = cat.target(name)
         self.codomain = tail
 
-    @property
-    def degree(self):
-        return len(self.arrows)
-
     def objects(self):
         """The object chain (U_0, ..., U_p)."""
         out = [self.domain]
@@ -147,26 +159,13 @@ class Simplex:
             out.append(self.cat.target(name))
         return tuple(out)
 
-    def composite(self):
-        """The composite arrow domain -> codomain (identity for degree 0)."""
-        acc = self.cat.identity(self.domain)
-        for name in self.arrows:
-            acc = self.cat.compose(name, acc)
-        return acc
-
     def face(self, i):
-        """The i-th face: drop the first arrow (i=0), the last (i=p), or
-        compose u_{i+1} u_i for interior i."""
-        p = self.degree
-        if not (0 <= i <= p) or p == 0:
-            raise IndexError("face index %d out of range for a %d-simplex" % (i, p))
-        if i == 0:
-            return Simplex(self.cat, self.arrows[1:], self.cat.target(self.arrows[0]))
-        if i == p:
-            return Simplex(self.cat, self.arrows[:-1], self.domain)
-        merged = self.cat.compose(self.arrows[i], self.arrows[i - 1])
-        return Simplex(self.cat, self.arrows[:i - 1] + (merged,) + self.arrows[i + 1:],
-                       self.domain)
+        """The i-th face (`FiniteCategory.face_key`)."""
+        if not 0 <= i <= len(self.arrows) or not self.arrows:
+            raise IndexError("face index %d out of range for a %d-simplex"
+                             % (i, len(self.arrows)))
+        key = self.cat.face_key(self.key(), i)
+        return Simplex(self.cat, key[1:], key[0])
 
     def is_degenerate(self):
         return any(self.cat.is_identity(a) for a in self.arrows)

@@ -134,14 +134,27 @@ class GSComplex:
 
     # -- differentials
 
-    @memo(key=lambda self, sigma: sigma.key())
-    def bimodule_along(self, sigma):
-        """A(d sigma) as an A(c sigma)-bimodule through f^sigma (cached per
-        simplex)."""
-        return FinBimodule.along(AlgebraHom(
-            self.presheaf.algebras[sigma.codomain],
-            self.presheaf.algebras[sigma.domain],
-            self.presheaf.restriction_along(sigma), check=False))
+    @memo()
+    def _restrictions(self, p):
+        """f^sigma per p-simplex sigma, in nerve order: the product of the
+        restrictions along sigma, carried as f^{d_p sigma} f^{u_p}."""
+        if p == 0:
+            return [RatMatrix.identity(self.presheaf.algebras[obj].dim)
+                    for obj in self.category.objects]
+        below = self._restrictions(p - 1)
+        return [self._then(below[faces[-1]], s.arrows[-1]) for s, faces
+                in zip(self.category.nerve(p), self.category.faces(p - 1))]
+
+    @memo()
+    def _then(self, f, u):
+        return f @ self.presheaf.restrictions[u]
+
+    @memo()
+    def _bimodule(self, c, d, f):
+        """A(d) as an A(c)-bimodule through f: A(c) -> A(d)."""
+        algebras = self.presheaf.algebras
+        return FinBimodule.along(AlgebraHom(algebras[c], algebras[d], f,
+                                            check=False))
 
     def simp_block(self, p, q):
         """d_simp: C^{p,q} -> C^{p+1,q} (row differential)."""
@@ -150,21 +163,17 @@ class GSComplex:
     def hoch_block(self, p, q):
         """d_Hoch: C^{p,q} -> C^{p,q+1} (column differential), block
         diagonal over the p-simplices."""
-        return RatMatrix.block_diag([self._local_hoch(sigma, q)
-                                     for sigma in self.category.nerve(p)])
+        return RatMatrix.block_diag([self._local_hoch(
+            s.codomain, self._bimodule(s.codomain, s.domain, f), q)
+            for s, f in zip(self.category.nerve(p), self._restrictions(p))])
 
-    def _local_hoch_key(self, sigma, q):
-        bimod = self.bimodule_along(sigma)
-        return sigma.codomain, bimod.dim, bimod.left, bimod.right, q
-
-    @memo(key=_local_hoch_key)
-    def _local_hoch(self, sigma, q):
-        """hoch_differential of A(c sigma) with values in A(d sigma),
-        memoised per complex on the algebra's object, the bimodule's actions
-        and q: a composite's bimodule often equals a 1-simplex's, so most
-        sharing is across p."""
-        return hoch_differential(self.presheaf.algebras[sigma.codomain],
-                                 self.bimodule_along(sigma), q)
+    @memo(key=lambda self, obj, bimod, q: (obj, bimod.dim, bimod.left,
+                                           bimod.right, q))
+    def _local_hoch(self, obj, bimod, q):
+        """hoch_differential of A(obj) into bimod, memoised on the object,
+        the actions and q: a composite's bimodule often equals a
+        1-simplex's, so most sharing is across p."""
+        return hoch_differential(self.presheaf.algebras[obj], bimod, q)
 
     @memo()
     def differential(self, n):

@@ -29,9 +29,9 @@ the chosen representatives, and `Subspace.basis` when it is read.
 `RatMatrix.from_blocks` is the one routine that places blocks: it sums
 (row offset, column offset, block) triples into one matrix, adding entries
 where blocks overlap.  `hstack`, `vstack`, `block`, `block_diag` and `+`
-call it, and so do the cochain maps of the simplicial, slice and Cech
-complexes, which are built per simplex or per tuple from restriction and
-identity blocks.
+call it, and so do the slice and Cech cochain maps.  The simplicial
+differential writes its entries straight into one dict instead, at the
+faces' positions in the nerve's face table (`simplicial.PairComplex`).
 
 `cohomology` is the one place where cohomology is computed.  The
 Hochschild, simplicial, Cech and total complexes reach it through

@@ -13,13 +13,11 @@ against A pulled back to it, so its layout and differential are those of
 `PairComplex`.  The embedding A -> A^0 comes with it.
 
 Cochain blocks are flattened column-major (input index outer, output index
-inner); simplices are ordered as produced by the nerve, which is
-deterministic.
+inner), simplices in nerve order; d is written entry by entry at the faces'
+positions in the category's face table (`FiniteCategory.faces`).
 """
 
-from functools import cache
-
-from .linalg import (RatMatrix, VerificationFailed, memo,
+from .linalg import (RatMatrix, VerificationFailed, _tidy, memo,
                      subcomplex_cohomology)
 from .algebra import InvalidStructure
 from .fincat import Simplex, slice_category
@@ -124,30 +122,39 @@ class PairComplex:
 
     @memo()
     def differential(self, p):
-        """Matrix of d_simp: C^p -> C^{p+1}, placed face by face.
+        """Matrix of d_simp: C^p -> C^{p+1}, written entry by entry.
 
         With vec(L X R) = (R^T (x) L) vec X on column-major cochains, the
         face d_0 of sigma = (u_1, ..., u_{p+1}) post-composes with F(u_1),
         the block 1_cols (x) F(u_1); the face d_{p+1} pre-composes with
-        G(u_{p+1}), the block (-1)^{p+1} G(u_{p+1})^T (x) 1_rows; and an
-        interior face d_i is (-1)^i times the identity.  Each distinct
-        block is built once per call.
-        """
-        one = RatMatrix.identity
-        last_sign = (-1) ** (p + 1)
-        post = cache(lambda u, cols: one(cols).kron(self.f.maps[u]))
-        pre = cache(lambda u, rows: self.g.maps[u].transpose().kron(
-            one(rows)).scale(last_sign))
-        interior = cache(lambda size, sign: one(size).scale(sign))
-        index_in = self.block_index(p)
-        placed = []
-        for sigma, rows, cols, off_out in self.layout(p + 1)[0]:
-            faces = [post(sigma.arrows[0], cols)] + \
-                [interior(rows * cols, (-1) ** i) for i in range(1, p + 1)] + \
-                [pre(sigma.arrows[-1], rows)]
-            placed.extend((off_out, index_in[sigma.face(i).key()][2], block)
-                          for i, block in enumerate(faces))
-        return RatMatrix.from_blocks(self.dim(p + 1), self.dim(p), placed)
+        G(u_{p+1}), the block (-1)^{p+1} G(u_{p+1})^T (x) 1_rows; an
+        interior face d_i is a run of (-1)^i.  Faces that coincide in the
+        face table (`FiniteCategory.faces`) add up."""
+        offsets = [off for *_, off in self.layout(p)[0]]
+        d = {}
+        for (sigma, rows, cols, out), faces in zip(self.layout(p + 1)[0],
+                                                   self.category.faces(p)):
+            for pos, entries, sign in (
+                    (faces[0], self._outer(sigma.arrows[0], cols, False), 1),
+                    (faces[-1], self._outer(sigma.arrows[-1], rows, True),
+                     (-1) ** (p + 1))):
+                col = offsets[pos]
+                for (i, j), v in entries:
+                    key = (out + i, col + j)
+                    d[key] = d.get(key, 0) + sign * v
+            for i in range(1, p + 1):
+                col, sign = offsets[faces[i]] - out, (-1) ** i
+                for k in range(out, out + rows * cols):
+                    d[(k, col + k)] = d.get((k, col + k), 0) + sign
+        return RatMatrix._trusted(self.dim(p + 1), self.dim(p), _tidy(d))
+
+    @memo()
+    def _outer(self, u, size, last):
+        """The entries of 1_size (x) F(u) for d_0, or of G(u)^T (x) 1_size
+        unsigned for the last face; built once per pair complex."""
+        one = RatMatrix.identity(size)
+        return (self.g.maps[u].transpose().kron(one) if last
+                else one.kron(self.f.maps[u]))._d.items()
 
     def reduced_coordinates(self, p):
         """Flat coordinates supported on non-degenerate simplices (a

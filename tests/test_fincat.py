@@ -1,7 +1,8 @@
 import pytest
 
 from gscohom.fincat import (FiniteCategory, InvalidCategory, Morphism,
-                            MeetPoset, NoMeet, poset_category, slice_category)
+                            MeetPoset, NoMeet, Simplex, poset_category,
+                            slice_category)
 from gscohom import presets
 
 
@@ -80,6 +81,14 @@ def test_meet_poset():
         MeetPoset(["a", "b"], [])
 
 
+def composite(sigma):
+    """The composite arrow of a simplex (the identity for degree 0)."""
+    acc = sigma.cat.identity(sigma.domain)
+    for name in sigma.arrows:
+        acc = sigma.cat.compose(name, acc)
+    return acc
+
+
 def test_slice_category():
     cat = v_cat()
     sl = slice_category(cat, "U0")
@@ -92,7 +101,7 @@ def test_slice_category():
                 sl.compose(g, f)
     # composite of a simplex recovers an arrow into the anchor
     for s in sl.nerve(1):
-        assert sl.target(s.composite()) == s.codomain
+        assert sl.target(composite(s)) == s.codomain
 
 
 def _monoid(products):
@@ -143,3 +152,36 @@ def test_morphism_is_an_immutable_ordered_triple():
     assert [(x.name, x.source, x.target) for x in sorted(arrows)] == [
         ("a", "b", "a"), ("a", "b", "c"), ("a", "z", "a"), ("b", "a", "a")]
     assert repr(m) == "U01->U0: U01 -> U0"
+
+
+def _fixture_categories():
+    return dict({name: p.category
+                 for name, p in presets.standard_fixtures().items()},
+                twisted_diamond=presets.twisted_diamond()[0].category)
+
+
+@pytest.mark.parametrize("name", sorted(_fixture_categories()))
+def test_face_table_matches_simplex_faces(name, monkeypatch):
+    # row k of the degree-p table lists the positions in nerve(p) of the
+    # faces of the k-th (p+1)-simplex, as Simplex.face forms them
+    cat = _fixture_categories()[name]
+    for p in range(5):
+        table = cat.faces(p)
+        nerve, above = cat.nerve(p), cat.nerve(p + 1)
+        assert len(table) == len(above)
+        for k, sigma in enumerate(above):
+            assert table[k] == tuple(nerve.index(sigma.face(i))
+                                     for i in range(p + 2)), (p, k)
+    # each (category, p) table is built once
+    monkeypatch.setattr(FiniteCategory, "face_key", None)
+    assert all(cat.faces(p) is cat.faces(p) for p in range(5))
+    with pytest.raises(ValueError, match="no simplices of degree -1"):
+        cat.faces(-1)
+
+
+def test_a_simplex_of_arrows_that_do_not_compose_is_refused():
+    cat = v_cat()
+    with pytest.raises(InvalidCategory, match=r"arrows \('U01->U0', "
+                                              r"'U01->U1'\) are not "
+                                              "composable"):
+        Simplex(cat, ("U01->U0", "U01->U1"), "U01")

@@ -629,15 +629,17 @@ def test_memo_keys_from_ints_hit_entries_built_from_fractions(monkeypatch):
     assert machine.tensor(ints, "U01->U0") is built
     # GSComplex keys each local Hochschild differential on the bimodule
     gs = gs_module.GSComplex(p)
-    sigma = next(s for s in gs.category.nerve(1) if not s.is_degenerate())
-    first = gs._local_hoch(sigma, 2)
-    bimod = gs.bimodule_along(sigma)
-    gs._memo_bimodule_along[sigma.key()] = FinBimodule(
+    k, sigma = next((k, s) for k, s in enumerate(gs.category.nerve(1))
+                    if not s.is_degenerate())
+    bimod = gs._bimodule(sigma.codomain, sigma.domain,
+                         gs._restrictions(1)[k])
+    first = gs._local_hoch(sigma.codomain, bimod, 2)
+    fractions = FinBimodule(
         bimod.left_algebra, bimod.right_algebra, bimod.dim,
         [as_fractions(m) for m in bimod.left],
         [as_fractions(m) for m in bimod.right], check=False)
     monkeypatch.setattr(gs_module, "hoch_differential", None)
-    assert gs._local_hoch(sigma, 2) is first
+    assert gs._local_hoch(sigma.codomain, fractions, 2) is first
 
 
 def test_memo_keeps_one_table_per_instance():

@@ -16,7 +16,8 @@ from collections import Counter
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(HERE, "..", "src", "gscohom")
 
-CHECK_ERRORS = ("VerificationFailed", "ComplexViolation", "NotASubcomplex")
+CHECK_ERRORS = ("VerificationFailed", "ComplexViolation", "NotASubcomplex",
+                "InvalidCategory")
 
 TRIPPED_BY = {
     ("algebra", "quotient_by_columns", "VerificationFailed", 0):
@@ -45,6 +46,17 @@ TRIPPED_BY = {
     ("descent", "pointwise_cokernel", "VerificationFailed", 1):
         "test_descent.py::"
         "test_pointwise_cokernel_trips_when_phi_is_not_well_defined",
+    ("fincat", "FiniteCategory._validate", "InvalidCategory", 0):
+        "test_fincat.py::test_explicit_categories_are_validated",
+    ("fincat", "FiniteCategory._validate", "InvalidCategory", 1):
+        "test_fincat.py::test_explicit_categories_are_validated",
+    ("fincat", "FiniteCategory._validate", "InvalidCategory", 2):
+        "test_fincat.py::test_explicit_categories_are_validated",
+    ("fincat", "FiniteCategory._validate", "InvalidCategory", 3):
+        "test_fincat.py::test_explicit_categories_are_validated",
+    ("fincat", "Simplex.__init__", "InvalidCategory", 0):
+        "test_fincat.py::"
+        "test_a_simplex_of_arrows_that_do_not_compose_is_refused",
     ("gs", "GSComplex.check_subcomplex", "NotASubcomplex", 0):
         "test_gs.py::test_check_subcomplex_trips_on_a_dropped_coordinate",
     ("gs", "GSComplex.cohomology_kinds", "VerificationFailed", 0):
