@@ -338,12 +338,6 @@ class FinBimodule:
     def regular(a):
         return FinBimodule.along(AlgebraHom.identity(a))
 
-    def opposite(self):
-        """M^op over A^op: left and right actions swapped."""
-        return FinBimodule(self.right_algebra.opposite(),
-                           self.left_algebra.opposite(),
-                           self.dim, self.right, self.left, check=False)
-
 
 def eps_element(top, eps):
     """The element of A[eps] with top part top and eps-part eps, as a

@@ -23,13 +23,11 @@ import sys
 
 # only what every command needs; each command imports the modules it runs,
 # so that a process loads and compiles no more than its command uses
-from .linalg import (COMPLEX_KINDS, ComplexViolation, NotASubcomplex,
-                     UsageError, VerificationFailed)
+from .linalg import (ACTION_CONVENTION, COMPLEX_KINDS, ComplexViolation,
+                     NotASubcomplex, UsageError, VerificationFailed)
 from .project import (load_project, SchemaError, algebra_json, matrix_json,
                       vector_json, SCHEMA, _entries, _known, _object,
                       _required, _sized_matrix, _sized_vector)
-
-from .shuffles import ACTION_CONVENTION
 
 IDEMPOTENT_CONSTRUCTION = ("lagrange-interpolation/total-signed-shuffle;"
                            + ACTION_CONVENTION)

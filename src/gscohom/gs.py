@@ -266,17 +266,6 @@ class GSComplex:
         betti, reps = subcomplex_cohomology(self.differential, n, keep, check)
         return betti, [self.unflatten_cochain(n, v) for v in reps]
 
-    def cohomology_kinds(self, n, kinds):
-        """Betti numbers per subcomplex kind; the quasi-isomorphic flavours
-        (everything except the truncations) must agree, and that agreement
-        is the numeric witness (VerificationFailed otherwise)."""
-        out = {kind: self.cohomology(n, kind)[0] for kind in kinds}
-        witness = {out[k] for k in kinds if "truncated" not in k}
-        if len(witness) > 1:
-            raise VerificationFailed(
-                "quasi-isomorphism witness failed at degree %d: %s" % (n, out))
-        return out
-
     # -- the opposite-cochain isomorphism
 
     def op_matrix(self, n):

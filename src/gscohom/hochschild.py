@@ -20,7 +20,7 @@ from functools import partial
 from itertools import product
 
 from .linalg import RatMatrix, flatten, subcomplex_cohomology, unflatten
-from .algebra import AlgebraHom, FinBimodule, InvalidStructure, eps_block
+from .algebra import FinBimodule, InvalidStructure
 from .shuffles import perm_action_matrix
 
 
@@ -140,16 +140,6 @@ def op_matrix(n, m_dim, a_dim):
     return perm_action_matrix(reversal, m_dim, a_dim).scale(op_sign(n))
 
 
-def op_cochain(phi):
-    """The opposite cochain over (A^op, M^op): reverse the arguments and
-    multiply by the degree sign (identity in degree 1, swap in degree 2,
-    negated reversal in degree 3, ...)."""
-    d, m = phi.algebra.dim, phi.bimodule.dim
-    flat = op_matrix(phi.n, m, d).apply(flatten(phi.matrix))
-    return HCochain(phi.algebra.opposite(), phi.bimodule.opposite(), phi.n,
-                    unflatten(flat, m, d ** phi.n))
-
-
 def hh_algebra(algebra, bimodule, n, normalized=False):
     """Hochschild cohomology HH^n(A, M): (betti, representative cochains).
 
@@ -182,19 +172,3 @@ def deformation_cocycle_check(algebra, m1_matrix):
     bim = FinBimodule.regular(algebra)
     phi = HCochain(algebra, bim, 2, m1_matrix)
     return is_normalized(phi) and d_hoch(phi).is_zero()
-
-
-def algebra_deformation_equivalence(algebra, m1, m1_prime, g1_matrix):
-    """Check that 1 + g1*eps is an isomorphism (A[eps], m + m1 eps) ->
-    (A[eps], m + m1' eps), and the cochain identity d(g1) = m1 - m1' with
-    g1 normalized; both verdicts are returned for cross-checking."""
-    g_block = eps_block(RatMatrix.identity(algebra.dim), g1_matrix)
-    g_hom = AlgebraHom(algebra.dual_extension(m1),
-                       algebra.dual_extension(m1_prime), g_block, check=False)
-    axiom_verdict = g_hom.is_multiplicative() and g_hom.is_unital()
-
-    bim = FinBimodule.regular(algebra)
-    g1 = HCochain(algebra, bim, 1, g1_matrix)
-    cochain_verdict = is_normalized(g1) and \
-        d_hoch(g1).matrix == m1 - m1_prime
-    return axiom_verdict, cochain_verdict

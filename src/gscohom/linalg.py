@@ -119,6 +119,8 @@ KINDS = ("full", "normalized", "normalized_reduced", "truncated",
 # the --kind values of each complex of `gscohom cohomology`
 COMPLEX_KINDS = {"hoch": ("full", "normalized"), "simp": ("full", "reduced"),
                  "cech": ("full", "alternating"), "gs": KINDS}
+# how `shuffles` lets permutations act on cochains, as the CLI reports it
+ACTION_CONVENTION = "inverse-place-permutation/signs-in-operator"
 
 
 def exact(x):
@@ -649,9 +651,6 @@ class Subspace:
 
     def matrix(self):
         return self._m
-
-    def contains(self, v):
-        return self._m.solve(tuple(v)) is not None
 
     def __repr__(self):
         return "Subspace(dim %d of %d)" % (self.dim, self.ambient_dim)

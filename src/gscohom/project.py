@@ -105,6 +105,30 @@ def _object(value, path):
     return value
 
 
+def _list(value, path):
+    """value, or a SchemaError at path when it is not a JSON array."""
+    if not isinstance(value, list):
+        raise SchemaError("%s: expected a list" % path)
+    return value
+
+
+def _name(block, key, path):
+    """The string block[key], or a SchemaError at path/key when it is
+    absent or not a string."""
+    value = _required(block, key, path)
+    if not isinstance(value, str):
+        raise SchemaError("%s/%s: expected a name, got %r"
+                          % (path, key, value))
+    return value
+
+
+def _objects(block):
+    """The object names of the category block."""
+    numbered = dict(enumerate(_list(_required(block, "objects", "/category"),
+                                    "/category/objects")))
+    return [_name(numbered, k, "/category/objects") for k in numbered]
+
+
 def _entries(block, key, path):
     """The items of the optional object block[key], or a SchemaError at
     path/key when it is not a JSON object."""
@@ -121,7 +145,7 @@ def _known(name, names, path):
 def _relations(block):
     """The poset relations [V, U] of the category block, as pairs."""
     pairs = []
-    for k, rel in enumerate(block["relations"]):
+    for k, rel in enumerate(_list(block["relations"], "/category/relations")):
         if not (isinstance(rel, list) and len(rel) == 2):
             raise SchemaError("/category/relations/%d: expected [V, U]" % k)
         pairs.append(tuple(rel))
@@ -158,30 +182,34 @@ class Project:
 
 def _load_category(block):
     if "relations" in block:
-        return poset_category(block["objects"], _relations(block))
-    morphisms = [Morphism(m["name"], m["source"], m["target"])
-                 for m in _required(block, "morphisms", "/category")]
-    comp = {}
-    for key, val in _required(block, "composition", "/category").items():
-        comp[_pair_key(key, "/category/composition/%s" % key)] = val
+        return poset_category(_objects(block), _relations(block))
+    morphisms = []
+    for k, m in enumerate(_list(_required(block, "morphisms", "/category"),
+                                "/category/morphisms")):
+        path = "/category/morphisms/%d" % k
+        morphisms.append(Morphism(*(_name(_object(m, path), key, path)
+                                    for key in Morphism._fields)))
+    path = "/category/composition"
+    table = _object(_required(block, "composition", "/category"), path)
+    comp = {_pair_key(key, "%s/%s" % (path, key)): _name(table, key, path)
+            for key in table}
+    path = "/category/identities"
+    table = _object(_required(block, "identities", "/category"), path)
+    identities = {obj: _name(table, obj, path) for obj in table}
     try:
-        return FiniteCategory(_required(block, "objects", "/category"),
-                              morphisms, comp,
-                              _required(block, "identities", "/category"))
+        return FiniteCategory(_objects(block), morphisms, comp, identities)
     except InvalidCategory as exc:
         raise SchemaError("/category: %s" % exc)
 
 
 def _load_algebra(name, block):
     path = "/algebras/%s" % name
-    basis = _required(block, "basis", path)
-    if not isinstance(basis, list):
-        raise SchemaError("%s/basis: expected a list" % path)
-    dim = len(basis)
+    _object(block, path)
+    dim = len(_list(_required(block, "basis", path), path + "/basis"))
     zero = [Fraction(0)] * dim
     mult = [[list(zero) for _ in range(dim)] for _ in range(dim)]
     seen = set()
-    for entry in _required(block, "mult", path):
+    for entry in _list(_required(block, "mult", path), path + "/mult"):
         i, j, coeffs = entry if isinstance(entry, list) and len(entry) == 3 \
             else (None, None, None)
         if not (type(i) is type(j) is int and 0 <= i < dim and 0 <= j < dim
@@ -215,8 +243,7 @@ def load_project(path_or_dict):
     poset = None
     if "relations" in raw["category"]:
         try:
-            poset = MeetPoset(_required(raw["category"], "objects",
-                                        "/category"),
+            poset = MeetPoset(_objects(raw["category"]),
                               _relations(raw["category"]))
         except NoMeet:
             poset = None
@@ -237,9 +264,7 @@ def load_project(path_or_dict):
     given = _object(_required(pblock, "restrictions", "/presheaf"),
                     "/presheaf/restrictions")
     for obj in category.objects:
-        if obj not in assignment:
-            raise SchemaError("/presheaf/algebras/%s: missing" % obj)
-        if assignment[obj] not in algebras:
+        if _name(assignment, obj, "/presheaf/algebras") not in algebras:
             raise SchemaError("/presheaf/algebras/%s: unknown algebra %r"
                               % (obj, assignment[obj]))
     alg_of = {obj: algebras[assignment[obj]] for obj in category.objects}
@@ -392,22 +417,4 @@ def presheaf_json(presheaf, algebra_names):
     zs = {obj: vector_json(val) for obj, val in presheaf.z.items()}
     if zs:
         out["z"] = zs
-    return out
-
-
-def project_json(category_block, algebras, presheaf, algebra_names,
-                 cochains=None, modules=None, data=None):
-    out = {
-        "schema": SCHEMA,
-        "category": category_block,
-        "algebras": {name: algebra_json(alg)
-                     for name, alg in algebras.items()},
-        "presheaf": presheaf_json(presheaf, algebra_names),
-    }
-    if cochains:
-        out["cochains"] = cochains
-    if modules:
-        out["modules"] = modules
-    if data:
-        out["data"] = data
     return out

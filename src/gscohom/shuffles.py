@@ -28,13 +28,13 @@ The Hodge layer (`gs`) does not act by the idempotents at all: on every
 cochain space the image of e_n(r) is the lambda_r-eigenspace of the action
 of s_n, which has 2^n - 2 terms against up to n! for e_n(r), and `gs`
 certifies per cell that those eigenspaces fill the space
-(`gs.GSComplex.hodge_eigendata`).  The idempotents stay as library API
-and as the test oracle of that identity.
+(`gs.GSComplex.hodge_eigendata`).  The idempotents are the test oracle of
+that identity, and demo 04 prints them.
 
 Coefficients are exact: an int where integral, else a Fraction
 (`linalg.exact`; the two compare and hash equal).  Permutations act on
-Hochschild cochains on the right by place permutation of the tensor
-arguments; the shuffle signs live in the operator itself.
+Hochschild cochains on the right by place permutation of the arguments,
+with the shuffle signs in the operator (`linalg.ACTION_CONVENTION`).
 """
 
 from collections import Counter
@@ -265,19 +265,6 @@ def _scaled_family(n):
             if coeffs[r]:
                 terms[r - 1][perm] = sign * coeffs[r]
     return tuple(GroupAlgebraElement(n, t) for t in terms)
-
-
-def eulerian_idempotent(n, r):
-    """e_n(r) with the boundary conventions e_n(0) = 0 for n >= 1,
-    e_n(r) = 0 for r > n, and e_0(0) = 1."""
-    if n == 0:
-        return GroupAlgebraElement.one(0) if r == 0 else GroupAlgebraElement.zero(0)
-    if r < 1 or r > n:
-        return GroupAlgebraElement.zero(n)
-    return eulerian_idempotents(n)[r - 1]
-
-
-ACTION_CONVENTION = "inverse-place-permutation/signs-in-operator"
 
 
 def element_action_matrix(elt, m_dim, a_dim):

@@ -6,21 +6,17 @@ For presheaves of modules G, F the pair complex has
 
 with the differential d = sum (-1)^i d_i, where d_0 post-composes with the
 first restriction map of F, d_{p+1} pre-composes with the last restriction
-map of G, and the interior d_i reindex along the faces.  For a presheaf of
-algebras A, the complex of presheaves A^0 -> A^1 -> ... is the same
-construction on each slice: A^n(U) is the pair complex of the slice C/U
-against A pulled back to it, so its layout and differential are those of
-`PairComplex`.  The embedding A -> A^0 comes with it.
+map of G, and the interior d_i reindex along the faces.  The GS complex
+(`gs`) takes its d_simp blocks from here, and the Cech comparison (`cech`)
+its simplicial side.
 
 Cochain blocks are flattened column-major (input index outer, output index
 inner), simplices in nerve order; d is written entry by entry at the faces'
 positions in the category's face table (`FiniteCategory.faces`).
 """
 
-from .linalg import (RatMatrix, VerificationFailed, _tidy, memo,
-                     subcomplex_cohomology)
+from .linalg import RatMatrix, _tidy, memo, subcomplex_cohomology
 from .algebra import InvalidStructure
-from .fincat import Simplex, slice_category
 
 
 def functoriality_failure(category, maps, dims, identity_fails,
@@ -178,112 +174,3 @@ def presheaf_cohomology(f_presheaf, p, reduced=False):
     constant presheaf)."""
     cx = PairComplex(ModPresheaf.constant(f_presheaf.category), f_presheaf)
     return cx.cohomology(p, reduced=reduced)
-
-
-class PresheafComplex:
-    """The complex of presheaves A^0 -> A^1 -> ... attached to a strict
-    presheaf of algebras, with the embedding A -> A^0 induced by the
-    restriction maps.
-
-    A^n(U) is the degree-n cochain space of the pair complex of the slice
-    C/U, PairComplex(constant(C/U), F_U), where F_U puts A(V) on the slice
-    object V -> U and restricts along the underlying arrow of each slice
-    arrow; phi^{n,U} is that complex's differential, and rho^{n,u} copies
-    the block of u.sigma to the block of sigma."""
-
-    def __init__(self, presheaf, n_max):
-        if not presheaf.is_strict():
-            raise InvalidStructure("the slice complex needs a strict presheaf")
-        self.presheaf = presheaf
-        self.n_max = n_max
-        cat = presheaf.category
-        self.slices = {u: self._slice_complex(u) for u in cat.objects}
-        self.levels = [self._build_level(n) for n in range(n_max + 1)]
-        self.phi = {n: {u: self.slices[u].differential(n)
-                        for u in cat.objects}
-                    for n in range(n_max)}
-        self.eps = {u: self._build_eps(u) for u in cat.objects}
-
-    def _slice_complex(self, u):
-        """The pair complex of constant(C/U) and F_U."""
-        cat = self.presheaf.category
-        sl = slice_category(cat, u)
-        dims = {w: self.presheaf.algebras[cat.source(w)].dim
-                for w in sl.objects}
-        maps = {name: self.presheaf.restrictions[v]
-                for name, v in sl.underlying_arrow.items()}
-        return PairComplex(ModPresheaf.constant(sl),
-                           ModPresheaf(sl, dims, maps, check=False))
-
-    def _build_level(self, n):
-        cat = self.presheaf.category
-        dims = {u: self.slices[u].dim(n) for u in cat.objects}
-        maps = {}
-        for name, m in cat.morphisms.items():
-            # rho^{n,u}: A^n(U) -> A^n(V) copies the block of u.sigma
-            index_u = self.slices[m.target].block_index(n)
-            placed = []
-            for sigma, rows, _, off_v in self.slices[m.source].layout(n)[0]:
-                pushed = self._push_simplex(name, sigma)
-                placed.append((off_v, index_u[pushed.key()][2],
-                               RatMatrix.identity(rows)))
-            maps[name] = RatMatrix.from_blocks(dims[m.source], dims[m.target],
-                                               placed)
-        return ModPresheaf(cat, dims, maps)
-
-    def _push_simplex(self, u_name, sigma):
-        """N_n(C/V) -> N_n(C/U) for u: V -> U, by postcomposing with u."""
-        cat = self.presheaf.category
-        slice_v = self.slices[cat.source(u_name)].category
-        arrows = tuple("%s|%s" % (slice_v.underlying_arrow[arr],
-                                  cat.compose(u_name, slice_v.target(arr)))
-                       for arr in sigma.arrows)
-        return Simplex(self.slices[cat.target(u_name)].category, arrows,
-                       cat.compose(u_name, sigma.domain))
-
-    def _build_eps(self, u):
-        """The embedding A(U) -> A^0(U), blockwise the restriction along the
-        slice object's arrow."""
-        return RatMatrix.vstack([self.presheaf.restrictions[sigma.domain]
-                                 for sigma, *_ in self.slices[u].layout(0)[0]])
-
-    # -- verification helpers
-
-    def check_complex(self):
-        """phi o phi = 0 at every object and level; phi natural in U
-        (VerificationFailed otherwise)."""
-        cat = self.presheaf.category
-        for n in range(self.n_max - 1):
-            for u in cat.objects:
-                if not (self.phi[n + 1][u] @ self.phi[n][u]).is_zero():
-                    raise VerificationFailed(
-                        "phi^2 != 0 at level %d, object %s" % (n, u))
-        for n in range(self.n_max):
-            for name, m in cat.morphisms.items():
-                lhs = self.levels[n + 1].maps[name] @ self.phi[n][m.target]
-                rhs = self.phi[n][m.source] @ self.levels[n].maps[name]
-                if lhs != rhs:
-                    raise VerificationFailed(
-                        "phi is not natural along %s" % name)
-        return True
-
-    def check_kernel_is_algebra(self):
-        """ker(phi^0) coincides with the image of the (injective) embedding
-        A -> A^0, objectwise (VerificationFailed otherwise)."""
-        out = {}
-        for u in self.presheaf.category.objects:
-            eps = self.eps[u]
-            a_dim = self.presheaf.algebras[u].dim
-            if eps.rank() != a_dim:
-                raise VerificationFailed(
-                    "embedding is not injective at %s" % u)
-            ker = self.phi[0][u].kernel()
-            if ker.dim != a_dim:
-                raise VerificationFailed(
-                    "kernel of phi^0 has dim %d != dim A(%s) = %d"
-                    % (ker.dim, u, a_dim))
-            if not all(ker.contains(eps.column(j)) for j in range(a_dim)):
-                raise VerificationFailed(
-                    "the image of A(%s) is not in the kernel of phi^0" % u)
-            out[u] = ker.dim
-        return out

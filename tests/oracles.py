@@ -1,0 +1,214 @@
+"""Test oracles: constructions that only the test suite checks the library
+against, and the writer of project files that the format tests read back.
+
+- `PresheafComplex`: the complex of presheaves A^0 -> A^1 -> ... of a
+  strict presheaf of algebras, with its complex, naturality and
+  kernel-is-the-presheaf identities.
+- `op_cochain`: the Hochschild-level opposite map, checked as an
+  involution and a chain map.
+- `algebra_deformation_equivalence`: the one-algebra case of the
+  equivalence check, both verdicts.
+- `cohomology_kinds`: the quasi-isomorphism witness across the subcomplex
+  kinds of a GS complex.
+- `eulerian_idempotent`: one rational idempotent with its boundary
+  conventions, the oracle for the integral projectors.
+- `project_json`: a whole project file.
+- `contains`: membership of a vector in a `linalg.Subspace`.
+
+The checks raise the library's `VerificationFailed`, so they still run
+under `python -O`.
+"""
+
+from gscohom.algebra import (AlgebraHom, FinBimodule, InvalidStructure,
+                             eps_block)
+from gscohom.fincat import Simplex, slice_category
+from gscohom.hochschild import HCochain, d_hoch, is_normalized, op_matrix
+from gscohom.linalg import RatMatrix, VerificationFailed, flatten, unflatten
+from gscohom.project import SCHEMA, algebra_json, presheaf_json
+from gscohom.shuffles import GroupAlgebraElement, eulerian_idempotents
+from gscohom.simplicial import ModPresheaf, PairComplex
+
+
+def contains(subspace, v):
+    """True iff the vector v lies in the Subspace."""
+    return subspace.matrix().solve(tuple(v)) is not None
+
+
+class PresheafComplex:
+    """The complex of presheaves A^0 -> A^1 -> ... attached to a strict
+    presheaf of algebras, with the embedding A -> A^0 induced by the
+    restriction maps.
+
+    A^n(U) is the degree-n cochain space of the pair complex of the slice
+    C/U, PairComplex(constant(C/U), F_U), where F_U puts A(V) on the slice
+    object V -> U and restricts along the underlying arrow of each slice
+    arrow; phi^{n,U} is that complex's differential, and rho^{n,u} copies
+    the block of u.sigma to the block of sigma."""
+
+    def __init__(self, presheaf, n_max):
+        if not presheaf.is_strict():
+            raise InvalidStructure("the slice complex needs a strict presheaf")
+        self.presheaf = presheaf
+        self.n_max = n_max
+        cat = presheaf.category
+        self.slices = {u: self._slice_complex(u) for u in cat.objects}
+        self.levels = [self._build_level(n) for n in range(n_max + 1)]
+        self.phi = {n: {u: self.slices[u].differential(n)
+                        for u in cat.objects}
+                    for n in range(n_max)}
+        self.eps = {u: self._build_eps(u) for u in cat.objects}
+
+    def _slice_complex(self, u):
+        """The pair complex of constant(C/U) and F_U."""
+        cat = self.presheaf.category
+        sl = slice_category(cat, u)
+        dims = {w: self.presheaf.algebras[cat.source(w)].dim
+                for w in sl.objects}
+        maps = {name: self.presheaf.restrictions[v]
+                for name, v in sl.underlying_arrow.items()}
+        return PairComplex(ModPresheaf.constant(sl),
+                           ModPresheaf(sl, dims, maps, check=False))
+
+    def _build_level(self, n):
+        cat = self.presheaf.category
+        dims = {u: self.slices[u].dim(n) for u in cat.objects}
+        maps = {}
+        for name, m in cat.morphisms.items():
+            # rho^{n,u}: A^n(U) -> A^n(V) copies the block of u.sigma
+            index_u = self.slices[m.target].block_index(n)
+            placed = []
+            for sigma, rows, _, off_v in self.slices[m.source].layout(n)[0]:
+                pushed = self._push_simplex(name, sigma)
+                placed.append((off_v, index_u[pushed.key()][2],
+                               RatMatrix.identity(rows)))
+            maps[name] = RatMatrix.from_blocks(dims[m.source], dims[m.target],
+                                               placed)
+        return ModPresheaf(cat, dims, maps)
+
+    def _push_simplex(self, u_name, sigma):
+        """N_n(C/V) -> N_n(C/U) for u: V -> U, by postcomposing with u."""
+        cat = self.presheaf.category
+        slice_v = self.slices[cat.source(u_name)].category
+        arrows = tuple("%s|%s" % (slice_v.underlying_arrow[arr],
+                                  cat.compose(u_name, slice_v.target(arr)))
+                       for arr in sigma.arrows)
+        return Simplex(self.slices[cat.target(u_name)].category, arrows,
+                       cat.compose(u_name, sigma.domain))
+
+    def _build_eps(self, u):
+        """The embedding A(U) -> A^0(U), blockwise the restriction along the
+        slice object's arrow."""
+        return RatMatrix.vstack([self.presheaf.restrictions[sigma.domain]
+                                 for sigma, *_ in self.slices[u].layout(0)[0]])
+
+    def check_complex(self):
+        """phi o phi = 0 at every object and level; phi natural in U
+        (VerificationFailed otherwise)."""
+        cat = self.presheaf.category
+        for n in range(self.n_max - 1):
+            for u in cat.objects:
+                if not (self.phi[n + 1][u] @ self.phi[n][u]).is_zero():
+                    raise VerificationFailed(
+                        "phi^2 != 0 at level %d, object %s" % (n, u))
+        for n in range(self.n_max):
+            for name, m in cat.morphisms.items():
+                lhs = self.levels[n + 1].maps[name] @ self.phi[n][m.target]
+                rhs = self.phi[n][m.source] @ self.levels[n].maps[name]
+                if lhs != rhs:
+                    raise VerificationFailed(
+                        "phi is not natural along %s" % name)
+        return True
+
+    def check_kernel_is_algebra(self):
+        """ker(phi^0) coincides with the image of the (injective) embedding
+        A -> A^0, objectwise (VerificationFailed otherwise)."""
+        out = {}
+        for u in self.presheaf.category.objects:
+            eps = self.eps[u]
+            a_dim = self.presheaf.algebras[u].dim
+            if eps.rank() != a_dim:
+                raise VerificationFailed(
+                    "embedding is not injective at %s" % u)
+            ker = self.phi[0][u].kernel()
+            if ker.dim != a_dim:
+                raise VerificationFailed(
+                    "kernel of phi^0 has dim %d != dim A(%s) = %d"
+                    % (ker.dim, u, a_dim))
+            if not all(contains(ker, eps.column(j)) for j in range(a_dim)):
+                raise VerificationFailed(
+                    "the image of A(%s) is not in the kernel of phi^0" % u)
+            out[u] = ker.dim
+        return out
+
+
+def op_cochain(phi):
+    """The opposite cochain over (A^op, M^op): reverse the arguments and
+    multiply by the degree sign (identity in degree 1, swap in degree 2,
+    negated reversal in degree 3, ...).  M^op is M with its left and right
+    actions swapped."""
+    d, bim = phi.algebra.dim, phi.bimodule
+    flat = op_matrix(phi.n, bim.dim, d).apply(flatten(phi.matrix))
+    bim_op = FinBimodule(bim.right_algebra.opposite(),
+                         bim.left_algebra.opposite(), bim.dim, bim.right,
+                         bim.left, check=False)
+    return HCochain(phi.algebra.opposite(), bim_op, phi.n,
+                    unflatten(flat, bim.dim, d ** phi.n))
+
+
+def algebra_deformation_equivalence(algebra, m1, m1_prime, g1_matrix):
+    """Check that 1 + g1*eps is an isomorphism (A[eps], m + m1 eps) ->
+    (A[eps], m + m1' eps), and the cochain identity d(g1) = m1 - m1' with
+    g1 normalized; both verdicts are returned for cross-checking."""
+    g_block = eps_block(RatMatrix.identity(algebra.dim), g1_matrix)
+    g_hom = AlgebraHom(algebra.dual_extension(m1),
+                       algebra.dual_extension(m1_prime), g_block, check=False)
+    axiom_verdict = g_hom.is_multiplicative() and g_hom.is_unital()
+
+    bim = FinBimodule.regular(algebra)
+    g1 = HCochain(algebra, bim, 1, g1_matrix)
+    cochain_verdict = is_normalized(g1) and \
+        d_hoch(g1).matrix == m1 - m1_prime
+    return axiom_verdict, cochain_verdict
+
+
+def cohomology_kinds(gs, n, kinds):
+    """Betti numbers of the GS complex gs per subcomplex kind; the
+    quasi-isomorphic flavours (everything except the truncations) must
+    agree, and that agreement is the numeric witness (VerificationFailed
+    otherwise)."""
+    out = {kind: gs.cohomology(n, kind)[0] for kind in kinds}
+    witness = {out[k] for k in kinds if "truncated" not in k}
+    if len(witness) > 1:
+        raise VerificationFailed(
+            "quasi-isomorphism witness failed at degree %d: %s" % (n, out))
+    return out
+
+
+def eulerian_idempotent(n, r):
+    """e_n(r) with the boundary conventions e_n(0) = 0 for n >= 1,
+    e_n(r) = 0 for r > n, and e_0(0) = 1."""
+    if n == 0:
+        return GroupAlgebraElement.one(0) if r == 0 \
+            else GroupAlgebraElement.zero(0)
+    if r < 1 or r > n:
+        return GroupAlgebraElement.zero(n)
+    return eulerian_idempotents(n)[r - 1]
+
+
+def project_json(category_block, algebras, presheaf, algebra_names,
+                 cochains=None, modules=None, data=None):
+    """The project file of a presheaf, with its optional named blocks."""
+    out = {
+        "schema": SCHEMA,
+        "category": category_block,
+        "algebras": {name: algebra_json(alg)
+                     for name, alg in algebras.items()},
+        "presheaf": presheaf_json(presheaf, algebra_names),
+    }
+    if cochains:
+        out["cochains"] = cochains
+    if modules:
+        out["modules"] = modules
+    if data:
+        out["data"] = data
+    return out

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 from gscohom import presets
 from gscohom.algebra import FinAlgebra, FinBimodule, eps_block
 from gscohom.deform import CandidateTriple, build_twisted_candidate
-from gscohom.hochschild import (HCochain, algebra_deformation_equivalence,
-                                d_hoch, is_normalized)
+from gscohom.hochschild import HCochain, d_hoch, is_normalized
 from gscohom.linalg import RatMatrix, unit_vector, zero_vector
 from gscohom.presheaf import TwistedPresheaf, check_twisted_morphism
+from oracles import algebra_deformation_equivalence
 
 # derandomised and small, like the oracle tests of test_linalg
 ORACLE = settings(derandomize=True, max_examples=40, deadline=None,

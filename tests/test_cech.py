@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gscohom.fincat import MeetPoset
 from gscohom.linalg import RatMatrix, submatrix
@@ -175,13 +175,18 @@ def test_betti_equality_and_report():
 
 
 @st.composite
-def subset_presheaves(draw):
+def subset_presheaves(draw, incomparable=False):
     """(F, poset): a family of subsets of {0, ..., k-1}, k <= 5, closed
     under pairwise intersection and ordered by inclusion, at most 6 sets;
-    F(U) = Q^{|U|}, restricted to V <= U by the coordinate projection."""
-    k = draw(st.integers(1, 5))
+    F(U) = Q^{|U|}, restricted to V <= U by the coordinate projection.
+    With incomparable=True the family holds S + {0} and S + {1}, whose
+    meet S is a meet of two incomparable sets."""
+    k = draw(st.integers(3 if incomparable else 1, 5))
     family = set(draw(st.sets(st.frozensets(st.integers(0, k - 1)),
-                              min_size=1, max_size=3)))
+                              min_size=1, max_size=1 if incomparable else 3)))
+    if incomparable:
+        common = draw(st.frozensets(st.integers(2, k - 1)))
+        family |= {common | {0}, common | {1}}
     while True:
         meets = {a & b for a in family for b in family} - family
         if not meets:
@@ -207,6 +212,58 @@ def subset_presheaves(draw):
 @settings(ORACLE, max_examples=24)
 @given(subset_presheaves())
 def test_cech_equals_simplicial_on_random_meet_posets(case):
+    f, poset = case
+    report = compare_simp_cech(f, poset, 2)
+    assert report["simp_betti"] == report["cech_betti"]
+    assert report["pi_iota_identity"] and report["homotopy_identity"]
+
+
+def padded(f, poset, extra):
+    """F with extra[U] more coordinates at U that no restriction into U
+    reaches and every restriction out of U kills (the identity keeps them),
+    so F(U) is bigger than the span of the restrictions into it."""
+    dims = {u: n + extra.get(u, 0) for u, n in f.dims.items()}
+    maps = {}
+    for name, m in poset.category.morphisms.items():
+        entries = dict(f.maps[name].items())
+        if m.source == m.target:
+            n = f.dims[m.source]
+            entries.update({(n + i, n + i): 1
+                            for i in range(extra.get(m.source, 0))})
+        maps[name] = RatMatrix(dims[m.source], dims[m.target], entries)
+    return ModPresheaf(poset.category, dims, maps), poset
+
+
+@st.composite
+def padded_presheaves(draw):
+    """A presheaf of `subset_presheaves` with two incomparable sets, padded
+    at one or two meets of incomparable sets, so that H^1 can be
+    nonzero."""
+    f, poset = draw(subset_presheaves(incomparable=True))
+    objs = poset.objects
+    meets = sorted({poset.meet(a, b) for a in objs for b in objs
+                    if not (poset.le(a, b) or poset.le(b, a))})
+    extra = draw(st.dictionaries(st.sampled_from(meets), st.integers(1, 2),
+                                 min_size=1, max_size=2))
+    return padded(f, poset, extra)
+
+
+def v_poset_padded_at_the_meet():
+    """F(U0) = F(U1) = Q and F(U01) = Q^2 on the V poset, both restrictions
+    onto e_1."""
+    poset = presets.v_poset()
+    return padded(ModPresheaf.constant(poset.category), poset, {"U01": 1})
+
+
+def test_padding_the_meet_of_the_v_poset_gives_h1():
+    report = compare_simp_cech(*v_poset_padded_at_the_meet(), 2)
+    assert report["simp_betti"] == report["cech_betti"] == [1, 1, 0]
+
+
+@settings(ORACLE, max_examples=24)
+@given(padded_presheaves())
+@example(v_poset_padded_at_the_meet())
+def test_cech_equals_simplicial_with_higher_cohomology(case):
     f, poset = case
     report = compare_simp_cech(f, poset, 2)
     assert report["simp_betti"] == report["cech_betti"]

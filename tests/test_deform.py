@@ -326,7 +326,8 @@ from gscohom.descent import DescentMachine, QPresheafObject
 from gscohom.fincat import poset_category
 from gscohom.linalg import RatMatrix, VerificationFailed
 from gscohom.presheaf import strict_presheaf
-from gscohom.simplicial import ModPresheaf, PresheafComplex
+from gscohom.simplicial import ModPresheaf
+from oracles import PresheafComplex
 deform_module = importlib.import_module("gscohom.deform")
 
 
@@ -389,9 +390,11 @@ def test_headline_checks_raise_under_python_O(flags):
     # preconditions of deform, equivalence and cochain_failures, the
     # axiom-vs-cocycle agreement of deform, the slice complex and its
     # strictness precondition, and the comparison functor's presheaf: typed
-    # errors that -O does not strip
-    env = dict(os.environ, PYTHONPATH=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+    # errors that -O does not strip; the slice complex is a test oracle,
+    # imported from this directory
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(here, "..", "src"), here]))
     done = subprocess.run([sys.executable, *flags, "-c",
                            _HEADLINE_CHECKS_SCRIPT],
                           capture_output=True, text=True, env=env)

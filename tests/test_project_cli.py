@@ -6,9 +6,10 @@ import sys
 import pytest
 
 from gscohom.project import (load_project, SchemaError, SCHEMA, parse_rat,
-                             rat_str, project_json, algebra_json)
+                             rat_str, algebra_json)
 from gscohom.cli import main as cli_main
 from gscohom import presets
+from oracles import project_json
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PROJECTS = os.path.join(HERE, "..", "demos", "projects")
@@ -370,23 +371,25 @@ def test_cli_hodge_builds_no_projector_and_each_eigendata_once(monkeypatch):
 
 # -- each command loads only the modules it runs
 
-_BASE_MODULES = {"gscohom", "gscohom.project", "gscohom.linalg",
-                 "gscohom.fincat", "gscohom.algebra", "gscohom.presheaf",
-                 "gscohom.shuffles"}
-_GS_MODULES = {"gscohom.gs", "gscohom.hochschild", "gscohom.simplicial"}
+# what `check` loads: the modules of every command
+_BASE_MODULES = {"gscohom", "gscohom.cli", "gscohom.project",
+                 "gscohom.linalg", "gscohom.fincat", "gscohom.algebra",
+                 "gscohom.presheaf"}
+_GS_MODULES = {"gscohom.gs", "gscohom.hochschild", "gscohom.simplicial",
+               "gscohom.shuffles"}
 
 
 @pytest.mark.parametrize("args, extra", [
     (["check", "--project", "v_poset.json"], set()),
     (["deform", "--project", "one_object.json", "--cocycle", "nope"], set()),
     (["cohomology", "--project", "one_object.json", "--complex", "hoch",
-      "--degree", "3"], {"gscohom.hochschild"}),
+      "--degree", "3"], {"gscohom.hochschild", "gscohom.shuffles"}),
     (["cohomology", "--project", "v_poset.json", "--complex", "gs",
       "--degree", "2"], _GS_MODULES),
     (["deform", "--project", "v_poset.json", "--cocycle", "rep_cocycle"],
      _GS_MODULES | {"gscohom.deform"}),
     (["compare-cech", "--project", "diamond.json", "--degree", "2"],
-     {"gscohom.cech", "gscohom.simplicial"}),
+     {"gscohom.cech", "gscohom.simplicial", "gscohom.shuffles"}),
     (["descent-check", "--project", "twisted_diamond.json", "--datum",
       "naive"], {"gscohom.descent", "gscohom.simplicial"}),
 ], ids=["check", "deform-schema-error", "hoch", "gs", "deform", "cech",
@@ -394,11 +397,12 @@ _GS_MODULES = {"gscohom.gs", "gscohom.hochschild", "gscohom.simplicial"}
 def test_cli_command_imports_only_what_it_runs(args, extra):
     # -X importtime lists on stderr every module the process imports; a
     # module imported at the top of cli.py or of the package would show up
-    # in every command
+    # in every command.  The process starts as the `gscohom` script does.
     args = [project_path(a) if a.endswith(".json") else a for a in args]
     env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m",
-                           "gscohom.cli", "--quiet", *args],
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                           "import sys; from gscohom.cli import main; "
+                           "sys.exit(main())", "--quiet", *args],
                           capture_output=True, text=True, env=env)
     assert done.returncode in (0, 1, 2) and json.loads(done.stdout)
     imported = {line.rsplit("|", 1)[1].strip()
@@ -692,6 +696,71 @@ def test_malformed_project_is_a_schema_error_without_traceback(
                           capture_output=True, text=True, env=env)
     assert done.returncode == 2, done.stderr
     assert path in json.loads(done.stdout)["error"]
+    assert "Traceback" not in done.stderr
+
+
+def _explicit_point(**changes):
+    """The one-object category with only its identity, as an explicit
+    block, with the given keys replaced."""
+    block = {"objects": ["pt"],
+             "morphisms": [{"name": "id", "source": "pt", "target": "pt"}],
+             "composition": {"id;id": "id"}, "identities": {"pt": "id"}}
+    block.update(changes)
+    return block
+
+
+def _on_the_point(category):
+    def edit(raw):
+        raw["category"] = category
+        raw["presheaf"]["restrictions"] = {"id": [["1", "0"], ["0", "1"]]}
+    return edit
+
+
+@pytest.mark.parametrize("project, edit, message", [
+    ("one_object", _on_the_point(_explicit_point(
+        morphisms=[{"name": "id", "target": "pt"}])),
+     "/category/morphisms/0/source: missing"),
+    ("one_object", _on_the_point(_explicit_point(morphisms=5)),
+     "/category/morphisms: expected a list"),
+    ("one_object", _on_the_point(_explicit_point(composition=["id;id"])),
+     "/category/composition: expected an object"),
+    ("one_object", _on_the_point(_explicit_point(identities=["id"])),
+     "/category/identities: expected an object"),
+    ("v_poset", lambda raw: raw["category"].update(relations=5),
+     "/category/relations: expected a list"),
+    ("v_poset", lambda raw: raw["algebras"]["rationals"].update(mult=5),
+     "/algebras/rationals/mult: expected a list"),
+    ("v_poset", lambda raw: raw["presheaf"]["algebras"].update(
+        U0=["dual_numbers"]),
+     "/presheaf/algebras/U0: expected a name, got ['dual_numbers']"),
+    ("one_object", _on_the_point(_explicit_point(
+        composition={"id;id": ["id"]})),
+     "/category/composition/id;id: expected a name, got ['id']"),
+    ("one_object", _on_the_point(_explicit_point(identities={"pt": 1})),
+     "/category/identities/pt: expected a name, got 1"),
+    ("v_poset", lambda raw: raw["category"].update(objects="U0"),
+     "/category/objects: expected a list"),
+    ("v_poset", lambda raw: raw["category"]["objects"].append(1),
+     "/category/objects/3: expected a name, got 1"),
+    ("v_poset", lambda raw: raw["algebras"].update(rationals=1),
+     "/algebras/rationals: expected an object"),
+], ids=["morphism-without-source", "morphisms-number", "composition-list",
+        "identities-list", "relations-number", "mult-number",
+        "presheaf-algebra-list", "composite-list", "identity-number",
+        "objects-string", "object-number", "algebra-number"])
+def test_malformed_category_or_algebra_is_a_schema_error(
+        tmp_path, project, edit, message):
+    with open(project_path(project + ".json")) as fh:
+        raw = json.load(fh)
+    edit(raw)
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(raw))
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    done = subprocess.run([sys.executable, "-m", "gscohom.cli", "check",
+                           "--project", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stdout)["error"] == message
     assert "Traceback" not in done.stderr
 
 

@@ -59,8 +59,6 @@ TRIPPED_BY = {
         "test_a_simplex_of_arrows_that_do_not_compose_is_refused",
     ("gs", "GSComplex.check_subcomplex", "NotASubcomplex", 0):
         "test_gs.py::test_check_subcomplex_trips_on_a_dropped_coordinate",
-    ("gs", "GSComplex.cohomology_kinds", "VerificationFailed", 0):
-        "test_gs.py::test_quasi_isomorphism_witness_raises",
     ("gs", "GSComplex.check_bottom_row_split", "NotASubcomplex", 0):
         "test_gs.py::"
         "test_bottom_row_split_trips_on_a_nonzero_hochschild_block",
@@ -86,22 +84,6 @@ TRIPPED_BY = {
     ("shuffles", "certify_eulerian_family", "VerificationFailed", 2):
         "test_shuffles.py::"
         "test_certificate_rejects_a_permutation_moved_to_another_class",
-    ("simplicial", "PresheafComplex.check_complex", "VerificationFailed", 0):
-        "test_deform.py::test_headline_checks_raise_under_python_O",
-    ("simplicial", "PresheafComplex.check_complex", "VerificationFailed", 1):
-        "test_simplicial.py::test_presheaf_complex_trips_on_a_non_natural_phi",
-    ("simplicial", "PresheafComplex.check_kernel_is_algebra",
-     "VerificationFailed", 0):
-        "test_simplicial.py::"
-        "test_presheaf_complex_trips_on_a_non_injective_embedding",
-    ("simplicial", "PresheafComplex.check_kernel_is_algebra",
-     "VerificationFailed", 1):
-        "test_simplicial.py::"
-        "test_presheaf_complex_trips_on_a_kernel_of_the_wrong_dimension",
-    ("simplicial", "PresheafComplex.check_kernel_is_algebra",
-     "VerificationFailed", 2):
-        "test_simplicial.py::"
-        "test_presheaf_complex_trips_on_an_image_outside_the_kernel",
 }
 
 

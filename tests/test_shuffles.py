@@ -11,10 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from gscohom.hochschild import words, word_index
 from gscohom.linalg import RatMatrix, VerificationFailed
 from gscohom.shuffles import (GroupAlgebraElement, eulerian_idempotents,
-                              eulerian_idempotent, total_shuffle_operator,
-                              riffle_shuffles, element_action_matrix,
-                              perm_action_matrix, certify_eulerian_family,
-                              descents, perm_sign)
+                              total_shuffle_operator, riffle_shuffles,
+                              element_action_matrix, perm_action_matrix,
+                              certify_eulerian_family, descents, perm_sign)
+from oracles import eulerian_idempotent
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 

@@ -5,10 +5,10 @@ import pytest
 from gscohom.algebra import InvalidStructure
 from gscohom.linalg import (RatMatrix, NotASubcomplex, VerificationFailed,
                             flatten, subcomplex_cohomology, unflatten)
-from gscohom.simplicial import (ModPresheaf, PairComplex, presheaf_cohomology,
-                                PresheafComplex)
+from gscohom.simplicial import ModPresheaf, PairComplex, presheaf_cohomology
 from gscohom import presets
 from conftest import random_matrix
+from oracles import PresheafComplex
 
 
 def underlying(p):
