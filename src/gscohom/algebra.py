@@ -394,9 +394,10 @@ def quotient_by_columns(raw_dim, rel_matrix):
 
     One elimination of combined = [rel | 1] gives both.  Its pivot columns
     before rel.cols pick a basis of span(rel) among the columns of rel; the
-    ones at or past rel.cols are the identity columns e_j that complete it
-    (`linalg.complete_span`'s choice, which depends only on span(rel)), and
-    section is those e_j.  Every column of combined is a pivot or lies in
+    ones at or past rel.cols are the identity columns e_j that complete it,
+    each e_j outside span(rel) + span(e_k : k < j) (the rule by which
+    `linalg.cohomology` picks its representatives, which depends only on
+    span(rel)), and section is those e_j.  Every column of combined is a pivot or lies in
     the span of the pivots before it, so the RREF is E.combined for the
     unique E with E.[basis | section] = 1, and E is its identity block, read
     row by row in pivot order.  project is the rows of E at the pivots of

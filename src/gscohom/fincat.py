@@ -11,9 +11,9 @@ from .linalg import memo
 
 
 class InvalidCategory(ValueError):
-    """An explicit category breaks a unit or associativity law, its
-    composition table lacks or misplaces a composite, or its morphisms and
-    identities do not fit its objects."""
+    """An explicit category lists an object twice, breaks a unit or
+    associativity law, its composition table lacks or misplaces a
+    composite, or its morphisms and identities do not fit its objects."""
 
 
 class Morphism(namedtuple("Morphism", "name source target")):
@@ -36,6 +36,11 @@ class FiniteCategory:
 
     def __init__(self, objects, morphisms, composition, identities):
         self.objects = tuple(sorted(objects))
+        repeated = [a for a, b in zip(self.objects, self.objects[1:])
+                    if a == b]
+        if repeated:
+            raise InvalidCategory("the object %s is listed twice"
+                                  % repeated[0])
         self.morphisms = {m.name: m for m in morphisms}
         self._comp = dict(composition)      # (g.name, f.name) -> name of g o f
         self.identities = dict(identities)  # object -> morphism name

@@ -163,9 +163,21 @@ class GSComplex:
     def hoch_block(self, p, q):
         """d_Hoch: C^{p,q} -> C^{p,q+1} (column differential), block
         diagonal over the p-simplices."""
-        return RatMatrix.block_diag([self._local_hoch(
-            s.codomain, self._bimodule(s.codomain, s.domain, f), q)
-            for s, f in zip(self.category.nerve(p), self._restrictions(p))])
+        return RatMatrix.block_diag(self._local_blocks(p, q))
+
+    def _local_blocks(self, p, q):
+        """The local Hochschild differentials of the p-simplices, in nerve
+        order: A(c sigma) into A(d sigma) through f^sigma."""
+        return [self._local_hoch(obj, bimod, q)
+                for obj, bimod in self._bimodules(p)]
+
+    @memo()
+    def _bimodules(self, p):
+        """(c sigma, A(d sigma) as an A(c sigma)-bimodule through f^sigma)
+        per p-simplex sigma, in nerve order; the same for every q."""
+        return [(s.codomain, self._bimodule(s.codomain, s.domain, f))
+                for s, f in zip(self.category.nerve(p),
+                                self._restrictions(p))]
 
     @memo(key=lambda self, obj, bimod, q: (obj, bimod.dim, bimod.left,
                                            bimod.right, q))
@@ -177,15 +189,30 @@ class GSComplex:
 
     @memo()
     def differential(self, n):
-        """The total differential C^n -> C^{n+1}: d_Hoch from (p, q) to
-        (p, q+1) on the block diagonal, (-1)^{n+1} d_simp from (p, q) to
-        (p+1, q) below it."""
-        sign = (-1) ** (n + 1)
-        grid = [[None] * (n + 1) for _ in range(n + 2)]
+        """The total differential C^n -> C^{n+1}, written into one dict at
+        the cells' offsets: (-1)^{n+1} d_simp from the cells of (p, q) to
+        those of (p+1, q) (`PairComplex.write_differential`), and the local
+        d_Hoch of each p-simplex from its cell of (p, q) to its cell of
+        (p, q+1).  The cells of C^n and the first cells of C^{n+1} are the
+        same simplices in the same order, p by p, so the two lists pair up
+        cell for cell."""
+        src, tgt = self.cells(n), self.cells(n + 1)
+        col0, row0 = {}, {}             # p -> start of its first cell
+        for cell in src:
+            col0.setdefault(cell.p, cell.start)
+        for cell in tgt:
+            row0.setdefault(cell.p, cell.start)
+        d = {}
         for p in range(n + 1):
-            grid[p][p] = self.hoch_block(p, n - p)
-            grid[p + 1][p] = self.simp_block(p, n - p).scale(sign)
-        return RatMatrix.block(grid)
+            self.pair(n - p).write_differential(
+                p, d, row0.get(p + 1, 0), col0.get(p, 0), (-1) ** (n + 1))
+        blocks = (blk for p in range(n + 1)
+                  for blk in self._local_blocks(p, n - p))
+        for cell, image, blk in zip(src, tgt, blocks):
+            r, c = image.start, cell.start
+            for (i, j), v in blk._d.items():
+                d[(r + i, c + j)] = v
+        return RatMatrix._trusted(self.dim(n + 1), self.dim(n), d)
 
     # -- cochain packing
 

@@ -9,9 +9,12 @@ vec,
 
     vec(L X R) = (R^T (x) L) vec X,
 
-so maps on flat cochains are Kronecker products (`hoch_differential`); the
-GS complex (`gs`) and the place-permutation actions (`shuffles`) use the
-same flattening, and the opposite map is one such action (`op_matrix`).
+so maps on flat cochains are Kronecker products.  `hoch_differential`
+writes the entries of its Kronecker sum straight into one dict by the word
+rule: the terms move the output of a word w to the words (a, w), to the
+words that merge to w at one place, and to (w, a).  The GS complex (`gs`)
+and the place-permutation actions (`shuffles`) use the same flattening, and
+the opposite map is one such action (`op_matrix`).
 `is_normalized` is one matrix identity for any unit; `normalized_coordinates`
 and the subcomplex kinds built on it need the unit to be a basis vector.
 """
@@ -19,7 +22,8 @@ and the subcomplex kinds built on it need the unit to be a basis vector.
 from functools import partial
 from itertools import product
 
-from .linalg import RatMatrix, flatten, subcomplex_cohomology, unflatten
+from .linalg import (RatMatrix, _tidy, flatten, subcomplex_cohomology,
+                     unflatten)
 from .algebra import FinBimodule, InvalidStructure
 from .shuffles import perm_action_matrix
 
@@ -48,9 +52,6 @@ class HCochain:
                 "a Hochschild %d-cochain is a %d x %d matrix, got %d x %d"
                 % ((n,) + shape + (matrix.rows, matrix.cols)))
 
-    def __call__(self, word):
-        return self.matrix.column(word_index(word, self.algebra.dim))
-
     def is_zero(self):
         return self.matrix.is_zero()
 
@@ -62,23 +63,48 @@ def hoch_differential(algebra, bimodule, n):
                             + sum_{i=1}^{n} (-1)^i phi(..., x_{i-1} x_i, ...)
                             + (-1)^{n+1} phi(x_0, ..., x_{n-1}) x_n.
 
-    On column-major vec, vec(L X R) = (R^T (x) L) vec X, and each term is a
-    Kronecker product (d = dim A, m = dim M, mu the d x d^2 multiplication
-    matrix, L_a and R_a the actions of the basis element a on M):
+    Each term is written entry by entry into one dict, by the word rule:
+    the output r of a word w sits at w * m + r (d = dim A, m = dim M, mu
+    the d x d^2 multiplication matrix, L_a and R_a the actions of the basis
+    element a on M).
 
-        x_0 phi(...)                vstack_a(1_{d^n} (x) L_a)
-        phi(.., x_{i-1} x_i, ..)    1_{d^{i-1}} (x) (-1)^i mu^T (x) 1_{d^{n-i} m}
-        phi(...) x_n                1_{d^n} (x) (-1)^{n+1} vstack_a(R_a)
+        x_0 phi(...)              L_a from the word w to the word (a, w)
+        phi(.., x_{i-1} x_i, ..)  (-1)^i mu[c, (a, b)] along the run of
+                                  d^{n-i} m coordinates from (u, c) to
+                                  (u, a, b), u a word of length i - 1
+        phi(...) x_n              (-1)^{n+1} R_a from w to (w, a)
+
+    Entry for entry this is the Kronecker sum vstack_a(1_{d^n} (x) L_a)
+    + sum_i 1_{d^{i-1}} (x) (-1)^i mu^T (x) 1_{d^{n-i} m}
+    + 1_{d^n} (x) (-1)^{n+1} vstack_a(R_a) of vec(L X R) = (R^T (x) L) vec X.
     """
     d, m = algebra.dim, bimodule.dim
-    one = RatMatrix.identity
-    out = RatMatrix.vstack([one(d ** n).kron(left) for left in bimodule.left])
-    mu_t = algebra.mult_matrix().transpose()
+    size = d ** n * m
+    out = {}                # the first term writes distinct entries
+    for a, left in enumerate(bimodule.left):
+        block = [(a * size + r, s, v) for (r, s), v in left._d.items()]
+        for base in range(0, size, m):
+            for r, s, v in block:
+                out[(base + r, base + s)] = v
+    mu = algebra.mult_matrix()._d.items()
     for i in range(1, n + 1):
-        interior = one(d ** (i - 1)).kron(mu_t.scale((-1) ** i))
-        out = out + interior.kron(one(d ** (n - i) * m))
-    right = RatMatrix.vstack(bimodule.right).scale((-1) ** (n + 1))
-    return out + one(d ** n).kron(right)
+        run = d ** (n - i) * m
+        terms = [(ab * run, c * run, (-1) ** i * v) for (c, ab), v in mu]
+        for row0 in range(0, size * d, d * d * run):
+            col0 = row0 // d
+            for dr, dc, v in terms:
+                shift = dc - dr - row0 + col0
+                for r in range(row0 + dr, row0 + dr + run):
+                    key = (r, r + shift)
+                    out[key] = out.get(key, 0) + v
+    sign = (-1) ** (n + 1)
+    for a, right in enumerate(bimodule.right):
+        block = [(a * m + r, s, sign * v) for (r, s), v in right._d.items()]
+        for base in range(0, size, m):
+            for r, s, v in block:
+                key = (base * d + r, base + s)
+                out[key] = out.get(key, 0) + v
+    return RatMatrix._trusted(size * d, size, _tidy(out))
 
 
 def d_hoch(phi):

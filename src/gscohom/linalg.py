@@ -22,25 +22,30 @@ eliminates it at most once.
 
 A set of vectors is held as the columns of one sparse RatMatrix: a kernel
 basis is read off the RREF straight into such a matrix, a Subspace holds
-one, and `cohomology` picks its representatives among the columns of the
-kernel matrix.  Vectors become dense tuples only where they are returned:
-the chosen representatives, and `Subspace.basis` when it is read.
+one, and `cohomology` builds its representatives into one by
+back-substitution.  Vectors become dense tuples only where they are
+returned: the chosen representatives, and `Subspace.basis` when it is read.
 
 `RatMatrix.from_blocks` is the one routine that places blocks: it sums
 (row offset, column offset, block) triples into one matrix, adding entries
 where blocks overlap.  `hstack`, `vstack`, `block`, `block_diag` and `+`
-call it, and so do the slice and Cech cochain maps.  The simplicial
-differential writes its entries straight into one dict instead, at the
-faces' positions in the nerve's face table (`simplicial.PairComplex`).
+call it, and so do the slice and Cech cochain maps.  The differentials of
+the complexes write their entries straight into one dict instead: the
+Hochschild differential by the word rule (`hochschild.hoch_differential`),
+the simplicial one at the faces' positions in the nerve's face table
+(`simplicial.PairComplex`), and the total differential both, at the
+offsets of its cells (`gs.GSComplex.differential`).
 
 `cohomology` is the one place where cohomology is computed.  The
 Hochschild, simplicial, Cech and total complexes reach it through
 `subcomplex_cohomology`, for the whole complex or for a subcomplex spanned
 by coordinates; the Hodge summands of the total complex hand it their
-restricted differentials (`gs.GSComplex.hodge_cohomology`).  It picks its
-representatives with `complete_span`; `algebra.quotient_by_columns` picks
-the complement of the relations of a tensor quotient by the same pivot
-rule, in one elimination that also gives its projection.
+restricted differentials (`gs.GSComplex.hodge_cohomology`).  It eliminates
+d_out once and the image on the free columns of d_out once, and picks as
+representatives the kernel vectors that complete the image, leftmost
+first; `algebra.quotient_by_columns` picks the complement of the relations
+of a tensor quotient by the same rule, in one elimination that also gives
+its projection.
 
 The one vec convention is column-major (`flatten`, `unflatten`), so that
 vec(L X R) = (R^T (x) L) vec X (`vec_operator`): cochains are flattened so,
@@ -89,18 +94,31 @@ def memo(key=None):
     caller shares a result, which is never mutated.
 
     Only methods of objects that never change are memoised, so a result
-    never goes stale.  A hit costs its key and two dict reads (the table,
-    then the entry); a miss calls the method outside the lookup's `except`,
-    so an error it raises carries no KeyError context, and then stores the
-    result, making the table on the first miss.  Keys built from exact
-    entries (`exact`) make an int and the equal Fraction one key."""
+    never goes stale.  A hit costs two dict reads (the table, then the
+    entry), and a call of `key` when one is given; a miss calls the method
+    outside the lookup's `except`, so an error it raises carries no
+    KeyError context, and then stores the result, making the table on the
+    first miss.  Keys built from exact entries (`exact`) make an int and
+    the equal Fraction one key."""
     def decorate(method):
         name = "_memo_" + method.__name__
-        key_of = key or (lambda self, *args: args)
+
+        if key is None:
+            # the positional arguments are the key, with no call to build it
+            @wraps(method)
+            def memoised(self, *args):
+                try:
+                    return self.__dict__[name][args]
+                except KeyError:
+                    pass
+                value = method(self, *args)
+                self.__dict__.setdefault(name, {})[args] = value
+                return value
+            return memoised
 
         @wraps(method)
         def memoised(self, *args, **kwargs):
-            k = key_of(self, *args, **kwargs)
+            k = key(self, *args, **kwargs)
             try:
                 return self.__dict__[name][k]
             except KeyError:
@@ -156,8 +174,15 @@ def _tidy(d):
 
 
 def _integral(m):
-    """True iff every entry of the matrix m is an int."""
-    return all(type(v) is int for v in m._d.values())
+    """True iff every entry of the matrix m is an int; computed once per
+    matrix, which never changes."""
+    if m._int is None:
+        m._int = all(type(v) is int for v in m._d.values())
+    return m._int
+
+
+# the identity matrices handed out so far, one shared instance per size
+_IDENTITIES = {}
 
 
 class RatMatrix:
@@ -165,7 +190,7 @@ class RatMatrix:
     {(i, j): nonzero entry}.  Each entry is stored in its one exact type
     (`exact`): an int when integral, else a Fraction."""
 
-    __slots__ = ("rows", "cols", "_d", "_ech", "_red", "_hash")
+    __slots__ = ("rows", "cols", "_d", "_ech", "_red", "_hash", "_int")
 
     def __init__(self, rows, cols, entries):
         """`entries` is a dict {(i, j): value} or a list of rows; values may
@@ -175,7 +200,7 @@ class RatMatrix:
         self.rows = rows
         self.cols = cols
         self._ech = self._red = None     # elimination caches, see _echelon
-        self._hash = None                # see __hash__
+        self._hash = self._int = None    # see __hash__ and _integral
         if not isinstance(entries, dict):
             entries = {(i, j): v for i, row in enumerate(entries)
                        for j, v in enumerate(row)}
@@ -195,7 +220,7 @@ class RatMatrix:
         m.rows = rows
         m.cols = cols
         m._d = d
-        m._ech = m._red = m._hash = None
+        m._ech = m._red = m._hash = m._int = None
         return m
 
     # -- constructors
@@ -206,7 +231,13 @@ class RatMatrix:
 
     @staticmethod
     def identity(n):
-        return RatMatrix._trusted(n, n, {(i, i): 1 for i in range(n)})
+        """The n x n identity: one shared instance per n, as a matrix is
+        never changed."""
+        one = _IDENTITIES.get(n)
+        if one is None:
+            one = _IDENTITIES[n] = RatMatrix._trusted(
+                n, n, {(i, i): 1 for i in range(n)})
+        return one
 
     @staticmethod
     def from_rows(rows_list):
@@ -659,36 +690,85 @@ class Subspace:
 def cohomology(d_in, d_out):
     """Cohomology at the middle of  . --d_in--> . --d_out--> .
 
-    Checks d_out . d_in = 0, then returns (betti, representatives): the
-    dimension ker(d_out)/im(d_in) together with kernel vectors spanning a
-    complement of the image inside the kernel.
+    Checks d_out . d_in = 0 (ComplexViolation), then returns (betti,
+    representatives): betti = dim ker(d_out) - rank(d_in), and kernel
+    vectors spanning a complement of the image inside the kernel.  It takes
+    one echelon of d_out and one of the columns of d_in on the free columns
+    of d_out, and builds no RREF and no kernel matrix.
+
+    Let P be the pivot columns of d_out, F the others (its free columns),
+    and pi the projection onto the coordinates F.  The representatives are
+    those that the RREF path gives: the kernel basis K read off the RREF
+    (column k is 1 at the k-th free column, 0 at the other free columns),
+    and among its columns the pivots of [im d_in | K], i.e. each column of K
+    that is not in the span of im d_in and the columns of K before it.
+    - pi is injective on ker d_out.  A kernel vector x solves the echelon
+      rows of d_out; the row with leading column c gives x_c from the
+      coordinates after c, so from the last pivot back every x_c, c in P,
+      is fixed by x on F (`_back_substitute`).  So the kernel vector with
+      given free coordinates is unique, and back-substitution from 1 at
+      one free column and 0 at the others gives exactly that column of K.
+    - d_out . d_in = 0 puts im d_in inside ker d_out, so pi is injective on
+      it: rank d_in = rank pi(d_in), and kernel vectors are independent
+      modulo im d_in iff their projections are independent modulo
+      pi(im d_in).
+    - pi maps K to the identity on F, so column k of K is picked iff e_k is
+      not in pi(im d_in) + span(e_j : j before k in F), i.e. iff no vector
+      of pi(im d_in) has its last nonzero coordinate at k.  The set T of
+      those last coordinates is the set of leading columns of an echelon
+      basis of pi(im d_in) read with F reversed: the pivot columns of the
+      matrix whose rows are the columns of d_in on F, reversed.  So the
+      representatives are the columns of K at F minus T, ascending, and
+      betti = |F| - |T| = dim ker d_out - rank d_in.
+    The count holds by construction; the representatives R are checked to
+    be cocycles, d_out . R = 0 (VerificationFailed otherwise).
     """
     if d_in.rows != d_out.cols:
         raise ShapeMismatch("d_in has %d rows but d_out %d columns"
                             % (d_in.rows, d_out.cols))
     if not (d_out @ d_in).is_zero():
         raise ComplexViolation("composite of differentials is not zero")
-    kernel = d_out.kernel().matrix()
-    image, extra = complete_span(d_in, kernel)
-    reps = [kernel.column(k) for k in extra]
-    betti = kernel.cols - image.cols
-    if betti != len(reps):
-        raise VerificationFailed(
-            "dim ker - rank im = %d, but %d representatives complete the "
-            "image" % (betti, len(reps)))
-    return betti, reps
+    pivots = set(d_out.pivot_columns())
+    free = [j for j in range(d_out.cols) if j not in pivots]
+    last = len(free) - 1
+    at = {j: last - k for k, j in enumerate(free)}
+    reversed_rows = RatMatrix._trusted(d_in.cols, len(free), {
+        (j, at[i]): v for (i, j), v in d_in._d.items() if i in at})
+    trailing = {free[last - t] for t in reversed_rows.pivot_columns()}
+    chosen = [j for j in free if j not in trailing]
+    reps = _back_substitute(d_out._echelon(), chosen, d_out.cols)
+    if chosen and not (d_out @ reps).is_zero():
+        raise VerificationFailed("a representative is not a cocycle: "
+                                 "d_out . R != 0")
+    return len(chosen), [reps.column(k) for k in range(len(chosen))]
 
 
-def complete_span(span, candidates):
-    """(basis, extra): basis is the matrix of the pivot columns of span, a
-    basis of its column space; extra lists, ascending, the indices of the
-    columns of candidates that are pivot columns of [basis | candidates],
-    which complete basis to a basis of the span of both.  Which candidates
-    complete it depends only on the column space of span."""
-    basis = submatrix(span, range(span.rows), span.pivot_columns())
-    r = basis.cols
-    combined = RatMatrix.hstack([basis, candidates])
-    return basis, [c - r for c in combined.pivot_columns() if c >= r]
+def _back_substitute(echelon, free, cols):
+    """The cols x len(free) matrix whose column k is the vector x with
+    x_j = 1 at j = free[k], 0 at every other column that is no leading
+    column of the echelon basis, and echelon . x = 0: the rows are solved
+    from the last leading column back, each for the x at its leading
+    column.  All columns are solved in one pass over the rows."""
+    if not free:
+        return RatMatrix.zeros(cols, 0)
+    x = {j: {k: 1} for k, j in enumerate(free)}
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        acc = {}
+        for col, v in row.items():
+            known = x.get(col)
+            if known:
+                for k, y in known.items():
+                    acc[k] = acc.get(k, 0) + v * y
+        lead, solved = row[c], {}
+        for k, s in acc.items():
+            if s:
+                solved[k] = -s // lead if type(s) is int and s % lead == 0 \
+                    else exact(-s / Fraction(lead))
+        if solved:
+            x[c] = solved
+    return RatMatrix._trusted(cols, len(free), {
+        (i, k): v for i, column in x.items() for k, v in column.items()})
 
 
 def submatrix(mat, row_idx, col_idx):

@@ -123,10 +123,18 @@ def _name(block, key, path):
 
 
 def _objects(block):
-    """The object names of the category block."""
+    """The object names of the category block; a name listed twice is a
+    SchemaError at its second place."""
     numbered = dict(enumerate(_list(_required(block, "objects", "/category"),
                                     "/category/objects")))
-    return [_name(numbered, k, "/category/objects") for k in numbered]
+    names = []
+    for k in numbered:
+        name = _name(numbered, k, "/category/objects")
+        if name in names:
+            raise SchemaError("/category/objects/%d: %r is listed twice"
+                              % (k, name))
+        names.append(name)
+    return names
 
 
 def _entries(block, key, path):

@@ -15,7 +15,9 @@ inner), simplices in nerve order; d is written entry by entry at the faces'
 positions in the category's face table (`FiniteCategory.faces`).
 """
 
-from .linalg import RatMatrix, _tidy, memo, subcomplex_cohomology
+from itertools import repeat
+
+from .linalg import RatMatrix, exact, memo, subcomplex_cohomology
 from .algebra import InvalidStructure
 
 
@@ -79,11 +81,31 @@ class ModPresheaf:
         return ModPresheaf(presheaf.category, dims, presheaf.restrictions,
                            check=False)
 
+    @memo()
+    def outer_block(self, u, size, last):
+        """The entries of 1_size (x) maps[u], the post-composition of
+        size-column cochains with maps[u] (the face d_0), or with last=True
+        of maps[u]^T (x) 1_size, the pre-composition of size-row cochains
+        (the last face); built once per presheaf, so the pair complexes of
+        one GS complex, which share F, share its d_0 blocks."""
+        one = RatMatrix.identity(size)
+        return tuple((self.maps[u].transpose().kron(one) if last
+                      else one.kron(self.maps[u]))._d.items())
+
+    @memo()
     def tensor_power(self, q):
-        """The presheaf U -> F(U)^{(x) q} with restriction maps f^{(x) q}."""
+        """The presheaf U -> F(U)^{(x) q} with restriction maps f^{(x) q},
+        each f^{(x) q} = f^{(x) q-1} (x) f from the power below, built once
+        per presheaf and q."""
         dims = {o: self.dims[o] ** q for o in self.category.objects}
-        maps = {name: mat.kron_power(q) for name, mat in self.maps.items()}
-        return ModPresheaf(self.category, dims, maps, check=False)
+        if q == 0:
+            return ModPresheaf(self.category, dims, {
+                name: RatMatrix.identity(1) for name in self.maps},
+                check=False)
+        below = self.tensor_power(q - 1).maps
+        return ModPresheaf(self.category, dims, {
+            name: below[name].kron(mat) for name, mat in self.maps.items()},
+            check=False)
 
 
 class PairComplex:
@@ -118,7 +140,16 @@ class PairComplex:
 
     @memo()
     def differential(self, p):
-        """Matrix of d_simp: C^p -> C^{p+1}, written entry by entry.
+        """Matrix of d_simp: C^p -> C^{p+1}, written entry by entry
+        (`write_differential`)."""
+        return RatMatrix._trusted(self.dim(p + 1), self.dim(p),
+                                  self.write_differential(p, {}, 0, 0, 1))
+
+    def write_differential(self, p, d, row0, col0, sign):
+        """Add sign * d_simp: C^p -> C^{p+1} into the entry dict d, with its
+        (0, 0) entry at (row0, col0), and return d.  d must hold no entry in
+        those rows and columns yet; the entries written are exact and
+        nonzero, as `RatMatrix._trusted` needs.
 
         With vec(L X R) = (R^T (x) L) vec X on column-major cochains, the
         face d_0 of sigma = (u_1, ..., u_{p+1}) post-composes with F(u_1),
@@ -126,31 +157,43 @@ class PairComplex:
         G(u_{p+1}), the block (-1)^{p+1} G(u_{p+1})^T (x) 1_rows; an
         interior face d_i is a run of (-1)^i.  Faces that coincide in the
         face table (`FiniteCategory.faces`) add up."""
-        offsets = [off for *_, off in self.layout(p)[0]]
-        d = {}
-        for (sigma, rows, cols, out), faces in zip(self.layout(p + 1)[0],
-                                                   self.category.faces(p)):
-            for pos, entries, sign in (
-                    (faces[0], self._outer(sigma.arrows[0], cols, False), 1),
-                    (faces[-1], self._outer(sigma.arrows[-1], rows, True),
-                     (-1) ** (p + 1))):
+        offsets = [col0 + off for *_, off in self.layout(p)[0]]
+        for (sigma, rows, cols, start), faces in zip(
+                self.layout(p + 1)[0], self.category.faces(p)):
+            out = row0 + start
+            stop = out + rows * cols
+            runs = {}
+            for i in range(1, p + 1):
+                runs[faces[i]] = runs.get(faces[i], 0) + (-1) ** i
+            # the runs left after coinciding faces cancel write distinct
+            # entries; an outer block adds where a run or block came first
+            written = set()
+            for pos, coeff in runs.items():
+                if coeff:
+                    keys = zip(range(out, stop),
+                               range(offsets[pos], offsets[pos] + stop - out))
+                    d.update(zip(keys, repeat(sign * coeff)))
+                    written.add(pos)
+            for pos, entries, face_sign in (
+                    (faces[0], self.f.outer_block(sigma.arrows[0], cols,
+                                                  False), sign),
+                    (faces[-1], self.g.outer_block(sigma.arrows[-1], rows,
+                                                   True),
+                     sign * (-1) ** (p + 1))):
                 col = offsets[pos]
+                if pos not in written:
+                    d.update(((out + i, col + j), face_sign * v)
+                             for (i, j), v in entries)
+                    written.add(pos)
+                    continue
                 for (i, j), v in entries:
                     key = (out + i, col + j)
-                    d[key] = d.get(key, 0) + sign * v
-            for i in range(1, p + 1):
-                col, sign = offsets[faces[i]] - out, (-1) ** i
-                for k in range(out, out + rows * cols):
-                    d[(k, col + k)] = d.get((k, col + k), 0) + sign
-        return RatMatrix._trusted(self.dim(p + 1), self.dim(p), _tidy(d))
-
-    @memo()
-    def _outer(self, u, size, last):
-        """The entries of 1_size (x) F(u) for d_0, or of G(u)^T (x) 1_size
-        unsigned for the last face; built once per pair complex."""
-        one = RatMatrix.identity(size)
-        return (self.g.maps[u].transpose().kron(one) if last
-                else one.kron(self.f.maps[u]))._d.items()
+                    v = d.get(key, 0) + face_sign * v
+                    if not v:
+                        del d[key]
+                    else:
+                        d[key] = v if type(v) is int else exact(v)
+        return d
 
     def reduced_coordinates(self, p):
         """Flat coordinates supported on non-degenerate simplices (a

@@ -14,6 +14,12 @@ against, and the writer of project files that the format tests read back.
   conventions, the oracle for the integral projectors.
 - `project_json`: a whole project file.
 - `contains`: membership of a vector in a `linalg.Subspace`.
+- `rref_cohomology` with `complete_span`: cohomology read off the RREF of
+  d_out, its kernel matrix and the pivots of [image | kernel], the
+  oracle of `linalg.cohomology`'s one-echelon path.
+- `kron_hoch_differential`: the Hochschild differential as a sum of
+  Kronecker products, the oracle of the word-by-word writer.
+- `cochain_value`: the value phi(w) of a Hochschild cochain on a word.
 
 The checks raise the library's `VerificationFailed`, so they still run
 under `python -O`.
@@ -22,8 +28,11 @@ under `python -O`.
 from gscohom.algebra import (AlgebraHom, FinBimodule, InvalidStructure,
                              eps_block)
 from gscohom.fincat import Simplex, slice_category
-from gscohom.hochschild import HCochain, d_hoch, is_normalized, op_matrix
-from gscohom.linalg import RatMatrix, VerificationFailed, flatten, unflatten
+from gscohom.hochschild import (HCochain, d_hoch, is_normalized, op_matrix,
+                                word_index)
+from gscohom.linalg import (ComplexViolation, RatMatrix, ShapeMismatch,
+                            VerificationFailed, flatten, submatrix,
+                            unflatten)
 from gscohom.project import SCHEMA, algebra_json, presheaf_json
 from gscohom.shuffles import GroupAlgebraElement, eulerian_idempotents
 from gscohom.simplicial import ModPresheaf, PairComplex
@@ -32,6 +41,61 @@ from gscohom.simplicial import ModPresheaf, PairComplex
 def contains(subspace, v):
     """True iff the vector v lies in the Subspace."""
     return subspace.matrix().solve(tuple(v)) is not None
+
+
+def complete_span(span, candidates):
+    """(basis, extra): basis is the matrix of the pivot columns of span, a
+    basis of its column space; extra lists, ascending, the indices of the
+    columns of candidates that are pivot columns of [basis | candidates],
+    which complete basis to a basis of the span of both.  Which candidates
+    complete it depends only on the column space of span."""
+    basis = submatrix(span, range(span.rows), span.pivot_columns())
+    r = basis.cols
+    combined = RatMatrix.hstack([basis, candidates])
+    return basis, [c - r for c in combined.pivot_columns() if c >= r]
+
+
+def rref_cohomology(d_in, d_out):
+    """(betti, representatives) of  . --d_in--> . --d_out--> .  from three
+    eliminations: the kernel basis read off the RREF of d_out, the pivot
+    columns of d_in, and the kernel columns that are pivots of
+    [image | kernel]; the count is checked against the representatives."""
+    if d_in.rows != d_out.cols:
+        raise ShapeMismatch("d_in has %d rows but d_out %d columns"
+                            % (d_in.rows, d_out.cols))
+    if not (d_out @ d_in).is_zero():
+        raise ComplexViolation("composite of differentials is not zero")
+    kernel = d_out.kernel().matrix()
+    image, extra = complete_span(d_in, kernel)
+    betti = kernel.cols - image.cols
+    if betti != len(extra):
+        raise VerificationFailed("dim ker - rank im = %d, but %d "
+                                 "representatives" % (betti, len(extra)))
+    return betti, [kernel.column(k) for k in extra]
+
+
+def kron_hoch_differential(algebra, bimodule, n):
+    """The Hochschild differential C^n(A, M) -> C^{n+1}(A, M) as the sum of
+    Kronecker products of vec(L X R) = (R^T (x) L) vec X (d = dim A, m =
+    dim M, mu the multiplication matrix):
+
+        vstack_a(1_{d^n} (x) L_a)
+        + sum_i 1_{d^{i-1}} (x) (-1)^i mu^T (x) 1_{d^{n-i} m}
+        + 1_{d^n} (x) (-1)^{n+1} vstack_a(R_a)."""
+    d, m = algebra.dim, bimodule.dim
+    one = RatMatrix.identity
+    out = RatMatrix.vstack([one(d ** n).kron(left) for left in bimodule.left])
+    mu_t = algebra.mult_matrix().transpose()
+    for i in range(1, n + 1):
+        interior = one(d ** (i - 1)).kron(mu_t.scale((-1) ** i))
+        out = out + interior.kron(one(d ** (n - i) * m))
+    right = RatMatrix.vstack(bimodule.right).scale((-1) ** (n + 1))
+    return out + one(d ** n).kron(right)
+
+
+def cochain_value(phi, word):
+    """phi(word): the column of the cochain matrix at the word's index."""
+    return phi.matrix.column(word_index(word, phi.algebra.dim))
 
 
 class PresheafComplex:

@@ -136,6 +136,18 @@ def test_explicit_categories_are_validated():
                        {("1", "1"): "1"}, {"pt": "1"})
 
 
+def test_a_repeated_object_is_refused():
+    # a repeat would become a second 0-simplex of the nerve
+    with pytest.raises(InvalidCategory, match="^the object pt is listed "
+                                              "twice$"):
+        FiniteCategory(["pt", "pt"], [Morphism("1", "pt", "pt")],
+                       {("1", "1"): "1"}, {"pt": "1"})
+    with pytest.raises(InvalidCategory, match="^the object A is listed "
+                                              "twice$"):
+        poset_category(["A", "B", "A"], [("B", "A")])
+    assert poset_category(["A", "B"], [("B", "A")]).objects == ("A", "B")
+
+
 def test_morphism_is_an_immutable_ordered_triple():
     m = Morphism("U01->U0", "U01", "U0")
     assert (m.name, m.source, m.target) == ("U01->U0", "U01", "U0")

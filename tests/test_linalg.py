@@ -11,7 +11,7 @@ from gscohom.linalg import (RatMatrix, Subspace, cohomology,
                             ComplexViolation, NotASubcomplex, DependentBasis,
                             VerificationFailed, subcomplex_cohomology)
 from conftest import ORACLE, random_matrix
-from oracles import contains
+from oracles import contains, rref_cohomology
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -87,6 +87,46 @@ def test_cohomology_koszul_pair():
 def test_cohomology_rejects_non_complex():
     with pytest.raises(ComplexViolation):
         cohomology(RatMatrix.identity(2), RatMatrix.identity(2))
+
+
+def random_complex(rng, shuffle=False):
+    """(d_in, d_out) with d_out . d_in = 0: d_out sparse with small
+    entries, d_in its kernel basis times a random matrix with Fraction
+    entries, so im d_in is a random subspace of ker d_out, spanned with
+    repeats and zero columns.  With shuffle=True the rows of d_out come in
+    a random order."""
+    rows, cols = rng.randint(0, 6), rng.randint(1, 7)
+    d_out = RatMatrix(rows, cols, {
+        (i, j): rng.randint(-2, 2) for i in range(rows) for j in range(cols)
+        if rng.random() < 0.4})
+    if shuffle:
+        order = list(range(rows))
+        rng.shuffle(order)
+        d_out = RatMatrix(rows, cols, {(order[i], j): v
+                                       for (i, j), v in d_out.items()})
+    kernel = d_out.kernel().matrix()
+    width = rng.randint(0, 4)
+    mix = RatMatrix(kernel.cols, width, {
+        (i, j): F(rng.randint(-3, 3), rng.randint(1, 4))
+        for i in range(kernel.cols) for j in range(width)
+        if rng.random() < 0.5})
+    return kernel @ mix, d_out
+
+
+def test_cohomology_matches_the_rref_oracle_on_random_complexes(rng):
+    # the same Betti number and representatives as the RREF, the kernel
+    # matrix and the pivots of [image | kernel], with Fraction entries in
+    # d_in and with the rows of d_out in any order
+    fractions = nonzero = 0
+    for k in range(300):
+        d_in, d_out = random_complex(rng, shuffle=k % 2)
+        fractions += any(type(v) is F for _, v in d_in.items())
+        fresh = [RatMatrix(m.rows, m.cols, dict(m.items()))
+                 for m in (d_in, d_out)]
+        betti, reps = cohomology(d_in, d_out)
+        assert (betti, reps) == rref_cohomology(*fresh)
+        nonzero += betti > 0
+    assert fractions > 50 and nonzero > 50
 
 
 def test_cohomology_basis_invariance(rng):
@@ -725,14 +765,17 @@ def test_integral_entries_print_as_integers_in_json():
     assert rat_str(3) == rat_str(F(3)) == "3"
 
 
-def test_cohomology_trips_when_count_and_representatives_disagree(
-        monkeypatch):
-    # only a broken span completion reaches the check: drop its last index
-    real = linalg.complete_span
-    monkeypatch.setattr(linalg, "complete_span", lambda span, candidates: (
-        real(span, candidates)[0], real(span, candidates)[1][:-1]))
-    zero = RatMatrix.zeros(1, 1)
+def test_cohomology_trips_when_a_representative_is_no_cocycle(monkeypatch):
+    # only a broken back-substitution reaches the check: skip the echelon
+    # rows, so the representative of ker [1 1] keeps its free coordinate
+    # and misses its pivot coordinate
+    real = linalg._back_substitute
+    monkeypatch.setattr(linalg, "_back_substitute",
+                        lambda echelon, free, cols: real({}, free, cols))
     with pytest.raises(VerificationFailed,
-                       match=r"^dim ker - rank im = 1, but 0 representatives "
-                             r"complete the image$"):
-        cohomology(zero, zero)
+                       match=r"^a representative is not a cocycle: "
+                             r"d_out \. R != 0$"):
+        cohomology(RatMatrix.zeros(2, 0), RatMatrix.from_rows([[1, 1]]))
+    monkeypatch.undo()
+    assert cohomology(RatMatrix.zeros(2, 0),
+                      RatMatrix.from_rows([[1, 1]])) == (1, [(-1, 1)])

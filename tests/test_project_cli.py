@@ -134,6 +134,24 @@ def test_cli_schema_error_exit_2(tmp_path):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["check"], ["cohomology", "--complex", "simp", "--degree", "0"]])
+def test_cli_repeated_object_is_a_schema_error(tmp_path, args):
+    # listed twice, U0 would be a second 0-simplex: H^0 would read 5, not 3
+    with open(project_path("v_poset.json")) as fh:
+        raw = json.load(fh)
+    raw["category"]["objects"].append("U0")
+    bad = tmp_path / "repeated.json"
+    bad.write_text(json.dumps(raw))
+    code, out = run_cli(args + ["--project", str(bad)])
+    assert code == 2
+    assert json.loads(out)["error"] == \
+        "/category/objects/3: 'U0' is listed twice"
+    code, out = run_cli(["cohomology", "--complex", "simp", "--degree", "0",
+                         "--project", project_path("v_poset.json")])
+    assert code == 0 and json.loads(out)["betti"] == 3
+
+
 def test_cli_deterministic_output():
     args = ["--quiet", "cohomology", "--project", project_path("v_poset.json"),
             "--complex", "gs", "--degree", "2", "--kind",

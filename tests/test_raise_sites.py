@@ -54,6 +54,8 @@ TRIPPED_BY = {
         "test_fincat.py::test_explicit_categories_are_validated",
     ("fincat", "FiniteCategory._validate", "InvalidCategory", 3):
         "test_fincat.py::test_explicit_categories_are_validated",
+    ("fincat", "FiniteCategory.__init__", "InvalidCategory", 0):
+        "test_fincat.py::test_a_repeated_object_is_refused",
     ("fincat", "Simplex.__init__", "InvalidCategory", 0):
         "test_fincat.py::"
         "test_a_simplex_of_arrows_that_do_not_compose_is_refused",
@@ -74,7 +76,7 @@ TRIPPED_BY = {
         "test_linalg.py::test_cohomology_rejects_non_complex",
     ("linalg", "cohomology", "VerificationFailed", 0):
         "test_linalg.py::"
-        "test_cohomology_trips_when_count_and_representatives_disagree",
+        "test_cohomology_trips_when_a_representative_is_no_cocycle",
     ("linalg", "subcomplex_cohomology.restricted", "NotASubcomplex", 0):
         "test_linalg.py::test_subcomplex_cohomology_paths",
     ("shuffles", "certify_eulerian_family", "VerificationFailed", 0):
