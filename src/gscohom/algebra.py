@@ -212,20 +212,6 @@ class AlgebraHom:
     def __call__(self, x):
         return self.matrix.apply(x)
 
-    def compose(self, other):
-        """self after other."""
-        if other.target.dim != self.source.dim:
-            raise InvalidStructure("cannot compose: the inner map lands in "
-                                   "dim %d, the outer one starts in dim %d"
-                                   % (other.target.dim, self.source.dim))
-        return AlgebraHom(other.source, self.target,
-                          self.matrix @ other.matrix, check=False)
-
-    def opposite(self):
-        """The same linear map viewed A^op -> B^op."""
-        return AlgebraHom(self.source.opposite(), self.target.opposite(),
-                          self.matrix)
-
     @staticmethod
     def identity(a):
         return AlgebraHom(a, a, RatMatrix.identity(a.dim), check=False)
@@ -397,11 +383,15 @@ def quotient_by_columns(raw_dim, rel_matrix):
     ones at or past rel.cols are the identity columns e_j that complete it,
     each e_j outside span(rel) + span(e_k : k < j) (the rule by which
     `linalg.cohomology` picks its representatives, which depends only on
-    span(rel)), and section is those e_j.  Every column of combined is a pivot or lies in
-    the span of the pivots before it, so the RREF is E.combined for the
-    unique E with E.[basis | section] = 1, and E is its identity block, read
-    row by row in pivot order.  project is the rows of E at the pivots of
-    section, which is the same matrix for every presentation of span(rel).
+    span(rel)), and section is those e_j.  E = [basis | section]^-1 is read
+    off the same elimination, column by column: a pivot e_j is column i of
+    [basis | section] for its pivot's place i, so E e_j is the unit vector
+    at i; a free e_j has the kernel column K of combined that is 1 at e_j
+    and 0 at the other free columns (`RatMatrix._kernel_columns`), so
+    combined . K = 0 says e_j = [basis | section] . (-K on the pivots), and
+    E e_j is minus K on the pivots, in pivot order.  project is the rows of
+    E at the pivots of section, which is the same matrix for every
+    presentation of span(rel).
 
     Certificate (VerificationFailed), with B = [basis | section]:
       - E.B = 1_n.  The product is n x n only when there are n pivots;
@@ -422,10 +412,13 @@ def quotient_by_columns(raw_dim, rel_matrix):
     cols = rel_matrix.cols
     combined = RatMatrix.hstack([rel_matrix, RatMatrix.identity(raw_dim)])
     pivots = combined.pivot_columns()
-    rref = combined._rref()
-    inverse = RatMatrix(len(pivots), raw_dim, {
-        (i, j - cols): x for i, p in enumerate(pivots)
-        for j, x in rref[p].items() if j >= cols})
+    place = {p: i for i, p in enumerate(pivots)}
+    entries = {(place[p], p - cols): 1 for p in pivots if p >= cols}
+    free = [j for j in range(cols, cols + raw_dim) if j not in place]
+    for (c, k), x in combined._kernel_columns(free)._d.items():
+        if c in place:
+            entries[(place[c], free[k] - cols)] = -x
+    inverse = RatMatrix._trusted(len(pivots), raw_dim, entries)
     basis = [p for p in pivots if p < cols]
     extra = [p - cols for p in pivots if p >= cols]
     rows = range(raw_dim)

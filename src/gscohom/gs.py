@@ -32,9 +32,9 @@ from math import factorial, lcm
 # linalg.cohomology is imported as linalg_cohomology, the name under which
 # bench/tracer.py's tests look for it in this module
 from .linalg import (KINDS, RatMatrix, NotASubcomplex,  # noqa: F401
-                     UsageError, flatten, is_closed, memo, unflatten,
-                     subcomplex_cohomology, cohomology as linalg_cohomology,
-                     VerificationFailed)
+                     ShapeMismatch, UsageError, flatten, is_closed, memo,
+                     unflatten, subcomplex_cohomology,
+                     cohomology as linalg_cohomology, VerificationFailed)
 from .algebra import AlgebraHom, FinBimodule, InvalidStructure
 from .simplicial import ModPresheaf, PairComplex
 from .hochschild import (hoch_differential, op_matrix,
@@ -217,15 +217,27 @@ class GSComplex:
     # -- cochain packing
 
     def flatten_cochain(self, theta):
-        """The flat coordinates of theta (missing blocks are zero)."""
+        """The flat coordinates of theta (missing blocks are zero); a block
+        not shaped like its cell raises ShapeMismatch."""
         vec = []
         for cell in self.cells(theta.degree):
             mat = theta.component(cell.p, cell.q).get(cell.sigma.key())
-            vec.extend(flatten(mat if mat is not None
-                               else RatMatrix.zeros(cell.rows, cell.cols)))
+            if mat is None:
+                mat = RatMatrix.zeros(cell.rows, cell.cols)
+            elif (mat.rows, mat.cols) != (cell.rows, cell.cols):
+                raise ShapeMismatch(
+                    "a %d x %d block at the %d x %d cell %r of C^%d,%d"
+                    % (mat.rows, mat.cols, cell.rows, cell.cols,
+                       cell.sigma.key(), cell.p, cell.q))
+            vec.extend(flatten(mat))
         return tuple(vec)
 
     def unflatten_cochain(self, n, vec):
+        """The cochain with the flat coordinates vec (ShapeMismatch unless
+        vec has dim C^n coordinates)."""
+        if len(vec) != self.dim(n):
+            raise ShapeMismatch("%d coordinates for C^%d of dimension %d"
+                                % (len(vec), n, self.dim(n)))
         comps = {}
         for cell in self.cells(n):
             comps.setdefault((cell.p, cell.q), {})[cell.sigma.key()] = \

@@ -12,19 +12,23 @@ Ranks, pivot columns, kernels, solutions and inverses all come from one
 sparse integer elimination.  Each row is scaled to a primitive integer row
 {col: int}; rows are reduced one at a time against an echelon basis keyed
 by leading column, and a combination touches only the nonzeros of the two
-rows it combines and is divided by its content again.  Back-substitution
-gives the reduced row echelon form (RREF), divided by the leading entries
-only at the end.  Columns are eliminated in order, so the pivot columns are
-the canonical ones and the RREF, the kernel bases read off it and the
-cohomology representatives do not depend on row order.  A matrix keeps its
-echelon form and its RREF once computed, so every query on the same matrix
-eliminates it at most once.
+rows it combines and is divided by its content again.  Every answer is
+read off the echelon basis the same way (`RatMatrix._kernel_columns`):
+back-substitution from the last leading column back gives the kernel
+vectors with 1 at one chosen free column and 0 at the other free columns.
+A kernel basis is those vectors at every free column; a solution of
+M X = B is minus the top of those at the columns of B in [M | B]; a
+cohomology representative is one of them; and the projection onto a
+tensor quotient is read off them (`algebra.quotient_by_columns`).  Columns
+are eliminated in order, so the pivot columns are the canonical ones, and
+the kernel bases, solutions and representatives do not depend on row
+order.  A matrix keeps its echelon form once computed, so every query on
+the same matrix eliminates it at most once.
 
-A set of vectors is held as the columns of one sparse RatMatrix: a kernel
-basis is read off the RREF straight into such a matrix, a Subspace holds
-one, and `cohomology` builds its representatives into one by
-back-substitution.  Vectors become dense tuples only where they are
-returned: the chosen representatives, and `Subspace.basis` when it is read.
+A set of vectors is held as the columns of one sparse RatMatrix: kernel
+vectors are back-substituted straight into such a matrix, and a Subspace
+holds one.  Vectors become dense tuples only where they are returned: the
+chosen representatives, and `Subspace.basis` when it is read.
 
 `RatMatrix.from_blocks` is the one routine that places blocks: it sums
 (row offset, column offset, block) triples into one matrix, adding entries
@@ -190,22 +194,27 @@ class RatMatrix:
     {(i, j): nonzero entry}.  Each entry is stored in its one exact type
     (`exact`): an int when integral, else a Fraction."""
 
-    __slots__ = ("rows", "cols", "_d", "_ech", "_red", "_hash", "_int")
+    __slots__ = ("rows", "cols", "_d", "_ech", "_hash", "_int")
 
     def __init__(self, rows, cols, entries):
         """`entries` is a dict {(i, j): value} or a list of rows; values may
-        be ints, Fractions or anything Fraction accepts."""
+        be ints, Fractions or anything Fraction accepts.  An entry, zero or
+        not, outside the shape raises ShapeMismatch."""
         if rows < 0 or cols < 0:
             raise ShapeMismatch("a matrix cannot be %d x %d" % (rows, cols))
         self.rows = rows
         self.cols = cols
-        self._ech = self._red = None     # elimination caches, see _echelon
+        self._ech = None                 # elimination cache, see _echelon
         self._hash = self._int = None    # see __hash__ and _integral
         if not isinstance(entries, dict):
             entries = {(i, j): v for i, row in enumerate(entries)
                        for j, v in enumerate(row)}
         d = {}
         for k, v in entries.items():
+            i, j = k
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ShapeMismatch("an entry at (%d, %d) of a %d x %d matrix"
+                                    % (i, j, rows, cols))
             v = exact(v)
             if v:
                 d[k] = v
@@ -220,7 +229,7 @@ class RatMatrix:
         m.rows = rows
         m.cols = cols
         m._d = d
-        m._ech = m._red = m._hash = m._int = None
+        m._ech = m._hash = m._int = None
         return m
 
     # -- constructors
@@ -496,35 +505,27 @@ class RatMatrix:
             self._ech = _row_echelon(self._integer_rows())
         return self._ech
 
-    def _rref(self):
-        """The reduced row echelon form over Q as {pivot column: row as
-        {col: exact entry}}, pivots ascending; computed on the first call and
-        kept."""
-        if self._red is None:
-            self._red = _reduced_rows(self._echelon())
-        return self._red
-
     def rank(self):
         return len(self._echelon())
 
     def pivot_columns(self):
         return sorted(self._echelon())
 
+    def _kernel_columns(self, free):
+        """The cols x len(free) matrix whose column k is the kernel vector
+        with 1 at the column free[k] and 0 at every other free (non-pivot)
+        column; `free` lists free columns.  Such a vector exists and is
+        unique (`cohomology` has the proof), and back-substitution over the
+        echelon rows gives it (`_back_substitute`): every answer read off
+        an elimination is read off here."""
+        return _back_substitute(self._echelon(), free, self.cols)
+
     def kernel(self):
-        """Basis of {v : M v = 0} as a Subspace of dimension cols - rank,
-        read straight off the RREF into one cols x (cols - rank) matrix:
-        column k, for the k-th free column j, has 1 at row j and minus
-        column j of the RREF at the pivot rows."""
+        """Basis of {v : M v = 0} as a Subspace of dimension cols - rank:
+        the kernel columns at the free columns, ascending."""
         pivots = set(self.pivot_columns())
-        free = {j: k for k, j in enumerate(
-            j for j in range(self.cols) if j not in pivots)}
-        entries = {(j, k): 1 for j, k in free.items()}
-        for c, row in self._rref().items():
-            for j, x in row.items():
-                if j != c:
-                    entries[(c, free[j])] = -x
-        return Subspace._from_rref(
-            RatMatrix._trusted(self.cols, len(free), entries))
+        return Subspace._from_kernel_columns(self._kernel_columns(
+            [j for j in range(self.cols) if j not in pivots]))
 
     def solve(self, b):
         """Some x with M x = b, or None if the system is inconsistent."""
@@ -536,17 +537,20 @@ class RatMatrix:
 
     def solve_many(self, rhs):
         """X with M X = rhs (columnwise), or None; one elimination of
-        [M | rhs], whose RREF holds X in its pivot rows."""
+        [M | rhs].  The system is consistent iff no pivot of [M | rhs] lies
+        in rhs.  Then each column n + j of rhs is free, and its kernel
+        column x (1 at n + j, 0 at the other free columns) gives
+        M x' + rhs_j = 0 for x' its first n rows, so X_j = -x'."""
         if rhs.rows != self.rows:
             raise ShapeMismatch("a right-hand side of %d rows for %d rows"
                                 % (rhs.rows, self.rows))
         n = self.cols
-        rref = RatMatrix.hstack([self, rhs])._rref()
-        if any(c >= n for c in rref):
+        combined = RatMatrix.hstack([self, rhs])
+        if any(c >= n for c in combined._echelon()):
             return None
+        x = combined._kernel_columns(range(n, n + rhs.cols))
         return RatMatrix._trusted(n, rhs.cols, {
-            (c, j - n): v for c, row in rref.items()
-            for j, v in row.items() if j >= n})
+            (i, j): -v for (i, j), v in x._d.items() if i < n})
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -608,31 +612,6 @@ def _row_echelon(rows):
     return basis
 
 
-def _reduced_rows(basis):
-    """RREF from an echelon basis: {pivot column: {col: exact entry}},
-    pivots ascending, with 1 at the row's pivot and 0 at every other pivot.
-
-    Rows are reduced from the last pivot back: a row with leading column c
-    has nonzeros at pivot columns k > c only, and subtracting the already
-    reduced row of k clears k without touching another pivot column.  The
-    rows stay integral until the final division by the leading entry, which
-    gives an int wherever the leading entry divides.
-    """
-    reduced = {}
-    for c in sorted(basis, reverse=True):
-        v = basis[c]
-        for k in [k for k in v if k in reduced]:
-            v = _combine(v, reduced[k], k)
-        reduced[c] = v
-    out = {}
-    for c, v in sorted(reduced.items()):
-        lead = v[c]
-        out[c] = v if lead == 1 else {
-            k: x // lead if x % lead == 0 else Fraction(x, lead)
-            for k, x in v.items()}
-    return out
-
-
 class Subspace:
     """A linear subspace of Q^ambient_dim, held as the sparse matrix whose
     independent columns are its basis."""
@@ -652,15 +631,16 @@ class Subspace:
             raise DependentBasis("basis vectors are dependent")
 
     @classmethod
-    def _from_rref(cls, matrix):
-        """The Subspace spanned by the columns of a kernel basis read off an
-        RREF, without the rank check of __init__.
+    def _from_kernel_columns(cls, matrix):
+        """The Subspace spanned by the kernel columns of a matrix at all its
+        free columns (`RatMatrix._kernel_columns`), without the rank check
+        of __init__.
 
         Such a basis is independent by construction: there is one column
-        per free column of the RREF, and column k has 1 at the k-th free
-        column and 0 at every other free column (its other nonzeros sit at
-        pivot columns).  Restricted to the free coordinates the columns are
-        those of an identity matrix, so no nontrivial combination of them
+        per free column, and column k has 1 at the k-th free column and 0
+        at every other free column (its other nonzeros sit at pivot
+        columns).  Restricted to the free coordinates the columns are those
+        of an identity matrix, so no nontrivial combination of them
         vanishes.
         """
         space = object.__new__(cls)
@@ -694,20 +674,20 @@ def cohomology(d_in, d_out):
     representatives): betti = dim ker(d_out) - rank(d_in), and kernel
     vectors spanning a complement of the image inside the kernel.  It takes
     one echelon of d_out and one of the columns of d_in on the free columns
-    of d_out, and builds no RREF and no kernel matrix.
+    of d_out, and reads the representatives off the first.
 
     Let P be the pivot columns of d_out, F the others (its free columns),
-    and pi the projection onto the coordinates F.  The representatives are
-    those that the RREF path gives: the kernel basis K read off the RREF
-    (column k is 1 at the k-th free column, 0 at the other free columns),
-    and among its columns the pivots of [im d_in | K], i.e. each column of K
-    that is not in the span of im d_in and the columns of K before it.
+    and pi the projection onto the coordinates F.  Let K be the kernel
+    basis `kernel` returns, d_out._kernel_columns(F): column k is 1 at the
+    k-th free column and 0 at the other free columns.  The representatives
+    are the pivots of [im d_in | K] among the columns of K, i.e. each column
+    of K that is not in the span of im d_in and the columns of K before it.
     - pi is injective on ker d_out.  A kernel vector x solves the echelon
       rows of d_out; the row with leading column c gives x_c from the
       coordinates after c, so from the last pivot back every x_c, c in P,
       is fixed by x on F (`_back_substitute`).  So the kernel vector with
-      given free coordinates is unique, and back-substitution from 1 at
-      one free column and 0 at the others gives exactly that column of K.
+      given free coordinates is unique, and the columns of K at any subset
+      of F are the columns `_kernel_columns` gives for that subset.
     - d_out . d_in = 0 puts im d_in inside ker d_out, so pi is injective on
       it: rank d_in = rank pi(d_in), and kernel vectors are independent
       modulo im d_in iff their projections are independent modulo
@@ -736,7 +716,7 @@ def cohomology(d_in, d_out):
         (j, at[i]): v for (i, j), v in d_in._d.items() if i in at})
     trailing = {free[last - t] for t in reversed_rows.pivot_columns()}
     chosen = [j for j in free if j not in trailing]
-    reps = _back_substitute(d_out._echelon(), chosen, d_out.cols)
+    reps = d_out._kernel_columns(chosen)
     if chosen and not (d_out @ reps).is_zero():
         raise VerificationFailed("a representative is not a cocycle: "
                                  "d_out . R != 0")

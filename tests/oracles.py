@@ -14,16 +14,25 @@ against, and the writer of project files that the format tests read back.
   conventions, the oracle for the integral projectors.
 - `project_json`: a whole project file.
 - `contains`: membership of a vector in a `linalg.Subspace`.
+- `rref`: the reduced row echelon form by Gauss-Jordan over Fraction,
+  sharing no code with `linalg`, and what the earlier library read off it:
+  `rref_kernel`, `rref_solve_many`, `rref_inverse` and `rref_quotient`,
+  the oracles of the back-substituted read-offs of `linalg` and
+  `algebra.quotient_by_columns`.
 - `rref_cohomology` with `complete_span`: cohomology read off the RREF of
   d_out, its kernel matrix and the pivots of [image | kernel], the
   oracle of `linalg.cohomology`'s one-echelon path.
 - `kron_hoch_differential`: the Hochschild differential as a sum of
   Kronecker products, the oracle of the word-by-word writer.
 - `cochain_value`: the value phi(w) of a Hochschild cochain on a word.
+- `compose_homs` and `opposite_hom`: the composite of two algebra maps,
+  and an algebra map between the opposite algebras.
 
 The checks raise the library's `VerificationFailed`, so they still run
 under `python -O`.
 """
+
+from fractions import Fraction
 
 from gscohom.algebra import (AlgebraHom, FinBimodule, InvalidStructure,
                              eps_block)
@@ -43,29 +52,120 @@ def contains(subspace, v):
     return subspace.matrix().solve(tuple(v)) is not None
 
 
+def rref(mat):
+    """The reduced row echelon form of the matrix: {pivot column: row as
+    {column: Fraction}}, pivots ascending, each row 1 at its pivot and 0 at
+    every other pivot.  Plain Gauss-Jordan over Fraction: each row of mat
+    in turn has the rows so far subtracted at their pivots; what is left,
+    if anything, is divided by its first entry, whose column becomes a
+    pivot, and is subtracted from the rows so far at that column."""
+    reduced = {}
+    rows = {}
+    for (i, j), v in mat.items():
+        rows.setdefault(i, {})[j] = Fraction(v)
+    for row in rows.values():
+        for c in [c for c in row if c in reduced]:
+            _subtract(row, row[c], reduced[c])
+        if not row:
+            continue
+        pivot = min(row)
+        lead = row[pivot]
+        row = {j: x / lead for j, x in row.items()}
+        for other in reduced.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        reduced[pivot] = row
+    return dict(sorted(reduced.items()))
+
+
+def _subtract(row, factor, other):
+    """row -= factor * other, in place, dropping the entries that vanish."""
+    for j, x in other.items():
+        y = row.get(j, 0) - factor * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
+def _exact(x):
+    """x as an int when it is integral, else as it is."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def rref_kernel(mat):
+    """The kernel basis read off the RREF: column k, for the k-th free
+    column j, has 1 at row j and minus column j of the RREF at the pivot
+    rows."""
+    red = rref(mat)
+    free = {j: k for k, j in enumerate(
+        j for j in range(mat.cols) if j not in red)}
+    entries = {(j, k): 1 for j, k in free.items()}
+    for c, row in red.items():
+        for j, x in row.items():
+            if j != c:
+                entries[(c, free[j])] = _exact(-x)
+    return RatMatrix(mat.cols, len(free), entries)
+
+
+def rref_solve_many(mat, rhs):
+    """X with mat X = rhs, or None: the RREF of [mat | rhs] has a pivot in
+    rhs iff the system is inconsistent, and otherwise holds X in its pivot
+    rows."""
+    n = mat.cols
+    red = rref(RatMatrix.hstack([mat, rhs]))
+    if any(c >= n for c in red):
+        return None
+    return RatMatrix(n, rhs.cols, {(c, j - n): _exact(x)
+                                   for c, row in red.items()
+                                   for j, x in row.items() if j >= n})
+
+
+def rref_inverse(mat):
+    """mat^-1, or None."""
+    return rref_solve_many(mat, RatMatrix.identity(mat.rows))
+
+
+def rref_quotient(raw_dim, rel):
+    """(project, section) of `algebra.quotient_by_columns`, read off the
+    RREF of [rel | 1]: section is the identity columns among its pivots,
+    and project the rows of its identity block at those pivots."""
+    cols = rel.cols
+    red = rref(RatMatrix.hstack([rel, RatMatrix.identity(raw_dim)]))
+    extra = [c for c in red if c >= cols]
+    section = RatMatrix(raw_dim, len(extra), {
+        (c - cols, k): 1 for k, c in enumerate(extra)})
+    project = RatMatrix(len(extra), raw_dim, {
+        (k, j - cols): _exact(x) for k, c in enumerate(extra)
+        for j, x in red[c].items() if j >= cols})
+    return project, section
+
+
 def complete_span(span, candidates):
     """(basis, extra): basis is the matrix of the pivot columns of span, a
     basis of its column space; extra lists, ascending, the indices of the
     columns of candidates that are pivot columns of [basis | candidates],
     which complete basis to a basis of the span of both.  Which candidates
-    complete it depends only on the column space of span."""
-    basis = submatrix(span, range(span.rows), span.pivot_columns())
+    complete it depends only on the column space of span.  The pivots come
+    from `rref`."""
+    basis = submatrix(span, range(span.rows), list(rref(span)))
     r = basis.cols
     combined = RatMatrix.hstack([basis, candidates])
-    return basis, [c - r for c in combined.pivot_columns() if c >= r]
+    return basis, [c - r for c in rref(combined) if c >= r]
 
 
 def rref_cohomology(d_in, d_out):
     """(betti, representatives) of  . --d_in--> . --d_out--> .  from three
-    eliminations: the kernel basis read off the RREF of d_out, the pivot
-    columns of d_in, and the kernel columns that are pivots of
-    [image | kernel]; the count is checked against the representatives."""
+    Gauss-Jordan eliminations (`rref`): the kernel basis read off the RREF
+    of d_out, the pivot columns of d_in, and the kernel columns that are
+    pivots of [image | kernel]; the count is checked against the
+    representatives."""
     if d_in.rows != d_out.cols:
         raise ShapeMismatch("d_in has %d rows but d_out %d columns"
                             % (d_in.rows, d_out.cols))
     if not (d_out @ d_in).is_zero():
         raise ComplexViolation("composite of differentials is not zero")
-    kernel = d_out.kernel().matrix()
+    kernel = rref_kernel(d_out)
     image, extra = complete_span(d_in, kernel)
     betti = kernel.cols - image.cols
     if betti != len(extra):
@@ -96,6 +196,22 @@ def kron_hoch_differential(algebra, bimodule, n):
 def cochain_value(phi, word):
     """phi(word): the column of the cochain matrix at the word's index."""
     return phi.matrix.column(word_index(word, phi.algebra.dim))
+
+
+def compose_homs(outer, inner):
+    """outer after inner, for algebra maps inner: A -> B and outer: B -> C
+    (InvalidStructure unless inner lands where outer starts)."""
+    if inner.target.dim != outer.source.dim:
+        raise InvalidStructure("cannot compose: the inner map lands in "
+                               "dim %d, the outer one starts in dim %d"
+                               % (inner.target.dim, outer.source.dim))
+    return AlgebraHom(inner.source, outer.target,
+                      outer.matrix @ inner.matrix, check=False)
+
+
+def opposite_hom(f):
+    """The same linear map as f: A -> B, viewed A^op -> B^op."""
+    return AlgebraHom(f.source.opposite(), f.target.opposite(), f.matrix)
 
 
 class PresheafComplex:

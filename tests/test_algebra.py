@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gscohom.linalg import RatMatrix, VerificationFailed, submatrix
-from oracles import complete_span
+from oracles import complete_span, compose_homs, opposite_hom
 from gscohom.algebra import (FinAlgebra, AlgebraHom, FinModule, FinBimodule,
                              InvalidStructure, tensor_over, module_hom_space,
                              check_flat_epimorphism, quotient_by_columns,
@@ -53,8 +53,16 @@ def test_opposite_sends_homs_to_homs():
     ut = presets.upper_triangular()
     q = presets.rationals()
     f = AlgebraHom(ut, q, RatMatrix.from_rows([[1, 0, 0]]))
-    fop = f.opposite()
+    fop = opposite_hom(f)
     assert fop.is_multiplicative() and fop.is_unital()
+
+
+def test_composing_maps_that_do_not_meet_is_refused():
+    q, dn = presets.rationals(), presets.dual_numbers()
+    with pytest.raises(InvalidStructure, match="cannot compose"):
+        compose_homs(AlgebraHom.identity(q), AlgebraHom.identity(dn))
+    point = AlgebraHom(dn, q, RatMatrix.from_rows([[1, 0]]))
+    assert compose_homs(AlgebraHom.identity(q), point).matrix == point.matrix
 
 
 def test_rebase_unit():
@@ -99,7 +107,7 @@ def test_tensor_functoriality():
     m = FinModule.free(dn)
     t1 = tensor_over(m, f)
     t2 = tensor_over(t1.module, g)
-    t_direct = tensor_over(m, g.compose(f))
+    t_direct = tensor_over(m, compose_homs(g, f))
     assert t2.dim == t_direct.dim
     cols = []
     for j in range(t2.dim):
@@ -235,7 +243,7 @@ def _preset_maps():
         maps += [AlgebraHom.identity(a), unit]
         for row in points:
             point = AlgebraHom(a, q, RatMatrix.from_rows([row]))
-            maps += [point, unit.compose(point)]
+            maps += [point, compose_homs(unit, point)]
     return maps
 
 

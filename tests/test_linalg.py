@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gscohom import linalg
+from gscohom.algebra import quotient_by_columns
 from gscohom.linalg import (RatMatrix, Subspace, cohomology,
                             ComplexViolation, NotASubcomplex, DependentBasis,
                             VerificationFailed, subcomplex_cohomology)
 from conftest import ORACLE, random_matrix
-from oracles import contains, rref_cohomology
+from oracles import (contains, rref, rref_cohomology, rref_inverse,
+                     rref_kernel, rref_quotient, rref_solve_many)
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -211,6 +213,8 @@ print(outcome(lambda: Subspace(2, [(1, 0, 0)])))
 print(outcome(lambda: cohomology(wide.transpose(), m)))
 print(outcome(lambda: unflatten((0,) * 6, 4, 2)))
 print(outcome(lambda: RatMatrix(-1, 2, {})))
+print(outcome(lambda: RatMatrix(2, 2, [[1, 2, 3]])))
+print(outcome(lambda: RatMatrix(2, 2, {(2, 0): 1})))
 print(outcome(lambda: RatMatrix.from_rows([[1, 2], [3]])))
 print(outcome(lambda: RatMatrix.from_cols([(1, 2), (3,)])))
 print(outcome(lambda: m + wide))
@@ -234,7 +238,8 @@ print(outcome(lambda: unflatten((0,) * 6, 3, 2)))
 def test_shape_preconditions_raise_under_python_O(flags):
     # solve, solve_many, inverse, Subspace, cohomology, unflatten, the
     # constructors, +, @, apply and the stacking of blocks given operands
-    # whose dimensions do not fit, block grids with an empty row, an empty
+    # whose dimensions do not fit, entries outside a matrix's shape given
+    # as rows and as a dict, block grids with an empty row, an empty
     # column or no rows, empty stacks, and an entry and a column out of
     # range; the last unflatten fits
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -242,7 +247,7 @@ def test_shape_preconditions_raise_under_python_O(flags):
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == \
-        ["ShapeMismatch"] * 20 + ["IndexError"] * 2 + ["passed"]
+        ["ShapeMismatch"] * 22 + ["IndexError"] * 2 + ["passed"]
     assert issubclass(linalg.ShapeMismatch, ValueError)
 
 
@@ -341,23 +346,16 @@ def test_inverse_round_trip(mat):
 @ORACLE
 @given(sparse_matrices())
 def test_a_matrix_is_eliminated_once(mat):
-    calls = {"echelon": 0, "rref": 0}
-
-    def counting(name, fn):
-        def wrapped(arg):
-            calls[name] += 1
-            return fn(arg)
-        return wrapped
+    calls = []
+    real = linalg._row_echelon
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_row_echelon",
-                   counting("echelon", linalg._row_echelon))
-        mp.setattr(linalg, "_reduced_rows",
-                   counting("rref", linalg._reduced_rows))
+                   lambda rows: calls.append(1) or real(rows))
         first = (mat.rank(), mat.pivot_columns(), mat.kernel().basis)
         again = (mat.rank(), mat.pivot_columns(), mat.kernel().basis,
                  mat.is_invertible())
     assert first == again[:3]
-    assert calls == {"echelon": 1, "rref": 1}
+    assert calls == [1]
 
 
 @ORACLE
@@ -457,18 +455,19 @@ def test_kernel_matrix_columns_are_the_basis(mat):
 
 def _dense_cohomology(d_in, d_out):
     """Reference: the earlier dense algorithm, which built one tuple of
-    length cols per kernel vector and walked every coordinate of each."""
-    pivots = set(d_out.pivot_columns())
+    length cols per kernel vector and walked every coordinate of each; its
+    eliminations are the oracle's Gauss-Jordan (`oracles.rref`)."""
+    reduced = rref(d_out)
     vecs = {j: [F(0)] * d_out.cols for j in range(d_out.cols)
-            if j not in pivots}
+            if j not in reduced}
     for j, v in vecs.items():
         v[j] = F(1)
-    for c, row in d_out._rref().items():
+    for c, row in reduced.items():
         for j, x in row.items():
             if j != c:
                 vecs[j][c] = -x
     kernel = [tuple(v) for v in vecs.values()]
-    image = {c: k for k, c in enumerate(d_in.pivot_columns())}
+    image = {c: k for k, c in enumerate(rref(d_in))}
     entries = {(i, image[j]): v for (i, j), v in d_in.items() if j in image}
     r = len(image)
     for k, vec in enumerate(kernel):
@@ -476,7 +475,7 @@ def _dense_cohomology(d_in, d_out):
             if x:
                 entries[(i, r + k)] = x
     combined = RatMatrix(d_in.rows, r + len(kernel), entries)
-    reps = [kernel[c - r] for c in combined.pivot_columns() if c >= r]
+    reps = [kernel[c - r] for c in rref(combined) if c >= r]
     return len(kernel) - r, reps
 
 
@@ -623,8 +622,10 @@ def test_mixed_entry_types_give_equal_exact_eliminations(twins):
     assert mat.pivot_columns() == mat_f.pivot_columns()
     ker, ker_f = mat.kernel().matrix(), mat_f.kernel().matrix()
     _same(ker, ker_f)
-    for row in mat._rref().values():
-        assert all(type(x) is int or x.denominator > 1 for x in row.values())
+    # the kernel columns at every other free column, last first
+    pivots = set(mat.pivot_columns())
+    free = [j for j in range(mat.cols) if j not in pivots][::-2]
+    _same(mat._kernel_columns(free), mat_f._kernel_columns(free))
     rhs = mat @ RatMatrix.identity(mat.cols)
     _same(mat.solve_many(rhs), mat_f.solve_many(rhs))
     assert mat @ mat.solve_many(rhs) == rhs
@@ -635,6 +636,39 @@ def test_mixed_entry_types_give_equal_exact_eliminations(twins):
     assert (one + mat @ mat.transpose()) @ inv == one
 
 
+def _typed(mat):
+    """The shape of a matrix and its entries with their types (None stays
+    None)."""
+    return None if mat is None else \
+        (mat.rows, mat.cols, [(k, type(v), v) for k, v in mat.items()])
+
+
+@ORACLE
+@given(st.data())
+def test_read_offs_match_the_gauss_jordan_oracle(data):
+    # kernel, solve_many, inverse and quotient_by_columns give what the
+    # earlier library read off an RREF, here the RREF of an independent
+    # Gauss-Jordan elimination: entry for entry and type for type, on
+    # sparse matrices and on both twins of a matrix of mixed entry types,
+    # for consistent and inconsistent systems and singular matrices
+    sparse = data.draw(sparse_matrices())
+    mat, mat_f = data.draw(typed_twins())
+    for m in (sparse, mat, mat_f):
+        assert _typed(m.kernel().matrix()) == _typed(rref_kernel(m))
+        k = data.draw(st.integers(0, 3))
+        x0 = data.draw(sparse_matrices(rows=m.cols, cols=k))
+        free = data.draw(sparse_matrices(rows=m.rows, cols=k))
+        for rhs in (m @ x0, free):
+            assert _typed(m.solve_many(rhs)) == \
+                _typed(rref_solve_many(m, rhs))
+        gram = m @ m.transpose()
+        squares = [gram, RatMatrix.identity(m.rows) + gram]
+        for square in squares + ([m] if m.rows == m.cols else []):
+            assert _typed(square.inverse()) == _typed(rref_inverse(square))
+        assert [_typed(x) for x in quotient_by_columns(m.rows, m)] == \
+            [_typed(x) for x in rref_quotient(m.rows, m)]
+
+
 def test_integral_values_are_stored_as_ints():
     mat = RatMatrix.from_rows([[F(4, 2), "3/1", 0.5], [F(0), True, -1]])
     assert mat._d == {(0, 0): 2, (0, 1): 3, (0, 2): F(1, 2), (1, 1): 1,
@@ -643,10 +677,11 @@ def test_integral_values_are_stored_as_ints():
     assert mat[1, 0] == 0 and type(mat[1, 0]) is int
     assert linalg.exact(F(6, 3)) == 2 and type(linalg.exact(F(6, 3))) is int
     assert linalg.exact(F(1, 3)) == F(1, 3)
-    # an RREF row divided by its leading entry stays an int where it divides
-    rref = RatMatrix.from_rows([[2, 4, 3]])._rref()
-    assert rref == {0: {0: 1, 1: 2, 2: F(3, 2)}}
-    assert type(rref[0][1]) is int
+    # a kernel entry divided by its leading entry stays an int where it
+    # divides
+    ker = RatMatrix.from_rows([[2, 4, 3]])._kernel_columns([1, 2])
+    assert ker._d == {(0, 0): -2, (1, 0): 1, (0, 1): F(-3, 2), (2, 1): 1}
+    assert type(ker[0, 0]) is int
 
 
 def test_memo_keys_from_ints_hit_entries_built_from_fractions(monkeypatch):
