@@ -217,10 +217,20 @@ class GSComplex:
     # -- cochain packing
 
     def flatten_cochain(self, theta):
-        """The flat coordinates of theta (missing blocks are zero); a block
-        not shaped like its cell raises ShapeMismatch."""
+        """The flat coordinates of theta (missing blocks are zero).  A block
+        whose (p, q) or simplex key names no cell of C^n, n = theta.degree,
+        raises ShapeMismatch, and so does a block not shaped like its
+        cell."""
+        cells = self.cells(theta.degree)
+        named = {(cell.p, cell.q, cell.sigma.key()) for cell in cells}
+        for (p, q), blocks in theta.components.items():
+            for key in blocks:
+                if (p, q, key) not in named:
+                    raise ShapeMismatch("a block at %r of C^%d,%d names no "
+                                        "cell of C^%d"
+                                        % (key, p, q, theta.degree))
         vec = []
-        for cell in self.cells(theta.degree):
+        for cell in cells:
             mat = theta.component(cell.p, cell.q).get(cell.sigma.key())
             if mat is None:
                 mat = RatMatrix.zeros(cell.rows, cell.cols)

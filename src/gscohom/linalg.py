@@ -23,7 +23,10 @@ tensor quotient is read off them (`algebra.quotient_by_columns`).  Columns
 are eliminated in order, so the pivot columns are the canonical ones, and
 the kernel bases, solutions and representatives do not depend on row
 order.  A matrix keeps its echelon form once computed, so every query on
-the same matrix eliminates it at most once.
+the same matrix eliminates it at most once.  The same routine also
+eliminates the columns of a matrix, read with the row order reversed: the
+leading columns of that echelon are the trailing rows of the column space
+(`RatMatrix._trailing_rows`), which `cohomology` counts and clears with.
 
 A set of vectors is held as the columns of one sparse RatMatrix: kernel
 vectors are back-substituted straight into such a matrix, and a Subspace
@@ -44,12 +47,16 @@ offsets of its cells (`gs.GSComplex.differential`).
 Hochschild, simplicial, Cech and total complexes reach it through
 `subcomplex_cohomology`, for the whole complex or for a subcomplex spanned
 by coordinates; the Hodge summands of the total complex hand it their
-restricted differentials (`gs.GSComplex.hodge_cohomology`).  It eliminates
-d_out once and the image on the free columns of d_out once, and picks as
-representatives the kernel vectors that complete the image, leftmost
-first; `algebra.quotient_by_columns` picks the complement of the relations
-of a tensor quotient by the same rule, in one elimination that also gives
-its projection.
+restricted differentials (`gs.GSComplex.hodge_cohomology`).  It
+eliminates each differential once, on its short side, by columns: the
+columns of d_out at the trailing rows of im d_in are cleared, since they
+depend on the columns before them, and in a sweep over degrees d_in keeps
+its trailing rows from the degree before.  Only where H^n is not 0 does it
+eliminate rows: those of d_out at its trailing rows, which span its row
+space, to pick as representatives the kernel vectors that complete the
+image, leftmost first.  `algebra.quotient_by_columns` picks the complement
+of the relations of a tensor quotient by the same rule, in one elimination
+that also gives its projection.
 
 The one vec convention is column-major (`flatten`, `unflatten`), so that
 vec(L X R) = (R^T (x) L) vec X (`vec_operator`): cochains are flattened so,
@@ -194,7 +201,7 @@ class RatMatrix:
     {(i, j): nonzero entry}.  Each entry is stored in its one exact type
     (`exact`): an int when integral, else a Fraction."""
 
-    __slots__ = ("rows", "cols", "_d", "_ech", "_hash", "_int")
+    __slots__ = ("rows", "cols", "_d", "_ech", "_trail", "_hash", "_int")
 
     def __init__(self, rows, cols, entries):
         """`entries` is a dict {(i, j): value} or a list of rows; values may
@@ -204,7 +211,7 @@ class RatMatrix:
             raise ShapeMismatch("a matrix cannot be %d x %d" % (rows, cols))
         self.rows = rows
         self.cols = cols
-        self._ech = None                 # elimination cache, see _echelon
+        self._ech = self._trail = None   # _echelon, _trailing_rows caches
         self._hash = self._int = None    # see __hash__ and _integral
         if not isinstance(entries, dict):
             entries = {(i, j): v for i, row in enumerate(entries)
@@ -229,7 +236,7 @@ class RatMatrix:
         m.rows = rows
         m.cols = cols
         m._d = d
-        m._ech = m._hash = m._int = None
+        m._ech = m._trail = m._hash = m._int = None
         return m
 
     # -- constructors
@@ -477,9 +484,8 @@ class RatMatrix:
     # -- elimination
 
     def _integer_rows(self):
-        """The nonzero rows as primitive integer rows {col: int}: each row
-        times the lcm of its denominators, divided by the gcd of its
-        entries, so that it spans the same line as the row it comes from."""
+        """The nonzero rows as primitive integer rows {col: int}
+        (`_primitive_lines`)."""
         by_row = {}
         for (i, j), v in self._d.items():
             row = by_row.get(i)
@@ -487,15 +493,20 @@ class RatMatrix:
                 by_row[i] = {j: v}
             else:
                 row[j] = v
-        integral = _integral(self)
-        out = []
-        for row in by_row.values():
-            if not integral:
-                den = lcm(*(v.denominator for v in row.values()))
-                row = {j: v.numerator * (den // v.denominator)
-                       for j, v in row.items()}
-            out.append(_primitive(row))
-        return out
+        return _primitive_lines(by_row.values(), _integral(self))
+
+    def _reversed_columns(self, cleared):
+        """Every column j not in `cleared`, zero columns too, as a primitive
+        integer row {rows - 1 - i: int} (`_primitive_lines`): the column
+        read with the row order reversed, so that a leading column of an
+        echelon of these rows is a trailing row of the column space."""
+        last = self.rows - 1
+        by_col = {j: {} for j in range(self.cols) if j not in cleared}
+        for (i, j), v in self._d.items():
+            col = by_col.get(j)
+            if col is not None:
+                col[last - i] = v
+        return _primitive_lines(by_col.values(), _integral(self))
 
     def _echelon(self):
         """{leading column: primitive integer row}, an echelon basis of the
@@ -504,6 +515,25 @@ class RatMatrix:
         if self._ech is None:
             self._ech = _row_echelon(self._integer_rows())
         return self._ech
+
+    def _trailing_rows(self, cleared=frozenset()):
+        """T, the trailing rows of the column space: the rows i at which
+        some vector of the column space has its last nonzero entry.  T is
+        the set of leading columns of an echelon of the columns read with
+        the row order reversed (`_reversed_columns`), so |T| = rank.  It is
+        computed on the first call and kept.
+
+        `cleared` lists columns that are each a combination of the columns
+        before them; the column space is the span of the other columns
+        (`cohomology` has the proof), so only those are eliminated.  That
+        the cleared columns are such is the caller's claim; `cohomology`
+        passes the trailing rows of im d_in, which d_out . d_in = 0 makes
+        so."""
+        if self._trail is None:
+            last = self.rows - 1
+            echelon = _row_echelon(self._reversed_columns(cleared))
+            self._trail = frozenset(last - c for c in echelon)
+        return self._trail
 
     def rank(self):
         return len(self._echelon())
@@ -561,6 +591,23 @@ class RatMatrix:
             raise ShapeMismatch("a %d x %d matrix has no inverse"
                                 % (self.rows, self.cols))
         return self.solve_many(RatMatrix.identity(self.rows))
+
+
+def _primitive_lines(lines, integral):
+    """Each line {index: exact value} as a primitive integer line: times
+    the lcm of its denominators (unless the matrix is `integral`), then
+    divided by the gcd of its entries, so that it spans the same line as
+    the one it comes from.  An empty line stays empty."""
+    out = []
+    for line in lines:
+        if line:
+            if not integral:
+                den = lcm(*(v.denominator for v in line.values()))
+                line = {k: v.numerator * (den // v.denominator)
+                        for k, v in line.items()}
+            line = _primitive(line)
+        out.append(line)
+    return out
 
 
 def _primitive(row):
@@ -672,55 +719,85 @@ def cohomology(d_in, d_out):
 
     Checks d_out . d_in = 0 (ComplexViolation), then returns (betti,
     representatives): betti = dim ker(d_out) - rank(d_in), and kernel
-    vectors spanning a complement of the image inside the kernel.  It takes
-    one echelon of d_out and one of the columns of d_in on the free columns
-    of d_out, and reads the representatives off the first.
+    vectors spanning a complement of the image inside the kernel, the
+    kernel vectors that complete the image leftmost first.
 
-    Let P be the pivot columns of d_out, F the others (its free columns),
-    and pi the projection onto the coordinates F.  Let K be the kernel
-    basis `kernel` returns, d_out._kernel_columns(F): column k is 1 at the
-    k-th free column and 0 at the other free columns.  The representatives
-    are the pivots of [im d_in | K] among the columns of K, i.e. each column
-    of K that is not in the span of im d_in and the columns of K before it.
-    - pi is injective on ker d_out.  A kernel vector x solves the echelon
-      rows of d_out; the row with leading column c gives x_c from the
-      coordinates after c, so from the last pivot back every x_c, c in P,
-      is fixed by x on F (`_back_substitute`).  So the kernel vector with
-      given free coordinates is unique, and the columns of K at any subset
-      of F are the columns `_kernel_columns` gives for that subset.
-    - d_out . d_in = 0 puts im d_in inside ker d_out, so pi is injective on
-      it: rank d_in = rank pi(d_in), and kernel vectors are independent
-      modulo im d_in iff their projections are independent modulo
-      pi(im d_in).
-    - pi maps K to the identity on F, so column k of K is picked iff e_k is
-      not in pi(im d_in) + span(e_j : j before k in F), i.e. iff no vector
-      of pi(im d_in) has its last nonzero coordinate at k.  The set T of
-      those last coordinates is the set of leading columns of an echelon
-      basis of pi(im d_in) read with F reversed: the pivot columns of the
-      matrix whose rows are the columns of d_in on F, reversed.  So the
-      representatives are the columns of K at F minus T, ascending, and
-      betti = |F| - |T| = dim ker d_out - rank d_in.
-    The count holds by construction; the representatives R are checked to
-    be cocycles, d_out . R = 0 (VerificationFailed otherwise).
+    Both matrices are eliminated by columns, the short side of the tall
+    differentials of these complexes, and the columns of d_out that
+    im d_in already accounts for are cleared, not eliminated (clearing:
+    Chen and Kerber, *Persistent homology computation with a twist*,
+    EuroCG 2011).  Let T_in and T_out be the
+    trailing rows of im d_in and im d_out (`RatMatrix._trailing_rows`); in
+    a sweep over degrees d_in keeps T_in from the degree before, where it
+    was d_out.  Only the columns of d_out outside T_in are eliminated,
+    which gives T_out, and betti = cols - |T_in| - |T_out|; when that is 0
+    it is the answer.  Otherwise the rows of d_out at T_out are
+    eliminated, F is the set of their free (non-pivot) columns, and the
+    representatives are d_out's kernel columns (`_kernel_columns`) at the
+    columns of F outside T_in, ascending.  The proof, in three steps:
+
+    1. The trailing rows of im d_in are free columns of d_out.  Let x be a
+       nonzero vector of ker d_out, with its last nonzero entry at t.  Then
+       d_out[:, t] = -(1/x_t) sum_{j<t} x_j d_out[:, j]: column t depends on
+       the columns before it, so t is no pivot column.  d_out . d_in = 0
+       puts im d_in inside ker d_out, so this holds at every t in T_in.
+    2. The cleared columns leave the column span unchanged.  By step 1
+       each column at T_in is a combination of the columns before it, so,
+       by induction on T_in ascending, the columns outside T_in span every
+       column of d_out.  So they span im d_out, whose trailing rows T_out
+       they give, with |T_out| = rank d_out; of the cols - |T_in| columns
+       eliminated, exactly cols - |T_in| - |T_out| reduce to zero.
+    3. The rows at T_out span the row space.  Take an echelon basis b_t
+       (t in T_out) of im d_out, b_t with its last nonzero entry at t.  A
+       nonzero combination sum c_t b_t is nonzero at the largest t with
+       c_t != 0, where the b_s with s < t vanish, so no nonzero vector of
+       im d_out vanishes on T_out.  So d_out[T_out, :] has rank |T_out| =
+       rank d_out, and its rows, being rows of d_out, span d_out's row
+       space: it has d_out's kernel and pivot columns, and F is the set of
+       free columns of d_out.
+
+    Then the representatives are right.  A kernel vector x solves the
+    echelon rows, the row with leading column c fixing x_c from the
+    coordinates after c; so x is fixed by its coordinates on F, and the
+    projection pi onto F is injective on ker d_out.  The kernel columns K
+    at F are a basis of ker d_out with pi(K) the identity, and a column of
+    K at f in F completes im d_in and the columns of K before it iff no
+    vector of pi(im d_in) has its last nonzero coordinate at f.  By step 1
+    pi keeps the last nonzero coordinate of every nonzero vector of
+    ker d_out, so those f are exactly T_in: the representatives are the
+    columns of K at F minus T_in, and betti = |F| - |T_in| =
+    cols - |T_out| - |T_in|.
+
+    Checked on the way (VerificationFailed): that the rows at T_out have
+    rank |T_out|, that T_in lies inside F, and that the representatives R
+    are cocycles, d_out . R = 0.
     """
     if d_in.rows != d_out.cols:
         raise ShapeMismatch("d_in has %d rows but d_out %d columns"
                             % (d_in.rows, d_out.cols))
     if not (d_out @ d_in).is_zero():
         raise ComplexViolation("composite of differentials is not zero")
-    pivots = set(d_out.pivot_columns())
-    free = [j for j in range(d_out.cols) if j not in pivots]
-    last = len(free) - 1
-    at = {j: last - k for k, j in enumerate(free)}
-    reversed_rows = RatMatrix._trusted(d_in.cols, len(free), {
-        (j, at[i]): v for (i, j), v in d_in._d.items() if i in at})
-    trailing = {free[last - t] for t in reversed_rows.pivot_columns()}
-    chosen = [j for j in free if j not in trailing]
-    reps = d_out._kernel_columns(chosen)
-    if chosen and not (d_out @ reps).is_zero():
+    t_in = d_in._trailing_rows()
+    t_out = d_out._trailing_rows(t_in)
+    betti = d_out.cols - len(t_in) - len(t_out)
+    if not betti:
+        return 0, []
+    rows_at = RatMatrix._trusted(d_out.rows, d_out.cols, {
+        k: v for k, v in d_out._d.items() if k[0] in t_out})
+    if rows_at.rank() != len(t_out):
+        raise VerificationFailed("the rows of d_out at its %d trailing rows "
+                                 "have rank %d" % (len(t_out), rows_at.rank()))
+    pivots = rows_at._echelon()
+    if not t_in.isdisjoint(pivots):
+        raise VerificationFailed("a trailing row of im d_in is a pivot "
+                                 "column of d_out")
+    chosen = [j for j in range(d_out.cols)
+              if j not in pivots and j not in t_in]
+    reps = rows_at._kernel_columns(chosen)
+    if not (d_out @ reps).is_zero():
         raise VerificationFailed("a representative is not a cocycle: "
                                  "d_out . R != 0")
-    return len(chosen), [reps.column(k) for k in range(len(chosen))]
+    return betti, [reps.column(k) for k in range(betti)]
 
 
 def _back_substitute(echelon, free, cols):

@@ -372,6 +372,10 @@ def _load_cochain(name, block, category, alg_of, chg, chg_inv):
             where = path + "/c1/" + key
             u1, u2 = (_known(u, category.morphisms, where)
                       for u in _pair_key(key, where))
+            if category.target(u1) != category.source(u2):
+                raise SchemaError("%s: %s and %s are no 2-simplex: %s does "
+                                  "not end where %s starts"
+                                  % (where, u1, u2, u1, u2))
             src = category.source(u1)
             c1[(u1, u2)] = chg_inv[src].apply(
                 _sized_vector(coeffs, where, alg_of[src].dim))

@@ -87,10 +87,16 @@ class ModPresheaf:
         size-column cochains with maps[u] (the face d_0), or with last=True
         of maps[u]^T (x) 1_size, the pre-composition of size-row cochains
         (the last face); built once per presheaf, so the pair complexes of
-        one GS complex, which share F, share its d_0 blocks."""
+        one GS complex, which share F, share its d_0 blocks.  None when
+        maps[u] is an identity matrix, as it is along an identity arrow:
+        then the block is an identity too, and `write_differential` takes
+        the face as a run."""
+        mat = self.maps[u]
+        if mat == RatMatrix.identity(mat.rows):
+            return None
         one = RatMatrix.identity(size)
-        return tuple((self.maps[u].transpose().kron(one) if last
-                      else one.kron(self.maps[u]))._d.items())
+        return tuple((mat.transpose().kron(one) if last
+                      else one.kron(mat))._d.items())
 
     @memo()
     def tensor_power(self, q):
@@ -155,14 +161,27 @@ class PairComplex:
         face d_0 of sigma = (u_1, ..., u_{p+1}) post-composes with F(u_1),
         the block 1_cols (x) F(u_1); the face d_{p+1} pre-composes with
         G(u_{p+1}), the block (-1)^{p+1} G(u_{p+1})^T (x) 1_rows; an
-        interior face d_i is a run of (-1)^i.  Faces that coincide in the
-        face table (`FiniteCategory.faces`) add up."""
+        interior face d_i is a run of (-1)^i, the identity block times that
+        sign.  An outer face whose restriction is an identity matrix is a
+        run too (`ModPresheaf.outer_block`).  Faces that coincide in the
+        face table (`FiniteCategory.faces`) add up: the runs at one face
+        are summed before any entry is written, so runs that cancel, as
+        the faces of a degenerate simplex often do, write nothing."""
         offsets = [col0 + off for *_, off in self.layout(p)[0]]
         for (sigma, rows, cols, start), faces in zip(
                 self.layout(p + 1)[0], self.category.faces(p)):
             out = row0 + start
             stop = out + rows * cols
-            runs = {}
+            runs, blocks = {}, []
+            for pos, entries, coeff in (
+                    (faces[0], self.f.outer_block(sigma.arrows[0], cols,
+                                                  False), 1),
+                    (faces[-1], self.g.outer_block(sigma.arrows[-1], rows,
+                                                   True), (-1) ** (p + 1))):
+                if entries is None:
+                    runs[pos] = runs.get(pos, 0) + coeff
+                else:
+                    blocks.append((pos, entries, sign * coeff))
             for i in range(1, p + 1):
                 runs[faces[i]] = runs.get(faces[i], 0) + (-1) ** i
             # the runs left after coinciding faces cancel write distinct
@@ -174,12 +193,7 @@ class PairComplex:
                                range(offsets[pos], offsets[pos] + stop - out))
                     d.update(zip(keys, repeat(sign * coeff)))
                     written.add(pos)
-            for pos, entries, face_sign in (
-                    (faces[0], self.f.outer_block(sigma.arrows[0], cols,
-                                                  False), sign),
-                    (faces[-1], self.g.outer_block(sigma.arrows[-1], rows,
-                                                   True),
-                     sign * (-1) ** (p + 1))):
+            for pos, entries, face_sign in blocks:
                 col = offsets[pos]
                 if pos not in written:
                     d.update(((out + i, col + j), face_sign * v)

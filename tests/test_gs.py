@@ -20,6 +20,7 @@ from gscohom.shuffles import (VerificationFailed, shuffle_eigenvalue,
                               total_shuffle_operator)
 from gscohom import presets
 from gscohom.algebra import FinAlgebra
+from gscohom.deform import deform
 from gscohom.fincat import poset_category
 from gscohom.presheaf import TwistedPresheaf, strict_presheaf
 from gscohom.simplicial import ModPresheaf, PairComplex
@@ -122,6 +123,34 @@ def test_a_block_of_the_wrong_shape_is_not_flattened():
         gs.flatten_cochain(flat)
     with pytest.raises(linalg.ShapeMismatch):
         gs.d(flat)
+
+
+@pytest.mark.parametrize("components", [
+    {(0, 1): {("U9",): RatMatrix.identity(2)}},
+    {(1, 0): {("U0",): RatMatrix.identity(2)}},
+    {(2, 0): {("U01", "U01->U01", "U01->U0"): RatMatrix.zeros(2, 1)}},
+], ids=["unknown-object", "0-simplex-key-in-(1,0)", "(2,0)-in-degree-1"])
+def test_a_block_off_the_cells_is_not_dropped(components):
+    # each block names no cell of C^1: an object that does not exist, a
+    # 0-simplex key where the cells are keyed by 1-simplices, a bidegree
+    # of total degree 2; flattening it used to give zeros and d of it 0
+    gs = GSComplex(presets.v_poset_commutative())
+    theta = GSCochain(1, components)
+    with pytest.raises(linalg.ShapeMismatch,
+                       match=r"names no cell of C\^1$"):
+        gs.flatten_cochain(theta)
+    with pytest.raises(linalg.ShapeMismatch):
+        gs.d(theta)
+    assert gs.flatten_cochain(GSCochain(1, {(0, 1): {}, (2, 0): {}})) == \
+        (0,) * gs.dim(1)
+
+
+def test_deform_refuses_a_twist_off_the_2_simplices():
+    # c1 at a pair of arrows that do not compose names no cell of C^2
+    presheaf = presets.v_poset_commutative()
+    with pytest.raises(linalg.ShapeMismatch,
+                       match=r"names no cell of C\^2$"):
+        deform(presheaf, c1={("U01->U0", "U01->U1"): (5,)})
 
 
 def test_unflattening_takes_exactly_dim_coordinates():
@@ -628,38 +657,44 @@ def test_total_differentials_match_the_oracle_on_the_fixtures(name):
 
 
 def both_cohomologies(monkeypatch, presheaf, degrees, kinds):
-    """{(n, kind): (betti, flat representatives)} of the GS complex, once
-    from `linalg.cohomology` and once from a fresh complex whose
-    cohomology runs the RREF path of the oracles (`rref_cohomology`),
-    Hodge summands included where the presheaf is commutative."""
-    def run():
+    """{(n, kind): (betti, flat representatives)} of the GS complex, with
+    the type of every entry, three times, each from a fresh complex:
+    from `linalg.cohomology` in a sweep over the degrees, where each degree
+    clears the columns that the degree before accounts for; from it with
+    the degrees in reverse order, which clears nothing; and from the RREF
+    path of the oracles (`rref_cohomology`).  Hodge summands are included
+    where the presheaf is commutative."""
+    def run(order):
         gs = GSComplex(presheaf)
         out = {}
-        for n in degrees:
+        for n in order:
             for kind in kinds:
                 betti, reps = gs.cohomology(n, kind)
-                out[(n, kind)] = betti, [gs.flatten_cochain(r) for r in reps]
+                out[(n, kind)] = betti, [
+                    [(type(x), x) for x in gs.flatten_cochain(r)]
+                    for r in reps]
         if all(a.is_commutative() for a in presheaf.algebras.values()):
-            for n in degrees:
+            for n in order:
                 for r in range(n + 1):
                     out[(n, "hodge", r)] = gs.hodge_cohomology(n, r)
         return out
-    new = run()
+    new = run(degrees)
+    backwards = run(degrees[::-1])
     with monkeypatch.context() as patched:
         patched.setattr(linalg, "cohomology", rref_cohomology)
         patched.setattr(gs_module, "linalg_cohomology", rref_cohomology)
-        old = run()
-    return new, old
+        old = run(degrees)
+    return new, backwards, old
 
 
 @pytest.mark.parametrize("name", sorted(presets.standard_fixtures()))
 def test_cohomology_matches_the_rref_oracle_on_the_fixtures(monkeypatch,
                                                             name):
-    # every kind, n <= 5: the same Betti numbers and representatives as
-    # the RREF, kernel matrix and span completion
-    new, old = both_cohomologies(monkeypatch, getattr(presets, name)(),
-                                 range(6), KINDS)
-    assert new == old
+    # every kind, n <= 5, asked in either order: the same Betti numbers
+    # and representatives as the RREF, kernel matrix and span completion
+    new, backwards, old = both_cohomologies(
+        monkeypatch, getattr(presets, name)(), range(6), KINDS)
+    assert new == backwards == old
     assert any(reps for betti, reps in (v for v in new.values()
                                         if isinstance(v, tuple)))
 
@@ -673,8 +708,49 @@ def test_cohomology_matches_the_rref_oracle_on_random_presheaves(presheaf):
                          for a in presheaf.algebras.values()) \
         else ("full", "truncated")
     with pytest.MonkeyPatch.context() as monkeypatch:
-        new, old = both_cohomologies(monkeypatch, presheaf, range(4), kinds)
-    assert new == old
+        new, backwards, old = both_cohomologies(monkeypatch, presheaf,
+                                                range(4), kinds)
+    assert new == backwards == old
+
+
+def test_a_sweep_eliminates_only_what_the_degree_before_leaves(monkeypatch):
+    # counts, no timing: in a sweep of diamond_mixed the column elimination
+    # of d^n gets the dim C^n - rank d^{n-1} columns outside the trailing
+    # rows of im d^{n-1}, exactly betti_n of them reduce to zero, no
+    # echelon of all the rows of a d^n is built, and the rows eliminated
+    # for the representatives are independent
+    gs = GSComplex(presets.diamond_mixed())
+    columns, eliminations = [], []
+    real_columns, real_echelon = RatMatrix._reversed_columns, \
+        linalg._row_echelon
+
+    def recorded_columns(self, cleared):
+        lines = real_columns(self, cleared)
+        columns.append((lines, self))
+        return lines
+
+    def recorded_echelon(rows):
+        basis = real_echelon(rows)
+        source = next((m for lines, m in columns if lines is rows), None)
+        eliminations.append((source, len(rows), len(basis)))
+        return basis
+    monkeypatch.setattr(RatMatrix, "_reversed_columns", recorded_columns)
+    monkeypatch.setattr(linalg, "_row_echelon", recorded_echelon)
+    top = 8
+    betti = [gs.cohomology(n)[0] for n in range(top + 1)]
+    monkeypatch.undo()
+    assert betti == [2] + [1] * top
+    rank_before = 0
+    for n in range(top + 1):
+        d = gs.differential(n)
+        columns_in = gs.dim(n) - rank_before
+        assert [(size, size - basis) for m, size, basis in eliminations
+                if m is d] == [(columns_in, betti[n])], n
+        assert d._ech is None, n
+        rank_before = RatMatrix(d.rows, d.cols, dict(d.items())).rank()
+    by_rows = [(size, basis) for m, size, basis in eliminations if m is None]
+    assert len(by_rows) == top + 1
+    assert all(size == basis for size, basis in by_rows)
 
 
 def non_composing_diamond():

@@ -115,20 +115,38 @@ def random_complex(rng, shuffle=False):
     return kernel @ mix, d_out
 
 
+def _typed_reps(result):
+    betti, reps = result
+    return betti, [[(type(x), x) for x in v] for v in reps]
+
+
 def test_cohomology_matches_the_rref_oracle_on_random_complexes(rng):
-    # the same Betti number and representatives as the RREF, the kernel
-    # matrix and the pivots of [image | kernel], with Fraction entries in
-    # d_in and with the rows of d_out in any order
-    fractions = nonzero = 0
+    # the complex 0 -> C^0 -> C^1 -> C^2 -> 0 of each random pair: a sweep
+    # H^0, H^1, H^2 on one set of matrices, where each degree clears the
+    # columns that the degree before accounts for, the same degrees in
+    # reverse order on fresh matrices, which clear nothing, and the RREF,
+    # the kernel matrix and the pivots of [image | kernel] give the same
+    # Betti numbers and representatives, entry for entry and type for
+    # type, with Fraction entries in d_in and with the rows of d_out in
+    # any order
+    fractions = nonzero = cleared = 0
     for k in range(300):
         d_in, d_out = random_complex(rng, shuffle=k % 2)
         fractions += any(type(v) is F for _, v in d_in.items())
-        fresh = [RatMatrix(m.rows, m.cols, dict(m.items()))
-                 for m in (d_in, d_out)]
-        betti, reps = cohomology(d_in, d_out)
-        assert (betti, reps) == rref_cohomology(*fresh)
-        nonzero += betti > 0
-    assert fractions > 50 and nonzero > 50
+
+        def degrees():
+            a, b = [RatMatrix(m.rows, m.cols, dict(m.items()))
+                    for m in (d_in, d_out)]
+            return [(RatMatrix.zeros(a.cols, 0), a), (a, b),
+                    (b, RatMatrix.zeros(0, b.rows))]
+        sweep = [_typed_reps(cohomology(*pair)) for pair in degrees()]
+        backwards = [_typed_reps(cohomology(*pair))
+                     for pair in reversed(degrees())][::-1]
+        oracle = [_typed_reps(rref_cohomology(*pair)) for pair in degrees()]
+        assert sweep == backwards == oracle
+        nonzero += sweep[1][0] > 0
+        cleared += d_in.rank() > 0
+    assert fractions > 50 and nonzero > 50 and cleared > 100
 
 
 def test_cohomology_basis_invariance(rng):
@@ -814,3 +832,49 @@ def test_cohomology_trips_when_a_representative_is_no_cocycle(monkeypatch):
     monkeypatch.undo()
     assert cohomology(RatMatrix.zeros(2, 0),
                       RatMatrix.from_rows([[1, 1]])) == (1, [(-1, 1)])
+
+
+def _corrupted_columns(monkeypatch, rows, column, line):
+    """Make the column elimination of every matrix with the given number
+    of rows read `line` in place of its column `column` (row order
+    reversed, as `_reversed_columns` gives it)."""
+    real = RatMatrix._reversed_columns
+
+    def corrupted(self, cleared):
+        lines = real(self, cleared)
+        if self.rows == rows:
+            lines[column] = line
+        return lines
+    monkeypatch.setattr(RatMatrix, "_reversed_columns", corrupted)
+
+
+def test_cohomology_trips_when_the_rows_at_t_out_are_dependent(monkeypatch):
+    # only a broken column elimination reaches the check: read column 1 of
+    # [[1 1 0], [1 1 0]] as (1, 0), so T_out = {0, 1} although the rank is
+    # 1, and the two rows at T_out are dependent
+    def pair():
+        return RatMatrix.zeros(3, 0), RatMatrix.from_rows([[1, 1, 0],
+                                                           [1, 1, 0]])
+    _corrupted_columns(monkeypatch, 2, 1, {1: 1})
+    with pytest.raises(VerificationFailed,
+                       match=r"^the rows of d_out at its 2 trailing rows "
+                             r"have rank 1$"):
+        cohomology(*pair())
+    monkeypatch.undo()
+    assert cohomology(*pair()) == (2, [(-1, 1, 0), (0, 0, 1)])
+
+
+def test_cohomology_trips_when_a_cleared_column_is_a_pivot(monkeypatch):
+    # only a broken column elimination reaches the check: read the image
+    # (-1, 1, 0) of d_in as (1, 0, 0), so T_in = {0}, the pivot column of
+    # d_out = [1 1 0], is cleared from it
+    def pair():
+        return (RatMatrix.from_cols([(-1, 1, 0)]),
+                RatMatrix.from_rows([[1, 1, 0]]))
+    _corrupted_columns(monkeypatch, 3, 0, {2: 1})
+    with pytest.raises(VerificationFailed,
+                       match=r"^a trailing row of im d_in is a pivot column "
+                             r"of d_out$"):
+        cohomology(*pair())
+    monkeypatch.undo()
+    assert cohomology(*pair()) == (1, [(0, 0, 1)])

@@ -187,6 +187,26 @@ def test_cli_deform_verdicts():
     assert payload["failures"]
 
 
+def test_cli_deform_refuses_a_twist_at_arrows_that_do_not_compose(
+        tmp_path):
+    # U01->U0 ends at U0 and U01->U1 starts at U01: no 2-simplex, so the
+    # block is a schema error, not a twist the deformation ignores
+    with open(project_path("v_poset.json")) as fh:
+        raw = json.load(fh)
+    raw["cochains"]["rep_cocycle"]["c1"] = {"U01->U0;U01->U1": ["5"]}
+    project = tmp_path / "project.json"
+    project.write_text(json.dumps(raw))
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    done = subprocess.run([sys.executable, "-m", "gscohom.cli", "deform",
+                           "--project", str(project), "--cocycle",
+                           "rep_cocycle"], capture_output=True, text=True,
+                          env=env)
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stdout)["error"].startswith(
+        "/cochains/rep_cocycle/c1/U01->U0;U01->U1: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_cli_equiv():
     code, out = run_cli(["equiv", "--project", project_path("v_poset.json"),
                          "--defA", "rep_cocycle", "--defB", "rep_cocycle",
