@@ -352,8 +352,12 @@ def _multiplication_by(x, table):
 
 
 def _defect_columns(lhs, rhs):
-    """The indices of the columns where two matrices differ."""
-    return {j for (_, j), _ in (lhs - rhs).items()}
+    """The indices of the columns where two matrices of one shape differ,
+    compared column by column: each stored column is the dict of its
+    nonzero exact entries, so two columns are equal iff their dicts are."""
+    left, right = lhs._c, rhs._c
+    return {j for j in left.keys() | right.keys()
+            if left.get(j) != right.get(j)}
 
 
 class QuotientModule:
@@ -413,12 +417,13 @@ def quotient_by_columns(raw_dim, rel_matrix):
     combined = RatMatrix.hstack([rel_matrix, RatMatrix.identity(raw_dim)])
     pivots = combined.pivot_columns()
     place = {p: i for i, p in enumerate(pivots)}
-    entries = {(place[p], p - cols): 1 for p in pivots if p >= cols}
+    by_col = {p - cols: {place[p]: 1} for p in pivots if p >= cols}
     free = [j for j in range(cols, cols + raw_dim) if j not in place]
-    for (c, k), x in combined._kernel_columns(free)._d.items():
-        if c in place:
-            entries[(place[c], free[k] - cols)] = -x
-    inverse = RatMatrix._trusted(len(pivots), raw_dim, entries)
+    for k, col in combined._kernel_columns(free)._c.items():
+        col = {place[c]: -x for c, x in col.items() if c in place}
+        if col:
+            by_col[free[k] - cols] = col
+    inverse = RatMatrix._trusted(len(pivots), raw_dim, by_col)
     basis = [p for p in pivots if p < cols]
     extra = [p - cols for p in pivots if p >= cols]
     rows = range(raw_dim)

@@ -45,6 +45,7 @@ class FiniteCategory:
         self._comp = dict(composition)      # (g.name, f.name) -> name of g o f
         self.identities = dict(identities)  # object -> morphism name
         self._validate()
+        self._identity_arrows = frozenset(self.identities.values())
 
     def _validate(self):
         """Endpoints, identities, composites, the unit laws and
@@ -173,7 +174,9 @@ class Simplex:
         return Simplex(self.cat, key[1:], key[0])
 
     def is_degenerate(self):
-        return any(self.cat.is_identity(a) for a in self.arrows)
+        """True iff some arrow of the simplex is an identity: a set test,
+        as the subcomplex kinds ask it of every cell."""
+        return not self.cat._identity_arrows.isdisjoint(self.arrows)
 
     def key(self):
         return (self.domain,) + self.arrows

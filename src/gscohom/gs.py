@@ -32,8 +32,8 @@ from math import factorial, lcm
 # linalg.cohomology is imported as linalg_cohomology, the name under which
 # bench/tracer.py's tests look for it in this module
 from .linalg import (KINDS, RatMatrix, NotASubcomplex,  # noqa: F401
-                     ShapeMismatch, UsageError, flatten, is_closed, memo,
-                     unflatten, subcomplex_cohomology,
+                     ShapeMismatch, UsageError, exact, flatten, is_closed,
+                     memo, subcomplex_cohomology,
                      cohomology as linalg_cohomology, VerificationFailed)
 from .algebra import AlgebraHom, FinBimodule, InvalidStructure
 from .simplicial import ModPresheaf, PairComplex
@@ -189,30 +189,35 @@ class GSComplex:
 
     @memo()
     def differential(self, n):
-        """The total differential C^n -> C^{n+1}, written into one dict at
-        the cells' offsets: (-1)^{n+1} d_simp from the cells of (p, q) to
-        those of (p+1, q) (`PairComplex.write_differential`), and the local
+        """The total differential C^n -> C^{n+1}, written column by column
+        at the cells' offsets, one dict {row: value} per column of C^n:
+        (-1)^{n+1} d_simp from the cells of (p, q) to those of (p+1, q)
+        (`PairComplex.write_differential`), and the columns of the local
         d_Hoch of each p-simplex from its cell of (p, q) to its cell of
-        (p, q+1).  The cells of C^n and the first cells of C^{n+1} are the
-        same simplices in the same order, p by p, so the two lists pair up
-        cell for cell."""
+        (p, q+1), copied with their rows shifted.  The two write distinct
+        rows of a column.  The cells of C^n and the first cells of C^{n+1}
+        are the same simplices in the same order, p by p, so the two lists
+        pair up cell for cell."""
         src, tgt = self.cells(n), self.cells(n + 1)
         col0, row0 = {}, {}             # p -> start of its first cell
         for cell in src:
             col0.setdefault(cell.p, cell.start)
         for cell in tgt:
             row0.setdefault(cell.p, cell.start)
-        d = {}
+        columns = [{} for _ in range(self.dim(n))]
         for p in range(n + 1):
             self.pair(n - p).write_differential(
-                p, d, row0.get(p + 1, 0), col0.get(p, 0), (-1) ** (n + 1))
+                p, columns, row0.get(p + 1, 0), col0.get(p, 0),
+                (-1) ** (n + 1))
         blocks = (blk for p in range(n + 1)
                   for blk in self._local_blocks(p, n - p))
         for cell, image, blk in zip(src, tgt, blocks):
             r, c = image.start, cell.start
-            for (i, j), v in blk._d.items():
-                d[(r + i, c + j)] = v
-        return RatMatrix._trusted(self.dim(n + 1), self.dim(n), d)
+            for j, col in blk._c.items():
+                target = columns[c + j]
+                for i, v in col.items():
+                    target[r + i] = v
+        return RatMatrix._from_column_list(self.dim(n + 1), columns)
 
     # -- cochain packing
 
@@ -244,14 +249,28 @@ class GSComplex:
 
     def unflatten_cochain(self, n, vec):
         """The cochain with the flat coordinates vec (ShapeMismatch unless
-        vec has dim C^n coordinates)."""
+        vec has dim C^n coordinates): a block at every cell, each built from
+        the nonzero coordinates that fall in its cell, which are read off
+        vec once, in flat order."""
         if len(vec) != self.dim(n):
             raise ShapeMismatch("%d coordinates for C^%d of dimension %d"
                                 % (len(vec), n, self.dim(n)))
-        comps = {}
+        nonzero = [(idx, exact(v)) for idx, v in enumerate(vec) if v]
+        nonzero.append((len(vec), None))        # a sentinel past every cell
+        comps, k = {}, 0
         for cell in self.cells(n):
+            by_col = {}
+            while nonzero[k][0] < cell.stop:
+                idx, v = nonzero[k]
+                k += 1
+                j, i = divmod(idx - cell.start, cell.rows)
+                col = by_col.get(j)
+                if col is None:
+                    by_col[j] = {i: v}
+                else:
+                    col[i] = v
             comps.setdefault((cell.p, cell.q), {})[cell.sigma.key()] = \
-                unflatten(vec[cell.start:cell.stop], cell.rows, cell.cols)
+                RatMatrix._trusted(cell.rows, cell.cols, by_col)
         return GSCochain(n, comps)
 
     def d(self, theta):
@@ -261,8 +280,7 @@ class GSComplex:
 
     # -- subcomplexes
 
-    @staticmethod
-    def _kept_in_cell(kind, cell):
+    def _kept_in_cell(self, kind, cell):
         """The local coordinates (0, ..., rows * cols - 1) of the cell that
         the subcomplex `kind` keeps: `truncated` drops the q = 0 cells,
         `reduced` the cells of degenerate simplices, and `normalized` keeps
@@ -274,8 +292,15 @@ class GSComplex:
                 "reduced" in kind and cell.sigma.is_degenerate():
             return ()
         if "normalized" in kind and cell.q >= 1:
-            return normalized_coordinates(cell.algebra, cell.rows, cell.q)
+            return self._normalized(cell.algebra, cell.rows, cell.q)
         return range(cell.rows * cell.cols)
+
+    @memo()
+    def _normalized(self, algebra, rows, q):
+        """`normalized_coordinates` of a cell of this shape, built once per
+        complex: the cells of one shape repeat across simplices and p.  The
+        list is shared and never mutated."""
+        return normalized_coordinates(algebra, rows, q)
 
     @memo()
     def kept_coordinates(self, kind, n):
@@ -294,7 +319,8 @@ class GSComplex:
             kept = () if kind is None else set(self._kept_in_cell(kind, cell))
             mat = theta.component(cell.p, cell.q).get(cell.sigma.key())
             if mat is not None and any(j * cell.rows + i not in kept
-                                       for (i, j), _ in mat.items()):
+                                       for j, col in mat._c.items()
+                                       for i in col):
                 out.append(cell)
         return out
 

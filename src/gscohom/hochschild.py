@@ -10,9 +10,9 @@ vec,
     vec(L X R) = (R^T (x) L) vec X,
 
 so maps on flat cochains are Kronecker products.  `hoch_differential`
-writes the entries of its Kronecker sum straight into one dict by the word
-rule: the terms move the output of a word w to the words (a, w), to the
-words that merge to w at one place, and to (w, a).  The GS complex (`gs`)
+writes the entries of its Kronecker sum straight into its columns by the
+word rule: the terms move the output of a word w to the words (a, w), to
+the words that merge to w at one place, and to (w, a).  The GS complex (`gs`)
 and the place-permutation actions (`shuffles`) use the same flattening, and
 the opposite map is one such action (`op_matrix`).
 `is_normalized` is one matrix identity for any unit; `normalized_coordinates`
@@ -63,10 +63,11 @@ def hoch_differential(algebra, bimodule, n):
                             + sum_{i=1}^{n} (-1)^i phi(..., x_{i-1} x_i, ...)
                             + (-1)^{n+1} phi(x_0, ..., x_{n-1}) x_n.
 
-    Each term is written entry by entry into one dict, by the word rule:
-    the output r of a word w sits at w * m + r (d = dim A, m = dim M, mu
-    the d x d^2 multiplication matrix, L_a and R_a the actions of the basis
-    element a on M).
+    Each term is written entry by entry into one dict per column, by the
+    word rule: the output r of a word w sits at w * m + r (d = dim A,
+    m = dim M, mu the d x d^2 multiplication matrix, L_a and R_a the
+    actions of the basis element a on M), and column w * m + s holds what
+    the coordinate s of phi(w) contributes.
 
         x_0 phi(...)              L_a from the word w to the word (a, w)
         phi(.., x_{i-1} x_i, ..)  (-1)^i mu[c, (a, b)] along the run of
@@ -80,31 +81,38 @@ def hoch_differential(algebra, bimodule, n):
     """
     d, m = algebra.dim, bimodule.dim
     size = d ** n * m
-    out = {}                # the first term writes distinct entries
+    out = [{} for _ in range(size)]     # the columns, {row: value} each
     for a, left in enumerate(bimodule.left):
-        block = [(a * size + r, s, v) for (r, s), v in left._d.items()]
+        # the first term writes distinct entries
+        block = [(s, a * size + r, v) for s, col in left._c.items()
+                 for r, v in col.items()]
         for base in range(0, size, m):
-            for r, s, v in block:
-                out[(base + r, base + s)] = v
-    mu = algebra.mult_matrix()._d.items()
+            for s, r, v in block:
+                out[base + s][base + r] = v
+    mu = [(c, ab, v) for ab, col in algebra.mult_matrix()._c.items()
+          for c, v in col.items()]
     for i in range(1, n + 1):
         run = d ** (n - i) * m
-        terms = [(ab * run, c * run, (-1) ** i * v) for (c, ab), v in mu]
+        terms = [(ab * run, c * run, (-1) ** i * v) for c, ab, v in mu]
         for row0 in range(0, size * d, d * d * run):
             col0 = row0 // d
             for dr, dc, v in terms:
-                shift = dc - dr - row0 + col0
-                for r in range(row0 + dr, row0 + dr + run):
-                    key = (r, r + shift)
-                    out[key] = out.get(key, 0) + v
+                first = row0 + dr
+                for r, col in zip(range(first, first + run),
+                                  out[col0 + dc:col0 + dc + run]):
+                    col[r] = col.get(r, 0) + v
     sign = (-1) ** (n + 1)
     for a, right in enumerate(bimodule.right):
-        block = [(a * m + r, s, sign * v) for (r, s), v in right._d.items()]
+        block = [(s, a * m + r, sign * v) for s, col in right._c.items()
+                 for r, v in col.items()]
         for base in range(0, size, m):
-            for r, s, v in block:
-                key = (base * d + r, base + s)
-                out[key] = out.get(key, 0) + v
-    return RatMatrix._trusted(size * d, size, _tidy(out))
+            for s, r, v in block:
+                col = out[base + s]
+                r += base * d
+                col[r] = col.get(r, 0) + v
+    for col in out:
+        _tidy(col)
+    return RatMatrix._from_column_list(size * d, out)
 
 
 def d_hoch(phi):

@@ -5,8 +5,18 @@ when the value is integral, else a Fraction (`exact`).  Structure
 constants, restriction maps, signs and identity or permutation blocks are
 almost all integers, and int arithmetic skips the dispatch, gcd and
 allocation of a Fraction.  Every result is exact, so no rounding ever
-happens.  Matrices are immutable after construction and are held
-sparsely, as a dict of their nonzero entries.
+happens.
+
+A matrix is held by columns, and only so: a dict {col: {row: value}} of
+its nonzero columns, each a dict of its nonzero entries, with no empty
+column and no zero entry.  So two equal matrices hold equal dicts, a zero
+matrix holds none, and a column is read without a pass over the others.
+Matrices are immutable after construction, so one column dict may be held
+by several matrices: a block placed at row 0 (`from_blocks`, `hstack`, the
+first operand of `+`) is shared, not copied.  Every routine writes or reads
+whole columns: the differentials are written column by column, the
+product is formed one output column at a time, and the columns are
+eliminated where they are stored.
 
 Ranks, pivot columns, kernels, solutions and inverses all come from one
 sparse integer elimination.  Each row is scaled to a primitive integer row
@@ -24,9 +34,10 @@ are eliminated in order, so the pivot columns are the canonical ones, and
 the kernel bases, solutions and representatives do not depend on row
 order.  A matrix keeps its echelon form once computed, so every query on
 the same matrix eliminates it at most once.  The same routine also
-eliminates the columns of a matrix, read with the row order reversed: the
-leading columns of that echelon are the trailing rows of the column space
+eliminates the stored columns of a matrix, each leading on its last row:
+the leading rows of that echelon are the trailing rows of the column space
 (`RatMatrix._trailing_rows`), which `cohomology` counts and clears with.
+Only the row eliminations regroup a matrix by rows (`_integer_rows`).
 
 A set of vectors is held as the columns of one sparse RatMatrix: kernel
 vectors are back-substituted straight into such a matrix, and a Subspace
@@ -35,11 +46,13 @@ chosen representatives, and `Subspace.basis` when it is read.
 
 `RatMatrix.from_blocks` is the one routine that places blocks: it sums
 (row offset, column offset, block) triples into one matrix, adding entries
-where blocks overlap.  `hstack`, `vstack`, `block`, `block_diag` and `+`
-call it, and so do the slice and Cech cochain maps.  The differentials of
-the complexes write their entries straight into one dict instead: the
-Hochschild differential by the word rule (`hochschild.hoch_differential`),
-the simplicial one at the faces' positions in the nerve's face table
+where blocks overlap.  `hstack`, `vstack`, `block` and `block_diag` call
+it, and so do the slice and Cech cochain maps; `+` and `-` sum two
+matrices of one shape column by column.  The differentials of
+the complexes write their entries straight into a list of column dicts
+instead, one per column (`RatMatrix._from_column_list`): the Hochschild
+differential by the word rule (`hochschild.hoch_differential`), the
+simplicial one at the faces' positions in the nerve's face table
 (`simplicial.PairComplex`), and the total differential both, at the
 offsets of its cells (`gs.GSComplex.differential`).
 
@@ -47,11 +60,17 @@ offsets of its cells (`gs.GSComplex.differential`).
 Hochschild, simplicial, Cech and total complexes reach it through
 `subcomplex_cohomology`, for the whole complex or for a subcomplex spanned
 by coordinates; the Hodge summands of the total complex hand it their
-restricted differentials (`gs.GSComplex.hodge_cohomology`).  It
-eliminates each differential once, on its short side, by columns: the
-columns of d_out at the trailing rows of im d_in are cleared, since they
-depend on the columns before them, and in a sweep over degrees d_in keeps
-its trailing rows from the degree before.  Only where H^n is not 0 does it
+restricted differentials (`gs.GSComplex.hodge_cohomology`).  It first
+checks d_out . d_in = 0 by forming the whole product, one column at a
+time (Gustavson, *Two fast algorithms for sparse matrices: multiplication
+and permuted transposition*, ACM TOMS 4, 1978): column j of the product
+sums the columns of d_out at the entries of column j of d_in, and only the
+entries that survive the cancellation are kept, so a zero product never
+holds more than one column of cancelling terms.  It eliminates each
+differential once, on its short side, by columns: the columns of d_out at
+the trailing rows of im d_in are cleared, since they depend on the columns
+before them, and in a sweep over degrees d_in keeps its trailing rows from
+the degree before.  Only where H^n is not 0 does it
 eliminate rows: those of d_out at its trailing rows, which span its row
 space, to pick as representatives the kernel vectors that complete the
 image, leftmost first.  `algebra.quotient_by_columns` picks the complement
@@ -167,28 +186,33 @@ def exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _tidy(d):
+def _tidy(col):
     """Normalise, in place, a dict of entries computed as sums or products
     of exact values: a Fraction that became integral becomes an int and a
-    sum that cancelled is dropped.  Returns d."""
+    sum that cancelled is dropped.  Returns the dict."""
     zeros = []
-    for k, v in d.items():
+    for k, v in col.items():
         if type(v) is not int:
             if v.denominator != 1:
                 continue
-            v = d[k] = v.numerator
+            v = col[k] = v.numerator
         if not v:
             zeros.append(k)
     for k in zeros:
-        del d[k]
-    return d
+        del col[k]
+    return col
 
 
 def _integral(m):
     """True iff every entry of the matrix m is an int; computed once per
     matrix, which never changes."""
     if m._int is None:
-        m._int = all(type(v) is int for v in m._d.values())
+        m._int = True
+        for col in m._c.values():
+            for v in col.values():
+                if type(v) is not int:
+                    m._int = False
+                    return False
     return m._int
 
 
@@ -197,11 +221,12 @@ _IDENTITIES = {}
 
 
 class RatMatrix:
-    """Immutable rows x cols matrix over Q, held sparsely as a dict
-    {(i, j): nonzero entry}.  Each entry is stored in its one exact type
-    (`exact`): an int when integral, else a Fraction."""
+    """Immutable rows x cols matrix over Q, held sparsely by columns as a
+    dict {col: {row: nonzero entry}} with no empty column.  Each entry is
+    stored in its one exact type (`exact`): an int when integral, else a
+    Fraction."""
 
-    __slots__ = ("rows", "cols", "_d", "_ech", "_trail", "_hash", "_int")
+    __slots__ = ("rows", "cols", "_c", "_ech", "_trail", "_hash", "_int")
 
     def __init__(self, rows, cols, entries):
         """`entries` is a dict {(i, j): value} or a list of rows; values may
@@ -216,7 +241,7 @@ class RatMatrix:
         if not isinstance(entries, dict):
             entries = {(i, j): v for i, row in enumerate(entries)
                        for j, v in enumerate(row)}
-        d = {}
+        by_col = {}
         for k, v in entries.items():
             i, j = k
             if not (0 <= i < rows and 0 <= j < cols):
@@ -224,20 +249,33 @@ class RatMatrix:
                                     % (i, j, rows, cols))
             v = exact(v)
             if v:
-                d[k] = v
-        self._d = d
+                col = by_col.get(j)
+                if col is None:
+                    by_col[j] = {i: v}
+                else:
+                    col[i] = v
+        self._c = by_col
 
     @classmethod
-    def _trusted(cls, rows, cols, d):
-        """The matrix whose entry dict is d itself, with no pass over it:
-        every value of d must be nonzero and already exact (`exact(v) is
-        v`), and nothing may change d afterwards."""
+    def _trusted(cls, rows, cols, by_col):
+        """The matrix whose column dict is by_col itself, with no pass over
+        it: every column must be nonempty, every value nonzero and already
+        exact (`exact(v) is v`), and nothing may change by_col or its
+        columns afterwards."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m._d = d
+        m._c = by_col
         m._ech = m._trail = m._hash = m._int = None
         return m
+
+    @classmethod
+    def _from_column_list(cls, rows, columns):
+        """The rows x len(columns) matrix whose column j is columns[j], a
+        dict {row: value} of exact nonzero entries, empty ones dropped: the
+        form in which the differentials are written, one dict per column."""
+        return cls._trusted(rows, len(columns),
+                            {j: col for j, col in enumerate(columns) if col})
 
     # -- constructors
 
@@ -252,7 +290,7 @@ class RatMatrix:
         one = _IDENTITIES.get(n)
         if one is None:
             one = _IDENTITIES[n] = RatMatrix._trusted(
-                n, n, {(i, i): 1 for i in range(n)})
+                n, n, {i: {i: 1} for i in range(n)})
         return one
 
     @staticmethod
@@ -267,16 +305,19 @@ class RatMatrix:
     def from_cols(cols_list, ambient=None):
         c = len(cols_list)
         r = len(cols_list[0]) if c else (ambient or 0)
-        d = {}
-        for j, col in enumerate(cols_list):
-            if len(col) != r:
+        by_col = {}
+        for j, values in enumerate(cols_list):
+            if len(values) != r:
                 raise ShapeMismatch("columns of lengths %d and %d"
-                                    % (r, len(col)))
-            for i, v in enumerate(col):
+                                    % (r, len(values)))
+            col = {}
+            for i, v in enumerate(values):
                 v = exact(v)
                 if v:
-                    d[(i, j)] = v
-        return RatMatrix._trusted(r, c, d)
+                    col[i] = v
+            if col:
+                by_col[j] = col
+        return RatMatrix._trusted(r, c, by_col)
 
     # -- access
 
@@ -284,38 +325,44 @@ class RatMatrix:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("entry (%d, %d) of %r" % (i, j, self))
-        return self._d.get((i, j), 0)
+        col = self._c.get(j)
+        return col.get(i, 0) if col else 0
 
     def items(self):
         """Iterate nonzero entries as ((i, j), value), in row-major order."""
-        return iter(sorted(self._d.items()))
+        return iter(sorted(((i, j), v) for j, col in self._c.items()
+                           for i, v in col.items()))
 
     def to_rows(self):
         mat = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self._d.items():
-            mat[i][j] = v
+        for j, col in self._c.items():
+            for i, v in col.items():
+                mat[i][j] = v
         return mat
 
     def column(self, j):
         if not 0 <= j < self.cols:
             raise IndexError("column %d of %r" % (j, self))
-        return tuple(self._d.get((i, j), 0) for i in range(self.rows))
+        out = [0] * self.rows
+        for i, v in self._c.get(j, {}).items():
+            out[i] = v
+        return tuple(out)
 
     def nnz(self):
-        return len(self._d)
+        return sum(map(len, self._c.values()))
 
     def is_zero(self):
-        return not self._d
+        return not self._c
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and \
-            self._d == other._d
+            self._c == other._c
 
     def __hash__(self):
         """Computed once: a matrix is never changed after construction.
-        Equal matrices have equal shapes and entry dicts, so equal hashes."""
+        Equal matrices have equal shapes and entries, so equal hashes."""
         if self._hash is None:
             self._hash = hash((self.rows, self.cols, tuple(self.items())))
         return self._hash
@@ -326,17 +373,44 @@ class RatMatrix:
     # -- arithmetic
 
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("%r + %r" % (self, other))
-        return RatMatrix.from_blocks(self.rows, self.cols,
-                                     [(0, 0, self), (0, 0, other)])
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other for sign 1 or -1, column by column: a column
+        that only one side has is taken as it is (negated from other when
+        sign is -1), and a column both have is summed into a copy, its
+        summed entries normalised and the cancelled ones dropped."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeMismatch("%r %s %r" % (self, "+" if sign == 1 else "-",
+                                              other))
+        by_col = dict(self._c)
+        for j, col in other._c.items():
+            mine = by_col.get(j)
+            if mine is None:
+                by_col[j] = col if sign == 1 else \
+                    {i: -v for i, v in col.items()}
+                continue
+            mine = dict(mine)
+            for i, v in col.items():
+                v = mine.get(i, 0) + sign * v
+                if type(v) is not int:
+                    v = exact(v)
+                if v:
+                    mine[i] = v
+                else:
+                    del mine[i]
+            if mine:
+                by_col[j] = mine
+            else:
+                del by_col[j]
+        return RatMatrix._trusted(self.rows, self.cols, by_col)
 
     def __neg__(self):
-        return RatMatrix._trusted(self.rows, self.cols,
-                                  {k: -v for k, v in self._d.items()})
+        return RatMatrix._trusted(self.rows, self.cols, {
+            j: {i: -v for i, v in col.items()} for j, col in self._c.items()})
 
     def scale(self, a):
         a = exact(a)
@@ -344,21 +418,48 @@ class RatMatrix:
             return self
         if a == -1:
             return -self
-        return RatMatrix._trusted(self.rows, self.cols, _tidy(
-            {k: a * v for k, v in self._d.items()}))
+        if not a:
+            return RatMatrix.zeros(self.rows, self.cols)
+        by_col = {j: {i: a * v for i, v in col.items()}
+                  for j, col in self._c.items()}
+        if not (type(a) is int and _integral(self)):
+            for col in by_col.values():
+                _tidy(col)
+        return RatMatrix._trusted(self.rows, self.cols, by_col)
 
     def __matmul__(self, other):
+        """The product, one column at a time: column j is the sum of the
+        columns k of self times other[k, j] over the entries of column j of
+        other, normalised before the next column is begun, so a product
+        that cancels holds at most one column of cancelling terms.  A
+        column of other with one entry 1 shares the column of self."""
         if self.cols != other.rows:
             raise ShapeMismatch("%r @ %r" % (self, other))
-        rows_of_b = {}
-        for (k, j), v in other._d.items():
-            rows_of_b.setdefault(k, []).append((j, v))
-        d = {}
-        for (i, k), a in self._d.items():
-            for j, b in rows_of_b.get(k, ()):
-                key = (i, j)
-                d[key] = d.get(key, 0) + a * b
-        return RatMatrix._trusted(self.rows, other.cols, _tidy(d))
+        left = self._c
+        out = {}
+        for j, col in other._c.items():
+            acc = None
+            shared = False              # acc is a column of self itself
+            for k, b in col.items():
+                terms = left.get(k)
+                if terms is None:
+                    continue
+                if acc is None:
+                    if b == 1:
+                        acc, shared = terms, True
+                    else:
+                        acc = {i: a * b for i, a in terms.items()}
+                    continue
+                if shared:
+                    acc, shared = dict(acc), False
+                for i, a in terms.items():
+                    acc[i] = acc.get(i, 0) + a * b
+            if acc is None or not any(acc.values()):
+                continue
+            if not shared:
+                _tidy(acc)
+            out[j] = acc
+        return RatMatrix._trusted(self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix times column vector (a tuple of exact numbers)."""
@@ -366,14 +467,23 @@ class RatMatrix:
             raise ShapeMismatch("%r applied to %d coordinates"
                                 % (self, len(vec)))
         out = [0] * self.rows
-        for (i, j), v in self._d.items():
-            if vec[j]:
-                out[i] += v * vec[j]
+        for j, col in self._c.items():
+            x = vec[j]
+            if x:
+                for i, v in col.items():
+                    out[i] += v * x
         return tuple(out)
 
     def transpose(self):
-        return RatMatrix._trusted(self.cols, self.rows,
-                                  {(j, i): v for (i, j), v in self._d.items()})
+        by_row = {}
+        for j, col in self._c.items():
+            for i, v in col.items():
+                row = by_row.get(i)
+                if row is None:
+                    by_row[i] = {j: v}
+                else:
+                    row[j] = v
+        return RatMatrix._trusted(self.cols, self.rows, by_row)
 
     @staticmethod
     def from_blocks(rows, cols, placed):
@@ -382,32 +492,45 @@ class RatMatrix:
         entries add, and entries that cancel are dropped.  Every block must
         lie inside the matrix.
 
-        A block that overlaps no earlier one is copied as it is, its entries
-        being exact already; only the entries that were summed are
-        normalised."""
-        d = {}
+        A column of a block placed at row 0 that meets no column of an
+        earlier block is shared, not copied; a column that meets one is
+        summed into a copy, and only the entries summed are normalised."""
+        by_col = {}
+        owned = set()           # the columns built here, which may change
         for r, c, m in placed:
             if r < 0 or c < 0 or r + m.rows > rows or c + m.cols > cols:
                 raise ValueError("a %d x %d block at (%d, %d) does not fit "
                                  "a %d x %d matrix"
                                  % (m.rows, m.cols, r, c, rows, cols))
-            blk = {(r + i, c + j): v for (i, j), v in m._d.items()} \
-                if r or c else m._d
-            if d.keys().isdisjoint(blk.keys()):
-                d.update(blk)
-                continue
-            for key, v in blk.items():
-                if key not in d:
-                    d[key] = v
+            for j, col in m._c.items():
+                j += c
+                mine = by_col.get(j)
+                if mine is None:
+                    if r:
+                        by_col[j] = {r + i: v for i, v in col.items()}
+                        owned.add(j)
+                    else:
+                        by_col[j] = col
                     continue
-                v = d[key] + v
-                if type(v) is not int:
-                    v = exact(v)
-                if v:
-                    d[key] = v
-                else:
-                    del d[key]
-        return RatMatrix._trusted(rows, cols, d)
+                if j not in owned:
+                    mine = by_col[j] = dict(mine)
+                    owned.add(j)
+                for i, v in col.items():
+                    i += r
+                    if i not in mine:
+                        mine[i] = v
+                        continue
+                    v = mine[i] + v
+                    if type(v) is not int:
+                        v = exact(v)
+                    if v:
+                        mine[i] = v
+                    else:
+                        del mine[i]
+                if not mine:
+                    del by_col[j]
+                    owned.discard(j)
+        return RatMatrix._trusted(rows, cols, by_col)
 
     @staticmethod
     def hstack(mats):
@@ -461,19 +584,62 @@ class RatMatrix:
 
     def kron(self, other):
         """The Kronecker product: self[i, j] * other[k, l] at
-        (i * other.rows + k, j * other.cols + l).  Products of nonzero
-        entries are nonzero, and of ints are ints, so only a product with a
-        Fraction factor needs normalising."""
-        rows, cols = other.rows, other.cols
-        entries = list(other._d.items())
-        d = {}
-        for (i, j), a in self._d.items():
-            ri, cj = i * rows, j * cols
-            for (k, l), b in entries:
-                d[(ri + k, cj + l)] = a * b
+        (i * other.rows + k, j * other.cols + l), so column
+        j * other.cols + l is column l of other placed at the rows
+        i * other.rows of each entry self[i, j] of column j, times it.  An
+        identity factor (the shared instance of `identity`) copies the
+        columns of the other one, and a 1 x 1 factor scales it.  Products
+        of nonzero entries are nonzero, and of ints are ints, so only a
+        product with a Fraction factor needs normalising."""
+        rows, width = other.rows, other.cols
+        if rows == width == 1:
+            return self.scale(other[0, 0])
+        if self.rows == self.cols == 1:
+            return other.scale(self[0, 0])
+        shape = (self.rows * rows, self.cols * width)
+        by_col = {}
+        if other is _IDENTITIES.get(rows):
+            # column j * rows + l: column j of self, row i moved to
+            # i * rows + l; a column of one entry is written at once
+            for j, left in self._c.items():
+                base = j * rows
+                if len(left) == 1:
+                    for i, a in left.items():
+                        i *= rows
+                    for l in range(rows):
+                        by_col[base + l] = {i + l: a}
+                    continue
+                for l in range(rows):
+                    by_col[base + l] = out = {}
+                    for i, a in left.items():
+                        out[i * rows + l] = a
+            return RatMatrix._trusted(*shape, by_col)
+        right = other._c.items()
+        if self is _IDENTITIES.get(self.rows):
+            # column j * width + l: column l of other, moved down j * rows
+            for j in range(self.rows):
+                base, shift = j * width, j * rows
+                for l, col in right:
+                    if len(col) == 1:
+                        for k, b in col.items():
+                            by_col[base + l] = {shift + k: b}
+                        continue
+                    by_col[base + l] = out = {}
+                    for k, b in col.items():
+                        out[shift + k] = b
+            return RatMatrix._trusted(*shape, by_col)
+        for j, left in self._c.items():
+            base = j * width
+            for l, col in right:
+                by_col[base + l] = out = {}
+                for i, a in left.items():
+                    shift = i * rows
+                    for k, b in col.items():
+                        out[shift + k] = a * b
         if not (_integral(self) and _integral(other)):
-            _tidy(d)
-        return RatMatrix._trusted(self.rows * rows, self.cols * cols, d)
+            for col in by_col.values():
+                _tidy(col)
+        return RatMatrix._trusted(*shape, by_col)
 
     def kron_power(self, q):
         out = RatMatrix.identity(1)
@@ -487,26 +653,22 @@ class RatMatrix:
         """The nonzero rows as primitive integer rows {col: int}
         (`_primitive_lines`)."""
         by_row = {}
-        for (i, j), v in self._d.items():
-            row = by_row.get(i)
-            if row is None:
-                by_row[i] = {j: v}
-            else:
-                row[j] = v
-        return _primitive_lines(by_row.values(), _integral(self))
+        for j, col in self._c.items():
+            for i, v in col.items():
+                row = by_row.get(i)
+                if row is None:
+                    by_row[i] = {j: v}
+                else:
+                    row[j] = v
+        return _primitive_lines(by_row.values())
 
-    def _reversed_columns(self, cleared):
-        """Every column j not in `cleared`, zero columns too, as a primitive
-        integer row {rows - 1 - i: int} (`_primitive_lines`): the column
-        read with the row order reversed, so that a leading column of an
-        echelon of these rows is a trailing row of the column space."""
-        last = self.rows - 1
-        by_col = {j: {} for j in range(self.cols) if j not in cleared}
-        for (i, j), v in self._d.items():
-            col = by_col.get(j)
-            if col is not None:
-                col[last - i] = v
-        return _primitive_lines(by_col.values(), _integral(self))
+    def _integer_columns(self, cleared):
+        """The stored (nonzero) columns j not in `cleared`, as primitive
+        integer columns {row: int} (`_primitive_lines`).  A column that is
+        primitive already is the stored dict itself, which the elimination
+        does not change."""
+        return _primitive_lines([col for j, col in self._c.items()
+                                 if j not in cleared])
 
     def _echelon(self):
         """{leading column: primitive integer row}, an echelon basis of the
@@ -519,9 +681,9 @@ class RatMatrix:
     def _trailing_rows(self, cleared=frozenset()):
         """T, the trailing rows of the column space: the rows i at which
         some vector of the column space has its last nonzero entry.  T is
-        the set of leading columns of an echelon of the columns read with
-        the row order reversed (`_reversed_columns`), so |T| = rank.  It is
-        computed on the first call and kept.
+        the set of leading rows of an echelon of the stored columns, each
+        leading on its last nonzero row (`_row_echelon` with lead=max), so
+        |T| = rank.  It is computed on the first call and kept.
 
         `cleared` lists columns that are each a combination of the columns
         before them; the column space is the span of the other columns
@@ -530,9 +692,8 @@ class RatMatrix:
         passes the trailing rows of im d_in, which d_out . d_in = 0 makes
         so."""
         if self._trail is None:
-            last = self.rows - 1
-            echelon = _row_echelon(self._reversed_columns(cleared))
-            self._trail = frozenset(last - c for c in echelon)
+            self._trail = frozenset(_row_echelon(
+                self._integer_columns(cleared), max))
         return self._trail
 
     def rank(self):
@@ -579,8 +740,12 @@ class RatMatrix:
         if any(c >= n for c in combined._echelon()):
             return None
         x = combined._kernel_columns(range(n, n + rhs.cols))
-        return RatMatrix._trusted(n, rhs.cols, {
-            (i, j): -v for (i, j), v in x._d.items() if i < n})
+        out = {}
+        for j, col in x._c.items():
+            top = {i: -v for i, v in col.items() if i < n}
+            if top:
+                out[j] = top
+        return RatMatrix._trusted(n, rhs.cols, out)
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -593,19 +758,20 @@ class RatMatrix:
         return self.solve_many(RatMatrix.identity(self.rows))
 
 
-def _primitive_lines(lines, integral):
-    """Each line {index: exact value} as a primitive integer line: times
-    the lcm of its denominators (unless the matrix is `integral`), then
-    divided by the gcd of its entries, so that it spans the same line as
-    the one it comes from.  An empty line stays empty."""
+def _primitive_lines(lines):
+    """Each line {index: exact value} as a primitive integer line, divided
+    by the gcd of its entries, so that it spans the same line as the one it
+    comes from; a line with a Fraction entry, which `gcd` refuses, is first
+    multiplied by the lcm of its denominators.  An empty line stays empty."""
     out = []
     for line in lines:
         if line:
-            if not integral:
+            try:
+                line = _primitive(line)
+            except TypeError:
                 den = lcm(*(v.denominator for v in line.values()))
-                line = {k: v.numerator * (den // v.denominator)
-                        for k, v in line.items()}
-            line = _primitive(line)
+                line = _primitive({k: v.numerator * (den // v.denominator)
+                                   for k, v in line.items()})
         out.append(line)
     return out
 
@@ -635,22 +801,25 @@ def _combine(v, b, c):
     return _primitive(out)
 
 
-def _row_echelon(rows):
+def _row_echelon(rows, lead=min):
     """An echelon basis {leading column: primitive integer row} of the span
-    of the integer rows.
+    of the integer rows, each row leading on its first nonzero column (on
+    its last with lead=max).
 
     Each row is reduced against the basis built so far: while its leading
     column c is the leading column of a basis row b, it is replaced by the
     primitive combination of itself and b that vanishes at c.  It either
     becomes zero or joins the basis under a new leading column.  The set of
     leading columns of any echelon basis of a row space is the set of its
-    RREF pivot columns, so the keys do not depend on the order of the rows;
-    the rows are taken shortest first, which keeps the basis sparse.
+    RREF pivot columns (with lead=max, of the RREF of the columns taken in
+    reverse), so the keys do not depend on the order of the rows; the rows
+    are taken shortest first, which keeps the basis sparse.  No row passed
+    in is changed.
     """
     basis = {}
     for v in sorted(rows, key=len):
         while v:
-            c = min(v)
+            c = lead(v)
             b = basis.get(c)
             if b is None:
                 basis[c] = v
@@ -782,8 +951,15 @@ def cohomology(d_in, d_out):
     betti = d_out.cols - len(t_in) - len(t_out)
     if not betti:
         return 0, []
-    rows_at = RatMatrix._trusted(d_out.rows, d_out.cols, {
-        k: v for k, v in d_out._d.items() if k[0] in t_out})
+    rows_at = {}
+    for j, col in d_out._c.items():
+        kept = None
+        for i, v in col.items():
+            if i in t_out:
+                if kept is None:
+                    kept = rows_at[j] = {}
+                kept[i] = v
+    rows_at = RatMatrix._trusted(d_out.rows, d_out.cols, rows_at)
     if rows_at.rank() != len(t_out):
         raise VerificationFailed("the rows of d_out at its %d trailing rows "
                                  "have rank %d" % (len(t_out), rows_at.rank()))
@@ -824,27 +1000,37 @@ def _back_substitute(echelon, free, cols):
                     else exact(-s / Fraction(lead))
         if solved:
             x[c] = solved
-    return RatMatrix._trusted(cols, len(free), {
-        (i, k): v for i, column in x.items() for k, v in column.items()})
+    by_col = {}
+    for i, row in x.items():
+        for k, v in row.items():
+            col = by_col.get(k)
+            if col is None:
+                by_col[k] = {i: v}
+            else:
+                col[i] = v
+    return RatMatrix._trusted(cols, len(free), by_col)
 
 
 def submatrix(mat, row_idx, col_idx):
     """The rows row_idx and columns col_idx of mat, in the given orders."""
     rpos = {r: i for i, r in enumerate(row_idx)}
-    cpos = {c: j for j, c in enumerate(col_idx)}
-    entries = {}
-    for (i, j), v in mat._d.items():
-        if i in rpos and j in cpos:
-            entries[(rpos[i], cpos[j])] = v
-    return RatMatrix._trusted(len(row_idx), len(col_idx), entries)
+    by_col = {}
+    for j, c in enumerate(col_idx):
+        col = mat._c.get(c)
+        if col:
+            col = {rpos[i]: v for i, v in col.items() if i in rpos}
+            if col:
+                by_col[j] = col
+    return RatMatrix._trusted(len(row_idx), len(col_idx), by_col)
 
 
 def is_closed(d, src, tgt):
     """True iff d maps the span of the coordinates src into the span of
     the coordinates tgt: no nonzero d[i, j] has j in src and i outside
-    tgt."""
-    src, tgt = set(src), set(tgt)
-    return all(i in tgt for i, j in d._d if j in src)
+    tgt.  Only the columns at src are read."""
+    tgt = set(tgt)
+    empty = {}
+    return all(i in tgt for j in src for i in d._c.get(j, empty))
 
 
 def subcomplex_cohomology(differential, n, keep=None, check=None):
@@ -879,9 +1065,13 @@ def subcomplex_cohomology(differential, n, keep=None, check=None):
     betti, reps = cohomology(d_in, d_out)
     keep_n = keeps.get(n)
     if keep_n is not None:
-        placed = [dict(zip(keep_n, v)) for v in reps]
-        reps = [tuple(p.get(pos, 0) for pos in range(d_n.cols))
-                for p in placed]
+        placed = []
+        for v in reps:
+            vec = [0] * d_n.cols
+            for pos, x in zip(keep_n, v):
+                vec[pos] = x
+            placed.append(tuple(vec))
+        reps = placed
     return betti, reps
 
 
@@ -890,8 +1080,10 @@ def flatten(matrix):
     Entry (i, j) of an n x m matrix sits at coordinate j*n + i."""
     out = [0] * (matrix.rows * matrix.cols)
     rows = matrix.rows
-    for (i, j), v in matrix._d.items():
-        out[j * rows + i] = v
+    for j, col in matrix._c.items():
+        base = j * rows
+        for i, v in col.items():
+            out[base + i] = v
     return tuple(out)
 
 
@@ -901,8 +1093,17 @@ def unflatten(vec, rows, cols):
     if len(vec) != rows * cols:
         raise ShapeMismatch("a vector of length %d is not a %d x %d matrix"
                             % (len(vec), rows, cols))
-    return RatMatrix(rows, cols, {(idx % rows, idx // rows): v
-                                  for idx, v in enumerate(vec) if v})
+    by_col = {}
+    for idx, v in enumerate(vec):
+        v = exact(v) if v else 0
+        if v:
+            j, i = divmod(idx, rows)
+            col = by_col.get(j)
+            if col is None:
+                by_col[j] = {i: v}
+            else:
+                col[i] = v
+    return RatMatrix._trusted(rows, cols, by_col)
 
 
 def vec_operator(left, right):

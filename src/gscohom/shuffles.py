@@ -93,12 +93,6 @@ class GroupAlgebraElement:
             out[p] = out.get(p, 0) + c
         return GroupAlgebraElement(self.n, out)
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) - c
-        return GroupAlgebraElement(self.n, out)
-
     def scale(self, a):
         a = exact(a)
         return GroupAlgebraElement(self.n, {p: a * c for p, c in self.terms.items()})
@@ -113,9 +107,6 @@ class GroupAlgebraElement:
 
     def __eq__(self, other):
         return self.n == other.n and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
 
     def __repr__(self):
         return "GroupAlgebraElement(S_%d, %d terms)" % (self.n, len(self.terms))
@@ -309,15 +300,22 @@ def element_action_matrix(elt, m_dim, a_dim):
         num = c.numerator * (den // c.denominator)
         for key, k in hits.items():
             totals[key] += num * k
-    entries = {}
+    by_src = {}                         # src -> {dst: entry}
     for key, v in totals.items():
         if v:
             dst, src = divmod(key, n_words)
             value = v if den == 1 else exact(Fraction(v, den))
-            for i in range(m_dim):
-                entries[(dst * m_dim + i, src * m_dim + i)] = value
+            col = by_src.get(src)
+            if col is None:
+                by_src[src] = {dst: value}
+            else:
+                col[dst] = value
     size = m_dim * n_words
-    return RatMatrix._trusted(size, size, entries)
+    if m_dim == 1:
+        return RatMatrix._trusted(size, size, by_src)
+    return RatMatrix._trusted(size, size, {
+        src * m_dim + i: {dst * m_dim + i: v for dst, v in col.items()}
+        for src, col in by_src.items() for i in range(m_dim)})
 
 
 def perm_action_matrix(perm, m_dim, a_dim):

@@ -11,11 +11,9 @@ map of G, and the interior d_i reindex along the faces.  The GS complex
 its simplicial side.
 
 Cochain blocks are flattened column-major (input index outer, output index
-inner), simplices in nerve order; d is written entry by entry at the faces'
-positions in the category's face table (`FiniteCategory.faces`).
+inner), simplices in nerve order; d is written column by column at the
+faces' positions in the category's face table (`FiniteCategory.faces`).
 """
-
-from itertools import repeat
 
 from .linalg import RatMatrix, exact, memo, subcomplex_cohomology
 from .algebra import InvalidStructure
@@ -83,20 +81,20 @@ class ModPresheaf:
 
     @memo()
     def outer_block(self, u, size, last):
-        """The entries of 1_size (x) maps[u], the post-composition of
-        size-column cochains with maps[u] (the face d_0), or with last=True
-        of maps[u]^T (x) 1_size, the pre-composition of size-row cochains
-        (the last face); built once per presheaf, so the pair complexes of
-        one GS complex, which share F, share its d_0 blocks.  None when
-        maps[u] is an identity matrix, as it is along an identity arrow:
-        then the block is an identity too, and `write_differential` takes
-        the face as a run."""
+        """The columns (j, {row: value}) of 1_size (x) maps[u], the
+        post-composition of size-column cochains with maps[u] (the face
+        d_0), or with last=True of maps[u]^T (x) 1_size, the
+        pre-composition of size-row cochains (the last face); built once per
+        presheaf, so the pair complexes of one GS complex, which share F,
+        share its d_0 blocks.  None when maps[u] is an identity matrix, as
+        it is along an identity arrow: then the block is an identity too,
+        and `write_differential` takes the face as a run."""
         mat = self.maps[u]
         if mat == RatMatrix.identity(mat.rows):
             return None
         one = RatMatrix.identity(size)
         return tuple((mat.transpose().kron(one) if last
-                      else one.kron(mat))._d.items())
+                      else one.kron(mat))._c.items())
 
     @memo()
     def tensor_power(self, q):
@@ -146,16 +144,18 @@ class PairComplex:
 
     @memo()
     def differential(self, p):
-        """Matrix of d_simp: C^p -> C^{p+1}, written entry by entry
+        """Matrix of d_simp: C^p -> C^{p+1}, written column by column
         (`write_differential`)."""
-        return RatMatrix._trusted(self.dim(p + 1), self.dim(p),
-                                  self.write_differential(p, {}, 0, 0, 1))
+        columns = [{} for _ in range(self.dim(p))]
+        self.write_differential(p, columns, 0, 0, 1)
+        return RatMatrix._from_column_list(self.dim(p + 1), columns)
 
-    def write_differential(self, p, d, row0, col0, sign):
-        """Add sign * d_simp: C^p -> C^{p+1} into the entry dict d, with its
-        (0, 0) entry at (row0, col0), and return d.  d must hold no entry in
-        those rows and columns yet; the entries written are exact and
-        nonzero, as `RatMatrix._trusted` needs.
+    def write_differential(self, p, columns, row0, col0, sign):
+        """Add sign * d_simp: C^p -> C^{p+1} into the list of column dicts
+        {row: value}, with its (0, 0) entry at row row0 of columns[col0].
+        No column may hold an entry in those rows yet; the entries written
+        are exact and nonzero, as `RatMatrix._from_column_list` needs, and
+        a column may be left empty.
 
         With vec(L X R) = (R^T (x) L) vec X on column-major cochains, the
         face d_0 of sigma = (u_1, ..., u_{p+1}) post-composes with F(u_1),
@@ -189,25 +189,29 @@ class PairComplex:
             written = set()
             for pos, coeff in runs.items():
                 if coeff:
-                    keys = zip(range(out, stop),
-                               range(offsets[pos], offsets[pos] + stop - out))
-                    d.update(zip(keys, repeat(sign * coeff)))
+                    first, value = offsets[pos], sign * coeff
+                    for row, col in zip(range(out, stop),
+                                        columns[first:first + stop - out]):
+                        col[row] = value
                     written.add(pos)
             for pos, entries, face_sign in blocks:
-                col = offsets[pos]
+                first = offsets[pos]
                 if pos not in written:
-                    d.update(((out + i, col + j), face_sign * v)
-                             for (i, j), v in entries)
+                    for j, block in entries:
+                        col = columns[first + j]
+                        for i, v in block.items():
+                            col[out + i] = face_sign * v
                     written.add(pos)
                     continue
-                for (i, j), v in entries:
-                    key = (out + i, col + j)
-                    v = d.get(key, 0) + face_sign * v
-                    if not v:
-                        del d[key]
-                    else:
-                        d[key] = v if type(v) is int else exact(v)
-        return d
+                for j, block in entries:
+                    col = columns[first + j]
+                    for i, v in block.items():
+                        i += out
+                        v = col.get(i, 0) + face_sign * v
+                        if not v:
+                            del col[i]
+                        else:
+                            col[i] = v if type(v) is int else exact(v)
 
     def reduced_coordinates(self, p):
         """Flat coordinates supported on non-degenerate simplices (a

@@ -12,6 +12,8 @@ against, and the writer of project files that the format tests read back.
   kinds of a GS complex.
 - `eulerian_idempotent`: one rational idempotent with its boundary
   conventions, the oracle for the integral projectors.
+- `element_difference` and `element_is_zero`: a - b and the zero test in
+  the group algebra QS_n.
 - `project_json`: a whole project file.
 - `contains`: membership of a vector in a `linalg.Subspace`.
 - `rref`: the reduced row echelon form by Gauss-Jordan over Fraction,
@@ -22,6 +24,9 @@ against, and the writer of project files that the format tests read back.
 - `rref_cohomology` with `complete_span`: cohomology read off the RREF of
   d_out, its kernel matrix and the pivots of [image | kernel], the
   oracle of `linalg.cohomology`'s one-echelon path.
+- `TupleMatrix`, with `tuple_submatrix` and `tuple_cohomology`: the
+  matrix held as a dict {(i, j): entry}, as `linalg.RatMatrix` was before
+  it was held by columns, the oracle of every matrix operation.
 - `kron_hoch_differential`: the Hochschild differential as a sum of
   Kronecker products, the oracle of the word-by-word writer.
 - `cochain_value`: the value phi(w) of a Hochschild cochain on a word.
@@ -33,6 +38,7 @@ under `python -O`.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from gscohom.algebra import (AlgebraHom, FinBimodule, InvalidStructure,
                              eps_block)
@@ -40,8 +46,8 @@ from gscohom.fincat import Simplex, slice_category
 from gscohom.hochschild import (HCochain, d_hoch, is_normalized, op_matrix,
                                 word_index)
 from gscohom.linalg import (ComplexViolation, RatMatrix, ShapeMismatch,
-                            VerificationFailed, flatten, submatrix,
-                            unflatten)
+                            VerificationFailed, _row_echelon, exact, flatten,
+                            submatrix, unflatten)
 from gscohom.project import SCHEMA, algebra_json, presheaf_json
 from gscohom.shuffles import GroupAlgebraElement, eulerian_idempotents
 from gscohom.simplicial import ModPresheaf, PairComplex
@@ -172,6 +178,242 @@ def rref_cohomology(d_in, d_out):
         raise VerificationFailed("dim ker - rank im = %d, but %d "
                                  "representatives" % (betti, len(extra)))
     return betti, [kernel.column(k) for k in extra]
+
+
+# -- the tuple-keyed matrix, the oracle of the column-keyed RatMatrix
+
+def _tidy_entries(d):
+    """Normalise the entry dict d in place: an integral Fraction becomes an
+    int and a zero is dropped.  Returns d."""
+    for k in [k for k, v in d.items() if not v]:
+        del d[k]
+    for k, v in d.items():
+        if type(v) is not int and v.denominator == 1:
+            d[k] = v.numerator
+    return d
+
+
+class TupleMatrix:
+    """The matrix representation that `linalg.RatMatrix` had before it was
+    held by columns: a dict {(i, j): nonzero exact entry}, with the same
+    operations written on that dict.  Eliminations use `linalg`'s own
+    `_row_echelon` on rows, and the trailing rows come from the columns
+    read with the row order reversed, each leading on its first entry."""
+
+    def __init__(self, rows, cols, entries):
+        if rows < 0 or cols < 0:
+            raise ShapeMismatch("a matrix cannot be %d x %d" % (rows, cols))
+        self.rows, self.cols = rows, cols
+        if not isinstance(entries, dict):
+            entries = {(i, j): v for i, row in enumerate(entries)
+                       for j, v in enumerate(row)}
+        self._d = {}
+        for (i, j), v in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ShapeMismatch("an entry at (%d, %d) of a %d x %d "
+                                    "matrix" % (i, j, rows, cols))
+            v = exact(v)
+            if v:
+                self._d[(i, j)] = v
+
+    @staticmethod
+    def zeros(rows, cols):
+        return TupleMatrix(rows, cols, {})
+
+    @staticmethod
+    def identity(n):
+        return TupleMatrix(n, n, {(i, i): 1 for i in range(n)})
+
+    @staticmethod
+    def from_rows(rows_list):
+        r = len(rows_list)
+        c = len(rows_list[0]) if r else 0
+        if any(len(row) != c for row in rows_list):
+            raise ShapeMismatch("ragged rows")
+        return TupleMatrix(r, c, rows_list)
+
+    @staticmethod
+    def from_cols(cols_list, ambient=None):
+        c = len(cols_list)
+        r = len(cols_list[0]) if c else (ambient or 0)
+        if any(len(col) != r for col in cols_list):
+            raise ShapeMismatch("columns of different lengths")
+        return TupleMatrix(r, c, {(i, j): v for j, col in enumerate(cols_list)
+                                  for i, v in enumerate(col)})
+
+    def __getitem__(self, ij):
+        return self._d.get(ij, 0)
+
+    def items(self):
+        return iter(sorted(self._d.items()))
+
+    def column(self, j):
+        return tuple(self._d.get((i, j), 0) for i in range(self.rows))
+
+    def is_zero(self):
+        return not self._d
+
+    def __eq__(self, other):
+        return (self.rows, self.cols) == (other.rows, other.cols) and \
+            self._d == other._d
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(self.items())))
+
+    def __add__(self, other):
+        return TupleMatrix.from_blocks(self.rows, self.cols,
+                                       [(0, 0, self), (0, 0, other)])
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, a):
+        return self._with(_tidy_entries(
+            {k: exact(a) * v for k, v in self._d.items()}))
+
+    def _with(self, d, rows=None, cols=None):
+        out = TupleMatrix(self.rows if rows is None else rows,
+                          self.cols if cols is None else cols, {})
+        out._d = d
+        return out
+
+    def __matmul__(self, other):
+        if self.cols != other.rows:
+            raise ShapeMismatch("%d columns times %d rows"
+                                % (self.cols, other.rows))
+        rows_of_b = {}
+        for (k, j), v in other._d.items():
+            rows_of_b.setdefault(k, []).append((j, v))
+        d = {}
+        for (i, k), a in self._d.items():
+            for j, b in rows_of_b.get(k, ()):
+                d[(i, j)] = d.get((i, j), 0) + a * b
+        return self._with(_tidy_entries(d), cols=other.cols)
+
+    def apply(self, vec):
+        out = [0] * self.rows
+        for (i, j), v in self._d.items():
+            if vec[j]:
+                out[i] += v * vec[j]
+        return tuple(out)
+
+    def transpose(self):
+        return self._with({(j, i): v for (i, j), v in self._d.items()},
+                          self.cols, self.rows)
+
+    @staticmethod
+    def from_blocks(rows, cols, placed):
+        d = {}
+        for r, c, m in placed:
+            if r < 0 or c < 0 or r + m.rows > rows or c + m.cols > cols:
+                raise ValueError("a block does not fit")
+            for (i, j), v in m._d.items():
+                d[(r + i, c + j)] = d.get((r + i, c + j), 0) + v
+        return TupleMatrix(rows, cols, {})._with(_tidy_entries(d))
+
+    def kron(self, other):
+        d = {(i * other.rows + k, j * other.cols + l): a * b
+             for (i, j), a in self._d.items()
+             for (k, l), b in other._d.items()}
+        return self._with(_tidy_entries(d), self.rows * other.rows,
+                          self.cols * other.cols)
+
+    def _lines(self, by_rows, cleared=()):
+        """The rows {col: int} (or the columns {rows - 1 - i: int} not in
+        cleared, zero ones too) as primitive integer lines."""
+        lines = {} if by_rows else \
+            {j: {} for j in range(self.cols) if j not in cleared}
+        for (i, j), v in self._d.items():
+            if by_rows:
+                lines.setdefault(i, {})[j] = v
+            elif j in lines:
+                lines[j][self.rows - 1 - i] = v
+        out = []
+        for line in lines.values():
+            if line:
+                den = lcm(*(Fraction(v).denominator for v in line.values()))
+                line = {k: int(v * den) for k, v in line.items()}
+                g = gcd(*line.values())
+                line = {k: x // g for k, x in line.items()}
+            out.append(line)
+        return out
+
+    def _echelon(self):
+        return _row_echelon(self._lines(True))
+
+    def _trailing_rows(self, cleared=frozenset()):
+        return frozenset(self.rows - 1 - c
+                         for c in _row_echelon(self._lines(False, cleared)))
+
+    def rank(self):
+        return len(self._echelon())
+
+    def _kernel_columns(self, free):
+        """Back-substitution over the echelon rows, as `linalg` did it on
+        the tuple-keyed layout."""
+        echelon = self._echelon()
+        x = {j: {k: 1} for k, j in enumerate(free)}
+        for c in sorted(echelon, reverse=True):
+            row, acc = echelon[c], {}
+            for col, v in row.items():
+                for k, y in x.get(col, {}).items():
+                    acc[k] = acc.get(k, 0) + v * y
+            solved = {k: exact(Fraction(-s, row[c]))
+                      for k, s in acc.items() if s}
+            if solved:
+                x[c] = solved
+        return TupleMatrix(self.cols, len(free), {
+            (i, k): v for i, column in x.items() for k, v in column.items()})
+
+    def kernel(self):
+        """The kernel columns at every free column, as a TupleMatrix."""
+        pivots = self._echelon()
+        return self._kernel_columns([j for j in range(self.cols)
+                                     if j not in pivots])
+
+    def solve_many(self, rhs):
+        n = self.cols
+        combined = TupleMatrix.from_blocks(self.rows, n + rhs.cols,
+                                           [(0, 0, self), (0, n, rhs)])
+        if any(c >= n for c in combined._echelon()):
+            return None
+        x = combined._kernel_columns(range(n, n + rhs.cols))
+        return TupleMatrix(n, rhs.cols, {(i, j): -v for (i, j), v
+                                         in x._d.items() if i < n})
+
+
+def tuple_submatrix(mat, row_idx, col_idx):
+    """`linalg.submatrix` of a TupleMatrix."""
+    rpos = {r: i for i, r in enumerate(row_idx)}
+    cpos = {c: j for j, c in enumerate(col_idx)}
+    return TupleMatrix(len(row_idx), len(col_idx), {
+        (rpos[i], cpos[j]): v for (i, j), v in mat._d.items()
+        if i in rpos and j in cpos})
+
+
+def tuple_cohomology(d_in, d_out):
+    """`linalg.cohomology` on TupleMatrix differentials, step for step as it
+    ran on the tuple-keyed layout: the full product check, T_in and T_out
+    with clearing, and the representatives from the rows at T_out."""
+    if not (d_out @ d_in).is_zero():
+        raise ComplexViolation("composite of differentials is not zero")
+    t_in = d_in._trailing_rows()
+    t_out = d_out._trailing_rows(t_in)
+    betti = d_out.cols - len(t_in) - len(t_out)
+    if not betti:
+        return 0, []
+    rows_at = TupleMatrix(d_out.rows, d_out.cols, {
+        k: v for k, v in d_out._d.items() if k[0] in t_out})
+    pivots = rows_at._echelon()
+    if len(pivots) != len(t_out) or not t_in.isdisjoint(pivots):
+        raise VerificationFailed("the rows at T_out do not fit")
+    chosen = [j for j in range(d_out.cols)
+              if j not in pivots and j not in t_in]
+    reps = rows_at._kernel_columns(chosen)
+    return betti, [reps.column(k) for k in range(betti)]
 
 
 def kron_hoch_differential(algebra, bimodule, n):
@@ -362,6 +604,17 @@ def cohomology_kinds(gs, n, kinds):
         raise VerificationFailed(
             "quasi-isomorphism witness failed at degree %d: %s" % (n, out))
     return out
+
+
+def element_difference(a, b):
+    """a - b in the group algebra QS_n."""
+    return a + b.scale(-1)
+
+
+def element_is_zero(x):
+    """True iff the group algebra element x is 0: it keeps no term with a
+    zero coefficient."""
+    return not x.terms
 
 
 def eulerian_idempotent(n, r):

@@ -29,7 +29,7 @@ from gscohom.descent import (DescentMachine, canonical_free_datum,
                              q_functor_hom_check, verify_pseudonatural)
 from gscohom import presets
 from conftest import random_matrix
-from oracles import PresheafComplex, op_cochain
+from oracles import PresheafComplex, element_is_zero, op_cochain
 
 import random
 
@@ -246,7 +246,7 @@ def test_criterion_4_hodge_suite(fixture_complexes):
             assert e * e == e, (n, i)
             total = total + e
             for j in range(i + 1, n):
-                assert (e * es[j]).is_zero(), (n, i, j)
+                assert element_is_zero(e * es[j]), (n, i, j)
         assert total == GroupAlgebraElement.one(n), n
     for name in ("v_poset_commutative", "diamond_mixed"):
         gs = fixture_complexes[name]

@@ -267,12 +267,12 @@ def _drop_a_hit_coordinate(monkeypatch, presheaf, kind, n):
     where = (cell.p, cell.q, cell.sigma.key())
     rule = GSComplex._kept_in_cell
 
-    def dropped(kind, c):
-        local = rule(kind, c)
+    def dropped(self, kind, c):
+        local = rule(self, kind, c)
         if (c.p, c.q, c.sigma.key()) != where:
             return local
         return [x for x in local if x != hit - cell.start]
-    monkeypatch.setattr(GSComplex, "_kept_in_cell", staticmethod(dropped))
+    monkeypatch.setattr(GSComplex, "_kept_in_cell", dropped)
 
 
 def test_check_subcomplex_trips_on_a_dropped_coordinate(monkeypatch):
@@ -716,12 +716,13 @@ def test_cohomology_matches_the_rref_oracle_on_random_presheaves(presheaf):
 def test_a_sweep_eliminates_only_what_the_degree_before_leaves(monkeypatch):
     # counts, no timing: in a sweep of diamond_mixed the column elimination
     # of d^n gets the dim C^n - rank d^{n-1} columns outside the trailing
-    # rows of im d^{n-1}, exactly betti_n of them reduce to zero, no
+    # rows of im d^{n-1}, less the zero columns, which are not stored;
+    # exactly betti_n of them, with the zero columns, reduce to zero; no
     # echelon of all the rows of a d^n is built, and the rows eliminated
     # for the representatives are independent
     gs = GSComplex(presets.diamond_mixed())
     columns, eliminations = [], []
-    real_columns, real_echelon = RatMatrix._reversed_columns, \
+    real_columns, real_echelon = RatMatrix._integer_columns, \
         linalg._row_echelon
 
     def recorded_columns(self, cleared):
@@ -729,25 +730,28 @@ def test_a_sweep_eliminates_only_what_the_degree_before_leaves(monkeypatch):
         columns.append((lines, self))
         return lines
 
-    def recorded_echelon(rows):
-        basis = real_echelon(rows)
+    def recorded_echelon(rows, *lead):
+        basis = real_echelon(rows, *lead)
         source = next((m for lines, m in columns if lines is rows), None)
         eliminations.append((source, len(rows), len(basis)))
         return basis
-    monkeypatch.setattr(RatMatrix, "_reversed_columns", recorded_columns)
+    monkeypatch.setattr(RatMatrix, "_integer_columns", recorded_columns)
     monkeypatch.setattr(linalg, "_row_echelon", recorded_echelon)
     top = 8
     betti = [gs.cohomology(n)[0] for n in range(top + 1)]
     monkeypatch.undo()
     assert betti == [2] + [1] * top
-    rank_before = 0
+    rank_before, t_in = 0, frozenset()
     for n in range(top + 1):
         d = gs.differential(n)
         columns_in = gs.dim(n) - rank_before
-        assert [(size, size - basis) for m, size, basis in eliminations
+        zero = len(set(range(d.cols)) - {j for (_, j), _ in d.items()} - t_in)
+        assert [(size + zero, size - basis + zero)
+                for m, size, basis in eliminations
                 if m is d] == [(columns_in, betti[n])], n
         assert d._ech is None, n
         rank_before = RatMatrix(d.rows, d.cols, dict(d.items())).rank()
+        t_in = d._trail
     by_rows = [(size, basis) for m, size, basis in eliminations if m is None]
     assert len(by_rows) == top + 1
     assert all(size == basis for size, basis in by_rows)

@@ -12,8 +12,9 @@ from gscohom.linalg import (RatMatrix, Subspace, cohomology,
                             ComplexViolation, NotASubcomplex, DependentBasis,
                             VerificationFailed, subcomplex_cohomology)
 from conftest import ORACLE, random_matrix
-from oracles import (contains, rref, rref_cohomology, rref_inverse,
-                     rref_kernel, rref_quotient, rref_solve_many)
+from oracles import (TupleMatrix, contains, rref, rref_cohomology,
+                     rref_inverse, rref_kernel, rref_quotient,
+                     rref_solve_many, tuple_cohomology, tuple_submatrix)
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -552,11 +553,14 @@ def test_hash_is_cached_and_agrees_with_eq(monkeypatch):
 # -- one exact number type per entry: an int where integral, else a Fraction
 
 def _assert_exact(mat):
-    """Every stored entry is nonzero, an int exactly when it is integral and
-    otherwise a Fraction with a denominator above one."""
-    for v in mat._d.values():
-        assert v != 0
-        assert type(v) is int or (type(v) is F and v.denominator > 1), v
+    """No stored column is empty, and every stored entry is nonzero, an int
+    exactly when it is integral and otherwise a Fraction with a denominator
+    above one."""
+    for col in mat._c.values():
+        assert col
+        for v in col.values():
+            assert v != 0
+            assert type(v) is int or (type(v) is F and v.denominator > 1), v
 
 
 @st.composite
@@ -687,10 +691,126 @@ def test_read_offs_match_the_gauss_jordan_oracle(data):
             [_typed(x) for x in rref_quotient(m.rows, m)]
 
 
+# -- the column-keyed layout against the tuple-keyed oracle: every operation,
+# entry for entry and type for type
+
+def _twin(mat):
+    """The TupleMatrix of mat, its entries read one at a time (mat[i, j])."""
+    return TupleMatrix(mat.rows, mat.cols, {
+        (i, j): mat[i, j] for i in range(mat.rows) for j in range(mat.cols)})
+
+
+def _agrees(mat, oracle):
+    """mat keeps no empty column and no zero entry, and holds the oracle's
+    entries in the oracle's types, in row-major order, with its hash."""
+    _assert_exact(mat)
+    assert _typed(mat) == _typed(oracle)
+    assert hash(mat) == hash(oracle)
+
+
+@ORACLE
+@given(st.data())
+def test_constructors_match_the_tuple_keyed_oracle(data):
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    cells = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, max(rows - 1, 0)),
+                  st.integers(0, max(cols - 1, 0))),
+        _entries, max_size=rows * cols)) if rows and cols else {}
+    as_int = data.draw(st.lists(st.booleans(), min_size=len(cells),
+                                max_size=len(cells)))
+    mixed = {k: int(v) if v.denominator == 1 and flag else v
+             for (k, v), flag in zip(cells.items(), as_int)}
+    listed = [[mixed.get((i, j), 0) for j in range(cols)]
+              for i in range(rows)]
+    by_cols = [[row[j] for row in listed] for j in range(cols)]
+    mat = RatMatrix(rows, cols, mixed)
+    _agrees(mat, TupleMatrix(rows, cols, mixed))
+    _agrees(RatMatrix(rows, cols, listed), TupleMatrix(rows, cols, listed))
+    _agrees(RatMatrix.from_cols(by_cols, ambient=rows),
+            TupleMatrix.from_cols(by_cols, ambient=rows))
+    if rows:
+        _agrees(RatMatrix.from_rows(listed), TupleMatrix.from_rows(listed))
+    _agrees(RatMatrix.zeros(rows, cols), TupleMatrix.zeros(rows, cols))
+    _agrees(RatMatrix.identity(rows), TupleMatrix.identity(rows))
+    # equality and hashing mean what they meant on the oracle
+    other = data.draw(typed_twins(rows=rows, cols=cols))[0]
+    assert (mat == other) == (_twin(mat) == _twin(other))
+    assert mat == RatMatrix(rows, cols, {k: F(v) for k, v in cells.items()})
+
+
+@ORACLE
+@given(st.data())
+def test_arithmetic_matches_the_tuple_keyed_oracle(data):
+    for a in (data.draw(sparse_matrices()), data.draw(typed_twins())[0]):
+        b = data.draw(typed_twins(rows=a.rows, cols=a.cols))[0]
+        c = data.draw(sparse_matrices(rows=a.cols, max_dim=5))
+        ta, tb, tc = _twin(a), _twin(b), _twin(c)
+        _agrees(a, ta)
+        _agrees(a + b, ta + tb)
+        _agrees(a - b, ta - tb)
+        _agrees(a - a, ta - ta)
+        _agrees(-a, -ta)
+        for x in (2, F(1, 2), F(-4, 2), 0):
+            _agrees(a.scale(x), ta.scale(x))
+        _agrees(a @ c, ta @ tc)
+        _agrees(a @ RatMatrix.identity(a.cols), ta)
+        _agrees(a.kron(c), ta.kron(tc))
+        for k in range(3):
+            one, t_one = RatMatrix.identity(k), TupleMatrix.identity(k)
+            _agrees(one.kron(a), t_one.kron(ta))
+            _agrees(a.kron(one), ta.kron(t_one))
+        _agrees(RatMatrix.from_rows([[F(3, 2)]]).kron(c),
+                TupleMatrix.from_rows([[F(3, 2)]]).kron(tc))
+        # blocks that overlap, and a block at row 0 whose columns are shared
+        placed = [(0, 0, a), (1, 1, b), (a.rows, 0, c), (0, 1, a)]
+        shape = (a.rows + c.rows + 1, max(a.cols, c.cols) + 1)
+        _agrees(RatMatrix.from_blocks(*shape, placed),
+                TupleMatrix.from_blocks(*shape, [
+                    (r, k, _twin(m)) for r, k, m in placed]))
+        _agrees(a.transpose(), ta.transpose())
+        vec = tuple(data.draw(st.lists(_entries, min_size=a.cols,
+                                       max_size=a.cols)))
+        assert [(type(x), x) for x in a.apply(vec)] == \
+            [(type(x), x) for x in ta.apply(vec)]
+        row_idx = data.draw(st.permutations(range(a.rows)))[
+            :data.draw(st.integers(0, a.rows))]
+        col_idx = data.draw(st.permutations(range(a.cols)))[
+            :data.draw(st.integers(0, a.cols))]
+        _agrees(linalg.submatrix(a, row_idx, col_idx),
+                tuple_submatrix(ta, row_idx, col_idx))
+        # the operands are unchanged by all of it
+        _agrees(a, ta)
+        _agrees(c, tc)
+
+
+@ORACLE
+@given(st.data())
+def test_eliminations_match_the_tuple_keyed_oracle(data):
+    for m in (data.draw(sparse_matrices()), data.draw(typed_twins())[0]):
+        tm = _twin(m)
+        _agrees(m.kernel().matrix(), tm.kernel())
+        assert m.rank() == tm.rank()
+        k = data.draw(st.integers(0, 3))
+        x0 = data.draw(sparse_matrices(rows=m.cols, cols=k))
+        free = data.draw(sparse_matrices(rows=m.rows, cols=k))
+        for rhs in (m @ x0, free):
+            x, tx = m.solve_many(rhs), tm.solve_many(_twin(rhs))
+            assert (x is None) == (tx is None)
+            if x is not None:
+                _agrees(x, tx)
+        cleared = frozenset(data.draw(st.sets(st.integers(0, m.cols))))
+        assert m._trailing_rows() == tm._trailing_rows()
+        assert RatMatrix(m.rows, m.cols, dict(m.items()))._trailing_rows(
+            cleared) == tm._trailing_rows(cleared)
+        _agrees(m, tm)
+    d_in, d_out = data.draw(composable_pairs())
+    assert _typed_reps(cohomology(d_in, d_out)) == \
+        _typed_reps(tuple_cohomology(_twin(d_in), _twin(d_out)))
+
+
 def test_integral_values_are_stored_as_ints():
     mat = RatMatrix.from_rows([[F(4, 2), "3/1", 0.5], [F(0), True, -1]])
-    assert mat._d == {(0, 0): 2, (0, 1): 3, (0, 2): F(1, 2), (1, 1): 1,
-                      (1, 2): -1}
+    assert mat._c == {0: {0: 2}, 1: {0: 3, 1: 1}, 2: {0: F(1, 2), 1: -1}}
     _assert_exact(mat)
     assert mat[1, 0] == 0 and type(mat[1, 0]) is int
     assert linalg.exact(F(6, 3)) == 2 and type(linalg.exact(F(6, 3))) is int
@@ -698,7 +818,7 @@ def test_integral_values_are_stored_as_ints():
     # a kernel entry divided by its leading entry stays an int where it
     # divides
     ker = RatMatrix.from_rows([[2, 4, 3]])._kernel_columns([1, 2])
-    assert ker._d == {(0, 0): -2, (1, 0): 1, (0, 1): F(-3, 2), (2, 1): 1}
+    assert ker._c == {0: {0: -2, 1: 1}, 1: {0: F(-3, 2), 2: 1}}
     assert type(ker[0, 0]) is int
 
 
@@ -836,16 +956,16 @@ def test_cohomology_trips_when_a_representative_is_no_cocycle(monkeypatch):
 
 def _corrupted_columns(monkeypatch, rows, column, line):
     """Make the column elimination of every matrix with the given number
-    of rows read `line` in place of its column `column` (row order
-    reversed, as `_reversed_columns` gives it)."""
-    real = RatMatrix._reversed_columns
+    of rows read `line`, a column {row: int}, in place of the column at
+    place `column` of those it eliminates (`_integer_columns`)."""
+    real = RatMatrix._integer_columns
 
     def corrupted(self, cleared):
         lines = real(self, cleared)
         if self.rows == rows:
             lines[column] = line
         return lines
-    monkeypatch.setattr(RatMatrix, "_reversed_columns", corrupted)
+    monkeypatch.setattr(RatMatrix, "_integer_columns", corrupted)
 
 
 def test_cohomology_trips_when_the_rows_at_t_out_are_dependent(monkeypatch):
@@ -855,7 +975,7 @@ def test_cohomology_trips_when_the_rows_at_t_out_are_dependent(monkeypatch):
     def pair():
         return RatMatrix.zeros(3, 0), RatMatrix.from_rows([[1, 1, 0],
                                                            [1, 1, 0]])
-    _corrupted_columns(monkeypatch, 2, 1, {1: 1})
+    _corrupted_columns(monkeypatch, 2, 1, {0: 1})
     with pytest.raises(VerificationFailed,
                        match=r"^the rows of d_out at its 2 trailing rows "
                              r"have rank 1$"):
@@ -871,7 +991,7 @@ def test_cohomology_trips_when_a_cleared_column_is_a_pivot(monkeypatch):
     def pair():
         return (RatMatrix.from_cols([(-1, 1, 0)]),
                 RatMatrix.from_rows([[1, 1, 0]]))
-    _corrupted_columns(monkeypatch, 3, 0, {2: 1})
+    _corrupted_columns(monkeypatch, 3, 0, {0: 1})
     with pytest.raises(VerificationFailed,
                        match=r"^a trailing row of im d_in is a pivot column "
                              r"of d_out$"):

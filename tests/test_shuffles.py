@@ -14,7 +14,7 @@ from gscohom.shuffles import (GroupAlgebraElement, eulerian_idempotents,
                               total_shuffle_operator, riffle_shuffles,
                               element_action_matrix, perm_action_matrix,
                               certify_eulerian_family, descents, perm_sign)
-from oracles import eulerian_idempotent
+from oracles import element_difference, element_is_zero, eulerian_idempotent
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -55,13 +55,13 @@ def test_family_is_verified(n):
     for a in range(n):
         for b in range(n):
             if a != b:
-                assert (es[a] * es[b]).is_zero()
+                assert element_is_zero(es[a] * es[b])
 
 
 def test_boundary_conventions():
     assert eulerian_idempotent(0, 0) == GroupAlgebraElement.one(0)
-    assert eulerian_idempotent(3, 0).is_zero()
-    assert eulerian_idempotent(3, 4).is_zero()
+    assert element_is_zero(eulerian_idempotent(3, 0))
+    assert element_is_zero(eulerian_idempotent(3, 4))
 
 
 def test_shuffle_operator_spectrum():
@@ -71,8 +71,9 @@ def test_shuffle_operator_spectrum():
         acc = GroupAlgebraElement.one(n)
         for r in range(1, n + 1):
             lam = F(2 ** r - 2)
-            acc = acc * (s - GroupAlgebraElement.one(n).scale(lam))
-        assert acc.is_zero()
+            acc = acc * element_difference(
+                s, GroupAlgebraElement.one(n).scale(lam))
+        assert element_is_zero(acc)
 
 
 def test_action_matrix_antisymmetrizes():
