@@ -68,7 +68,7 @@ else:
 ident_comp = {}
 for sigma in gs.category.nerve(1):
     if not sigma.is_degenerate():
-        ident_comp[sigma.key()] = gs.presheaf.restriction_along(sigma)
+        ident_comp[sigma.key()] = p.restrictions[sigma.arrows[0]]
 out = factor_through_restrictions(gs, 1, 1, ident_comp)
 print("  the restriction cochain lifts to the identity on every simplex:",
       all(lift["matrix"].rank() == lift["matrix"].rows

@@ -123,19 +123,6 @@ class CechComplex:
         sign = perm_sign(idx)
         return sign, tuple(tau[i] for i in idx)
 
-    def value(self, vec, p, tau):
-        """Evaluate the cochain `vec` on an arbitrary tuple tau."""
-        blocks = self.block(p)
-        if self.alternating:
-            sign, canon = self.canonical(tau)
-            if canon is None:
-                d = self.f.dims[self.poset.meet_all(tau)]
-                return (0,) * d
-            d, off = blocks[canon]
-            return tuple(sign * vec[off + t] for t in range(d))
-        d, off = blocks[tau]
-        return tuple(vec[off + t] for t in range(d))
-
     @memo()
     def differential(self, p):
         """d(psi)^tau = sum_i (-1)^i psi^{face_i tau} restricted to F(meet

@@ -5,15 +5,14 @@ to the library, and prints one deterministic JSON report on stdout.  Exit
 codes: 0 success, 1 verification failure (including an exact check of the
 library that fails, reported with the name of its exception), 2
 schema/usage error (a bad project, a negative --degree, a --kind the
-complex does not have, a malformed GSD_IDEMPOTENT_BOUND, or a Hodge
-command on an algebra that is not commutative), always reported as JSON.
-A reader that closes stdout early (`| head`) ends the command without a
-traceback and with exit code 141, as SIGPIPE would.  Progress notes go to
-stderr unless --quiet is given.  GSD_IDEMPOTENT_BOUND (default 6) bounds
-the Hodge degree: it is the largest `hodge --degree` and the largest Hodge
-component `factor` lifts, and a larger value is a usage error.  Degree n
-acts by the total shuffle operators of QS_q for q <= n + 1, whose
-eigenspaces are the Hodge summands; no Eulerian idempotent is built.
+complex does not have, a command on the total complex (`cohomology
+--complex gs`, `hodge`, `deform`, `equiv`, `factor`) for a presheaf with
+twists, or a Hodge command on an algebra that is not commutative), always
+reported as JSON.  A reader that closes stdout early (`| head`) ends the
+command without a traceback and with exit code 141, as SIGPIPE would.
+Progress notes go to stderr unless --quiet is given.  Hodge degree n acts
+by the total shuffle operators of QS_q for q <= n + 1, whose eigenspaces
+are the Hodge summands; no Eulerian idempotent is built.
 """
 
 import argparse
@@ -47,15 +46,6 @@ def _emit(payload, code):
 def _progress(args, msg):
     if not args.quiet:
         print(msg, file=sys.stderr)
-
-
-def _idempotent_bound():
-    raw = os.environ.get("GSD_IDEMPOTENT_BOUND", "6")
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError("GSD_IDEMPOTENT_BOUND=%s: expected an integer"
-                          % raw) from None
 
 
 def _check_usage(args):
@@ -151,9 +141,6 @@ def cmd_cohomology(project, args):
                    "representatives": [vector_json(r) for r in reps]}
         return _emit(payload, 0)
     # gs
-    if not presheaf.is_strict():
-        raise SchemaError("/presheaf: the total complex needs a strict "
-                          "presheaf (no twists)")
     from .gs import GSComplex
     kind = args.kind or "full"
     gs = GSComplex(presheaf)
@@ -167,15 +154,8 @@ def cmd_cohomology(project, args):
 
 
 def cmd_hodge(project, args):
-    presheaf = project.presheaf
-    if not presheaf.is_strict():
-        raise SchemaError("/presheaf: Hodge splitting needs a strict presheaf")
-    bound = _idempotent_bound()
-    if args.degree > bound:
-        raise SchemaError("--degree %d exceeds the Hodge degree bound %d "
-                          "(set GSD_IDEMPOTENT_BOUND)" % (args.degree, bound))
     from .gs import GSComplex
-    gs = GSComplex(presheaf)
+    gs = GSComplex(project.presheaf)
     gs.require_commutative()
     components = {}
     stable = True
@@ -315,14 +295,11 @@ def cmd_factor(project, args):
     from .gs import GSComplex, factor_through_restrictions
     gs = GSComplex(presheaf)
     gs.require_commutative()
-    bound = _idempotent_bound()
     theta = triple.as_cochain(gs)
     parts = gs.hodge_split(theta)
     payload = {"degree": 2, "components": {}}
     ok = True
     for r in range(1, 3):
-        if r > bound:
-            raise SchemaError("component %d exceeds GSD_IDEMPOTENT_BOUND" % r)
         comp = parts[r].component(2 - r, r)
         result = factor_through_restrictions(gs, 2 - r, r, comp)
         lifts = {_simplex_label(k): {"matrix": matrix_json(v["matrix"]),

@@ -216,10 +216,9 @@ def deform(presheaf, m1=None, f1=None, c1=None, gs=None):
     and, independently, the cochain conditions; the two verdicts always
     agree (VerificationFailed otherwise).  Returns the TwistedDeformation,
     checked to reduce to the presheaf mod eps (`reduction_mod_eps`), or
-    raises NotACocycle naming the failed identities.
+    raises NotACocycle naming the failed identities.  A presheaf with
+    twists has no GS complex (`gs.NotStrict`).
     """
-    if not presheaf.is_strict():
-        raise InvalidStructure("only a strict presheaf can be deformed")
     gs = _complex_of(presheaf, gs)
     triple = m1 if isinstance(m1, CandidateTriple) else \
         CandidateTriple(presheaf, m1, f1, c1)

@@ -165,14 +165,6 @@ class Simplex:
             out.append(self.cat.target(name))
         return tuple(out)
 
-    def face(self, i):
-        """The i-th face (`FiniteCategory.face_key`)."""
-        if not 0 <= i <= len(self.arrows) or not self.arrows:
-            raise IndexError("face index %d out of range for a %d-simplex"
-                             % (i, len(self.arrows)))
-        key = self.cat.face_key(self.key(), i)
-        return Simplex(self.cat, key[1:], key[0])
-
     def is_degenerate(self):
         """True iff some arrow of the simplex is an identity: a set test,
         as the subcomplex kinds ask it of every cell."""

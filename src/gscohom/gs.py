@@ -48,6 +48,11 @@ class NotCommutative(UsageError):
     whose algebras are not all commutative."""
 
 
+class NotStrict(UsageError, InvalidStructure):
+    """A GS complex, and so a deformation or a Hodge splitting, was asked of
+    a presheaf with a twist that is not the unit."""
+
+
 class Cell(namedtuple("Cell", "p q sigma algebra rows cols start")):
     """The cell of C^{p,q} at the p-simplex sigma: the cochain matrices
     Hom(A(c sigma)^{(x) q}, A(d sigma)), rows x cols with algebra =
@@ -103,7 +108,8 @@ class GSCochain:
 class GSComplex:
     def __init__(self, presheaf):
         if not presheaf.is_strict():
-            raise InvalidStructure("the GS complex needs a strict presheaf")
+            raise NotStrict("the GS complex needs a strict presheaf (no "
+                            "twists)")
         self.presheaf = presheaf
         self.category = presheaf.category
         self.module_presheaf = ModPresheaf.of_algebras(presheaf)
@@ -586,7 +592,7 @@ def factor_through_restrictions(gs, p, r, component):
     """
     lam = shuffle_eigenvalue(r)
     out = {"lifts": {}, "failures": []}
-    for sigma in gs.category.nerve(p):
+    for sigma, f_sigma in zip(gs.category.nerve(p), gs._restrictions(p)):
         theta = component.get(sigma.key())
         if theta is None or theta.is_zero():
             continue
@@ -598,7 +604,6 @@ def factor_through_restrictions(gs, p, r, component):
         if action.apply(flat) != tuple(lam * x for x in flat):
             raise VerificationFailed("component at %s is not fixed by the top "
                                      "idempotent" % sigma.label())
-        f_sigma = gs.presheaf.restriction_along(sigma)
         big = f_sigma.kron_power(r)          # A(c)^{(x) r} -> A(d)^{(x) r}
         big_t = big.transpose()
         lift_t = big_t.solve_many(theta.transpose())

@@ -56,14 +56,6 @@ class TwistedPresheaf:
         changed after construction."""
         return all(x == a.unit for a, x in self._twist_elements())
 
-    def restriction_along(self, simplex):
-        """f^sigma: A(c sigma) -> A(d sigma) for a nerve simplex of a strict
-        presheaf (composition of the arrows' restriction maps)."""
-        mat = RatMatrix.identity(self.algebras[simplex.domain].dim)
-        for name in simplex.arrows:
-            mat = mat @ self.restrictions[name]
-        return mat
-
     # -- constructions
 
     def opposite(self):

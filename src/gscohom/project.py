@@ -214,6 +214,10 @@ def _load_algebra(name, block):
     path = "/algebras/%s" % name
     _object(block, path)
     dim = len(_list(_required(block, "basis", path), path + "/basis"))
+    if dim == 0:
+        # the zero ring, where 1 = 0: no basis vector can be the unit
+        raise SchemaError("%s/basis: expected at least one basis element"
+                          % path)
     zero = [Fraction(0)] * dim
     mult = [[list(zero) for _ in range(dim)] for _ in range(dim)]
     seen = set()

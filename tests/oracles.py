@@ -32,6 +32,11 @@ against, and the writer of project files that the format tests read back.
 - `cochain_value`: the value phi(w) of a Hochschild cochain on a word.
 - `compose_homs` and `opposite_hom`: the composite of two algebra maps,
   and an algebra map between the opposite algebras.
+- `simplex_face`: the i-th face of a nerve simplex, the oracle of the face
+  table `FiniteCategory.faces`.
+- `restriction_along`: f^sigma as the product of the restrictions along
+  sigma, the oracle of the table `GSComplex._restrictions`.
+- `cech_value`: the value of a Čech cochain on an arbitrary tuple.
 
 The checks raise the library's `VerificationFailed`, so they still run
 under `python -O`.
@@ -454,6 +459,41 @@ def compose_homs(outer, inner):
 def opposite_hom(f):
     """The same linear map as f: A -> B, viewed A^op -> B^op."""
     return AlgebraHom(f.source.opposite(), f.target.opposite(), f.matrix)
+
+
+def simplex_face(sigma, i):
+    """The i-th face of the p-simplex sigma (`FiniteCategory.face_key`);
+    IndexError unless 1 <= p and 0 <= i <= p."""
+    if not 0 <= i <= len(sigma.arrows) or not sigma.arrows:
+        raise IndexError("face index %d out of range for a %d-simplex"
+                         % (i, len(sigma.arrows)))
+    key = sigma.cat.face_key(sigma.key(), i)
+    return Simplex(sigma.cat, key[1:], key[0])
+
+
+def restriction_along(presheaf, simplex):
+    """f^sigma: A(c sigma) -> A(d sigma) for a nerve simplex of a strict
+    presheaf, one product per arrow."""
+    mat = RatMatrix.identity(presheaf.algebras[simplex.domain].dim)
+    for name in simplex.arrows:
+        mat = mat @ presheaf.restrictions[name]
+    return mat
+
+
+def cech_value(cech, vec, p, tau):
+    """The Čech p-cochain `vec` of the CechComplex evaluated on an
+    arbitrary tuple tau: through its increasing reordering and the sign of
+    that permutation when alternating, 0 on a tuple with a repeat."""
+    blocks = cech.block(p)
+    if cech.alternating:
+        sign, canon = cech.canonical(tau)
+        if canon is None:
+            d = cech.f.dims[cech.poset.meet_all(tau)]
+            return (0,) * d
+        d, off = blocks[canon]
+        return tuple(sign * vec[off + t] for t in range(d))
+    d, off = blocks[tau]
+    return tuple(vec[off + t] for t in range(d))
 
 
 class PresheafComplex:

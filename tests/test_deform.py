@@ -400,7 +400,7 @@ def test_headline_checks_raise_under_python_O(flags):
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["InvalidStructure", "InvalidStructure",
-                                   "InvalidStructure", "InvalidStructure",
+                                   "NotStrict", "InvalidStructure",
                                    "InvalidStructure", "VerificationFailed",
                                    "VerificationFailed", "InvalidStructure",
                                    "VerificationFailed"]

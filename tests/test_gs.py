@@ -26,7 +26,8 @@ from gscohom.presheaf import TwistedPresheaf, strict_presheaf
 from gscohom.simplicial import ModPresheaf, PairComplex
 from conftest import ORACLE
 from oracles import (cohomology_kinds, eulerian_idempotent,
-                     kron_hoch_differential, project_json, rref_cohomology)
+                     kron_hoch_differential, project_json, restriction_along,
+                     rref_cohomology, simplex_face)
 
 
 @pytest.fixture(scope="module")
@@ -572,7 +573,7 @@ def catalogue_presheaves(draw):
 
 def simp_oracle(presheaf, p, q):
     """d_simp: C^{p,q} -> C^{p+1,q} placed face by face: each face's block
-    goes to the column offset found by the key of `Simplex.face`."""
+    goes to the column offset found by the key of `simplex_face`."""
     f = ModPresheaf.of_algebras(presheaf)
     g = f.tensor_power(q)
     layout = PairComplex(g, f).layout
@@ -583,7 +584,7 @@ def simp_oracle(presheaf, p, q):
             [one(rows * cols).scale((-1) ** i) for i in range(1, p + 1)] + \
             [f.maps[sigma.arrows[-1]].kron_power(q).transpose().kron(
                 one(rows)).scale((-1) ** (p + 1))]
-        placed += [(out, offset[sigma.face(i).key()], block)
+        placed += [(out, offset[simplex_face(sigma, i).key()], block)
                    for i, block in enumerate(blocks)]
     return RatMatrix.from_blocks(layout(p + 1)[1], layout(p)[1], placed)
 
@@ -598,7 +599,7 @@ def hoch_oracle(presheaf, p, q, built):
         algebra = presheaf.algebras[sigma.codomain]
         bimod = FinBimodule.along(AlgebraHom(
             algebra, presheaf.algebras[sigma.domain],
-            presheaf.restriction_along(sigma)))
+            restriction_along(presheaf, sigma)))
         key = (sigma.codomain, bimod.left, bimod.right, q)
         if key not in built:
             built[key] = kron_hoch_differential(algebra, bimod, q)
@@ -773,6 +774,22 @@ def non_composing_diamond():
     return TwistedPresheaf(cat, algebras, restrictions)
 
 
+@pytest.mark.parametrize("name", sorted(presets.standard_fixtures())
+                         + ["non_composing_diamond"])
+def test_f_sigma_table_matches_the_product_along_sigma(name):
+    # GSComplex._restrictions(p) carries f^sigma as f^{d_p sigma} f^{u_p};
+    # the oracle multiplies the restrictions along sigma one arrow at a time
+    presheaf = non_composing_diamond() if name == "non_composing_diamond" \
+        else presets.standard_fixtures()[name]
+    gs = GSComplex(presheaf)
+    for p in range(4):
+        nerve = gs.category.nerve(p)
+        assert len(gs._restrictions(p)) == len(nerve)
+        for sigma, f_sigma in zip(nerve, gs._restrictions(p)):
+            assert f_sigma == restriction_along(presheaf, sigma), \
+                (p, sigma.key())
+
+
 def test_f_sigma_is_the_product_along_sigma(tmp_path):
     # on a presheaf whose restrictions do not compose, f^sigma is still the
     # product of the restrictions along sigma (the oracle's
@@ -942,7 +959,7 @@ def test_gs_checks_raise_under_python_O(flags):
     done = subprocess.run([sys.executable, *flags, "-c", _GS_CHECKS_SCRIPT],
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["InvalidStructure", "VerificationFailed",
+    assert done.stdout.split() == ["NotStrict", "VerificationFailed",
                                    "VerificationFailed"]
 
 
@@ -1160,7 +1177,7 @@ def test_factor_through_surjective_unique(complexes):
         a_c = gs.presheaf.algebras[sigma.codomain]
         a_d = gs.presheaf.algebras[sigma.domain]
         # theta = f^sigma itself factors as the identity
-        ok[sigma.key()] = gs.presheaf.restriction_along(sigma)
+        ok[sigma.key()] = restriction_along(gs.presheaf, sigma)
     out = factor_through_restrictions(gs, 1, 1, ok)
     assert not out["failures"]
     for key, lift in out["lifts"].items():
@@ -1204,7 +1221,7 @@ def test_hoch_block_memo_matches_direct_differentials(monkeypatch, name):
                 bimod = FinBimodule.along(AlgebraHom(
                     presheaf.algebras[sigma.codomain],
                     presheaf.algebras[sigma.domain],
-                    presheaf.restriction_along(sigma)))
+                    restriction_along(presheaf, sigma)))
                 direct.append(real(presheaf.algebras[sigma.codomain],
                                    bimod, q))
                 keys[(p, q)].add((sigma.codomain, bimod.left, bimod.right, q))
@@ -1240,7 +1257,7 @@ def test_hodge_eigendata_is_built_once_per_complex(monkeypatch):
     # the q >= 1 builds act by s_q; q = 0 needs no action
     assert sorted(calls) == sorted((q, 1, a) for q, a in eigendata if q)
     assert {q for q, _ in eigendata} == set(range(5))
-    ident = {sigma.key(): gs.presheaf.restriction_along(sigma)
+    ident = {sigma.key(): restriction_along(gs.presheaf, sigma)
              for sigma in gs.category.nerve(1) if not sigma.is_degenerate()}
     out = factor_through_restrictions(gs, 1, 1, ident)
     assert not out["failures"]

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -237,15 +238,14 @@ def test_cli_descent_check():
     assert json.loads(out)["classification"] == "invalid"
 
 
-def test_cli_hodge_and_bound(monkeypatch):
-    code, out = run_cli(["hodge", "--project", project_path("v_poset.json"),
-                         "--degree", "2"])
-    payload = json.loads(out)
-    assert code == 0 and payload["betti_additivity"]
-    monkeypatch.setenv("GSD_IDEMPOTENT_BOUND", "1")
-    code, out = run_cli(["hodge", "--project", project_path("v_poset.json"),
-                         "--degree", "2"])
-    assert code == 2
+def test_cli_hodge_and_bound():
+    # no Hodge degree is bounded: degree 7 runs as degree 2 does
+    for degree in (2, 7):
+        code, out = run_cli(["hodge", "--project",
+                             project_path("v_poset.json"), "--degree",
+                             str(degree)])
+        payload = json.loads(out)
+        assert code == 0 and payload["betti_additivity"], degree
 
 
 def test_cli_factor():
@@ -295,8 +295,9 @@ def test_cli_cech_full_kind():
     (["cohomology", "--complex", "gs", "--degree", "-1"], {}),
     (["hodge", "--degree", "-1"], {}),
     (["compare-cech", "--degree", "-1"], {}),
-    (["hodge", "--degree", "2"], {"GSD_IDEMPOTENT_BOUND": "abc"}),
-    (["factor", "--cocycle", "rep_cocycle"], {"GSD_IDEMPOTENT_BOUND": "abc"}),
+    (["factor", "--cocycle", "gauge"], {}),
+    (["equiv", "--defA", "rep_cocycle", "--defB", "rep_cocycle",
+      "--cochain", "rep_cocycle"], {}),
 ])
 def test_cli_bad_input_exit_2(monkeypatch, args, env):
     for key, value in env.items():
@@ -323,6 +324,68 @@ def test_cli_kind_is_checked_per_complex(complex_, kind, ok):
                          "--degree", "1", "--kind", kind])
     assert code == (0 if ok else 2)
     assert ("error" in json.loads(out)) != ok
+
+
+def _with_zero_cochains(raw):
+    raw["cochains"] = {"zero": {"m1": {}, "f1": {}, "c1": {}},
+                       "gauge": {"g1": {}, "tau1": {}}}
+
+
+def _with_an_unused_zero_algebra(raw):
+    raw["algebras"]["zero"] = {"basis": [], "mult": [], "unit": []}
+
+
+@pytest.mark.parametrize("project, edit, args, message", [
+    ("twisted_diamond", _with_zero_cochains,
+     ["cohomology", "--complex", "gs", "--degree", "1"], "strict presheaf"),
+    ("twisted_diamond", _with_zero_cochains, ["hodge", "--degree", "1"],
+     "strict presheaf"),
+    ("twisted_diamond", _with_zero_cochains, ["deform", "--cocycle", "zero"],
+     "strict presheaf"),
+    ("twisted_diamond", _with_zero_cochains,
+     ["equiv", "--defA", "zero", "--defB", "zero", "--cochain", "gauge"],
+     "strict presheaf"),
+    ("twisted_diamond", _with_zero_cochains, ["factor", "--cocycle", "zero"],
+     "strict presheaf"),
+    ("v_poset", _with_an_unused_zero_algebra, ["check"],
+     "/algebras/zero/basis"),
+], ids=["gs-twisted", "hodge-twisted", "deform-twisted", "equiv-twisted",
+        "factor-twisted", "zero-dimensional-algebra"])
+def test_cli_usage_error_is_json_with_an_empty_stderr(tmp_path, project,
+                                                      edit, args, message):
+    # the total complex needs a strict presheaf, and an algebra needs a
+    # basis element to be its unit, whether or not an object uses it
+    with open(project_path(project + ".json")) as fh:
+        raw = json.load(fh)
+    edit(raw)
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(raw))
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
+    done = subprocess.run([sys.executable, "-m", "gscohom.cli", args[0],
+                           "--project", str(path), *args[1:]],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2, done.stderr
+    assert message in json.loads(done.stdout)["error"]
+    assert done.stderr == ""
+
+
+def test_no_module_reads_the_environment():
+    # every setting of the library and the CLI comes from their arguments
+    src = os.path.join(HERE, "..", "src", "gscohom")
+    names = {"environ", "environb", "getenv", "getenvb"}
+    readers = []
+    for module in sorted(os.listdir(src)):
+        if not module.endswith(".py"):
+            continue
+        with open(os.path.join(src, module)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in names or \
+                    isinstance(node, ast.ImportFrom) and \
+                    node.module == "os" and \
+                    names.intersection(a.name for a in node.names):
+                readers.append((module, node.lineno))
+    assert readers == []
 
 
 def _upper_triangular_project(tmp_path):
