@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Every command loads a single self-contained JSON project file, dispatches
-to the library, and prints one deterministic JSON report on stdout.  Exit
+to the library, and prints one deterministic JSON report on stdout.  This
+module parses the arguments, checks --degree, --kind and --object, calls
+the library and emits the report; `project` reads, checks and writes every
+block of the file.  Exit
 codes: 0 success, 1 verification failure (including an exact check of the
 library that fails, reported with the name of its exception), 2
 schema/usage error (a bad project, a negative --degree, a --kind the
@@ -24,21 +27,18 @@ import sys
 # so that a process loads and compiles no more than its command uses
 from .linalg import (ACTION_CONVENTION, COMPLEX_KINDS, ComplexViolation,
                      NotASubcomplex, UsageError, VerificationFailed)
-from .project import (load_project, SchemaError, algebra_json, matrix_json,
-                      vector_json, SCHEMA, _entries, _known, _object,
-                      _required, _sized_matrix, _sized_vector)
+from .fincat import simplex_label
+from .project import (load_project, SchemaError, SCHEMA, cochain_json,
+                      deformation_json, matrix_json, vector_json)
 
 IDEMPOTENT_CONSTRUCTION = ("lagrange-interpolation/total-signed-shuffle;"
                            + ACTION_CONVENTION)
 
 
-def _meta():
-    return {"schema": SCHEMA, "idempotents": IDEMPOTENT_CONSTRUCTION}
-
-
 def _emit(payload, code):
     payload = dict(payload)
-    payload["meta"] = _meta()
+    payload["meta"] = {"schema": SCHEMA,
+                       "idempotents": IDEMPOTENT_CONSTRUCTION}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return code
 
@@ -57,44 +57,6 @@ def _check_usage(args):
         if args.kind not in kinds:
             raise SchemaError("--kind %s: expected one of %s for --complex %s"
                               % (args.kind, ", ".join(kinds), args.complex))
-
-
-def _simplex_label(key):
-    if len(key) == 1:
-        return key[0]
-    return ";".join(key[1:])
-
-
-def _cochain_json(theta):
-    out = {}
-    for (p, q), blocks in sorted(theta.components.items()):
-        comp = {}
-        for key, mat in sorted(blocks.items()):
-            if not mat.is_zero():
-                comp[_simplex_label(key)] = matrix_json(mat)
-        out["(%d,%d)" % (p, q)] = comp
-    return out
-
-
-def _get_triple(project, name):
-    if name not in project.cochains:
-        raise SchemaError("/cochains/%s: not present" % name)
-    block = project.cochains[name]
-    if block["kind"] != "triple":
-        raise SchemaError("/cochains/%s: expected an (m1, f1, c1) block" % name)
-    from .deform import CandidateTriple
-    return CandidateTriple(project.presheaf, block["m1"], block["f1"],
-                           block["c1"])
-
-
-def _get_pair(project, name):
-    if name not in project.cochains:
-        raise SchemaError("/cochains/%s: not present" % name)
-    block = project.cochains[name]
-    if block["kind"] != "pair":
-        raise SchemaError("/cochains/%s: expected a (g1, tau1) block" % name)
-    from .deform import EquivalencePair
-    return EquivalencePair(project.presheaf, block["g1"], block["tau1"])
 
 
 def cmd_check(project, args):
@@ -128,12 +90,10 @@ def cmd_cohomology(project, args):
                    "representatives": [vector_json(r) for r in reps]}
         return _emit(payload, 0)
     if args.complex == "cech":
-        if project.poset is None:
-            raise SchemaError("/category: the Cech complex needs a poset "
-                              "with binary meets")
+        poset = project.meet_poset()
         from .cech import CechComplex
         from .simplicial import ModPresheaf
-        cx = CechComplex(ModPresheaf.of_algebras(presheaf), project.poset,
+        cx = CechComplex(ModPresheaf.of_algebras(presheaf), poset,
                          alternating=(args.kind != "full"))
         betti, reps = cx.cohomology(args.degree)
         payload = {"complex": "cech", "degree": args.degree, "betti": betti,
@@ -149,7 +109,7 @@ def cmd_cohomology(project, args):
     betti, reps = gs.cohomology(args.degree, kind)
     payload = {"complex": "gs", "degree": args.degree, "kind": kind,
                "betti": betti,
-               "representatives": [_cochain_json(r) for r in reps]}
+               "representatives": [cochain_json(r) for r in reps]}
     return _emit(payload, 0)
 
 
@@ -175,33 +135,20 @@ def cmd_hodge(project, args):
 
 
 def cmd_deform(project, args):
-    triple = _get_triple(project, args.cocycle)
+    triple = project.cochain(args.cocycle, "triple")
     from .deform import NotACocycle, deform
     try:
         defn = deform(project.presheaf, triple)
     except NotACocycle as exc:
         return _emit({"valid": False, "failures": list(exc.failures)}, 1)
-    twisted = defn.twisted
-    deformation = {
-        "algebras": {},
-        "restrictions": {name: matrix_json(mat)
-                         for name, mat in twisted.restrictions.items()},
-        "twists": {"%s;%s" % key: vector_json(val)
-                   for key, val in twisted.twists.items()},
-    }
-    for obj in twisted.category.objects:
-        alg = twisted.algebras[obj]
-        entry = algebra_json(alg)
-        del entry["basis"]
-        deformation["algebras"][obj] = dict(entry, dim=alg.dim)
     return _emit({"valid": True, "failures": [],
-                  "deformation": deformation}, 0)
+                  "deformation": deformation_json(defn.twisted)}, 0)
 
 
 def cmd_equiv(project, args):
-    triple_a = _get_triple(project, args.defA)
-    triple_b = _get_triple(project, args.defB)
-    pair = _get_pair(project, args.cochain)
+    triple_a = project.cochain(args.defA, "triple")
+    triple_b = project.cochain(args.defB, "triple")
+    pair = project.cochain(args.cochain, "pair")
     from .deform import NotACocycle, deform, equivalence
     from .gs import GSComplex
     gs = GSComplex(project.presheaf)
@@ -219,12 +166,11 @@ def cmd_equiv(project, args):
 
 
 def cmd_compare_cech(project, args):
-    if project.poset is None:
-        raise SchemaError("/category: comparison needs a poset with meets")
+    poset = project.meet_poset()
     from .cech import compare_simp_cech
     from .simplicial import ModPresheaf
     f_presheaf = ModPresheaf.of_algebras(project.presheaf)
-    report = compare_simp_cech(f_presheaf, project.poset, args.degree)
+    report = compare_simp_cech(f_presheaf, poset, args.degree)
     ok = (report["simp_betti"] == report["cech_betti"] and
           report["pi_iota_identity"] and report["homotopy_identity"])
     payload = dict(report)
@@ -233,54 +179,8 @@ def cmd_compare_cech(project, args):
     return _emit(payload, 0 if ok else 1)
 
 
-def _parse_datum(project, name):
-    if name not in project.data:
-        raise SchemaError("/data/%s: not present" % name)
-    path = "/data/%s" % name
-    block = _object(project.data[name], path)
-    from .descent import (DescentMachine, PreDescentDatum,
-                          canonical_free_datum)
-    machine = DescentMachine(project.presheaf)
-    chg_inv = {obj: project.basis_changes[obj].inverse()
-               for obj in project.category.objects}
-    if block.get("type") == "free":
-        trivialization = {}
-        for mname, coeffs in _entries(block, "trivialization", path):
-            where = "%s/trivialization/%s" % (path, mname)
-            src = project.category.source(
-                _known(mname, project.category.morphisms, where))
-            trivialization[mname] = chg_inv[src].apply(_sized_vector(
-                coeffs, where, project.presheaf.algebras[src].dim))
-        return machine, canonical_free_datum(machine, trivialization)
-    modules = {}
-    given_modules = _object(_required(block, "modules", path),
-                            path + "/modules")
-    for obj in project.category.objects:
-        mod_name = given_modules.get(obj)
-        if mod_name is None or mod_name not in project.modules:
-            raise SchemaError("/data/%s/modules/%s: unknown module"
-                              % (name, obj))
-        mobj, module = project.modules[mod_name]
-        if mobj != obj:
-            raise SchemaError("/data/%s/modules/%s: module lives at %s"
-                              % (name, obj, mobj))
-        modules[obj] = module
-    maps = {}
-    given_maps = _object(_required(block, "maps", path), path + "/maps")
-    for mname, m in project.category.morphisms.items():
-        rows = given_maps.get(mname)
-        if rows is None:
-            raise SchemaError("/data/%s/maps/%s: missing" % (name, mname))
-        # phi_u: M_U (x)_u A(V) -> M_V
-        shape = (modules[m.source].dim,
-                 machine.tensor(modules[m.target], mname).dim)
-        maps[mname] = _sized_matrix(rows, "/data/%s/maps/%s" % (name, mname),
-                                    shape)
-    return machine, PreDescentDatum(machine, modules, maps)
-
-
 def cmd_descent_check(project, args):
-    machine, datum = _parse_datum(project, args.datum)
+    datum = project.datum(args.datum)
     from .descent import check_descent
     report = check_descent(datum)
     payload = {"classification": report["classification"],
@@ -291,7 +191,7 @@ def cmd_descent_check(project, args):
 
 def cmd_factor(project, args):
     presheaf = project.presheaf
-    triple = _get_triple(project, args.cocycle)
+    triple = project.cochain(args.cocycle, "triple")
     from .gs import GSComplex, factor_through_restrictions
     gs = GSComplex(presheaf)
     gs.require_commutative()
@@ -302,8 +202,8 @@ def cmd_factor(project, args):
     for r in range(1, 3):
         comp = parts[r].component(2 - r, r)
         result = factor_through_restrictions(gs, 2 - r, r, comp)
-        lifts = {_simplex_label(k): {"matrix": matrix_json(v["matrix"]),
-                                     "unique": v["unique"]}
+        lifts = {simplex_label(k): {"matrix": matrix_json(v["matrix"]),
+                                    "unique": v["unique"]}
                  for k, v in sorted(result["lifts"].items())}
         payload["components"][str(r)] = {"lifts": lifts,
                                          "failures": result["failures"]}
@@ -374,12 +274,6 @@ COMMANDS = {
 }
 
 
-def _usage_error(message):
-    print(json.dumps({"error": message, "meta": _meta()}, indent=2,
-                     sort_keys=True))
-    return 2
-
-
 def main(argv=None):
     try:
         code = _run(argv)
@@ -401,13 +295,13 @@ def _run(argv):
         _check_usage(args)
         project = load_project(args.project)
     except SchemaError as exc:
-        return _usage_error(str(exc))
+        return _emit({"error": str(exc)}, 2)
     except (OSError, json.JSONDecodeError) as exc:
-        return _usage_error("cannot read project: %s" % exc)
+        return _emit({"error": "cannot read project: %s" % exc}, 2)
     try:
         return COMMANDS[args.command](project, args)
     except (SchemaError, UsageError) as exc:
-        return _usage_error(str(exc))
+        return _emit({"error": str(exc)}, 2)
     except (VerificationFailed, ComplexViolation, NotASubcomplex) as exc:
         return _emit({"error": str(exc),
                       "failed_check": type(exc).__name__}, 1)

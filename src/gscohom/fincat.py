@@ -141,6 +141,12 @@ class FiniteCategory:
             key[:i] + (self.compose(key[i + 1], key[i]),) + key[i + 2:]
 
 
+def simplex_label(key):
+    """The label of the simplex with key (domain, u_1, ..., u_p): its
+    arrows joined by ";", or its domain when it has none."""
+    return key[0] if len(key) == 1 else ";".join(key[1:])
+
+
 class Simplex:
     """A p-simplex: composable arrows u_1, ..., u_p from `domain` to `codomain`."""
 
@@ -174,7 +180,7 @@ class Simplex:
         return (self.domain,) + self.arrows
 
     def label(self):
-        return self.domain if not self.arrows else ";".join(self.arrows)
+        return simplex_label(self.key())
 
     def __eq__(self, other):
         return self.cat is other.cat and self.domain == other.domain and \

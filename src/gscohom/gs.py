@@ -26,14 +26,14 @@ images of the idempotents (`GSComplex.hodge_eigendata`), and one solve per
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from math import factorial, lcm
+from math import factorial
 
 # re-exported: NotASubcomplex, which used to live here, and KINDS;
 # linalg.cohomology is imported as linalg_cohomology, the name under which
 # bench/tracer.py's tests look for it in this module
 from .linalg import (KINDS, RatMatrix, NotASubcomplex,  # noqa: F401
                      ShapeMismatch, UsageError, exact, flatten, is_closed,
-                     memo, subcomplex_cohomology,
+                     memo, subcomplex_cohomology, _primitive_lines,
                      cohomology as linalg_cohomology, VerificationFailed)
 from .algebra import AlgebraHom, FinBimodule, InvalidStructure
 from .simplicial import ModPresheaf, PairComplex
@@ -446,7 +446,8 @@ class GSComplex:
                 break
             basis = _shifted(shuffle, r).kernel().matrix()
             if basis.cols:
-                kernels[r] = _integral_columns(basis)
+                kernels[r] = RatMatrix._trusted(basis.rows, basis.cols, dict(
+                    zip(basis._c, _primitive_lines(basis._c.values()))))
                 filled += basis.cols
         if filled != shuffle.rows:
             raise VerificationFailed("the eigenspaces of s_%d do not fill "
@@ -565,16 +566,6 @@ def _shifted(shuffle, r):
     """S - lambda_r."""
     return shuffle - RatMatrix.identity(shuffle.rows).scale(
         shuffle_eigenvalue(r))
-
-
-def _integral_columns(mat):
-    """mat with each column times the lcm of its entries' denominators."""
-    scale = {}
-    for (_, j), v in mat.items():
-        if type(v) is not int:
-            scale[j] = lcm(scale.get(j, 1), v.denominator)
-    return RatMatrix(mat.rows, mat.cols, {
-        (i, j): v * scale.get(j, 1) for (i, j), v in mat.items()})
 
 
 def factor_through_restrictions(gs, p, r, component):

@@ -1,12 +1,16 @@
 """Self-contained JSON project files: category, algebras, presheaf,
 named cochains, modules and descent data.
 
+The one home of the format: it reads every block, reports each malformed
+entry as a SchemaError at its JSON path, and writes the blocks back.
 Rationals are serialized as strings "p/q" (or "p" when the denominator is
 one); matrices as lists of rows of such strings.  Categories are given
 either as a poset ("relations": pairs [V, U] meaning V <= U) or explicitly
-with a composition table.  The loader rewrites any algebra whose unit is
-not a basis vector into an equivalent basis containing the unit, and
-transports all dependent matrices accordingly.
+with a composition table.  A twist key "u;v" names c^{u,v} at u o v, so v
+ends where u starts; a c1 key "u;v" names the 2-simplex (u, v), so u ends
+where v starts.  The loader rewrites any algebra whose unit is not a basis
+vector into an equivalent basis containing the unit, and `_Coordinates`
+moves every element and map the file gives to that basis.
 """
 
 import json
@@ -15,7 +19,7 @@ from fractions import Fraction
 from .linalg import RatMatrix
 from .fincat import (FiniteCategory, InvalidCategory, Morphism,
                      poset_category, MeetPoset, NoMeet, NotAntisymmetric,
-                     UnknownObject)
+                     UnknownObject, simplex_label)
 from .algebra import FinAlgebra, FinModule, InvalidStructure
 from .presheaf import TwistedPresheaf
 
@@ -173,19 +177,121 @@ def _pair_key(key, path):
     return u, v
 
 
+def _arrow_pair(key, path, category, composite):
+    """The arrows (u, v) that the pair key names, or a SchemaError at path
+    when one is unknown or they do not compose: v must end where u starts
+    when `composite` (a twist at u o v), else u where v starts."""
+    u, v = (_known(a, category.morphisms, path) for a in _pair_key(key, path))
+    first, then = (v, u) if composite else (u, v)
+    if category.target(first) != category.source(then):
+        raise SchemaError("%s: %s does not end where %s starts, so the pair "
+                          "does not compose" % (path, first, then))
+    return u, v
+
+
+class _Coordinates:
+    """Moves each value given in the file's basis of an algebra, after
+    checking its shape, to the basis of `FinAlgebra.rebased_with_unit`:
+    with change[obj] from the new coordinates of A(obj) to the file's, an
+    element x becomes change^-1 x and a map A(V_1) (x) ... -> A(U) becomes
+    change[U]^-1 phi (change[V_1] (x) ...)."""
+
+    def __init__(self, change):
+        self._change = change
+        self._inverse = {obj: c.inverse() for obj, c in change.items()}
+
+    def element(self, obj, values, path):
+        """The element of A(obj) given at path as a list of rationals."""
+        inverse = self._inverse[_known(obj, self._inverse, path)]
+        return inverse.apply(_sized_vector(values, path, inverse.rows))
+
+    def map(self, rows, path, into, *out_of):
+        """The linear map A(out_of[0]) (x) ... -> A(into) given at path as
+        a matrix."""
+        inverse = self._inverse[_known(into, self._inverse, path)]
+        change = self._change[out_of[0]]
+        for obj in out_of[1:]:
+            change = change.kron(self._change[obj])
+        mat = _sized_matrix(rows, path, (inverse.rows, change.rows))
+        return inverse @ mat @ change
+
+
 class Project:
     """A loaded project: category (plus meet-poset view when available),
-    presheaf, and the named auxiliary blocks."""
+    presheaf, and the named cochains, modules and descent data."""
 
     def __init__(self, category, poset, presheaf, cochains, modules, data,
-                 changes):
+                 coordinates):
         self.category = category
         self.poset = poset
         self.presheaf = presheaf
         self.cochains = cochains
         self.modules = modules
         self.data = data
-        self.basis_changes = changes
+        self._coordinates = coordinates
+
+    def meet_poset(self):
+        """The meet-poset view of the category, which the Cech complex
+        needs, or a SchemaError when the category has none."""
+        if self.poset is None:
+            raise SchemaError("/category: the Cech complex needs a poset "
+                              "with binary meets")
+        return self.poset
+
+    def cochain(self, name, kind):
+        """The cochain block `name` as a `deform.CandidateTriple` (kind
+        "triple", an (m1, f1, c1) block) or a `deform.EquivalencePair`
+        (kind "pair", a (g1, tau1) block)."""
+        if name not in self.cochains:
+            raise SchemaError("/cochains/%s: not present" % name)
+        found, blocks = self.cochains[name]
+        if found != kind:
+            raise SchemaError("/cochains/%s: expected %s block" % (
+                name, "an (m1, f1, c1)" if kind == "triple"
+                else "a (g1, tau1)"))
+        from .deform import CandidateTriple, EquivalencePair
+        build = CandidateTriple if kind == "triple" else EquivalencePair
+        return build(self.presheaf, **blocks)
+
+    def datum(self, name):
+        """The descent datum `name` as a `descent.PreDescentDatum`: the
+        free one with the given trivialization (type "free"), or else a
+        named module per object and a map phi_u per morphism u."""
+        path = "/data/%s" % name
+        if name not in self.data:
+            raise SchemaError("%s: not present" % path)
+        block = _object(self.data[name], path)
+        from .descent import (DescentMachine, PreDescentDatum,
+                              canonical_free_datum)
+        machine = DescentMachine(self.presheaf)
+        cat = self.category
+        if block.get("type") == "free":
+            trivialization = {}
+            for mname, coeffs in _entries(block, "trivialization", path):
+                where = "%s/trivialization/%s" % (path, mname)
+                src = cat.source(_known(mname, cat.morphisms, where))
+                trivialization[mname] = self._coordinates.element(
+                    src, coeffs, where)
+            return canonical_free_datum(machine, trivialization)
+        given = _object(_required(block, "modules", path), path + "/modules")
+        modules = {}
+        for obj in cat.objects:
+            where = "%s/modules/%s" % (path, obj)
+            mod_name = _name(given, obj, path + "/modules")
+            mobj, modules[obj] = self.modules[_known(mod_name, self.modules,
+                                                     where)]
+            if mobj != obj:
+                raise SchemaError("%s: module lives at %s" % (where, mobj))
+        given = _object(_required(block, "maps", path), path + "/maps")
+        maps = {}
+        for mname, m in cat.morphisms.items():
+            rows = _required(given, mname, path + "/maps")
+            # phi_u: M_U (x)_u A(V) -> M_V
+            shape = (modules[m.source].dim,
+                     machine.tensor(modules[m.target], mname).dim)
+            maps[mname] = _sized_matrix(rows, "%s/maps/%s" % (path, mname),
+                                        shape)
+        return PreDescentDatum(machine, modules, maps)
 
 
 def _load_category(block):
@@ -281,7 +387,7 @@ def load_project(path_or_dict):
                               % (obj, assignment[obj]))
     alg_of = {obj: algebras[assignment[obj]] for obj in category.objects}
     chg = {obj: changes[assignment[obj]] for obj in category.objects}
-    chg_inv = {obj: chg[obj].inverse() for obj in category.objects}
+    coords = _Coordinates(chg)
 
     restrictions = {}
     for name in category.morphisms:
@@ -291,29 +397,21 @@ def load_project(path_or_dict):
                 restrictions[name] = RatMatrix.identity(alg_of[m.source].dim)
                 continue
             raise SchemaError("/presheaf/restrictions/%s: missing" % name)
-        mat = _sized_matrix(given[name], "/presheaf/restrictions/%s" % name,
-                            (alg_of[m.source].dim, alg_of[m.target].dim))
-        restrictions[name] = chg_inv[m.source] @ mat @ chg[m.target]
+        restrictions[name] = coords.map(given[name],
+                                        "/presheaf/restrictions/%s" % name,
+                                        m.source, m.target)
 
     twists = {}
     for key, coeffs in _entries(pblock, "twists", "/presheaf"):
-        u, v = _pair_key(key, "/presheaf/twists/%s" % key)
-        if u not in category.morphisms or v not in category.morphisms:
-            raise SchemaError("/presheaf/twists/%s: unknown morphisms" % key)
-        w_obj = category.source(v)
-        twists[(u, v)] = chg_inv[w_obj].apply(_sized_vector(
-            coeffs, "/presheaf/twists/%s" % key, alg_of[w_obj].dim))
-    z = {}
-    for obj, coeffs in _entries(pblock, "z", "/presheaf"):
-        where = "/presheaf/z/%s" % obj
-        dim = alg_of[_known(obj, alg_of, where)].dim
-        z[obj] = chg_inv[obj].apply(_sized_vector(coeffs, where, dim))
+        where = "/presheaf/twists/%s" % key
+        u, v = _arrow_pair(key, where, category, composite=True)
+        twists[(u, v)] = coords.element(category.source(v), coeffs, where)
+    z = {obj: coords.element(obj, coeffs, "/presheaf/z/%s" % obj)
+         for obj, coeffs in _entries(pblock, "z", "/presheaf")}
     presheaf = TwistedPresheaf(category, alg_of, restrictions, twists, z)
 
-    cochains = {}
-    for name, block in _entries(raw, "cochains", ""):
-        cochains[name] = _load_cochain(name, block, category, alg_of,
-                                       chg, chg_inv)
+    cochains = {name: _load_cochain(name, block, category, coords)
+                for name, block in _entries(raw, "cochains", "")}
     modules = {}
     for name, block in _entries(raw, "modules", ""):
         path = "/modules/%s" % name
@@ -347,63 +445,42 @@ def load_project(path_or_dict):
             modules[name] = (obj, FinModule(alg, dim, action))
         except InvalidStructure as exc:
             raise SchemaError("%s: not a module: %s" % (path, exc))
-    data = {}
-    for name, block in _entries(raw, "data", ""):
-        data[name] = block
-    return Project(category, poset, presheaf, cochains, modules, data, chg)
+    data = dict(_entries(raw, "data", ""))
+    return Project(category, poset, presheaf, cochains, modules, data, coords)
 
 
-def _load_cochain(name, block, category, alg_of, chg, chg_inv):
+def _load_cochain(name, block, category, coords):
+    """(kind, blocks) of the cochain block `name`: ("triple", m1, f1 and
+    c1) or ("pair", g1 and tau1), in the re-based coordinates."""
     path = "/cochains/%s" % name
     _object(block, path)
-    out = {"name": name}
     if "m1" in block or "f1" in block or "c1" in block:
-        m1 = {}
-        for obj, rows in _entries(block, "m1", path):
-            where = path + "/m1/" + obj
-            d = alg_of[_known(obj, alg_of, where)].dim
-            mat = _sized_matrix(rows, where, (d, d * d))
-            m1[obj] = chg_inv[obj] @ mat @ chg[obj].kron(chg[obj])
+        m1 = {obj: coords.map(rows, path + "/m1/" + obj, obj, obj, obj)
+              for obj, rows in _entries(block, "m1", path)}
         f1 = {}
         for mname, rows in _entries(block, "f1", path):
             where = path + "/f1/" + mname
             m = category.morphisms[_known(mname, category.morphisms, where)]
-            mat = _sized_matrix(rows, where, (alg_of[m.source].dim,
-                                              alg_of[m.target].dim))
-            f1[mname] = chg_inv[m.source] @ mat @ chg[m.target]
+            f1[mname] = coords.map(rows, where, m.source, m.target)
         c1 = {}
         for key, coeffs in _entries(block, "c1", path):
             where = path + "/c1/" + key
-            u1, u2 = (_known(u, category.morphisms, where)
-                      for u in _pair_key(key, where))
-            if category.target(u1) != category.source(u2):
-                raise SchemaError("%s: %s and %s are no 2-simplex: %s does "
-                                  "not end where %s starts"
-                                  % (where, u1, u2, u1, u2))
-            src = category.source(u1)
-            c1[(u1, u2)] = chg_inv[src].apply(
-                _sized_vector(coeffs, where, alg_of[src].dim))
-        out.update({"kind": "triple", "m1": m1, "f1": f1, "c1": c1})
-    elif "g1" in block or "tau1" in block:
-        g1 = {}
-        for obj, rows in _entries(block, "g1", path):
-            where = path + "/g1/" + obj
-            d = alg_of[_known(obj, alg_of, where)].dim
-            mat = _sized_matrix(rows, where, (d, d))
-            g1[obj] = chg_inv[obj] @ mat @ chg[obj]
+            u1, u2 = _arrow_pair(key, where, category, composite=False)
+            c1[(u1, u2)] = coords.element(category.source(u1), coeffs, where)
+        return "triple", {"m1": m1, "f1": f1, "c1": c1}
+    if "g1" in block or "tau1" in block:
+        g1 = {obj: coords.map(rows, path + "/g1/" + obj, obj, obj)
+              for obj, rows in _entries(block, "g1", path)}
         tau1 = {}
         for mname, coeffs in _entries(block, "tau1", path):
             where = path + "/tau1/" + mname
             src = category.source(_known(mname, category.morphisms, where))
-            tau1[mname] = chg_inv[src].apply(
-                _sized_vector(coeffs, where, alg_of[src].dim))
-        out.update({"kind": "pair", "g1": g1, "tau1": tau1})
-    else:
-        raise SchemaError("%s: expected (m1, f1, c1) or (g1, tau1)" % path)
-    return out
+            tau1[mname] = coords.element(src, coeffs, where)
+        return "pair", {"g1": g1, "tau1": tau1}
+    raise SchemaError("%s: expected (m1, f1, c1) or (g1, tau1)" % path)
 
 
-# -- writers (used by the preset generator and tests)
+# -- writers (used by the preset generator, the command line and tests)
 
 def algebra_json(alg, basis_names=None):
     mult = []
@@ -433,4 +510,29 @@ def presheaf_json(presheaf, algebra_names):
     zs = {obj: vector_json(val) for obj, val in presheaf.z.items()}
     if zs:
         out["z"] = zs
+    return out
+
+
+def deformation_json(presheaf):
+    """A twisted presheaf with each algebra written out in place (its
+    dim, mult and unit, no basis names), its restrictions and its twists,
+    as `gscohom deform` reports a deformation."""
+    return {"algebras": {obj: {"dim": alg.dim,
+                               "mult": algebra_json(alg)["mult"],
+                               "unit": vector_json(alg.unit)}
+                         for obj, alg in presheaf.algebras.items()},
+            "restrictions": {name: matrix_json(mat)
+                             for name, mat in presheaf.restrictions.items()},
+            "twists": {"%s;%s" % key: vector_json(val)
+                       for key, val in presheaf.twists.items()}}
+
+
+def cochain_json(theta):
+    """A GS cochain as {"(p,q)": {simplex label: matrix}}, one entry per
+    bidegree and its zero blocks left out."""
+    out = {}
+    for (p, q), blocks in sorted(theta.components.items()):
+        out["(%d,%d)" % (p, q)] = {simplex_label(key): matrix_json(mat)
+                                   for key, mat in sorted(blocks.items())
+                                   if not mat.is_zero()}
     return out
