@@ -37,12 +37,15 @@ the same matrix eliminates it at most once.  The same routine also
 eliminates the stored columns of a matrix, each leading on its last row:
 the leading rows of that echelon are the trailing rows of the column space
 (`RatMatrix._trailing_rows`), which `cohomology` counts and clears with.
-Only the row eliminations regroup a matrix by rows (`_integer_rows`).
+Only the row eliminations regroup a matrix by rows: `_integer_rows` reads
+the columns of its `transpose`, the one regrouping between columns and
+rows.
 
 A set of vectors is held as the columns of one sparse RatMatrix: kernel
-vectors are back-substituted straight into such a matrix, and a Subspace
-holds one.  Vectors become dense tuples only where they are returned: the
-chosen representatives, and `Subspace.basis` when it is read.
+vectors are back-substituted coordinate by coordinate and regrouped into
+such a matrix by `transpose`, and a Subspace holds one.  Vectors become
+dense tuples only where they are returned: the chosen representatives,
+and `Subspace.basis` when it is read.
 
 `RatMatrix.from_blocks` is the one routine that places blocks: it sums
 (row offset, column offset, block) triples into one matrix, adding entries
@@ -50,11 +53,14 @@ where blocks overlap.  `hstack`, `vstack`, `block` and `block_diag` call
 it, and so do the slice and Cech cochain maps; `+` and `-` sum two
 matrices of one shape column by column.  The differentials of
 the complexes write their entries straight into a list of column dicts
-instead, one per column (`RatMatrix._from_column_list`): the Hochschild
-differential by the word rule (`hochschild.hoch_differential`), the
-simplicial one at the faces' positions in the nerve's face table
-(`simplicial.PairComplex`), and the total differential both, at the
-offsets of its cells (`gs.GSComplex.differential`).
+instead, one per column (`RatMatrix._from_column_list`), and build no
+block to place: the Hochschild differential by the word rule
+(`hochschild.hoch_differential`), the simplicial one at the faces'
+positions in the nerve's face table, its outer faces straight from the
+entries of the restriction maps (`simplicial.PairComplex`), and the total
+differential both, at the offsets of its cells
+(`gs.GSComplex.differential`).  The columns a writer fills are the
+matrix's own, shared with no other matrix.
 
 `cohomology` is the one place where cohomology is computed.  The
 Hochschild, simplicial, Cech and total complexes reach it through
@@ -586,11 +592,12 @@ class RatMatrix:
         """The Kronecker product: self[i, j] * other[k, l] at
         (i * other.rows + k, j * other.cols + l), so column
         j * other.cols + l is column l of other placed at the rows
-        i * other.rows of each entry self[i, j] of column j, times it.  An
-        identity factor (the shared instance of `identity`) copies the
-        columns of the other one, and a 1 x 1 factor scales it.  Products
-        of nonzero entries are nonzero, and of ints are ints, so only a
-        product with a Fraction factor needs normalising."""
+        i * other.rows of each entry self[i, j] of column j, times it.  A
+        1 x 1 factor scales the other one.  Products of nonzero entries are
+        nonzero, and of ints are ints, so only a product with a Fraction
+        factor needs normalising.  An identity factor takes the same loop:
+        the simplicial differential writes its Kronecker blocks itself
+        (`simplicial.PairComplex.write_differential`)."""
         rows, width = other.rows, other.cols
         if rows == width == 1:
             return self.scale(other[0, 0])
@@ -598,36 +605,7 @@ class RatMatrix:
             return other.scale(self[0, 0])
         shape = (self.rows * rows, self.cols * width)
         by_col = {}
-        if other is _IDENTITIES.get(rows):
-            # column j * rows + l: column j of self, row i moved to
-            # i * rows + l; a column of one entry is written at once
-            for j, left in self._c.items():
-                base = j * rows
-                if len(left) == 1:
-                    for i, a in left.items():
-                        i *= rows
-                    for l in range(rows):
-                        by_col[base + l] = {i + l: a}
-                    continue
-                for l in range(rows):
-                    by_col[base + l] = out = {}
-                    for i, a in left.items():
-                        out[i * rows + l] = a
-            return RatMatrix._trusted(*shape, by_col)
         right = other._c.items()
-        if self is _IDENTITIES.get(self.rows):
-            # column j * width + l: column l of other, moved down j * rows
-            for j in range(self.rows):
-                base, shift = j * width, j * rows
-                for l, col in right:
-                    if len(col) == 1:
-                        for k, b in col.items():
-                            by_col[base + l] = {shift + k: b}
-                        continue
-                    by_col[base + l] = out = {}
-                    for k, b in col.items():
-                        out[shift + k] = b
-            return RatMatrix._trusted(*shape, by_col)
         for j, left in self._c.items():
             base = j * width
             for l, col in right:
@@ -650,17 +628,9 @@ class RatMatrix:
     # -- elimination
 
     def _integer_rows(self):
-        """The nonzero rows as primitive integer rows {col: int}
-        (`_primitive_lines`)."""
-        by_row = {}
-        for j, col in self._c.items():
-            for i, v in col.items():
-                row = by_row.get(i)
-                if row is None:
-                    by_row[i] = {j: v}
-                else:
-                    row[j] = v
-        return _primitive_lines(by_row.values())
+        """The nonzero rows as primitive integer rows {col: int}: the
+        columns of the transpose, made primitive (`_primitive_lines`)."""
+        return _primitive_lines(self.transpose()._c.values())
 
     def _integer_columns(self, cleared):
         """The stored (nonzero) columns j not in `cleared`, as primitive
@@ -981,7 +951,9 @@ def _back_substitute(echelon, free, cols):
     x_j = 1 at j = free[k], 0 at every other column that is no leading
     column of the echelon basis, and echelon . x = 0: the rows are solved
     from the last leading column back, each for the x at its leading
-    column.  All columns are solved in one pass over the rows."""
+    column.  All columns are solved in one pass over the rows, into
+    {coordinate: {k: value}}, the rows of the result, which `transpose`
+    regroups into its columns."""
     if not free:
         return RatMatrix.zeros(cols, 0)
     x = {j: {k: 1} for k, j in enumerate(free)}
@@ -1000,15 +972,7 @@ def _back_substitute(echelon, free, cols):
                     else exact(-s / Fraction(lead))
         if solved:
             x[c] = solved
-    by_col = {}
-    for i, row in x.items():
-        for k, v in row.items():
-            col = by_col.get(k)
-            if col is None:
-                by_col[k] = {i: v}
-            else:
-                col[i] = v
-    return RatMatrix._trusted(cols, len(free), by_col)
+    return RatMatrix._trusted(len(free), cols, x).transpose()
 
 
 def submatrix(mat, row_idx, col_idx):

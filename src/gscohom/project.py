@@ -76,9 +76,13 @@ def parse_vector(vals, path="?"):
 
 
 def _sized_matrix(rows, path, shape):
-    """parse_matrix(rows, path), or a SchemaError at path when the matrix
-    is not shape = (rows, cols)."""
-    mat = parse_matrix(rows, path)
+    """parse_matrix(rows, path), checked by `_shaped`."""
+    return _shaped(parse_matrix(rows, path), path, shape)
+
+
+def _shaped(mat, path, shape):
+    """The matrix mat, or a SchemaError at path when it is not
+    shape = (rows, cols)."""
     if (mat.rows, mat.cols) != shape:
         raise SchemaError("%s: expected a %d x %d matrix, got %d x %d"
                           % ((path,) + shape + (mat.rows, mat.cols)))
@@ -220,15 +224,13 @@ class Project:
     """A loaded project: category (plus meet-poset view when available),
     presheaf, and the named cochains, modules and descent data."""
 
-    def __init__(self, category, poset, presheaf, cochains, modules, data,
-                 coordinates):
+    def __init__(self, category, poset, presheaf, cochains, modules, data):
         self.category = category
         self.poset = poset
         self.presheaf = presheaf
         self.cochains = cochains
         self.modules = modules
         self.data = data
-        self._coordinates = coordinates
 
     def meet_poset(self):
         """The meet-poset view of the category, which the Cech complex
@@ -255,42 +257,25 @@ class Project:
 
     def datum(self, name):
         """The descent datum `name` as a `descent.PreDescentDatum`: the
-        free one with the given trivialization (type "free"), or else a
-        named module per object and a map phi_u per morphism u."""
+        free one with the given trivialization (type "free"), or else the
+        named module per object and the map phi_u per morphism u (type
+        "explicit"), which must be dim M_V x dim(M_U (x)_u A(V)).  The
+        block was checked when the project loaded (`_load_datum`), but
+        for that shape, which needs the tensor quotient."""
         path = "/data/%s" % name
         if name not in self.data:
             raise SchemaError("%s: not present" % path)
-        block = _object(self.data[name], path)
         from .descent import (DescentMachine, PreDescentDatum,
                               canonical_free_datum)
         machine = DescentMachine(self.presheaf)
-        cat = self.category
-        if block.get("type") == "free":
-            trivialization = {}
-            for mname, coeffs in _entries(block, "trivialization", path):
-                where = "%s/trivialization/%s" % (path, mname)
-                src = cat.source(_known(mname, cat.morphisms, where))
-                trivialization[mname] = self._coordinates.element(
-                    src, coeffs, where)
-            return canonical_free_datum(machine, trivialization)
-        given = _object(_required(block, "modules", path), path + "/modules")
-        modules = {}
-        for obj in cat.objects:
-            where = "%s/modules/%s" % (path, obj)
-            mod_name = _name(given, obj, path + "/modules")
-            mobj, modules[obj] = self.modules[_known(mod_name, self.modules,
-                                                     where)]
-            if mobj != obj:
-                raise SchemaError("%s: module lives at %s" % (where, mobj))
-        given = _object(_required(block, "maps", path), path + "/maps")
-        maps = {}
-        for mname, m in cat.morphisms.items():
-            rows = _required(given, mname, path + "/maps")
-            # phi_u: M_U (x)_u A(V) -> M_V
+        kind, parts = self.data[name]
+        if kind == "free":
+            return canonical_free_datum(machine, parts)
+        modules, maps = parts
+        for mname, m in self.category.morphisms.items():
             shape = (modules[m.source].dim,
                      machine.tensor(modules[m.target], mname).dim)
-            maps[mname] = _sized_matrix(rows, "%s/maps/%s" % (path, mname),
-                                        shape)
+            _shaped(maps[mname], "%s/maps/%s" % (path, mname), shape)
         return PreDescentDatum(machine, modules, maps)
 
 
@@ -445,8 +430,9 @@ def load_project(path_or_dict):
             modules[name] = (obj, FinModule(alg, dim, action))
         except InvalidStructure as exc:
             raise SchemaError("%s: not a module: %s" % (path, exc))
-    data = dict(_entries(raw, "data", ""))
-    return Project(category, poset, presheaf, cochains, modules, data, coords)
+    data = {name: _load_datum(name, block, category, modules, coords)
+            for name, block in _entries(raw, "data", "")}
+    return Project(category, poset, presheaf, cochains, modules, data)
 
 
 def _load_cochain(name, block, category, coords):
@@ -478,6 +464,41 @@ def _load_cochain(name, block, category, coords):
             tau1[mname] = coords.element(src, coeffs, where)
         return "pair", {"g1": g1, "tau1": tau1}
     raise SchemaError("%s: expected (m1, f1, c1) or (g1, tau1)" % path)
+
+
+def _load_datum(name, block, category, modules, coords):
+    """(kind, parts) of the descent datum block `name`: ("free", the
+    trivialization {u: element of A(source u)}), or ("explicit",
+    ({object: its named module}, {u: phi_u})), each module one of the
+    project's at that object and phi_u a matrix per morphism u."""
+    path = "/data/%s" % name
+    _object(block, path)
+    kind = _name(block, "type", path)
+    if kind == "free":
+        trivialization = {}
+        for mname, coeffs in _entries(block, "trivialization", path):
+            where = "%s/trivialization/%s" % (path, mname)
+            src = category.source(_known(mname, category.morphisms, where))
+            trivialization[mname] = coords.element(src, coeffs, where)
+        return kind, trivialization
+    if kind != "explicit":
+        raise SchemaError("%s/type: expected 'free' or 'explicit', got %r"
+                          % (path, kind))
+    given = _object(_required(block, "modules", path), path + "/modules")
+    named = {}
+    for obj in category.objects:
+        where = "%s/modules/%s" % (path, obj)
+        mobj, named[obj] = modules[_known(_name(given, obj, path + "/modules"),
+                                          modules, where)]
+        if mobj != obj:
+            raise SchemaError("%s: module lives at %s" % (where, mobj))
+    given = _object(_required(block, "maps", path), path + "/maps")
+    for mname in given:
+        _known(mname, category.morphisms, "%s/maps/%s" % (path, mname))
+    maps = {mname: parse_matrix(_required(given, mname, path + "/maps"),
+                                "%s/maps/%s" % (path, mname))
+            for mname in category.morphisms}
+    return kind, (named, maps)
 
 
 # -- writers (used by the preset generator, the command line and tests)

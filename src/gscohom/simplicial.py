@@ -12,8 +12,11 @@ its simplicial side.
 
 Cochain blocks are flattened column-major (input index outer, output index
 inner), simplices in nerve order; d is written column by column at the
-faces' positions in the category's face table (`FiniteCategory.faces`).
+faces' positions in the category's face table (`FiniteCategory.faces`),
+the outer faces straight from the entries of the restriction maps.
 """
+
+from collections import defaultdict
 
 from .linalg import RatMatrix, exact, memo, subcomplex_cohomology
 from .algebra import InvalidStructure
@@ -39,7 +42,9 @@ def functoriality_failure(category, maps, dims, identity_fails,
 
 class ModPresheaf:
     """A presheaf of finite-dimensional vector spaces: dims per object and a
-    matrix f^u: F(U) -> F(V) per morphism u: V -> U."""
+    matrix f^u: F(U) -> F(V) per morphism u: V -> U.  `identities` is the
+    set of the u whose f^u is an identity matrix, as it is along an
+    identity arrow, decided once here; the presheaf is never changed."""
 
     def __init__(self, category, dims, maps, check=True):
         self.category = category
@@ -47,6 +52,8 @@ class ModPresheaf:
         self.maps = dict(maps)
         if check:
             self._validate()
+        self.identities = {u for u, mat in self.maps.items()
+                           if mat == RatMatrix.identity(mat.rows)}
 
     def _validate(self):
         """Shapes, identities and functoriality; InvalidStructure names the
@@ -78,23 +85,6 @@ class ModPresheaf:
         dims = {o: presheaf.algebras[o].dim for o in presheaf.category.objects}
         return ModPresheaf(presheaf.category, dims, presheaf.restrictions,
                            check=False)
-
-    @memo()
-    def outer_block(self, u, size, last):
-        """The columns (j, {row: value}) of 1_size (x) maps[u], the
-        post-composition of size-column cochains with maps[u] (the face
-        d_0), or with last=True of maps[u]^T (x) 1_size, the
-        pre-composition of size-row cochains (the last face); built once per
-        presheaf, so the pair complexes of one GS complex, which share F,
-        share its d_0 blocks.  None when maps[u] is an identity matrix, as
-        it is along an identity arrow: then the block is an identity too,
-        and `write_differential` takes the face as a run."""
-        mat = self.maps[u]
-        if mat == RatMatrix.identity(mat.rows):
-            return None
-        one = RatMatrix.identity(size)
-        return tuple((mat.transpose().kron(one) if last
-                      else one.kron(mat))._c.items())
 
     @memo()
     def tensor_power(self, q):
@@ -158,34 +148,36 @@ class PairComplex:
         a column may be left empty.
 
         With vec(L X R) = (R^T (x) L) vec X on column-major cochains, the
-        face d_0 of sigma = (u_1, ..., u_{p+1}) post-composes with F(u_1),
-        the block 1_cols (x) F(u_1); the face d_{p+1} pre-composes with
-        G(u_{p+1}), the block (-1)^{p+1} G(u_{p+1})^T (x) 1_rows; an
-        interior face d_i is a run of (-1)^i, the identity block times that
-        sign.  An outer face whose restriction is an identity matrix is a
-        run too (`ModPresheaf.outer_block`).  Faces that coincide in the
-        face table (`FiniteCategory.faces`) add up: the runs at one face
-        are summed before any entry is written, so runs that cancel, as
-        the faces of a degenerate simplex often do, write nothing."""
+        face d_0 of sigma = (u_1, ..., u_{p+1}) post-composes with
+        F = F(u_1), the block 1_cols (x) F: entry F[k, l] goes from
+        coordinate j * F.cols + l of the face to j * rows + k, for each
+        j < cols.  The face d_{p+1} pre-composes with G = G(u_{p+1}), the
+        block (-1)^{p+1} G^T (x) 1_rows, read off the columns of G: entry
+        G[j1, j] goes from j1 * rows + i to j * rows + i, for each
+        i < rows.  An interior face d_i is a run of (-1)^i, the identity
+        block times that sign, and so is an outer face whose restriction
+        is an identity matrix (`ModPresheaf.identities`).  Faces that
+        coincide in the face table (`FiniteCategory.faces`) add up: the
+        runs at one face are summed before any entry is written, so runs
+        that cancel, as the faces of a degenerate simplex often do, write
+        nothing; an outer block at a face written already is written
+        apart and then added."""
         offsets = [col0 + off for *_, off in self.layout(p)[0]]
         for (sigma, rows, cols, start), faces in zip(
                 self.layout(p + 1)[0], self.category.faces(p)):
             out = row0 + start
             stop = out + rows * cols
             runs, blocks = {}, []
-            for pos, entries, coeff in (
-                    (faces[0], self.f.outer_block(sigma.arrows[0], cols,
-                                                  False), 1),
-                    (faces[-1], self.g.outer_block(sigma.arrows[-1], rows,
-                                                   True), (-1) ** (p + 1))):
-                if entries is None:
+            for pos, presheaf, u, last, coeff in (
+                    (faces[0], self.f, sigma.arrows[0], False, 1),
+                    (faces[-1], self.g, sigma.arrows[-1], True,
+                     (-1) ** (p + 1))):
+                if u in presheaf.identities:
                     runs[pos] = runs.get(pos, 0) + coeff
                 else:
-                    blocks.append((pos, entries, sign * coeff))
+                    blocks.append((pos, presheaf.maps[u], last, sign * coeff))
             for i in range(1, p + 1):
                 runs[faces[i]] = runs.get(faces[i], 0) + (-1) ** i
-            # the runs left after coinciding faces cancel write distinct
-            # entries; an outer block adds where a run or block came first
             written = set()
             for pos, coeff in runs.items():
                 if coeff:
@@ -194,24 +186,37 @@ class PairComplex:
                                         columns[first:first + stop - out]):
                         col[row] = value
                     written.add(pos)
-            for pos, entries, face_sign in blocks:
-                first = offsets[pos]
-                if pos not in written:
-                    for j, block in entries:
-                        col = columns[first + j]
+            for pos, mat, last, face_sign in blocks:
+                add = pos in written
+                target, first = (defaultdict(dict), 0) if add else \
+                    (columns, offsets[pos])
+                if last:
+                    for j, g_col in mat._c.items():
+                        to = out + j * rows
+                        for j1, v in g_col.items():
+                            v *= face_sign
+                            at = first + j1 * rows
+                            for i in range(rows):
+                                target[at + i][to + i] = v
+                else:
+                    f_cols = mat._c.items()
+                    for j in range(cols):
+                        at, to = first + j * mat.cols, out + j * rows
+                        for l, f_col in f_cols:
+                            col = target[at + l]
+                            for k, v in f_col.items():
+                                col[to + k] = face_sign * v
+                if add:
+                    first = offsets[pos]
+                    for c, block in target.items():
+                        col = columns[first + c]
                         for i, v in block.items():
-                            col[out + i] = face_sign * v
-                    written.add(pos)
-                    continue
-                for j, block in entries:
-                    col = columns[first + j]
-                    for i, v in block.items():
-                        i += out
-                        v = col.get(i, 0) + face_sign * v
-                        if not v:
-                            del col[i]
-                        else:
-                            col[i] = v if type(v) is int else exact(v)
+                            v += col.get(i, 0)
+                            if not v:
+                                del col[i]
+                            else:
+                                col[i] = v if type(v) is int else exact(v)
+                written.add(pos)
 
     def reduced_coordinates(self, p):
         """Flat coordinates supported on non-degenerate simplices (a

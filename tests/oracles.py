@@ -34,6 +34,9 @@ against, and the writer of project files that the format tests read back.
   and an algebra map between the opposite algebras.
 - `simplex_face`: the i-th face of a nerve simplex, the oracle of the face
   table `FiniteCategory.faces`.
+- `pair_differential`: d_simp of a pair of module presheaves placed face
+  by face with `vec_operator`, the oracle of
+  `PairComplex.write_differential`.
 - `restriction_along`: f^sigma as the product of the restrictions along
   sigma, the oracle of the table `GSComplex._restrictions`.
 - `cech_value`: the value of a Čech cochain on an arbitrary tuple.
@@ -52,7 +55,7 @@ from gscohom.hochschild import (HCochain, d_hoch, is_normalized, op_matrix,
                                 word_index)
 from gscohom.linalg import (ComplexViolation, RatMatrix, ShapeMismatch,
                             VerificationFailed, _row_echelon, exact, flatten,
-                            submatrix, unflatten)
+                            submatrix, unflatten, vec_operator)
 from gscohom.project import SCHEMA, algebra_json, presheaf_json
 from gscohom.shuffles import GroupAlgebraElement, eulerian_idempotents
 from gscohom.simplicial import ModPresheaf, PairComplex
@@ -469,6 +472,25 @@ def simplex_face(sigma, i):
                          % (i, len(sigma.arrows)))
     key = sigma.cat.face_key(sigma.key(), i)
     return Simplex(sigma.cat, key[1:], key[0])
+
+
+def pair_differential(g, f, p):
+    """d_simp: C^p(G, F) -> C^{p+1}(G, F) of two `ModPresheaf`s, placed
+    face by face: the face d_0 of sigma = (u_1, ..., u_{p+1}) is
+    X -> F(u_1) X, the face d_{p+1} is X -> (-1)^{p+1} X G(u_{p+1}), and an
+    interior face d_i is (-1)^i, each at the column offset found by the key
+    of `simplex_face`; blocks of faces that coincide add up."""
+    layout = PairComplex(g, f).layout
+    offset = {sigma.key(): off for sigma, _, _, off in layout(p)[0]}
+    one, placed = RatMatrix.identity, []
+    for sigma, rows, cols, out in layout(p + 1)[0]:
+        blocks = [vec_operator(f.maps[sigma.arrows[0]], one(cols))] + \
+            [one(rows * cols).scale((-1) ** i) for i in range(1, p + 1)] + \
+            [vec_operator(one(rows), g.maps[sigma.arrows[-1]]).scale(
+                (-1) ** (p + 1))]
+        placed += [(out, offset[simplex_face(sigma, i).key()], block)
+                   for i, block in enumerate(blocks)]
+    return RatMatrix.from_blocks(layout(p + 1)[1], layout(p)[1], placed)
 
 
 def restriction_along(presheaf, simplex):

@@ -288,20 +288,23 @@ def test_cli_cech_full_kind():
     assert json.loads(out2)["betti"] == payload["betti"]
 
 
-@pytest.mark.parametrize("args, env", [
-    (["cohomology", "--complex", "hoch", "--degree", "-1"], {}),
-    (["cohomology", "--complex", "simp", "--degree", "-1"], {}),
-    (["cohomology", "--complex", "cech", "--degree", "-1"], {}),
-    (["cohomology", "--complex", "gs", "--degree", "-1"], {}),
-    (["hodge", "--degree", "-1"], {}),
-    (["compare-cech", "--degree", "-1"], {}),
-    (["factor", "--cocycle", "gauge"], {}),
-    (["equiv", "--defA", "rep_cocycle", "--defB", "rep_cocycle",
-      "--cochain", "rep_cocycle"], {}),
-])
-def test_cli_bad_input_exit_2(monkeypatch, args, env):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+BAD_INPUT = [
+    ["cohomology", "--complex", "hoch", "--degree", "-1"],
+    ["cohomology", "--complex", "simp", "--degree", "-1"],
+    ["cohomology", "--complex", "cech", "--degree", "-1"],
+    ["cohomology", "--complex", "gs", "--degree", "-1"],
+    ["hodge", "--degree", "-1"],
+    ["compare-cech", "--degree", "-1"],
+    ["factor", "--cocycle", "gauge"],
+    ["equiv", "--defA", "rep_cocycle", "--defB", "rep_cocycle",
+     "--cochain", "rep_cocycle"],
+]
+
+
+# the ids are the names these cases have long run under
+@pytest.mark.parametrize("args", BAD_INPUT, ids=[
+    "args%d-env%d" % (k, k) for k in range(len(BAD_INPUT))])
+def test_cli_bad_input_exit_2(args):
     code, out = run_cli(args[:1] + ["--project", project_path("v_poset.json")]
                         + args[1:])
     assert code == 2
@@ -964,47 +967,86 @@ def test_malformed_category_or_algebra_is_a_schema_error(
     assert done.stderr == ""
 
 
-@pytest.mark.parametrize("block, path", [
-    ({"type": "explicit"}, "/data/structure/modules: missing"),
-    ({"type": "explicit", "modules": {"pt": "free_pt"}},
+DATUM_CASES = [pytest.param(block, path, id=name) for name, block, path in [
+    ("no-modules", {"type": "explicit"}, "/data/structure/modules: missing"),
+    ("no-maps", {"type": "explicit", "modules": {"pt": "free_pt"}},
      "/data/structure/maps: missing"),
-    ({"type": "explicit", "modules": [], "maps": {}},
+    ("modules-list", {"type": "explicit", "modules": [], "maps": {}},
      "/data/structure/modules: expected an object"),
-    ({"type": "explicit", "modules": {"pt": "free_pt"}, "maps": []},
+    ("maps-list", {"type": "explicit", "modules": {"pt": "free_pt"},
+                   "maps": []},
      "/data/structure/maps: expected an object"),
-    ({"type": "free", "trivialization": []},
+    ("trivialization-list", {"type": "free", "trivialization": []},
      "/data/structure/trivialization: expected an object"),
-    ([], "/data/structure: expected an object"),
-    ({"type": "free", "trivialization": {"pt->pt": ["1", "0", "0"]}},
+    ("datum-list", [], "/data/structure: expected an object"),
+    ("trivialization-length",
+     {"type": "free", "trivialization": {"pt->pt": ["1", "0", "0"]}},
      "/data/structure/trivialization/pt->pt: expected 2 entries"),
-    ({"type": "free", "trivialization": {"nope": ["1"]}},
+    ("trivialization-unknown-morphism",
+     {"type": "free", "trivialization": {"nope": ["1"]}},
      "/data/structure/trivialization/nope: unknown"),
-    ({"type": "explicit", "modules": {"pt": "free_pt"},
-      "maps": {"pt->pt": [["1"]]}},
+    ("map-shape", {"type": "explicit", "modules": {"pt": "free_pt"},
+                   "maps": {"pt->pt": [["1"]]}},
      "/data/structure/maps/pt->pt: expected a 2 x 2 matrix, got 1 x 1"),
-    ({"type": "explicit", "modules": {"pt": ["free_pt"]}, "maps": {}},
+    ("module-name-list",
+     {"type": "explicit", "modules": {"pt": ["free_pt"]}, "maps": {}},
      "/data/structure/modules/pt: expected a name, got ['free_pt']"),
-], ids=["no-modules", "no-maps", "modules-list", "maps-list",
-        "trivialization-list", "datum-list", "trivialization-length",
-        "trivialization-unknown-morphism", "map-shape", "module-name-list"])
-def test_malformed_datum_is_a_schema_error_without_traceback(
-        tmp_path, block, path):
+    ("no-type", {"trivialization": {}}, "/data/structure/type: missing"),
+    ("type-unknown", {"type": "glued"},
+     "/data/structure/type: expected 'free' or 'explicit', got 'glued'"),
+    ("module-unknown", {"type": "explicit", "modules": {"pt": "nope"},
+                        "maps": {}},
+     "/data/structure/modules/pt: unknown 'nope'"),
+    ("map-missing", {"type": "explicit", "modules": {"pt": "free_pt"},
+                     "maps": {}},
+     "/data/structure/maps/pt->pt: missing"),
+    ("map-unknown-morphism",
+     {"type": "explicit", "modules": {"pt": "free_pt"},
+      "maps": {"pt->pt": [["1", "0"], ["0", "1"]], "nope": [["1"]]}},
+     "/data/structure/maps/nope: unknown 'nope'"),
+    ("map-ragged", {"type": "explicit", "modules": {"pt": "free_pt"},
+                    "maps": {"pt->pt": [["1", "0"], ["1"]]}},
+     "/data/structure/maps/pt->pt: rows must be lists of equal length"),
+]]
+
+
+def _run_on_a_datum(tmp_path, block, *args):
+    """The CLI run on one_object.json with the free module free_pt over the
+    dual numbers at its one object and the datum `structure` = block."""
     with open(project_path("one_object.json")) as fh:
         raw = json.load(fh)
-    # the free module over the dual numbers at the one object
     raw["modules"] = {"free_pt": {"object": "pt", "dim": 2, "action": [
         [["1", "0"], ["0", "1"]], [["0", "0"], ["1", "0"]]]}}
     raw["data"] = {"structure": block}
     project = tmp_path / "project.json"
     project.write_text(json.dumps(raw))
     env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "..", "src"))
-    done = subprocess.run([sys.executable, "-m", "gscohom.cli",
-                           "descent-check", "--project", str(project),
-                           "--datum", "structure"],
+    return subprocess.run([sys.executable, "-m", "gscohom.cli", args[0],
+                           "--project", str(project), *args[1:]],
                           capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("block, path", DATUM_CASES)
+def test_malformed_datum_is_a_schema_error_without_traceback(
+        tmp_path, block, path):
+    done = _run_on_a_datum(tmp_path, block, "descent-check", "--datum",
+                           "structure")
     assert done.returncode == 2, done.stderr
     assert path in json.loads(done.stdout)["error"]
     assert done.stderr == ""
+
+
+@pytest.mark.parametrize("block, path", DATUM_CASES)
+def test_check_refuses_a_malformed_datum(tmp_path, block, path):
+    # the load checks every datum block but for the shape of each phi_u,
+    # which needs the tensor quotient that only descent-check builds
+    done = _run_on_a_datum(tmp_path, block, "check")
+    assert done.stderr == ""
+    if "/maps/pt->pt: expected a 2 x 2" in path:
+        assert done.returncode == 0 and json.loads(done.stdout)["valid"]
+        return
+    assert done.returncode == 2
+    assert path in json.loads(done.stdout)["error"]
 
 
 COHOMOLOGY_HELP = """\

@@ -118,7 +118,7 @@ TRIPPED_BY = {
     ("project", "parse_matrix", "SchemaError", 1):
         "test_project_cli.py::" + CLI_TESTS[4] + "[action-ragged]",
     ("project", "parse_vector", "SchemaError", 0): MALFORMED + "[unit-null]",
-    ("project", "_sized_matrix", "SchemaError", 0): MALFORMED + "[f1-shape]",
+    ("project", "_shaped", "SchemaError", 0): MALFORMED + "[f1-shape]",
     ("project", "_sized_vector", "SchemaError", 0):
         MALFORMED + "[twist-length]",
     ("project", "_required", "SchemaError", 0): MALFORMED + "[no-unit]",
@@ -145,7 +145,9 @@ TRIPPED_BY = {
         USAGE + "[factor-of-a-pair]",
     ("project", "Project.datum", "SchemaError", 0):
         USAGE + "[datum-not-present]",
-    ("project", "Project.datum", "SchemaError", 1):
+    ("project", "_load_datum", "SchemaError", 0):
+        "test_project_cli.py::" + CLI_TESTS[3] + "[type-unknown]",
+    ("project", "_load_datum", "SchemaError", 1):
         USAGE + "[module-elsewhere]",
     ("project", "_load_category", "SchemaError", 0):
         "test_project_cli.py::" + CLI_TESTS[5] + "[identity-not-a-unit]",

@@ -7,8 +7,8 @@ from gscohom.linalg import (RatMatrix, NotASubcomplex, VerificationFailed,
                             flatten, subcomplex_cohomology, unflatten)
 from gscohom.simplicial import ModPresheaf, PairComplex, presheaf_cohomology
 from gscohom import presets
-from conftest import random_matrix
-from oracles import PresheafComplex, simplex_face
+from conftest import INVOLUTIONS, involution_presheaf, random_matrix
+from oracles import PresheafComplex, pair_differential, simplex_face
 
 
 def underlying(p):
@@ -61,6 +61,33 @@ def test_pair_differential_matches_face_formula(name, rng):
                     sigma.arrows[-1]]).scale((-1) ** (p + 1))
                 assert unflatten(out[off:off + rows * cols], rows, cols) \
                     == expected, (q, p, sigma.key())
+
+
+@pytest.mark.parametrize("name", sorted(INVOLUTIONS))
+def test_outer_faces_that_coincide_add_up(name):
+    # on the group Z/2 both outer faces of the 1-simplex s are the one
+    # 0-simplex, so each outer block adds where a face was written already
+    presheaf = involution_presheaf(name)
+    f = ModPresheaf.of_algebras(presheaf)
+    for g in [ModPresheaf.constant(presheaf.category)] + \
+            [f.tensor_power(q) for q in range(3)]:
+        cx = PairComplex(g, f)
+        for p in range(4):
+            assert cx.differential(p) == pair_differential(g, f, p), p
+            assert (cx.differential(p + 1) @ cx.differential(p)).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(INVOLUTIONS))
+def test_presheaf_cohomology_of_an_involution_is_the_invariants(name):
+    # group cohomology of a finite group over Q: the invariants in degree
+    # 0, nothing above
+    presheaf = involution_presheaf(name)
+    s = presheaf.restrictions["s"]
+    invariants = s.cols - (s - RatMatrix.identity(s.rows)).rank()
+    f = ModPresheaf.of_algebras(presheaf)
+    assert [presheaf_cohomology(f, p)[0] for p in range(5)] == \
+        [invariants, 0, 0, 0, 0]
+    assert invariants == 1
 
 
 def test_degree_zero_differential_pattern():
